@@ -227,11 +227,20 @@ impl FaultDevice {
         WriteTrace { events: self.events.lock().clone() }
     }
 
-    /// Number of recorded events so far (writes + flushes).  Workload
-    /// drivers record this at fsync completion so the enumeration can tell
-    /// which durability points a given crash state honours.
+    /// Number of recorded events so far (writes + flushes).
     pub fn event_count(&self) -> usize {
         self.events.lock().len()
+    }
+
+    /// Number of leading events the device has made durable: everything up
+    /// to and including the last FLUSH.  Workload drivers record this at
+    /// fsync completion so the enumeration can tell which durability points
+    /// a given crash state honours — an acknowledged fsync can only rest on
+    /// barriers already issued, so writes trailing the last one (a journal
+    /// commit's unflushed installs) must be allowed to vanish.
+    pub fn durable_event_count(&self) -> usize {
+        let events = self.events.lock();
+        events.iter().rposition(|e| matches!(e, Event::Flush)).map_or(0, |i| i + 1)
     }
 
     /// Injection counters.

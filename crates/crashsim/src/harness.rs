@@ -337,8 +337,8 @@ const MAX_DIRS: usize = 6;
 const MAX_FILE_PAGES: u64 = 4;
 
 /// Drives `ops` randomized operations against `fs`, mirroring each into
-/// `model` and recording fsync durability points against `fault`'s event
-/// counter.  Returns the number of operations completed.
+/// `model` and recording fsync durability points against `fault`'s durable
+/// event count.  Returns the number of operations completed.
 fn run_workload(
     fs: &dyn VfsFs,
     fault: &FaultDevice,
@@ -355,7 +355,7 @@ fn run_workload(
         let force_fsync = model.snapshot_count() == 0 && op == cfg.ops / 4;
         if force_fsync || roll < 0.12 {
             fs.fsync(fs.root_ino(), false)?;
-            model.note_fsync(fault.event_count());
+            model.note_fsync(fault.durable_event_count());
         } else if roll < 0.24 && model.tree.dirs.len() < MAX_DIRS {
             name_counter += 1;
             let name = format!("d{name_counter}");

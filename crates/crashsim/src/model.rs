@@ -42,8 +42,9 @@ pub struct StableSnapshot {
     pub tree: TreeState,
     /// Index of the workload operation that issued the fsync.
     pub op_index: usize,
-    /// Device event count when the fsync returned: a crash state honours
-    /// this snapshot iff its durable prefix reaches at least this far.
+    /// Durable device event count (through the last FLUSH) when the fsync
+    /// returned: a crash state honours this snapshot iff its durable prefix
+    /// reaches at least this far.
     pub durable_events: usize,
 }
 

@@ -40,7 +40,7 @@ fn every_write_prefix_crash_recovers_atomically_on_every_stack() {
             log.end_op().unwrap();
         }
         let trace = recorder.trace();
-        assert_eq!(trace.flush_count(), 6, "{name}: two commits, three barriers each");
+        assert_eq!(trace.flush_count(), 4, "{name}: two commits, two barriers each");
 
         for state in prefix_states(&trace, &image) {
             let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;

@@ -8,7 +8,7 @@
 //!   the next group's stage-1 payload while its own installs are still in
 //!   flight (`overlapped_commits` observes it), and
 //! * an 8-thread stress run checking that staging group N+1 while group N
-//!   installs never loses data, keeps the barrier discipline (3 barriers
+//!   installs never loses data, keeps the barrier discipline (2 barriers
 //!   per commit), drives the device above queue depth 1, and that `flush`
 //!   drains both stages.
 
@@ -84,7 +84,7 @@ fn overlap_attempt(stack: &dyn LogStack) -> bool {
     assert_eq!(stats.commits, 2, "{name}");
     assert_eq!(
         stats.barriers,
-        stats.commits * 3,
+        stats.commits * 2,
         "{name}: overlap must not change barriers per commit"
     );
     for (blockno, fill) in [(600u64, 0xAAu8), (601, 0xBB)] {
@@ -146,8 +146,8 @@ fn eight_thread_stress_overlap_preserves_data_and_flush_drains_on_every_stack() 
             assert!(stats.commits >= 1, "{name}");
             assert_eq!(
                 stats.barriers,
-                stats.commits * 3,
-                "{name}: stress broke the 3-barriers-per-commit discipline"
+                stats.commits * 2,
+                "{name}: stress broke the 2-barriers-per-commit discipline"
             );
             assert!(stats.overlapped_commits <= stats.commits, "{name}");
             let depth = mqd.counters().snapshot();

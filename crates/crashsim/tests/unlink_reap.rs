@@ -1,0 +1,62 @@
+//! Unlinking a small file is one transaction: the directory entry, the
+//! data blocks and the inode all go in the commit that drops the last
+//! link.  When that took three back-to-back commits (unlink, truncate,
+//! ifree), a crash between them left an orphan inode — tolerated by fsck,
+//! reclaimed by nothing.  Enumerating crash states across create → write →
+//! unlink on both xv6 stacks must therefore never recover to an image with
+//! an orphan.
+
+use std::sync::Arc;
+
+use crashsim::{prefix_states, sampled_states, DiskImage, FaultConfig, FaultDevice};
+use simkernel::dev::{BlockDevice, RamDisk};
+use simkernel::error::KernelResult;
+use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
+use xv6fs::layout::BSIZE;
+
+type Mount = fn(Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>>;
+
+fn mount_bento(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
+    Ok(xv6fs::fstype().mount_on(dev)? as Arc<dyn VfsFs>)
+}
+
+fn mount_vfs(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
+    Ok(xv6fs_vfs::Xv6VfsFilesystem::mount(dev)? as Arc<dyn VfsFs>)
+}
+
+#[test]
+fn small_file_unlink_never_recovers_to_an_orphan() {
+    const DISK_BLOCKS: u64 = 4096;
+    for (name, mount) in [("bento-xv6fs", mount_bento as Mount), ("vfs-xv6fs", mount_vfs as Mount)]
+    {
+        let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
+        xv6fs::mkfs::mkfs_on_device(&base, 256).unwrap();
+        let image = Arc::new(DiskImage::capture(&base).unwrap());
+        let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+        {
+            let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
+            for round in 0..3u8 {
+                // 14 pages: past the direct blocks, so the reap also frees
+                // an indirect block.
+                let file = fs.create(1, "victim", FileMode::regular()).unwrap();
+                let page = vec![round + 1; PAGE_SIZE];
+                for index in 0..14u64 {
+                    fs.write_page(file.ino, index, &page, (index + 1) * PAGE_SIZE as u64).unwrap();
+                }
+                fs.unlink(1, "victim").unwrap();
+            }
+        }
+        let trace = recorder.trace();
+        let mut states = prefix_states(&trace, &image);
+        states.extend(sampled_states(&trace, &image, 0x0D15_CA2D, 200));
+        for state in states {
+            let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+            // Reboot: mount runs recovery.
+            let fs = mount(Arc::clone(&disk)).unwrap();
+            let report = xv6fs::fsck::fsck_device(&disk).unwrap();
+            assert!(report.is_clean(), "{name}: {}: {:?}", state.description, report.errors);
+            assert_eq!(report.orphan_inodes, 0, "{name}: {}", state.description);
+            drop(fs);
+        }
+    }
+}

@@ -62,7 +62,7 @@
 #![warn(missing_docs)]
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -201,6 +201,12 @@ pub struct Ext4Sim {
     /// release is on disk, so a crash-time fallback to an older checkpoint
     /// never finds its referenced blocks overwritten by a reuse.
     pending_free: Mutex<Vec<u64>>,
+    /// Set while the in-memory free list holds releases that no checkpoint
+    /// on disk records yet (a commit returns its drained quarantine to the
+    /// free list only *after* serializing its own checkpoint).  Unmount
+    /// must write one more checkpoint then, or the next mount never sees
+    /// those blocks again.  Guarded by `commit_lock`.
+    unrecorded_frees: AtomicBool,
 }
 
 impl std::fmt::Debug for Ext4Sim {
@@ -233,6 +239,7 @@ impl Ext4Sim {
             commit_lock: Mutex::new(()),
             checkpoint_seq: AtomicU64::new(0),
             pending_free: Mutex::new(Vec::new()),
+            unrecorded_frees: AtomicBool::new(false),
         });
         fs.checkpoint_metadata()?;
         fs.dev.flush()?;
@@ -257,6 +264,7 @@ impl Ext4Sim {
             commit_lock: Mutex::new(()),
             checkpoint_seq: AtomicU64::new(seq),
             pending_free: Mutex::new(Vec::new()),
+            unrecorded_frees: AtomicBool::new(false),
         }))
     }
 
@@ -311,6 +319,7 @@ impl Ext4Sim {
         let seq = self.checkpoint_seq.load(Ordering::Relaxed) + 1;
         CHECKPOINT.write(&*self.dev, seq, &raw)?;
         self.checkpoint_seq.store(seq, Ordering::Relaxed);
+        self.unrecorded_frees.store(false, Ordering::Relaxed);
         Ok(())
     }
 
@@ -411,6 +420,7 @@ impl Ext4Sim {
         //    are safe to reallocate.
         if !released.is_empty() {
             self.meta.write().free_blocks.extend(released);
+            self.unrecorded_frees.store(true, Ordering::Relaxed);
         }
         let mut stats = self.stats.lock();
         stats.commits += 1;
@@ -876,7 +886,17 @@ impl VfsFs for Ext4Sim {
     }
 
     fn destroy(&self) -> KernelResult<()> {
-        self.commit()
+        self.commit()?;
+        // The commit's checkpoint was serialized before its drained
+        // quarantine rejoined the free list.  That checkpoint is durable
+        // now, so recording the blocks as free is safe — and nothing after
+        // unmount would ever do it.
+        let _serial = self.commit_lock.lock();
+        if self.unrecorded_frees.load(Ordering::Relaxed) {
+            self.checkpoint_metadata()?;
+            self.dev.flush()?;
+        }
+        Ok(())
     }
 }
 
@@ -1036,6 +1056,41 @@ mod tests {
         fs.sync_fs().unwrap();
         assert!(fs.statfs().unwrap().free_blocks > free_before);
         assert!(fs.check_consistency().is_clean());
+    }
+
+    #[test]
+    fn freed_blocks_survive_clean_unmount() {
+        // A commit returns its drained quarantine to the free list only
+        // after serializing its own checkpoint, so the unmount must record
+        // it — or every mass-delete + remount cycle leaks the blocks.
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 32_768));
+        let initial_free = {
+            let fs = Ext4Sim::format_and_mount(Arc::clone(&dev)).unwrap();
+            let free = fs.statfs().unwrap().free_blocks;
+            fs.destroy().unwrap();
+            free
+        };
+        for round in 0..10 {
+            let fs = Ext4Sim::mount(Arc::clone(&dev)).unwrap();
+            assert_eq!(fs.statfs().unwrap().free_blocks, initial_free, "round {round}");
+            assert_eq!(fs.check_consistency().leaked_blocks, 0, "round {round}");
+            for i in 0..32 {
+                let f = fs.create(1, &format!("f{i}"), FileMode::regular()).unwrap();
+                let page = vec![i as u8; PAGE_SIZE];
+                fs.write_pages(f.ino, 0, &[&page, &page, &page, &page], 4 * PAGE_SIZE as u64)
+                    .unwrap();
+            }
+            fs.sync_fs().unwrap();
+            for i in 0..32 {
+                fs.unlink(1, &format!("f{i}")).unwrap();
+            }
+            fs.destroy().unwrap();
+        }
+        let fs = Ext4Sim::mount(dev).unwrap();
+        assert_eq!(fs.statfs().unwrap().free_blocks, initial_free);
+        let report = fs.check_consistency();
+        assert!(report.is_clean(), "{:?}", report.errors);
+        assert_eq!(report.leaked_blocks, 0);
     }
 
     #[test]

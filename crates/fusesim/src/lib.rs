@@ -555,11 +555,19 @@ mod tests {
         let model = CostModel { whole_file_sync_base_ns: 1_000_000, ..CostModel::zero() };
         let fs = mount_fuse_xv6(dev, model, 2).unwrap();
         let attr = fs.create(1, "f", FileMode::regular()).unwrap();
+        let syncs = || fs.disk_counters().snapshot().whole_file_syncs;
+        let before = syncs();
         fs.write_page(attr.ino, 0, &vec![1u8; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
-        let before = fs.disk_counters().snapshot().whole_file_syncs;
+        let committed = syncs();
+        assert_eq!(
+            committed - before,
+            2,
+            "each of a commit's two barriers syncs the whole disk file from userspace"
+        );
+        // The write's group is durable once its record barrier returned:
+        // an fsync that finds the log idle has nothing left to pay for.
         fs.fsync(attr.ino, false).unwrap();
-        let after = fs.disk_counters().snapshot().whole_file_syncs;
-        assert!(after > before, "fsync must sync the whole disk file from userspace");
+        assert_eq!(syncs(), committed, "fsync on an idle log issues no barrier");
         fs.destroy().unwrap();
     }
 

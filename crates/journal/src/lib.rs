@@ -12,24 +12,40 @@
 //!
 //! Every operation that modifies the file system wraps its block writes in
 //! a transaction: [`Journal::begin_op`] … stage frozen snapshots via
-//! [`Journal::log_write`] … [`Journal::end_op`].  The commit protocol per
-//! group is the classic one, hardened for devices with a reordering
-//! volatile write cache:
+//! [`Journal::log_write`] … [`Journal::end_op`].  The commit protocol for
+//! group *N* is the classic one, hardened for devices with a reordering
+//! volatile write cache and trimmed to the barriers that buy durability:
 //!
-//! 1. copy each modified block into the on-disk log region and issue a
-//!    barrier — the payload must be durable *before* the commit record, or
-//!    a crash could leave a valid-looking header pointing at stale log
-//!    blocks,
+//! 1. copy each modified block into group *N*'s on-disk log region and
+//!    issue the **payload barrier** — the payload must be durable *before*
+//!    the commit record, or a crash could leave a valid-looking header
+//!    pointing at stale log blocks.  The same barrier makes group *N − 1*'s
+//!    installs durable;
 //! 2. write the log header naming the blocks (the commit record, carrying
-//!    a self-checksum so a torn header write is detected) and barrier,
-//! 3. install the blocks to their home locations,
-//! 4. clear the header; the clear rides to durability on the next natural
-//!    barrier.
+//!    a self-checksum so a torn header write is detected) **and** clear
+//!    group *N − 1*'s header — legal only now that its installs are
+//!    durable — then issue the **record barrier**.  The group is committed
+//!    the instant this barrier returns;
+//! 3. install the blocks to their home locations.  No barrier follows:
+//!    recovery replays a committed record idempotently, so the installs
+//!    (and this group's header clear) ride to durability on group
+//!    *N + 1*'s barriers, or on [`Journal::checkpoint`].
 //!
-//! That is the **barrier budget**: exactly three barriers per commit
-//! (payload, record, install), with the header clear deliberately left
-//! unflushed.  What differs from the teaching implementation is *where the
-//! waiting happens*:
+//! That is the **barrier budget**: exactly two barriers per commit, and
+//! none at all for an `fsync` that finds the journal idle.  The newest
+//! committed record therefore stays valid on the medium until the next
+//! commit clears it, so at most two consecutive valid records ever exist
+//! (*N − 1* and *N*, between the write of record *N* and its barrier);
+//! [`Journal::recover`] replays them in sequence order.  A valid record
+//! *K* on the medium implies no install of any later group has started:
+//! installs of *K + 1* begin only after its record barrier, which is also
+//! what made the clear of *K* durable.  What a **clean unmount** owes is
+//! [`Journal::checkpoint`] (barrier → clear the pending header → barrier),
+//! so the next mount replays nothing; a **live upgrade** instead carries
+//! the [`JournalTail`] into the new instance, which keeps numbering
+//! commits where the old one stopped and still owes the same clear.  What
+//! differs from the teaching implementation is *where the waiting
+//! happens*:
 //!
 //! * **Reservation, not serialization.**  [`Journal::begin_op`] reserves
 //!   [`MAX_OP_BLOCKS`] slots from an atomic reservation counter and only
@@ -55,8 +71,9 @@
 //!   in formation order (a sequence number in each region header keeps
 //!   [`Journal::recover`] correct for either region).  The **region reuse
 //!   rule**: group *N + 1* overwrites the region of group *N − 1*, whose
-//!   unflushed header clear became durable at the latest with group *N*'s
-//!   payload barrier — so a stale header can never alias a reused region.
+//!   header clear was written after group *N*'s payload barrier and made
+//!   durable by group *N*'s record barrier — before *N + 1* writes a byte
+//!   into it — so a stale header can never alias a reused region.
 //! * **Two-stage overlapped commit (queued devices).**  When the device
 //!   exposes a multi-queue face ([`simkernel::queue::QueuedBlockDevice`],
 //!   via [`io::JournalIo::queued`]), stage 1 — the log-region payload
@@ -66,11 +83,11 @@
 //!   and submits its stage-1 payload, so those copies are serviced by the
 //!   device *while group N's installs are still completing*.  The barrier
 //!   count per commit is unchanged and the ordering contract
-//!   payload→FLUSH→record→FLUSH→install→FLUSH is intact: a prefetched
-//!   group's payload lands in the same barrier epoch as the previous
-//!   group's installs (disjoint blocks — different log region, and
-//!   installs target home locations), while its record still waits for its
-//!   own payload barrier.
+//!   payload→FLUSH→{record, previous clear}→FLUSH→install is intact: a
+//!   prefetched group's payload lands in the same barrier epoch as the
+//!   previous group's installs (disjoint blocks — different log region,
+//!   and installs target home locations), while its record still waits for
+//!   its own payload barrier.
 //!
 //! Because commits write the *frozen* bytes — both into the log region
 //! and, on conflict, directly to the home location via
@@ -78,7 +95,7 @@
 //! an earlier group holding that block is mid-commit can never leak its
 //! uncommitted bytes into the earlier group's transaction.
 //!
-//! [`Journal::recover`] replays committed-but-not-installed transactions
+//! [`Journal::recover`] replays committed-but-not-cleared transactions
 //! from both regions (in sequence order) after a crash, rejecting torn
 //! commit records (checksum mismatch) and foreign or corrupt headers
 //! (home blocks outside the configured valid range).
@@ -96,7 +113,7 @@ pub mod record;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -113,7 +130,7 @@ pub const MAX_OP_BLOCKS: usize = 64;
 
 /// Test-only crash-safety hook: when set, commits write the commit record
 /// and its barrier *before* the log payload — the unsafe ordering the
-/// three-barrier protocol exists to prevent.  The `crashsim` harness
+/// payload barrier exists to prevent.  The `crashsim` harness
 /// plants this bug to prove its oracles detect real ordering violations (a
 /// crash between the record and the payload makes recovery install stale
 /// log bytes).  Because the hook lives here in the shared journal, one
@@ -125,8 +142,7 @@ pub const MAX_OP_BLOCKS: usize = 64;
 /// atomic load per commit.  The flag defaults to off and nothing outside
 /// the dedicated planted-bug test processes touches it.
 #[doc(hidden)]
-pub static TEST_UNSAFE_EARLY_COMMIT_RECORD: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub static TEST_UNSAFE_EARLY_COMMIT_RECORD: AtomicBool = AtomicBool::new(false);
 
 /// Test-only crash-safety hook for the *queued* commit path: when set, the
 /// commit record is written without waiting for the payload barrier — the
@@ -137,8 +153,7 @@ pub static TEST_UNSAFE_EARLY_COMMIT_RECORD: std::sync::atomic::AtomicBool =
 /// violation on the multi-queue device.  Same non-feature-gate rationale
 /// as [`TEST_UNSAFE_EARLY_COMMIT_RECORD`].  Never enable outside tests.
 #[doc(hidden)]
-pub static TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
+pub static TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER: AtomicBool = AtomicBool::new(false);
 
 /// One logged block: home address, modification version (orders snapshots
 /// of the same block), and the frozen bytes.
@@ -195,7 +210,7 @@ pub struct JournalStats {
     /// Operations absorbed into committed groups (`ops / commits` is the
     /// group-commit batching factor).
     pub ops_committed: u64,
-    /// Device barriers issued by commits and recovery.
+    /// Device barriers issued by commits, checkpoints and recovery.
     pub barriers: u64,
     /// Commits whose stage-1 payload was prefetch-submitted while the
     /// previous group's installs were still completing (two-stage overlap
@@ -240,6 +255,19 @@ impl JournalCounters {
 #[derive(Debug, Default)]
 struct CommitTurn {
     next: u64,
+}
+
+/// Where a running journal stands on the medium: what a successor instance
+/// attaching to the same device *without* running recovery (a live upgrade)
+/// must know to keep honoring the protocol.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct JournalTail {
+    /// Sequence number the next closed group takes (and thus its region).
+    pub next_seq: u64,
+    /// Sequence of the newest committed group, whose record is still valid
+    /// on the medium: its header clear is owed to the next commit or
+    /// [`Journal::checkpoint`].  `None` when both headers are clear.
+    pub pending_clear: Option<u64>,
 }
 
 /// On-disk geometry of one journal: where the two commit regions live and
@@ -307,6 +335,15 @@ pub struct Journal {
     flushing: AtomicU32,
     commit_turn: Mutex<CommitTurn>,
     commit_cond: Condvar,
+    /// Sequence of the newest group whose commit record was written and
+    /// not yet cleared ([`JournalTail::pending_clear`]).  Held for the
+    /// whole of a commit's I/O and of a checkpoint's, so the two never
+    /// interleave (commits are already serialized by `commit_turn`).
+    pending_clear: Mutex<Option<u64>>,
+    /// Test-only planted bug, per journal: clear the previous group's
+    /// header *before* the payload barrier (see
+    /// [`Journal::plant_early_clear_bug`]).
+    fault_early_clear: AtomicBool,
     counters: JournalCounters,
 }
 
@@ -328,8 +365,22 @@ impl Journal {
             flushing: AtomicU32::new(0),
             commit_turn: Mutex::new(CommitTurn::default()),
             commit_cond: Condvar::new(),
+            pending_clear: Mutex::new(None),
+            fault_early_clear: AtomicBool::new(false),
             counters: JournalCounters::default(),
         }
+    }
+
+    /// Test-only crash-safety hook: makes this journal write the clear of
+    /// group *N − 1*'s header before group *N*'s payload barrier instead
+    /// of after it.  The clear then shares a barrier epoch with the
+    /// installs it presupposes, so a reordering write cache may persist it
+    /// first and a crash loses the acknowledged group *N − 1*.  The
+    /// durability oracle of the journal-level crash suite must catch this.
+    /// Never call outside tests.
+    #[doc(hidden)]
+    pub fn plant_early_clear_bug(&self) {
+        self.fault_early_clear.store(true, Ordering::Relaxed);
     }
 
     /// Returns cumulative statistics.
@@ -341,6 +392,28 @@ impl Journal {
     /// upgrade; the mount is quiescent during the swap).
     pub fn restore_stats(&self, stats: JournalStats) {
         self.counters.restore(stats);
+    }
+
+    /// Where this journal stands on the medium, for a live upgrade's
+    /// state transfer.  Only meaningful while the journal is quiescent (no
+    /// operation outstanding, no commit in flight).
+    pub fn tail(&self) -> JournalTail {
+        JournalTail {
+            next_seq: self.next_seq.load(Ordering::SeqCst),
+            pending_clear: *self.pending_clear.lock(),
+        }
+    }
+
+    /// Adopts the tail of the journal instance this one replaces on the
+    /// same device, *instead of* running [`Journal::recover`]: numbering
+    /// continues where the predecessor stopped (so regions keep
+    /// alternating) and the predecessor's owed header clear is paid by
+    /// this journal's first commit.  Call before the first operation.
+    pub fn restore_tail(&self, tail: JournalTail) {
+        self.next_seq.store(tail.next_seq, Ordering::SeqCst);
+        self.commits_done.store(tail.next_seq, Ordering::SeqCst);
+        self.commit_turn.lock().next = tail.next_seq;
+        *self.pending_clear.lock() = tail.pending_clear;
     }
 
     /// Data blocks one commit region can hold (one group's maximum size).
@@ -524,10 +597,14 @@ impl Journal {
     }
 
     /// Forces everything durable-in-progress to commit (the fsync and
-    /// unmount paths): waits for outstanding operations to merge, closes
-    /// and commits the forming group, then waits out any commit another
-    /// thread still has in flight.  Must not be called from inside a
-    /// `begin_op`/`end_op` transaction (it would wait on itself).
+    /// sync paths; unmount goes on to [`Journal::checkpoint`]).  When it
+    /// returns, every operation that had ended is durable — its group's
+    /// record barrier has completed — with no further device barrier
+    /// needed, and a journal with nothing in progress does no I/O at all.
+    /// Waits for outstanding operations to merge, closes and commits the
+    /// forming group, then waits out any commit another thread still has
+    /// in flight.  Must not be called from inside a `begin_op`/`end_op`
+    /// transaction (it would wait on itself).
     ///
     /// # Errors
     ///
@@ -710,7 +787,8 @@ impl Journal {
     }
 
     /// The commit I/O: copy frozen blocks to this group's region, barrier,
-    /// commit record, barrier, install, clear, barrier.
+    /// commit record plus the previous group's header clear, barrier,
+    /// install.
     ///
     /// On a queued device the payload copies are batch-submitted (stage
     /// 1), and right after the record barrier the committer tries to
@@ -729,11 +807,15 @@ impl Journal {
         debug_assert!(blocks.len() <= self.capacity);
         let head_block = self.region_head(seq);
         let queued = io.queued();
+        // Held across all of this commit's I/O: a checkpoint must never
+        // interleave with it (uncontended otherwise — the turn ticket
+        // already serializes commits).
+        let mut pending = self.pending_clear.lock();
         if TEST_UNSAFE_EARLY_COMMIT_RECORD.load(Ordering::Relaxed) {
             // Planted ordering bug (see the hook's docs): record first,
             // then the payload — a crash in between leaves a valid commit
             // record naming blocks whose log copies are stale.
-            self.write_head(io, head_block, seq, blocks)?;
+            self.write_record(io, &mut pending, seq, blocks)?;
             self.barrier(io)?;
             for (i, block) in blocks.iter().enumerate() {
                 io.write_raw(head_block + 1 + i as u64, &block.data)?;
@@ -747,9 +829,17 @@ impl Journal {
             if !staged {
                 self.submit_payload(io, head_block, blocks)?;
             }
-            self.write_head(io, head_block, seq, blocks)?;
+            self.write_record(io, &mut pending, seq, blocks)?;
             self.barrier(io)?;
         } else {
+            if self.fault_early_clear.load(Ordering::Relaxed) {
+                // Planted ordering bug (see `plant_early_clear_bug`): the
+                // previous header is cleared in the same barrier epoch as
+                // the installs it presupposes.
+                if let Some(prev) = pending.take() {
+                    self.write_empty_head(io, self.region_head(prev), prev)?;
+                }
+            }
             // 1. Frozen copies into the region's data blocks.  Written
             // raw: log data blocks are only ever read back by recovery (on
             // a fresh cache), so going through a buffer cache would just
@@ -761,21 +851,27 @@ impl Journal {
             // first, and a crash then makes recovery install whatever the
             // region held before.  (On the queued device the barrier also
             // drains the submission queues, so it covers batched payload
-            // writes exactly as it covers synchronous ones.)
+            // writes exactly as it covers synchronous ones.)  The same
+            // barrier makes the previous group's installs durable, which
+            // is what licenses clearing its header below.
             if !staged {
                 self.submit_payload(io, head_block, blocks)?;
             }
             self.barrier(io)?;
-            // 2. Commit record.
-            self.write_head(io, head_block, seq, blocks)?;
+            // 2. Commit record, and the previous group's header clear: a
+            // write cache that persisted that clear before the installs
+            // it presupposes would silently lose a committed transaction,
+            // so it is written only now.  The barrier commits this group
+            // and frees the previous group's region for the next one.
+            self.write_record(io, &mut pending, seq, blocks)?;
             self.barrier(io)?;
         }
         // Two-stage overlap: with this group's record durable, the next
         // group (if one is ready) may start its stage-1 payload copies
         // now, overlapping them with this group's installs below.  This is
         // the earliest safe point — the next group reuses the region of
-        // group `seq - 1`, whose unflushed header clear became durable at
-        // the latest with this group's payload barrier.
+        // group `seq - 1`, whose header clear the record barrier just made
+        // durable.
         if queued.is_some() {
             let adopted = {
                 let mut inner = self.inner.lock();
@@ -796,25 +892,67 @@ impl Journal {
         // later operation already modified the cache, the frozen snapshot
         // goes straight to the device so uncommitted bytes never reach the
         // home location (the newer bytes stay dirty for their own group).
+        // Deliberately *not* followed by a barrier: until the next
+        // commit's payload barrier (or a checkpoint) makes the installs
+        // durable, this group's record stays valid and a crash merely
+        // re-replays it idempotently.
         for block in blocks {
             if !io.flush_cached_if_eq(block.home, &block.data)? {
                 io.write_raw(block.home, &block.data)?;
             }
         }
-        // The installs must be durable before the header clear can be: a
-        // write cache that persisted the clear but not the installs would
-        // silently lose a committed transaction.  On the queued device
-        // this barrier also completes the prefetched payload submitted
-        // above — which is fine: that payload only needs to be durable
-        // before *its own* commit record, and this barrier is earlier.
+        Ok(())
+    }
+
+    /// Step 2 of the commit: writes group `seq`'s commit record and clears
+    /// the header of the group whose clear was pending, leaving `seq` as
+    /// the pending one.  The caller's barrier makes both durable.
+    fn write_record(
+        &self,
+        io: &dyn JournalIo,
+        pending: &mut Option<u64>,
+        seq: u64,
+        blocks: &[LoggedBlock],
+    ) -> KernelResult<()> {
+        // Recorded before the write is attempted: even a failed header
+        // write may have reached the medium, and a record that might be
+        // valid must get cleared before its region is reused.
+        let prev = pending.replace(seq);
+        let head_block = self.region_head(seq);
+        self.write_head(io, head_block, seq, blocks)?;
+        match prev {
+            // Normally the previous group, in the other region.  After a
+            // commit that failed before writing its record the pending
+            // one is two groups back — this very region, whose header the
+            // record above just replaced.
+            Some(prev) if self.region_head(prev) != head_block => {
+                self.write_empty_head(io, self.region_head(prev), prev)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Brings the on-disk log to its clean state — the unmount path.
+    /// Commits everything in progress ([`Journal::flush`]), then pays the
+    /// deferred work of the last commit: a barrier makes its installs
+    /// durable, its header is cleared, and a second barrier makes the
+    /// clear durable, so the next mount finds nothing to replay.  A no-op
+    /// (no I/O at all) when no header clear is pending.  Like `flush`, it
+    /// must not be called from inside a transaction.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; a failed clear stays pending.
+    pub fn checkpoint(&self, io: &dyn JournalIo) -> KernelResult<()> {
+        self.flush(io)?;
+        let _commit = simkernel::trace::phase(simkernel::trace::Phase::CommitWait);
+        let mut pending = self.pending_clear.lock();
+        let Some(seq) = *pending else { return Ok(()) };
         self.barrier(io)?;
-        // 4. Clear the header.  Deliberately *not* flushed here: the next
-        // barrier anywhere (the following commit's payload barrier, an
-        // fsync, unmount) makes it durable, and until then a crash merely
-        // re-replays this transaction idempotently.  The region is only
-        // reused two commits later, by which point at least one barrier
-        // has passed, so a stale header can never alias a reused region.
-        self.write_empty_head(io, head_block, seq)
+        self.write_empty_head(io, self.region_head(seq), seq)?;
+        self.barrier(io)?;
+        *pending = None;
+        Ok(())
     }
 
     /// Stage 1: writes the group's frozen blocks into its log region —
@@ -880,6 +1018,14 @@ impl Journal {
     /// Recovers from the on-disk log at mount time: committed transactions
     /// found in either region are installed in sequence order and the
     /// headers are cleared.  Returns the number of blocks replayed.
+    ///
+    /// After a crash the newest committed record is always still valid
+    /// (its clear is deferred to the next commit), and so may be the one
+    /// before it, if the crash fell between the write of the newest record
+    /// and its barrier.  Replaying either is idempotent: no later group
+    /// had started installing while it was valid.  A cleanly unmounted
+    /// image ([`Journal::checkpoint`]) has both headers clear and replays
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -994,26 +1140,83 @@ mod tests {
         assert_eq!(stats.commits, 2);
         assert_eq!(stats.blocks_logged, 2);
         assert_eq!(stats.ops_committed, 2);
-        assert_eq!(stats.barriers, 6, "three barriers per commit");
+        assert_eq!(stats.barriers, 4, "two barriers per commit");
+    }
+
+    /// `(count, seq)` of the header in `region`.
+    fn region_header(io: &DeviceIo, region: u64) -> (u32, u64) {
+        let mut head = vec![0u8; BSIZE];
+        io.read_block(2 + region * (LOG_BLOCKS / 2) as u64, &mut head).unwrap();
+        (get_u32(&head, LOG_HEAD_COUNT_OFF), get_u64(&head, LOG_HEAD_SEQ_OFF))
     }
 
     #[test]
     fn consecutive_commits_alternate_log_regions() {
         let (io, journal) = setup();
         write_block(&io, &journal, 600, 0x11);
+        assert_eq!(region_header(&io, 0), (1, 0), "newest record stays valid");
+        assert_eq!(journal.tail(), JournalTail { next_seq: 1, pending_clear: Some(0) });
         write_block(&io, &journal, 601, 0x22);
-        // Region 0 logged block 600, region 1 logged block 601; both
-        // headers are cleared and record their commit sequence.
+        // Region 0 logged block 600, region 1 logged block 601; the second
+        // commit cleared the first one's header and left its own pending.
         let half = (LOG_BLOCKS / 2) as u64;
-        let mut head = vec![0u8; BSIZE];
-        io.read_block(2, &mut head).unwrap();
-        assert_eq!(get_u32(&head, LOG_HEAD_COUNT_OFF), 0);
-        assert_eq!(get_u64(&head, LOG_HEAD_SEQ_OFF), 0);
-        io.read_block(2 + half, &mut head).unwrap();
-        assert_eq!(get_u32(&head, LOG_HEAD_COUNT_OFF), 0);
-        assert_eq!(get_u64(&head, LOG_HEAD_SEQ_OFF), 1);
+        assert_eq!(region_header(&io, 0), (0, 0));
+        assert_eq!(region_header(&io, 1), (1, 1));
         assert_eq!(block_fill(&io, 2 + 1), 0x11);
         assert_eq!(block_fill(&io, 2 + half + 1), 0x22);
+        assert_eq!(journal.tail(), JournalTail { next_seq: 2, pending_clear: Some(1) });
+    }
+
+    #[test]
+    fn checkpoint_clears_the_pending_header_and_is_free_when_idle() {
+        let (io, journal) = setup();
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(journal.stats().barriers, 0, "nothing pending: no I/O");
+        write_block(&io, &journal, 600, 0x11);
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(region_header(&io, 0), (0, 0));
+        assert_eq!(journal.stats().barriers, 2 + 2, "commit + checkpoint");
+        assert_eq!(journal.tail(), JournalTail { next_seq: 1, pending_clear: None });
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(journal.stats().barriers, 4, "second checkpoint is a no-op");
+        // A clean image replays nothing on the next mount.
+        let remount = Journal::new(test_config(1024));
+        assert_eq!(remount.recover(&io).unwrap(), 0);
+        assert_eq!(remount.stats().recoveries, 0);
+        // Commits after a checkpoint keep alternating regions.
+        write_block(&io, &journal, 601, 0x22);
+        assert_eq!(region_header(&io, 1), (1, 1));
+    }
+
+    #[test]
+    fn restored_tail_continues_the_sequence_and_pays_the_owed_clear() {
+        let (io, old) = setup();
+        write_block(&io, &old, 600, 0x11);
+        let tail = old.tail();
+        drop(old);
+        // The successor attaches without recovery (live upgrade).
+        let new = Journal::new(test_config(1024));
+        new.restore_tail(tail);
+        write_block(&io, &new, 601, 0x22);
+        assert_eq!(region_header(&io, 0), (0, 0), "predecessor's record cleared");
+        assert_eq!(region_header(&io, 1), (1, 1), "successor took the other region");
+        assert_eq!(new.stats().recoveries, 0);
+        new.checkpoint(&io).unwrap();
+        assert_eq!(Journal::new(test_config(1024)).recover(&io).unwrap(), 0);
+    }
+
+    #[test]
+    fn commit_after_a_failed_commit_does_not_clear_its_own_record() {
+        // Commit 1 fails before writing its record, so the pending clear
+        // is still commit 0's when commit 2 writes into the same region.
+        let (io, journal) = setup();
+        write_block(&io, &journal, 600, 0x11);
+        let mut pending = journal.pending_clear.lock();
+        let blocks = [LoggedBlock { home: 601, version: 1, data: vec![0x22; BSIZE] }];
+        journal.write_record(&io, &mut pending, 2, &blocks).unwrap();
+        assert_eq!(*pending, Some(2));
+        drop(pending);
+        assert_eq!(region_header(&io, 0), (1, 2), "record survives; nothing cleared over it");
     }
 
     #[test]
@@ -1078,7 +1281,7 @@ mod tests {
         assert!(stats.commits <= 160);
         assert_eq!(stats.blocks_logged, 160);
         assert_eq!(stats.ops_committed, 160);
-        assert_eq!(stats.barriers, stats.commits * 3);
+        assert_eq!(stats.barriers, stats.commits * 2);
     }
 
     #[test]

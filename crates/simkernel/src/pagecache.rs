@@ -436,9 +436,35 @@ impl PageCache {
         Ok(())
     }
 
-    /// Drops all cached pages of `ino` (used after unlink of the last link).
+    /// Drops all cached pages of `ino`.
     pub fn invalidate(&self, ino: u64) {
         self.files.remove(&ino);
+    }
+
+    /// Drops all cached pages of `ino` around `remove`, the file-system
+    /// call that drops the last link to it.  The entry leaves the table
+    /// *before* `remove` runs: the file system may free the inode number
+    /// inside that call, and a concurrent create that recycles the number
+    /// must start from an empty entry of its own — dropping the entry
+    /// afterwards could hand it the previous owner's pages and size, or
+    /// throw away pages it has already written.  If `remove` fails the
+    /// file still exists, so the entry (dirty pages included) goes back
+    /// unless the number already has a new one.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of `remove`.
+    pub fn invalidate_around<T>(
+        &self,
+        ino: u64,
+        remove: impl FnOnce() -> KernelResult<T>,
+    ) -> KernelResult<T> {
+        let detached = self.files.remove(&ino);
+        let result = remove();
+        if let (Err(_), Some(entry)) = (&result, detached) {
+            self.files.get_or_insert_with(ino, || entry);
+        }
+        result
     }
 
     /// Drops the whole cache (used at unmount, after writeback).
@@ -735,6 +761,18 @@ mod tests {
         assert_eq!(out[10], 0xBB);
         assert_eq!(out[19], 0xBB);
         assert_eq!(out[20], 0xAA);
+    }
+
+    #[test]
+    fn invalidate_around_keeps_dirty_pages_when_the_removal_fails() {
+        let fs = MemFs::new();
+        let pc = cache(true);
+        pc.write(&fs, 2, 0, &[7u8; 100]).unwrap();
+        let failed: KernelResult<()> = pc.invalidate_around(2, || Err(KernelError::new(Errno::Io)));
+        assert_eq!(failed.unwrap_err().errno(), Errno::Io);
+        assert_eq!(pc.dirty_pages(), 1, "the file still exists: its dirty page survives");
+        pc.invalidate_around(2, || Ok(())).unwrap();
+        assert_eq!(pc.dirty_pages(), 0, "removed: nothing left to write back");
     }
 
     #[test]

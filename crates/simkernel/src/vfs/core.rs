@@ -650,11 +650,13 @@ impl Vfs {
         let _span = crate::trace::op_span("unlink");
         let (mount, parent, name) = self.resolve_parent(path)?;
         let target = mount.fs.lookup(parent.ino, &name)?;
-        mount.fs.unlink(parent.ino, &name)?;
         if target.kind == FileType::Regular && target.nlink <= 1 {
-            mount.page_cache.invalidate(target.ino);
+            // Last link: the file system may free the inode number inside
+            // this call, so its cached pages go before, not after.
+            mount.page_cache.invalidate_around(target.ino, || mount.fs.unlink(parent.ino, &name))
+        } else {
+            mount.fs.unlink(parent.ino, &name)
         }
-        Ok(())
     }
 
     /// Renames `old` to `new` (both must be on the same mount).
@@ -989,5 +991,155 @@ mod tests {
         vfs.fsync(fd).unwrap();
         vfs.close(fd).unwrap();
         assert_eq!(vfs.stat("/big").unwrap().size, 10_000);
+    }
+
+    /// A root directory holding at most one regular file, which always
+    /// gets inode number 2 — the smallest file system that recycles an
+    /// inode number.  `after_free` runs inside `unlink`, once the number
+    /// is free again.
+    #[derive(Default)]
+    struct OneInodeFs {
+        file: Mutex<Option<(String, Vec<u8>)>>,
+        after_free: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+    }
+
+    impl OneInodeFs {
+        const INO: u64 = 2;
+
+        fn with_file<T>(&self, f: impl FnOnce(&mut Vec<u8>) -> T) -> KernelResult<T> {
+            match self.file.lock().as_mut() {
+                Some((_, bytes)) => Ok(f(bytes)),
+                None => err(Errno::NoEnt),
+            }
+        }
+    }
+
+    impl VfsFs for OneInodeFs {
+        fn fs_name(&self) -> &str {
+            "oneinode"
+        }
+        fn root_ino(&self) -> u64 {
+            1
+        }
+        fn lookup(&self, _dir: u64, name: &str) -> KernelResult<InodeAttr> {
+            match self.file.lock().as_ref() {
+                Some((n, bytes)) if n == name => {
+                    Ok(InodeAttr::regular(Self::INO, bytes.len() as u64))
+                }
+                _ => err(Errno::NoEnt),
+            }
+        }
+        fn getattr(&self, ino: u64) -> KernelResult<InodeAttr> {
+            if ino == 1 {
+                return Ok(InodeAttr::directory(1));
+            }
+            self.with_file(|bytes| InodeAttr::regular(Self::INO, bytes.len() as u64))
+        }
+        fn setattr(&self, _ino: u64, _set: &SetAttr) -> KernelResult<InodeAttr> {
+            err(Errno::NoSys)
+        }
+        fn create(&self, _dir: u64, name: &str, _mode: FileMode) -> KernelResult<InodeAttr> {
+            let mut file = self.file.lock();
+            if file.is_some() {
+                return err(Errno::NoSpc);
+            }
+            *file = Some((name.to_string(), Vec::new()));
+            Ok(InodeAttr::regular(Self::INO, 0))
+        }
+        fn mkdir(&self, _dir: u64, _name: &str, _mode: FileMode) -> KernelResult<InodeAttr> {
+            err(Errno::NoSys)
+        }
+        fn unlink(&self, _dir: u64, _name: &str) -> KernelResult<()> {
+            *self.file.lock() = None;
+            if let Some(hook) = self.after_free.lock().take() {
+                hook();
+            }
+            Ok(())
+        }
+        fn rmdir(&self, _dir: u64, _name: &str) -> KernelResult<()> {
+            err(Errno::NoSys)
+        }
+        fn rename(&self, _od: u64, _on: &str, _nd: u64, _nn: &str) -> KernelResult<()> {
+            err(Errno::NoSys)
+        }
+        fn open(&self, _ino: u64, _flags: OpenFlags) -> KernelResult<u64> {
+            Ok(0)
+        }
+        fn release(&self, _ino: u64, _fh: u64) -> KernelResult<()> {
+            Ok(())
+        }
+        fn readdir(&self, _ino: u64) -> KernelResult<Vec<DirEntry>> {
+            err(Errno::NoSys)
+        }
+        fn read_page(&self, _ino: u64, page: u64, buf: &mut [u8]) -> KernelResult<usize> {
+            self.with_file(|bytes| {
+                let start = (page as usize * crate::vfs::PAGE_SIZE).min(bytes.len());
+                let n = buf.len().min(bytes.len() - start);
+                buf[..n].copy_from_slice(&bytes[start..start + n]);
+                n
+            })
+        }
+        fn write_page(&self, _ino: u64, page: u64, data: &[u8], size: u64) -> KernelResult<()> {
+            self.with_file(|bytes| {
+                bytes.resize((size as usize).max(bytes.len()), 0);
+                let start = page as usize * crate::vfs::PAGE_SIZE;
+                let n = data.len().min(bytes.len() - start);
+                bytes[start..start + n].copy_from_slice(&data[..n]);
+            })
+        }
+        fn fsync(&self, _ino: u64, _datasync: bool) -> KernelResult<()> {
+            Ok(())
+        }
+        fn statfs(&self) -> KernelResult<StatFs> {
+            err(Errno::NoSys)
+        }
+        fn sync_fs(&self) -> KernelResult<()> {
+            Ok(())
+        }
+    }
+
+    struct OneInodeFsType(Arc<OneInodeFs>);
+
+    impl FilesystemType for OneInodeFsType {
+        fn fs_name(&self) -> &str {
+            "oneinode"
+        }
+        fn mount(
+            &self,
+            _device: Arc<dyn BlockDevice>,
+            _options: &MountOptions,
+        ) -> KernelResult<Arc<dyn VfsFs>> {
+            Ok(Arc::clone(&self.0) as Arc<dyn VfsFs>)
+        }
+    }
+
+    #[test]
+    fn unlink_drops_cached_pages_before_the_inode_number_is_recycled() {
+        let fs = Arc::new(OneInodeFs::default());
+        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
+        vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
+        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
+            .unwrap();
+        // The previous owner of inode 2: 12 KiB, still dirty in the cache.
+        let fd = vfs.open("/old", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+        vfs.write(fd, &vec![0xAA; 12_288]).unwrap();
+        vfs.close(fd).unwrap();
+        // The moment the file system frees the number, a create recycles
+        // it and writes 10 KiB — while `Vfs::unlink` is still in flight.
+        let racer = Arc::clone(&vfs);
+        *fs.after_free.lock() = Some(Box::new(move || {
+            let fd = racer.open("/new", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+            racer.write(fd, &vec![0xBB; 10_240]).unwrap();
+            racer.close(fd).unwrap();
+        }));
+        vfs.unlink("/old").unwrap();
+        // The new owner neither inherited the old size or pages nor lost
+        // its own to the unlink's invalidation.
+        assert_eq!(vfs.stat("/new").unwrap().size, 10_240);
+        vfs.sync().unwrap();
+        let stored = fs.file.lock().clone().expect("new file exists");
+        assert_eq!(stored.0, "new");
+        assert_eq!(stored.1.len(), 10_240);
+        assert!(stored.1.iter().all(|&b| b == 0xBB));
     }
 }

@@ -249,7 +249,7 @@ pub struct WritePathStats {
     pub log_ops: u64,
     /// Blocks written through the log.
     pub log_blocks: u64,
-    /// Device barriers issued by log commits and recovery.
+    /// Device barriers issued by log commits, checkpoints and recovery.
     pub log_barriers: u64,
     /// Allocations served per allocation group.
     pub alloc_per_group: Vec<u64>,

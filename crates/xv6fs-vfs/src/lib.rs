@@ -50,6 +50,11 @@ use xv6fs::layout::{
 
 use crate::log::VfsLog;
 
+/// File blocks released per log transaction when freeing a large file;
+/// a file of at most this many blocks is reaped inside the transaction
+/// that drops its last link.
+const TRUNC_CHUNK_BLOCKS: u64 = 512;
+
 /// The registered name of the VFS baseline file system.
 pub const VFS_XV6_NAME: &str = "xv6fs_vfs";
 
@@ -487,72 +492,81 @@ impl Xv6VfsFilesystem {
         Ok(())
     }
 
-    fn truncate_all(&self, inum: u32, data: &mut InodeData) -> KernelResult<()> {
-        // Free data blocks in log-sized chunks.  Each chunk transaction
-        // leaves the inode consistent on disk (mappings cleared, size
-        // shrunk) so a crash between chunks never leaves the inode
-        // referencing freed blocks.
-        let mut bn = data.size.div_ceil(BSIZE as u64);
-        while bn > 0 {
-            let start = bn.saturating_sub(512);
-            self.log.begin_op();
-            let result: KernelResult<()> = (|| {
-                for b in start..bn {
-                    if let Some(blockno) = self.bmap(data, b, false)? {
-                        self.bfree(blockno)?;
-                        self.clear_mapping(data, b)?;
-                    }
+    /// Frees file blocks `[start, end)` and clears their mappings, then
+    /// records the shrunk size.  Each call leaves the inode consistent on
+    /// disk, so a crash between chunk transactions never leaves it
+    /// referencing freed blocks.  Must run inside a transaction.
+    fn free_file_blocks(
+        &self,
+        inum: u32,
+        data: &mut InodeData,
+        start: u64,
+        end: u64,
+    ) -> KernelResult<()> {
+        for b in start..end {
+            if let Some(blockno) = self.bmap(data, b, false)? {
+                self.bfree(blockno)?;
+                self.clear_mapping(data, b)?;
+            }
+        }
+        data.size = start * BSIZE as u64;
+        self.write_dinode(inum, data)
+    }
+
+    /// Releases the (at most [`TRUNC_CHUNK_BLOCKS`]) data blocks and the
+    /// indirect tree of a dead inode and marks it free on disk, inside the
+    /// caller's transaction.
+    fn reap_in_transaction(&self, inum: u32, data: &mut InodeData) -> KernelResult<()> {
+        let blocks = data.size.div_ceil(BSIZE as u64);
+        debug_assert!(blocks <= TRUNC_CHUNK_BLOCKS);
+        self.free_file_blocks(inum, data, 0, blocks)?;
+        if data.addrs[NDIRECT] != 0 {
+            self.bfree(data.addrs[NDIRECT] as u64)?;
+        }
+        if data.addrs[NDIRECT + 1] != 0 {
+            let l1 = self.cache.bread(data.addrs[NDIRECT + 1] as u64)?;
+            let mut children = Vec::new();
+            for i in 0..NINDIRECT {
+                let b = get_u32(l1.data(), i * 4);
+                if b != 0 {
+                    children.push(b as u64);
                 }
-                data.size = start * BSIZE as u64;
-                self.write_dinode(inum, data)
-            })();
+            }
+            drop(l1);
+            for child in children {
+                self.bfree(child)?;
+            }
+            self.bfree(data.addrs[NDIRECT + 1] as u64)?;
+        }
+        let blockno = self.dsb.inode_block(inum);
+        let mut block = self.cache.bread(blockno)?;
+        Dinode::default().encode(block.data_mut(), DiskSuperblock::inode_offset(inum));
+        self.log.log_write(&block)?;
+        drop(block);
+        // A racing holder of this table entry must reload (and find the
+        // inode free) rather than trust the dead mappings.
+        *data = InodeData::default();
+        self.inodes.remove(&inum);
+        Ok(())
+    }
+
+    /// Frees an unlinked inode (no links, no open handles): releases its
+    /// data blocks in log-sized chunk transactions, the last chunk in the
+    /// transaction that frees the inode itself — so a file of at most one
+    /// chunk is reaped in a single transaction.
+    fn free_inode(&self, inum: u32, data: &mut InodeData) -> KernelResult<()> {
+        let mut bn = data.size.div_ceil(BSIZE as u64);
+        while bn > TRUNC_CHUNK_BLOCKS {
+            let start = bn - TRUNC_CHUNK_BLOCKS;
+            self.log.begin_op();
+            let result = self.free_file_blocks(inum, data, start, bn);
             self.log.end_op(&self.cache)?;
             result?;
             bn = start;
         }
         self.log.begin_op();
-        let result = (|| {
-            if data.addrs[NDIRECT] != 0 {
-                self.bfree(data.addrs[NDIRECT] as u64)?;
-            }
-            if data.addrs[NDIRECT + 1] != 0 {
-                let l1 = self.cache.bread(data.addrs[NDIRECT + 1] as u64)?;
-                let mut children = Vec::new();
-                for i in 0..NINDIRECT {
-                    let b = get_u32(l1.data(), i * 4);
-                    if b != 0 {
-                        children.push(b as u64);
-                    }
-                }
-                drop(l1);
-                for child in children {
-                    self.bfree(child)?;
-                }
-                self.bfree(data.addrs[NDIRECT + 1] as u64)?;
-            }
-            *data = InodeData {
-                valid: true,
-                ftype: data.ftype,
-                nlink: data.nlink,
-                ..InodeData::default()
-            };
-            self.write_dinode(inum, data)
-        })();
+        let result = self.reap_in_transaction(inum, data);
         self.log.end_op(&self.cache)?;
-        result
-    }
-
-    fn free_inode(&self, inum: u32, data: &mut InodeData) -> KernelResult<()> {
-        self.truncate_all(inum, data)?;
-        self.log.begin_op();
-        let result = (|| {
-            let blockno = self.dsb.inode_block(inum);
-            let mut block = self.cache.bread(blockno)?;
-            Dinode::default().encode(block.data_mut(), DiskSuperblock::inode_offset(inum));
-            self.log.log_write(&block)
-        })();
-        self.log.end_op(&self.cache)?;
-        self.inodes.remove(&inum);
         result
     }
 }
@@ -627,12 +641,9 @@ impl VfsFs for Xv6VfsFilesystem {
                 // old bytes.
                 self.log.begin_op();
                 let result = (|| {
-                    for bn in size.div_ceil(BSIZE as u64)..guard.size.div_ceil(BSIZE as u64) {
-                        if let Some(blockno) = self.bmap(&mut guard, bn, false)? {
-                            self.bfree(blockno)?;
-                            self.clear_mapping(&mut guard, bn)?;
-                        }
-                    }
+                    let (first_free, used) =
+                        (size.div_ceil(BSIZE as u64), guard.size.div_ceil(BSIZE as u64));
+                    self.free_file_blocks(inum, &mut guard, first_free, used)?;
                     if !size.is_multiple_of(BSIZE as u64) {
                         if let Some(blockno) = self.bmap(&mut guard, size / BSIZE as u64, false)? {
                             let keep = (size % BSIZE as u64) as usize;
@@ -738,7 +749,18 @@ impl VfsFs for Xv6VfsFilesystem {
             self.writei(dir, &mut parent, offset, &zero)?;
             child.nlink = child.nlink.saturating_sub(1);
             self.write_dinode(inum, &child)?;
-            Ok((child.nlink == 0 && self.opens.get(&inum).unwrap_or(0) == 0).then_some(inum))
+            if child.nlink > 0 || self.opens.get(&inum).unwrap_or(0) > 0 {
+                return Ok(None);
+            }
+            if child.size.div_ceil(BSIZE as u64) > TRUNC_CHUNK_BLOCKS {
+                // Too big for this transaction: the chunked reap below
+                // runs after it commits.
+                return Ok(Some(inum));
+            }
+            // The common case dies in the transaction that removed its
+            // name: one commit, and no crash window that leaves an orphan.
+            self.reap_in_transaction(inum, &mut child)?;
+            Ok(None)
         })();
         drop(_dir);
         self.log.end_op(&self.cache)?;
@@ -1023,8 +1045,11 @@ impl VfsFs for Xv6VfsFilesystem {
     }
 
     fn fsync(&self, _ino: u64, _datasync: bool) -> KernelResult<()> {
-        self.log.flush(&self.cache)?;
-        self.cache.flush_device()
+        // Every write reaches the device through the log, and a group is
+        // durable once its record barrier returns: an fsync that commits
+        // pays the commit's two barriers, one that finds the log idle
+        // pays none.
+        self.log.flush(&self.cache)
     }
 
     fn statfs(&self) -> KernelResult<StatFs> {
@@ -1066,8 +1091,14 @@ impl VfsFs for Xv6VfsFilesystem {
     }
 
     fn sync_fs(&self) -> KernelResult<()> {
-        self.log.flush(&self.cache)?;
-        self.cache.flush_device()
+        // Same durability argument as fsync.
+        self.log.flush(&self.cache)
+    }
+
+    fn destroy(&self) -> KernelResult<()> {
+        // Checkpoint: the last commit's installs become durable and its
+        // header is cleared, so the next mount replays nothing.
+        self.log.checkpoint(&self.cache)
     }
 }
 

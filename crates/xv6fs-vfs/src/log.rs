@@ -133,7 +133,17 @@ impl VfsLog {
         self.journal.flush(&CacheIo(cache))
     }
 
-    /// Replays committed-but-not-installed transactions at mount time;
+    /// Commits everything in progress and leaves both log headers clear
+    /// (the unmount path); see [`Journal::checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn checkpoint(&self, cache: &BufferCache) -> KernelResult<()> {
+        self.journal.checkpoint(&CacheIo(cache))
+    }
+
+    /// Replays committed-but-not-cleared transactions at mount time;
     /// see [`Journal::recover`].  Returns the number of blocks replayed.
     ///
     /// # Errors
@@ -198,8 +208,12 @@ mod tests {
         assert_eq!(raw[0], 0xAB);
         let stats = log.stats();
         assert_eq!(stats.commits, 1);
-        assert_eq!(stats.barriers, 3, "three barriers per commit through flush_device");
+        assert_eq!(stats.barriers, 2, "two barriers per commit through flush_device");
         log.flush(&cache).unwrap();
+        assert_eq!(log.stats().barriers, 2, "flushing an idle log costs nothing");
+        log.checkpoint(&cache).unwrap();
+        assert_eq!(log.stats().barriers, 4, "checkpoint: installs durable, then the clear");
+        assert_eq!(log.recover(&cache).unwrap(), 0, "clean log replays nothing");
     }
 
     #[test]

@@ -47,13 +47,17 @@ use simkernel::vfs::{
 use crate::core::{FsCore, FsStats};
 use crate::inode::InodeData;
 use crate::layout::{DiskSuperblock, BSIZE, DIRSIZ, ROOT_INO, T_DIR, T_FILE};
-use crate::log::LogStats;
+use crate::log::{LogStats, LogTail};
 
 /// Data blocks written per log transaction when splitting large writes.
 const WRITE_CHUNK_BLOCKS: usize = 48;
 
 /// File blocks released per log transaction when truncating large files.
 const TRUNC_CHUNK_BLOCKS: u64 = 1024;
+
+/// Largest file whose whole truncate fits one transaction, and which is
+/// therefore reaped inside the transaction that drops its last link.
+const TRUNC_CHUNK_BYTES: u64 = TRUNC_CHUNK_BLOCKS * BSIZE as u64;
 
 /// The xv6 file system, implemented against the Bento file operations API.
 ///
@@ -160,7 +164,10 @@ impl Xv6FileSystem {
         f(&core)
     }
 
-    fn attach(&self, sb: &SuperBlock) -> KernelResult<()> {
+    /// Attaches to the image on `sb`.  A normal mount (`tail` absent) runs
+    /// log recovery; a live upgrade instead continues the predecessor's
+    /// log from `tail`, replaying nothing.
+    fn attach(&self, sb: &SuperBlock, tail: Option<LogTail>) -> KernelResult<()> {
         let block = sb.bread(1)?;
         let dsb = DiskSuperblock::decode(block.data())?;
         drop(block);
@@ -168,7 +175,12 @@ impl Xv6FileSystem {
             return Err(KernelError::with_context(Errno::Inval, "xv6fs: image larger than device"));
         }
         let core = Arc::new(FsCore::with_alloc_groups(dsb, self.alloc_groups));
-        core.log.recover(sb)?;
+        match tail {
+            Some(tail) => core.log.restore_tail(tail),
+            None => {
+                core.log.recover(sb)?;
+            }
+        }
         *self.core.write() = Some(core);
         Ok(())
     }
@@ -200,7 +212,9 @@ impl Xv6FileSystem {
     }
 
     /// Frees an unlinked inode (no links, no open handles): releases its
-    /// data blocks in chunks, then frees the inode itself.
+    /// data blocks in chunks, the last of them in the transaction that
+    /// frees the inode itself — so a file of at most one chunk is reaped
+    /// in a single transaction.
     fn reap_inode(core: &FsCore, sb: &SuperBlock, inum: u32) -> KernelResult<()> {
         let inode = core.icache.get(inum);
         let mut data = inode.data.write();
@@ -210,11 +224,25 @@ impl Xv6FileSystem {
         if data.nlink > 0 {
             return Ok(());
         }
-        Self::truncate_chunked(core, sb, inum, &mut data, 0)?;
+        let last_chunk = data.size.min(TRUNC_CHUNK_BYTES);
+        Self::truncate_chunked(core, sb, inum, &mut data, last_chunk)?;
         core.log.begin_op();
-        let result = core.free_inode(sb, inum, &mut data);
+        let result = Self::reap_in_transaction(core, sb, inum, &mut data);
         core.log.end_op(sb)?;
         result
+    }
+
+    /// Releases the (at most one chunk of) data blocks of a dead inode and
+    /// frees it, inside the caller's transaction.
+    fn reap_in_transaction(
+        core: &FsCore,
+        sb: &SuperBlock,
+        inum: u32,
+        data: &mut InodeData,
+    ) -> KernelResult<()> {
+        debug_assert!(data.size <= TRUNC_CHUNK_BYTES);
+        core.truncate_inode(sb, inum, data, 0)?;
+        core.free_inode(sb, inum, data)
     }
 
     fn lookup_attr(&self, sb: &SuperBlock, inum: u32) -> KernelResult<InodeAttr> {
@@ -233,17 +261,19 @@ impl FileSystem for Xv6FileSystem {
     }
 
     fn init(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<()> {
-        self.attach(sb)
+        self.attach(sb, None)
     }
 
     fn destroy(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<()> {
-        // Commit any group still absorbing completed operations, then make
-        // everything durable.  Unmounting an unattached instance is a
-        // plain sync; a failed final commit must surface, not vanish.
+        // Commit any group still absorbing completed operations, then
+        // checkpoint: the last commit's installs become durable and its
+        // header is cleared, so the next mount replays nothing.  A failed
+        // final commit must surface, not vanish.  An unattached instance
+        // never wrote anything.
         if self.core.read().is_some() {
-            self.with_core(|core| core.log.flush(sb))?;
+            self.with_core(|core| core.log.checkpoint(sb))?;
         }
-        sb.sync_all()
+        Ok(())
     }
 
     fn statfs(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<StatFs> {
@@ -428,13 +458,23 @@ impl FileSystem for Xv6FileSystem {
                     core.dir_remove_at(sb, parent, &mut dir_data, offset)?;
                     data.nlink = data.nlink.saturating_sub(1);
                     core.update_inode(sb, inum, &data)?;
-                    let should_reap = data.nlink == 0 && core.open_count(inum) == 0;
-                    Ok(should_reap.then_some(inum))
+                    if data.nlink > 0 || core.open_count(inum) > 0 {
+                        return Ok(None);
+                    }
+                    if data.size > TRUNC_CHUNK_BYTES {
+                        // Too big for this transaction: the chunked reap
+                        // below runs after it commits.
+                        return Ok(Some(inum));
+                    }
+                    // The common case dies in the transaction that removed
+                    // its name: one commit instead of three, and no crash
+                    // window that leaves an orphan nothing ever reclaims.
+                    Self::reap_in_transaction(core, sb, inum, &mut data)?;
+                    Ok(None)
                 })()
             };
             core.log.end_op(sb)?;
-            let reap = reap?;
-            if let Some(inum) = reap {
+            if let Some(inum) = reap? {
                 Self::reap_inode(core, sb, inum)?;
             }
             core.stats.removes.inc();
@@ -748,12 +788,14 @@ impl FileSystem for Xv6FileSystem {
         self.with_core(|core| {
             core.stats.fsyncs.inc();
             // Commit any group still absorbing completed operations (the
-            // pipelined log defers closing while a commit is in flight),
-            // then a device barrier makes everything durable.  On the
-            // userspace (FUSE) provider this is a whole-disk-file fsync —
-            // the §6.4 cost.
-            core.log.flush(sb)?;
-            sb.sync_all()
+            // pipelined log defers closing while a commit is in flight).
+            // Every write reaches the device through the log, and a group
+            // is durable once its record barrier returns, so there is no
+            // further device barrier: an fsync that commits pays the
+            // commit's two, one that finds the log idle pays none.  (On
+            // the userspace (FUSE) provider each barrier is a
+            // whole-disk-file fsync — the §6.4 cost.)
+            core.log.flush(sb)
         })
     }
 
@@ -783,8 +825,8 @@ impl FileSystem for Xv6FileSystem {
     }
 
     fn sync_fs(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<()> {
-        self.with_core(|core| core.log.flush(sb))?;
-        sb.sync_all()
+        // Same durability argument as fsync.
+        self.with_core(|core| core.log.flush(sb))
     }
 
     fn write_path_stats(&self) -> Option<WritePathStats> {
@@ -807,6 +849,11 @@ impl FileSystem for Xv6FileSystem {
             bundle.put("log_ops", &log_stats.ops_committed)?;
             bundle.put("log_barriers", &log_stats.barriers)?;
             bundle.put("log_overlapped", &log_stats.overlapped_commits)?;
+            // BentoFS quiesced the mount, so the log is idle; the new
+            // instance continues it from here instead of replaying the
+            // last (committed, not yet cleared) record.
+            let tail = core.log.tail();
+            bundle.put("log_tail", &(tail.next_seq, tail.pending_clear))?;
             let mut opens: Vec<(u32, u32)> = Vec::new();
             core.opens.for_each(|k, v| opens.push((*k, *v)));
             bundle.put("open_files", &opens)?;
@@ -816,13 +863,18 @@ impl FileSystem for Xv6FileSystem {
 
     fn restore_state(
         &self,
-        req: &Request,
+        _req: &Request,
         sb: &SuperBlock,
         state: StateBundle,
     ) -> KernelResult<()> {
-        // Attach to the device exactly like a normal mount (superblock read,
-        // log recovery), then layer the transferred in-memory state on top.
-        self.init(req, sb)?;
+        // Attach to the device like a normal mount (superblock read), but
+        // continue the old instance's log rather than recovering it — a
+        // bundle without a log tail falls back to recovery — then layer
+        // the transferred in-memory state on top.
+        let tail = state
+            .get_opt::<(u64, Option<u64>)>("log_tail")?
+            .map(|(next_seq, pending_clear)| LogTail { next_seq, pending_clear });
+        self.attach(sb, tail)?;
         self.with_core(|core| {
             if let Some(hints) = state.get_opt::<Vec<(u64, u64)>>("alloc_hints")? {
                 core.alloc.restore_hints(&hints);

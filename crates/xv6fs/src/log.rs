@@ -28,7 +28,7 @@ use journal::{Journal, JournalConfig};
 use crate::layout::{DiskSuperblock, LOGSIZE};
 
 pub use journal::{
-    JournalStats as LogStats, TEST_UNSAFE_EARLY_COMMIT_RECORD,
+    JournalStats as LogStats, JournalTail as LogTail, TEST_UNSAFE_EARLY_COMMIT_RECORD,
     TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER,
 };
 
@@ -108,6 +108,18 @@ impl Log {
         self.journal.restore_stats(stats);
     }
 
+    /// Where the log stands on the medium (live-upgrade state transfer);
+    /// see [`Journal::tail`].
+    pub fn tail(&self) -> LogTail {
+        self.journal.tail()
+    }
+
+    /// Continues a predecessor's log instead of recovering; see
+    /// [`Journal::restore_tail`].
+    pub fn restore_tail(&self, tail: LogTail) {
+        self.journal.restore_tail(tail);
+    }
+
     /// Data blocks one commit region can hold (one group's maximum size).
     pub fn region_capacity(&self) -> usize {
         self.journal.region_capacity()
@@ -149,7 +161,17 @@ impl Log {
         self.journal.flush(&SbIo(sb))
     }
 
-    /// Replays committed-but-not-installed transactions at mount time;
+    /// Commits everything in progress and leaves both log headers clear
+    /// (the unmount path); see [`Journal::checkpoint`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn checkpoint(&self, sb: &SuperBlock) -> KernelResult<()> {
+        self.journal.checkpoint(&SbIo(sb))
+    }
+
+    /// Replays committed-but-not-cleared transactions at mount time;
     /// see [`Journal::recover`].  Returns the number of blocks replayed.
     ///
     /// # Errors
@@ -215,8 +237,12 @@ mod tests {
         assert_eq!(sb.bread(600).unwrap().data()[0], 0xAB);
         let stats = log.stats();
         assert_eq!(stats.commits, 1);
-        assert_eq!(stats.barriers, 3, "three barriers per commit through sync_all");
+        assert_eq!(stats.barriers, 2, "two barriers per commit through sync_all");
         log.flush(&sb).unwrap();
+        assert_eq!(log.stats().barriers, 2, "flushing an idle log costs nothing");
+        log.checkpoint(&sb).unwrap();
+        assert_eq!(log.stats().barriers, 4, "checkpoint: installs durable, then the clear");
+        assert_eq!(log.recover(&sb).unwrap(), 0, "clean log replays nothing");
     }
 
     #[test]
