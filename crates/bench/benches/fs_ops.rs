@@ -88,6 +88,30 @@ fn bench_cached_read_4k() {
     }
 }
 
+/// The journal's two per-commit software costs on a bare RAM disk, so a
+/// regression of the commit path localises without a full run: the
+/// payload digest of one block, and a whole 4-block commit (stage, digest,
+/// payload + record, barrier, install).
+fn bench_journal() {
+    use journal::io::DeviceIo;
+    use journal::{Journal, JournalConfig};
+    use simkernel::dev::RamDisk;
+
+    let block = vec![0xA5u8; 4096];
+    time_op("digest 4 KiB", "journal", || {
+        std::hint::black_box(journal::record::payload_digest([std::hint::black_box(&block[..])]));
+    });
+    let io = DeviceIo::new(Arc::new(RamDisk::new(4096, 4096)));
+    let journal = Journal::new(JournalConfig::from_geometry(2, 514, 514, (1024, 4096)));
+    time_op("commit 4 blocks", "journal", || {
+        journal.begin_op();
+        for home in 0..4 {
+            journal.log_write(2048 + home, &block).expect("stage");
+        }
+        journal.end_op(&io).expect("commit");
+    });
+}
+
 fn main() {
     // `cargo bench` passes flags like `--bench`; ignore them.
     println!("fs_ops: software-overhead microbenchmarks (zero-cost device model)");
@@ -95,4 +119,5 @@ fn main() {
     bench_creates();
     bench_write_4k();
     bench_cached_read_4k();
+    bench_journal();
 }

@@ -2125,8 +2125,9 @@ mod tests {
         // The acceptance bar for the pipelined group-commit log: with real
         // barrier costs, 8 concurrent creators must share commits, issuing
         // at most half the device barriers per operation of a lone creator
-        // (which pays 2 barriers for every op: payload and commit record —
-        // the crash-safe ordering the crashsim harness enforces).
+        // (which pays 1 barrier for every op: the commit barrier behind
+        // payload and record — the one-barrier protocol the crashsim
+        // harness enforces).
         let cfg = ExperimentConfig {
             duration: Duration::from_millis(200),
             disk_blocks: 48 * 1024,
@@ -2145,8 +2146,8 @@ mod tests {
         let single = barriers_per_op(1);
         let grouped = barriers_per_op(8);
         assert!(
-            (1.9..=2.1).contains(&single),
-            "a lone creator pays 2 barriers per op, got {single}"
+            (0.9..=1.1).contains(&single),
+            "a lone creator pays 1 barrier per op, got {single}"
         );
         assert!(
             grouped * 2.0 <= single,

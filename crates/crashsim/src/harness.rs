@@ -30,7 +30,10 @@ use simkernel::error::{Errno, KernelResult};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
 use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 
+use bento::bentofs::{BentoFs, DEFAULT_BUFFER_CACHE_BLOCKS};
 use ext4sim::Ext4Sim;
+use journal::PlantedFault;
+use xv6fs::Xv6FileSystem;
 use xv6fs_vfs::Xv6VfsFilesystem;
 
 use crate::device::{DiskImage, FaultConfig, FaultDevice};
@@ -189,10 +192,22 @@ impl MountedState {
 }
 
 /// Mounts `stack` on `device` (for crash images this runs recovery).
-fn mount_stack_on(stack: CrashStack, device: Arc<dyn BlockDevice>) -> KernelResult<MountedState> {
+/// `planted` goes into the Bento stack's log; the other stacks ignore it.
+fn mount_stack_on(
+    stack: CrashStack,
+    device: Arc<dyn BlockDevice>,
+    planted: PlantedFault,
+) -> KernelResult<MountedState> {
     Ok(match stack {
         CrashStack::BentoXv6 => {
-            MountedState::Generic(xv6fs::fstype().mount_on(device)? as Arc<dyn VfsFs>)
+            let fs = Xv6FileSystem::new().with_planted_log_fault(planted);
+            let mounted = BentoFs::mount(
+                xv6fs::BENTO_XV6_NAME,
+                device,
+                DEFAULT_BUFFER_CACHE_BLOCKS,
+                Box::new(fs),
+            )?;
+            MountedState::Generic(mounted as Arc<dyn VfsFs>)
         }
         CrashStack::VfsXv6 => {
             MountedState::Generic(Xv6VfsFilesystem::mount(device)? as Arc<dyn VfsFs>)
@@ -208,6 +223,22 @@ fn mount_stack_on(stack: CrashStack, device: Arc<dyn BlockDevice>) -> KernelResu
 /// Propagates unexpected I/O errors (oracle violations are *reported*, not
 /// returned as errors).
 pub fn run_crash_test(stack: CrashStack, cfg: &CrashTestConfig) -> KernelResult<CrashReport> {
+    run_crash_test_planted(stack, cfg, PlantedFault::None)
+}
+
+/// [`run_crash_test`] with a protocol violation planted in the log of the
+/// workload mount and of every recovery mount ([`CrashStack::BentoXv6`]
+/// only): the proof that the oracles above have teeth.
+///
+/// # Errors
+///
+/// As [`run_crash_test`].
+#[doc(hidden)]
+pub fn run_crash_test_planted(
+    stack: CrashStack,
+    cfg: &CrashTestConfig,
+    planted: PlantedFault,
+) -> KernelResult<CrashReport> {
     // 1. Format, snapshot the base image, wrap the recorder.
     let base = format_base(stack, cfg.disk_blocks)?;
     let image = Arc::new(DiskImage::capture(&base)?);
@@ -231,7 +262,7 @@ pub fn run_crash_test(stack: CrashStack, cfg: &CrashTestConfig) -> KernelResult<
     // 2. Mount and run the modelled workload, then crash (drop, no sync).
     let mut model = WorkloadModel::new();
     let ops_run = {
-        let fs = mount_stack_on(stack, mount_dev)?;
+        let fs = mount_stack_on(stack, mount_dev, planted)?;
         run_workload(fs.vfs(), &fault, &mut model, cfg)?
     };
     let trace = fault.trace();
@@ -254,7 +285,7 @@ pub fn run_crash_test(stack: CrashStack, cfg: &CrashTestConfig) -> KernelResult<
     };
     for state in &states {
         let disk_dyn: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let mounted = match mount_stack_on(stack, Arc::clone(&disk_dyn)) {
+        let mounted = match mount_stack_on(stack, Arc::clone(&disk_dyn), planted) {
             Ok(mounted) => mounted,
             Err(e) => {
                 record(

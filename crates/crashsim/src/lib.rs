@@ -61,5 +61,7 @@ pub use device::{
     DiskImage, Event, FaultConfig, FaultDevice, FaultStats, SnapshotDisk, WriteTrace,
 };
 pub use enumerate::{prefix_states, sampled_states, CrashState};
-pub use harness::{run_crash_test, CrashMode, CrashReport, CrashStack, CrashTestConfig};
+pub use harness::{
+    run_crash_test, run_crash_test_planted, CrashMode, CrashReport, CrashStack, CrashTestConfig,
+};
 pub use model::{StableSnapshot, Violation, WorkloadModel};

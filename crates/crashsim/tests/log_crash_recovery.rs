@@ -40,7 +40,7 @@ fn every_write_prefix_crash_recovers_atomically_on_every_stack() {
             log.end_op().unwrap();
         }
         let trace = recorder.trace();
-        assert_eq!(trace.flush_count(), 4, "{name}: two commits, two barriers each");
+        assert_eq!(trace.flush_count(), 2, "{name}: two commits, one barrier each");
 
         for state in prefix_states(&trace, &image) {
             let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
@@ -48,7 +48,7 @@ fn every_write_prefix_crash_recovers_atomically_on_every_stack() {
             // recovery.
             let log = stack.open(Arc::clone(&disk), DISK_BLOCKS as u32);
             log.recover().unwrap();
-            // Second recovery must be a no-op (headers cleared).
+            // Second recovery must be a no-op (headers cleaned).
             assert_eq!(log.recover().unwrap(), 0, "{name}: {}", state.description);
 
             let b900 = log.read_block(900).unwrap()[0];
@@ -94,7 +94,7 @@ fn full_stack_create_burst_survives_crash_at_every_write_prefix() {
         }
     }
     let trace = recorder.trace();
-    assert!(trace.flush_count() >= 12, "expected several commits");
+    assert_eq!(trace.flush_count(), 30, "one commit, one barrier per create");
 
     let mut names_seen: HashMap<String, bool> = HashMap::new();
     for state in prefix_states(&trace, &image) {

@@ -1,16 +1,17 @@
-//! What the two-barrier commit protocol defers, and who pays it.
+//! What the one-barrier commit protocol defers, and who pays it.
 //!
 //! A commit leaves its record valid on the medium and its installs
-//! unflushed; the next commit's barriers — or a checkpoint — settle both.
-//! These tests pin down the three places where "the next commit" does not
-//! exist:
+//! unflushed; the next commit's barrier settles the installs, the commit
+//! after that overwrites the record — or a checkpoint settles both.  These
+//! tests pin down the three places where "the next commit" does not exist:
 //!
 //! * a **clean unmount** checkpoints, so both log headers are clear and the
 //!   next mount replays nothing (and writes nothing),
 //! * a **live upgrade** hands the log tail to the new instance, which
-//!   neither replays the pending record nor forgets to clear it,
-//! * a **crash** right after an acknowledged `fsync` finds the last record
-//!   un-cleared and its installs missing from the medium — and recovery
+//!   neither replays the live records nor forgets to clear them at its own
+//!   unmount, and touches no device block in the pause,
+//! * a **crash** right after an acknowledged `fsync` finds the newest
+//!   record valid and its installs missing from the medium — and recovery
 //!   brings the acknowledged bytes back.
 
 use std::sync::Arc;
@@ -19,7 +20,7 @@ use bento::bentofs::BentoFs;
 use bento::bentoks::{KernelBlockIo, SuperBlock};
 use bento::fileops::{FileSystem, Request};
 use crashsim::{prefix_states, DiskImage, Event, FaultConfig, FaultDevice};
-use journal::record::parse_head;
+use journal::record::{parse_head, payload_digest};
 use journal::JournalConfig;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::vfs::{FileMode, OpenFlags, VfsFs, PAGE_SIZE};
@@ -49,7 +50,8 @@ fn attach(dev: &Arc<dyn BlockDevice>) -> (Xv6FileSystem, SuperBlock) {
     (fs, sb)
 }
 
-/// The commit records valid on the raw medium, as `(region, seq, homes)`.
+/// The commit records recovery would replay from the raw medium (header
+/// checksum and payload digest both hold), as `(region head, seq, homes)`.
 fn valid_records(dev: &Arc<dyn BlockDevice>) -> Vec<(u64, u64, Vec<u64>)> {
     let mut block = vec![0u8; BSIZE];
     dev.read_block(1, &mut block).unwrap();
@@ -64,7 +66,12 @@ fn valid_records(dev: &Arc<dyn BlockDevice>) -> Vec<(u64, u64, Vec<u64>)> {
     for region in 0..2u64 {
         let head = cfg.start + region * cfg.region_size as u64;
         dev.read_block(head, &mut block).unwrap();
-        if let Some(parsed) = parse_head(&block, cfg.capacity) {
+        let Some(parsed) = parse_head(&block, cfg.capacity) else { continue };
+        let mut payload = vec![0u8; parsed.homes.len() * BSIZE];
+        for (i, copy) in payload.chunks_exact_mut(BSIZE).enumerate() {
+            dev.read_block(head + 1 + i as u64, copy).unwrap();
+        }
+        if payload_digest(payload.chunks_exact(BSIZE)) == parsed.payload_digest {
             records.push((head, parsed.seq, parsed.homes));
         }
     }
@@ -87,14 +94,11 @@ fn clean_unmount_leaves_both_headers_clear_and_nothing_to_replay() {
         let fs = mount(Arc::clone(&dev));
         fs.create(1, "dropped", FileMode::regular()).unwrap();
         drop(fs);
-        assert_eq!(
-            valid_records(&dev).len(),
-            1,
-            "{name}: the newest record is never cleared early"
-        );
+        assert_eq!(valid_records(&dev).len(), 1, "{name}: nothing clears the newest record");
         let before = recorder.event_count();
         let fs = mount(Arc::clone(&dev));
-        assert!(recorder.event_count() > before, "{name}: recovery replays the pending record");
+        assert!(recorder.event_count() > before, "{name}: recovery replays the live record");
+        assert!(valid_records(&dev).is_empty(), "{name}: recovery leaves both headers clean");
 
         // Unmounted: checkpointed.
         fs.create(1, "unmounted", FileMode::regular()).unwrap();
@@ -127,16 +131,18 @@ fn live_upgrade_continues_the_log_without_replaying_it() {
     let report = fs.upgrade(Box::new(Xv6FileSystem::with_label("xv6fs-v2"))).unwrap();
     assert!(report.state_transfer);
     assert_eq!(recorder.event_count(), before, "the upgrade attaches without touching the device");
-    assert_eq!(valid_records(&dev), pending, "the pending record is neither replayed nor lost");
+    assert_eq!(valid_records(&dev), pending, "the live record is neither replayed nor lost");
 
-    // The new instance's first commit takes the *other* region and pays
-    // the clear its predecessor owed.
+    // The new instance's first commit takes the *other* region and leaves
+    // its predecessor's record where it is.
     fs.create(1, "after", FileMode::regular()).unwrap();
     let records = valid_records(&dev);
-    assert_eq!(records.len(), 1);
-    assert_ne!(records[0].0, pending[0].0, "regions keep alternating across the upgrade");
-    assert_eq!(records[0].1, pending[0].1 + 1, "sequence numbers continue");
+    assert_eq!(records.len(), 2);
+    let newest = records.iter().max_by_key(|(_, seq, _)| *seq).unwrap();
+    assert_ne!(newest.0, pending[0].0, "regions keep alternating across the upgrade");
+    assert_eq!(newest.1, pending[0].1 + 1, "sequence numbers continue");
 
+    // Its unmount clears both headers, the inherited one included.
     fs.destroy().unwrap();
     drop(fs);
     assert!(valid_records(&dev).is_empty());
@@ -177,11 +183,10 @@ fn crash_after_acknowledged_fsync_replays_the_uncleared_record() {
     let state = prefix_states(&trace, &image).swap_remove(last_flush + 1);
     let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
 
-    // As the medium holds it: the last record un-cleared, and at least one
-    // of its blocks not yet installed.
+    // As the medium holds it: the newest record valid, and at least one of
+    // its blocks not yet installed.
     let records = valid_records(&disk);
-    assert_eq!(records.len(), 1);
-    let (head, _, homes) = &records[0];
+    let (head, _, homes) = records.iter().max_by_key(|(_, seq, _)| *seq).expect("a valid record");
     let (mut logged, mut home) = (vec![0u8; BSIZE], vec![0u8; BSIZE]);
     let uninstalled = homes.iter().enumerate().any(|(i, &blockno)| {
         disk.read_block(head + 1 + i as u64, &mut logged).unwrap();

@@ -1,47 +1,51 @@
-//! Proof that the checker has teeth: a deliberately planted ordering bug —
-//! the log's commit record written (and made durable) *ahead of* its
-//! payload epoch — must be caught by the oracles.
+//! Proof that the checker has teeth: each protocol violation the journal
+//! can be made to commit ([`PlantedFault`]) must be caught by the full
+//! stack's oracles — fsck and fsync durability over enumerated crash
+//! states of Bento xv6 on the synchronous device — while the identical
+//! run with nothing planted is clean.  The queued-device twin is
+//! `queued_planted_bug.rs`.
 //!
-//! With the record-first ordering, a crash between the record barrier and
-//! the payload writes leaves a valid, checksummed commit record naming
-//! blocks whose log-region copies are stale (a previous group's bytes, or
-//! mkfs zeros).  Recovery then installs that stale data over live
-//! metadata, which the fsck and durability oracles must flag.
-//!
-//! This test lives in its own integration-test binary because the hook is
-//! process-global.
+//! The one-barrier commit lets the commit record share a barrier epoch
+//! with its payload, so what used to be planted *orderings* (record ahead
+//! of payload) are now legal; the rules that carry the safety instead are
+//! the payload digest at recovery, installs strictly after the commit
+//! barrier, and the barrier ahead of a checkpoint's final header clear.
 
-use std::sync::atomic::Ordering;
+mod common;
 
-use crashsim::{run_crash_test, CrashMode, CrashStack, CrashTestConfig};
-use xv6fs::log::TEST_UNSAFE_EARLY_COMMIT_RECORD;
+use crashsim::{run_crash_test, CrashStack, CrashTestConfig};
+use journal::PlantedFault;
+
+use common::assert_caught;
+
+fn config() -> CrashTestConfig {
+    common::config(0xBAD_C0DE, 0)
+}
 
 #[test]
-fn early_commit_record_ordering_bug_is_caught() {
-    let cfg = CrashTestConfig {
-        seed: 0xBAD_C0DE,
-        ops: 40,
-        disk_blocks: 4096,
-        mode: CrashMode::Prefixes,
-        max_violations: 8,
-        queue_depth: 0,
-    };
-    // Sanity: with the correct ordering the same run is clean.
-    let clean = run_crash_test(CrashStack::BentoXv6, &cfg).unwrap();
-    assert!(
-        clean.is_clean(),
-        "correct ordering must pass: {:#?}",
-        clean.violations.iter().take(3).collect::<Vec<_>>()
-    );
+fn the_same_run_with_nothing_planted_is_clean() {
+    let clean = run_crash_test(CrashStack::BentoXv6, &config()).unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations.iter().take(3).collect::<Vec<_>>());
+    assert!(common::clean_unmount_violations(0, PlantedFault::None).is_empty());
+}
 
-    TEST_UNSAFE_EARLY_COMMIT_RECORD.store(true, Ordering::SeqCst);
-    let report = run_crash_test(CrashStack::BentoXv6, &cfg);
-    TEST_UNSAFE_EARLY_COMMIT_RECORD.store(false, Ordering::SeqCst);
+/// (a) A record persisted ahead of its payload — or outliving it — is
+/// replayed: recovery installs stale log-region bytes over live metadata.
+#[test]
+fn recovery_that_skips_the_payload_digest_is_caught() {
+    assert_caught(&config(), PlantedFault::TrustHeaderChecksum);
+}
 
-    let report = report.unwrap();
-    assert!(
-        report.violations_found > 0,
-        "the planted record-before-payload bug went undetected across {} crash states",
-        report.states_checked
-    );
+/// (b) A group half installed with no durable record to finish it from.
+#[test]
+fn installs_before_the_commit_barrier_are_caught() {
+    assert_caught(&config(), PlantedFault::InstallBeforeBarrier);
+}
+
+/// (c) An fsync-acknowledged file lost when the unmount's final header
+/// clear overtakes the installs it presupposes.
+#[test]
+fn checkpoint_clear_without_barrier_is_caught() {
+    let violations = common::clean_unmount_violations(0, PlantedFault::CheckpointWithoutBarrier);
+    assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

@@ -1,54 +1,46 @@
-//! Proof that the queued-device crash checker has teeth: a deliberately
-//! planted ordering bug specific to the batched commit path — the commit
-//! record submitted *without waiting for the payload completions* (no
-//! payload barrier) — must be caught.
-//!
-//! With the barrier skipped, the batched stage-1 payload writes and the
-//! commit record land in the *same* barrier epoch.  Crash enumeration is
-//! free to reorder within an epoch, so some crash states persist a valid,
-//! checksummed commit record whose log-region payload never made it —
-//! recovery then installs stale region bytes over live metadata, which the
-//! fsck and durability oracles must flag.
-//!
-//! This test lives in its own integration-test binary because the hook is
-//! process-global.
+//! Proof that the queued-device crash checker has teeth: the planted
+//! protocol violations of `planted_bug.rs`, committed through the
+//! multi-queue device (queue depth 8) — batched stage-1 payload
+//! submissions, the record, and the prefetched payload of the next group
+//! all reordering freely inside their barrier epoch.
 
-use std::sync::atomic::Ordering;
+mod common;
 
-use crashsim::{run_crash_test, CrashMode, CrashStack, CrashTestConfig};
-use xv6fs::log::TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER;
+use crashsim::{run_crash_test, CrashStack, CrashTestConfig};
+use journal::PlantedFault;
+
+use common::assert_caught;
+
+fn config() -> CrashTestConfig {
+    common::config(0xBAD_0B10, 8)
+}
 
 #[test]
+fn the_same_queued_run_with_nothing_planted_is_clean() {
+    let clean = run_crash_test(CrashStack::BentoXv6, &config()).unwrap();
+    assert!(clean.is_clean(), "{:#?}", clean.violations.iter().take(3).collect::<Vec<_>>());
+    assert!(common::clean_unmount_violations(8, PlantedFault::None).is_empty());
+}
+
+/// (a) The one-barrier commit *is* a record without a payload barrier;
+/// what makes it safe is the payload digest.  With recovery not verifying
+/// it, some crash states persist a valid, checksummed commit record whose
+/// log-region payload never made it, and recovery installs stale region
+/// bytes over live metadata.
+#[test]
 fn record_without_payload_barrier_is_caught_on_the_queued_device() {
-    // Sampled mode, deliberately: in-order prefixes can never see this bug
-    // (submission order still puts the payload first); only the sampled
-    // subset/reorder states exercise the freedom the missing barrier
-    // grants the write cache.
-    let cfg = CrashTestConfig {
-        seed: 0xBAD_0B10,
-        ops: 60,
-        disk_blocks: 4096,
-        mode: CrashMode::Sampled { states: 300 },
-        max_violations: 8,
-        queue_depth: 8,
-    };
-    // Sanity: with the payload barrier in place the same queued run is
-    // clean.
-    let clean = run_crash_test(CrashStack::BentoXv6, &cfg).unwrap();
-    assert!(
-        clean.is_clean(),
-        "correct ordering must pass: {:#?}",
-        clean.violations.iter().take(3).collect::<Vec<_>>()
-    );
+    assert_caught(&config(), PlantedFault::TrustHeaderChecksum);
+}
 
-    TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER.store(true, Ordering::SeqCst);
-    let report = run_crash_test(CrashStack::BentoXv6, &cfg);
-    TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER.store(false, Ordering::SeqCst);
+/// (b) Installs submitted ahead of the commit barrier.
+#[test]
+fn installs_before_the_commit_barrier_are_caught_on_the_queued_device() {
+    assert_caught(&config(), PlantedFault::InstallBeforeBarrier);
+}
 
-    let report = report.unwrap();
-    assert!(
-        report.violations_found > 0,
-        "the planted record-without-payload-barrier bug went undetected across {} crash states",
-        report.states_checked
-    );
+/// (c) The unmount's final header clear overtaking its installs.
+#[test]
+fn checkpoint_clear_without_barrier_is_caught_on_the_queued_device() {
+    let violations = common::clean_unmount_violations(8, PlantedFault::CheckpointWithoutBarrier);
+    assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

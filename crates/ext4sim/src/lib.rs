@@ -28,8 +28,8 @@
 //!
 //! The checkpoint is what recovery reads, so it is written crash-safely:
 //! two checkpoint *slots* alternate, each carrying a sequence number,
-//! length, and an FNV-1a checksum of the serialized body, with the header
-//! block written after the body.  Mount picks the highest-sequence slot
+//! length, and a digest of the serialized body, with the header block
+//! written after the body.  Mount picks the highest-sequence slot
 //! whose checksum verifies, so a crash that tears the in-progress
 //! checkpoint falls back to the previous one.  To make that fallback safe,
 //! freed blocks are *quarantined* until the checkpoint recording the free

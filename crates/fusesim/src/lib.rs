@@ -561,10 +561,10 @@ mod tests {
         let committed = syncs();
         assert_eq!(
             committed - before,
-            2,
-            "each of a commit's two barriers syncs the whole disk file from userspace"
+            1,
+            "a commit's one barrier syncs the whole disk file from userspace"
         );
-        // The write's group is durable once its record barrier returned:
+        // The write's group is durable once its commit barrier returned:
         // an fsync that finds the log idle has nothing left to pay for.
         fs.fsync(attr.ino, false).unwrap();
         assert_eq!(syncs(), committed, "fsync on an idle log issues no barrier");

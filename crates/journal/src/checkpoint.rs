@@ -17,11 +17,14 @@
 //! |      0 | magic                       |
 //! |      8 | sequence number             |
 //! |     16 | body length in bytes        |
-//! |     24 | FNV-1a checksum of the body |
+//! |     24 | `digest64` of the body       |
 
 use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::hash::fnv1a64;
+use simkernel::hash::digest64;
+
+/// Digest seed of checkpoint bodies (distinct from the commit record's).
+const BODY_SEED: u64 = 0x6a6f_7572_6e61_6c43; // "journalC"
 
 /// Geometry and identity of a two-slot checkpoint area on a device.
 #[derive(Debug, Clone, Copy)]
@@ -72,7 +75,7 @@ impl DualSlotCheckpoint {
         header[..8].copy_from_slice(&self.magic.to_le_bytes());
         header[8..16].copy_from_slice(&seq.to_le_bytes());
         header[16..24].copy_from_slice(&(body.len() as u64).to_le_bytes());
-        header[24..32].copy_from_slice(&fnv1a64(body).to_le_bytes());
+        header[24..32].copy_from_slice(&digest64(BODY_SEED, body).to_le_bytes());
         dev.write_block(slot_start, &header)
     }
 
@@ -110,7 +113,7 @@ impl DualSlotCheckpoint {
             body.extend_from_slice(&buf[..take]);
             block += 1;
         }
-        if fnv1a64(&body) != checksum {
+        if digest64(BODY_SEED, &body) != checksum {
             return Ok(None);
         }
         Ok(Some((seq, body)))

@@ -13,37 +13,40 @@
 //! Every operation that modifies the file system wraps its block writes in
 //! a transaction: [`Journal::begin_op`] … stage frozen snapshots via
 //! [`Journal::log_write`] … [`Journal::end_op`].  The commit protocol for
-//! group *N* is the classic one, hardened for devices with a reordering
-//! volatile write cache and trimmed to the barriers that buy durability:
+//! group *N* is hardened for devices with a reordering volatile write
+//! cache and trimmed to the one barrier that buys durability:
 //!
-//! 1. copy each modified block into group *N*'s on-disk log region and
-//!    issue the **payload barrier** — the payload must be durable *before*
-//!    the commit record, or a crash could leave a valid-looking header
-//!    pointing at stale log blocks.  The same barrier makes group *N − 1*'s
-//!    installs durable;
-//! 2. write the log header naming the blocks (the commit record, carrying
-//!    a self-checksum so a torn header write is detected) **and** clear
-//!    group *N − 1*'s header — legal only now that its installs are
-//!    durable — then issue the **record barrier**.  The group is committed
-//!    the instant this barrier returns;
+//! 1. copy each modified block into group *N*'s on-disk log region **and**
+//!    write the log header naming them — the commit record, which carries
+//!    a digest of those log blocks under a self-checksum (see [`record`]).
+//!    Payload and record share one barrier epoch: the write cache may
+//!    persist them in any order, but a record whose payload is not wholly
+//!    on the medium does not validate, so no barrier has to keep the
+//!    record behind the payload;
+//! 2. issue the **commit barrier**.  The group is committed the instant it
+//!    returns; the same barrier makes group *N − 1*'s installs durable;
 //! 3. install the blocks to their home locations.  No barrier follows:
 //!    recovery replays a committed record idempotently, so the installs
-//!    (and this group's header clear) ride to durability on group
-//!    *N + 1*'s barriers, or on [`Journal::checkpoint`].
+//!    ride to durability on group *N + 1*'s barrier, or on
+//!    [`Journal::checkpoint`].
 //!
-//! That is the **barrier budget**: exactly two barriers per commit, and
-//! none at all for an `fsync` that finds the journal idle.  The newest
-//! committed record therefore stays valid on the medium until the next
-//! commit clears it, so at most two consecutive valid records ever exist
-//! (*N − 1* and *N*, between the write of record *N* and its barrier);
-//! [`Journal::recover`] replays them in sequence order.  A valid record
-//! *K* on the medium implies no install of any later group has started:
-//! installs of *K + 1* begin only after its record barrier, which is also
-//! what made the clear of *K* durable.  What a **clean unmount** owes is
-//! [`Journal::checkpoint`] (barrier → clear the pending header → barrier),
-//! so the next mount replays nothing; a **live upgrade** instead carries
-//! the [`JournalTail`] into the new instance, which keeps numbering
-//! commits where the old one stopped and still owes the same clear.  What
+//! That is the **barrier budget**: exactly one barrier per commit, and
+//! none at all for an `fsync` that finds the journal idle.  A committed
+//! record stays on the medium until the group two commits later
+//! overwrites its region, so after a crash up to two consecutive records
+//! validate (*N − 1* and *N*); [`Journal::recover`] replays them in
+//! sequence order.  A valid record *K* on the medium implies no install of
+//! any group later than *K + 1* has started.  Nothing clears a header in
+//! steady state.  What a **clean unmount** owes is [`Journal::checkpoint`]
+//! (clear the older header → barrier → clear the newest → barrier), so the
+//! next mount replays nothing; **recovery** leaves every header it found
+//! non-clean — replayed, digest-rejected, torn or foreign — clean the same
+//! way, so a stale record can never be re-validated by a later session
+//! that happens to log identical bytes into its region; a **failed
+//! commit** leaves the journal owing that checkpoint before the next
+//! commit may reuse a region; a **live upgrade** carries the
+//! [`JournalTail`] into the new instance, which keeps numbering commits
+//! where the old one stopped and knows which headers are live.  What
 //! differs from the teaching implementation is *where the waiting
 //! happens*:
 //!
@@ -66,28 +69,30 @@
 //!   handoff.
 //! * **Double-buffered commit.**  Commits alternate between two on-disk
 //!   log regions and run entirely outside the group mutex: while group *N*
-//!   writes its barriers into one region, group *N + 1* forms, absorbs
+//!   writes its epoch into one region, group *N + 1* forms, absorbs
 //!   operations, and copies nothing until its own turn.  Commits install
 //!   in formation order (a sequence number in each region header keeps
 //!   [`Journal::recover`] correct for either region).  The **region reuse
-//!   rule**: group *N + 1* overwrites the region of group *N − 1*, whose
-//!   header clear was written after group *N*'s payload barrier and made
-//!   durable by group *N*'s record barrier — before *N + 1* writes a byte
-//!   into it — so a stale header can never alias a reused region.
+//!   rule**: group *N + 1* overwrites the region of group *N − 1* — header
+//!   and log blocks, in one epoch — which is legal because group *N*'s
+//!   barrier made the installs of *N − 1* durable before *N + 1* writes a
+//!   byte into it.  A crash inside that epoch leaves the region holding
+//!   the old record over a partly overwritten payload (digest mismatch:
+//!   rejected, harmless since its installs are durable), the new record
+//!   over a partial payload (rejected: never acknowledged), or the new
+//!   record over its whole payload (committed).
 //! * **Two-stage overlapped commit (queued devices).**  When the device
 //!   exposes a multi-queue face ([`simkernel::queue::QueuedBlockDevice`],
 //!   via [`io::JournalIo::queued`]), stage 1 — the log-region payload
 //!   copies — is *batch-submitted* instead of written serially, and the
-//!   committer prefetches: right after group *N*'s commit record is
-//!   durable (the record barrier), it closes group *N + 1* if one is ready
-//!   and submits its stage-1 payload, so those copies are serviced by the
-//!   device *while group N's installs are still completing*.  The barrier
-//!   count per commit is unchanged and the ordering contract
-//!   payload→FLUSH→{record, previous clear}→FLUSH→install is intact: a
+//!   committer prefetches: right after group *N*'s barrier it closes group
+//!   *N + 1* if one is ready and submits its stage-1 payload, so those
+//!   copies are serviced by the device *while group N's installs are still
+//!   completing*.  The barrier count per commit is unchanged and the
+//!   ordering contract {payload, record}→FLUSH→install is intact: a
 //!   prefetched group's payload lands in the same barrier epoch as the
 //!   previous group's installs (disjoint blocks — different log region,
-//!   and installs target home locations), while its record still waits for
-//!   its own payload barrier.
+//!   and installs target home locations) and as its own record.
 //!
 //! Because commits write the *frozen* bytes — both into the log region
 //! and, on conflict, directly to the home location via
@@ -95,10 +100,11 @@
 //! an earlier group holding that block is mid-commit can never leak its
 //! uncommitted bytes into the earlier group's transaction.
 //!
-//! [`Journal::recover`] replays committed-but-not-cleared transactions
-//! from both regions (in sequence order) after a crash, rejecting torn
-//! commit records (checksum mismatch) and foreign or corrupt headers
-//! (home blocks outside the configured valid range).
+//! [`Journal::recover`] replays the committed transactions still on the
+//! medium from both regions (in sequence order) after a crash, rejecting
+//! torn commit records (checksum mismatch), records whose payload is not
+//! the one they were sealed over (digest mismatch) and foreign or corrupt
+//! headers (home blocks outside the configured valid range).
 //!
 //! The sibling modules own the two on-disk record formats: [`record`] is
 //! the checksummed commit record both xv6 logs write, [`checkpoint`] the
@@ -113,7 +119,7 @@ pub mod record;
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -128,32 +134,30 @@ use crate::record::{BSIZE, LOG_HEAD_MAX_ENTRIES};
 /// [`Journal::begin_op`].
 pub const MAX_OP_BLOCKS: usize = 64;
 
-/// Test-only crash-safety hook: when set, commits write the commit record
-/// and its barrier *before* the log payload — the unsafe ordering the
-/// payload barrier exists to prevent.  The `crashsim` harness
-/// plants this bug to prove its oracles detect real ordering violations (a
-/// crash between the record and the payload makes recovery install stale
-/// log bytes).  Because the hook lives here in the shared journal, one
-/// planted bug covers every stack at once.  Never enable outside tests.
-///
-/// Deliberately not behind a cargo feature: `crashsim` is a workspace
-/// default member, so feature unification would switch the gate on for
-/// every workspace build anyway, and the cost in production is one relaxed
-/// atomic load per commit.  The flag defaults to off and nothing outside
-/// the dedicated planted-bug test processes touches it.
+/// A deliberately planted protocol violation ([`Journal::plant_fault`]):
+/// each one removes a rule the one-barrier commit's safety rests on, so the
+/// crash suites can prove their oracles catch its absence.  A field of one
+/// journal, never of the process — a planted journal shares a test binary
+/// with correct ones.
 #[doc(hidden)]
-pub static TEST_UNSAFE_EARLY_COMMIT_RECORD: AtomicBool = AtomicBool::new(false);
-
-/// Test-only crash-safety hook for the *queued* commit path: when set, the
-/// commit record is written without waiting for the payload barrier — the
-/// payload submissions and the record land in the same barrier epoch, so a
-/// device that reorders within an epoch can persist the record before the
-/// payload.  The `crashsim` harness plants this bug to prove its
-/// within-epoch reorder enumeration catches exactly this class of
-/// violation on the multi-queue device.  Same non-feature-gate rationale
-/// as [`TEST_UNSAFE_EARLY_COMMIT_RECORD`].  Never enable outside tests.
-#[doc(hidden)]
-pub static TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER: AtomicBool = AtomicBool::new(false);
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PlantedFault {
+    /// The protocol as documented.
+    #[default]
+    None,
+    /// Recovery trusts a record's self-checksum and replays it without
+    /// verifying the payload digest, so a record the write cache persisted
+    /// ahead of its payload installs whatever the region held before.
+    TrustHeaderChecksum,
+    /// Installs are issued before the commit barrier instead of after it,
+    /// so a crash can leave a group half installed with no record to
+    /// finish it from.
+    InstallBeforeBarrier,
+    /// The checkpoint clears the newest header without the barrier that
+    /// makes its installs durable first, so a crash can lose an
+    /// acknowledged group.
+    CheckpointWithoutBarrier,
+}
 
 /// One logged block: home address, modification version (orders snapshots
 /// of the same block), and the frozen bytes.
@@ -257,6 +261,21 @@ struct CommitTurn {
     next: u64,
 }
 
+/// A committed record recovery found on the medium, with the payload it
+/// verified against the record's digest.
+struct Committed {
+    record: record::ParsedHead,
+    payload: Vec<u8>,
+}
+
+/// The journal's knowledge of the two region headers on the medium (the
+/// mutable part of a [`JournalTail`]).
+#[derive(Debug, Default)]
+struct Medium {
+    live: [Option<u64>; 2],
+    owes_checkpoint: bool,
+}
+
 /// Where a running journal stands on the medium: what a successor instance
 /// attaching to the same device *without* running recovery (a live upgrade)
 /// must know to keep honoring the protocol.
@@ -264,10 +283,13 @@ struct CommitTurn {
 pub struct JournalTail {
     /// Sequence number the next closed group takes (and thus its region).
     pub next_seq: u64,
-    /// Sequence of the newest committed group, whose record is still valid
-    /// on the medium: its header clear is owed to the next commit or
-    /// [`Journal::checkpoint`].  `None` when both headers are clear.
-    pub pending_clear: Option<u64>,
+    /// Per region, the sequence of the record its header may hold (`None`
+    /// = known clean): what [`Journal::checkpoint`] still has to clear,
+    /// newest last.
+    pub live: [Option<u64>; 2],
+    /// A commit's I/O failed: the checkpoint is owed before the next
+    /// commit, not just at unmount.
+    pub owes_checkpoint: bool,
 }
 
 /// On-disk geometry of one journal: where the two commit regions live and
@@ -328,22 +350,18 @@ pub struct Journal {
     /// Commits whose I/O has finished; `next_seq > commits_done` means a
     /// commit is in flight (or queued), so group closing is deferred to
     /// the committer's handoff — that deferral is what lets a group
-    /// *absorb* operations while the barriers are written.
+    /// *absorb* operations while the commit I/O runs.
     commits_done: AtomicU64,
     /// Active [`Journal::flush`] calls; while nonzero, `begin_op` admits
     /// no new operations so the drain is bounded.
     flushing: AtomicU32,
     commit_turn: Mutex<CommitTurn>,
     commit_cond: Condvar,
-    /// Sequence of the newest group whose commit record was written and
-    /// not yet cleared ([`JournalTail::pending_clear`]).  Held for the
+    /// What the region headers on the medium may hold.  Held for the
     /// whole of a commit's I/O and of a checkpoint's, so the two never
     /// interleave (commits are already serialized by `commit_turn`).
-    pending_clear: Mutex<Option<u64>>,
-    /// Test-only planted bug, per journal: clear the previous group's
-    /// header *before* the payload barrier (see
-    /// [`Journal::plant_early_clear_bug`]).
-    fault_early_clear: AtomicBool,
+    medium: Mutex<Medium>,
+    fault: PlantedFault,
     counters: JournalCounters,
 }
 
@@ -365,22 +383,17 @@ impl Journal {
             flushing: AtomicU32::new(0),
             commit_turn: Mutex::new(CommitTurn::default()),
             commit_cond: Condvar::new(),
-            pending_clear: Mutex::new(None),
-            fault_early_clear: AtomicBool::new(false),
+            medium: Mutex::new(Medium::default()),
+            fault: PlantedFault::None,
             counters: JournalCounters::default(),
         }
     }
 
-    /// Test-only crash-safety hook: makes this journal write the clear of
-    /// group *N − 1*'s header before group *N*'s payload barrier instead
-    /// of after it.  The clear then shares a barrier epoch with the
-    /// installs it presupposes, so a reordering write cache may persist it
-    /// first and a crash loses the acknowledged group *N − 1*.  The
-    /// durability oracle of the journal-level crash suite must catch this.
-    /// Never call outside tests.
+    /// Test-only crash-safety hook: makes this journal break one rule of
+    /// the protocol (see [`PlantedFault`]).  Never call outside tests.
     #[doc(hidden)]
-    pub fn plant_early_clear_bug(&self) {
-        self.fault_early_clear.store(true, Ordering::Relaxed);
+    pub fn plant_fault(&mut self, fault: PlantedFault) {
+        self.fault = fault;
     }
 
     /// Returns cumulative statistics.
@@ -398,22 +411,24 @@ impl Journal {
     /// state transfer.  Only meaningful while the journal is quiescent (no
     /// operation outstanding, no commit in flight).
     pub fn tail(&self) -> JournalTail {
+        let medium = self.medium.lock();
         JournalTail {
             next_seq: self.next_seq.load(Ordering::SeqCst),
-            pending_clear: *self.pending_clear.lock(),
+            live: medium.live,
+            owes_checkpoint: medium.owes_checkpoint,
         }
     }
 
     /// Adopts the tail of the journal instance this one replaces on the
     /// same device, *instead of* running [`Journal::recover`]: numbering
     /// continues where the predecessor stopped (so regions keep
-    /// alternating) and the predecessor's owed header clear is paid by
-    /// this journal's first commit.  Call before the first operation.
+    /// alternating) and this journal's checkpoint clears the headers the
+    /// predecessor left live.  Call before the first operation.
     pub fn restore_tail(&self, tail: JournalTail) {
         self.next_seq.store(tail.next_seq, Ordering::SeqCst);
         self.commits_done.store(tail.next_seq, Ordering::SeqCst);
         self.commit_turn.lock().next = tail.next_seq;
-        *self.pending_clear.lock() = tail.pending_clear;
+        *self.medium.lock() = Medium { live: tail.live, owes_checkpoint: tail.owes_checkpoint };
     }
 
     /// Data blocks one commit region can hold (one group's maximum size).
@@ -525,7 +540,7 @@ impl Journal {
     /// forming group.  If the group is ready (quiescent, no commit in
     /// flight), this thread closes it and runs the commit — outside the
     /// group mutex, so new operations keep forming the next group while
-    /// the barriers are written.
+    /// the commit I/O runs.
     ///
     /// # Errors
     ///
@@ -588,8 +603,8 @@ impl Journal {
             self.take_group_if_ready(&mut inner)
         };
         if let Some((seq, blocks, ops)) = to_commit {
-            // This thread became the committer: the whole group's barriers
-            // run on its clock, so attribute them as commit wait.
+            // This thread became the committer: the whole group's commit I/O
+            // runs on its clock, so attribute it as commit wait.
             let _commit = simkernel::trace::phase(simkernel::trace::Phase::CommitWait);
             self.commit_group(io, seq, blocks, ops)?;
         }
@@ -599,7 +614,7 @@ impl Journal {
     /// Forces everything durable-in-progress to commit (the fsync and
     /// sync paths; unmount goes on to [`Journal::checkpoint`]).  When it
     /// returns, every operation that had ended is durable — its group's
-    /// record barrier has completed — with no further device barrier
+    /// commit barrier has completed — with no further device barrier
     /// needed, and a journal with nothing in progress does no I/O at all.
     /// Waits for outstanding operations to merge, closes and commits the
     /// forming group, then waits out any commit another thread still has
@@ -663,7 +678,7 @@ impl Journal {
     }
 
     /// Closes the forming group for the committer's *prefetch*: called by
-    /// the thread that is itself mid-commit, right after its record
+    /// the thread that is itself mid-commit, right after its commit
     /// barrier, to start the next group's stage-1 payload early.  Requires
     /// quiescence (same entanglement argument as
     /// [`Journal::take_group_if_ready`]) but deliberately ignores the
@@ -685,7 +700,7 @@ impl Journal {
     /// its region).  The group's slots are released immediately: a closed
     /// group owns its own on-disk region, so only the *forming* group
     /// counts against the reservation budget — operations keep flowing
-    /// while the closed group's barriers are written.
+    /// while the closed group's commit I/O runs.
     fn take_group(&self, inner: &mut FormingGroup) -> Option<(u64, Vec<LoggedBlock>, u64)> {
         if inner.blocks.is_empty() {
             return None;
@@ -786,16 +801,15 @@ impl Journal {
         }
     }
 
-    /// The commit I/O: copy frozen blocks to this group's region, barrier,
-    /// commit record plus the previous group's header clear, barrier,
-    /// install.
+    /// The commit I/O: frozen blocks and the commit record into this
+    /// group's region, one barrier, install.
     ///
     /// On a queued device the payload copies are batch-submitted (stage
-    /// 1), and right after the record barrier the committer tries to
-    /// *prefetch* the next group: close it and submit its stage-1 payload,
-    /// handing it back via `prefetched` so its copies are serviced while
-    /// this group's installs run.  `staged` marks a group whose payload
-    /// was already submitted that way.
+    /// 1), and right after the barrier the committer tries to *prefetch*
+    /// the next group: close it and submit its stage-1 payload, handing it
+    /// back via `prefetched` so its copies are serviced while this group's
+    /// installs run.  `staged` marks a group whose payload was already
+    /// submitted that way.
     fn commit_io(
         &self,
         io: &dyn JournalIo,
@@ -806,73 +820,58 @@ impl Journal {
     ) -> KernelResult<()> {
         debug_assert!(blocks.len() <= self.capacity);
         let head_block = self.region_head(seq);
-        let queued = io.queued();
         // Held across all of this commit's I/O: a checkpoint must never
         // interleave with it (uncontended otherwise — the turn ticket
         // already serializes commits).
-        let mut pending = self.pending_clear.lock();
-        if TEST_UNSAFE_EARLY_COMMIT_RECORD.load(Ordering::Relaxed) {
-            // Planted ordering bug (see the hook's docs): record first,
-            // then the payload — a crash in between leaves a valid commit
-            // record naming blocks whose log copies are stale.
-            self.write_record(io, &mut pending, seq, blocks)?;
-            self.barrier(io)?;
-            for (i, block) in blocks.iter().enumerate() {
-                io.write_raw(head_block + 1 + i as u64, &block.data)?;
-            }
-            self.barrier(io)?;
-        } else if TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER.load(Ordering::Relaxed) {
-            // Planted ordering bug for the queued path (see the hook's
-            // docs): payload submitted but the record does not wait for
-            // the payload barrier, so both land in one barrier epoch and
-            // the device may persist the record first.
-            if !staged {
-                self.submit_payload(io, head_block, blocks)?;
-            }
-            self.write_record(io, &mut pending, seq, blocks)?;
-            self.barrier(io)?;
-        } else {
-            if self.fault_early_clear.load(Ordering::Relaxed) {
-                // Planted ordering bug (see `plant_early_clear_bug`): the
-                // previous header is cleared in the same barrier epoch as
-                // the installs it presupposes.
-                if let Some(prev) = pending.take() {
-                    self.write_empty_head(io, self.region_head(prev), prev)?;
-                }
-            }
-            // 1. Frozen copies into the region's data blocks.  Written
-            // raw: log data blocks are only ever read back by recovery (on
-            // a fresh cache), so going through a buffer cache would just
-            // evict useful blocks once per commit.  On a queued device the
-            // copies are batch-submitted; a prefetch-staged group
-            // submitted them during the previous commit already.  The
-            // barrier orders the payload before the commit record —
-            // without it the device's write cache may persist the record
-            // first, and a crash then makes recovery install whatever the
-            // region held before.  (On the queued device the barrier also
-            // drains the submission queues, so it covers batched payload
-            // writes exactly as it covers synchronous ones.)  The same
-            // barrier makes the previous group's installs durable, which
-            // is what licenses clearing its header below.
-            if !staged {
-                self.submit_payload(io, head_block, blocks)?;
-            }
-            self.barrier(io)?;
-            // 2. Commit record, and the previous group's header clear: a
-            // write cache that persisted that clear before the installs
-            // it presupposes would silently lose a committed transaction,
-            // so it is written only now.  The barrier commits this group
-            // and frees the previous group's region for the next one.
-            self.write_record(io, &mut pending, seq, blocks)?;
-            self.barrier(io)?;
+        let mut medium = self.medium.lock();
+        // Owed until this commit's I/O has wholly succeeded.  After a
+        // failed commit neither region obeys the reuse rule (a record
+        // that was never installed from may sit in one, the other's
+        // installs never got their barrier), so that debt is paid first.
+        if medium.owes_checkpoint {
+            self.settle(io, &mut medium)?;
         }
-        // Two-stage overlap: with this group's record durable, the next
-        // group (if one is ready) may start its stage-1 payload copies
-        // now, overlapping them with this group's installs below.  This is
-        // the earliest safe point — the next group reuses the region of
-        // group `seq - 1`, whose header clear the record barrier just made
-        // durable.
-        if queued.is_some() {
+        medium.owes_checkpoint = true;
+        // 1. Frozen copies into the region's data blocks, and the commit
+        // record over the header of the group two commits back.  The
+        // payload is written raw: log data blocks are only ever read back
+        // by recovery (on a fresh cache), so going through a buffer cache
+        // would just evict useful blocks once per commit.  On a queued
+        // device the copies are batch-submitted; a prefetch-staged group
+        // submitted them during the previous commit already.  Nothing
+        // orders the record behind the payload: it carries the payload's
+        // digest, so however the write cache reorders this epoch, a record
+        // without its whole payload is rejected by recovery.
+        if !staged {
+            self.submit_payload(io, head_block, blocks)?;
+        }
+        // Marked live before the write is attempted: even a failed header
+        // write may have reached the medium.
+        medium.live[(seq % 2) as usize] = Some(seq);
+        let mut head = [0u8; BSIZE];
+        record::encode_head(
+            &mut head,
+            seq,
+            blocks.iter().map(|b| b.home),
+            record::payload_digest(blocks.iter().map(|b| b.data.as_slice())),
+        );
+        io.write_block(head_block, &head)?;
+        let install_early = self.fault == PlantedFault::InstallBeforeBarrier;
+        if install_early {
+            self.install(io, blocks)?;
+        }
+        // 2. The commit barrier: this group is durable, and so are the
+        // previous group's installs — which is what frees that group's
+        // region for the next commit.  (On the queued device the barrier
+        // also drains the submission queues, so it covers batched payload
+        // writes exactly as it covers synchronous ones.)
+        self.barrier(io)?;
+        // Two-stage overlap: the next group (if one is ready) may start
+        // its stage-1 payload copies now, overlapping them with this
+        // group's installs below.  This is the earliest safe point — the
+        // next group reuses the region of group `seq - 1`, whose installs
+        // the barrier just made durable.
+        if io.queued().is_some() {
             let adopted = {
                 let mut inner = self.inner.lock();
                 self.take_group_for_overlap(&mut inner)
@@ -887,15 +886,23 @@ impl Journal {
                 *prefetched = Some((next_seq, next_blocks, next_ops, submitted));
             }
         }
-        // 3. Install to home locations.  `flush_cached_if_eq` writes the
-        // cached copy when it still equals the committed snapshot; when a
-        // later operation already modified the cache, the frozen snapshot
-        // goes straight to the device so uncommitted bytes never reach the
-        // home location (the newer bytes stay dirty for their own group).
-        // Deliberately *not* followed by a barrier: until the next
-        // commit's payload barrier (or a checkpoint) makes the installs
-        // durable, this group's record stays valid and a crash merely
-        // re-replays it idempotently.
+        // 3. Install to home locations.  Deliberately *not* followed by a
+        // barrier: until the next commit's barrier (or a checkpoint) makes
+        // the installs durable, this group's record stays valid and a
+        // crash merely re-replays it idempotently.
+        if !install_early {
+            self.install(io, blocks)?;
+        }
+        medium.owes_checkpoint = false;
+        Ok(())
+    }
+
+    /// Step 3 of the commit.  `flush_cached_if_eq` writes the cached copy
+    /// when it still equals the committed snapshot; when a later operation
+    /// already modified the cache, the frozen snapshot goes straight to
+    /// the device so uncommitted bytes never reach the home location (the
+    /// newer bytes stay dirty for their own group).
+    fn install(&self, io: &dyn JournalIo, blocks: &[LoggedBlock]) -> KernelResult<()> {
         for block in blocks {
             if !io.flush_cached_if_eq(block.home, &block.data)? {
                 io.write_raw(block.home, &block.data)?;
@@ -904,54 +911,46 @@ impl Journal {
         Ok(())
     }
 
-    /// Step 2 of the commit: writes group `seq`'s commit record and clears
-    /// the header of the group whose clear was pending, leaving `seq` as
-    /// the pending one.  The caller's barrier makes both durable.
-    fn write_record(
-        &self,
-        io: &dyn JournalIo,
-        pending: &mut Option<u64>,
-        seq: u64,
-        blocks: &[LoggedBlock],
-    ) -> KernelResult<()> {
-        // Recorded before the write is attempted: even a failed header
-        // write may have reached the medium, and a record that might be
-        // valid must get cleared before its region is reused.
-        let prev = pending.replace(seq);
-        let head_block = self.region_head(seq);
-        self.write_head(io, head_block, seq, blocks)?;
-        match prev {
-            // Normally the previous group, in the other region.  After a
-            // commit that failed before writing its record the pending
-            // one is two groups back — this very region, whose header the
-            // record above just replaced.
-            Some(prev) if self.region_head(prev) != head_block => {
-                self.write_empty_head(io, self.region_head(prev), prev)
-            }
-            _ => Ok(()),
-        }
-    }
-
     /// Brings the on-disk log to its clean state — the unmount path.
-    /// Commits everything in progress ([`Journal::flush`]), then pays the
-    /// deferred work of the last commit: a barrier makes its installs
-    /// durable, its header is cleared, and a second barrier makes the
-    /// clear durable, so the next mount finds nothing to replay.  A no-op
-    /// (no I/O at all) when no header clear is pending.  Like `flush`, it
+    /// Commits everything in progress ([`Journal::flush`]), then clears
+    /// the live headers so the next mount finds nothing to replay.  A
+    /// no-op (no I/O at all) when no header is live.  Like `flush`, it
     /// must not be called from inside a transaction.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; a failed clear stays pending.
+    /// Propagates I/O errors; the headers then stay live and the
+    /// checkpoint owed.
     pub fn checkpoint(&self, io: &dyn JournalIo) -> KernelResult<()> {
         self.flush(io)?;
         let _commit = simkernel::trace::phase(simkernel::trace::Phase::CommitWait);
-        let mut pending = self.pending_clear.lock();
-        let Some(seq) = *pending else { return Ok(()) };
-        self.barrier(io)?;
-        self.write_empty_head(io, self.region_head(seq), seq)?;
-        self.barrier(io)?;
-        *pending = None;
+        self.settle(io, &mut self.medium.lock())
+    }
+
+    /// Clears every live header, oldest first, each in its own epoch: a
+    /// crash that kept an older record while losing the newest would
+    /// replay the older one alone, over home blocks the newest had already
+    /// rewritten.  The barrier ahead of a clear is also what makes the
+    /// installs of the record being cleared durable; an older record's
+    /// already are, by the newest's commit barrier — unless that commit
+    /// failed (`owes_checkpoint`).
+    fn settle(&self, io: &dyn JournalIo, medium: &mut Medium) -> KernelResult<()> {
+        let mut live: Vec<(u64, u64)> =
+            (0..2).filter_map(|region| Some((medium.live[region as usize]?, region))).collect();
+        live.sort_unstable();
+        for (i, &(_, region)) in live.iter().enumerate() {
+            let newest = i + 1 == live.len();
+            let installs_durable = !newest && !medium.owes_checkpoint;
+            let planted = newest && self.fault == PlantedFault::CheckpointWithoutBarrier;
+            if !installs_durable && !planted {
+                self.barrier(io)?;
+            }
+            self.write_clean_head(io, self.region_head(region))?;
+        }
+        if !live.is_empty() {
+            self.barrier(io)?;
+        }
+        *medium = Medium::default();
         Ok(())
     }
 
@@ -995,37 +994,32 @@ impl Journal {
         self.start + (seq % 2) * self.region_size as u64
     }
 
-    fn write_head(
-        &self,
-        io: &dyn JournalIo,
-        head_block: u64,
-        seq: u64,
-        blocks: &[LoggedBlock],
-    ) -> KernelResult<()> {
+    /// Rewrites the header at `head_block` clean, keeping its sequence
+    /// field readable.
+    fn write_clean_head(&self, io: &dyn JournalIo, head_block: u64) -> KernelResult<()> {
         let mut head = vec![0u8; BSIZE];
         io.read_block(head_block, &mut head)?;
-        record::encode_head(&mut head, seq, blocks.iter().map(|b| b.home));
-        io.write_block(head_block, &head)
-    }
-
-    fn write_empty_head(&self, io: &dyn JournalIo, head_block: u64, seq: u64) -> KernelResult<()> {
-        let mut head = vec![0u8; BSIZE];
-        io.read_block(head_block, &mut head)?;
+        let seq = record::get_u64(&head, record::LOG_HEAD_SEQ_OFF);
         record::encode_clear(&mut head, seq);
         io.write_block(head_block, &head)
     }
 
     /// Recovers from the on-disk log at mount time: committed transactions
-    /// found in either region are installed in sequence order and the
-    /// headers are cleared.  Returns the number of blocks replayed.
+    /// found in either region are installed in sequence order, and every
+    /// header that was not clean is left clean.  Returns the number of
+    /// blocks replayed.
     ///
-    /// After a crash the newest committed record is always still valid
-    /// (its clear is deferred to the next commit), and so may be the one
-    /// before it, if the crash fell between the write of the newest record
-    /// and its barrier.  Replaying either is idempotent: no later group
-    /// had started installing while it was valid.  A cleanly unmounted
-    /// image ([`Journal::checkpoint`]) has both headers clear and replays
-    /// nothing.
+    /// A record is replayed only if its self-checksum holds, its home
+    /// blocks are in range, *and* the log blocks behind it hash to the
+    /// digest it was sealed over.  After a crash the newest committed
+    /// record always validates, and so may the one before it; replaying
+    /// either is idempotent, since no group after them had started
+    /// installing.  Headers that do not validate are cleared too: a
+    /// rejected record left in place could be re-validated by a later
+    /// session that logs identical bytes into its region and crashes
+    /// before its own record lands.  A cleanly unmounted image
+    /// ([`Journal::checkpoint`]) has both headers clear, replays nothing
+    /// and writes nothing.
     ///
     /// # Errors
     ///
@@ -1035,50 +1029,74 @@ impl Journal {
         // replay I/O inside it still shows up under dev-io via the device.
         let _span = simkernel::trace::op_span("journal-recovery");
         let _commit = simkernel::trace::phase(simkernel::trace::Phase::CommitWait);
-        let mut committed: Vec<(u64, u64, Vec<u64>)> = Vec::new();
+        let mut medium = self.medium.lock();
+        let mut committed: Vec<Committed> = Vec::new();
         let mut head = vec![0u8; BSIZE];
         for region in 0..2u64 {
-            let head_block = self.start + region * self.region_size as u64;
+            let head_block = self.region_head(region);
             io.read_block(head_block, &mut head)?;
-            // parse_head rejects empty regions, over-capacity counts, and
-            // torn commit-record writes (checksum mismatch: only some of
-            // the header's sectors reached the device — the transaction
-            // never committed, so the region is clean).
-            let Some(parsed) = record::parse_head(&head, self.capacity) else {
-                continue;
-            };
-            if parsed.homes.iter().any(|&h| h < self.home_range.0 || h >= self.home_range.1) {
-                // Not a header this format wrote (corruption, or an image
-                // from before the double-buffered layout): treating it as
-                // clean beats installing over arbitrary blocks.
+            if record::get_u32(&head, record::LOG_HEAD_COUNT_OFF) == 0 {
                 continue;
             }
-            committed.push((parsed.seq, head_block, parsed.homes));
+            // A header that does not validate is live all the same; its
+            // place in the clearing order does not matter.
+            let found = self.read_committed(io, head_block, &head)?;
+            medium.live[region as usize] = Some(found.as_ref().map_or(0, |c| c.record.seq));
+            committed.extend(found);
         }
-        if committed.is_empty() {
-            return Ok(0);
-        }
-        committed.sort_by_key(|&(seq, _, _)| seq);
+        committed.sort_by_key(|found| found.record.seq);
         let mut replayed = 0usize;
-        let mut copy = vec![0u8; BSIZE];
-        for (_, head_block, homes) in &committed {
-            for (i, &home) in homes.iter().enumerate() {
-                io.read_block(head_block + 1 + i as u64, &mut copy)?;
-                io.write_block(home, &copy)?;
+        for Committed { record, payload } in &committed {
+            for (&home, copy) in record.homes.iter().zip(payload.chunks_exact(BSIZE)) {
+                io.write_block(home, copy)?;
             }
-            replayed += homes.len();
+            replayed += record.homes.len();
         }
-        // Installs become durable before any header is cleared, so a
-        // crash during recovery re-runs it rather than losing a
-        // transaction.
-        self.barrier(io)?;
-        for &(seq, head_block, _) in &committed {
-            self.write_empty_head(io, head_block, seq)?;
+        // The replayed installs become durable before any header is
+        // cleared, so a crash during recovery re-runs it rather than
+        // losing a transaction; a clean log is left untouched.
+        medium.owes_checkpoint = true;
+        self.settle(io, &mut medium)?;
+        if replayed > 0 {
+            self.counters.recoveries.inc();
+            self.counters.blocks_logged.add(replayed as u64);
         }
-        self.barrier(io)?;
-        self.counters.recoveries.inc();
-        self.counters.blocks_logged.add(replayed as u64);
         Ok(replayed)
+    }
+
+    /// Decides whether the non-clean header `head` at `head_block` is a
+    /// committed record, returning it with its verified payload; `None`
+    /// for anything recovery must not replay.
+    fn read_committed(
+        &self,
+        io: &dyn JournalIo,
+        head_block: u64,
+        head: &[u8],
+    ) -> KernelResult<Option<Committed>> {
+        // parse_head rejects over-capacity counts and torn commit-record
+        // writes (checksum mismatch: only some of the header's sectors
+        // reached the device — the transaction never committed).
+        let Some(record) = record::parse_head(head, self.capacity) else {
+            return Ok(None);
+        };
+        if record.homes.iter().any(|&h| h < self.home_range.0 || h >= self.home_range.1) {
+            // Not a header this format wrote (corruption, or an image
+            // from before the double-buffered layout): treating it as
+            // clean beats installing over arbitrary blocks.
+            return Ok(None);
+        }
+        let mut payload = vec![0u8; record.homes.len() * BSIZE];
+        for (i, copy) in payload.chunks_exact_mut(BSIZE).enumerate() {
+            io.read_block(head_block + 1 + i as u64, copy)?;
+        }
+        // The record may have reached the medium ahead of (or without)
+        // part of its payload, or outlived it: the region's blocks must be
+        // the ones it was sealed over.
+        let intact = record::payload_digest(payload.chunks_exact(BSIZE)) == record.payload_digest;
+        if !intact && self.fault != PlantedFault::TrustHeaderChecksum {
+            return Ok(None);
+        }
+        Ok(Some(Committed { record, payload }))
     }
 }
 
@@ -1087,15 +1105,16 @@ mod tests {
     use super::*;
     use crate::io::DeviceIo;
     use crate::record::{
-        get_u32, get_u64, log_head_checksum, put_u32, put_u64, LOG_HEAD_BLOCKS_OFF,
-        LOG_HEAD_CHECKSUM_OFF, LOG_HEAD_COUNT_OFF, LOG_HEAD_SEQ_OFF,
+        encode_head, get_u32, get_u64, payload_digest, put_u32, LOG_HEAD_BLOCKS_OFF,
+        LOG_HEAD_COUNT_OFF, LOG_HEAD_SEQ_OFF,
     };
-    use simkernel::dev::RamDisk;
+    use simkernel::dev::{BlockDevice, FaultInjectingDevice, FaultMode, RamDisk};
     use std::sync::Arc;
 
     /// The same log geometry the xv6 stacks use: log at block 2, two
     /// regions, homes legal from the end of the log area to disk size.
     const LOG_BLOCKS: usize = 2 * (4 * MAX_OP_BLOCKS + 1);
+    const HALF: u64 = (LOG_BLOCKS / 2) as u64;
 
     fn test_config(disk_blocks: u64) -> JournalConfig {
         JournalConfig::from_geometry(
@@ -1123,10 +1142,46 @@ mod tests {
         journal.end_op(io).unwrap();
     }
 
-    /// Stamps the self-checksum into a hand-crafted header buffer.
-    fn seal_head(head: &mut [u8]) {
-        let checksum = log_head_checksum(head);
-        put_u64(head, LOG_HEAD_CHECKSUM_OFF, checksum);
+    /// A sealed commit record for `seq` naming `homes`, whose payload is
+    /// one block of each of `fills`.
+    fn sealed_head(seq: u64, homes: &[u64], fills: &[u8]) -> Vec<u8> {
+        let payload: Vec<[u8; BSIZE]> = fills.iter().map(|&fill| [fill; BSIZE]).collect();
+        let mut head = vec![0u8; BSIZE];
+        let digest = payload_digest(payload.iter().map(|block| &block[..]));
+        encode_head(&mut head, seq, homes.iter().copied(), digest);
+        head
+    }
+
+    /// Plants a committed-but-not-installed group by hand, as a crash
+    /// right after the commit barrier leaves it: block `i` of `region`
+    /// holds `fills[i]`, the header names `homes`.
+    fn plant_record(io: &DeviceIo, region: u64, seq: u64, homes: &[u64], fills: &[u8]) {
+        let head_block = 2 + region * HALF;
+        for (i, &fill) in fills.iter().enumerate() {
+            io.write_block(head_block + 1 + i as u64, &[fill; BSIZE]).unwrap();
+        }
+        io.write_block(head_block, &sealed_head(seq, homes, fills)).unwrap();
+    }
+
+    /// `(count, seq)` of the header in `region`.
+    fn region_header(io: &DeviceIo, region: u64) -> (u32, u64) {
+        let mut head = vec![0u8; BSIZE];
+        io.read_block(2 + region * HALF, &mut head).unwrap();
+        (get_u32(&head, LOG_HEAD_COUNT_OFF), get_u64(&head, LOG_HEAD_SEQ_OFF))
+    }
+
+    /// Remounts: a fresh journal recovers `io`.  Asserts that whatever it
+    /// found, both headers are clean afterwards and a further mount writes
+    /// nothing.  Returns the blocks replayed.
+    fn remount(io: &DeviceIo) -> usize {
+        let replayed = Journal::new(test_config(1024)).recover(io).unwrap();
+        for region in 0..2 {
+            assert_eq!(region_header(io, region).0, 0, "region {region} left non-clean");
+        }
+        let writes = io.device().stats().writes;
+        assert_eq!(Journal::new(test_config(1024)).recover(io).unwrap(), 0);
+        assert_eq!(io.device().stats().writes, writes, "a clean log is mounted without a write");
+        replayed
     }
 
     #[test]
@@ -1140,52 +1195,55 @@ mod tests {
         assert_eq!(stats.commits, 2);
         assert_eq!(stats.blocks_logged, 2);
         assert_eq!(stats.ops_committed, 2);
-        assert_eq!(stats.barriers, 4, "two barriers per commit");
-    }
-
-    /// `(count, seq)` of the header in `region`.
-    fn region_header(io: &DeviceIo, region: u64) -> (u32, u64) {
-        let mut head = vec![0u8; BSIZE];
-        io.read_block(2 + region * (LOG_BLOCKS / 2) as u64, &mut head).unwrap();
-        (get_u32(&head, LOG_HEAD_COUNT_OFF), get_u64(&head, LOG_HEAD_SEQ_OFF))
+        assert_eq!(stats.barriers, 2, "one barrier per commit");
     }
 
     #[test]
     fn consecutive_commits_alternate_log_regions() {
         let (io, journal) = setup();
         write_block(&io, &journal, 600, 0x11);
-        assert_eq!(region_header(&io, 0), (1, 0), "newest record stays valid");
-        assert_eq!(journal.tail(), JournalTail { next_seq: 1, pending_clear: Some(0) });
+        assert_eq!(region_header(&io, 0), (1, 0));
+        assert_eq!(journal.tail().live, [Some(0), None]);
         write_block(&io, &journal, 601, 0x22);
-        // Region 0 logged block 600, region 1 logged block 601; the second
-        // commit cleared the first one's header and left its own pending.
-        let half = (LOG_BLOCKS / 2) as u64;
-        assert_eq!(region_header(&io, 0), (0, 0));
+        // Region 0 logged block 600, region 1 logged block 601; nothing
+        // clears a header in steady state.
+        assert_eq!(region_header(&io, 0), (1, 0));
         assert_eq!(region_header(&io, 1), (1, 1));
         assert_eq!(block_fill(&io, 2 + 1), 0x11);
-        assert_eq!(block_fill(&io, 2 + half + 1), 0x22);
-        assert_eq!(journal.tail(), JournalTail { next_seq: 2, pending_clear: Some(1) });
+        assert_eq!(block_fill(&io, 2 + HALF + 1), 0x22);
+        // The third commit overwrites the first one's region, record and
+        // payload alike.
+        write_block(&io, &journal, 602, 0x33);
+        assert_eq!(region_header(&io, 0), (1, 2));
+        assert_eq!(block_fill(&io, 2 + 1), 0x33);
+        assert_eq!(
+            journal.tail(),
+            JournalTail { next_seq: 3, live: [Some(2), Some(1)], owes_checkpoint: false }
+        );
     }
 
     #[test]
     fn checkpoint_clears_the_pending_header_and_is_free_when_idle() {
         let (io, journal) = setup();
         journal.checkpoint(&io).unwrap();
-        assert_eq!(journal.stats().barriers, 0, "nothing pending: no I/O");
+        assert_eq!(journal.stats().barriers, 0, "nothing live: no I/O");
         write_block(&io, &journal, 600, 0x11);
         journal.checkpoint(&io).unwrap();
         assert_eq!(region_header(&io, 0), (0, 0));
-        assert_eq!(journal.stats().barriers, 2 + 2, "commit + checkpoint");
-        assert_eq!(journal.tail(), JournalTail { next_seq: 1, pending_clear: None });
+        assert_eq!(journal.stats().barriers, 1 + 2, "commit + checkpoint");
+        assert_eq!(journal.tail(), JournalTail { next_seq: 1, ..JournalTail::default() });
         journal.checkpoint(&io).unwrap();
-        assert_eq!(journal.stats().barriers, 4, "second checkpoint is a no-op");
+        assert_eq!(journal.stats().barriers, 3, "second checkpoint is a no-op");
         // A clean image replays nothing on the next mount.
-        let remount = Journal::new(test_config(1024));
-        assert_eq!(remount.recover(&io).unwrap(), 0);
-        assert_eq!(remount.stats().recoveries, 0);
-        // Commits after a checkpoint keep alternating regions.
+        assert_eq!(remount(&io), 0);
+        // Commits after a checkpoint keep alternating regions, and with
+        // both headers live the checkpoint still costs two barriers.
         write_block(&io, &journal, 601, 0x22);
-        assert_eq!(region_header(&io, 1), (1, 1));
+        write_block(&io, &journal, 602, 0x33);
+        assert_eq!((region_header(&io, 1), region_header(&io, 0)), ((1, 1), (1, 2)));
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(journal.stats().barriers, 3 + 2 + 2);
+        assert_eq!(remount(&io), 0);
     }
 
     #[test]
@@ -1198,25 +1256,48 @@ mod tests {
         let new = Journal::new(test_config(1024));
         new.restore_tail(tail);
         write_block(&io, &new, 601, 0x22);
-        assert_eq!(region_header(&io, 0), (0, 0), "predecessor's record cleared");
+        assert_eq!(region_header(&io, 0), (1, 0), "predecessor's record untouched");
         assert_eq!(region_header(&io, 1), (1, 1), "successor took the other region");
         assert_eq!(new.stats().recoveries, 0);
+        // Its checkpoint clears the predecessor's header along with its own.
         new.checkpoint(&io).unwrap();
-        assert_eq!(Journal::new(test_config(1024)).recover(&io).unwrap(), 0);
+        assert_eq!(remount(&io), 0);
     }
 
     #[test]
-    fn commit_after_a_failed_commit_does_not_clear_its_own_record() {
-        // Commit 1 fails before writing its record, so the pending clear
-        // is still commit 0's when commit 2 writes into the same region.
-        let (io, journal) = setup();
+    fn a_commit_after_a_failed_commit_pays_the_owed_checkpoint_before_reusing_a_region() {
+        let ram = Arc::new(RamDisk::new(BSIZE as u32, 1024));
+        let faulty = Arc::new(FaultInjectingDevice::new(
+            Arc::clone(&ram) as Arc<dyn BlockDevice>,
+            FaultMode::FailIo,
+            u64::MAX,
+        ));
+        let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        let journal = Journal::new(test_config(1024));
         write_block(&io, &journal, 600, 0x11);
-        let mut pending = journal.pending_clear.lock();
-        let blocks = [LoggedBlock { home: 601, version: 1, data: vec![0x22; BSIZE] }];
-        journal.write_record(&io, &mut pending, 2, &blocks).unwrap();
-        assert_eq!(*pending, Some(2));
-        drop(pending);
-        assert_eq!(region_header(&io, 0), (1, 2), "record survives; nothing cleared over it");
+        // Commit 1 meets a transient EIO window: nothing of it is
+        // acknowledged, and the journal does not know what reached the
+        // medium.
+        faulty.trip_now();
+        journal.begin_op();
+        journal.log_write(601, &[0x22; BSIZE]).unwrap();
+        assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
+        assert!(journal.tail().owes_checkpoint);
+        faulty.clear();
+        // Commit 2 would overwrite commit 0's region on the strength of a
+        // barrier commit 1 never completed.  It settles first: barrier,
+        // commit 0's header cleared, barrier — and only then its own epoch.
+        let before = (journal.stats().barriers, ram.stats().writes);
+        write_block(&io, &journal, 602, 0x33);
+        assert_eq!(journal.stats().barriers - before.0, 2 + 1, "checkpoint, then the commit");
+        assert_eq!(ram.stats().writes - before.1, 1 + 3, "one clear; payload, record, install");
+        assert_eq!(region_header(&io, 0), (1, 2), "its own record is not the one cleared");
+        assert_eq!(
+            journal.tail(),
+            JournalTail { next_seq: 3, live: [Some(2), None], owes_checkpoint: false }
+        );
+        assert_eq!(remount(&io), 1);
+        assert_eq!((block_fill(&io, 600), block_fill(&io, 602)), (0x11, 0x33));
     }
 
     #[test]
@@ -1281,7 +1362,7 @@ mod tests {
         assert!(stats.commits <= 160);
         assert_eq!(stats.blocks_logged, 160);
         assert_eq!(stats.ops_committed, 160);
-        assert_eq!(stats.barriers, stats.commits * 2);
+        assert_eq!(stats.barriers, stats.commits);
     }
 
     #[test]
@@ -1318,97 +1399,93 @@ mod tests {
     #[test]
     fn recover_replays_committed_transaction_from_either_region() {
         for region in 0..2u64 {
-            let (io, journal) = setup();
-            let half = (LOG_BLOCKS / 2) as u64;
-            let head_block = 2 + region * half;
-            let seq = region; // region = seq % 2
-            let target: u64 = 800;
-            // Simulate a crash after the commit record was written but
-            // before install: write the log area and header by hand.
-            io.write_block(head_block + 1, &[0x5E; BSIZE]).unwrap();
-            let mut head = vec![0u8; BSIZE];
-            put_u32(&mut head, LOG_HEAD_COUNT_OFF, 1);
-            put_u64(&mut head, LOG_HEAD_SEQ_OFF, seq);
-            put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, target as u32);
-            seal_head(&mut head);
-            io.write_block(head_block, &head).unwrap();
-            drop(journal);
-            // Home block still has old (zero) contents; "crash" and
-            // recover.
-            let journal2 = Journal::new(test_config(1024));
-            let replayed = journal2.recover(&io).unwrap();
-            assert_eq!(replayed, 1, "region {region}");
-            assert_eq!(block_fill(&io, target), 0x5E, "region {region}");
-            // Header is cleared: a second recovery is a no-op.
-            assert_eq!(journal2.recover(&io).unwrap(), 0, "region {region}");
+            let (io, _) = setup();
+            // Simulate a crash after the commit barrier but before
+            // install: the home block still has its old (zero) contents.
+            plant_record(&io, region, region, &[800], &[0x5E]);
+            assert_eq!(remount(&io), 1, "region {region}");
+            assert_eq!(block_fill(&io, 800), 0x5E, "region {region}");
         }
     }
 
     #[test]
     fn recover_replays_both_regions_in_sequence_order() {
-        let (io, journal) = setup();
-        let half = (LOG_BLOCKS / 2) as u64;
-        let target: u64 = 810;
+        let (io, _) = setup();
         // Both regions hold a committed transaction for the same home
-        // block: region 1 carries seq 1 (newer), region 0 carries seq 2
-        // (newest).  Recovery must install in sequence order so the seq-2
-        // bytes win.
-        for (region, seq, fill) in [(1u64, 1u64, 0xAAu8), (0, 2, 0xBB)] {
-            let head_block = 2 + region * half;
-            io.write_block(head_block + 1, &[fill; BSIZE]).unwrap();
-            let mut head = vec![0u8; BSIZE];
-            put_u32(&mut head, LOG_HEAD_COUNT_OFF, 1);
-            put_u64(&mut head, LOG_HEAD_SEQ_OFF, seq);
-            put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, target as u32);
-            seal_head(&mut head);
-            io.write_block(head_block, &head).unwrap();
-        }
-        drop(journal);
-        let journal2 = Journal::new(test_config(1024));
-        assert_eq!(journal2.recover(&io).unwrap(), 2);
-        assert_eq!(block_fill(&io, target), 0xBB);
-        assert_eq!(journal2.recover(&io).unwrap(), 0);
+        // block: region 1 carries seq 1, region 0 carries seq 2 (newest).
+        // Recovery must install in sequence order so the seq-2 bytes win.
+        plant_record(&io, 1, 1, &[810], &[0xAA]);
+        plant_record(&io, 0, 2, &[810], &[0xBB]);
+        let journal = Journal::new(test_config(1024));
+        assert_eq!(journal.recover(&io).unwrap(), 2);
+        assert_eq!(block_fill(&io, 810), 0xBB);
+        assert_eq!(journal.stats().barriers, 3, "installs, older header, newest header");
+        assert_eq!(remount(&io), 0);
     }
 
     #[test]
     fn recover_rejects_torn_commit_record() {
         // A header whose checksum does not cover its contents (a torn
         // commit-record write) must be treated as clean, not installed.
-        let (io, journal) = setup();
+        let (io, _) = setup();
         io.write_block(3, &[0x99; BSIZE]).unwrap();
-        let mut head = vec![0u8; BSIZE];
-        put_u32(&mut head, LOG_HEAD_COUNT_OFF, 1);
-        put_u64(&mut head, LOG_HEAD_SEQ_OFF, 0);
-        put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, 800);
-        seal_head(&mut head);
+        let mut head = sealed_head(0, &[800], &[0x99]);
         // Corrupt one home entry after sealing: simulates a tear where
         // the checksum sector and the block-list sector disagree.
         put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, 801);
         io.write_block(2, &head).unwrap();
-        drop(journal);
-        let journal2 = Journal::new(test_config(1024));
-        assert_eq!(journal2.recover(&io).unwrap(), 0);
+        assert_eq!(remount(&io), 0);
         assert_eq!(block_fill(&io, 800), 0, "nothing installed");
         assert_eq!(block_fill(&io, 801), 0, "nothing installed");
     }
 
     #[test]
     fn recover_rejects_out_of_range_home_blocks() {
-        // A structurally valid, correctly checksummed header naming a home
+        // A structurally valid, correctly sealed header naming a home
         // block outside the configured range (here: block 1, inside the
         // superblock/log area) is foreign or corrupt — recovery must treat
         // the region as clean rather than install over arbitrary blocks.
-        let (io, journal) = setup();
-        io.write_block(3, &[0x42; BSIZE]).unwrap();
-        let mut head = vec![0u8; BSIZE];
-        put_u32(&mut head, LOG_HEAD_COUNT_OFF, 1);
-        put_u64(&mut head, LOG_HEAD_SEQ_OFF, 0);
-        put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, 1);
-        seal_head(&mut head);
-        io.write_block(2, &head).unwrap();
-        drop(journal);
-        let journal2 = Journal::new(test_config(1024));
-        assert_eq!(journal2.recover(&io).unwrap(), 0);
+        let (io, _) = setup();
+        plant_record(&io, 0, 0, &[1], &[0x42]);
+        assert_eq!(remount(&io), 0);
         assert_eq!(block_fill(&io, 1), 0, "nothing installed over the superblock");
+    }
+
+    #[test]
+    fn recover_rejects_a_record_whose_payload_is_not_the_one_it_sealed() {
+        // The record is whole, but one byte of one log block differs: the
+        // write cache persisted the record ahead of that block (or the
+        // block was since overwritten).  Not committed, not replayed.
+        let (io, _) = setup();
+        plant_record(&io, 0, 0, &[800, 801], &[0x5E, 0x5F]);
+        let mut copy = vec![0x5F; BSIZE];
+        copy[BSIZE - 1] ^= 1;
+        io.write_block(2 + 2, &copy).unwrap();
+        let journal = Journal::new(test_config(1024));
+        assert_eq!(journal.recover(&io).unwrap(), 0);
+        assert_eq!((block_fill(&io, 800), block_fill(&io, 801)), (0, 0));
+        assert_eq!(journal.stats().recoveries, 0);
+        assert_eq!(remount(&io), 0);
+    }
+
+    #[test]
+    fn a_rejected_record_cannot_be_revalidated_by_a_later_session() {
+        let (io, _) = setup();
+        io.write_block(700, &[0x77; BSIZE]).unwrap();
+        io.write_block(701, &[0x77; BSIZE]).unwrap();
+        // Session 1 crashed mid-epoch: record X (two zero-filled blocks
+        // for homes 700 and 701) is durable, its payload only in part.
+        plant_record(&io, 0, 0, &[700, 701], &[0, 0]);
+        io.write_block(2 + 2, &[0xEE; BSIZE]).unwrap();
+        // Session 2 mounts (X is rejected), then commits a *different*
+        // group of two zero-filled blocks into the same region and crashes
+        // mid-epoch with its payload complete and its record not written.
+        assert_eq!(remount(&io), 0);
+        io.write_block(2 + 1, &[0; BSIZE]).unwrap();
+        io.write_block(2 + 2, &[0; BSIZE]).unwrap();
+        // Had X's header survived session 2's mount, it would validate now
+        // and zero homes it was never installed to.
+        assert_eq!(remount(&io), 0);
+        assert_eq!((block_fill(&io, 700), block_fill(&io, 701)), (0x77, 0x77));
     }
 }

@@ -1,89 +1,58 @@
-//! Planted-bug test for the journal-level crash oracles, synchronous
-//! path: flipping [`journal::TEST_UNSAFE_EARLY_COMMIT_RECORD`] makes
-//! commits write the record (and its barrier) *before* the payload, and
-//! exhaustive-prefix enumeration must then catch recovery installing
-//! stale log bytes — while the identical workload with the hook off must
-//! show zero violations.  This proves the oracles in this crate detect
-//! real ordering violations rather than vacuously passing.
+//! Planted-fault tests for the journal-level crash oracles, synchronous
+//! device: each [`PlantedFault`] removes one rule the one-barrier commit
+//! rests on, and the enumeration of the chain workload (five commits and
+//! a checkpoint, see `common`) must then report the violation that rule
+//! prevents — while the identical run with nothing planted shows none
+//! (`crash_contract.rs`).  This proves the oracles detect real protocol
+//! violations rather than vacuously passing.
 //!
-//! Separate test binary: the hook is process-global, so it must not share
-//! a process with tests that assume the safe ordering.
+//! The fault is a field of one journal, so these share a process with
+//! correct journals; the queued-device twin is `queued_planted_bug.rs`.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+mod common;
 
-use crashsim::{prefix_states, DiskImage, FaultConfig, FaultDevice};
-use journal::io::{DeviceIo, JournalIo};
-use journal::record::BSIZE;
-use journal::{Journal, JournalConfig, MAX_OP_BLOCKS, TEST_UNSAFE_EARLY_COMMIT_RECORD};
-use simkernel::dev::{BlockDevice, RamDisk};
+use crashsim::prefix_states;
+use journal::PlantedFault;
 
-const LOG_BLOCKS: usize = 2 * (4 * MAX_OP_BLOCKS + 1);
-const DISK_BLOCKS: u64 = 1024;
+use common::{
+    chain_ack_points, chain_violations, is_atomicity, record_chain, sampled_chain_violations,
+};
 
-fn config() -> JournalConfig {
-    JournalConfig::from_geometry(2, LOG_BLOCKS, LOG_BLOCKS, (2 + LOG_BLOCKS as u64, DISK_BLOCKS))
+fn sampled_violations(fault: PlantedFault) -> Vec<String> {
+    sampled_chain_violations(false, fault, 0x2BA2_21E2)
 }
 
-/// Runs the two-transaction conflict workload over a prefilled disk and
-/// returns how many prefix crash states violate the recovery oracle.
-///
-/// The homes are prefilled with 0x11 **before** the trace starts so a
-/// stale install is visible: with the planted bug, a crash between the
-/// record and the payload makes recovery install the log region's old
-/// bytes (zeros) over the 0x11 prefill — a value no correct history can
-/// produce.
-fn violations_with_bug(enable_bug: bool) -> usize {
-    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-    for blockno in [900u64, 901, 902] {
-        base.write_block(blockno, &[0x11; BSIZE]).unwrap();
-    }
-    base.flush().unwrap();
-    let image = Arc::new(DiskImage::capture(&base).unwrap());
-    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
-
-    TEST_UNSAFE_EARLY_COMMIT_RECORD.store(enable_bug, Ordering::SeqCst);
-    {
-        let io = DeviceIo::new(Arc::clone(&recorder) as Arc<dyn BlockDevice>);
-        let journal = Journal::new(config());
-        journal.begin_op();
-        journal.log_write(900, &[0xA1; BSIZE]).unwrap();
-        journal.log_write(901, &[0xA2; BSIZE]).unwrap();
-        journal.end_op(&io).unwrap();
-        journal.begin_op();
-        journal.log_write(900, &[0xB1; BSIZE]).unwrap();
-        journal.log_write(902, &[0xB2; BSIZE]).unwrap();
-        journal.end_op(&io).unwrap();
-    }
-    TEST_UNSAFE_EARLY_COMMIT_RECORD.store(false, Ordering::SeqCst);
-    let trace = recorder.trace();
-
-    let mut violations = 0;
-    for state in prefix_states(&trace, &image) {
-        let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let io = DeviceIo::new(disk);
-        let journal = Journal::new(config());
-        journal.recover(&io).unwrap();
-        let mut fills = [0u8; 3];
-        for (slot, blockno) in [900u64, 901, 902].into_iter().enumerate() {
-            let mut buf = vec![0u8; BSIZE];
-            io.read_block(blockno, &mut buf).unwrap();
-            fills[slot] = buf[0];
-        }
-        // The only states a correct journal can recover to: nothing
-        // applied, tx1 applied, or tx1+tx2 applied.
-        let legal = matches!(fills, [0x11, 0x11, 0x11] | [0xA1, 0xA2, 0x11] | [0xB1, 0xA2, 0xB2]);
-        if !legal {
-            violations += 1;
-        }
-    }
-    violations
-}
-
+/// (a) Recovery that trusts the header checksum replays a record the
+/// write cache persisted ahead of its payload, installing whatever the
+/// region held two commits ago — and, even with no reordering at all, an
+/// old record over a region the next group has begun to overwrite, which
+/// is why the exhaustive prefix walk catches it too.
 #[test]
-fn prefix_oracle_catches_early_commit_record() {
-    // Sanity: the identical workload without the planted bug is clean.
-    assert_eq!(violations_with_bug(false), 0, "clean journal flagged as buggy");
-    let violations = violations_with_bug(true);
-    assert!(violations > 0, "planted early-commit-record bug produced no detectable violation");
+fn reorder_enumeration_catches_recovery_that_skips_the_payload_digest() {
+    let fault = PlantedFault::TrustHeaderChecksum;
+    let violations = sampled_violations(fault);
+    assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
+
+    let (trace, image) = record_chain(false, fault);
+    let acks = chain_ack_points(&trace);
+    let (in_order, _) = chain_violations(&prefix_states(&trace, &image), &acks, fault);
+    assert!(in_order.iter().any(|v| is_atomicity(v)), "undetected: {in_order:#?}");
+}
+
+/// (b) Installs issued before the commit barrier share an epoch with the
+/// record that is supposed to finish them: a crash keeps some installs and
+/// loses the record, and the group is half applied for good.
+#[test]
+fn atomicity_oracle_catches_installs_before_the_commit_barrier() {
+    let violations = sampled_violations(PlantedFault::InstallBeforeBarrier);
+    assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
+}
+
+/// (c) A checkpoint that clears the newest header without first making
+/// its installs durable lets the write cache persist the clear ahead of
+/// them, losing an acknowledged transaction.
+#[test]
+fn durability_oracle_catches_checkpoint_clear_without_barrier() {
+    let violations = sampled_violations(PlantedFault::CheckpointWithoutBarrier);
+    assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

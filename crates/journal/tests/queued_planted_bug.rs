@@ -1,98 +1,41 @@
-//! Planted-bug test for the journal-level crash oracles, queued path:
-//! flipping [`journal::TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER`] lets
-//! the commit record land in the same barrier epoch as the batched
-//! payload submissions, and sampled within-epoch reorder enumeration on
-//! the multi-queue device must then catch the record persisting before
-//! the payload — while the identical workload with the hook off must show
-//! zero violations.
-//!
-//! Separate test binary: the hook is process-global, so it must not share
-//! a process with tests that assume the safe ordering.
+//! Planted-fault tests for the journal-level crash oracles, queued path:
+//! the chain workload runs through the multi-queue device (batched
+//! stage-1 payload, prefetch of the next group's payload behind the
+//! commit barrier), and sampled within-epoch reorder enumeration must
+//! catch each [`PlantedFault`] exactly as on the synchronous device
+//! (`planted_bug.rs`) — while the identical run with nothing planted shows
+//! no violation (`crash_contract.rs`).
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+mod common;
 
-use crashsim::{sampled_states, DiskImage, FaultConfig, FaultDevice};
-use journal::io::{DeviceIo, JournalIo};
-use journal::record::BSIZE;
-use journal::{Journal, JournalConfig, MAX_OP_BLOCKS, TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER};
-use simkernel::cost::CostModel;
-use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::queue::{MultiQueueDevice, QueueConfig};
+use journal::PlantedFault;
 
-const LOG_BLOCKS: usize = 2 * (4 * MAX_OP_BLOCKS + 1);
-const DISK_BLOCKS: u64 = 1024;
+use common::{is_atomicity, sampled_chain_violations};
 
-fn config() -> JournalConfig {
-    JournalConfig::from_geometry(2, LOG_BLOCKS, LOG_BLOCKS, (2 + LOG_BLOCKS as u64, DISK_BLOCKS))
+fn sampled_violations(fault: PlantedFault) -> Vec<String> {
+    sampled_chain_violations(true, fault, 0x0B10_5EED)
 }
 
-/// Runs the two-transaction conflict workload through a multi-queue
-/// device (queue depth 8) over the fault recorder and counts sampled
-/// crash states that violate the recovery oracle.  Homes are prefilled
-/// with 0x11 before the trace starts so a stale install is visible (see
-/// the synchronous planted-bug test for the rationale).
-fn violations_with_bug(enable_bug: bool) -> usize {
-    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-    for blockno in [900u64, 901, 902] {
-        base.write_block(blockno, &[0x11; BSIZE]).unwrap();
-    }
-    base.flush().unwrap();
-    let image = Arc::new(DiskImage::capture(&base).unwrap());
-    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
-    let mqd: Arc<dyn BlockDevice> = Arc::new(MultiQueueDevice::new(
-        Arc::clone(&recorder) as Arc<dyn BlockDevice>,
-        CostModel::zero(),
-        QueueConfig::new(4, 8),
-    ));
-
-    TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER.store(enable_bug, Ordering::SeqCst);
-    {
-        let io = DeviceIo::new(mqd);
-        let journal = Journal::new(config());
-        journal.begin_op();
-        journal.log_write(900, &[0xA1; BSIZE]).unwrap();
-        journal.log_write(901, &[0xA2; BSIZE]).unwrap();
-        journal.end_op(&io).unwrap();
-        journal.begin_op();
-        journal.log_write(900, &[0xB1; BSIZE]).unwrap();
-        journal.log_write(902, &[0xB2; BSIZE]).unwrap();
-        journal.end_op(&io).unwrap();
-    }
-    TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER.store(false, Ordering::SeqCst);
-    let trace = recorder.trace();
-
-    let mut violations = 0;
-    for state in sampled_states(&trace, &image, 0x0B10_5EED, 300) {
-        let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let io = DeviceIo::new(disk);
-        let journal = Journal::new(config());
-        journal.recover(&io).unwrap();
-        let mut fills = [0u8; 3];
-        let mut torn = false;
-        for (slot, blockno) in [900u64, 901, 902].into_iter().enumerate() {
-            let mut buf = vec![0u8; BSIZE];
-            io.read_block(blockno, &mut buf).unwrap();
-            torn |= buf.iter().any(|&b| b != buf[0]);
-            fills[slot] = buf[0];
-        }
-        let legal =
-            !torn && matches!(fills, [0x11, 0x11, 0x11] | [0xA1, 0xA2, 0x11] | [0xB1, 0xA2, 0xB2]);
-        if !legal {
-            violations += 1;
-        }
-    }
-    violations
-}
-
+/// (a) With the payload digest unverified the one-barrier commit is the
+/// bare record-without-payload-barrier ordering: batched payload
+/// submissions and the record share an epoch, the device persists the
+/// record first, and recovery installs stale region bytes.
 #[test]
 fn sampled_reorder_oracle_catches_record_without_payload_barrier() {
-    // Sanity: the identical workload without the planted bug is clean
-    // under the same subset/reorder/tear sampling.
-    assert_eq!(violations_with_bug(false), 0, "clean journal flagged as buggy");
-    let violations = violations_with_bug(true);
-    assert!(
-        violations > 0,
-        "planted record-without-payload-barrier bug produced no detectable violation"
-    );
+    let violations = sampled_violations(PlantedFault::TrustHeaderChecksum);
+    assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
+}
+
+/// (b) Installs submitted before the commit barrier.
+#[test]
+fn atomicity_oracle_catches_installs_before_the_commit_barrier() {
+    let violations = sampled_violations(PlantedFault::InstallBeforeBarrier);
+    assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
+}
+
+/// (c) The checkpoint's newest clear sharing an epoch with its installs.
+#[test]
+fn durability_oracle_catches_checkpoint_clear_without_barrier() {
+    let violations = sampled_violations(PlantedFault::CheckpointWithoutBarrier);
+    assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

@@ -44,7 +44,7 @@
 //!   discipline (checked at runtime in debug builds), so concurrent
 //!   creates/unlinks/renames in different directories never share a lock.
 //! * [`sync`] — kernel-flavoured synchronization wrappers.
-//! * [`hash`] — dependency-free FNV-1a checksums used by on-disk records
+//! * [`hash`] — the dependency-free block digest used by on-disk records
 //!   that must survive torn writes (log commit records, checkpoints).
 //! * [`metrics`] — the shared log-bucketed latency histogram
 //!   ([`metrics::LatencyHistogram`]) every workload driver records

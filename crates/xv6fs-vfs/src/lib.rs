@@ -1046,8 +1046,8 @@ impl VfsFs for Xv6VfsFilesystem {
 
     fn fsync(&self, _ino: u64, _datasync: bool) -> KernelResult<()> {
         // Every write reaches the device through the log, and a group is
-        // durable once its record barrier returns: an fsync that commits
-        // pays the commit's two barriers, one that finds the log idle
+        // durable once its commit barrier returns: an fsync that commits
+        // pays the commit's one barrier, one that finds the log idle
         // pays none.
         self.log.flush(&self.cache)
     }

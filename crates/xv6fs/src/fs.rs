@@ -72,6 +72,8 @@ pub struct Xv6FileSystem {
     label: &'static str,
     /// Allocation-group count applied at mount (`0` = default).
     alloc_groups: usize,
+    /// Test-only protocol violation planted in the log at attach.
+    log_fault: journal::PlantedFault,
 }
 
 impl std::fmt::Debug for Xv6FileSystem {
@@ -89,13 +91,29 @@ impl Default for Xv6FileSystem {
 impl Xv6FileSystem {
     /// Creates an unmounted file system instance.
     pub fn new() -> Self {
-        Xv6FileSystem { core: RwLock::new(None), label: "xv6fs", alloc_groups: 0 }
+        Self::with_label("xv6fs")
     }
 
     /// Creates an instance with a distinguishing label (used by the upgrade
     /// example to tell "v1" from "v2" in diagnostics).
     pub fn with_label(label: &'static str) -> Self {
-        Xv6FileSystem { core: RwLock::new(None), label, alloc_groups: 0 }
+        Xv6FileSystem {
+            core: RwLock::new(None),
+            label,
+            alloc_groups: 0,
+            log_fault: journal::PlantedFault::None,
+        }
+    }
+
+    /// Test-only crash-safety hook: the log of this instance breaks one
+    /// rule of the commit protocol (see [`journal::PlantedFault`]), so the
+    /// crash harness can prove its oracles notice.  Never use outside
+    /// tests.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_planted_log_fault(mut self, fault: journal::PlantedFault) -> Self {
+        self.log_fault = fault;
+        self
     }
 
     /// Sets the allocation-group count applied at mount (`0` = default;
@@ -174,7 +192,9 @@ impl Xv6FileSystem {
         if (dsb.size as u64) > sb.nblocks() {
             return Err(KernelError::with_context(Errno::Inval, "xv6fs: image larger than device"));
         }
-        let core = Arc::new(FsCore::with_alloc_groups(dsb, self.alloc_groups));
+        let mut core = FsCore::with_alloc_groups(dsb, self.alloc_groups);
+        core.log.plant_fault(self.log_fault);
+        let core = Arc::new(core);
         match tail {
             Some(tail) => core.log.restore_tail(tail),
             None => {
@@ -790,9 +810,9 @@ impl FileSystem for Xv6FileSystem {
             // Commit any group still absorbing completed operations (the
             // pipelined log defers closing while a commit is in flight).
             // Every write reaches the device through the log, and a group
-            // is durable once its record barrier returns, so there is no
+            // is durable once its commit barrier returns, so there is no
             // further device barrier: an fsync that commits pays the
-            // commit's two, one that finds the log idle pays none.  (On
+            // commit's one, one that finds the log idle pays none.  (On
             // the userspace (FUSE) provider each barrier is a
             // whole-disk-file fsync — the §6.4 cost.)
             core.log.flush(sb)
@@ -851,9 +871,10 @@ impl FileSystem for Xv6FileSystem {
             bundle.put("log_overlapped", &log_stats.overlapped_commits)?;
             // BentoFS quiesced the mount, so the log is idle; the new
             // instance continues it from here instead of replaying the
-            // last (committed, not yet cleared) record.
+            // records still live on the medium.
             let tail = core.log.tail();
-            bundle.put("log_tail", &(tail.next_seq, tail.pending_clear))?;
+            let [live0, live1] = tail.live;
+            bundle.put("log_tail", &(tail.next_seq, live0, live1, tail.owes_checkpoint))?;
             let mut opens: Vec<(u32, u32)> = Vec::new();
             core.opens.for_each(|k, v| opens.push((*k, *v)));
             bundle.put("open_files", &opens)?;
@@ -871,9 +892,13 @@ impl FileSystem for Xv6FileSystem {
         // continue the old instance's log rather than recovering it — a
         // bundle without a log tail falls back to recovery — then layer
         // the transferred in-memory state on top.
-        let tail = state
-            .get_opt::<(u64, Option<u64>)>("log_tail")?
-            .map(|(next_seq, pending_clear)| LogTail { next_seq, pending_clear });
+        let tail = state.get_opt::<(u64, Option<u64>, Option<u64>, bool)>("log_tail")?.map(
+            |(next_seq, live0, live1, owes_checkpoint)| LogTail {
+                next_seq,
+                live: [live0, live1],
+                owes_checkpoint,
+            },
+        );
         self.attach(sb, tail)?;
         self.with_core(|core| {
             if let Some(hints) = state.get_opt::<Vec<(u64, u64)>>("alloc_hints")? {

@@ -58,17 +58,9 @@ pub const MAXOPBLOCKS: usize = journal::MAX_OP_BLOCKS;
 
 /// Total log blocks reserved on disk: **two** commit regions (the log is
 /// double-buffered so transaction groups can form while the previous group
-/// writes its barriers), each holding a header block plus room for four
+/// writes its commit epoch), each holding a header block plus room for four
 /// worst-case operations.
 pub const LOGSIZE: usize = 2 * (4 * MAXOPBLOCKS + 1);
-
-// The commit-record (log-region header) layout lives in [`crate::loghdr`]
-// — one module shared by both write-ahead logs — and is re-exported here
-// for existing importers.
-pub use crate::loghdr::{
-    log_head_checksum, LOG_HEAD_BLOCKS_OFF, LOG_HEAD_CHECKSUM_OFF, LOG_HEAD_COUNT_OFF,
-    LOG_HEAD_SEQ_OFF,
-};
 
 /// Inode number of the root directory.
 pub const ROOT_INO: u32 = 1;

@@ -56,7 +56,6 @@ pub mod fsck;
 pub mod inode;
 pub mod layout;
 pub mod log;
-pub mod loghdr;
 pub mod mkfs;
 
 pub use crate::core::FsStats;

@@ -3,7 +3,7 @@
 //!
 //! The whole pipelined group-commit protocol — atomic space reservation,
 //! thread-local staging, quiescent group formation with committer handoff,
-//! double-buffered log regions, checksummed commit records, the two-stage
+//! double-buffered log regions, payload-checksummed commit records, the two-stage
 //! overlapped commit on queued devices, and torn-record-rejecting recovery
 //! — lives in the `journal` crate, shared with the VFS baseline's
 //! `xv6fs_vfs::log::VfsLog`.  This module only translates the Bento
@@ -27,10 +27,7 @@ use journal::{Journal, JournalConfig};
 
 use crate::layout::{DiskSuperblock, LOGSIZE};
 
-pub use journal::{
-    JournalStats as LogStats, JournalTail as LogTail, TEST_UNSAFE_EARLY_COMMIT_RECORD,
-    TEST_UNSAFE_RECORD_WITHOUT_PAYLOAD_BARRIER,
-};
+pub use journal::{JournalStats as LogStats, JournalTail as LogTail};
 
 /// [`JournalIo`] over the Bento [`SuperBlock`] capability: cached I/O goes
 /// through the kernel buffer cache (`bread`), raw writes and barriers hit
@@ -97,6 +94,12 @@ impl Log {
         }
     }
 
+    /// Test-only crash-safety hook; see [`Journal::plant_fault`].
+    #[doc(hidden)]
+    pub fn plant_fault(&mut self, fault: journal::PlantedFault) {
+        self.journal.plant_fault(fault);
+    }
+
     /// Returns cumulative statistics.
     pub fn stats(&self) -> LogStats {
         self.journal.stats()
@@ -161,7 +164,7 @@ impl Log {
         self.journal.flush(&SbIo(sb))
     }
 
-    /// Commits everything in progress and leaves both log headers clear
+    /// Commits everything in progress and leaves both log headers clean
     /// (the unmount path); see [`Journal::checkpoint`].
     ///
     /// # Errors
@@ -197,11 +200,9 @@ mod tests {
     //! sees hand-crafted on-disk headers through `bread`.
 
     use super::*;
-    use crate::layout::{
-        log_head_checksum, put_u32, put_u64, BSIZE, LOG_HEAD_BLOCKS_OFF, LOG_HEAD_CHECKSUM_OFF,
-        LOG_HEAD_COUNT_OFF, LOG_HEAD_SEQ_OFF,
-    };
+    use crate::layout::BSIZE;
     use bento::bentoks::KernelBlockIo;
+    use journal::record::{encode_head, payload_digest};
     use simkernel::dev::RamDisk;
     use std::sync::Arc;
 
@@ -237,11 +238,11 @@ mod tests {
         assert_eq!(sb.bread(600).unwrap().data()[0], 0xAB);
         let stats = log.stats();
         assert_eq!(stats.commits, 1);
-        assert_eq!(stats.barriers, 2, "two barriers per commit through sync_all");
+        assert_eq!(stats.barriers, 1, "one barrier per commit through sync_all");
         log.flush(&sb).unwrap();
-        assert_eq!(log.stats().barriers, 2, "flushing an idle log costs nothing");
+        assert_eq!(log.stats().barriers, 1, "flushing an idle log costs nothing");
         log.checkpoint(&sb).unwrap();
-        assert_eq!(log.stats().barriers, 4, "checkpoint: installs durable, then the clear");
+        assert_eq!(log.stats().barriers, 3, "checkpoint: installs durable, then the clear");
         assert_eq!(log.recover(&sb).unwrap(), 0, "clean log replays nothing");
     }
 
@@ -255,11 +256,7 @@ mod tests {
         drop(data);
         let mut head = sb.bread(2).unwrap();
         head.data_mut().fill(0);
-        put_u32(head.data_mut(), LOG_HEAD_COUNT_OFF, 1);
-        put_u64(head.data_mut(), LOG_HEAD_SEQ_OFF, 0);
-        put_u32(head.data_mut(), LOG_HEAD_BLOCKS_OFF, 800);
-        let checksum = log_head_checksum(head.data());
-        put_u64(head.data_mut(), LOG_HEAD_CHECKSUM_OFF, checksum);
+        encode_head(head.data_mut(), 0, [800u64].into_iter(), payload_digest([&[0x5E; BSIZE][..]]));
         head.write().unwrap();
         drop(head);
         assert_eq!(log.recover(&sb).unwrap(), 1);

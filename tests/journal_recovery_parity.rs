@@ -8,15 +8,19 @@
 //! adapters over `journal::Journal::recover`, so equivalence holds by
 //! construction — this test pins that property so reintroducing a
 //! stack-private recovery path fails loudly.  Each scenario plants a
-//! hostile or valid commit record (torn checksum, out-of-range homes,
-//! over-capacity count, cleared header, garbage bytes, real records in
-//! one or both regions) on a fresh disk per stack and compares the
-//! replayed-block count and a full raw dump of the device afterwards.
+//! hostile or valid commit record (torn checksum, a payload that is not
+//! the one the record was sealed over, out-of-range homes, over-capacity
+//! count, cleared header, garbage bytes, real records in one or both
+//! regions) on a fresh disk per stack and compares the replayed-block
+//! count and a full raw dump of the device afterwards — which also pins
+//! that every stack leaves both headers clean, whatever it found there.
 
 use std::sync::Arc;
 
 use crashsim::logharness::{all_stacks, test_geometry};
-use journal::record::{encode_clear, encode_head, BSIZE};
+use journal::record::{
+    encode_clear, encode_head, get_u32, payload_digest, BSIZE, LOG_HEAD_COUNT_OFF,
+};
 use simkernel::dev::{BlockDevice, RamDisk};
 
 const DISK_BLOCKS: u64 = 1024;
@@ -33,9 +37,13 @@ struct Scenario {
     writes: Vec<(u64, Vec<u8>)>,
 }
 
-fn head_with(seq: u64, homes: &[u64]) -> Vec<u8> {
+/// A commit record for `seq` naming `homes`, sealed over a payload of one
+/// block of each of `fills`.
+fn head_with(seq: u64, homes: &[u64], fills: &[u8]) -> Vec<u8> {
+    let payload: Vec<[u8; BSIZE]> = fills.iter().map(|&fill| [fill; BSIZE]).collect();
     let mut head = vec![0u8; BSIZE];
-    encode_head(&mut head, seq, homes.iter().copied());
+    let digest = payload_digest(payload.iter().map(|block| &block[..]));
+    encode_head(&mut head, seq, homes.iter().copied(), digest);
     head
 }
 
@@ -46,7 +54,7 @@ fn scenarios() -> Vec<Scenario> {
     out.push(Scenario {
         name: "valid-region0",
         writes: vec![
-            (REGION0_HEAD, head_with(1, &[900, 901])),
+            (REGION0_HEAD, head_with(1, &[900, 901], &[0xC1, 0xC2])),
             (REGION0_HEAD + 1, vec![0xC1; BSIZE]),
             (REGION0_HEAD + 2, vec![0xC2; BSIZE]),
         ],
@@ -57,16 +65,16 @@ fn scenarios() -> Vec<Scenario> {
     out.push(Scenario {
         name: "valid-both-regions-seq-order",
         writes: vec![
-            (REGION0_HEAD, head_with(1, &[900])),
+            (REGION0_HEAD, head_with(1, &[900], &[0xC1])),
             (REGION0_HEAD + 1, vec![0xC1; BSIZE]),
-            (REGION1_HEAD, head_with(2, &[900, 902])),
+            (REGION1_HEAD, head_with(2, &[900, 902], &[0xD1, 0xD2])),
             (REGION1_HEAD + 1, vec![0xD1; BSIZE]),
             (REGION1_HEAD + 2, vec![0xD2; BSIZE]),
         ],
     });
 
     // Torn record: one flipped checksum byte must reject the region.
-    let mut torn = head_with(1, &[900, 901]);
+    let mut torn = head_with(1, &[900, 901], &[0xC1, 0xC2]);
     torn[journal::record::LOG_HEAD_CHECKSUM_OFF] ^= 0xFF;
     out.push(Scenario {
         name: "torn-checksum",
@@ -77,19 +85,45 @@ fn scenarios() -> Vec<Scenario> {
         ],
     });
 
+    // A whole, correctly sealed record over a payload with one flipped
+    // byte (the record reached the medium ahead of that block, or outlived
+    // it): not committed, treated as clean.
+    let mut flipped = vec![0xC2; BSIZE];
+    flipped[BSIZE / 2] ^= 0x01;
+    out.push(Scenario {
+        name: "payload-byte-flipped",
+        writes: vec![
+            (REGION0_HEAD, head_with(1, &[900, 901], &[0xC1, 0xC2])),
+            (REGION0_HEAD + 1, vec![0xC1; BSIZE]),
+            (REGION0_HEAD + 2, flipped),
+        ],
+    });
+
+    // One valid record, one rejected: the valid one replays, both headers
+    // end up clean.
+    out.push(Scenario {
+        name: "valid-beside-payload-mismatch",
+        writes: vec![
+            (REGION0_HEAD, head_with(2, &[901], &[0xC1])),
+            (REGION0_HEAD + 1, vec![0xEE; BSIZE]),
+            (REGION1_HEAD, head_with(1, &[900], &[0xD1])),
+            (REGION1_HEAD + 1, vec![0xD1; BSIZE]),
+        ],
+    });
+
     // Homes pointing back into the log area or past the device: a
     // checksum-valid record naming them must be rejected wholesale.
     out.push(Scenario {
         name: "out-of-range-home-low",
         writes: vec![
-            (REGION0_HEAD, head_with(1, &[3, 900])),
+            (REGION0_HEAD, head_with(1, &[3, 900], &[0xC1, 0])),
             (REGION0_HEAD + 1, vec![0xC1; BSIZE]),
         ],
     });
     out.push(Scenario {
         name: "out-of-range-home-high",
         writes: vec![
-            (REGION0_HEAD, head_with(1, &[900, 4000])),
+            (REGION0_HEAD, head_with(1, &[900, 4000], &[0xC1, 0])),
             (REGION0_HEAD + 1, vec![0xC1; BSIZE]),
         ],
     });
@@ -99,7 +133,7 @@ fn scenarios() -> Vec<Scenario> {
     let over: Vec<u64> = (0..300).map(|i| 600 + i).collect();
     out.push(Scenario {
         name: "over-capacity-count",
-        writes: vec![(REGION0_HEAD, head_with(1, &over))],
+        writes: vec![(REGION0_HEAD, head_with(1, &over, &[0; 300]))],
     });
 
     // A cleared header (count 0) is the quiescent state: nothing replays.
@@ -114,6 +148,15 @@ fn scenarios() -> Vec<Scenario> {
     out.push(Scenario { name: "garbage-header", writes: vec![(REGION0_HEAD, garbage)] });
 
     out
+}
+
+/// Whether both region headers on `dev` are clean (count 0).
+fn headers_clean(dev: &Arc<dyn BlockDevice>) -> bool {
+    let mut head = vec![0u8; BSIZE];
+    [REGION0_HEAD, REGION1_HEAD].into_iter().all(|blockno| {
+        dev.read_block(blockno, &mut head).unwrap();
+        get_u32(&head, LOG_HEAD_COUNT_OFF) == 0
+    })
 }
 
 fn dump_device(dev: &Arc<dyn BlockDevice>) -> Vec<u8> {
@@ -142,13 +185,11 @@ fn hostile_headers_recover_identically_on_every_stack() {
             }
             let log = stack.open(Arc::clone(&dev), DISK_BLOCKS as u32);
             let replayed = log.recover().unwrap();
-            assert_eq!(
-                log.recover().unwrap(),
-                0,
-                "{}: {}: second recovery not a no-op",
-                scenario.name,
-                stack.name()
-            );
+            let what = format!("{}: {}", scenario.name, stack.name());
+            assert!(headers_clean(&dev), "{what}: a header was left non-clean");
+            let writes = dev.stats().writes;
+            assert_eq!(log.recover().unwrap(), 0, "{what}: second recovery not a no-op");
+            assert_eq!(dev.stats().writes, writes, "{what}: a clean log was written to");
             results.push((stack.name(), replayed, dump_device(&dev)));
         }
         let (first_name, first_replayed, first_dump) = &results[0];
@@ -169,6 +210,7 @@ fn hostile_headers_recover_identically_on_every_stack() {
         let expected = match scenario.name {
             "valid-region0" => 2,
             "valid-both-regions-seq-order" => 3,
+            "valid-beside-payload-mismatch" => 1,
             _ => 0,
         };
         assert_eq!(*first_replayed, expected, "{}: unexpected replay count", scenario.name);
@@ -181,9 +223,9 @@ fn valid_records_install_payload_identically() {
     // bytes must be the payload bytes on every stack.
     for stack in all_stacks() {
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-        dev.write_block(REGION0_HEAD, &head_with(1, &[900])).unwrap();
+        dev.write_block(REGION0_HEAD, &head_with(1, &[900], &[0xC1])).unwrap();
         dev.write_block(REGION0_HEAD + 1, &[0xC1; BSIZE]).unwrap();
-        dev.write_block(REGION1_HEAD, &head_with(2, &[900, 902])).unwrap();
+        dev.write_block(REGION1_HEAD, &head_with(2, &[900, 902], &[0xD1, 0xD2])).unwrap();
         dev.write_block(REGION1_HEAD + 1, &[0xD1; BSIZE]).unwrap();
         dev.write_block(REGION1_HEAD + 2, &[0xD2; BSIZE]).unwrap();
         let log = stack.open(Arc::clone(&dev), DISK_BLOCKS as u32);
@@ -198,5 +240,33 @@ fn valid_records_install_payload_identically() {
             "{}: payload not installed",
             stack.name()
         );
+    }
+}
+
+#[test]
+fn a_rejected_record_is_never_revalidated_by_a_later_session_on_any_stack() {
+    for stack in all_stacks() {
+        let name = stack.name();
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
+        dev.write_block(900, &[0x77; BSIZE]).unwrap();
+        dev.write_block(901, &[0x77; BSIZE]).unwrap();
+        // Session 1 crashed mid-epoch: record X (two zero-filled blocks for
+        // homes 900 and 901) is durable, its payload only in part.
+        dev.write_block(REGION0_HEAD, &head_with(0, &[900, 901], &[0, 0])).unwrap();
+        dev.write_block(REGION0_HEAD + 2, &[0xEE; BSIZE]).unwrap();
+        // Session 2 mounts (X is rejected) ...
+        assert_eq!(stack.open(Arc::clone(&dev), DISK_BLOCKS as u32).recover().unwrap(), 0);
+        assert!(headers_clean(&dev), "{name}: X's header survived the mount");
+        // ... commits a different group of two zero-filled blocks into the
+        // same region, and crashes mid-epoch: payload complete, its own
+        // record not on the medium.
+        dev.write_block(REGION0_HEAD + 1, &[0; BSIZE]).unwrap();
+        dev.write_block(REGION0_HEAD + 2, &[0; BSIZE]).unwrap();
+        // Session 3 must not find X valid and zero homes it never owned.
+        let log = stack.open(Arc::clone(&dev), DISK_BLOCKS as u32);
+        assert_eq!(log.recover().unwrap(), 0, "{name}");
+        for home in [900, 901] {
+            assert!(log.read_block(home).unwrap().iter().all(|&b| b == 0x77), "{name}: {home}");
+        }
     }
 }
