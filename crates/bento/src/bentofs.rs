@@ -412,17 +412,7 @@ impl VfsFs for BentoFs {
     }
 
     fn write_path_stats(&self) -> Option<simkernel::vfs::WritePathStats> {
-        let mut stats = self.read_fs().write_path_stats()?;
-        // FsCore has no device handle, so the queue-depth figures are
-        // filled in here where the SuperBlock is available.  They stay
-        // zero on a sync (non-queued) device.
-        if let Some(q) = self.sb.queued() {
-            let depth = q.cost_counters().snapshot();
-            stats.queue_depth_max = depth.max_inflight;
-            stats.queue_depth_sum = depth.inflight_sum;
-            stats.queue_depth_samples = depth.inflight_samples;
-        }
-        Some(stats)
+        Some(self.read_fs().write_path_stats()?.with_queue_depth(self.sb.queued()))
     }
 
     fn op_stats(&self) -> Option<simkernel::vfs::FsOpStats> {
@@ -525,13 +515,11 @@ impl BentoFsType {
         device: Arc<dyn BlockDevice>,
         options: &MountOptions,
     ) -> KernelResult<Arc<BentoFs>> {
-        let cache_shards =
-            options.get("cache_shards").and_then(|v| v.parse::<usize>().ok()).unwrap_or_default();
         BentoFs::mount_sharded(
             &self.name,
             device,
             self.cache_blocks,
-            cache_shards,
+            options.count("cache_shards"),
             (self.factory)(options),
         )
     }

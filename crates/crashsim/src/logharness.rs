@@ -1,10 +1,10 @@
 //! Journal-generic crash harness: every write-ahead log in the workspace
 //! behind one object-safe face.
 //!
-//! The three log front-ends — the bare [`journal::Journal`] on a raw
-//! device, the Bento stack's `xv6fs::log::Log` over the `SuperBlock`
-//! capability, and the VFS baseline's `xv6fs_vfs::log::VfsLog` over the
-//! kernel buffer cache — are all adapters over the same shared journal.
+//! The two log front-ends — the bare [`journal::Journal`] on a raw device
+//! and `xv6fs::log::Log` over the `SuperBlock` capability, which both xv6
+//! stacks mount (the Bento and the VFS binding share one `FsCore`, so
+//! there is no third log to put under test) — run the same shared journal.
 //! The crash-contract tests therefore apply *one* scenario (transactions,
 //! crash-state enumeration, recovery, atomicity oracles) to every stack by
 //! iterating [`all_stacks`]: a new stack inherits the whole suite by
@@ -16,7 +16,6 @@
 
 use std::sync::Arc;
 
-use simkernel::buffer::BufferCache;
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 
@@ -26,7 +25,6 @@ use journal::record::BSIZE;
 use journal::{Journal, JournalConfig, JournalStats};
 use xv6fs::layout::{DiskSuperblock, FSMAGIC, LOGSIZE};
 use xv6fs::log::Log;
-use xv6fs_vfs::log::VfsLog;
 
 /// The shared log geometry every harness stack mounts: log at block 2
 /// (after boot block and superblock), the full double-buffered
@@ -118,7 +116,7 @@ pub trait LogStack: Send + Sync {
 /// Every log stack in the workspace; the crash-contract suite iterates
 /// this so all of them face identical scenarios.
 pub fn all_stacks() -> Vec<Box<dyn LogStack>> {
-    vec![Box::new(BareJournalStack), Box::new(BentoLogStack), Box::new(VfsLogStack)]
+    vec![Box::new(BareJournalStack), Box::new(BentoLogStack)]
 }
 
 /// The bare [`Journal`] straight on the device via [`DeviceIo`] — no file
@@ -173,8 +171,8 @@ impl LogHandle for BareHandle {
     }
 }
 
-/// The Bento stack's `Log` over the `SuperBlock` capability (kernel buffer
-/// cache underneath, as mounted by `xv6fs`).
+/// The xv6 core's `Log` over the `SuperBlock` capability (kernel buffer
+/// cache underneath, as mounted by both xv6 bindings).
 struct BentoLogStack;
 
 struct BentoHandle {
@@ -226,57 +224,5 @@ impl LogHandle for BentoHandle {
 
     fn read_block(&self, blockno: u64) -> KernelResult<Vec<u8>> {
         Ok(self.sb.bread(blockno)?.data().to_vec())
-    }
-}
-
-/// The VFS baseline's `VfsLog` over the kernel [`BufferCache`] (as mounted
-/// by `xv6fs-vfs`).
-struct VfsLogStack;
-
-struct VfsHandle {
-    log: VfsLog,
-    cache: BufferCache,
-}
-
-impl LogStack for VfsLogStack {
-    fn name(&self) -> &'static str {
-        "vfs-xv6fs"
-    }
-
-    fn open(&self, dev: Arc<dyn BlockDevice>, disk_blocks: u32) -> Arc<dyn LogHandle> {
-        let dsb = test_geometry(disk_blocks);
-        Arc::new(VfsHandle { log: VfsLog::new(&dsb), cache: BufferCache::new(dev, 256) })
-    }
-}
-
-impl LogHandle for VfsHandle {
-    fn begin_op(&self) {
-        self.log.begin_op();
-    }
-
-    fn log_fill(&self, blockno: u64, fill: u8) -> KernelResult<()> {
-        let mut buf = self.cache.bread(blockno)?;
-        buf.data_mut().fill(fill);
-        self.log.log_write(&buf)
-    }
-
-    fn end_op(&self) -> KernelResult<()> {
-        self.log.end_op(&self.cache)
-    }
-
-    fn flush(&self) -> KernelResult<()> {
-        self.log.flush(&self.cache)
-    }
-
-    fn recover(&self) -> KernelResult<usize> {
-        self.log.recover(&self.cache)
-    }
-
-    fn stats(&self) -> JournalStats {
-        self.log.stats()
-    }
-
-    fn read_block(&self, blockno: u64) -> KernelResult<Vec<u8>> {
-        Ok(self.cache.bread(blockno)?.data().to_vec())
     }
 }

@@ -2,8 +2,8 @@
 //! write-ahead log, run through the journal-generic harness
 //! ([`crashsim::logharness`]): the same two-transaction scenario and the
 //! same all-or-nothing, commit-ordered oracles apply to **every** log
-//! stack — the bare `journal::Journal`, the Bento stack's log, and the VFS
-//! baseline's log — so a stack cannot drift out of the crash contract
+//! stack — the bare `journal::Journal` and the xv6 core's log, which both
+//! xv6 bindings mount — so a stack cannot drift out of the crash contract
 //! without this test failing by name.
 
 use std::collections::HashMap;

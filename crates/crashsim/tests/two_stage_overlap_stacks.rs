@@ -1,8 +1,7 @@
 //! Two-stage overlapped commit on the queued (multi-queue) device model,
 //! run through the journal-generic harness so **every** log stack — the
-//! bare journal, the Bento stack's log, and the VFS baseline's log — faces
-//! the same scenarios (ported from `xv6fs/tests/two_stage_overlap.rs`,
-//! which covered only the Bento stack):
+//! bare journal and the xv6 core's log, which both xv6 bindings mount —
+//! faces the same scenarios:
 //!
 //! * a deterministic two-thread scenario in which the committer prefetches
 //!   the next group's stage-1 payload while its own installs are still in

@@ -1,11 +1,11 @@
 //! # journal — one pipelined group-commit WAL for every storage stack
 //!
-//! The workspace used to maintain three near-copies of its write-ahead
-//! log: `xv6fs::log`, `xv6fs_vfs::log`, and ext4sim's dual-slot checkpoint
-//! scheme.  This crate is the single implementation they all adapt:
-//! [`Journal`] owns the entire commit pipeline and is parameterized over
-//! the block-IO trait [`io::JournalIo`], so the same code runs against the
-//! Bento `SuperBlock` capability, the kernel `BufferCache`, a bare
+//! This crate is the single write-ahead log of the workspace: `xv6fs::log`
+//! (mounted by both xv6 stacks, which share one file system core) is an
+//! adapter over it.  [`Journal`] owns the entire commit pipeline and is
+//! parameterized over the block-IO trait [`io::JournalIo`], so the same
+//! code runs against the Bento `SuperBlock` capability (kernel buffer
+//! cache or userspace disk file underneath), a bare
 //! `SsdDevice`/`MultiQueueDevice`, or crashsim's fault device — and the
 //! crash-contract tests enumerate crash states against the journal with no
 //! file system on top.

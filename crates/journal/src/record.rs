@@ -1,12 +1,12 @@
 //! Shared on-disk commit-record (log-region header) layout.
 //!
-//! Every write-ahead log in the workspace writes this header: the Bento
-//! file system's `xv6fs::log::Log` and the VFS baseline's
-//! `xv6fs_vfs::log::VfsLog` are both thin adapters over
-//! [`crate::Journal`], which owns the encode/decode logic here.  Their
-//! on-disk images must stay byte-compatible — the crash harness mounts one
-//! stack's image under the other's fsck oracle — so exactly one module
-//! owns the field offsets, the two digests, and the encode/decode logic.
+//! Every write-ahead log in the workspace writes this header:
+//! `xv6fs::log::Log`, which all three xv6 stacks (Bento, VFS, FUSE) mount,
+//! is a thin adapter over [`crate::Journal`], which owns the
+//! encode/decode logic here.  The stacks' on-disk images must stay
+//! byte-compatible — the crash harness mounts one stack's image under
+//! another's fsck oracle — so exactly one module owns the field offsets,
+//! the two digests, and the encode/decode logic.
 //!
 //! Header layout (one 4 KiB block per log region):
 //!

@@ -19,10 +19,10 @@
 //!   cache, and the POSIX-flavoured syscalls the workloads use.
 //!
 //! Three stacks implement [`VfsFs`] in this repository: `bento`'s BentoFS
-//! (translating to the Bento file-operations API), the `xv6fs-vfs` baseline
-//! (the paper's "C-kernel" VFS implementation), and `fusesim`'s FUSE kernel
-//! driver (round-tripping every call to a userspace daemon).  `ext4sim`
-//! implements it directly as well.
+//! (translating to the Bento file-operations API), the `xv6fs-vfs` binding
+//! (the paper's "C-kernel" stack: the xv6 core with no BentoFS), and
+//! `fusesim`'s FUSE kernel driver (round-tripping every call to a
+//! userspace daemon).  `ext4sim` implements it directly as well.
 
 pub mod core;
 
@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
+use crate::queue::QueuedBlockDevice;
 
 pub use self::core::{SeekFrom, Vfs, VfsConfig};
 
@@ -282,6 +283,20 @@ impl WritePathStats {
         self.alloc_per_group.iter().filter(|&&n| n > 0).count()
     }
 
+    /// Fills the queue-depth figures from the mounted device's multi-queue
+    /// face.  A file system core holds no device handle, so its binding
+    /// adds them; they stay zero on a synchronous device.
+    #[must_use]
+    pub fn with_queue_depth(mut self, queued: Option<&dyn QueuedBlockDevice>) -> Self {
+        if let Some(q) = queued {
+            let depth = q.cost_counters().snapshot();
+            self.queue_depth_max = depth.max_inflight;
+            self.queue_depth_sum = depth.inflight_sum;
+            self.queue_depth_samples = depth.inflight_samples;
+        }
+        self
+    }
+
     /// Mean in-flight request depth over all submissions (0.0 when the
     /// device exposed no depth statistics).
     pub fn mean_queue_depth(&self) -> f64 {
@@ -325,6 +340,12 @@ impl MountOptions {
     /// Looks up an option value by key.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// A numeric tuning option (`alloc_groups`, `cache_shards`, ...): `0`,
+    /// which every such option reads as "default", when absent or malformed.
+    pub fn count(&self, key: &str) -> usize {
+        self.get(key).and_then(|v| v.parse().ok()).unwrap_or_default()
     }
 
     /// Adds an option (builder style).

@@ -1,7 +1,7 @@
 //! The mid-level machinery of the file system: inode I/O, block mapping
 //! (direct / indirect / double-indirect), byte-granular file reads and
 //! writes, and truncation.  Everything here runs inside transactions managed
-//! by the caller (see [`crate::fs`]).
+//! by the caller (see [`crate::ops`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -472,7 +472,7 @@ impl FsCore {
 
     /// Writes `src` at `offset`, allocating blocks as needed and growing the
     /// file size.  Must be called inside a transaction sized for the write
-    /// (the `write` file operation in [`crate::fs`] chunks large writes);
+    /// ([`FsCore::write`] chunks large writes);
     /// the inode is updated through the log.
     ///
     /// # Errors

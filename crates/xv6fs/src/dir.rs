@@ -11,9 +11,36 @@ use bento::bentoks::SuperBlock;
 
 use crate::core::FsCore;
 use crate::inode::InodeData;
-use crate::layout::{validate_name, Dirent, DIRENT_SIZE, T_DIR};
+use crate::layout::{validate_name, Dinode, Dirent, DiskSuperblock, BSIZE, DIRENT_SIZE, T_DIR};
 
 impl FsCore {
+    /// Walks the directory's slots in order, a whole block of entries per
+    /// read, handing each decoded slot and its byte offset to `visit`
+    /// until it returns `Some`.
+    fn scan_dir<T>(
+        &self,
+        sb: &SuperBlock,
+        dir_data: &mut InodeData,
+        mut visit: impl FnMut(u64, Dirent) -> KernelResult<Option<T>>,
+    ) -> KernelResult<Option<T>> {
+        let mut offset = 0u64;
+        let mut block = vec![0u8; BSIZE];
+        while offset < dir_data.size {
+            let n = self.readi(sb, dir_data, offset, &mut block)?;
+            if n < DIRENT_SIZE {
+                break;
+            }
+            let usable = n - n % DIRENT_SIZE;
+            for chunk in (0..usable).step_by(DIRENT_SIZE) {
+                if let Some(found) = visit(offset + chunk as u64, Dirent::decode(&block, chunk))? {
+                    return Ok(Some(found));
+                }
+            }
+            offset += usable as u64;
+        }
+        Ok(None)
+    }
+
     /// Looks `name` up in the directory described by `dir_data`.  Returns
     /// the entry's inode number and the byte offset of its slot.
     ///
@@ -30,26 +57,9 @@ impl FsCore {
         if !dir_data.is_dir() {
             return Err(KernelError::with_context(Errno::NotDir, "xv6fs: lookup in non-directory"));
         }
-        // Scan a whole block of entries per read (an optimization the Bento
-        // version carries, mirroring the paper's note that the VFS baseline
-        // is the less optimized of the two).
-        let mut offset = 0u64;
-        let mut block = vec![0u8; crate::layout::BSIZE];
-        while offset < dir_data.size {
-            let n = self.readi(sb, dir_data, offset, &mut block)?;
-            if n < DIRENT_SIZE {
-                break;
-            }
-            let usable = n - n % DIRENT_SIZE;
-            for chunk in (0..usable).step_by(DIRENT_SIZE) {
-                let entry = Dirent::decode(&block, chunk);
-                if entry.inum != 0 && entry.name == name {
-                    return Ok(Some((entry.inum, offset + chunk as u64)));
-                }
-            }
-            offset += usable as u64;
-        }
-        Ok(None)
+        self.scan_dir(sb, dir_data, |offset, entry| {
+            Ok((entry.inum != 0 && entry.name == name).then_some((entry.inum, offset)))
+        })
     }
 
     /// Adds an entry `name -> inum` to the directory, reusing a free slot or
@@ -71,23 +81,10 @@ impl FsCore {
         if self.dirlookup(sb, dir_data, name)?.is_some() {
             return Err(KernelError::with_context(Errno::Exist, "xv6fs: name already exists"));
         }
-        // Find a free slot, scanning a block of entries per read.
-        let mut offset = 0u64;
-        let mut block = vec![0u8; crate::layout::BSIZE];
-        'scan: while offset < dir_data.size {
-            let n = self.readi(sb, dir_data, offset, &mut block)?;
-            if n < DIRENT_SIZE {
-                break;
-            }
-            let usable = n - n % DIRENT_SIZE;
-            for chunk in (0..usable).step_by(DIRENT_SIZE) {
-                if Dirent::decode(&block, chunk).inum == 0 {
-                    offset += chunk as u64;
-                    break 'scan;
-                }
-            }
-            offset += usable as u64;
-        }
+        // The first free slot, or the end of the last whole one.
+        let free =
+            self.scan_dir(sb, dir_data, |offset, entry| Ok((entry.inum == 0).then_some(offset)));
+        let offset = free?.unwrap_or(dir_data.size - dir_data.size % DIRENT_SIZE as u64);
         let entry = Dirent { inum, name: name.to_string() };
         let mut encoded = [0u8; DIRENT_SIZE];
         entry.encode(&mut encoded, 0)?;
@@ -126,23 +123,10 @@ impl FsCore {
     ///
     /// I/O errors propagate.
     pub fn dir_is_empty(&self, sb: &SuperBlock, dir_data: &mut InodeData) -> KernelResult<bool> {
-        let mut offset = 0u64;
-        let mut block = vec![0u8; crate::layout::BSIZE];
-        while offset < dir_data.size {
-            let n = self.readi(sb, dir_data, offset, &mut block)?;
-            if n < DIRENT_SIZE {
-                break;
-            }
-            let usable = n - n % DIRENT_SIZE;
-            for chunk in (0..usable).step_by(DIRENT_SIZE) {
-                let entry = Dirent::decode(&block, chunk);
-                if entry.inum != 0 && entry.name != "." && entry.name != ".." {
-                    return Ok(false);
-                }
-            }
-            offset += usable as u64;
-        }
-        Ok(true)
+        let occupied = self.scan_dir(sb, dir_data, |_, entry| {
+            Ok((entry.inum != 0 && entry.name != "." && entry.name != "..").then_some(()))
+        })?;
+        Ok(occupied.is_none())
     }
 
     /// Enumerates the live entries of the directory, resolving each entry's
@@ -157,34 +141,21 @@ impl FsCore {
         dir_data: &mut InodeData,
     ) -> KernelResult<Vec<DirEntry>> {
         let mut out = Vec::new();
-        let mut offset = 0u64;
-        let mut block = vec![0u8; crate::layout::BSIZE];
-        while offset < dir_data.size {
-            let n = self.readi(sb, dir_data, offset, &mut block)?;
-            if n < DIRENT_SIZE {
-                break;
-            }
-            let usable = n - n % DIRENT_SIZE;
-            for chunk in (0..usable).step_by(DIRENT_SIZE) {
-                let entry = Dirent::decode(&block, chunk);
-                if entry.inum == 0 {
-                    continue;
-                }
+        self.scan_dir(sb, dir_data, |_, entry| {
+            if entry.inum != 0 {
                 // Read the referenced inode's type straight from its disk
                 // block (through the buffer cache) rather than taking its
                 // in-memory inode lock: readdir may encounter "." and ".."
                 // whose locks are held by the caller or by concurrent
                 // namespace operations, and the type is advisory anyway.
                 let iblock = sb.bread(self.dsb().inode_block(entry.inum))?;
-                let dinode = crate::layout::Dinode::decode(
-                    iblock.data(),
-                    crate::layout::DiskSuperblock::inode_offset(entry.inum),
-                );
+                let dinode =
+                    Dinode::decode(iblock.data(), DiskSuperblock::inode_offset(entry.inum));
                 let kind = InodeData::from_dinode(&dinode).file_type();
                 out.push(DirEntry { ino: entry.inum as u64, name: entry.name, kind });
             }
-            offset += usable as u64;
-        }
+            Ok(None::<()>)
+        })?;
         Ok(out)
     }
 

@@ -21,9 +21,9 @@
 //! the deferred reap legitimately leaves one behind (a real fsck would move
 //! it to `lost+found`).
 //!
-//! Because both xv6 stacks (`xv6fs` on Bento and the `xv6fs-vfs` baseline)
-//! share one on-disk format, a single checker covers both — exactly as one
-//! `e2fsck` serves every ext4 implementation.
+//! Because every xv6 stack (Bento, the `xv6fs-vfs` binding, FUSE) runs this
+//! crate's one implementation of the format, a single checker covers them
+//! all.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;

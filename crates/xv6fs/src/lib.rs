@@ -57,6 +57,7 @@ pub mod inode;
 pub mod layout;
 pub mod log;
 pub mod mkfs;
+pub mod ops;
 
 pub use crate::core::FsStats;
 pub use crate::fs::Xv6FileSystem;
@@ -76,9 +77,7 @@ pub const BENTO_XV6_NAME: &str = "xv6fs_bento";
 /// absent), so workloads can sweep the knobs without rebuilding.
 pub fn fstype() -> BentoFsType {
     BentoFsType::with_options(BENTO_XV6_NAME, |options| {
-        let alloc_groups =
-            options.get("alloc_groups").and_then(|v| v.parse::<usize>().ok()).unwrap_or_default();
-        Box::new(Xv6FileSystem::new().with_alloc_groups(alloc_groups))
+        Box::new(Xv6FileSystem::new().with_alloc_groups(options.count("alloc_groups")))
     })
 }
 

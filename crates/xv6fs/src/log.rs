@@ -5,19 +5,18 @@
 //! thread-local staging, quiescent group formation with committer handoff,
 //! double-buffered log regions, payload-checksummed commit records, the two-stage
 //! overlapped commit on queued devices, and torn-record-rejecting recovery
-//! — lives in the `journal` crate, shared with the VFS baseline's
-//! `xv6fs_vfs::log::VfsLog`.  This module only translates the Bento
+//! — lives in the `journal` crate.  This module only translates the
 //! [`SuperBlock`] capability into the journal's block-IO face
 //! ([`journal::io::JournalIo`]): buffer-cache reads and writes via
 //! [`SuperBlock::bread`], raw device writes via [`SuperBlock::write_raw`],
 //! barriers via [`SuperBlock::sync_all`], and the multi-queue face via
 //! [`SuperBlock::queued`].
 //!
-//! Because the geometry ([`journal::JournalConfig::from_geometry`]) and
-//! the recovery defenses are the shared crate's, both xv6 stacks get
-//! byte-for-byte identical on-disk images and corrupt-header handling *by
-//! construction* — the crash harness mounts one stack's image under the
-//! other's fsck oracle.
+//! Every xv6 stack mounts this one adapter — the Bento and VFS bindings
+//! over the kernel buffer cache, the FUSE daemon over its userspace disk
+//! file — so they get byte-for-byte identical on-disk images and
+//! corrupt-header handling *by construction*: the crash harness mounts
+//! one stack's image under another's fsck oracle.
 
 use bento::bentoks::{BufferHead, SuperBlock};
 use simkernel::error::KernelResult;
@@ -203,7 +202,7 @@ mod tests {
     use crate::layout::BSIZE;
     use bento::bentoks::KernelBlockIo;
     use journal::record::{encode_head, payload_digest};
-    use simkernel::dev::RamDisk;
+    use simkernel::dev::{BlockDevice, RamDisk};
     use std::sync::Arc;
 
     fn test_dsb(size: u32) -> DiskSuperblock {
@@ -219,16 +218,16 @@ mod tests {
         }
     }
 
-    fn setup() -> (SuperBlock, Log) {
+    fn setup() -> (SuperBlock, Log, Arc<RamDisk>) {
         let dev = Arc::new(RamDisk::new(BSIZE as u32, 1024));
-        let sb =
-            bento::userspace::userspace_superblock(Arc::new(KernelBlockIo::new(dev, 512)), "test");
-        (sb, Log::new(&test_dsb(1024)))
+        let io = KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512);
+        let sb = bento::userspace::userspace_superblock(Arc::new(io), "test");
+        (sb, Log::new(&test_dsb(1024)), dev)
     }
 
     #[test]
     fn commit_through_superblock_installs_and_counts_barriers() {
-        let (sb, log) = setup();
+        let (sb, log, dev) = setup();
         log.begin_op();
         let mut buf = sb.bread(600).unwrap();
         buf.data_mut().fill(0xAB);
@@ -236,6 +235,10 @@ mod tests {
         drop(buf);
         log.end_op(&sb).unwrap();
         assert_eq!(sb.bread(600).unwrap().data()[0], 0xAB);
+        // Installed on the raw device, not just in the cache.
+        let mut raw = vec![0u8; BSIZE];
+        dev.read_block(600, &mut raw).unwrap();
+        assert_eq!(raw[0], 0xAB);
         let stats = log.stats();
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.barriers, 1, "one barrier per commit through sync_all");
@@ -248,7 +251,7 @@ mod tests {
 
     #[test]
     fn recover_reads_headers_through_buffer_cache() {
-        let (sb, log) = setup();
+        let (sb, log, _dev) = setup();
         // Hand-craft a committed-but-not-installed transaction in region 0.
         let mut data = sb.bread(3).unwrap();
         data.data_mut().fill(0x5E);

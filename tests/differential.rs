@@ -161,56 +161,53 @@ fn all_stacks_agree_with_the_in_memory_oracle() {
     }
 }
 
+/// Mounts the xv6 image on `device` at `/` of a fresh VFS through the
+/// Bento binding (`bento == true`) or the VFS binding.
+fn mount_xv6(bento: bool, device: &Arc<dyn simkernel::dev::BlockDevice>) -> Arc<Vfs> {
+    let vfs = Arc::new(Vfs::default());
+    let name = if bento {
+        vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
+        xv6fs::BENTO_XV6_NAME
+    } else {
+        vfs.register_filesystem(Arc::new(xv6fs_vfs::Xv6VfsFilesystemType)).expect("register");
+        xv6fs_vfs::VFS_XV6_NAME
+    };
+    vfs.mount(name, Arc::clone(device), "/", &MountOptions::default()).expect("mount");
+    vfs
+}
+
 #[test]
 fn bento_and_vfs_baseline_agree_after_remount() {
     // Apply the script, unmount (forcing writeback + log quiesce), remount
     // the same device, and compare the two xv6 variants — this checks the
-    // *persistent* state, not just the caches.
+    // *persistent* state, not just the caches.  `statfs` (total and free
+    // blocks and inodes) must agree too, on the live mount and again after
+    // each stack remounted its own image (cached counts vs. a fresh scan
+    // of the bitmap and inode table).
     let ops = scripted_ops(7, 40);
     let mut states = Vec::new();
-    for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
+    for bento in [true, false] {
         let device = Arc::new(RamDisk::new(4096, 32 * 1024));
         let device_dyn: Arc<dyn simkernel::dev::BlockDevice> = Arc::clone(&device) as _;
         xv6fs::mkfs::mkfs_on_device(&device_dyn, 2048).expect("mkfs");
-        {
-            let vfs = Arc::new(Vfs::default());
-            match stack {
-                FsStack::BentoXv6 => {
-                    vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
-                    vfs.mount(
-                        xv6fs::BENTO_XV6_NAME,
-                        Arc::clone(&device_dyn),
-                        "/",
-                        &MountOptions::default(),
-                    )
-                    .expect("mount");
-                }
-                _ => {
-                    vfs.register_filesystem(Arc::new(xv6fs_vfs::Xv6VfsFilesystemType))
-                        .expect("register");
-                    vfs.mount(
-                        xv6fs_vfs::VFS_XV6_NAME,
-                        Arc::clone(&device_dyn),
-                        "/",
-                        &MountOptions::default(),
-                    )
-                    .expect("mount");
-                }
-            }
-            for op in &ops {
-                apply(&vfs, op);
-            }
-            vfs.unmount("/").expect("unmount");
+        let vfs = mount_xv6(bento, &device_dyn);
+        for op in &ops {
+            apply(&vfs, op);
         }
+        let live = vfs.statfs("/").expect("statfs");
+        vfs.unmount("/").expect("unmount");
+        let vfs = mount_xv6(bento, &device_dyn);
+        let remounted = vfs.statfs("/").expect("statfs after remount");
+        vfs.unmount("/").expect("unmount");
+        assert!(remounted.free_inodes > 0 && remounted.free_inodes < remounted.total_inodes);
         // Remount with the *Bento* stack in both cases (shared on-disk
         // format) and observe.
-        let vfs = Arc::new(Vfs::default());
-        vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
-        vfs.mount(xv6fs::BENTO_XV6_NAME, device_dyn, "/", &MountOptions::default())
-            .expect("remount");
+        let vfs = mount_xv6(true, &device_dyn);
         let mut state = BTreeMap::new();
         observe(&vfs, "/", &mut state);
-        states.push(state);
+        states.push((state, live, remounted));
     }
-    assert_eq!(states[0], states[1], "Bento and VFS xv6 leave identical on-disk state");
+    assert_eq!(states[0].0, states[1].0, "Bento and VFS xv6 leave identical on-disk state");
+    assert_eq!(states[0].1, states[1].1, "statfs differs on the live mounts");
+    assert_eq!(states[0].2, states[1].2, "statfs differs after remount");
 }

@@ -2,12 +2,13 @@
 //! must produce **identical** recovery decisions and identical final
 //! device bytes on every stack.
 //!
-//! Before the unified journal crate, `xv6fs::log` and `xv6fs_vfs::log`
-//! each carried their own copy of the corrupt-header defenses, and the
-//! copies could drift (a fix to one but not the other).  Both are now
-//! adapters over `journal::Journal::recover`, so equivalence holds by
-//! construction — this test pins that property so reintroducing a
-//! stack-private recovery path fails loudly.  Each scenario plants a
+//! Every log in the workspace runs `journal::Journal::recover` — the bare
+//! journal directly, both xv6 stacks through the one `xv6fs::log` adapter
+//! their shared core mounts — so equivalence holds by construction; this
+//! test pins that property so reintroducing a stack-private recovery path
+//! fails loudly.  The log-level rows compare the harness's log stacks; the
+//! full-mount row puts the same pre-images under `Xv6VfsFilesystem::mount`
+//! and `xv6fs::fstype().mount_on`.  Each scenario plants a
 //! hostile or valid commit record (torn checksum, a payload that is not
 //! the one the record was sealed over, out-of-range homes, over-capacity
 //! count, cleared header, garbage bytes, real records in one or both
@@ -22,6 +23,7 @@ use journal::record::{
     encode_clear, encode_head, get_u32, payload_digest, BSIZE, LOG_HEAD_COUNT_OFF,
 };
 use simkernel::dev::{BlockDevice, RamDisk};
+use simkernel::vfs::VfsFs;
 
 const DISK_BLOCKS: u64 = 1024;
 
@@ -207,13 +209,53 @@ fn hostile_headers_recover_identically_on_every_stack() {
         }
         // Spot-check the decisions themselves so parity can't be satisfied
         // by everyone being wrong the same new way.
-        let expected = match scenario.name {
-            "valid-region0" => 2,
-            "valid-both-regions-seq-order" => 3,
-            "valid-beside-payload-mismatch" => 1,
-            _ => 0,
-        };
+        let expected = expected_replays(scenario.name);
         assert_eq!(*first_replayed, expected, "{}: unexpected replay count", scenario.name);
+    }
+}
+
+/// Blocks recovery must replay for each of [`scenarios`].
+fn expected_replays(scenario: &str) -> usize {
+    match scenario {
+        "valid-region0" => 2,
+        "valid-both-regions-seq-order" => 3,
+        "valid-beside-payload-mismatch" => 1,
+        _ => 0,
+    }
+}
+
+#[test]
+fn hostile_headers_recover_identically_through_both_full_mounts() {
+    type Mount = fn(Arc<dyn BlockDevice>) -> Arc<dyn VfsFs>;
+    let mounts: [(&str, Mount); 2] = [
+        ("bento-xv6fs", |dev| xv6fs::fstype().mount_on(dev).unwrap() as Arc<dyn VfsFs>),
+        ("vfs-xv6fs", |dev| xv6fs_vfs::Xv6VfsFilesystem::mount(dev).unwrap() as Arc<dyn VfsFs>),
+    ];
+    for scenario in scenarios() {
+        let mut results: Vec<(usize, Vec<u8>)> = Vec::new();
+        for (name, mount) in mounts {
+            // A real image this time; `mkfs` lays the log out where
+            // `test_geometry` does, and blocks 900.. are free data blocks.
+            let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
+            let dsb = xv6fs::mkfs::mkfs_on_device(&dev, 128).unwrap();
+            assert_eq!((dsb.logstart, dsb.nlog), (REGION0_HEAD as u32, 2 * 257));
+            for (blockno, data) in &scenario.writes {
+                dev.write_block(*blockno, data).unwrap();
+            }
+            // The mount is the recovery; nothing else has been logged, so
+            // the log's block count is the replay count.  Dropping the
+            // mount without `destroy` writes nothing more.
+            let fs = mount(Arc::clone(&dev));
+            let replayed = fs.write_path_stats().unwrap().log_blocks as usize;
+            fs.lookup(fs.root_ino(), ".").unwrap();
+            drop(fs);
+            let what = format!("{}: {name}", scenario.name);
+            assert!(headers_clean(&dev), "{what}: a header was left non-clean");
+            assert_eq!(replayed, expected_replays(scenario.name), "{what}: replay count");
+            results.push((replayed, dump_device(&dev)));
+        }
+        assert_eq!(results[0].0, results[1].0, "{}: replay counts differ", scenario.name);
+        assert!(results[0].1 == results[1].1, "{}: device bytes differ", scenario.name);
     }
 }
 
