@@ -269,6 +269,39 @@ pub trait FileSystem: Send + Sync {
         nosys("write")
     }
 
+    /// Writes every `(offset, data)` segment of `segs`, in order; returns
+    /// the total number of bytes written.  This is what BentoFS's
+    /// write-back calls, once per inode per pass, with one segment per
+    /// dirty page: the caller *lends* the page slices (§4.4) instead of
+    /// assembling them into a buffer, and a file system that overrides
+    /// this can put segments that are not adjacent in the file into one
+    /// transaction.  The default, in the manner of
+    /// [`std::io::Write::write_vectored`], calls [`FileSystem::write`]
+    /// per segment and stops after a short write.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FileSystem::write`]; segments before the failing one may
+    /// have been written.
+    fn write_vectored(
+        &self,
+        req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        fh: u64,
+        segs: &[(u64, &[u8])],
+    ) -> KernelResult<usize> {
+        let mut written = 0usize;
+        for &(offset, data) in segs {
+            let n = self.write(req, sb, ino, fh, offset, data)?;
+            written += n;
+            if n < data.len() {
+                break;
+            }
+        }
+        Ok(written)
+    }
+
     /// Called on every `close(2)` of a descriptor referring to `ino`.
     ///
     /// # Errors

@@ -362,9 +362,9 @@ pub fn run_crash_test_planted(
 const MAX_FILES: usize = 48;
 /// Upper bound on directories under the root.
 const MAX_DIRS: usize = 6;
-/// Largest file size in pages (sizes stay page-aligned so the model's
-/// byte-for-byte comparison is exact across all three stacks' partial-page
-/// semantics).
+/// Highest page a write may start at; files reach at most four pages
+/// past it (sizes stay page-aligned so the model's byte-for-byte
+/// comparison is exact across all three stacks' partial-page semantics).
 const MAX_FILE_PAGES: u64 = 4;
 
 /// Drives `ops` randomized operations against `fs`, mirroring each into
@@ -493,9 +493,13 @@ fn dir_ino(fs: &dyn VfsFs, dir: &str) -> KernelResult<u64> {
     }
 }
 
-/// Writes 1–2 full pages at a random page offset, extending the file as
-/// needed (page-aligned sizes; gaps become holes that read as zeros for
-/// both the model and every stack).
+/// Writes back a two-run set of full pages — 1–2 pages at a random page
+/// offset, then one more page beyond a one-page gap — extending the file
+/// as needed (page-aligned sizes; gaps become holes that read as zeros for
+/// both the model and every stack).  The set goes to `write_pages`, the
+/// way a page cache hands a pass over: a stack that batches gets one call
+/// — so the enumeration sees its multi-page write-back transactions — and
+/// the others get the trait's default, a `write_page` per page.
 fn write_file(
     fs: &dyn VfsFs,
     model: &mut WorkloadModel,
@@ -503,25 +507,25 @@ fn write_file(
     path: &str,
 ) -> KernelResult<()> {
     let Some(attr) = resolve(fs, path)? else { return Ok(()) };
-    let old = model.tree.files.get(path).cloned().unwrap_or_default();
+    let mut content = model.tree.files.get(path).cloned().unwrap_or_default();
     let start_page: u64 = rng.gen_range(0..MAX_FILE_PAGES);
-    let pages: u64 = rng.gen_range(1..=2);
-    let end = ((start_page + pages) * PAGE_SIZE as u64) as usize;
-    let file_size = old.len().max(end) as u64;
-    let mut content = old;
+    let run: u64 = rng.gen_range(1..=2);
+    let indexes: Vec<u64> = (start_page..start_page + run).chain([start_page + run + 1]).collect();
+    let end = (start_page + run + 2) as usize * PAGE_SIZE;
     content.resize(content.len().max(end), 0);
     let pattern: u64 = rng.gen();
-    for p in 0..pages {
-        let page_index = start_page + p;
-        let mut buf = vec![0u8; PAGE_SIZE];
-        for (i, byte) in buf.iter_mut().enumerate() {
+    for &page_index in &indexes {
+        let lo = page_index as usize * PAGE_SIZE;
+        for (i, byte) in content[lo..lo + PAGE_SIZE].iter_mut().enumerate() {
             *byte = (pattern.wrapping_add(page_index.wrapping_mul(0x9E37)).wrapping_add(i as u64))
                 as u8;
         }
-        fs.write_page(attr.ino, page_index, &buf, file_size)?;
-        let lo = (page_index as usize) * PAGE_SIZE;
-        content[lo..lo + PAGE_SIZE].copy_from_slice(&buf);
     }
+    let set: Vec<(u64, &[u8])> = indexes
+        .iter()
+        .map(|&index| (index, &content[index as usize * PAGE_SIZE..][..PAGE_SIZE]))
+        .collect();
+    fs.write_pages(attr.ino, &set, content.len() as u64)?;
     model.set_content(path, content);
     Ok(())
 }

@@ -808,25 +808,18 @@ impl VfsFs for Ext4Sim {
         data: &[u8],
         file_size: u64,
     ) -> KernelResult<()> {
-        self.write_pages(ino, page_index, &[data], file_size)
+        self.write_pages(ino, &[(page_index, data)], file_size)
     }
 
-    fn write_pages(
-        &self,
-        ino: u64,
-        start_page: u64,
-        pages: &[&[u8]],
-        file_size: u64,
-    ) -> KernelResult<()> {
+    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
         // Allocate (or reuse) a block per page, queue the data into the
         // running journal transaction (data=journal).
         let mut queued = Vec::with_capacity(pages.len());
         {
             let mut meta = self.meta.write();
-            for (i, page) in pages.iter().enumerate() {
-                let page_index = start_page + i as u64;
+            for &(page_index, page) in pages {
                 if page_index * PAGE_SIZE as u64 >= file_size {
-                    break;
+                    continue;
                 }
                 let block = match meta
                     .inodes
@@ -1045,8 +1038,8 @@ mod tests {
         let fs = fresh();
         let f = fs.create(1, "t", FileMode::regular()).unwrap();
         let pages: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; PAGE_SIZE]).collect();
-        let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-        fs.write_pages(f.ino, 0, &refs, (8 * PAGE_SIZE) as u64).unwrap();
+        let set: Vec<(u64, &[u8])> = (0..).zip(pages.iter().map(|p| p.as_slice())).collect();
+        fs.write_pages(f.ino, &set, (8 * PAGE_SIZE) as u64).unwrap();
         fs.sync_fs().unwrap();
         let free_before = fs.statfs().unwrap().free_blocks;
         fs.setattr(f.ino, &SetAttr::truncate(PAGE_SIZE as u64)).unwrap();
@@ -1077,8 +1070,8 @@ mod tests {
             for i in 0..32 {
                 let f = fs.create(1, &format!("f{i}"), FileMode::regular()).unwrap();
                 let page = vec![i as u8; PAGE_SIZE];
-                fs.write_pages(f.ino, 0, &[&page, &page, &page, &page], 4 * PAGE_SIZE as u64)
-                    .unwrap();
+                let set: Vec<(u64, &[u8])> = (0..4).map(|index| (index, &page[..])).collect();
+                fs.write_pages(f.ino, &set, 4 * PAGE_SIZE as u64).unwrap();
             }
             fs.sync_fs().unwrap();
             for i in 0..32 {

@@ -384,38 +384,32 @@ impl VfsFs for FuseKernelDriver {
         }
     }
 
-    fn write_pages(
-        &self,
-        ino: u64,
-        start_page: u64,
-        pages: &[&[u8]],
-        file_size: u64,
-    ) -> KernelResult<()> {
-        // The FUSE writeback cache sends large WRITE requests, capped at
-        // FUSE_MAX_WRITE bytes each.
-        let offset = start_page * PAGE_SIZE as u64;
-        if offset >= file_size {
-            return Ok(());
-        }
-        let total: usize = pages.iter().map(|p| p.len()).sum();
-        let valid = total.min((file_size - offset) as usize);
-        let mut buf = Vec::with_capacity(valid);
-        for page in pages {
-            if buf.len() >= valid {
-                break;
+    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
+        // The FUSE writeback cache sends one WRITE request per contiguous
+        // run of dirty pages, capped at FUSE_MAX_WRITE bytes: a request
+        // names one offset, and its payload is copied across the boundary,
+        // so — unlike BentoFS — runs are assembled here, not lent.
+        const MAX_PAGES: usize = FUSE_MAX_WRITE / PAGE_SIZE;
+        let mut rest = pages;
+        while let Some(&(first, _)) = rest.first() {
+            let offset = first * PAGE_SIZE as u64;
+            if offset >= file_size {
+                rest = &rest[1..];
+                continue;
             }
-            let take = page.len().min(valid - buf.len());
-            buf.extend_from_slice(&page[..take]);
-        }
-        let mut sent = 0usize;
-        while sent < buf.len() {
-            let end = (sent + FUSE_MAX_WRITE).min(buf.len());
-            let chunk = buf[sent..end].to_vec();
-            match self.call(chunk.len(), FuseRequest::Write(ino, offset + sent as u64, chunk))? {
-                FuseReply::Written(n) if n == end - sent => {}
+            let limit = rest.len().min(MAX_PAGES);
+            let run = (1..limit).find(|&i| rest[i].0 != first + i as u64).unwrap_or(limit);
+            let mut chunk = Vec::with_capacity(run * PAGE_SIZE);
+            for (_, page) in &rest[..run] {
+                chunk.extend_from_slice(page);
+            }
+            chunk.truncate((file_size - offset).min(chunk.len() as u64) as usize);
+            let len = chunk.len();
+            match self.call(len, FuseRequest::Write(ino, offset, chunk))? {
+                FuseReply::Written(n) if n == len => {}
                 _ => return Err(KernelError::with_context(Errno::Io, "fuse: short write")),
             }
-            sent = end;
+            rest = &rest[run..];
         }
         Ok(())
     }

@@ -536,6 +536,15 @@ impl Journal {
         })
     }
 
+    /// Distinct blocks the calling thread's open operation has staged so
+    /// far (0 outside a transaction).  [`Journal::log_write`] refuses the
+    /// block that would make this exceed [`MAX_OP_BLOCKS`], so a caller
+    /// packing work into one operation ends it while the worst case of
+    /// its next step still fits.
+    pub fn staged_blocks(&self) -> usize {
+        TX.with(|cell| cell.borrow().get(&self.id).map_or(0, |tx| tx.blocks.len()))
+    }
+
     /// Ends the current operation, merging its staged blocks into the
     /// forming group.  If the group is ready (quiescent, no commit in
     /// flight), this thread closes it and runs the commit — outside the
@@ -1321,15 +1330,20 @@ mod tests {
     #[test]
     fn oversized_transaction_is_rejected() {
         let (io, journal) = setup();
+        assert_eq!(journal.staged_blocks(), 0, "nothing staged outside an operation");
         journal.begin_op();
         for i in 0..MAX_OP_BLOCKS as u64 {
             journal.log_write(600 + i, &[1u8; BSIZE]).unwrap();
+            assert_eq!(journal.staged_blocks(), i as usize + 1);
         }
+        journal.log_write(600, &[2u8; BSIZE]).unwrap();
+        assert_eq!(journal.staged_blocks(), MAX_OP_BLOCKS, "a re-logged block is staged once");
         assert_eq!(
             journal.log_write(600 + MAX_OP_BLOCKS as u64, &[1u8; BSIZE]).unwrap_err().errno(),
             Errno::NoSpc
         );
         journal.end_op(&io).unwrap();
+        assert_eq!(journal.staged_blocks(), 0);
     }
 
     #[test]

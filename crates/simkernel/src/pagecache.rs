@@ -6,17 +6,20 @@
 //!
 //! * reads of a warm file are identical across Bento, the VFS baseline and
 //!   FUSE because they all hit the same in-kernel cache (§6.5.1);
-//! * write *throughput* differs because writeback can batch consecutive
-//!   dirty pages into one `writepages` call (Bento, inherited from the FUSE
-//!   kernel module) or must send them one `writepage` at a time (the paper's
-//!   VFS baseline) (§6.5.2).
+//! * write *throughput* differs because writeback can hand an inode's
+//!   dirty pages over in one `writepages` call (Bento, inherited from the
+//!   FUSE kernel module) or must send them one `writepage` at a time (the
+//!   paper's VFS baseline) (§6.5.2).
 //!
 //! [`PageCache`] reproduces exactly that: per-file page maps with dirty
 //! tracking, a configurable dirty threshold that triggers synchronous
 //! writeback (the stand-in for `balance_dirty_pages` throttling, which is
 //! what makes a sustained write benchmark device-bound rather than
-//! memcpy-bound), and a writeback routine that batches contiguous dirty
-//! runs when the file system supports it.
+//! memcpy-bound), and a writeback routine that, when the file system
+//! supports it, makes **one `write_pages` call per inode per pass**: the
+//! call lends the whole sorted set of the inode's dirty pages, adjacent or
+//! not, and how that set is cut into transactions (or FUSE requests) is
+//! the file system's business, which knows what its log can hold.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,10 +29,6 @@ use parking_lot::Mutex;
 use crate::error::KernelResult;
 use crate::shard::{ShardedMap, StripedCounter};
 use crate::vfs::{VfsFs, PAGE_SIZE};
-
-/// Maximum number of pages handed to a single `write_pages` call
-/// (corresponds to a 1 MiB writeback I/O).
-pub const MAX_WRITEBACK_BATCH: usize = 256;
 
 #[derive(Debug)]
 struct Page {
@@ -83,7 +82,9 @@ impl Default for PageCacheConfig {
 /// Per-mount page cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PageCacheStats {
-    /// Read bytes served from cached pages.
+    /// Pages a read found already cached (one per page touched, like
+    /// [`PageCacheStats::read_fills`]: `hits / (hits + fills)` is the read
+    /// hit ratio).
     pub read_hits: u64,
     /// Pages filled by calling the file system.
     pub read_fills: u64,
@@ -91,7 +92,8 @@ pub struct PageCacheStats {
     pub writeback_single: u64,
     /// Pages written back as part of batched `write_pages` calls.
     pub writeback_batched: u64,
-    /// Number of `write_pages` batch calls issued.
+    /// Number of `write_pages` calls into the file system (one per inode
+    /// per write-back pass).
     pub writeback_batches: u64,
 }
 
@@ -257,7 +259,7 @@ impl PageCache {
                 e.insert(page);
                 self.stats.read_fills.inc();
             } else {
-                self.stats.read_hits.add(chunk as u64);
+                self.stats.read_hits.inc();
             }
             let page = fp.pages.get(&page_idx).expect("page just ensured");
             buf[done..done + chunk].copy_from_slice(&page.data[page_off..page_off + chunk]);
@@ -375,39 +377,20 @@ impl PageCache {
             return Ok(());
         }
         let size = fp.size;
-        let dirty_indexes: Vec<u64> =
-            fp.pages.iter().filter(|(_, p)| p.dirty).map(|(idx, _)| *idx).collect();
+        let dirty = fp.pages.iter().filter(|(_, p)| p.dirty).map(|(idx, p)| (*idx, &*p.data));
         if self.batch_writeback {
-            // Group contiguous dirty page runs into write_pages batches.
-            let mut run_start = 0usize;
-            while run_start < dirty_indexes.len() {
-                let mut run_end = run_start + 1;
-                while run_end < dirty_indexes.len()
-                    && dirty_indexes[run_end] == dirty_indexes[run_end - 1] + 1
-                    && run_end - run_start < MAX_WRITEBACK_BATCH
-                {
-                    run_end += 1;
-                }
-                let batch: Vec<&[u8]> = dirty_indexes[run_start..run_end]
-                    .iter()
-                    .map(|idx| &*fp.pages.get(idx).expect("dirty page present").data)
-                    .collect();
-                fs.write_pages(ino, dirty_indexes[run_start], &batch, size)?;
-                self.stats.writeback_batched.add(batch.len() as u64);
-                self.stats.writeback_batches.inc();
-                run_start = run_end;
-            }
+            let pages: Vec<(u64, &[u8])> = dirty.collect();
+            fs.write_pages(ino, &pages, size)?;
+            self.stats.writeback_batched.add(pages.len() as u64);
+            self.stats.writeback_batches.inc();
         } else {
-            for idx in &dirty_indexes {
-                let page = fp.pages.get(idx).expect("dirty page present");
-                fs.write_page(ino, *idx, &page.data, size)?;
+            for (idx, page) in dirty {
+                fs.write_page(ino, idx, page, size)?;
                 self.stats.writeback_single.inc();
             }
         }
-        for idx in dirty_indexes {
-            if let Some(p) = fp.pages.get_mut(&idx) {
-                p.dirty = false;
-            }
+        for page in fp.pages.values_mut() {
+            page.dirty = false;
         }
         fp.dirty_count = 0;
         // Trim the cache if it has grown very large (clean pages only).
@@ -492,16 +475,22 @@ mod tests {
     struct MemFs {
         files: PlMutex<Map<u64, Vec<u8>>>,
         write_page_calls: PlMutex<u64>,
-        write_pages_calls: PlMutex<u64>,
+        /// The page indexes each `write_pages` call carried.
+        write_pages_calls: PlMutex<Vec<Vec<u64>>>,
     }
 
     impl MemFs {
         #[allow(clippy::new_ret_no_self)]
         fn new() -> Arc<dyn VfsFs> {
+            Self::concrete()
+        }
+
+        /// The same file system with its call records reachable.
+        fn concrete() -> Arc<MemFs> {
             Arc::new(MemFs {
                 files: PlMutex::new(Map::from([(2u64, Vec::new())])),
                 write_page_calls: PlMutex::new(0),
-                write_pages_calls: PlMutex::new(0),
+                write_pages_calls: PlMutex::new(Vec::new()),
             })
         }
     }
@@ -585,13 +574,12 @@ mod tests {
         fn write_pages(
             &self,
             ino: u64,
-            start_page: u64,
-            pages: &[&[u8]],
+            pages: &[(u64, &[u8])],
             file_size: u64,
         ) -> KernelResult<()> {
-            *self.write_pages_calls.lock() += 1;
-            for (i, p) in pages.iter().enumerate() {
-                self.write_page(ino, start_page + i as u64, p, file_size)?;
+            self.write_pages_calls.lock().push(pages.iter().map(|(index, _)| *index).collect());
+            for &(page_index, page) in pages {
+                self.write_page(ino, page_index, page, file_size)?;
             }
             Ok(())
         }
@@ -720,14 +708,49 @@ mod tests {
     }
 
     #[test]
-    fn sparse_dirty_pages_form_multiple_batches() {
+    fn sparse_dirty_pages_go_to_the_file_system_in_one_call() {
+        // Dirty pages 0,1,2 and 10,11 — two contiguous runs, one pass.
+        let dirty_two_runs = |pc: &PageCache, fs: &Arc<dyn VfsFs>| {
+            pc.write(fs, 2, 10 * PAGE_SIZE as u64, &vec![2u8; PAGE_SIZE * 2]).unwrap();
+            pc.write(fs, 2, 0, &vec![1u8; PAGE_SIZE * 3]).unwrap();
+            pc.writeback(fs, 2).unwrap();
+        };
+        let mem = MemFs::concrete();
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        dirty_two_runs(&pc, &fs);
+        assert_eq!(*mem.write_pages_calls.lock(), [vec![0, 1, 2, 10, 11]], "one call, sorted");
+        let stats = pc.stats();
+        assert_eq!((stats.writeback_batches, stats.writeback_batched), (1, 5));
+        // A second pass with nothing dirty makes no call at all.
+        pc.writeback(&fs, 2).unwrap();
+        assert_eq!(pc.stats().writeback_batches, 1);
+
+        // The unbatched path: a `write_page` per page.
+        let mem = MemFs::concrete();
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(false);
+        dirty_two_runs(&pc, &fs);
+        assert_eq!(*mem.write_page_calls.lock(), 5);
+        assert!(mem.write_pages_calls.lock().is_empty());
+        assert_eq!(pc.stats().writeback_single, 5);
+    }
+
+    #[test]
+    fn read_hits_and_fills_both_count_pages() {
         let fs = MemFs::new();
         let pc = cache(true);
-        // Dirty pages 0,1,2 and 10,11 — two contiguous runs.
-        pc.write(&fs, 2, 0, &vec![1u8; PAGE_SIZE * 3]).unwrap();
-        pc.write(&fs, 2, 10 * PAGE_SIZE as u64, &vec![2u8; PAGE_SIZE * 2]).unwrap();
+        pc.write(&fs, 2, 0, &vec![5u8; PAGE_SIZE * 3]).unwrap();
         pc.writeback(&fs, 2).unwrap();
-        assert_eq!(pc.stats().writeback_batches, 2);
+        pc.invalidate(2);
+        // 100 bytes inside page 0, then a read straddling pages 0 and 1.
+        let mut buf = vec![0u8; PAGE_SIZE];
+        pc.read(&fs, 2, 10, &mut buf[..100]).unwrap();
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (1, 0));
+        pc.read(&fs, 2, PAGE_SIZE as u64 - 50, &mut buf[..100]).unwrap();
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (2, 1), "one page hit, not 50");
+        pc.read(&fs, 2, 0, &mut buf).unwrap();
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (2, 2));
     }
 
     #[test]

@@ -391,9 +391,10 @@ pub trait FilesystemType: Send + Sync {
 /// The distinction between [`VfsFs::write_page`] and [`VfsFs::write_pages`]
 /// is load-bearing for the paper's evaluation: BentoFS (which inherits the
 /// FUSE kernel module's writeback path) implements the batched
-/// `write_pages`, while the paper's hand-written VFS baseline only
-/// implements per-page `writepage` — the source of Bento's advantage on
-/// large writes and untar (§6.5.2, §6.6.3).
+/// `write_pages` — all dirty pages of an inode per write-back pass — while
+/// the paper's hand-written VFS baseline only implements per-page
+/// `writepage` — the source of Bento's advantage on large writes and untar
+/// (§6.5.2, §6.6.3).
 pub trait VfsFs: Send + Sync {
     /// Short name for diagnostics.
     fn fs_name(&self) -> &str;
@@ -540,30 +541,30 @@ pub trait VfsFs: Send + Sync {
         file_size: u64,
     ) -> KernelResult<()>;
 
-    /// Writes a run of consecutive pages starting at `start_page`.
+    /// Writes back `pages` — every dirty page of `ino` the page cache holds
+    /// in this write-back pass, as `(page_index, data)` sorted by index and
+    /// not necessarily adjacent.  `file_size` is as for
+    /// [`VfsFs::write_page`]; pages at or past it are skipped and the one
+    /// straddling it is clamped.
     ///
     /// The default implementation loops over [`VfsFs::write_page`] — that is
-    /// the paper's VFS-baseline behaviour.  BentoFS overrides this with a
-    /// genuinely batched implementation.
+    /// the paper's VFS-baseline behaviour.  BentoFS overrides it: the whole
+    /// set reaches the file system as one vectored write, which packs it
+    /// into as few transactions as its log allows.
     ///
     /// # Errors
     ///
     /// As for [`VfsFs::write_page`].
-    fn write_pages(
-        &self,
-        ino: u64,
-        start_page: u64,
-        pages: &[&[u8]],
-        file_size: u64,
-    ) -> KernelResult<()> {
-        for (i, page) in pages.iter().enumerate() {
-            self.write_page(ino, start_page + i as u64, page, file_size)?;
+    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
+        for &(page_index, page) in pages {
+            self.write_page(ino, page_index, page, file_size)?;
         }
         Ok(())
     }
 
-    /// Whether this file system provides a batched [`VfsFs::write_pages`].
-    /// Purely informational (used in experiment output).
+    /// Whether this file system provides a batched [`VfsFs::write_pages`];
+    /// the page cache of its mount then calls that, once per inode per
+    /// pass, instead of [`VfsFs::write_page`] per page.
     fn supports_writepages(&self) -> bool {
         false
     }

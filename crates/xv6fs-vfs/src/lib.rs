@@ -22,9 +22,13 @@
 //!   transaction.  `supports_writepages()` is false, so the batched
 //!   `write_pages` that BentoFS inherits from the FUSE kernel module —
 //!   what the paper credits for Bento's edge on large writes and untar
-//!   (§6.5.2, §6.6.3) — is never used.  On an identical operation stream
-//!   this stack therefore commits exactly `pages written back − write-back
-//!   batches` more often than the Bento stack.
+//!   (§6.5.2, §6.6.3) — is never used.  What Bento batches is **all the
+//!   dirty pages of an inode per write-back pass** (one vectored write,
+//!   packed into as few transactions as the log allows); what this stack
+//!   batches is **one page**.  On an identical operation stream it
+//!   therefore commits exactly `pages written back − Bento's write-back
+//!   transactions` more often than the Bento stack (`pages − write-back
+//!   batches` while every pass fits one transaction).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

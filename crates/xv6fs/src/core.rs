@@ -274,6 +274,16 @@ pub struct FsCore {
     pub stats: FsCounters,
 }
 
+/// Splits `src`, bound for file offset `offset`, at file-block boundaries:
+/// yields `(offset, bytes)` pieces that each lie within one block.
+pub(crate) fn block_pieces(offset: u64, src: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
+    let head = (BSIZE - (offset % BSIZE as u64) as usize).min(src.len());
+    let (head, rest) = src.split_at(head);
+    let rest_at = offset + head.len() as u64;
+    let rest = rest.chunks(BSIZE).enumerate().map(move |(i, p)| (rest_at + (i * BSIZE) as u64, p));
+    std::iter::once((offset, head)).chain(rest).filter(|(_, piece)| !piece.is_empty())
+}
+
 impl FsCore {
     /// Builds the in-memory core from a decoded superblock with the default
     /// allocation-group count.
@@ -471,9 +481,10 @@ impl FsCore {
     }
 
     /// Writes `src` at `offset`, allocating blocks as needed and growing the
-    /// file size.  Must be called inside a transaction sized for the write
-    /// ([`FsCore::write`] chunks large writes);
-    /// the inode is updated through the log.
+    /// file size, and updates the inode through the log.  Must be called
+    /// inside a transaction with room for every block of `src` (directory
+    /// entries are one block; [`FsCore::write_vectored`] packs file data
+    /// piece by piece instead).
     ///
     /// # Errors
     ///
@@ -486,28 +497,42 @@ impl FsCore {
         offset: u64,
         src: &[u8],
     ) -> KernelResult<usize> {
-        let mut done = 0usize;
-        while done < src.len() {
-            let pos = offset + done as u64;
-            let bn = pos / BSIZE as u64;
-            let block_off = (pos % BSIZE as u64) as usize;
-            let chunk = (BSIZE - block_off).min(src.len() - done);
-            let blockno = self.bmap(sb, data, bn, true)?.ok_or_else(|| {
-                KernelError::with_context(Errno::Io, "xv6fs: bmap failed to allocate")
-            })?;
-            let mut block = sb.bread(blockno)?;
-            block.data_mut()[block_off..block_off + chunk]
-                .copy_from_slice(&src[done..done + chunk]);
-            self.log.log_write(&block)?;
-            drop(block);
-            done += chunk;
-        }
-        if offset + done as u64 > data.size {
-            data.size = offset + done as u64;
+        for (at, piece) in block_pieces(offset, src) {
+            self.write_piece(sb, data, at, piece)?;
         }
         self.update_inode(sb, inum, data)?;
-        self.stats.bytes_written.add(done as u64);
-        Ok(done)
+        self.stats.bytes_written.add(src.len() as u64);
+        Ok(src.len())
+    }
+
+    /// Writes one piece — bytes that lie within a single file block — at
+    /// `offset`, allocating the block (and its indirect blocks) if needed
+    /// and growing the in-memory size.  Must be called inside a
+    /// transaction; the caller logs the inode block before ending it.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::NoSpc`], [`Errno::FBig`], I/O errors.
+    pub(crate) fn write_piece(
+        &self,
+        sb: &SuperBlock,
+        data: &mut InodeData,
+        offset: u64,
+        piece: &[u8],
+    ) -> KernelResult<()> {
+        let block_off = (offset % BSIZE as u64) as usize;
+        debug_assert!(block_off + piece.len() <= BSIZE);
+        let blockno = self.bmap(sb, data, offset / BSIZE as u64, true)?.ok_or_else(|| {
+            KernelError::with_context(Errno::Io, "xv6fs: bmap failed to allocate")
+        })?;
+        // A piece that covers its whole block needs none of the old bytes:
+        // take the buffer without reading the device.
+        let mut block =
+            if piece.len() == BSIZE { sb.bread_zeroed(blockno)? } else { sb.bread(blockno)? };
+        block.data_mut()[block_off..block_off + piece.len()].copy_from_slice(piece);
+        self.log.log_write(&block)?;
+        data.size = data.size.max(offset + piece.len() as u64);
+        Ok(())
     }
 
     /// Truncates the file to `new_size`, freeing whole blocks past the new

@@ -304,6 +304,17 @@ impl FileSystem for Xv6FileSystem {
         self.with_core(|core| core.write(sb, ino, offset, data))
     }
 
+    fn write_vectored(
+        &self,
+        _req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        _fh: u64,
+        segs: &[(u64, &[u8])],
+    ) -> KernelResult<usize> {
+        self.with_core(|core| core.write_vectored(sb, ino, segs))
+    }
+
     fn fsync(
         &self,
         _req: &Request,

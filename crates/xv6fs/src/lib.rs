@@ -131,8 +131,8 @@ mod tests {
                 p
             })
             .collect();
-        let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-        fs.write_pages(attr.ino, 0, &refs, payload.len() as u64).unwrap();
+        let set: Vec<(u64, &[u8])> = (0..).zip(pages.iter().map(|p| p.as_slice())).collect();
+        fs.write_pages(attr.ino, &set, payload.len() as u64).unwrap();
         assert_eq!(fs.getattr(attr.ino).unwrap().size, payload.len() as u64);
         let mut out = Vec::new();
         for page_idx in 0..pages.len() as u64 {
@@ -264,8 +264,8 @@ mod tests {
         let fs = mount_fresh(8192);
         let f = fs.create(1, "big", FileMode::regular()).unwrap();
         let pages: Vec<Vec<u8>> = (0..64).map(|i| vec![i as u8; PAGE_SIZE]).collect();
-        let refs: Vec<&[u8]> = pages.iter().map(|p| p.as_slice()).collect();
-        fs.write_pages(f.ino, 0, &refs, (64 * PAGE_SIZE) as u64).unwrap();
+        let set: Vec<(u64, &[u8])> = (0..).zip(pages.iter().map(|p| p.as_slice())).collect();
+        fs.write_pages(f.ino, &set, (64 * PAGE_SIZE) as u64).unwrap();
         let free_before = fs.statfs().unwrap().free_blocks;
         fs.setattr(f.ino, &SetAttr::truncate(PAGE_SIZE as u64 + 100)).unwrap();
         assert_eq!(fs.getattr(f.ino).unwrap().size, PAGE_SIZE as u64 + 100);
@@ -287,8 +287,8 @@ mod tests {
         let f = fs.create(1, "huge", FileMode::regular()).unwrap();
         let chunk = vec![0xEEu8; PAGE_SIZE];
         let far_page = (12 + 1024 + 5) as u64; // inside the double-indirect range
-        let refs: Vec<&[u8]> = vec![chunk.as_slice(); 16];
-        fs.write_pages(f.ino, 0, &refs, (16 * PAGE_SIZE) as u64).unwrap();
+        let set: Vec<(u64, &[u8])> = (0..16).map(|index| (index, chunk.as_slice())).collect();
+        fs.write_pages(f.ino, &set, (16 * PAGE_SIZE) as u64).unwrap();
         fs.write_page(f.ino, far_page, &chunk, (far_page + 1) * PAGE_SIZE as u64).unwrap();
         let attr = fs.getattr(f.ino).unwrap();
         assert_eq!(attr.size, (far_page + 1) * PAGE_SIZE as u64);

@@ -144,6 +144,12 @@ impl Log {
         self.journal.log_write(buf.blockno(), buf.data())
     }
 
+    /// Distinct blocks the calling thread's open operation has staged;
+    /// see [`Journal::staged_blocks`].
+    pub fn staged_blocks(&self) -> usize {
+        self.journal.staged_blocks()
+    }
+
     /// Ends the current operation; see [`Journal::end_op`].
     ///
     /// # Errors

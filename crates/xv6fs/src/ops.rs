@@ -33,12 +33,16 @@ use bento::bentoks::SuperBlock;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{DirEntry, FsOpStats, InodeAttr, SetAttr, StatFs, WritePathStats};
 
-use crate::core::FsCore;
+use crate::core::{block_pieces, FsCore};
 use crate::inode::InodeData;
 use crate::layout::{DiskSuperblock, BSIZE, DIRSIZ, T_DIR};
+use crate::log::Log;
 
-/// Data blocks written per log transaction when splitting large writes.
-const WRITE_CHUNK_BLOCKS: usize = 48;
+/// Log blocks one more piece of file data can stage at worst: the data
+/// block, an indirect block and a double-indirect block, each freshly
+/// allocated and so each with a bitmap block of its own (the allocator may
+/// serve them from different groups).
+const PIECE_WORST_BLOCKS: usize = 6;
 
 /// File blocks released per log transaction when truncating large files.
 const TRUNC_CHUNK_BLOCKS: u64 = 1024;
@@ -511,21 +515,53 @@ impl FsCore {
         self.readi(sb, &mut data, offset, buf)
     }
 
-    /// Writes `src` to `ino` at `offset`, one log transaction per
-    /// `WRITE_CHUNK_BLOCKS` (48) blocks; returns the number of bytes written.
+    /// Writes `src` to `ino` at `offset`: [`FsCore::write_vectored`] of one
+    /// segment.
     ///
     /// # Errors
     ///
     /// [`Errno::NoSpc`], [`Errno::FBig`], I/O errors.
     pub fn write(&self, sb: &SuperBlock, ino: u64, offset: u64, src: &[u8]) -> KernelResult<usize> {
+        self.write_vectored(sb, ino, &[(offset, src)])
+    }
+
+    /// Writes every `(offset, bytes)` segment of `segs` to `ino`, in as few
+    /// log transactions as the log allows; returns the number of bytes
+    /// written.  Segments are taken a block-sized piece at a time into the
+    /// open transaction for as long as the blocks it has staged, the worst
+    /// case of one more piece (`PIECE_WORST_BLOCKS`) and the inode block
+    /// that closes it fit [`Log::max_op_blocks`]; then the transaction ends
+    /// — and commits — and the next one opens.  A write-back pass over
+    /// scattered dirty pages therefore costs a commit per ~58 overwritten
+    /// blocks, not one per page or per contiguous run.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::NoSpc`], [`Errno::FBig`], I/O errors.
+    pub fn write_vectored(
+        &self,
+        sb: &SuperBlock,
+        ino: u64,
+        segs: &[(u64, &[u8])],
+    ) -> KernelResult<usize> {
         let inum = ino as u32;
         let inode = self.icache.get(inum);
+        let mut pieces =
+            segs.iter().flat_map(|&(offset, src)| block_pieces(offset, src)).peekable();
         let mut written = 0usize;
-        for chunk in src.chunks(WRITE_CHUNK_BLOCKS * BSIZE) {
+        while pieces.peek().is_some() {
             written += self.transaction(sb, (), || {
                 let mut guard = inode.data.write();
                 self.load_inode(sb, inum, &mut guard)?;
-                self.writei(sb, inum, &mut guard, offset + written as u64, chunk)
+                let mut done = 0usize;
+                while self.log.staged_blocks() + PIECE_WORST_BLOCKS < Log::max_op_blocks() {
+                    let Some((at, piece)) = pieces.next() else { break };
+                    self.write_piece(sb, &mut guard, at, piece)?;
+                    done += piece.len();
+                }
+                self.update_inode(sb, inum, &guard)?;
+                self.stats.bytes_written.add(done as u64);
+                Ok(done)
             })?;
         }
         Ok(written)
@@ -630,5 +666,64 @@ impl FsCore {
             bytes_written: s.bytes_written,
             fsyncs: s.fsyncs,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::layout::{NDIRECT, T_FILE};
+    use crate::mkfs::mkfs_on_device;
+    use bento::bentoks::KernelBlockIo;
+    use bento::userspace::userspace_superblock;
+    use simkernel::dev::{BlockDevice, RamDisk};
+    use std::sync::Arc;
+
+    /// Mounts the image on `dev` behind a cold buffer cache.
+    fn mount(dev: &Arc<dyn BlockDevice>) -> (SuperBlock, FsCore) {
+        let sb = userspace_superblock(Arc::new(KernelBlockIo::new(Arc::clone(dev), 512)), "test");
+        let core = FsCore::load(&sb, 0).unwrap();
+        core.log.recover(&sb).unwrap();
+        (sb, core)
+    }
+
+    #[test]
+    fn whole_block_overwrites_do_not_read_the_blocks_they_replace() {
+        const BLOCKS: u64 = NDIRECT as u64 + 8; // into the indirect range
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, 4096));
+        mkfs_on_device(&dev, 64).unwrap();
+        let ino = {
+            let (sb, core) = mount(&dev);
+            let ino = core.mknod(&sb, 1, "f", T_FILE).unwrap().ino;
+            core.write(&sb, ino, 0, &vec![1u8; BLOCKS as usize * BSIZE]).unwrap();
+            core.unmount(&sb).unwrap();
+            ino
+        };
+        let at = |block: u64| block * BSIZE as u64;
+        let (sb, core) = mount(&dev);
+        // Warm the metadata a write needs — the inode and the indirect
+        // block — so what is counted below is reads of file data only.
+        assert_eq!(core.read(&sb, ino, at(BLOCKS - 1), &mut [0u8; 1]).unwrap(), 1);
+        let reads = || dev.stats().reads;
+
+        // Every block but the one just read and block 3, as one two-run
+        // vectored write of whole blocks.
+        let fill = vec![2u8; BSIZE];
+        let segs: Vec<(u64, &[u8])> =
+            (0..BLOCKS - 1).filter(|&b| b != 3).map(|b| (at(b), &fill[..])).collect();
+        let before = reads();
+        assert_eq!(core.write_vectored(&sb, ino, &segs).unwrap(), segs.len() * BSIZE);
+        assert_eq!(reads() - before, 0, "a whole-block overwrite needs none of the old bytes");
+
+        // A partial overwrite of the still-cold block 3 reads it, once.
+        let before = reads();
+        core.write(&sb, ino, at(3) + 100, &[3u8; 200]).unwrap();
+        assert_eq!(reads() - before, 1, "a partial overwrite merges into the old block");
+        let mut block = vec![0u8; BSIZE];
+        core.read(&sb, ino, at(3), &mut block).unwrap();
+        assert!(block[..100].iter().chain(&block[300..]).all(|&b| b == 1), "old bytes kept");
+        assert!(block[100..300].iter().all(|&b| b == 3));
+        core.read(&sb, ino, at(4), &mut block).unwrap();
+        assert!(block.iter().all(|&b| b == 2));
     }
 }

@@ -175,6 +175,24 @@ impl FileSystem for AuditFs {
         self.lower.write(req, sb, ino, fh, offset, data)
     }
 
+    // Write-back arrives here, once per inode per pass.  Forwarding the
+    // whole segment list keeps the lower file system's packing into few
+    // transactions; the trait's default would split it into a `write` —
+    // and a transaction — per segment.
+    fn write_vectored(
+        &self,
+        req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        fh: u64,
+        segs: &[(u64, &[u8])],
+    ) -> KernelResult<usize> {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        let bytes: usize = segs.iter().map(|(_, seg)| seg.len()).sum();
+        self.note(format!("write {bytes} bytes to inode {ino} in {} segments", segs.len()));
+        self.lower.write_vectored(req, sb, ino, fh, segs)
+    }
+
     fn fsync(
         &self,
         req: &Request,

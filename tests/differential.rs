@@ -24,6 +24,9 @@ enum Op {
     Rename(String, String),
     Truncate(String, u64),
     Fsync(String),
+    /// Overwrite (and extend) an existing file at several disjoint offsets,
+    /// then fsync: one write-back pass over non-adjacent dirty pages.
+    SparseOverwrite(String, Vec<(u64, Vec<u8>)>),
 }
 
 fn apply(vfs: &Arc<Vfs>, op: &Op) {
@@ -56,6 +59,14 @@ fn apply(vfs: &Arc<Vfs>, op: &Op) {
                 let _ = vfs.fsync(fd);
                 vfs.close(fd).expect("close");
             }
+        }
+        Op::SparseOverwrite(path, writes) => {
+            let fd = vfs.open(path, OpenFlags::RDWR).expect("open for overwrite");
+            for (offset, data) in writes {
+                vfs.pwrite(fd, data, *offset).expect("pwrite");
+            }
+            vfs.fsync(fd).expect("fsync");
+            vfs.close(fd).expect("close");
         }
     }
 }
@@ -125,6 +136,20 @@ fn scripted_ops(seed: u64, count: usize) -> Vec<Op> {
             ops.push(Op::Fsync(target));
         }
     }
+    // A file that outlives the script, overwritten in place at scattered
+    // offsets: inside one page, a whole page, across a page boundary, past
+    // a hole beyond the old end — and synced in one pass.
+    ops.push(Op::Create("/d0/sparse".into(), vec![0x11; 40_000]));
+    ops.push(Op::Fsync("/d0/sparse".into()));
+    ops.push(Op::SparseOverwrite(
+        "/d0/sparse".into(),
+        vec![
+            (4096 + 10, vec![0x22; 100]),
+            (5 * 4096, vec![0x33; 4096]),
+            (8 * 4096 - 96, vec![0x44; 200]),
+            (14 * 4096 + 7, vec![0x55; 5000]),
+        ],
+    ));
     ops
 }
 

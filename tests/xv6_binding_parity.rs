@@ -4,16 +4,19 @@
 //! The Bento stack (`xv6fs::fstype()`: VFS → BentoFS → file-operations API
 //! → `FsCore`) and the C-Kernel stack (`xv6fs_vfs`: VFS → `FsCore`) run one
 //! file system.  The only behavioural difference left between them is the
-//! write-back path (§6.5.2): BentoFS hands a contiguous run of dirty pages
-//! to the core as one `write`, the C-Kernel stack writes each page in its
-//! own transaction.  Two properties pin that down from outside, through
-//! `Vfs`, on identical images and one seeded operation stream:
+//! write-back path (§6.5.2): BentoFS hands all the dirty pages of a pass to
+//! the core as one vectored write, the C-Kernel stack writes each page in
+//! its own transaction.  Three properties pin that down from outside,
+//! through `Vfs`, on identical images and one seeded operation stream:
 //!
 //! * when no write-back pass carries more than one page, the two stacks
 //!   leave **byte-identical** images (every block outside the log area);
 //! * when passes carry several pages, the C-Kernel stack commits exactly
 //!   `pages written back − write-back batches` more often, and logs more
-//!   blocks only by what those extra commits re-log.
+//!   blocks only by what those extra commits re-log;
+//! * when a pass carries several *disjoint* runs of pages, it is still one
+//!   batch and one Bento transaction — the same identity holds with a
+//!   batch per pass — and the images are byte-identical again.
 
 use std::sync::Arc;
 
@@ -63,16 +66,15 @@ fn mount(binding: Binding) -> Mounted {
 /// miss — and both stacks must fail the same steps.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Create-or-open, write `len` bytes of `fill` at `offset`, fsync: one
-    /// write-back pass over exactly the pages this write dirtied.  (Always
-    /// fsynced, so no file is renamed over while it has dirty cached pages:
-    /// `Vfs::rename` does not drop a replaced target's pages the way
-    /// `Vfs::unlink` does — a VFS-layer gap under every stack, and not what
-    /// this test compares.)
+    /// Create-or-open, write `fill` over every `(offset, len)` extent,
+    /// fsync: one write-back pass over exactly the pages these writes
+    /// dirtied.  (Always fsynced, so no file is renamed over while it has
+    /// dirty cached pages: `Vfs::rename` does not drop a replaced target's
+    /// pages the way `Vfs::unlink` does — a VFS-layer gap under every
+    /// stack, and not what this test compares.)
     Write {
         path: String,
-        offset: u64,
-        len: usize,
+        extents: Vec<(u64, usize)>,
         fill: u8,
     },
     Mkdir(String),
@@ -86,9 +88,12 @@ enum Op {
 
 fn apply(vfs: &Vfs, op: &Op) -> bool {
     match op {
-        Op::Write { path, offset, len, fill } => (|| {
+        Op::Write { path, extents, fill } => (|| {
             let fd = vfs.open(path, OpenFlags::RDWR.with(OpenFlags::CREAT))?;
-            let done = vfs.pwrite(fd, &vec![*fill; *len], *offset).and_then(|_| vfs.fsync(fd));
+            let done = extents
+                .iter()
+                .try_for_each(|&(offset, len)| vfs.pwrite(fd, &vec![*fill; len], offset).map(drop))
+                .and_then(|()| vfs.fsync(fd));
             vfs.close(fd)?;
             done
         })()
@@ -103,9 +108,10 @@ fn apply(vfs: &Vfs, op: &Op) -> bool {
     }
 }
 
-/// `count` seeded steps.  A write covers `1..=max_pages` pages (the last
-/// one possibly partial) starting on a page boundary below page 24.
-fn stream(seed: u64, count: usize, max_pages: u64) -> Vec<Op> {
+/// `count` seeded steps.  A write is `runs` extents, each covering
+/// `1..=max_pages` pages (the last one possibly partial) and starting on a
+/// page boundary below page 24.
+fn stream(seed: u64, count: usize, max_pages: u64, runs: usize) -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let dirs = ["", "/d0", "/d1", "/d2"];
     let file = |rng: &mut SmallRng| {
@@ -116,13 +122,13 @@ fn stream(seed: u64, count: usize, max_pages: u64) -> Vec<Op> {
         let roll = rng.gen_range(0..100u32);
         ops.push(match roll {
             0..=44 => {
-                let pages = rng.gen_range(1..=max_pages);
-                Op::Write {
-                    path: file(&mut rng),
-                    offset: rng.gen_range(0..24u64) * PAGE_SIZE as u64,
-                    len: (pages as usize - 1) * PAGE_SIZE + rng.gen_range(1..=PAGE_SIZE),
-                    fill: (i % 251) as u8 + 1,
-                }
+                let mut extent = || {
+                    let pages = rng.gen_range(1..=max_pages);
+                    let offset = rng.gen_range(0..24u64) * PAGE_SIZE as u64;
+                    (offset, (pages as usize - 1) * PAGE_SIZE + rng.gen_range(1..=PAGE_SIZE))
+                };
+                let extents = (0..runs).map(|_| extent()).collect();
+                Op::Write { path: file(&mut rng), extents, fill: (i % 251) as u8 + 1 }
             }
             45..=59 => Op::Rename(file(&mut rng), file(&mut rng)),
             60..=66 => Op::Link(file(&mut rng), file(&mut rng)),
@@ -181,7 +187,7 @@ fn assert_same_outcomes(seed: u64, ops: &[Op], bento: &[bool], ckernel: &[bool])
 #[test]
 fn single_page_streams_leave_byte_identical_images() {
     for seed in [1, 2, 3] {
-        let ops = stream(seed, 400, 1);
+        let ops = stream(seed, 400, 1, 1);
         let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
         let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
@@ -202,10 +208,9 @@ fn single_page_streams_leave_byte_identical_images() {
 #[test]
 fn the_commit_gap_is_exactly_pages_minus_batches() {
     for seed in [11, 12, 13] {
-        // At most 12 pages per write below page 24: no dirty run exceeds
-        // the 48 blocks the core puts in one write transaction, so a batch
-        // is one Bento commit.
-        let ops = stream(seed, 400, 12);
+        // At most 12 pages per write below page 24: the pass fits one
+        // write transaction of the core, so a batch is one Bento commit.
+        let ops = stream(seed, 400, 12, 1);
         let (bento_ok, bento_pages, bento_log, _) = run(Binding::Bento, &ops);
         let (ck_ok, ck_pages, ck_log, _) = run(Binding::CKernel, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
@@ -225,5 +230,39 @@ fn the_commit_gap_is_exactly_pages_minus_batches() {
             (extra_commits..=3 * extra_commits).contains(&extra_blocks),
             "seed {seed}: {extra_blocks} more blocks logged over {extra_commits} more commits"
         );
+    }
+}
+
+#[test]
+fn multi_run_passes_are_one_batch_and_leave_byte_identical_images() {
+    for seed in [21, 22, 23] {
+        // Four extents of at most 3 pages below page 24 per write, one
+        // fsync: a pass of several disjoint runs, at most 12 pages, which
+        // fits one write transaction of the core.
+        let ops = stream(seed, 400, 3, 4);
+        let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
+        let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
+        assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
+        let (pages, batches) = (ck_pages.writeback_single, bento_pages.writeback_batches);
+        assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
+
+        // One batch per pass, however many runs the pass has: every
+        // successful write op is one fsync of a file with dirty pages.
+        let passes = ops
+            .iter()
+            .zip(&bento_ok)
+            .filter(|(op, ok)| matches!(op, Op::Write { .. }) && **ok)
+            .count() as u64;
+        assert_eq!(batches, passes, "seed {seed}: a pass made more than one write_pages call");
+        assert!(pages > 4 * batches, "seed {seed}: the passes carry too few pages");
+
+        // ... and one Bento transaction per batch.
+        let extra_commits = ck_log.log_commits - bento_log.log_commits;
+        assert_eq!(extra_commits, pages - batches, "seed {seed}: commit gap");
+        let (bento_image, ck_image) =
+            (blocks_outside_the_log(&bento_dev), blocks_outside_the_log(&ck_dev));
+        for (index, (a, b)) in bento_image.iter().zip(&ck_image).enumerate() {
+            assert!(a == b, "seed {seed}: non-log block #{index} differs between the stacks");
+        }
     }
 }
