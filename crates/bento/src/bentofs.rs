@@ -5,6 +5,9 @@
 //!
 //! * translating VFS operations into [file operations](crate::fileops) calls
 //!   (with the borrowed [`SuperBlock`] capability attached);
+//! * the read path: a page-cache fill lends the page itself to
+//!   `FileSystem::read`, which fills it from the file system's blocks — no
+//!   intermediate buffer, no second copy;
 //! * the writeback path: all the dirty pages of an inode arriving from the
 //!   page cache in one write-back pass become one `write_vectored` call
 //!   that lends the page slices (the `writepages` behaviour BentoFS
@@ -322,18 +325,11 @@ impl VfsFs for BentoFs {
     }
 
     fn read_page(&self, ino: u64, page_index: u64, buf: &mut [u8]) -> KernelResult<usize> {
+        // The page being filled is lent to the file system (§4.4), which
+        // copies from its blocks straight into it.
         let req = self.track();
-        let data = self.read_fs().read(
-            &req,
-            &self.sb,
-            ino,
-            0,
-            page_index * PAGE_SIZE as u64,
-            buf.len().min(PAGE_SIZE) as u32,
-        )?;
-        let n = data.len().min(buf.len());
-        buf[..n].copy_from_slice(&data[..n]);
-        Ok(n)
+        let len = buf.len().min(PAGE_SIZE);
+        self.read_fs().read(&req, &self.sb, ino, 0, page_index * PAGE_SIZE as u64, &mut buf[..len])
     }
 
     fn write_page(
@@ -566,11 +562,13 @@ mod tests {
         files: Mutex<HashMap<u64, (String, Vec<u8>)>>,
         next_ino: Mutex<u64>,
         version: u32,
+        /// The length of every buffer `read` was lent, in call order.
+        read_lens: Arc<Mutex<Vec<usize>>>,
     }
 
     impl TestFs {
         fn with_version(version: u32) -> Self {
-            TestFs { files: Mutex::new(HashMap::new()), next_ino: Mutex::new(2), version }
+            TestFs { next_ino: Mutex::new(2), version, ..TestFs::default() }
         }
     }
 
@@ -637,13 +635,15 @@ mod tests {
             ino: u64,
             _fh: u64,
             offset: u64,
-            size: u32,
-        ) -> KernelResult<Vec<u8>> {
+            buf: &mut [u8],
+        ) -> KernelResult<usize> {
+            self.read_lens.lock().push(buf.len());
             let files = self.files.lock();
             let (_, data) = files.get(&ino).ok_or(KernelError::new(Errno::NoEnt))?;
             let start = (offset as usize).min(data.len());
-            let end = (start + size as usize).min(data.len());
-            Ok(data[start..end].to_vec())
+            let n = (data.len() - start).min(buf.len());
+            buf[..n].copy_from_slice(&data[start..start + n]);
+            Ok(n)
         }
 
         fn write(
@@ -759,6 +759,33 @@ mod tests {
         assert_eq!(n, 100, "write_page must clamp to the file size");
         assert!(buf[..100].iter().all(|&b| b == 0xC3));
         assert!(fs.operations_dispatched() > 0);
+    }
+
+    #[test]
+    fn read_page_lends_the_page_and_clamps_at_eof() {
+        let testfs = TestFs::with_version(1);
+        let read_lens = Arc::clone(&testfs.read_lens);
+        let fs = BentoFs::mount("testfs", Arc::new(RamDisk::new(4096, 64)), 16, Box::new(testfs))
+            .unwrap();
+        let attr = fs.create(1, "straddle", FileMode::regular()).unwrap();
+        let size = (PAGE_SIZE + 300) as u64;
+        fs.write_page(attr.ino, 0, &vec![0x5A; PAGE_SIZE], size).unwrap();
+        fs.write_page(attr.ino, 1, &vec![0xA5; PAGE_SIZE], size).unwrap();
+        // The page straddling EOF: the clamped count, and the tail of the
+        // (zeroed) page the caller lent stays zero.
+        let mut page = vec![0u8; PAGE_SIZE];
+        assert_eq!(fs.read_page(attr.ino, 1, &mut page).unwrap(), 300);
+        assert!(page[..300].iter().all(|&b| b == 0xA5));
+        assert!(page[300..].iter().all(|&b| b == 0), "bytes past EOF are left untouched");
+        // A page wholly past EOF reads nothing.
+        let mut past = vec![0u8; PAGE_SIZE];
+        assert_eq!(fs.read_page(attr.ino, 2, &mut past).unwrap(), 0);
+        assert!(past.iter().all(|&b| b == 0));
+        // A whole page.
+        assert_eq!(fs.read_page(attr.ino, 0, &mut page).unwrap(), PAGE_SIZE);
+        assert!(page.iter().all(|&b| b == 0x5A));
+        // The file system was handed the page itself, every time.
+        assert_eq!(*read_lens.lock(), vec![PAGE_SIZE; 3]);
     }
 
     #[test]

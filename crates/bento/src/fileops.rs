@@ -235,7 +235,14 @@ pub trait FileSystem: Send + Sync {
         nosys("open")
     }
 
-    /// Reads up to `size` bytes at `offset`.
+    /// Reads up to `buf.len()` bytes at `offset` into `buf`; returns the
+    /// number of bytes read, clamped at end of file (0 at or past it).
+    /// Bytes of `buf` past the returned count are left as they were.
+    ///
+    /// The caller *lends* the destination (§4.4): BentoFS passes the page
+    /// being filled, so the data goes from the block straight into the
+    /// page, with no buffer owned by the file system in between.  This is
+    /// the read-side mirror of [`FileSystem::write_vectored`].
     ///
     /// # Errors
     ///
@@ -247,8 +254,8 @@ pub trait FileSystem: Send + Sync {
         ino: u64,
         fh: u64,
         offset: u64,
-        size: u32,
-    ) -> KernelResult<Vec<u8>> {
+        buf: &mut [u8],
+    ) -> KernelResult<usize> {
         nosys("read")
     }
 
@@ -473,7 +480,7 @@ mod tests {
         let sb = sb();
         let req = Request::kernel();
         assert_eq!(fs.lookup(&req, &sb, 1, "x").unwrap_err().errno(), Errno::NoSys);
-        assert_eq!(fs.read(&req, &sb, 1, 0, 0, 16).unwrap_err().errno(), Errno::NoSys);
+        assert_eq!(fs.read(&req, &sb, 1, 0, 0, &mut [0u8; 16]).unwrap_err().errno(), Errno::NoSys);
         assert_eq!(fs.extract_state(&req, &sb).unwrap_err().errno(), Errno::NoSys);
     }
 

@@ -117,9 +117,8 @@ impl BlockIo for UserDisk {
     }
 
     fn bread(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>> {
-        let misses_before = self.cache.stats().misses;
         let guard = self.cache.bread(blockno)?;
-        if self.cache.stats().misses > misses_before {
+        if guard.missed() {
             // The block actually came from the device: one pread crossing.
             self.charge_crossing();
         }
@@ -308,6 +307,37 @@ mod tests {
         let mut bh = sb.bread(1).unwrap();
         bh.write().unwrap(); // pwrite -> crossing
         assert_eq!(counters.snapshot().crossings, 3);
+    }
+
+    #[test]
+    fn concurrent_misses_are_charged_one_crossing_each() {
+        // Eight daemon-style workers read disjoint blocks through one
+        // UserDisk whose cache is far smaller than their working set, so
+        // misses and hits interleave across threads: every device read is
+        // one crossing, charged to the bread that made it, never twice and
+        // never to a neighbour's hit.
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 1024));
+        let disk = Arc::new(UserDisk::new(Arc::clone(&dev), CostModel::zero(), 32));
+        let workers: Vec<_> = (0..8u64)
+            .map(|t| {
+                let disk = Arc::clone(&disk);
+                std::thread::spawn(move || {
+                    for round in 0..20u64 {
+                        for i in 0..16u64 {
+                            let blockno = t * 128 + (i * 7 + round) % 64;
+                            drop(disk.bread(blockno).unwrap());
+                            drop(disk.bread(blockno).unwrap());
+                        }
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            worker.join().unwrap();
+        }
+        let reads = dev.stats().reads;
+        assert!(reads > 8 * 64, "the working set must overflow the cache: {reads} reads");
+        assert_eq!(disk.counters().snapshot().crossings, reads);
     }
 
     #[test]

@@ -201,6 +201,8 @@ fn crash_after_acknowledged_fsync_replays_the_uncleared_record() {
     let attr = fs.lookup(&req, &sb, 1, "mail").unwrap();
     assert_eq!(attr.size, payload.len() as u64);
     let fh = fs.open(&req, &sb, attr.ino, OpenFlags::RDONLY).unwrap();
-    assert_eq!(fs.read(&req, &sb, attr.ino, fh, 0, payload.len() as u32).unwrap(), payload);
+    let mut read_back = vec![0u8; payload.len()];
+    assert_eq!(fs.read(&req, &sb, attr.ino, fh, 0, &mut read_back).unwrap(), payload.len());
+    assert_eq!(read_back, payload);
     assert!(xv6fs::fsck::fsck_device(&disk).unwrap().is_clean());
 }

@@ -210,7 +210,12 @@ fn dispatch(
         }
         FuseRequest::Release(ino, fh) => fs.release(req, sb, ino, fh).map(|()| FuseReply::Ok),
         FuseRequest::Read(ino, offset, size) => {
-            fs.read(req, sb, ino, 0, offset, size).map(FuseReply::Data)
+            // The daemon owns its reply buffer: the reply is copied back
+            // across the boundary into the kernel's page.
+            let mut data = vec![0u8; size as usize];
+            let n = fs.read(req, sb, ino, 0, offset, &mut data)?;
+            data.truncate(n);
+            Ok(FuseReply::Data(data))
         }
         FuseRequest::Write(ino, offset, data) => {
             fs.write(req, sb, ino, 0, offset, &data).map(FuseReply::Written)
@@ -532,8 +537,14 @@ mod tests {
         let page = vec![0x99u8; PAGE_SIZE];
         fs.write_page(attr.ino, 0, &page, 1000).unwrap();
         let mut buf = vec![0u8; PAGE_SIZE];
+        let copies = fs.counters().snapshot().copies;
         assert_eq!(fs.read_page(attr.ino, 0, &mut buf).unwrap(), 1000);
         assert!(buf[..1000].iter().all(|&b| b == 0x99));
+        assert_eq!(
+            fs.counters().snapshot().copies - copies,
+            1,
+            "the READ reply is copied across the boundary into the page"
+        );
         assert!(fs.counters().snapshot().fuse_round_trips >= 3);
         let entries = fs.readdir(1).unwrap();
         assert!(entries.iter().any(|e| e.name == "over-fuse"));

@@ -12,16 +12,24 @@
 //! `BufferHead` capability type (in the `bento` crate) is a thin wrapper
 //! around this guard, which is exactly the paper's §4.7 "wrapping
 //! abstractions" story.
+//!
+//! Replacement is exact LRU at O(1) per hit and per eviction, the list
+//! xv6's `bio.c` keeps: each shard threads its buffers, held in a slab, on
+//! a doubly linked recency list.  A hit moves its buffer to the
+//! most-recently-used end.  A miss into a full shard walks from the
+//! least-recently-used end to the first buffer that is neither referenced
+//! nor dirty and reuses its slot and its memory for the new block; the walk
+//! steps over held and dirty buffers only, so it ends within a few links
+//! instead of scanning the shard.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
-use crate::shard::{ShardedMap, StripedCounter};
+use crate::shard::{resolve_shards, shard_of, StripedCounter};
 
 /// Data and state attached to one cached block.
 #[derive(Debug)]
@@ -34,10 +42,91 @@ struct BufferData {
     dirty: bool,
 }
 
+/// End-of-list marker for the recency links.
+const NIL: usize = usize::MAX;
+
+/// One slab entry: a buffer, the block it caches and its recency links.
 #[derive(Debug)]
-struct Buffer {
+struct Slot {
+    blockno: u64,
+    /// Shared with the guards handed out for this block.  Clones are only
+    /// made under the shard lock, so a strong count of one under that lock
+    /// means no guard holds the buffer and no `bread` is waiting for it.
     data: Arc<Mutex<BufferData>>,
-    last_used: AtomicU64,
+    /// The neighbour used less recently ([`NIL`] at the LRU end).
+    older: usize,
+    /// The neighbour used more recently ([`NIL`] at the MRU end).
+    newer: usize,
+}
+
+/// One shard: the block → slot index, the slab and its recency list.
+#[derive(Debug)]
+struct Shard {
+    index: HashMap<u64, usize>,
+    slots: Vec<Slot>,
+    /// Slots emptied by [`BufferCache::invalidate_clean`], kept for reuse.
+    free: Vec<usize>,
+    lru: usize,
+    mru: usize,
+}
+
+impl Shard {
+    fn new() -> Self {
+        Shard { index: HashMap::new(), slots: Vec::new(), free: Vec::new(), lru: NIL, mru: NIL }
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { older, newer, .. } = self.slots[i];
+        match older {
+            NIL => self.lru = newer,
+            o => self.slots[o].newer = newer,
+        }
+        match newer {
+            NIL => self.mru = older,
+            n => self.slots[n].older = older,
+        }
+    }
+
+    fn push_mru(&mut self, i: usize) {
+        self.slots[i].older = self.mru;
+        self.slots[i].newer = NIL;
+        match self.mru {
+            NIL => self.lru = i,
+            m => self.slots[m].newer = i,
+        }
+        self.mru = i;
+    }
+
+    /// Takes slot `i` out of the index and the list if its buffer is
+    /// unreferenced and clean, marking it invalid for its next block.
+    fn detach_if_idle(&mut self, i: usize) -> bool {
+        let slot = &mut self.slots[i];
+        let Some(data) = Arc::get_mut(&mut slot.data).map(Mutex::get_mut) else {
+            return false;
+        };
+        if data.dirty {
+            return false;
+        }
+        data.valid = false;
+        let blockno = slot.blockno;
+        self.index.remove(&blockno);
+        self.unlink(i);
+        true
+    }
+
+    /// Detaches the least recently used buffer that is unreferenced and
+    /// clean, returning its slot; `None` if every buffer is busy.
+    fn evict(&mut self) -> Option<usize> {
+        let mut i = self.lru;
+        while i != NIL {
+            let newer = self.slots[i].newer;
+            if self.detach_if_idle(i) {
+                return Some(i);
+            }
+            i = newer;
+        }
+        None
+    }
 }
 
 /// A block cache with `bread`/`write`/implicit-`brelse` semantics.
@@ -46,22 +135,18 @@ struct Buffer {
 /// locked nor dirty are evicted least-recently-used first when the cache is
 /// full.
 ///
-/// The block → buffer map is sharded ([`ShardedMap`]): concurrent `bread`
-/// of *different* blocks contend only when the blocks hash to the same
-/// shard, so the paper's multi-threaded workloads are not serialized on one
-/// map lock.  Capacity is enforced per shard (`capacity / shards`, like the
-/// per-bucket capacity of a hardware set-associative cache), which keeps
-/// eviction a shard-local operation.
+/// The cache is sharded by block number: concurrent `bread` of *different*
+/// blocks contend only when the blocks hash to the same shard, so the
+/// paper's multi-threaded workloads are not serialized on one lock.
+/// Capacity is enforced per shard (`capacity / shards`, like the per-bucket
+/// capacity of a hardware set-associative cache), which keeps eviction a
+/// shard-local operation.
 pub struct BufferCache {
     dev: Arc<dyn BlockDevice>,
     capacity: usize,
     shard_capacity: usize,
     block_size: usize,
-    map: ShardedMap<u64, Arc<Buffer>>,
-    /// Logical clock for LRU ordering.  Deliberately a single atomic (not
-    /// striped): eviction compares ticks, so they must be totally ordered,
-    /// and one relaxed `fetch_add` is far cheaper than the map lock was.
-    tick: AtomicU64,
+    shards: Vec<Mutex<Shard>>,
     hits: StripedCounter,
     misses: StripedCounter,
 }
@@ -71,7 +156,7 @@ impl std::fmt::Debug for BufferCache {
         f.debug_struct("BufferCache")
             .field("capacity", &self.capacity)
             .field("block_size", &self.block_size)
-            .field("cached", &self.map.len())
+            .field("cached", &self.stats().cached)
             .finish_non_exhaustive()
     }
 }
@@ -114,24 +199,21 @@ impl BufferCache {
         // Largest power of two ≤ capacity, so shards * shard_capacity never
         // exceeds the requested capacity.
         let max_shards = 1usize << (usize::BITS - 1 - capacity.leading_zeros());
-        let shard_count = crate::shard::resolve_shards(shards).min(max_shards);
-        let map = ShardedMap::new(shard_count);
-        let shard_capacity = (capacity / map.shard_count()).max(1);
+        let shard_count = resolve_shards(shards).min(max_shards);
         BufferCache {
             dev,
             capacity,
-            shard_capacity,
+            shard_capacity: capacity / shard_count,
             block_size,
-            map,
-            tick: AtomicU64::new(0),
+            shards: (0..shard_count).map(|_| Mutex::new(Shard::new())).collect(),
             hits: StripedCounter::new(shard_count),
             misses: StripedCounter::new(shard_count),
         }
     }
 
-    /// Number of shards in the block map.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
-        self.map.shard_count()
+        self.shards.len()
     }
 
     /// The underlying block device.
@@ -148,7 +230,8 @@ impl BufferCache {
     ///
     /// The guard's lock is exclusive (like the kernel's buffer lock); a
     /// second `bread` of the same block from another thread blocks until the
-    /// first guard is dropped.
+    /// first guard is dropped.  [`BufferGuard::missed`] tells whether this
+    /// call read the device.
     ///
     /// # Errors
     ///
@@ -157,16 +240,16 @@ impl BufferCache {
         if blockno >= self.dev.num_blocks() {
             return Err(KernelError::with_context(Errno::Inval, "bread: block out of range"));
         }
-        let buf = self.get_or_insert(blockno);
-        let mut guard = Mutex::lock_arc(&buf.data);
-        if !guard.valid {
+        let mut guard = Mutex::lock_arc(&self.get_or_insert(blockno));
+        let missed = !guard.valid;
+        if missed {
             self.dev.read_block(blockno, &mut guard.bytes)?;
             guard.valid = true;
             self.misses.inc();
         } else {
             self.hits.inc();
         }
-        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev) })
+        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed })
     }
 
     /// Like [`BufferCache::bread`] but does not read the device: the returned
@@ -181,26 +264,27 @@ impl BufferCache {
         if blockno >= self.dev.num_blocks() {
             return Err(KernelError::with_context(Errno::Inval, "getblk: block out of range"));
         }
-        let buf = self.get_or_insert(blockno);
-        let mut guard = Mutex::lock_arc(&buf.data);
+        let mut guard = Mutex::lock_arc(&self.get_or_insert(blockno));
         guard.bytes.fill(0);
         guard.valid = true;
         guard.dirty = true;
-        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev) })
+        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed: false })
     }
 
     /// Drops every cached buffer that is clean and unlocked.  Used by tests
     /// and by unmount to simulate a cold cache.  Sweeps one shard at a time.
     pub fn invalidate_clean(&self) {
-        self.map.retain(|_, buf| {
-            if Arc::strong_count(buf) > 1 {
-                return true;
+        for shard in &self.shards {
+            let mut shard = shard.lock();
+            let mut i = shard.lru;
+            while i != NIL {
+                let newer = shard.slots[i].newer;
+                if shard.detach_if_idle(i) {
+                    shard.free.push(i);
+                }
+                i = newer;
             }
-            match buf.data.try_lock() {
-                Some(data) => data.dirty,
-                None => true,
-            }
-        });
+        }
     }
 
     /// Returns hit/miss statistics.
@@ -208,7 +292,7 @@ impl BufferCache {
         BufferCacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
-            cached: self.map.len(),
+            cached: self.shards.iter().map(|s| s.lock().index.len()).sum(),
         }
     }
 
@@ -221,57 +305,36 @@ impl BufferCache {
         self.dev.flush()
     }
 
-    fn get_or_insert(&self, blockno: u64) -> Arc<Buffer> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        // The whole lookup / evict / insert runs under the write lock of the
-        // one shard owning `blockno`; breads of blocks in other shards
-        // proceed concurrently.
-        self.map.with_shard_mut(&blockno, |shard| {
-            if let Some(buf) = shard.get(&blockno) {
-                buf.last_used.store(tick, Ordering::Relaxed);
-                return Arc::clone(buf);
+    /// The buffer for `blockno`, made most recently used; a miss takes the
+    /// slot of the shard's LRU idle buffer when the shard is full.  If every
+    /// buffer is busy the shard grows past its capacity share (the kernel
+    /// would sleep; growing keeps the simulation deadlock-free).
+    fn get_or_insert(&self, blockno: u64) -> Arc<Mutex<BufferData>> {
+        let mut shard = self.shards[shard_of(&blockno, self.shards.len() - 1)].lock();
+        if let Some(&i) = shard.index.get(&blockno) {
+            if shard.mru != i {
+                shard.unlink(i);
+                shard.push_mru(i);
             }
-            if shard.len() >= self.shard_capacity {
-                Self::evict_one(shard);
-            }
-            let buf = Arc::new(Buffer {
-                data: Arc::new(Mutex::new(BufferData {
-                    bytes: vec![0u8; self.block_size],
-                    valid: false,
-                    dirty: false,
-                })),
-                last_used: AtomicU64::new(tick),
-            });
-            shard.insert(blockno, Arc::clone(&buf));
-            buf
-        })
-    }
-
-    /// Evicts the least recently used buffer of one shard that is unlocked
-    /// and clean.  If every buffer is busy the shard is allowed to grow past
-    /// its capacity share (the kernel would sleep; growing keeps the
-    /// simulation deadlock-free).
-    fn evict_one(map: &mut HashMap<u64, Arc<Buffer>>) {
-        let mut victim: Option<(u64, u64)> = None;
-        for (blockno, buf) in map.iter() {
-            if Arc::strong_count(buf) > 1 {
-                continue;
-            }
-            let clean = match buf.data.try_lock() {
-                Some(data) => !data.dirty,
-                None => false,
-            };
-            if !clean {
-                continue;
-            }
-            let used = buf.last_used.load(Ordering::Relaxed);
-            if victim.is_none_or(|(_, best)| used < best) {
-                victim = Some((*blockno, used));
-            }
+            return Arc::clone(&shard.slots[i].data);
         }
-        if let Some((blockno, _)) = victim {
-            map.remove(&blockno);
-        }
+        let reused = if shard.index.len() >= self.shard_capacity { shard.evict() } else { None };
+        let i = match reused.or_else(|| shard.free.pop()) {
+            Some(i) => {
+                shard.slots[i].blockno = blockno;
+                i
+            }
+            None => {
+                let data =
+                    BufferData { bytes: vec![0u8; self.block_size], valid: false, dirty: false };
+                let data = Arc::new(Mutex::new(data));
+                shard.slots.push(Slot { blockno, data, older: NIL, newer: NIL });
+                shard.slots.len() - 1
+            }
+        };
+        shard.index.insert(blockno, i);
+        shard.push_mru(i);
+        Arc::clone(&shard.slots[i].data)
     }
 }
 
@@ -285,6 +348,7 @@ pub struct BufferGuard {
     blockno: u64,
     guard: ArcMutexGuard<RawMutex, BufferData>,
     dev: Arc<dyn BlockDevice>,
+    missed: bool,
 }
 
 impl std::fmt::Debug for BufferGuard {
@@ -300,6 +364,13 @@ impl BufferGuard {
     /// The block number this guard refers to.
     pub fn blockno(&self) -> u64 {
         self.blockno
+    }
+
+    /// Whether the `bread` that returned this guard read the block from the
+    /// device (a cache miss).  Always `false` for
+    /// [`BufferCache::getblk_zeroed`].
+    pub fn missed(&self) -> bool {
+        self.missed
     }
 
     /// Read-only view of the block contents.
@@ -338,6 +409,7 @@ impl BufferGuard {
 mod tests {
     use super::*;
     use crate::dev::RamDisk;
+    use std::collections::BTreeSet;
 
     fn cache(blocks: u64, capacity: usize) -> BufferCache {
         BufferCache::new(Arc::new(RamDisk::new(4096, blocks)), capacity)
@@ -350,16 +422,22 @@ mod tests {
         BufferCache::with_shards(Arc::new(RamDisk::new(4096, blocks)), capacity, 1)
     }
 
+    fn cached_blocks(c: &BufferCache) -> BTreeSet<u64> {
+        c.shards.iter().flat_map(|s| s.lock().index.keys().copied().collect::<Vec<_>>()).collect()
+    }
+
     #[test]
     fn bread_reads_device_once_then_hits_cache() {
         let c = cache(32, 8);
         {
             let mut b = c.bread(5).unwrap();
+            assert!(b.missed());
             b.data_mut()[0] = 42;
             b.write().unwrap();
         }
         {
             let b = c.bread(5).unwrap();
+            assert!(!b.missed());
             assert_eq!(b.data()[0], 42);
         }
         let stats = c.stats();
@@ -403,6 +481,7 @@ mod tests {
         c.device().write_block(4, &vec![0xFFu8; 4096]).unwrap();
         let reads_before = c.device().stats().reads;
         let b = c.getblk_zeroed(4).unwrap();
+        assert!(!b.missed());
         assert!(b.data().iter().all(|&x| x == 0));
         assert_eq!(c.device().stats().reads, reads_before);
     }
@@ -423,11 +502,27 @@ mod tests {
         // Touch block 1 so block 0 is LRU, then bring in block 2.
         drop(c.bread(1).unwrap());
         drop(c.bread(2).unwrap());
-        let stats = c.stats();
-        assert!(stats.cached <= 2, "cache grew past capacity: {}", stats.cached);
+        assert_eq!(cached_blocks(&c), BTreeSet::from([1, 2]), "block 0 was the LRU");
         // Re-reading block 0 must still return correct (device) data.
         let b0 = c.bread(0).unwrap();
         assert_eq!(b0.data()[0], 1);
+    }
+
+    #[test]
+    fn held_or_dirty_lru_tail_is_skipped() {
+        let c = cache1(64, 3);
+        let held = c.bread(0).unwrap();
+        c.bread(1).unwrap().data_mut()[0] = 0xAA; // dirty, never written
+        drop(c.bread(2).unwrap());
+        // LRU order is 0 (held), 1 (dirty), 2: the walk passes the first two.
+        drop(c.bread(3).unwrap());
+        assert_eq!(cached_blocks(&c), BTreeSet::from([0, 1, 3]));
+        // Once nothing is idle the shard grows instead of evicting.
+        let pinned = c.bread(3).unwrap();
+        drop(c.bread(4).unwrap());
+        assert_eq!(cached_blocks(&c), BTreeSet::from([0, 1, 3, 4]));
+        drop((held, pinned));
+        assert_eq!(c.bread(1).unwrap().data()[0], 0xAA);
     }
 
     #[test]
@@ -443,6 +538,133 @@ mod tests {
         // Block 0's modification must survive because dirty buffers are pinned.
         let b0 = c.bread(0).unwrap();
         assert_eq!(b0.data()[0], 0xAA);
+    }
+
+    /// The replacement rule the slab replaced, kept as an oracle: a use
+    /// clock per buffer and, on a miss into a full shard, the argmin of the
+    /// clock over buffers that are neither held nor dirty.
+    struct ScanModel {
+        /// Per shard: block → (last use, dirty).
+        shards: Vec<HashMap<u64, (u64, bool)>>,
+        shard_capacity: usize,
+        clock: u64,
+        reads: u64,
+    }
+
+    impl ScanModel {
+        fn new(c: &BufferCache) -> Self {
+            let shards = (0..c.shard_count()).map(|_| HashMap::new()).collect();
+            ScanModel { shards, shard_capacity: c.shard_capacity, clock: 0, reads: 0 }
+        }
+
+        fn shard(&mut self, blockno: u64) -> &mut HashMap<u64, (u64, bool)> {
+            let mask = self.shards.len() - 1;
+            &mut self.shards[shard_of(&blockno, mask)]
+        }
+
+        fn access(&mut self, blockno: u64, zeroed: bool, held: &[u64]) {
+            self.clock += 1;
+            let (clock, cap) = (self.clock, self.shard_capacity);
+            let shard = self.shard(blockno);
+            if let Some(entry) = shard.get_mut(&blockno) {
+                *entry = (clock, entry.1 || zeroed);
+                return;
+            }
+            if shard.len() >= cap {
+                let victim = shard
+                    .iter()
+                    .filter(|(b, &(_, dirty))| !dirty && !held.contains(b))
+                    .min_by_key(|(_, &(used, _))| used)
+                    .map(|(&b, _)| b);
+                if let Some(b) = victim {
+                    shard.remove(&b);
+                }
+            }
+            shard.insert(blockno, (clock, zeroed));
+            self.reads += u64::from(!zeroed);
+        }
+
+        fn set_dirty(&mut self, blockno: u64, dirty: bool) {
+            self.shard(blockno).get_mut(&blockno).expect("held block is cached").1 = dirty;
+        }
+
+        fn invalidate_clean(&mut self, held: &[u64]) {
+            for shard in &mut self.shards {
+                shard.retain(|b, &mut (_, dirty)| dirty || held.contains(b));
+            }
+        }
+
+        fn cached(&self) -> BTreeSet<u64> {
+            self.shards.iter().flat_map(|s| s.keys().copied()).collect()
+        }
+    }
+
+    /// Runs one seeded trace of breads, zeroed gets, guards held across
+    /// misses, dirtying, writes and invalidations through the cache and the
+    /// scan model, comparing cached sets and device reads after every step.
+    fn check_against_scan_model(shards: usize, seed: u64) {
+        const BLOCKS: u64 = 160;
+        let c = BufferCache::with_shards(Arc::new(RamDisk::new(4096, BLOCKS)), 48, shards);
+        let mut model = ScanModel::new(&c);
+        let mut held: Vec<BufferGuard> = Vec::new();
+        let mut state = seed;
+        let mut rand = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for step in 0..4000 {
+            let held_blocks: Vec<u64> = held.iter().map(BufferGuard::blockno).collect();
+            let free_block = loop {
+                let b = rand(BLOCKS);
+                if !held_blocks.contains(&b) {
+                    break b;
+                }
+            };
+            match rand(100) {
+                // bread or getblk_zeroed; a quarter of the guards stay held.
+                roll @ 0..=54 => {
+                    let zeroed = roll >= 45;
+                    let guard =
+                        if zeroed { c.getblk_zeroed(free_block) } else { c.bread(free_block) };
+                    model.access(free_block, zeroed, &held_blocks);
+                    if held.len() < 6 && rand(4) == 0 {
+                        held.push(guard.unwrap());
+                    }
+                }
+                55..=69 if !held.is_empty() => {
+                    let i = rand(held.len() as u64) as usize;
+                    held[i].data_mut()[0] ^= 1;
+                    model.set_dirty(held[i].blockno(), true);
+                }
+                70..=79 => {
+                    // Write-back of any block: bread, write, release.
+                    c.bread(free_block).unwrap().write().unwrap();
+                    model.access(free_block, false, &held_blocks);
+                    model.set_dirty(free_block, false);
+                }
+                80..=94 if !held.is_empty() => {
+                    held.swap_remove(rand(held.len() as u64) as usize);
+                }
+                95..=99 => {
+                    c.invalidate_clean();
+                    model.invalidate_clean(&held_blocks);
+                }
+                _ => {}
+            }
+            let ctx = format!("{shards} shards, seed {seed}, step {step}");
+            assert_eq!(cached_blocks(&c), model.cached(), "cached sets differ: {ctx}");
+            assert_eq!(c.device().stats().reads, model.reads, "device reads differ: {ctx}");
+        }
+    }
+
+    #[test]
+    fn exact_lru_matches_the_scan_model() {
+        for seed in [1, 42, 0x5EED] {
+            check_against_scan_model(1, seed);
+            check_against_scan_model(16, seed);
+        }
     }
 
     #[test]
@@ -532,6 +754,7 @@ mod tests {
         c.invalidate_clean();
         assert_eq!(c.stats().cached, 0);
         let b = c.bread(2).unwrap();
+        assert!(b.missed());
         assert_eq!(b.data()[0], 5);
         assert_eq!(c.stats().misses, 2);
     }

@@ -50,6 +50,7 @@ pub struct CostCounters {
     writes: AtomicU64,
     flushes: AtomicU64,
     crossings: AtomicU64,
+    copies: AtomicU64,
     fuse_round_trips: AtomicU64,
     whole_file_syncs: AtomicU64,
     total_ns: AtomicU64,
@@ -72,6 +73,8 @@ pub struct CostSnapshot {
     pub flushes: u64,
     /// Number of user/kernel boundary crossings charged.
     pub crossings: u64,
+    /// Number of payload copies across the user/kernel boundary charged.
+    pub copies: u64,
     /// Number of FUSE round trips charged.
     pub fuse_round_trips: u64,
     /// Number of whole-file syncs charged.
@@ -259,7 +262,7 @@ impl CostCounters {
             CostKind::DeviceWrite => self.writes.fetch_add(1, Ordering::Relaxed),
             CostKind::DeviceFlush => self.flushes.fetch_add(1, Ordering::Relaxed),
             CostKind::BoundaryCrossing => self.crossings.fetch_add(1, Ordering::Relaxed),
-            CostKind::BoundaryCopy => 0,
+            CostKind::BoundaryCopy => self.copies.fetch_add(1, Ordering::Relaxed),
             CostKind::FuseRoundTrip => self.fuse_round_trips.fetch_add(1, Ordering::Relaxed),
             CostKind::UserspaceWholeFileSync => {
                 self.whole_file_syncs.fetch_add(1, Ordering::Relaxed)
@@ -296,6 +299,7 @@ impl CostCounters {
             writes: self.writes.load(Ordering::Relaxed),
             flushes: self.flushes.load(Ordering::Relaxed),
             crossings: self.crossings.load(Ordering::Relaxed),
+            copies: self.copies.load(Ordering::Relaxed),
             fuse_round_trips: self.fuse_round_trips.load(Ordering::Relaxed),
             whole_file_syncs: self.whole_file_syncs.load(Ordering::Relaxed),
             total_ns: self.total_ns.load(Ordering::Relaxed),
@@ -312,6 +316,7 @@ impl CostCounters {
         self.writes.store(0, Ordering::Relaxed);
         self.flushes.store(0, Ordering::Relaxed);
         self.crossings.store(0, Ordering::Relaxed);
+        self.copies.store(0, Ordering::Relaxed);
         self.fuse_round_trips.store(0, Ordering::Relaxed);
         self.whole_file_syncs.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
@@ -425,11 +430,25 @@ mod tests {
     }
 
     #[test]
+    fn boundary_copies_are_counted() {
+        let counters = CostCounters::new();
+        let model = CostModel { copy_per_byte_ns: 2, ..CostModel::zero() };
+        model.charge(&counters, CostKind::BoundaryCopy, 4096 * 2);
+        model.charge(&counters, CostKind::BoundaryCopy, 0);
+        let snap = counters.snapshot();
+        assert_eq!(snap.copies, 2, "a zero-cost copy is still a copy");
+        assert_eq!(snap.crossings, 0);
+        assert_eq!(snap.total_ns, 4096 * 2);
+    }
+
+    #[test]
     fn counters_reset() {
         let counters = CostCounters::new();
         let model = CostModel::zero();
         model.charge(&counters, CostKind::BoundaryCrossing, 5);
+        model.charge(&counters, CostKind::BoundaryCopy, 5);
         assert_eq!(counters.snapshot().crossings, 1);
+        assert_eq!(counters.snapshot().copies, 1);
         counters.reset();
         assert_eq!(counters.snapshot(), CostSnapshot::default());
     }

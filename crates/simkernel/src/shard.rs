@@ -45,6 +45,14 @@ pub fn resolve_shards(requested: usize) -> usize {
     n.next_power_of_two()
 }
 
+/// The shard `key` maps to among `mask + 1` shards (a power of two).  The
+/// one shard hash every sharded structure here uses.
+pub fn shard_of<K: Hash + ?Sized>(key: &K, mask: usize) -> usize {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() as usize) & mask
+}
+
 /// Aggregate statistics over a [`ShardedMap`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShardStats {
@@ -99,9 +107,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
 
     /// The shard index a key maps to (stable for the process lifetime).
     pub fn shard_index(&self, key: &K) -> usize {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() as usize) & self.mask
+        shard_of(key, self.mask)
     }
 
     fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {

@@ -15,8 +15,8 @@
 //!
 //! * there is **no BentoFS and no file-operations API** between the VFS
 //!   and the file system: no `Request`, no `FileSystem` trait object
-//!   behind a lock, no owned buffer returned by `read` (`read_page` fills
-//!   the page cache's buffer in place), and no online upgrade;
+//!   behind a lock, and no online upgrade (`read_page` fills the page
+//!   cache's buffer in place, as BentoFS's lent-page `read` does);
 //! * write-back is the plain **per-page `writepage`** path: the page cache
 //!   hands over one dirty page at a time and each page is its own log
 //!   transaction.  `supports_writepages()` is false, so the batched

@@ -279,17 +279,9 @@ impl FileSystem for Xv6FileSystem {
         ino: u64,
         _fh: u64,
         offset: u64,
-        size: u32,
-    ) -> KernelResult<Vec<u8>> {
-        // The file-operations `read` returns an owned buffer, sized by what
-        // the file holds rather than by what the caller asked for.
-        self.with_core(|core| {
-            let mut data = core.inode_snapshot(sb, ino as u32)?;
-            let mut buf = vec![0u8; (size as usize).min(data.size.saturating_sub(offset) as usize)];
-            let n = core.readi(sb, &mut data, offset, &mut buf)?;
-            buf.truncate(n);
-            Ok(buf)
-        })
+        buf: &mut [u8],
+    ) -> KernelResult<usize> {
+        self.with_core(|core| core.read(sb, ino, offset, buf))
     }
 
     fn write(

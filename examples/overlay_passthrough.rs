@@ -155,10 +155,10 @@ impl FileSystem for AuditFs {
         ino: u64,
         fh: u64,
         offset: u64,
-        size: u32,
-    ) -> KernelResult<Vec<u8>> {
+        buf: &mut [u8],
+    ) -> KernelResult<usize> {
         self.ops.fetch_add(1, Ordering::Relaxed);
-        self.lower.read(req, sb, ino, fh, offset, size)
+        self.lower.read(req, sb, ino, fh, offset, buf)
     }
 
     fn write(

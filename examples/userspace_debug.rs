@@ -34,11 +34,12 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     let reply = fs.create(&req, &sb, 1, "debug.txt", FileMode::regular(), OpenFlags::RDWR)?;
     fs.write(&req, &sb, reply.attr.ino, reply.fh, 0, b"step through me in a debugger")?;
-    let data = fs.read(&req, &sb, reply.attr.ino, reply.fh, 0, 64)?;
+    let mut data = [0u8; 64];
+    let n = fs.read(&req, &sb, reply.attr.ino, reply.fh, 0, &mut data)?;
     fs.fsync(&req, &sb, reply.attr.ino, reply.fh, false)?;
     fs.release(&req, &sb, reply.attr.ino, reply.fh)?;
 
-    println!("read back: {:?}", String::from_utf8_lossy(&data));
+    println!("read back: {:?}", String::from_utf8_lossy(&data[..n]));
     println!(
         "directory entries in /: {:?}",
         fs.readdir(&req, &sb, 1, 0)?.iter().map(|e| e.name.clone()).collect::<Vec<_>>()

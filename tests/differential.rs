@@ -236,3 +236,61 @@ fn bento_and_vfs_baseline_agree_after_remount() {
     assert_eq!(states[0].1, states[1].1, "statfs differs on the live mounts");
     assert_eq!(states[0].2, states[1].2, "statfs differs after remount");
 }
+
+/// The name each stack's file system type is registered under.
+fn fs_type_name(stack: FsStack) -> &'static str {
+    match stack {
+        FsStack::BentoXv6 => xv6fs::BENTO_XV6_NAME,
+        FsStack::VfsXv6 => xv6fs_vfs::VFS_XV6_NAME,
+        FsStack::FuseXv6 => "xv6fs_fuse",
+        FsStack::Ext4 => ext4sim::EXT4_NAME,
+    }
+}
+
+#[test]
+fn whole_file_read_after_remount_agrees_with_the_oracle() {
+    // A file with a hole of more than a page whose end falls mid-page, read
+    // back in one call from a cold page cache: every page is a fill, the
+    // last one straddles EOF, and the hole must read as zeros.
+    const PATH: &str = "/holey";
+    let tail_offset = 3 * 4096 + 100;
+    let writes = [(0u64, vec![0x3Cu8; 5000]), (tail_offset, vec![0xC3u8; 777])];
+    let write = |vfs: &Arc<Vfs>| {
+        let fd = vfs.open(PATH, OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("create");
+        for (offset, data) in &writes {
+            vfs.pwrite(fd, data, *offset).expect("pwrite");
+        }
+        vfs.close(fd).expect("close");
+    };
+    // One pread larger than the file: the whole file, clamped at EOF.
+    let read_whole = |vfs: &Arc<Vfs>| {
+        let fd = vfs.open(PATH, OpenFlags::RDONLY).expect("open");
+        let mut buf = vec![0xFFu8; 8 * 4096];
+        let n = vfs.pread(fd, &mut buf, 0).expect("pread");
+        vfs.close(fd).expect("close");
+        buf.truncate(n);
+        buf
+    };
+
+    let oracle = memfs_oracle();
+    write(&oracle);
+    let expected = read_whole(&oracle);
+    assert_eq!(expected.len() as u64, tail_offset + 777);
+    assert!(
+        expected[5000..tail_offset as usize].iter().all(|&b| b == 0),
+        "the hole reads as zeros"
+    );
+
+    for stack in FsStack::all() {
+        let mounted = mount_stack(stack, CostModel::zero(), 32 * 1024)
+            .unwrap_or_else(|e| panic!("mount {stack:?}: {e}"));
+        write(&mounted.vfs);
+        mounted.unmount().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
+        mounted
+            .vfs
+            .mount(fs_type_name(stack), Arc::clone(&mounted.device), "/", &MountOptions::default())
+            .unwrap_or_else(|e| panic!("remount {stack:?}: {e}"));
+        assert_eq!(read_whole(&mounted.vfs), expected, "stack {stack:?} diverged after remount");
+        mounted.unmount().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
+    }
+}
