@@ -1122,10 +1122,10 @@ const OBS_PERSONALITIES: [fn() -> loadgen::WorkloadSpec; 2] =
 /// The xv6 stacks journal metadata synchronously inside the op, so every
 /// mix with namespace traffic owes all five phases (namespace locks, the
 /// unified journal's reserve/stage/commit, the device).  ext4sim
-/// deliberately has no per-directory namespace locks and its own staged
-/// transaction instead of the shared WAL's reservation protocol (see the
-/// ext4sim audit note) — and, like real ext4 in writeback mode, its
-/// journal only runs inside an op span when `fsync` forces it.  A mix
+/// deliberately has no per-directory namespace locks (see the ext4sim
+/// audit note), and its operations join one running journal transaction
+/// — so, like real ext4 in writeback mode, its journal only runs inside
+/// an op span when `fsync` forces write-back and a commit.  A mix
 /// without durability ops (fileserver) owes no phase at all on Ext4:
 /// dirty pages stay cached until sync/unmount and a warm fileset serves
 /// reads without touching the device, so zero attributed time is the

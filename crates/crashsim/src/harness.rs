@@ -37,7 +37,7 @@ use xv6fs::Xv6FileSystem;
 use xv6fs_vfs::Xv6VfsFilesystem;
 
 use crate::device::{DiskImage, FaultConfig, FaultDevice};
-use crate::enumerate::{prefix_states, sampled_states};
+use crate::enumerate::{prefix_states, sampled_states, CrashState};
 use crate::model::{resolve, Violation, WorkloadModel};
 
 /// Block size used throughout the storage stack.
@@ -167,8 +167,8 @@ fn format_base(stack: CrashStack, disk_blocks: u64) -> KernelResult<Arc<dyn Bloc
             xv6fs::mkfs::mkfs_on_device(&base, 256)?;
         }
         CrashStack::Ext4 => {
-            // format_and_mount writes (and flushes) the initial checkpoint;
-            // the instance is dropped clean.
+            // format_and_mount commits the root directory and leaves the
+            // log clean; the instance is dropped clean.
             Ext4Sim::format_and_mount(Arc::clone(&base))?;
         }
     }
@@ -192,7 +192,8 @@ impl MountedState {
 }
 
 /// Mounts `stack` on `device` (for crash images this runs recovery).
-/// `planted` goes into the Bento stack's log; the other stacks ignore it.
+/// `planted` goes into the journal of the Bento stack and of ext4sim; the
+/// C-Kernel stack runs the same xv6 core as Bento and ignores it.
 fn mount_stack_on(
     stack: CrashStack,
     device: Arc<dyn BlockDevice>,
@@ -212,7 +213,7 @@ fn mount_stack_on(
         CrashStack::VfsXv6 => {
             MountedState::Generic(Xv6VfsFilesystem::mount(device)? as Arc<dyn VfsFs>)
         }
-        CrashStack::Ext4 => MountedState::Ext4(Ext4Sim::mount(device)?),
+        CrashStack::Ext4 => MountedState::Ext4(Ext4Sim::mount_planted(device, planted)?),
     })
 }
 
@@ -226,9 +227,9 @@ pub fn run_crash_test(stack: CrashStack, cfg: &CrashTestConfig) -> KernelResult<
     run_crash_test_planted(stack, cfg, PlantedFault::None)
 }
 
-/// [`run_crash_test`] with a protocol violation planted in the log of the
-/// workload mount and of every recovery mount ([`CrashStack::BentoXv6`]
-/// only): the proof that the oracles above have teeth.
+/// [`run_crash_test`] with a protocol violation planted in the journal of
+/// the workload mount and of every recovery mount ([`CrashStack::BentoXv6`]
+/// and [`CrashStack::Ext4`]): the proof that the oracles above have teeth.
 ///
 /// # Errors
 ///
@@ -238,6 +239,23 @@ pub fn run_crash_test_planted(
     stack: CrashStack,
     cfg: &CrashTestConfig,
     planted: PlantedFault,
+) -> KernelResult<CrashReport> {
+    run_crash_test_inspected(stack, cfg, planted, &mut |_| {})
+}
+
+/// [`run_crash_test_planted`] that also hands every crash state to
+/// `inspect` before remounting it, so a test can take a census of what
+/// the enumeration put on the medium.
+///
+/// # Errors
+///
+/// As [`run_crash_test`].
+#[doc(hidden)]
+pub fn run_crash_test_inspected(
+    stack: CrashStack,
+    cfg: &CrashTestConfig,
+    planted: PlantedFault,
+    inspect: &mut dyn FnMut(&CrashState),
 ) -> KernelResult<CrashReport> {
     // 1. Format, snapshot the base image, wrap the recorder.
     let base = format_base(stack, cfg.disk_blocks)?;
@@ -284,6 +302,7 @@ pub fn run_crash_test_planted(
         }
     };
     for state in &states {
+        inspect(state);
         let disk_dyn: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
         let mounted = match mount_stack_on(stack, Arc::clone(&disk_dyn), planted) {
             Ok(mounted) => mounted,

@@ -62,6 +62,7 @@ pub use device::{
 };
 pub use enumerate::{prefix_states, sampled_states, CrashState};
 pub use harness::{
-    run_crash_test, run_crash_test_planted, CrashMode, CrashReport, CrashStack, CrashTestConfig,
+    run_crash_test, run_crash_test_inspected, run_crash_test_planted, CrashMode, CrashReport,
+    CrashStack, CrashTestConfig,
 };
 pub use model::{StableSnapshot, Violation, WorkloadModel};

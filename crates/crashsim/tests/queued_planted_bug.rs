@@ -19,7 +19,9 @@ fn config() -> CrashTestConfig {
 fn the_same_queued_run_with_nothing_planted_is_clean() {
     let clean = run_crash_test(CrashStack::BentoXv6, &config()).unwrap();
     assert!(clean.is_clean(), "{:#?}", clean.violations.iter().take(3).collect::<Vec<_>>());
-    assert!(common::clean_unmount_violations(8, PlantedFault::None).is_empty());
+    assert!(
+        common::clean_unmount_violations(CrashStack::BentoXv6, 8, PlantedFault::None).is_empty()
+    );
 }
 
 /// (a) The one-barrier commit *is* a record without a payload barrier;
@@ -29,18 +31,22 @@ fn the_same_queued_run_with_nothing_planted_is_clean() {
 /// bytes over live metadata.
 #[test]
 fn record_without_payload_barrier_is_caught_on_the_queued_device() {
-    assert_caught(&config(), PlantedFault::TrustHeaderChecksum);
+    assert_caught(CrashStack::BentoXv6, &config(), PlantedFault::TrustHeaderChecksum);
 }
 
 /// (b) Installs submitted ahead of the commit barrier.
 #[test]
 fn installs_before_the_commit_barrier_are_caught_on_the_queued_device() {
-    assert_caught(&config(), PlantedFault::InstallBeforeBarrier);
+    assert_caught(CrashStack::BentoXv6, &config(), PlantedFault::InstallBeforeBarrier);
 }
 
 /// (c) The unmount's final header clear overtaking its installs.
 #[test]
 fn checkpoint_clear_without_barrier_is_caught_on_the_queued_device() {
-    let violations = common::clean_unmount_violations(8, PlantedFault::CheckpointWithoutBarrier);
+    let violations = common::clean_unmount_violations(
+        CrashStack::BentoXv6,
+        8,
+        PlantedFault::CheckpointWithoutBarrier,
+    );
     assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

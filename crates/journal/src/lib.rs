@@ -2,7 +2,8 @@
 //!
 //! This crate is the single write-ahead log of the workspace: `xv6fs::log`
 //! (mounted by both xv6 stacks, which share one file system core) is an
-//! adapter over it.  [`Journal`] owns the entire commit pipeline and is
+//! adapter over it, and ext4sim logs its data and metadata blocks through
+//! it directly.  [`Journal`] owns the entire commit pipeline and is
 //! parameterized over the block-IO trait [`io::JournalIo`], so the same
 //! code runs against the Bento `SuperBlock` capability (kernel buffer
 //! cache or userspace disk file underneath), a bare
@@ -61,12 +62,20 @@
 //!   lock at all.
 //! * **Group merge at `end_op`.**  When an operation ends, its staged
 //!   blocks merge into the forming group (absorption dedups by block
-//!   number, keeping the newest snapshot by modification version).  The
-//!   group closes only at *quiescent* instants — no operation outstanding
-//!   — so it can never commit snapshots entangled with a still-running
-//!   operation's cache modifications (jbd2 drains handles the same way);
-//!   while a commit is in flight, closing defers to the committer's
-//!   handoff.
+//!   number, keeping the newest snapshot by modification version).  When
+//!   the group *closes* is the one thing a binding chooses, in code, by
+//!   [`GroupClose`]:
+//!   - [`GroupClose::EveryOp`] (xv6): the group closes at the next
+//!     *quiescent* instant — no operation outstanding — so it can never
+//!     commit snapshots entangled with a still-running operation's cache
+//!     modifications (jbd2 drains handles the same way); while a commit is
+//!     in flight, closing defers to the committer's handoff;
+//!   - [`GroupClose::OnFlush`] (ext4sim): operations keep merging into the
+//!     running group, which closes only in [`Journal::flush`] — one group
+//!     is one ext4 transaction.  The binding flushes on fsync, sync,
+//!     unmount and its own size threshold, which must keep the group
+//!     below [`Journal::region_capacity`]: `begin_op` waits for that flush
+//!     when the group is full.
 //! * **Double-buffered commit.**  Commits alternate between two on-disk
 //!   log regions and run entirely outside the group mutex: while group *N*
 //!   writes its epoch into one region, group *N + 1* forms, absorbs
@@ -106,14 +115,12 @@
 //! the one they were sealed over (digest mismatch) and foreign or corrupt
 //! headers (home blocks outside the configured valid range).
 //!
-//! The sibling modules own the two on-disk record formats: [`record`] is
-//! the checksummed commit record both xv6 logs write, [`checkpoint`] the
-//! dual-slot checkpoint scheme ext4sim's metadata commit path uses.
+//! The sibling module [`record`] owns the on-disk format of the
+//! checksummed commit record every stack writes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod io;
 pub mod record;
 
@@ -292,6 +299,20 @@ pub struct JournalTail {
     pub owes_checkpoint: bool,
 }
 
+/// When the forming group closes and commits (see the crate docs).  Fixed
+/// by each binding in code, never a mount option.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum GroupClose {
+    /// At the next quiescent `end_op` (xv6: one commit per outermost
+    /// operation, batched only by concurrency).
+    #[default]
+    EveryOp,
+    /// Only in [`Journal::flush`] (ext4: operations join the running
+    /// transaction until fsync, sync, unmount or the binding's size
+    /// threshold).
+    OnFlush,
+}
+
 /// On-disk geometry of one journal: where the two commit regions live and
 /// which home blocks a recovered header may legally name.
 ///
@@ -310,13 +331,17 @@ pub struct JournalConfig {
     /// blocks outside it, so a corrupt (or foreign-format) header is
     /// treated as clean rather than installed over arbitrary blocks.
     pub home_range: (u64, u64),
+    /// When the forming group closes.
+    pub close: GroupClose,
 }
 
 impl JournalConfig {
     /// Derives the double-buffered region geometry from a superblock's log
     /// area: `logstart` is the first log block, `nlog` the on-disk log
     /// size (clamped to `max_log_blocks`, the compile-time layout bound),
-    /// and `home_range` the `[lo, hi)` range of legal home blocks.
+    /// and `home_range` the `[lo, hi)` range of legal home blocks.  Groups
+    /// close at every operation; a binding that commits on flush overrides
+    /// [`JournalConfig::close`].
     pub fn from_geometry(
         logstart: u64,
         nlog: usize,
@@ -326,7 +351,13 @@ impl JournalConfig {
         let size = nlog.min(max_log_blocks);
         let region_size = (size / 2).max(2);
         let capacity = (region_size - 1).min(LOG_HEAD_MAX_ENTRIES);
-        JournalConfig { start: logstart, region_size, capacity, home_range }
+        JournalConfig {
+            start: logstart,
+            region_size,
+            capacity,
+            home_range,
+            close: GroupClose::EveryOp,
+        }
     }
 }
 
@@ -340,6 +371,7 @@ pub struct Journal {
     region_size: usize,
     capacity: usize,
     home_range: (u64, u64),
+    close: GroupClose,
     inner: Mutex<FormingGroup>,
     space_cond: Condvar,
     outstanding: AtomicU32,
@@ -374,6 +406,7 @@ impl Journal {
             region_size: config.region_size,
             capacity: config.capacity,
             home_range: config.home_range,
+            close: config.close,
             inner: Mutex::new(FormingGroup::default()),
             space_cond: Condvar::new(),
             outstanding: AtomicU32::new(0),
@@ -546,10 +579,10 @@ impl Journal {
     }
 
     /// Ends the current operation, merging its staged blocks into the
-    /// forming group.  If the group is ready (quiescent, no commit in
-    /// flight), this thread closes it and runs the commit — outside the
-    /// group mutex, so new operations keep forming the next group while
-    /// the commit I/O runs.
+    /// forming group.  Under [`GroupClose::EveryOp`], if the group is ready
+    /// (quiescent, no commit in flight), this thread closes it and runs
+    /// the commit — outside the group mutex, so new operations keep
+    /// forming the next group while the commit I/O runs.
     ///
     /// # Errors
     ///
@@ -671,11 +704,15 @@ impl Journal {
     /// handles the same way) and no commit in flight.  While a commit *is*
     /// in flight the group keeps absorbing operations — the committer
     /// adopts it on completion — which is where group-commit batching
-    /// comes from.
+    /// comes from.  Never under [`GroupClose::OnFlush`], where only
+    /// [`Journal::flush`] closes the group.
     fn take_group_if_ready(
         &self,
         inner: &mut FormingGroup,
     ) -> Option<(u64, Vec<LoggedBlock>, u64)> {
+        if self.close == GroupClose::OnFlush {
+            return None;
+        }
         let quiescent = self.outstanding.load(Ordering::SeqCst) == 0;
         let in_flight =
             self.next_seq.load(Ordering::SeqCst) > self.commits_done.load(Ordering::SeqCst);
@@ -693,12 +730,12 @@ impl Journal {
     /// [`Journal::take_group_if_ready`]) but deliberately ignores the
     /// in-flight check — the caller *is* the in-flight commit, and the
     /// turn ticket it already holds orders the adopted group right behind
-    /// it.
+    /// it.  Never under [`GroupClose::OnFlush`].
     fn take_group_for_overlap(
         &self,
         inner: &mut FormingGroup,
     ) -> Option<(u64, Vec<LoggedBlock>, u64)> {
-        if self.outstanding.load(Ordering::SeqCst) == 0 {
+        if self.close == GroupClose::EveryOp && self.outstanding.load(Ordering::SeqCst) == 0 {
             self.take_group(inner)
         } else {
             None
@@ -1307,6 +1344,26 @@ mod tests {
         );
         assert_eq!(remount(&io), 1);
         assert_eq!((block_fill(&io, 600), block_fill(&io, 602)), (0x11, 0x33));
+    }
+
+    #[test]
+    fn on_flush_operations_join_the_running_group_until_a_flush() {
+        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, 1024)));
+        let journal =
+            Journal::new(JournalConfig { close: GroupClose::OnFlush, ..test_config(1024) });
+        for (block, fill) in [(600, 1), (601, 2), (600, 3)] {
+            write_block(&io, &journal, block, fill);
+        }
+        assert_eq!(journal.stats(), JournalStats::default(), "no group closed yet");
+        assert_eq!(io.device().stats().writes, 0);
+        journal.flush(&io).unwrap();
+        let stats = journal.stats();
+        assert_eq!((stats.commits, stats.blocks_logged, stats.ops_committed), (1, 2, 3));
+        assert_eq!(stats.barriers, 1, "one group, one barrier");
+        assert_eq!((block_fill(&io, 600), block_fill(&io, 601)), (3, 2));
+        let writes = io.device().stats().writes;
+        journal.flush(&io).unwrap();
+        assert_eq!((journal.stats(), io.device().stats().writes), (stats, writes), "idle flush");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Shared by the journal-level crash suites: the log geometry, and the
-//! **chain workload** — five back-to-back commits and a checkpoint over
-//! the bare [`Journal`] on crashsim's fault device — with its recovery
-//! oracles (atomicity, ordering, durability) and a census of which states
-//! of the one-barrier epoch an enumeration actually visited.
+//! **chain workload** — back-to-back transactions and a checkpoint over
+//! the bare [`Journal`] on crashsim's fault device, grouped into commits
+//! by either close rule — with its recovery oracles (atomicity, ordering,
+//! durability) and a census of which states of the one-barrier epoch an
+//! enumeration actually visited.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -14,7 +15,7 @@ use crashsim::{
 };
 use journal::io::{DeviceIo, JournalIo};
 use journal::record::{parse_head, payload_digest, BSIZE};
-use journal::{Journal, JournalConfig, PlantedFault, MAX_OP_BLOCKS};
+use journal::{GroupClose, Journal, JournalConfig, PlantedFault, MAX_OP_BLOCKS};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
@@ -26,8 +27,8 @@ pub fn config() -> JournalConfig {
     JournalConfig::from_geometry(2, LOG_BLOCKS, LOG_BLOCKS, (2 + LOG_BLOCKS as u64, DISK_BLOCKS))
 }
 
-pub fn journal_with(fault: PlantedFault) -> Journal {
-    let mut journal = Journal::new(config());
+pub fn journal_with(close: GroupClose, fault: PlantedFault) -> Journal {
+    let mut journal = Journal::new(JournalConfig { close, ..config() });
     journal.plant_fault(fault);
     journal
 }
@@ -57,9 +58,16 @@ pub fn recorded_disk(queued: bool) -> (Arc<FaultDevice>, Arc<DiskImage>, Arc<dyn
     (recorder, image, dev)
 }
 
-/// Transactions of the chain workload: enough that each region is reused
-/// twice, so the region-reuse rule is exercised, not just the first fill.
+/// Transactions of the chain workload under [`GroupClose::EveryOp`]:
+/// enough that each region is reused twice, so the region-reuse rule is
+/// exercised, not just the first fill.  [`GroupClose::OnFlush`] runs one
+/// more, so its three groups reuse a region too.
 pub const CHAIN_TXS: u64 = 5;
+/// Under [`GroupClose::OnFlush`], the transaction after which the driver
+/// flushes as an fsync would, and the running-group size at which it
+/// flushes as ext4's size threshold does.
+const ON_FLUSH_FSYNC_AFTER: u64 = 1;
+const ON_FLUSH_THRESHOLD: usize = 7;
 /// Block every chain transaction rewrites (the cross-group conflict).
 const CHAIN_SHARED: u64 = 900;
 
@@ -72,34 +80,95 @@ fn chain_fill(t: u64) -> u8 {
     0xC0 + t as u8
 }
 
-/// Records [`CHAIN_TXS`] back-to-back commits and the checkpoint of a
-/// clean unmount, on a synchronous or a multi-queue device, through a
-/// journal with `fault` planted.  Transaction `t` writes `chain_fill(t)`
-/// into the shared block and its own two.
-pub fn record_chain(queued: bool, fault: PlantedFault) -> (WriteTrace, Arc<DiskImage>) {
+/// A recorded chain run: its trace, the image it started from, and the
+/// transactions of each commit group, in commit order.
+pub struct RecordedChain {
+    pub trace: WriteTrace,
+    pub image: Arc<DiskImage>,
+    pub groups: Vec<Vec<u64>>,
+}
+
+/// Records the chain workload and the checkpoint of a clean unmount, on a
+/// synchronous or a multi-queue device, through a journal with `fault`
+/// planted.  Transaction `t` writes `chain_fill(t)` into the shared block
+/// and its own two.  Under [`GroupClose::EveryOp`] every transaction is a
+/// group; under [`GroupClose::OnFlush`] the driver closes the first group
+/// with an fsync-style flush after two transactions, the second with a
+/// threshold flush once it holds [`ON_FLUSH_THRESHOLD`] blocks (followed
+/// by a flush with nothing pending), and the checkpoint closes the last.
+pub fn record_chain(close: GroupClose, queued: bool, fault: PlantedFault) -> RecordedChain {
     let (recorder, image, dev) = recorded_disk(queued);
     let io = DeviceIo::new(dev);
-    let journal = journal_with(fault);
-    for t in 0..CHAIN_TXS {
+    let journal = journal_with(close, fault);
+    let txs = if close == GroupClose::OnFlush { CHAIN_TXS + 1 } else { CHAIN_TXS };
+    let mut groups = vec![Vec::new()];
+    for t in 0..txs {
         journal.begin_op();
         journal.log_write(CHAIN_SHARED, &[chain_fill(t); BSIZE]).unwrap();
         for blockno in chain_own_blocks(t) {
             journal.log_write(blockno, &[chain_fill(t); BSIZE]).unwrap();
         }
         journal.end_op(&io).unwrap();
+        let group = groups.last_mut().expect("a running group");
+        group.push(t);
+        let running = 1 + 2 * group.len();
+        let closed = match close {
+            GroupClose::EveryOp => true,
+            GroupClose::OnFlush if t == ON_FLUSH_FSYNC_AFTER => {
+                journal.flush(&io).unwrap();
+                true
+            }
+            GroupClose::OnFlush if running >= ON_FLUSH_THRESHOLD => {
+                journal.flush(&io).unwrap();
+                let stats = journal.stats();
+                journal.flush(&io).unwrap();
+                assert_eq!(journal.stats(), stats, "a flush with nothing pending is free");
+                true
+            }
+            GroupClose::OnFlush => false,
+        };
+        if closed && t + 1 < txs {
+            groups.push(Vec::new());
+        }
     }
-    assert_eq!(journal.stats().commits, CHAIN_TXS);
-    assert_eq!(journal.stats().barriers, CHAIN_TXS, "one barrier per commit");
+    let stats = journal.stats();
+    assert_eq!(stats.barriers, stats.commits, "one barrier per commit");
     journal.checkpoint(&io).unwrap();
-    (recorder.trace(), image)
+    assert_eq!(journal.stats().commits as usize, groups.len());
+    RecordedChain { trace: recorder.trace(), image, groups }
 }
 
-/// Event count at which each chain transaction became durable: just past
-/// its commit barrier, the one flush of its commit.
-pub fn chain_ack_points(trace: &WriteTrace) -> Vec<usize> {
-    let flushes =
-        trace.events.iter().enumerate().filter(|(_, e)| matches!(e, Event::Flush)).map(|(i, _)| i);
-    flushes.take(CHAIN_TXS as usize).map(|i| i + 1).collect()
+impl RecordedChain {
+    /// Event count at which each transaction became durable: just past
+    /// the commit barrier of its group, the one flush of that commit.
+    pub fn ack_points(&self) -> Vec<usize> {
+        let flushes =
+            self.trace.events.iter().enumerate().filter(|(_, e)| matches!(e, Event::Flush));
+        flushes
+            .zip(&self.groups)
+            .flat_map(|((i, _), group)| group.iter().map(move |_| i + 1))
+            .collect()
+    }
+
+    /// Applies [`check_chain_state`] to every state; returns the violations
+    /// (prefixed with the state's description) and the coverage census.
+    pub fn violations(
+        &self,
+        states: &[CrashState],
+        fault: PlantedFault,
+    ) -> (Vec<String>, ChainCoverage) {
+        let acks = self.ack_points();
+        let mut coverage = ChainCoverage::default();
+        let violations = states
+            .iter()
+            .filter_map(|state| {
+                check_chain_state(state, self, &acks, fault, &mut coverage)
+                    .err()
+                    .map(|what| format!("{}: {what}", state.description))
+            })
+            .collect();
+        (violations, coverage)
+    }
 }
 
 /// Which states of the one-barrier epoch an enumeration saw on the medium.
@@ -115,6 +184,8 @@ pub struct ChainCoverage {
     pub two_valid_records: usize,
     /// (iv) A valid record whose own installs are partly on the medium.
     pub partial_installs_under_record: usize,
+    /// (v) A valid newest record whose group holds several transactions.
+    pub multi_op_group: usize,
 }
 
 /// The sealed record in `region` as the medium holds it: its sequence and
@@ -136,6 +207,7 @@ fn region_record(io: &DeviceIo, cfg: &JournalConfig, region: u64) -> Option<(u64
 /// Returns a description of the first violated oracle, if any.
 fn check_chain_state(
     state: &CrashState,
+    chain: &RecordedChain,
     acks: &[usize],
     fault: PlantedFault,
     coverage: &mut ChainCoverage,
@@ -155,17 +227,23 @@ fn check_chain_state(
         _ => {}
     }
     if let Some(&(newest, true)) = records.last() {
-        // Single-threaded back-to-back commits: sequence = transaction.
-        let installed = chain_own_blocks(newest)
+        // Sequential commits: a record's sequence is its group's index.
+        let group = &chain.groups[newest as usize];
+        let own: Vec<(u64, u8)> = group
             .iter()
-            .filter(|&&blockno| block_fill(&io, blockno) == chain_fill(newest))
-            .count();
-        if installed == 1 {
+            .flat_map(|&t| chain_own_blocks(t).map(|blockno| (blockno, chain_fill(t))))
+            .collect();
+        let installed =
+            own.iter().filter(|&&(blockno, fill)| block_fill(&io, blockno) == fill).count();
+        if installed > 0 && installed < own.len() {
             coverage.partial_installs_under_record += 1;
+        }
+        if group.len() > 1 {
+            coverage.multi_op_group += 1;
         }
     }
 
-    let journal = journal_with(fault);
+    let journal = journal_with(GroupClose::EveryOp, fault);
     journal.recover(&io).unwrap();
     if journal.recover(&io).unwrap() != 0 {
         return Err("second recovery replayed blocks".into());
@@ -175,7 +253,8 @@ fn check_chain_state(
     }
     // Atomicity and ordering: the applied transactions are a prefix, each
     // wholly applied, and the shared block belongs to the last of them.
-    let applied: Vec<bool> = (0..CHAIN_TXS)
+    let txs = chain.groups.iter().map(Vec::len).sum::<usize>() as u64;
+    let applied: Vec<bool> = (0..txs)
         .map(|t| {
             let fills = chain_own_blocks(t).map(|blockno| block_fill(&io, blockno));
             match fills {
@@ -202,33 +281,13 @@ fn check_chain_state(
     Ok(())
 }
 
-/// Applies [`check_chain_state`] to every state; returns the violations
-/// (prefixed with the state's description) and the coverage census.
-pub fn chain_violations(
-    states: &[CrashState],
-    acks: &[usize],
-    fault: PlantedFault,
-) -> (Vec<String>, ChainCoverage) {
-    let mut coverage = ChainCoverage::default();
-    let violations = states
-        .iter()
-        .filter_map(|state| {
-            check_chain_state(state, acks, fault, &mut coverage)
-                .err()
-                .map(|what| format!("{}: {what}", state.description))
-        })
-        .collect();
-    (violations, coverage)
-}
-
 /// The violations among 600 crash states sampled (from `seed`) of the
-/// chain workload, run and recovered through journals with `fault`
-/// planted.
+/// every-op chain workload, run and recovered through journals with
+/// `fault` planted.
 pub fn sampled_chain_violations(queued: bool, fault: PlantedFault, seed: u64) -> Vec<String> {
-    let (trace, image) = record_chain(queued, fault);
-    let acks = chain_ack_points(&trace);
-    let states = sampled_states(&trace, &image, seed, 600);
-    chain_violations(&states, &acks, fault).0
+    let chain = record_chain(GroupClose::EveryOp, queued, fault);
+    let states = sampled_states(&chain.trace, &chain.image, seed, 600);
+    chain.violations(&states, fault).0
 }
 
 /// Whether `violation` came from the atomicity/ordering oracles.

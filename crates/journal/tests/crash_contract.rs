@@ -20,6 +20,8 @@
 //!   partially applied under a durable record (the planted faults that
 //!   prove these oracles have teeth live in `planted_bug.rs` and
 //!   `queued_planted_bug.rs`),
+//! * the same chain under ext4's close rule, several transactions per
+//!   group: groups recover whole, in order, durable once acknowledged,
 //! * a multi-thread stress run with the flush/drain invariants: `flush`
 //!   leaves nothing in flight, the barrier budget stays exactly 1 per
 //!   commit, and every committed byte survives.
@@ -31,15 +33,12 @@ use std::sync::Arc;
 use crashsim::{prefix_states, sampled_states};
 use journal::io::{DeviceIo, JournalIo};
 use journal::record::BSIZE;
-use journal::{Journal, JournalConfig, PlantedFault};
+use journal::{GroupClose, Journal, JournalConfig, PlantedFault};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
 
-use common::{
-    block_fill, chain_ack_points, chain_violations, config, record_chain, recorded_disk, CHAIN_TXS,
-    LOG_BLOCKS,
-};
+use common::{block_fill, config, record_chain, recorded_disk, CHAIN_TXS, LOG_BLOCKS};
 
 /// Runs the two-transaction conflict workload (tx1: 900=0xA1, 901=0xA2;
 /// tx2: 900=0xB1, 902=0xB2) against `dev` and returns the journal.
@@ -117,11 +116,14 @@ fn sampled_queued_crashes_recover_atomically() {
 /// record ahead of its payload, which only a reordering cache produces.
 #[test]
 fn chained_commits_every_write_prefix_recovers_durably() {
-    let (trace, image) = record_chain(false, PlantedFault::None);
-    assert_eq!(trace.flush_count() as u64, CHAIN_TXS + 2, "1 per commit, 2 for the checkpoint");
-    let acks = chain_ack_points(&trace);
-    let states = prefix_states(&trace, &image);
-    let (violations, coverage) = chain_violations(&states, &acks, PlantedFault::None);
+    let chain = record_chain(GroupClose::EveryOp, false, PlantedFault::None);
+    assert_eq!(
+        chain.trace.flush_count() as u64,
+        CHAIN_TXS + 2,
+        "1 per commit, 2 for the checkpoint"
+    );
+    let states = prefix_states(&chain.trace, &chain.image);
+    let (violations, coverage) = chain.violations(&states, PlantedFault::None);
     assert!(violations.is_empty(), "{violations:#?}");
     assert!(coverage.overwritten_under_old_record > 0, "{coverage:?}");
     assert!(coverage.two_valid_records > 0, "{coverage:?}");
@@ -137,11 +139,38 @@ fn chained_commits_every_write_prefix_recovers_durably() {
 #[test]
 fn chained_commits_sampled_crashes_recover_durably() {
     for queued in [false, true] {
-        let (trace, image) = record_chain(queued, PlantedFault::None);
-        let acks = chain_ack_points(&trace);
-        let states = sampled_states(&trace, &image, 0x2BA2_21E2, 600);
-        let (violations, coverage) = chain_violations(&states, &acks, PlantedFault::None);
+        let chain = record_chain(GroupClose::EveryOp, queued, PlantedFault::None);
+        let states = sampled_states(&chain.trace, &chain.image, 0x2BA2_21E2, 600);
+        let (violations, coverage) = chain.violations(&states, PlantedFault::None);
         assert!(violations.is_empty(), "queued={queued}: {violations:#?}");
+        assert!(coverage.record_ahead_of_payload > 0, "queued={queued}: {coverage:?}");
+        assert!(coverage.overwritten_under_old_record > 0, "queued={queued}: {coverage:?}");
+        assert!(coverage.two_valid_records > 0, "queued={queued}: {coverage:?}");
+        assert!(coverage.partial_installs_under_record > 0, "queued={queued}: {coverage:?}");
+    }
+}
+
+/// The same chain under ext4's close rule ([`GroupClose::OnFlush`]):
+/// several transactions per group, one group closed by an fsync-style
+/// flush, one by the size threshold, an idle flush in between that costs
+/// nothing, and the last closed by the checkpoint.  Every write-boundary
+/// crash and every sampled reorder recovers to a prefix of whole *groups*
+/// — each transaction atomic, ordered, and durable once its group's
+/// barrier returned — and the enumeration visits a multi-transaction
+/// group's record on the medium.
+#[test]
+fn on_flush_chain_crashes_recover_durably_by_group() {
+    for queued in [false, true] {
+        let chain = record_chain(GroupClose::OnFlush, queued, PlantedFault::None);
+        assert_eq!(chain.groups, [vec![0, 1], vec![2, 3, 4], vec![5]]);
+        assert_eq!(chain.trace.flush_count(), chain.groups.len() + 2);
+        let mut states = sampled_states(&chain.trace, &chain.image, 0x0F1A_5117, 600);
+        if !queued {
+            states.extend(prefix_states(&chain.trace, &chain.image));
+        }
+        let (violations, coverage) = chain.violations(&states, PlantedFault::None);
+        assert!(violations.is_empty(), "queued={queued}: {violations:#?}");
+        assert!(coverage.multi_op_group > 0, "queued={queued}: {coverage:?}");
         assert!(coverage.record_ahead_of_payload > 0, "queued={queued}: {coverage:?}");
         assert!(coverage.overwritten_under_old_record > 0, "queued={queued}: {coverage:?}");
         assert!(coverage.two_valid_records > 0, "queued={queued}: {coverage:?}");

@@ -12,11 +12,9 @@
 mod common;
 
 use crashsim::prefix_states;
-use journal::PlantedFault;
+use journal::{GroupClose, PlantedFault};
 
-use common::{
-    chain_ack_points, chain_violations, is_atomicity, record_chain, sampled_chain_violations,
-};
+use common::{is_atomicity, record_chain, sampled_chain_violations};
 
 fn sampled_violations(fault: PlantedFault) -> Vec<String> {
     sampled_chain_violations(false, fault, 0x2BA2_21E2)
@@ -33,9 +31,8 @@ fn reorder_enumeration_catches_recovery_that_skips_the_payload_digest() {
     let violations = sampled_violations(fault);
     assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
 
-    let (trace, image) = record_chain(false, fault);
-    let acks = chain_ack_points(&trace);
-    let (in_order, _) = chain_violations(&prefix_states(&trace, &image), &acks, fault);
+    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let (in_order, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
     assert!(in_order.iter().any(|v| is_atomicity(v)), "undetected: {in_order:#?}");
 }
 

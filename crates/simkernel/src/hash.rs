@@ -1,7 +1,7 @@
 //! Small, dependency-free content checksums.
 //!
 //! On-disk structures that must survive torn or reordered sector writes
-//! (log commit records and the payload they name, metadata checkpoints)
+//! (log commit records and the payload they name)
 //! carry a [`Digest64`] so recovery can tell a fully persisted structure
 //! from a partial one.  The digest is not cryptographic — it only needs to
 //! make an accidental match between a stale/torn block and a freshly

@@ -158,3 +158,30 @@ fn file_contents_match_reference_model() {
         mounted.unmount().expect("unmount");
     }
 }
+
+/// `..` is each file system's own entry (the VFS resolves it through
+/// `lookup`): a path through it and the `..` entry `readdir` reports both
+/// name the parent, and follow a directory across a cross-directory
+/// rename — on ext4sim as on Bento xv6.
+#[test]
+fn dotdot_names_the_parent_across_a_rename_on_ext4_and_bento() {
+    for stack in [FsStack::BentoXv6, FsStack::Ext4] {
+        let mounted = mount_stack(stack, CostModel::zero(), 16_384).expect("mount");
+        let vfs = &mounted.vfs;
+        for dir in ["/a", "/a/b", "/c"] {
+            vfs.mkdir(dir).expect("mkdir");
+        }
+        for (dir, parent) in [("/a/b", "/a"), ("/c/b", "/c")] {
+            if dir == "/c/b" {
+                vfs.rename("/a/b", "/c/b").expect("rename");
+            }
+            let parent_ino = vfs.stat(parent).expect("stat parent").ino;
+            let through = vfs.stat(&format!("{dir}/..")).expect("stat through ..");
+            assert_eq!(through.ino, parent_ino, "{stack:?}: {dir}/..");
+            let listing = vfs.readdir(dir).expect("readdir");
+            let dotdot = listing.iter().find(|entry| entry.name == "..").expect("a .. entry");
+            assert_eq!(dotdot.ino, parent_ino, "{stack:?}: readdir({dir}) ..");
+        }
+        mounted.unmount().expect("unmount");
+    }
+}
