@@ -448,9 +448,9 @@ fn write_path_delta(before: &WritePathStats, after: &WritePathStats) -> WritePat
 /// per-mount namespace mutex.  A second pass re-runs create at [`SCALING_SMOKE_THREADS`]
 /// with the NVMe cost model (`create-nvme-Nt*` rows) — with real barrier
 /// costs, group commit must drive barriers-per-op *down* as threads go up —
-/// and sweeps the `alloc_groups` and `fd_shards` mount options on the
-/// Bento stack (`create-8t-gN` / `create-8t-fdsN` rows).  This is what
-/// BENCH_*.json tracks as write-path batching, not just ops/s.
+/// and sweeps the `queue_depth` mount option on the Bento stack
+/// (`create-8t-qdN` rows).  This is what BENCH_*.json tracks as write-path
+/// batching, not just ops/s.
 ///
 /// # Errors
 ///
@@ -665,47 +665,6 @@ pub fn scaling_experiment_with_threads(
                 None,
             ));
         }
-    }
-    // Allocation-group knob sweep through the mount options (1 group ==
-    // the old single-cursor allocator), Bento stack, 8 threads.
-    for groups in [1usize, 16] {
-        let options = MountOptions {
-            options: vec![("alloc_groups".into(), groups.to_string())],
-            read_only: false,
-        };
-        let mounted =
-            mount_stack_with(FsStack::BentoXv6, CostModel::zero(), cfg.disk_blocks, &options)?;
-        let create = create_micro(&mounted.vfs, 4096, 8, cfg.duration)?;
-        rows.push(Row::new(
-            "scaling",
-            &format!("create-8t-g{groups}"),
-            FsStack::BentoXv6.label(),
-            create.ops_per_sec(),
-            "ops/sec",
-            None,
-        ));
-        mounted.unmount()?;
-    }
-    // fd-table shard sweep (`fd_shards` mount knob → `VfsConfig::shard_count`
-    // per mount): 1 shard == the old globally locked fd table.  create is
-    // open/close heavy, so it exercises the fd table on every operation.
-    for shards in [1usize, 16] {
-        let options = MountOptions {
-            options: vec![("fd_shards".into(), shards.to_string())],
-            read_only: false,
-        };
-        let mounted =
-            mount_stack_with(FsStack::BentoXv6, CostModel::zero(), cfg.disk_blocks, &options)?;
-        let create = create_micro(&mounted.vfs, 4096, 8, cfg.duration)?;
-        rows.push(Row::new(
-            "scaling",
-            &format!("create-8t-fds{shards}"),
-            FsStack::BentoXv6.label(),
-            create.ops_per_sec(),
-            "ops/sec",
-            None,
-        ));
-        mounted.unmount()?;
     }
     // Phase-attributed create: the same create-heavy traffic through the
     // load generator's span tracing, so the scaling story reports *where*
@@ -1927,22 +1886,6 @@ mod tests {
                     assert_eq!(row.unit, unit);
                 }
             }
-        }
-        // The alloc-group knob sweep rows exist for the Bento stack.
-        for groups in [1, 16] {
-            assert!(
-                rows.iter()
-                    .any(|r| r.stack == "Bento" && r.config == format!("create-8t-g{groups}")),
-                "missing alloc-group sweep row g{groups}"
-            );
-        }
-        // ...and so do the fd-shard sweep rows.
-        for shards in [1, 16] {
-            assert!(
-                rows.iter()
-                    .any(|r| r.stack == "Bento" && r.config == format!("create-8t-fds{shards}")),
-                "missing fd-shard sweep row fds{shards}"
-            );
         }
         // Queue-depth sweep rows: throughput plus the in-flight depth
         // gauge the queued device samples.  At any depth the barrier

@@ -13,7 +13,10 @@
 //!   that lends the page slices (the `writepages` behaviour BentoFS
 //!   inherits from the FUSE kernel module — the source of Bento's edge
 //!   over the hand-written VFS baseline on large writes and untar);
-//! * mounting/registration ([`BentoFsType`], [`register_bento_fs`]);
+//! * mounting/registration ([`BentoFsType`], [`register_bento_fs`]): every
+//!   mount gets a fresh instance over its own buffer cache of
+//!   [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks, and reads no mount options
+//!   (the caches and allocator keep their automatic sharding);
 //! * **online upgrade** ([`BentoFs::upgrade`]): swapping in a new file
 //!   system implementation while the mount stays live (paper §4.8).
 
@@ -83,23 +86,7 @@ impl BentoFs {
         cache_blocks: usize,
         fs: Box<dyn FileSystem>,
     ) -> KernelResult<Arc<BentoFs>> {
-        Self::mount_sharded(name, device, cache_blocks, 0, fs)
-    }
-
-    /// Like [`BentoFs::mount`] with an explicit buffer-cache shard count
-    /// (`0` = default).
-    ///
-    /// # Errors
-    ///
-    /// Propagates `init` failures (the mount is aborted).
-    pub fn mount_sharded(
-        name: &str,
-        device: Arc<dyn BlockDevice>,
-        cache_blocks: usize,
-        cache_shards: usize,
-        fs: Box<dyn FileSystem>,
-    ) -> KernelResult<Arc<BentoFs>> {
-        let io = Arc::new(KernelBlockIo::with_shards(device, cache_blocks, cache_shards));
+        let io = Arc::new(KernelBlockIo::new(device, cache_blocks));
         let sb = SuperBlock::from_provider(io, name);
         fs.init(&Request::kernel(), &sb)?;
         Ok(Arc::new(BentoFs {
@@ -422,91 +409,44 @@ impl VfsFs for BentoFs {
 // Registration
 // ---------------------------------------------------------------------------
 
-/// Factory for file system instances, invoked at mount (and upgrade) time.
-/// It receives the mount options so implementations can expose tuning knobs
-/// (e.g. xv6fs's `alloc_groups`) the way kernel file systems parse `-o`.
-pub type FsFactory = dyn Fn(&MountOptions) -> Box<dyn FileSystem> + Send + Sync;
+/// Factory for file system instances, invoked at mount time.
+pub type FsFactory = dyn Fn() -> Box<dyn FileSystem> + Send + Sync;
 
 /// A mountable Bento file system type: the object registered with the VFS.
 ///
 /// The analogue of a kernel module's `file_system_type` combined with the
 /// module's init function: it knows how to produce a fresh [`FileSystem`]
-/// instance for each mount.
+/// instance for each mount, over a buffer cache of
+/// [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks.
 pub struct BentoFsType {
     name: String,
     factory: Box<FsFactory>,
-    cache_blocks: usize,
 }
 
 impl std::fmt::Debug for BentoFsType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BentoFsType")
-            .field("name", &self.name)
-            .field("cache_blocks", &self.cache_blocks)
-            .finish_non_exhaustive()
+        f.debug_struct("BentoFsType").field("name", &self.name).finish_non_exhaustive()
     }
 }
 
 impl BentoFsType {
-    /// Creates a file system type named `name` with an options-blind
-    /// instance factory.
+    /// Creates a file system type named `name` whose mounts each get a
+    /// fresh instance from `factory`.
     pub fn new<F>(name: &str, factory: F) -> Self
     where
         F: Fn() -> Box<dyn FileSystem> + Send + Sync + 'static,
     {
-        Self::with_options(name, move |_options| factory())
+        BentoFsType { name: name.to_string(), factory: Box::new(factory) }
     }
 
-    /// Creates a file system type whose factory receives the mount options
-    /// (the `-o` string) so the instance can apply per-mount tuning knobs.
-    pub fn with_options<F>(name: &str, factory: F) -> Self
-    where
-        F: Fn(&MountOptions) -> Box<dyn FileSystem> + Send + Sync + 'static,
-    {
-        BentoFsType {
-            name: name.to_string(),
-            factory: Box::new(factory),
-            cache_blocks: DEFAULT_BUFFER_CACHE_BLOCKS,
-        }
-    }
-
-    /// Overrides the per-mount buffer cache size (in blocks).
-    #[must_use]
-    pub fn with_cache_blocks(mut self, cache_blocks: usize) -> Self {
-        self.cache_blocks = cache_blocks;
-        self
-    }
-
-    /// Mounts an instance over `device` with default options, returning the
-    /// concretely typed wrapper (useful when the caller needs
-    /// [`BentoFs::upgrade`]).
+    /// Mounts an instance over `device`, returning the concretely typed
+    /// wrapper (useful when the caller needs [`BentoFs::upgrade`]).
     ///
     /// # Errors
     ///
     /// Propagates `init` failures.
     pub fn mount_on(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<BentoFs>> {
-        self.mount_on_with(device, &MountOptions::default())
-    }
-
-    /// Like [`BentoFsType::mount_on`] with explicit mount options.  The
-    /// `cache_shards` option tunes the per-mount buffer cache's shard count;
-    /// everything else is handed to the factory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `init` failures.
-    pub fn mount_on_with(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
-    ) -> KernelResult<Arc<BentoFs>> {
-        BentoFs::mount_sharded(
-            &self.name,
-            device,
-            self.cache_blocks,
-            options.count("cache_shards"),
-            (self.factory)(options),
-        )
+        BentoFs::mount(&self.name, device, DEFAULT_BUFFER_CACHE_BLOCKS, (self.factory)())
     }
 }
 
@@ -518,9 +458,9 @@ impl FilesystemType for BentoFsType {
     fn mount(
         &self,
         device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
+        _options: &MountOptions,
     ) -> KernelResult<Arc<dyn VfsFs>> {
-        Ok(self.mount_on_with(device, options)? as Arc<dyn VfsFs>)
+        Ok(self.mount_on(device)? as Arc<dyn VfsFs>)
     }
 }
 

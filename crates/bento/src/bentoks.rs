@@ -126,15 +126,9 @@ impl std::fmt::Debug for KernelBlockIo {
 
 impl KernelBlockIo {
     /// Creates a kernel block I/O provider over `device` with a buffer cache
-    /// of `cache_blocks` blocks (default shard count).
+    /// of `cache_blocks` blocks.
     pub fn new(device: Arc<dyn BlockDevice>, cache_blocks: usize) -> Self {
         KernelBlockIo { cache: Arc::new(BufferCache::new(device, cache_blocks)) }
-    }
-
-    /// Like [`KernelBlockIo::new`] but with an explicit shard count for the
-    /// buffer cache's block map (`0` = default).
-    pub fn with_shards(device: Arc<dyn BlockDevice>, cache_blocks: usize, shards: usize) -> Self {
-        KernelBlockIo { cache: Arc::new(BufferCache::with_shards(device, cache_blocks, shards)) }
     }
 
     /// The underlying buffer cache (for diagnostics).

@@ -26,8 +26,11 @@
 //!   unmounting; in-memory state is carried across through a
 //!   [`StateBundle`].
 //! * **Userspace debugging** (§4.9, [`userspace`]): the same file system code
-//!   runs against userspace implementations of the same APIs (used by the
-//!   FUSE baseline and by `examples/userspace_debug.rs`).
+//!   runs in userspace unchanged.  Its one kernel-service surface is the
+//!   [`SuperBlock`] capability over a [`BlockIo`] provider, and the
+//!   userspace face supplies a second provider,
+//!   [`userspace::UserDisk`], in place of the kernel buffer cache (used by
+//!   the FUSE baseline and by `examples/userspace_debug.rs`).
 //!
 //! ## The ownership model
 //!
@@ -68,8 +71,6 @@
 pub mod bentofs;
 pub mod bentoks;
 pub mod fileops;
-pub mod kernel;
-mod sync_parity;
 pub mod upgrade;
 pub mod userspace;
 

@@ -113,31 +113,6 @@ impl StateBundle {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(String::as_str)
     }
-
-    /// Serializes the whole bundle (e.g. to persist it across a crash during
-    /// upgrade).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Inval`] if serialization fails — silently returning
-    /// an empty bundle here would make a later restore quietly lose every
-    /// transferred entry.
-    pub fn to_json(&self) -> KernelResult<String> {
-        serde_json::to_string(&self.entries).map_err(|_| {
-            KernelError::with_context(Errno::Inval, "state bundle: serialization failed")
-        })
-    }
-
-    /// Reconstructs a bundle from [`StateBundle::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Errno::Inval`] on malformed input.
-    pub fn from_json(raw: &str) -> KernelResult<Self> {
-        let entries: BTreeMap<String, String> = serde_json::from_str(raw)
-            .map_err(|_| KernelError::with_context(Errno::Inval, "state bundle: malformed json"))?;
-        Ok(StateBundle { entries })
-    }
 }
 
 /// Statistics about an upgrade performed by BentoFS.
@@ -190,18 +165,6 @@ mod tests {
         assert_eq!(b.get::<u64>("text").unwrap_err().errno(), Errno::Inval);
         assert_eq!(b.get_opt::<String>("absent").unwrap(), None);
         assert_eq!(b.get_opt::<String>("text").unwrap().as_deref(), Some("hello"));
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut b = StateBundle::new();
-        b.put("a", &1u8).unwrap();
-        b.put("b", &vec![1u64, 2, 3]).unwrap();
-        let json = b.to_json().unwrap();
-        let b2 = StateBundle::from_json(&json).unwrap();
-        assert_eq!(b, b2);
-        assert!(StateBundle::from_json("not json").is_err());
-        assert_eq!(StateBundle::new().to_json().unwrap(), "{}");
     }
 
     #[test]

@@ -167,113 +167,6 @@ pub fn userspace_superblock(io: Arc<dyn BlockIo>, name: &str) -> SuperBlock {
     SuperBlock::from_provider(io, name)
 }
 
-// ---------------------------------------------------------------------------
-// Userspace synchronization (the §4.9 mirror of `simkernel::sync`)
-// ---------------------------------------------------------------------------
-
-/// A counting semaphore with the same method surface as the kernel's
-/// [`simkernel::sync::Semaphore`], built on the standard library.
-///
-/// The paper's userspace environment re-implements kernel APIs over libc /
-/// std equivalents so that file-system code compiles against either face;
-/// the crate-private `sync_parity` module asserts at compile time that this type and the
-/// kernel type cannot drift apart.
-#[derive(Debug)]
-pub struct Semaphore {
-    state: std::sync::Mutex<u64>,
-    cond: std::sync::Condvar,
-}
-
-impl Semaphore {
-    /// Creates a semaphore with `count` initial permits.
-    pub fn new(count: u64) -> Self {
-        Semaphore { state: std::sync::Mutex::new(count), cond: std::sync::Condvar::new() }
-    }
-
-    /// Acquires one permit, blocking until one is available (`down`).
-    pub fn down(&self) {
-        let mut count = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while *count == 0 {
-            count = self.cond.wait(count).unwrap_or_else(|e| e.into_inner());
-        }
-        *count -= 1;
-    }
-
-    /// Tries to acquire one permit without blocking (`down_trylock`).
-    /// Returns `true` on success.
-    pub fn try_down(&self) -> bool {
-        let mut count = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if *count == 0 {
-            false
-        } else {
-            *count -= 1;
-            true
-        }
-    }
-
-    /// Releases one permit (`up`).
-    pub fn up(&self) {
-        let mut count = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        *count += 1;
-        drop(count);
-        self.cond.notify_one();
-    }
-}
-
-/// Userspace mutex with the same method surface as
-/// [`simkernel::sync::KMutex`], backed by [`std::sync::Mutex`].
-#[derive(Debug, Default)]
-pub struct KMutex<T>(std::sync::Mutex<T>);
-
-impl<T> KMutex<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Self {
-        KMutex(std::sync::Mutex::new(value))
-    }
-
-    /// Locks, blocking until the lock is available.
-    pub fn lock(&self) -> std::sync::MutexGuard<'_, T> {
-        self.0.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Attempts the lock without blocking.
-    pub fn try_lock(&self) -> Option<std::sync::MutexGuard<'_, T>> {
-        self.0.try_lock().ok()
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Userspace reader/writer lock with the same method surface as
-/// [`simkernel::sync::KRwLock`], backed by [`std::sync::RwLock`].
-#[derive(Debug, Default)]
-pub struct KRwLock<T>(std::sync::RwLock<T>);
-
-impl<T> KRwLock<T> {
-    /// Creates a new lock holding `value`.
-    pub fn new(value: T) -> Self {
-        KRwLock(std::sync::RwLock::new(value))
-    }
-
-    /// Acquires a shared (read) lock (`down_read`).
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
-        self.0.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires an exclusive (write) lock (`down_write`).
-    pub fn write(&self) -> std::sync::RwLockWriteGuard<'_, T> {
-        self.0.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Consumes the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

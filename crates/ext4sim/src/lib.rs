@@ -1199,9 +1199,9 @@ impl VfsFs for Ext4Sim {
     }
 }
 
-/// Mountable type for [`Ext4Sim`].  Mount formats the device if it does not
-/// contain an ext4sim file system (convenient for benchmarks), unless the
-/// `"format"` option is explicitly `"never"`.
+/// Mountable type for [`Ext4Sim`].  Mount formats only a blank device (no
+/// ext4sim magic in block 0); a device that fails to read or holds a
+/// damaged image returns the error instead of being wiped.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Ext4FilesystemType;
 
@@ -1213,15 +1213,13 @@ impl FilesystemType for Ext4FilesystemType {
     fn mount(
         &self,
         device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
+        _options: &MountOptions,
     ) -> KernelResult<Arc<dyn VfsFs>> {
-        match Ext4Sim::mount(Arc::clone(&device)) {
-            Ok(fs) => Ok(fs as Arc<dyn VfsFs>),
-            Err(_) if options.get("format") != Some("never") => {
-                Ok(Ext4Sim::format_and_mount(device)? as Arc<dyn VfsFs>)
-            }
-            Err(e) => Err(e),
-        }
+        let mut block = vec![0u8; BSIZE];
+        device.read_block(SUPERBLOCK, &mut block)?;
+        let blank = get_u64(&block, 0) != SUPER_MAGIC;
+        let fs = if blank { Ext4Sim::format_and_mount(device)? } else { Ext4Sim::mount(device)? };
+        Ok(fs as Arc<dyn VfsFs>)
     }
 }
 

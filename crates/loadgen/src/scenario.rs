@@ -22,7 +22,7 @@ use crashsim::{FaultConfig, FaultDevice, FaultStats};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, SsdDevice};
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::vfs::{MountOptions, OpenFlags, Vfs};
+use simkernel::vfs::{OpenFlags, Vfs};
 use workloads::{mount_stack_on_device, FsStack, MountedStack};
 
 use crate::driver::{run_load, ErrorPolicy, LoadConfig, LoadResult};
@@ -123,12 +123,7 @@ pub fn run_eio_under_load(
     let fault =
         Arc::new(FaultDevice::new(ssd as Arc<dyn BlockDevice>, FaultConfig::recorder(cfg.seed)));
     fault.set_trace_enabled(false); // live injection only; no crash replay
-    let vfs = mount_stack_on_device(
-        stack,
-        model,
-        Arc::clone(&fault) as Arc<dyn BlockDevice>,
-        &MountOptions::default(),
-    )?;
+    let vfs = mount_stack_on_device(stack, model, Arc::clone(&fault) as Arc<dyn BlockDevice>)?;
     crate::driver::prepare(&vfs, spec, cfg)?;
 
     let cfg = LoadConfig { error_policy: ErrorPolicy::Count, ..cfg.clone() };

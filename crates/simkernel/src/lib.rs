@@ -19,9 +19,8 @@
 //!   statistics.
 //! * [`queue`] — the completion-based multi-queue device model
 //!   ([`queue::MultiQueueDevice`]): NVMe-style submission/completion queue
-//!   pairs with configurable depth, batch submission, interrupt-vs-poll
-//!   completion, and cost charging that overlaps in-flight requests instead
-//!   of summing them serially.  The write-ahead logs use it for two-stage
+//!   pairs with configurable depth, batch submission, and cost charging
+//!   that overlaps in-flight requests instead of summing them serially.  The write-ahead logs use it for two-stage
 //!   overlapped commit.
 //! * [`buffer`] — a buffer cache with xv6/Linux `bread`/`bwrite`/`brelse`
 //!   semantics; buffers are handed out as RAII guards.
@@ -43,7 +42,6 @@
 //!   one lock per directory inode with an ascending-inum ordering
 //!   discipline (checked at runtime in debug builds), so concurrent
 //!   creates/unlinks/renames in different directories never share a lock.
-//! * [`sync`] — kernel-flavoured synchronization wrappers.
 //! * [`hash`] — the dependency-free block digest used by on-disk records
 //!   that must survive torn writes (log commit records, checkpoints).
 //! * [`metrics`] — the shared log-bucketed latency histogram
@@ -88,7 +86,6 @@ pub mod pagecache;
 pub mod queue;
 pub mod registry;
 pub mod shard;
-pub mod sync;
 pub mod trace;
 pub mod vfs;
 

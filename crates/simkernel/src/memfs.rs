@@ -8,13 +8,13 @@
 //! contents.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
-use crate::sync::IdGenerator;
 use crate::vfs::{
     DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
     StatFs, VfsFs, PAGE_SIZE,
@@ -66,7 +66,7 @@ impl MemInode {
 #[derive(Debug)]
 pub struct MemFs {
     inodes: RwLock<HashMap<u64, Arc<Mutex<MemInode>>>>,
-    ino_gen: IdGenerator,
+    next_ino: AtomicU64,
 }
 
 /// The inode number of the root directory of a [`MemFs`].
@@ -83,7 +83,7 @@ impl MemFs {
     pub fn new() -> Self {
         let mut inodes = HashMap::new();
         inodes.insert(MEMFS_ROOT_INO, Arc::new(Mutex::new(MemInode::new_dir(0o755))));
-        MemFs { inodes: RwLock::new(inodes), ino_gen: IdGenerator::new(MEMFS_ROOT_INO + 1) }
+        MemFs { inodes: RwLock::new(inodes), next_ino: AtomicU64::new(MEMFS_ROOT_INO + 1) }
     }
 
     fn inode(&self, ino: u64) -> KernelResult<Arc<Mutex<MemInode>>> {
@@ -111,7 +111,7 @@ impl MemFs {
         if dir_inode.entries.contains_key(name) {
             return Err(KernelError::with_context(Errno::Exist, "memfs: name exists"));
         }
-        let ino = self.ino_gen.next_id();
+        let ino = self.next_ino.fetch_add(1, Ordering::Relaxed);
         let inode = make();
         let is_dir = inode.kind == FileType::Directory;
         let attr = inode.attr(ino);

@@ -58,24 +58,21 @@ impl FilePages {
     }
 }
 
+/// Soft cap on total cached pages per file; clean pages beyond the cap are
+/// dropped after writeback.
+const MAX_CACHED_PAGES_PER_FILE: usize = 65_536;
+
 /// Behavioural knobs for the page cache.
 #[derive(Debug, Clone)]
 pub struct PageCacheConfig {
     /// When a single file accumulates this many dirty pages, the writing
     /// thread performs writeback synchronously (dirty throttling).
     pub dirty_threshold_pages: usize,
-    /// Soft cap on total cached pages per file; clean pages beyond the cap
-    /// are dropped after writeback.
-    pub max_cached_pages_per_file: usize,
-    /// Shards for the per-file page table and stripes for the statistics
-    /// counters (`0` = default).  `read_at`/`write_at` on distinct inodes
-    /// only contend when the inodes hash to the same shard.
-    pub shards: usize,
 }
 
 impl Default for PageCacheConfig {
     fn default() -> Self {
-        PageCacheConfig { dirty_threshold_pages: 512, max_cached_pages_per_file: 65_536, shards: 0 }
+        PageCacheConfig { dirty_threshold_pages: 512 }
     }
 }
 
@@ -100,25 +97,13 @@ pub struct PageCacheStats {
 /// Hot-path counters, striped so concurrent readers/writers on different
 /// files do not bounce one statistics cache line (see
 /// [`StripedCounter`]).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StripedStats {
     read_hits: StripedCounter,
     read_fills: StripedCounter,
     writeback_single: StripedCounter,
     writeback_batched: StripedCounter,
     writeback_batches: StripedCounter,
-}
-
-impl StripedStats {
-    fn new(stripes: usize) -> Self {
-        StripedStats {
-            read_hits: StripedCounter::new(stripes),
-            read_fills: StripedCounter::new(stripes),
-            writeback_single: StripedCounter::new(stripes),
-            writeback_batched: StripedCounter::new(stripes),
-            writeback_batches: StripedCounter::new(stripes),
-        }
-    }
 }
 
 /// A write-back page cache covering every file of one mounted file system.
@@ -149,11 +134,10 @@ impl PageCache {
     /// Creates a page cache.  `batch_writeback` selects the `write_pages`
     /// (batched) writeback path; the VFS baseline passes `false`.
     pub fn new(config: PageCacheConfig, batch_writeback: bool) -> Self {
-        let shards = config.shards;
         PageCache {
             config,
-            files: ShardedMap::new(shards),
-            stats: StripedStats::new(shards),
+            files: ShardedMap::default(),
+            stats: StripedStats::default(),
             batch_writeback,
         }
     }
@@ -394,8 +378,8 @@ impl PageCache {
         }
         fp.dirty_count = 0;
         // Trim the cache if it has grown very large (clean pages only).
-        if fp.pages.len() > self.config.max_cached_pages_per_file {
-            let excess = fp.pages.len() - self.config.max_cached_pages_per_file;
+        if fp.pages.len() > MAX_CACHED_PAGES_PER_FILE {
+            let excess = fp.pages.len() - MAX_CACHED_PAGES_PER_FILE;
             let victims: Vec<u64> =
                 fp.pages.iter().filter(|(_, p)| !p.dirty).map(|(k, _)| *k).take(excess).collect();
             for v in victims {
@@ -756,10 +740,7 @@ mod tests {
     #[test]
     fn dirty_threshold_triggers_writeback() {
         let fs = MemFs::new();
-        let pc = PageCache::new(
-            PageCacheConfig { dirty_threshold_pages: 4, ..PageCacheConfig::default() },
-            true,
-        );
+        let pc = PageCache::new(PageCacheConfig { dirty_threshold_pages: 4 }, true);
         pc.write(&fs, 2, 0, &vec![3u8; PAGE_SIZE * 4]).unwrap();
         // Threshold reached: data already written back, nothing dirty.
         assert_eq!(pc.dirty_pages(), 0);

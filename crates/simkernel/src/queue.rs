@@ -22,11 +22,8 @@
 //!   per-request service time in [`CostCounters`] (device busy time), and
 //!   the in-flight depth gauge ([`CostCounters::io_submitted`]) makes the
 //!   overlap observable even on the 1-CPU container.
-//! * **Interrupt vs. poll completion.**  Waiting for completions either
-//!   sleeps until the completion deadline ([`CompletionMode::Interrupt`],
-//!   yielding the CPU like an IRQ-driven driver) or spins on the clock
-//!   ([`CompletionMode::Poll`], lower wakeup jitter at the cost of burning
-//!   the core, like `io_uring` IOPOLL / NVMe polled queues).
+//! * **Interrupt-driven completion.**  Waiting for completions sleeps until
+//!   the completion deadline, yielding the CPU like an IRQ-driven driver.
 //!
 //! **Write visibility and ordering.**  Submitted writes are stored through
 //! to the inner device *at submission time*, in submission order — the
@@ -53,18 +50,7 @@ use crate::cost::{CostCounters, CostKind, CostModel};
 use crate::dev::{BlockDevice, DeviceStats, RamDisk};
 use crate::error::{Errno, KernelError, KernelResult};
 
-/// How a waiter learns about completions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompletionMode {
-    /// Sleep until the completion deadline (IRQ-driven driver: the CPU is
-    /// released while the device works).
-    Interrupt,
-    /// Spin on the clock until the deadline (polled queues: lower latency
-    /// jitter, burns the core).
-    Poll,
-}
-
-/// Geometry and behaviour of a [`MultiQueueDevice`].
+/// Geometry of a [`MultiQueueDevice`].
 #[derive(Debug, Clone)]
 pub struct QueueConfig {
     /// Number of submission/completion queue pairs.
@@ -72,13 +58,10 @@ pub struct QueueConfig {
     /// Outstanding requests admitted per queue pair before submission
     /// blocks (and the service parallelism each pair enjoys).
     pub queue_depth: usize,
-    /// How waiters learn about completions.
-    pub completion: CompletionMode,
 }
 
 impl QueueConfig {
-    /// A config with `num_queues` pairs of depth `queue_depth`,
-    /// interrupt-driven completion.
+    /// A config with `num_queues` pairs of depth `queue_depth`.
     ///
     /// # Panics
     ///
@@ -86,19 +69,12 @@ impl QueueConfig {
     pub fn new(num_queues: usize, queue_depth: usize) -> Self {
         assert!(num_queues > 0, "QueueConfig: num_queues must be nonzero");
         assert!(queue_depth > 0, "QueueConfig: queue_depth must be nonzero");
-        QueueConfig { num_queues, queue_depth, completion: CompletionMode::Interrupt }
-    }
-
-    /// Switches to polled completion (builder style).
-    #[must_use]
-    pub fn polled(mut self) -> Self {
-        self.completion = CompletionMode::Poll;
-        self
+        QueueConfig { num_queues, queue_depth }
     }
 }
 
 impl Default for QueueConfig {
-    /// Four queue pairs of depth 32, interrupt completion.
+    /// Four queue pairs of depth 32.
     fn default() -> Self {
         QueueConfig::new(4, 32)
     }
@@ -116,9 +92,6 @@ pub trait QueuedBlockDevice: BlockDevice {
 
     /// Outstanding requests admitted per queue pair.
     fn queue_depth(&self) -> usize;
-
-    /// How completion waits behave.
-    fn completion_mode(&self) -> CompletionMode;
 
     /// Submits a write of `data` to `blockno` on queue `queue` and returns
     /// its ticket without waiting for the service latency.  The data is
@@ -156,8 +129,8 @@ pub trait QueuedBlockDevice: BlockDevice {
     /// returning their tickets.  Never blocks (the poll path).
     fn poll_completions(&self, queue: usize) -> Vec<RequestId>;
 
-    /// Waits until every outstanding request on `queue` has completed
-    /// (interrupt mode sleeps, poll mode spins).
+    /// Waits (sleeping) until every outstanding request on `queue` has
+    /// completed.
     ///
     /// # Errors
     ///
@@ -304,20 +277,11 @@ impl MultiQueueDevice {
         done
     }
 
-    /// Waits until `deadline` per the configured completion mode.
-    fn wait_until(&self, deadline: Instant) {
-        match self.config.completion {
-            CompletionMode::Interrupt => {
-                let now = Instant::now();
-                if deadline > now {
-                    std::thread::sleep(deadline - now);
-                }
-            }
-            CompletionMode::Poll => {
-                while Instant::now() < deadline {
-                    std::hint::spin_loop();
-                }
-            }
+    /// Sleeps until `deadline`, as an interrupt-driven driver would.
+    fn wait_until(deadline: Instant) {
+        let now = Instant::now();
+        if deadline > now {
+            std::thread::sleep(deadline - now);
         }
     }
 }
@@ -393,10 +357,6 @@ impl QueuedBlockDevice for MultiQueueDevice {
         self.config.queue_depth
     }
 
-    fn completion_mode(&self) -> CompletionMode {
-        self.config.completion
-    }
-
     fn submit_write(&self, queue: usize, blockno: u64, data: &[u8]) -> KernelResult<RequestId> {
         // Submission covers the store-through plus any full-queue
         // backpressure wait — both are device time to the submitting op.
@@ -439,7 +399,7 @@ impl QueuedBlockDevice for MultiQueueDevice {
                 .min()
                 .expect("full queue is nonempty");
             drop(state);
-            self.wait_until(earliest);
+            Self::wait_until(earliest);
         }
     }
 
@@ -465,7 +425,7 @@ impl QueuedBlockDevice for MultiQueueDevice {
                     Some(deadline) => deadline,
                 }
             };
-            self.wait_until(deadline);
+            Self::wait_until(deadline);
         }
     }
 
@@ -564,17 +524,6 @@ mod tests {
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(4), "depth 1 sums serially: {elapsed:?}");
         assert_eq!(dev.counters().snapshot().max_inflight, 1);
-    }
-
-    #[test]
-    fn polled_completion_drains_too() {
-        let model = CostModel { block_write_ns: 200_000, inject_delays: true, ..CostModel::zero() };
-        let dev = MultiQueueDevice::ram_backed(64, model, QueueConfig::new(1, 4).polled());
-        assert_eq!(dev.completion_mode(), CompletionMode::Poll);
-        dev.submit_write(0, 1, &pattern(1)).unwrap();
-        dev.submit_write(0, 2, &pattern(2)).unwrap();
-        dev.drain_queue(0).unwrap();
-        assert_eq!(dev.counters().inflight_now(), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! system that owns the path and runs the shared page cache above it.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -15,24 +16,16 @@ use crate::dev::BlockDevice;
 use crate::error::{err, Errno, KernelError, KernelResult};
 use crate::pagecache::{PageCache, PageCacheConfig, PageCacheStats};
 use crate::shard::ShardedMap;
-use crate::sync::IdGenerator;
 use crate::vfs::{
     DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
     StatFs, VfsFs,
 };
 
-/// Configuration for a [`Vfs`] instance.
-#[derive(Debug, Clone, Default)]
-pub struct VfsConfig {
-    /// Page cache configuration applied to every mount.
-    pub page_cache: PageCacheConfig,
-    /// Maximum number of simultaneously open file descriptors (0 = unlimited).
-    pub max_open_files: usize,
-    /// Shard count for the fd table and (unless overridden by
-    /// `page_cache.shards`) each mount's page cache (`0` = default).
-    /// Rounded up to a power of two.
-    pub shard_count: usize,
-}
+/// Configuration for a [`Vfs`] instance.  It has no settings: the fd table
+/// and every mount's page cache take their automatic defaults.
+#[derive(Debug, Clone, Copy, Default)]
+#[non_exhaustive]
+pub struct VfsConfig {}
 
 /// Whence values for [`Vfs::lseek`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,7 +87,6 @@ struct OpenFile {
 /// # }
 /// ```
 pub struct Vfs {
-    config: VfsConfig,
     /// Registered mountable types.  Read-mostly: written at registration,
     /// read at mount time only.
     fstypes: RwLock<HashMap<String, Arc<dyn FilesystemType>>>,
@@ -104,10 +96,10 @@ pub struct Vfs {
     mounts: RwLock<Arc<Vec<Arc<Mount>>>>,
     /// The fd table, sharded: syscalls on different descriptors only
     /// contend when the fds hash to the same shard.  Allocation is an
-    /// atomic counter ([`IdGenerator`]), not a table scan.
+    /// atomic counter, not a table scan.
     fds: ShardedMap<u64, Arc<OpenFile>>,
-    fd_gen: IdGenerator,
-    mount_gen: IdGenerator,
+    next_fd: AtomicU64,
+    next_mount: AtomicU64,
 }
 
 impl std::fmt::Debug for Vfs {
@@ -127,15 +119,13 @@ impl Default for Vfs {
 
 impl Vfs {
     /// Creates an empty VFS (no registered file systems, no mounts).
-    pub fn new(config: VfsConfig) -> Self {
-        let fds = ShardedMap::new(config.shard_count);
+    pub fn new(_config: VfsConfig) -> Self {
         Vfs {
-            config,
             fstypes: RwLock::new(HashMap::new()),
             mounts: RwLock::new(Arc::new(Vec::new())),
-            fds,
-            fd_gen: IdGenerator::new(3),
-            mount_gen: IdGenerator::new(1),
+            fds: ShardedMap::default(),
+            next_fd: AtomicU64::new(3),
+            next_mount: AtomicU64::new(1),
         }
     }
 
@@ -212,13 +202,9 @@ impl Vfs {
         if mounts.iter().any(|m| m.path == path) {
             return Err(KernelError::with_context(Errno::Busy, "mountpoint already mounted"));
         }
-        let id = self.mount_gen.next_id();
-        let batch = fs.supports_writepages();
-        let mut page_cache = self.config.page_cache.clone();
-        if page_cache.shards == 0 {
-            page_cache.shards = self.config.shard_count;
-        }
-        let mount = Arc::new(Mount { id, path, fs, page_cache: PageCache::new(page_cache, batch) });
+        let id = self.next_mount.fetch_add(1, Ordering::Relaxed);
+        let page_cache = PageCache::new(PageCacheConfig::default(), fs.supports_writepages());
+        let mount = Arc::new(Mount { id, path, fs, page_cache });
         // The mount table is an immutable snapshot: build the successor
         // vector and swap it in, so readers never hold the lock while
         // resolving paths.  Longest path first so that prefix matching picks
@@ -351,13 +337,9 @@ impl Vfs {
     /// # Errors
     ///
     /// Standard open errors: [`Errno::NoEnt`], [`Errno::Exist`] (with
-    /// `CREAT|EXCL`), [`Errno::IsDir`] when writing a directory,
-    /// [`Errno::NFile`] if the fd table is full.
+    /// `CREAT|EXCL`), [`Errno::IsDir`] when writing a directory.
     pub fn open(&self, path: &str, flags: OpenFlags) -> KernelResult<u64> {
         let _span = crate::trace::op_span("open");
-        if self.config.max_open_files > 0 && self.fds.len() >= self.config.max_open_files {
-            return Err(KernelError::with_context(Errno::NFile, "fd table full"));
-        }
         let (mount, attr) = if flags.contains(OpenFlags::CREAT) {
             let (mount, parent, name) = self.resolve_parent(path)?;
             match mount.fs.lookup(parent.ino, &name) {
@@ -390,7 +372,7 @@ impl Vfs {
             mount.fs.setattr(attr.ino, &SetAttr::truncate(0))?;
             mount.page_cache.set_file_size(attr.ino, 0);
         }
-        let fd = self.fd_gen.next_id();
+        let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
         let file = Arc::new(OpenFile {
             mount,
             ino: attr.ino,

@@ -330,22 +330,14 @@ pub struct FsOpStats {
 /// Mount options passed at mount time (the equivalent of `-o` options).
 #[derive(Debug, Clone, Default)]
 pub struct MountOptions {
-    /// Key/value options, e.g. `("data", "journal")`.
+    /// Key/value options, e.g. `("queue_depth", "8")`.
     pub options: Vec<(String, String)>,
-    /// Mount read-only.
-    pub read_only: bool,
 }
 
 impl MountOptions {
     /// Looks up an option value by key.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// A numeric tuning option (`alloc_groups`, `cache_shards`, ...): `0`,
-    /// which every such option reads as "default", when absent or malformed.
-    pub fn count(&self, key: &str) -> usize {
-        self.get(key).and_then(|v| v.parse().ok()).unwrap_or_default()
     }
 
     /// Adds an option (builder style).

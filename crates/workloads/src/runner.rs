@@ -512,6 +512,10 @@ pub fn write_micro_disjoint(
 /// fsync / append+fsync / read, over a pool of small files.  Reported
 /// operations count individual flowops, as filebench does.
 ///
+/// The pool keeps its size: each iteration deletes one pool file and
+/// creates it again, and the append and the read go to another pool file,
+/// so a fast stack cannot fill the disk by running longer.
+///
 /// # Errors
 ///
 /// Propagates file system errors.
@@ -533,46 +537,37 @@ pub fn varmail(
     }
     vfs.sync()?;
     let vfs2 = Arc::clone(vfs);
-    run_timed("varmail", threads, duration, move |t, rng, iteration| {
+    run_timed("varmail", threads, duration, move |t, rng, _iteration| {
         let dir = format!("/varmail-{t}");
-        let victim = rng.gen_range(0..files_per_thread);
-        let mut ops = 0u64;
         let mut bytes = 0u64;
-        // 1. delete an existing mail file (ignore if already deleted).
-        match vfs2.unlink(&format!("{dir}/m{victim}")) {
-            Ok(()) => ops += 1,
-            Err(e) if e.errno() == Errno::NoEnt => {}
-            Err(e) => return Err(e),
-        }
-        // 2. create a new mail file, write it, fsync, close.
-        let new_path = format!("{dir}/new-{iteration}");
-        let fd = vfs2.open(&new_path, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
+        // 1. delete a mail file, then 2. create it again: write, fsync, close.
+        let victim = format!("{dir}/m{}", rng.gen_range(0..files_per_thread));
+        vfs2.unlink(&victim)?;
+        let fd = vfs2.open(&victim, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
         bytes += write_fully(&vfs2, fd, mean_file_size as u64, mean_file_size)?;
         vfs2.fsync(fd)?;
         vfs2.close(fd)?;
-        ops += 4;
         // 3. append to another mail file with fsync.
-        let target = format!("{dir}/new-{}", rng.gen_range(0..=iteration));
-        if let Ok(fd) = vfs2.open(&target, OpenFlags::WRONLY.with(OpenFlags::APPEND)) {
-            bytes += write_fully(&vfs2, fd, (mean_file_size / 2) as u64, mean_file_size / 2)?;
-            vfs2.fsync(fd)?;
-            vfs2.close(fd)?;
-            ops += 4;
-        }
+        let target = format!("{dir}/m{}", rng.gen_range(0..files_per_thread));
+        let fd = vfs2.open(&target, OpenFlags::WRONLY.with(OpenFlags::APPEND))?;
+        bytes += write_fully(&vfs2, fd, (mean_file_size / 2) as u64, mean_file_size / 2)?;
+        vfs2.fsync(fd)?;
+        vfs2.close(fd)?;
         // 4. read a whole mail file.
-        if let Ok(fd) = vfs2.open(&target, OpenFlags::RDONLY) {
-            let mut buf = vec![0u8; mean_file_size * 2];
-            let n = vfs2.pread(fd, &mut buf, 0)?;
-            vfs2.close(fd)?;
-            bytes += n as u64;
-            ops += 3;
-        }
-        Ok((ops, bytes))
+        let fd = vfs2.open(&target, OpenFlags::RDONLY)?;
+        let mut buf = vec![0u8; mean_file_size * 2];
+        bytes += vfs2.pread(fd, &mut buf, 0)? as u64;
+        vfs2.close(fd)?;
+        Ok((1 + 4 + 4 + 3, bytes))
     })
 }
 
 /// The filebench `fileserver` personality: create+write whole files, append,
-/// whole-file reads, deletes and stats over a growing pool.
+/// whole-file reads, deletes and stats over a pool of files.
+///
+/// As in [`varmail`], the pool keeps its size: each iteration deletes one
+/// pool file and writes it again whole, and the append and the read go to
+/// another pool file.
 ///
 /// # Errors
 ///
@@ -595,51 +590,36 @@ pub fn fileserver(
     }
     vfs.sync()?;
     let vfs2 = Arc::clone(vfs);
-    run_timed("fileserver", threads, duration, move |t, rng, iteration| {
+    run_timed("fileserver", threads, duration, move |t, rng, _iteration| {
         let dir = format!("/fileserver-{t}");
-        let mut ops = 0u64;
         let mut bytes = 0u64;
-        // create + write a whole new file + close
-        let new_path = format!("{dir}/new-{iteration}");
-        let fd = vfs2.open(&new_path, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
+        // delete a file, then create + write it whole again + close
+        let victim = format!("{dir}/f{}", rng.gen_range(0..files_per_thread));
+        vfs2.unlink(&victim)?;
+        let fd = vfs2.open(&victim, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
         bytes += write_fully(&vfs2, fd, mean_file_size as u64, 64 * 1024)?;
         vfs2.close(fd)?;
-        ops += 3;
         // append to an existing file
         let existing = format!("{dir}/f{}", rng.gen_range(0..files_per_thread));
-        if let Ok(fd) = vfs2.open(&existing, OpenFlags::WRONLY.with(OpenFlags::APPEND)) {
-            bytes += write_fully(&vfs2, fd, 16 * 1024, 16 * 1024)?;
-            vfs2.close(fd)?;
-            ops += 3;
-        }
+        let fd = vfs2.open(&existing, OpenFlags::WRONLY.with(OpenFlags::APPEND))?;
+        bytes += write_fully(&vfs2, fd, 16 * 1024, 16 * 1024)?;
+        vfs2.close(fd)?;
         // whole-file read
-        if let Ok(fd) = vfs2.open(&existing, OpenFlags::RDONLY) {
-            let mut buf = vec![0u8; 64 * 1024];
-            let mut off = 0u64;
-            loop {
-                let n = vfs2.pread(fd, &mut buf, off)?;
-                if n == 0 {
-                    break;
-                }
-                off += n as u64;
-                bytes += n as u64;
+        let fd = vfs2.open(&existing, OpenFlags::RDONLY)?;
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut off = 0u64;
+        loop {
+            let n = vfs2.pread(fd, &mut buf, off)?;
+            if n == 0 {
+                break;
             }
-            vfs2.close(fd)?;
-            ops += 3;
+            off += n as u64;
         }
-        // delete a previously created file
-        if iteration > 0 {
-            let old = format!("{dir}/new-{}", rng.gen_range(0..iteration));
-            match vfs2.unlink(&old) {
-                Ok(()) => ops += 1,
-                Err(e) if e.errno() == Errno::NoEnt => {}
-                Err(e) => return Err(e),
-            }
-        }
+        bytes += off;
+        vfs2.close(fd)?;
         // stat
-        let _ = vfs2.stat(&existing);
-        ops += 1;
-        Ok((ops, bytes))
+        vfs2.stat(&existing)?;
+        Ok((1 + 3 + 3 + 3 + 1, bytes))
     })
 }
 

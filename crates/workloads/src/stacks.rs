@@ -3,15 +3,20 @@
 //! Each stack is mounted on a RAM-backed, latency-modelled NVMe device so
 //! that all four see identical storage behaviour; the FUSE stack
 //! additionally receives the boundary-crossing / whole-file-fsync model
-//! (§6.4).  By default the device is the synchronous [`SsdDevice`]; the
-//! `queue_depth` mount option switches to the completion-based multi-queue
-//! model ([`MultiQueueDevice`]) instead — see [`mount_stack_with`].
+//! (§6.4).  By default the device is the synchronous [`SsdDevice`].
+//!
+//! There is one mount setting: `queue_depth=N` switches to the
+//! completion-based multi-queue model ([`MultiQueueDevice`]) with four queue
+//! pairs of depth N — see [`mount_stack_with`].  No file system reads an
+//! option: the buffer caches, page caches, fd tables and allocation groups
+//! all keep their automatic sharding, because sweeping those counts moved no
+//! measured row outside tolerance.
 
 use std::sync::Arc;
 
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, SsdDevice};
-use simkernel::error::KernelResult;
+use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
 use simkernel::vfs::{MountOptions, Vfs, VfsConfig};
 
@@ -124,37 +129,39 @@ impl MountedStack {
         registry.set_counter(&key("dev_flushes"), dev.flushes);
     }
 
-    /// Unmounts the stack and, for the two xv6 variants, runs the offline
-    /// consistency checker over the raw device, failing if the on-disk
-    /// image violates any invariant.
+    /// Unmounts the stack and runs its offline consistency checker over the
+    /// raw device, failing if the on-disk image violates any invariant.  The
+    /// three xv6 variants share one on-disk format and so one checker,
+    /// `xv6fs::fsck`; ext4sim is remounted from the image (journal recovery
+    /// included) and checked with `Ext4Sim::check_consistency`.
     ///
     /// This is the gate concurrency experiments run through: a locking bug
     /// in the per-directory namespace paths (lost dirent, double-allocated
     /// inode, bad nlink) surfaces here as a hard error rather than a
-    /// quietly wrong throughput row.  The FUSE stack shares xv6's on-disk
-    /// format but its daemon model replays through the same code, and
-    /// ext4sim has its own in-memory checker, so those two just unmount.
+    /// quietly wrong throughput row.
     ///
     /// # Errors
     ///
-    /// Propagates unmount errors; reports fsck violations as `Io` errors
-    /// listing every violated invariant.
+    /// Propagates unmount and remount errors; reports checker violations
+    /// as `Io` errors after printing every violated invariant.
     pub fn unmount_and_check(&self) -> KernelResult<()> {
         self.unmount()?;
-        match self.stack {
-            FsStack::BentoXv6 | FsStack::VfsXv6 => {
-                let report = xv6fs::fsck::fsck_device(&self.device)?;
-                if !report.is_clean() {
-                    eprintln!("fsck violations after unmount: {:?}", report.errors);
-                    return Err(simkernel::error::KernelError::with_context(
-                        simkernel::error::Errno::Io,
-                        "fsck found on-disk violations after unmount",
-                    ));
-                }
-                Ok(())
+        let errors = match self.stack {
+            FsStack::BentoXv6 | FsStack::VfsXv6 | FsStack::FuseXv6 => {
+                xv6fs::fsck::fsck_device(&self.device)?.errors
             }
-            FsStack::FuseXv6 | FsStack::Ext4 => Ok(()),
+            FsStack::Ext4 => {
+                ext4sim::Ext4Sim::mount(Arc::clone(&self.device))?.check_consistency().errors
+            }
+        };
+        if !errors.is_empty() {
+            eprintln!("{} violations after unmount: {errors:?}", self.stack.label());
+            return Err(KernelError::with_context(
+                Errno::Io,
+                "the offline checker found on-disk violations after unmount",
+            ));
         }
+        Ok(())
     }
 }
 
@@ -173,23 +180,11 @@ pub fn mount_stack(
     mount_stack_with(stack, model, disk_blocks, &MountOptions::default())
 }
 
-/// Like [`mount_stack`] with explicit mount options, so experiments can
-/// sweep per-mount knobs the way `-o` options would: `alloc_groups` and
-/// `cache_shards` reach the file system, and `fd_shards` sets the VFS
-/// [`VfsConfig::shard_count`] (fd table / page cache sharding) for this
-/// mount's kernel instance — closing the loop on the construction-time-only
-/// knob the ROADMAP called out.
-///
-/// Device-model options select the storage model underneath:
-///
-/// * `queue_depth=N` (N > 0) — mount on the NVMe-style multi-queue device
-///   with per-queue depth N instead of the synchronous [`SsdDevice`]; the
-///   write-ahead logs then batch-submit their commit payloads and overlap
-///   consecutive commits (two-stage commit).
-/// * `queues=N` — number of submission/completion queue pairs (default 4;
-///   only meaningful with `queue_depth`).
-/// * `completion=poll` — spin for completions instead of sleeping
-///   (interrupt-style), the NVMe polled-queue trade-off.
+/// Like [`mount_stack`] with explicit mount options.  The one option read
+/// is `queue_depth=N` (N > 0): mount on the NVMe-style multi-queue device
+/// with four queue pairs of depth N instead of the synchronous
+/// [`SsdDevice`]; the write-ahead logs then batch-submit their commit
+/// payloads and overlap consecutive commits (two-stage commit).
 ///
 /// # Errors
 ///
@@ -201,7 +196,7 @@ pub fn mount_stack_with(
     options: &MountOptions,
 ) -> KernelResult<MountedStack> {
     let device = device_for_options(&model, disk_blocks, options);
-    let vfs = mount_stack_on_device(stack, model, Arc::clone(&device), options)?;
+    let vfs = mount_stack_on_device(stack, model, Arc::clone(&device))?;
     Ok(MountedStack { vfs, stack, device })
 }
 
@@ -217,11 +212,7 @@ fn device_for_options(
     if depth == 0 {
         return Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone()));
     }
-    let queues = options.get("queues").and_then(|v| v.parse::<usize>().ok()).unwrap_or(4);
-    let mut config = QueueConfig::new(queues.max(1), depth);
-    if options.get("completion") == Some("poll") {
-        config = config.polled();
-    }
+    let config = QueueConfig { queue_depth: depth, ..QueueConfig::default() };
     Arc::new(MultiQueueDevice::ram_backed(disk_blocks, model.clone(), config))
 }
 
@@ -239,11 +230,9 @@ pub fn mount_stack_on_device(
     stack: FsStack,
     model: CostModel,
     device: Arc<dyn BlockDevice>,
-    options: &MountOptions,
 ) -> KernelResult<Arc<Vfs>> {
-    let fd_shards =
-        options.get("fd_shards").and_then(|v| v.parse::<usize>().ok()).unwrap_or_default();
-    let vfs = Arc::new(Vfs::new(VfsConfig { shard_count: fd_shards, ..VfsConfig::default() }));
+    let options = &MountOptions::default();
+    let vfs = Arc::new(Vfs::new(VfsConfig::default()));
     match stack {
         FsStack::BentoXv6 => {
             xv6fs::mkfs::mkfs_on_device(&device, 8192)?;
@@ -285,29 +274,13 @@ mod tests {
             vfs.fsync(fd).unwrap();
             vfs.close(fd).unwrap();
             assert_eq!(vfs.stat("/d/file").unwrap().size, 16, "stack {stack:?}");
-            mounted.unmount().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
-        }
-    }
-
-    #[test]
-    fn fd_shards_mount_option_reaches_the_vfs() {
-        for shards in ["1", "16"] {
-            let options = MountOptions::default().with_option("fd_shards", shards);
-            let mounted =
-                mount_stack_with(FsStack::BentoXv6, CostModel::zero(), 16_384, &options).unwrap();
-            let fd =
-                mounted.vfs.open("/fdshard-smoke", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
-            mounted.vfs.write(fd, b"knob").unwrap();
-            mounted.vfs.close(fd).unwrap();
-            assert_eq!(mounted.vfs.stat("/fdshard-smoke").unwrap().size, 4);
-            mounted.unmount().unwrap();
+            mounted.unmount_and_check().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
         }
     }
 
     #[test]
     fn queue_depth_mount_option_selects_the_queued_device() {
-        let options =
-            MountOptions::default().with_option("queue_depth", "8").with_option("queues", "2");
+        let options = MountOptions::default().with_option("queue_depth", "8");
         for stack in FsStack::all() {
             let mounted = mount_stack_with(stack, CostModel::zero(), 16_384, &options).unwrap();
             assert!(

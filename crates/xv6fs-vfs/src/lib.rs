@@ -71,36 +71,17 @@ impl std::fmt::Debug for Xv6VfsFilesystem {
 }
 
 impl Xv6VfsFilesystem {
-    /// Mounts the file system found on `device`.
+    /// Mounts the file system found on `device`, over a buffer cache the
+    /// size of the Bento stack's.
     ///
     /// # Errors
     ///
     /// [`Errno::Inval`](simkernel::error::Errno::Inval) if the device does
     /// not hold an xv6 image; I/O errors propagate.
     pub fn mount(device: Arc<dyn BlockDevice>) -> KernelResult<Arc<Self>> {
-        Self::mount_with_options(device, &MountOptions::default())
-    }
-
-    /// Mounts with explicit options — the Bento stack's two, with the same
-    /// defaults: `alloc_groups` sets the allocation-group count and
-    /// `cache_shards` the buffer-cache shard count (both `0`/absent =
-    /// default).
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Inval`](simkernel::error::Errno::Inval) if the device does
-    /// not hold an xv6 image; I/O errors propagate.
-    pub fn mount_with_options(
-        device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
-    ) -> KernelResult<Arc<Self>> {
-        let io = KernelBlockIo::with_shards(
-            device,
-            DEFAULT_BUFFER_CACHE_BLOCKS,
-            options.count("cache_shards"),
-        );
+        let io = KernelBlockIo::new(device, DEFAULT_BUFFER_CACHE_BLOCKS);
         let sb = userspace_superblock(Arc::new(io), VFS_XV6_NAME);
-        let core = FsCore::load(&sb, options.count("alloc_groups"))?;
+        let core = FsCore::load(&sb)?;
         core.log.recover(&sb)?;
         Ok(Arc::new(Xv6VfsFilesystem { sb, core }))
     }
@@ -220,9 +201,9 @@ impl FilesystemType for Xv6VfsFilesystemType {
     fn mount(
         &self,
         device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
+        _options: &MountOptions,
     ) -> KernelResult<Arc<dyn VfsFs>> {
-        Ok(Xv6VfsFilesystem::mount_with_options(device, options)? as Arc<dyn VfsFs>)
+        Ok(Xv6VfsFilesystem::mount(device)? as Arc<dyn VfsFs>)
     }
 }
 

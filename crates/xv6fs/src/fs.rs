@@ -45,8 +45,6 @@ pub struct Xv6FileSystem {
     /// operations never serialize on this lock.
     core: RwLock<Option<Arc<FsCore>>>,
     label: &'static str,
-    /// Allocation-group count applied at mount (`0` = default).
-    alloc_groups: usize,
     /// Test-only protocol violation planted in the log at attach.
     log_fault: journal::PlantedFault,
 }
@@ -72,12 +70,7 @@ impl Xv6FileSystem {
     /// Creates an instance with a distinguishing label (used by the upgrade
     /// example to tell "v1" from "v2" in diagnostics).
     pub fn with_label(label: &'static str) -> Self {
-        Xv6FileSystem {
-            core: RwLock::new(None),
-            label,
-            alloc_groups: 0,
-            log_fault: journal::PlantedFault::None,
-        }
+        Xv6FileSystem { core: RwLock::new(None), label, log_fault: journal::PlantedFault::None }
     }
 
     /// Test-only crash-safety hook: the log of this instance breaks one
@@ -88,15 +81,6 @@ impl Xv6FileSystem {
     #[must_use]
     pub fn with_planted_log_fault(mut self, fault: journal::PlantedFault) -> Self {
         self.log_fault = fault;
-        self
-    }
-
-    /// Sets the allocation-group count applied at mount (`0` = default;
-    /// rounded to a power of two).  Exposed through the `alloc_groups`
-    /// mount option.
-    #[must_use]
-    pub fn with_alloc_groups(mut self, alloc_groups: usize) -> Self {
-        self.alloc_groups = alloc_groups;
         self
     }
 
@@ -140,7 +124,7 @@ impl Xv6FileSystem {
     /// log recovery; a live upgrade instead continues the predecessor's
     /// log from `tail`, replaying nothing.
     fn attach(&self, sb: &SuperBlock, tail: Option<LogTail>) -> KernelResult<()> {
-        let mut core = FsCore::load(sb, self.alloc_groups)?;
+        let mut core = FsCore::load(sb)?;
         core.log.plant_fault(self.log_fault);
         match tail {
             Some(tail) => core.log.restore_tail(tail),

@@ -141,11 +141,6 @@ impl InodeCache {
         InodeCache::default()
     }
 
-    /// Creates an empty cache with an explicit shard count (`0` = default).
-    pub fn with_shards(shards: usize) -> Self {
-        InodeCache { map: ShardedMap::new(shards) }
-    }
-
     /// Returns the cached inode for `inum`, creating an (invalid, unread)
     /// entry if needed — the equivalent of `iget`.
     pub fn get(&self, inum: u32) -> Arc<Inode> {

@@ -70,15 +70,10 @@ pub const BENTO_XV6_NAME: &str = "xv6fs_bento";
 
 /// Returns the mountable Bento file system type for xv6fs, ready to be
 /// registered with [`register_bento_fs`](bento::register_bento_fs) or the
-/// VFS directly.
-///
-/// Mount options: `alloc_groups=<n>` sets the allocation-group count and
-/// `cache_shards=<n>` the buffer-cache shard count (both default-tuned when
-/// absent), so workloads can sweep the knobs without rebuilding.
+/// VFS directly.  It reads no mount options: the allocation groups and the
+/// buffer cache take their automatic shard counts.
 pub fn fstype() -> BentoFsType {
-    BentoFsType::with_options(BENTO_XV6_NAME, |options| {
-        Box::new(Xv6FileSystem::new().with_alloc_groups(options.count("alloc_groups")))
-    })
+    BentoFsType::new(BENTO_XV6_NAME, || Box::new(Xv6FileSystem::new()))
 }
 
 #[cfg(test)]

@@ -57,8 +57,7 @@ fn is_dot(name: &str) -> bool {
 
 impl FsCore {
     /// Reads and validates the on-disk superblock of the image on `sb` and
-    /// builds the in-memory core with `alloc_groups` allocation groups
-    /// (`0` = default).  The log is left untouched: a mount follows with
+    /// builds the in-memory core.  The log is left untouched: a mount follows with
     /// [`Log::recover`](crate::log::Log::recover), a live upgrade with
     /// [`Log::restore_tail`](crate::log::Log::restore_tail).
     ///
@@ -66,14 +65,14 @@ impl FsCore {
     ///
     /// [`Errno::Inval`] if the device does not hold an xv6 image or the
     /// image is larger than the device; I/O errors propagate.
-    pub fn load(sb: &SuperBlock, alloc_groups: usize) -> KernelResult<FsCore> {
+    pub fn load(sb: &SuperBlock) -> KernelResult<FsCore> {
         let block = sb.bread(1)?;
         let dsb = DiskSuperblock::decode(block.data())?;
         drop(block);
         if (dsb.size as u64) > sb.nblocks() {
             return Err(KernelError::with_context(Errno::Inval, "xv6fs: image larger than device"));
         }
-        Ok(FsCore::with_alloc_groups(dsb, alloc_groups))
+        Ok(FsCore::new(dsb))
     }
 
     /// Runs `body` as one log transaction.  `ns` is whatever namespace
@@ -682,7 +681,7 @@ mod tests {
     /// Mounts the image on `dev` behind a cold buffer cache.
     fn mount(dev: &Arc<dyn BlockDevice>) -> (SuperBlock, FsCore) {
         let sb = userspace_superblock(Arc::new(KernelBlockIo::new(Arc::clone(dev), 512)), "test");
-        let core = FsCore::load(&sb, 0).unwrap();
+        let core = FsCore::load(&sb).unwrap();
         core.log.recover(&sb).unwrap();
         (sb, core)
     }

@@ -1,16 +1,19 @@
 //! Cross-crate integration tests: the full kernel stack (VFS + page cache +
 //! BentoFS + xv6fs + buffer cache + SSD model), online upgrade under load
-//! through the VFS, FUSE end-to-end behaviour, and a property-style test of
-//! read/write/truncate consistency against an in-memory model (seeded
-//! random cases; every case reproducible from its printed seed).
+//! through the VFS, FUSE end-to-end behaviour, ext4sim's mount-time format
+//! rule, and a property-style test of read/write/truncate consistency
+//! against an in-memory model (seeded random cases; every case reproducible
+//! from its printed seed).
 
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
 
+use crashsim::device::{FaultConfig, FaultDevice};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
+use simkernel::error::KernelResult;
 use simkernel::vfs::{MountOptions, OpenFlags, Vfs};
 use workloads::{mount_stack, FsStack};
 use xv6fs::Xv6FileSystem;
@@ -112,6 +115,49 @@ fn ssd_cost_model_accounts_for_xv6_log_traffic() {
     assert!(snap.writes >= 4, "a create commits several blocks, saw {}", snap.writes);
     assert!(snap.flushes >= 1, "a commit issues at least one barrier");
     kernel.unmount().expect("unmount");
+}
+
+/// ext4sim formats only a blank device: an image whose reads fail is an
+/// error at mount, not a device to wipe, and it mounts intact once the
+/// fault clears.
+#[test]
+fn ext4_mount_returns_a_read_error_instead_of_formatting_the_image() {
+    let mount = |device: Arc<dyn BlockDevice>| -> KernelResult<Vfs> {
+        let vfs = Vfs::default();
+        vfs.register_filesystem(Arc::new(ext4sim::Ext4FilesystemType))?;
+        vfs.mount(ext4sim::EXT4_NAME, device, "/", &MountOptions::default())?;
+        Ok(vfs)
+    };
+    let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 239) as u8).collect();
+    let ram: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 16 * 1024));
+    let vfs = mount(Arc::clone(&ram)).expect("a blank device is formatted at mount");
+    let fd = vfs.open("/kept", OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("create");
+    vfs.write(fd, &payload).expect("write");
+    vfs.fsync(fd).expect("fsync");
+    vfs.close(fd).expect("close");
+    vfs.unmount("/").expect("unmount");
+
+    let faulty =
+        Arc::new(FaultDevice::new(ram, FaultConfig { read_eio: 1.0, ..FaultConfig::recorder(5) }));
+    assert!(
+        mount(Arc::clone(&faulty) as Arc<dyn BlockDevice>).is_err(),
+        "a mount whose every read fails must fail"
+    );
+
+    faulty.set_transient_eio(0.0, 0.0);
+    let vfs = mount(faulty).expect("remount once reads succeed");
+    let fd = vfs.open("/kept", OpenFlags::RDONLY).expect("the file survived the failed mount");
+    assert_eq!(vfs.fstat(fd).expect("fstat").size, payload.len() as u64);
+    let mut back = vec![0u8; payload.len()];
+    let mut read = 0usize;
+    while read < back.len() {
+        let n = vfs.pread(fd, &mut back[read..], read as u64).expect("read");
+        assert!(n > 0, "unexpected EOF at {read}");
+        read += n;
+    }
+    assert_eq!(back, payload);
+    vfs.close(fd).expect("close");
+    vfs.unmount("/").expect("unmount");
 }
 
 /// Property: an arbitrary sequence of write/truncate operations applied

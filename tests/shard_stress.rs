@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use simkernel::cost::CostModel;
-use simkernel::vfs::{OpenFlags, Vfs, VfsConfig};
+use simkernel::vfs::OpenFlags;
 use workloads::{mount_stack, FsStack};
 
 const THREADS: usize = 8;
@@ -135,47 +135,4 @@ fn bento_stack_overlapping_keys_under_8_threads() {
     assert_eq!(size, (THREADS * 16 * 64) as u64, "no append may be lost");
     assert_eq!(vfs.open_fd_count(), 0);
     mounted.unmount().expect("unmount");
-}
-
-/// The shard-count knob on `VfsConfig` is honoured end-to-end: a
-/// single-sharded VFS still passes the same concurrent workload (the knob
-/// changes contention, never semantics).
-#[test]
-fn shard_count_knob_preserves_semantics() {
-    for shard_count in [1usize, 4, 64] {
-        let vfs = Arc::new(Vfs::new(VfsConfig { shard_count, ..VfsConfig::default() }));
-        vfs.register_filesystem(Arc::new(simkernel::memfs::MemFilesystemType)).expect("register");
-        vfs.mount(
-            "memfs",
-            Arc::new(simkernel::dev::RamDisk::new(4096, 64)),
-            "/",
-            &simkernel::vfs::MountOptions::default(),
-        )
-        .expect("mount");
-        let mut handles = Vec::new();
-        for t in 0..4 {
-            let vfs = Arc::clone(&vfs);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..32 {
-                    let path = format!("/k{t}-{i}");
-                    let fd = vfs.open(&path, OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("open");
-                    vfs.write(fd, b"knob").expect("write");
-                    vfs.close(fd).expect("close");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("worker");
-        }
-        for t in 0..4 {
-            for i in 0..32 {
-                assert_eq!(
-                    vfs.stat(&format!("/k{t}-{i}")).expect("stat").size,
-                    4,
-                    "shard_count={shard_count}"
-                );
-            }
-        }
-        vfs.unmount("/").expect("unmount");
-    }
 }
