@@ -995,7 +995,7 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     let upgrade_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
     loadgen::prepare(&mounted.vfs, &spec, &upgrade_cfg)?;
     let (under_upgrade, outcome) =
-        loadgen::run_upgrade_under_load(&mounted.vfs, &spec, &upgrade_cfg)?;
+        loadgen::run_upgrade_under_load(&mounted.vfs, &spec, &upgrade_cfg, None)?;
     if !under_upgrade.is_clean() {
         return Err(KernelError::with_context(
             Errno::Io,
@@ -1005,14 +1005,7 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     if outcome.report.pause_ns == 0 {
         return Err(KernelError::with_context(Errno::Io, "upgrade pause was not measured"));
     }
-    rows.push(Row::new(
-        "load",
-        "upgrade-pause-us",
-        label,
-        outcome.report.pause_ns as f64 / 1_000.0,
-        "us",
-        None,
-    ));
+    rows.extend(upgrade_pause_rows("load", label, &outcome));
     rows.push(Row::new(
         "load",
         "upgrade-failed-ops",
@@ -1378,16 +1371,18 @@ fn run_monitored_clean(
 ///    middle half of the run).  The error-budget SLO must burn-rate-fire
 ///    within two windows of the first failed op, clear after the fault
 ///    lifts, and freeze an incident bundle.
-/// 4. **Pause attribution**: the live upgrade under webserver traffic
-///    ([`loadgen::run_upgrade_under_load`]) must surface as a flagged
-///    window attributed to `commit-wait` — the phase BentoFs charges
-///    blocked readers to while the upgrade holds the FS write lock.  The
-///    whole-window stall detector cannot see this: on a busy 1-CPU run
-///    the clean window *maximum* (group-commit waits, scheduler noise)
-///    runs tens of milliseconds while the upgrade quiesce is a few
-///    hundred microseconds.  The per-class phase-stall detector
-///    ([`monitor::PhaseStallSpec`]) inverts the problem: clean reads
-///    spend exactly zero ns in commit-wait, so *any* over-floor
+/// 4. **Pause attribution**: a live upgrade under webserver's read and
+///    stat traffic ([`loadgen::run_upgrade_under_load`], run once) must
+///    surface within two windows of the upgrade as a flagged window
+///    attributed to `commit-wait` — the phase BentoFs charges callers
+///    parked behind the upgrade's write lock to.  The contention is the
+///    harness's: the scenario holds the upgrade gate until a caller has
+///    parked, then for a fixed 1 ms, so the pause is observed on any CPU
+///    count.  The whole-window stall detector cannot see this: on a busy
+///    1-CPU run the clean window *maximum* (group-commit waits, scheduler
+///    noise) runs tens of milliseconds.  The per-class phase-stall
+///    detector ([`monitor::PhaseStallSpec`]) inverts the problem: clean
+///    reads spend exactly zero ns in commit-wait, so *any* over-floor
 ///    commit-wait on a read is categorical evidence of the pause.
 ///
 /// Every frozen incident bundle is written into `incident_dir`
@@ -1431,10 +1426,10 @@ pub fn health_experiment(
     // Part 2: per-workload calibration, then the clean-run false-positive
     // gate with every detector armed.  Clean reads and stats never enter
     // commit-wait at all (they never touch the journal; BentoFs only
-    // charges the phase to readers blocked behind the upgrade write
+    // charges the phase to callers parked behind the upgrade write
     // lock), so the phase-stall floor can sit at a fixed 20 us: far above
-    // the structural zero, comfortably below the shortest observed quick
-    // -mode pause (~70 us, of which a blocked reader eats most).
+    // the structural zero, far below the 1 ms the upgrade scenario below
+    // holds its parked callers.
     const READ_STALL_FLOOR_NS: u64 = 20_000;
     let read_phase_stalls = |threshold_ns: u64| {
         [
@@ -1655,111 +1650,87 @@ pub fn health_experiment(
     }
 
     // Part 4: the live upgrade's pause must surface as a commit-wait
-    // phase-stall on the read classes.  The webserver personality (20:4
-    // read:stat out of 27 weights) makes the ops blocked by the upgrade's
-    // write-lock quiesce almost surely reads, and clean reads never enter
-    // commit-wait at all, so the calibrated floor separates a few hundred
-    // microseconds of pause from tens of milliseconds of legitimate
-    // group-commit noise on the write classes.
-    let up_spec = loadgen::WorkloadSpec::webserver().with_files(files);
+    // phase-stall on a read class within two windows of the upgrade.  The
+    // traffic is webserver's read and stat weights alone, so every op
+    // parked behind the upgrade is read-class by construction, and clean
+    // reads never enter commit-wait at all: the calibrated floor separates
+    // the pause from every other wait.  The harness owns the contention:
+    // the scenario keeps the upgrade gate until a caller has parked, then
+    // for UPGRADE_HOLD, so one attempt observes the pause on any CPU count.
+    const UPGRADE_HOLD: Duration = Duration::from_millis(1);
+    let web = loadgen::WorkloadSpec::webserver().with_files(files);
+    let reads = loadgen::OpMix::new(&[
+        (loadgen::OpKind::Read, web.mix.weight(loadgen::OpKind::Read)),
+        (loadgen::OpKind::Stat, web.mix.weight(loadgen::OpKind::Stat)),
+    ]);
+    let up_spec = loadgen::WorkloadSpec { name: "webserver-reads".to_string(), mix: reads, ..web };
     let (up_window_ops, upgrade_stall_ns) = calibrations["webserver"];
-    // The quiesce-vs-traffic rendezvous is stochastic on a one-CPU host:
-    // the upgrade's grace barrier parks whichever workers the scheduler
-    // happens to run, and occasionally none of them is on a read-class op
-    // (the write classes hold the CPU far longer per op than their 3/27
-    // weight suggests).  A bounded retry keeps the gate deterministic
-    // without loosening the detector; the attempt count is reported.
-    const UPGRADE_ATTEMPTS: usize = 4;
-    let mut upgrade_success = None;
-    for attempt in 1..=UPGRADE_ATTEMPTS {
-        let [read_stall, stat_stall] = read_phase_stalls(upgrade_stall_ns);
-        let up_mon = HealthMonitor::new(
-            MonitorConfig::new(up_window_ops)
-                .with_phase_stall(read_stall)
-                .with_phase_stall(stat_stall),
-        );
-        let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
-        let up_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration)
-            .with_monitor(Arc::clone(&up_mon));
-        loadgen::prepare(&mounted.vfs, &up_spec, &up_cfg)?;
-        {
-            let source_stack = MountedStack {
-                vfs: Arc::clone(&mounted.vfs),
-                stack: FsStack::BentoXv6,
-                device: Arc::clone(&mounted.device),
-            };
-            let registry = simkernel::registry::MetricsRegistry::new();
-            up_mon.set_snapshot_source(move || {
-                source_stack.publish_metrics(&registry);
-                registry.snapshot()
-            });
-        }
-        let tracing = simkernel::trace::enable();
-        simkernel::trace::reset();
-        let upgrade_run = loadgen::run_upgrade_under_load(&mounted.vfs, &up_spec, &up_cfg);
-        drop(tracing);
-        let (under_upgrade, outcome) = upgrade_run?;
-        if !under_upgrade.is_clean() {
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: operations failed during the live upgrade",
-            ));
-        }
-        mounted.unmount()?;
-        let flagged: Vec<(u64, u64, String)> = up_mon
-            .events()
-            .iter()
-            .filter_map(|e| match e {
-                HealthEvent::LatencyWindowFlagged { window, max_ns, dominant_phase, .. } => {
-                    Some((*window, *max_ns, dominant_phase.clone()))
-                }
-                _ => None,
-            })
-            .collect();
-        let read_commit_wait_ns = [loadgen::OpKind::Read, loadgen::OpKind::Stat]
-            .iter()
-            .filter_map(|&k| under_upgrade.trace_class(k))
-            .map(|t| t.per_phase[Phase::CommitWait.index()].max())
-            .max()
-            .unwrap_or(0);
-        if flagged.is_empty() {
-            eprintln!(
-                "health: attempt {attempt}/{UPGRADE_ATTEMPTS}: upgrade pause {:.1} us (worst \
-                 read commit-wait {:.1} us, fired at {:.1}/{:.1} ms) never tripped the read \
-                 commit-wait stall floor {:.1} us",
-                outcome.report.pause_ns as f64 / 1_000.0,
-                read_commit_wait_ns as f64 / 1_000.0,
-                outcome.fired_at.as_secs_f64() * 1_000.0,
-                duration.as_secs_f64() * 1_000.0,
-                upgrade_stall_ns as f64 / 1_000.0,
-            );
-            continue;
-        }
-        if !flagged.iter().any(|(_, _, phase)| phase == "commit-wait") {
-            eprintln!(
-                "health: attempt {attempt}/{UPGRADE_ATTEMPTS}: flagged windows {flagged:?}; \
-                 none dominated by commit-wait"
-            );
-            continue;
-        }
-        upgrade_success = Some((outcome, flagged, read_commit_wait_ns, up_mon, attempt));
-        break;
+    let [read_stall, stat_stall] = read_phase_stalls(upgrade_stall_ns);
+    let up_mon = HealthMonitor::new(
+        MonitorConfig::new(up_window_ops).with_phase_stall(read_stall).with_phase_stall(stat_stall),
+    );
+    let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
+    let up_cfg =
+        loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(&up_mon));
+    loadgen::prepare(&mounted.vfs, &up_spec, &up_cfg)?;
+    {
+        let source_stack = MountedStack {
+            vfs: Arc::clone(&mounted.vfs),
+            stack: FsStack::BentoXv6,
+            device: Arc::clone(&mounted.device),
+        };
+        let registry = simkernel::registry::MetricsRegistry::new();
+        up_mon.set_snapshot_source(move || {
+            source_stack.publish_metrics(&registry);
+            registry.snapshot()
+        });
     }
-    let Some((outcome, flagged, read_commit_wait_ns, up_mon, attempts)) = upgrade_success else {
+    let tracing = simkernel::trace::enable();
+    simkernel::trace::reset();
+    let upgrade_run =
+        loadgen::run_upgrade_under_load(&mounted.vfs, &up_spec, &up_cfg, Some(UPGRADE_HOLD));
+    drop(tracing);
+    let (under_upgrade, outcome) = upgrade_run?;
+    if !under_upgrade.is_clean() {
         return Err(KernelError::with_context(
             Errno::Io,
-            "health: the upgrade pause was not flagged as a latency window in any attempt",
+            "health: operations failed during the live upgrade",
         ));
-    };
-    rows.push(Row::new(
-        "health",
-        "upgrade-pause-us",
-        label,
-        outcome.report.pause_ns as f64 / 1_000.0,
-        "us",
-        None,
-    ));
-    rows.push(Row::new("health", "upgrade-attempts", label, attempts as f64, "runs", None));
+    }
+    mounted.unmount()?;
+    let fired_window = outcome.fired_window.expect("the upgrade run carries a monitor");
+    let flagged: Vec<(u64, u64, String)> = up_mon
+        .events()
+        .iter()
+        .filter_map(|e| match e {
+            HealthEvent::LatencyWindowFlagged { window, max_ns, dominant_phase, .. } => {
+                Some((*window, *max_ns, dominant_phase.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    let read_commit_wait_ns = [loadgen::OpKind::Read, loadgen::OpKind::Stat]
+        .iter()
+        .filter_map(|&k| under_upgrade.trace_class(k))
+        .map(|t| t.per_phase[Phase::CommitWait.index()].max())
+        .max()
+        .unwrap_or(0);
+    if !flagged.iter().any(|(window, _, phase)| {
+        phase == "commit-wait" && (fired_window..=fired_window + 2).contains(window)
+    }) {
+        eprintln!(
+            "health: upgrade pause {:.1} us fired in window {fired_window} (worst read \
+             commit-wait {:.1} us, stall floor {:.1} us); flagged windows {flagged:?}",
+            outcome.report.pause_ns as f64 / 1_000.0,
+            read_commit_wait_ns as f64 / 1_000.0,
+            upgrade_stall_ns as f64 / 1_000.0,
+        );
+        return Err(KernelError::with_context(
+            Errno::Io,
+            "health: the upgrade pause was not flagged as commit-wait within two windows",
+        ));
+    }
+    rows.extend(upgrade_pause_rows("health", label, &outcome));
     rows.push(Row::new(
         "health",
         "upgrade-stall-threshold-us",
@@ -1809,6 +1780,22 @@ pub fn health_experiment(
     }
     rows.push(Row::new("health", "bundles-written", "-", incidents.len() as f64, "count", None));
     Ok(rows)
+}
+
+/// The pause of a live upgrade and its two measured parts, in µs:
+/// `upgrade-pause-us`, `upgrade-drain-us`, `upgrade-transfer-us`.
+fn upgrade_pause_rows(
+    experiment: &str,
+    label: &str,
+    outcome: &loadgen::UpgradeOutcome,
+) -> [Row; 3] {
+    let report = &outcome.report;
+    [
+        ("upgrade-pause-us", report.pause_ns),
+        ("upgrade-drain-us", report.drain_ns),
+        ("upgrade-transfer-us", report.transfer_ns),
+    ]
+    .map(|(config, ns)| Row::new(experiment, config, label, ns as f64 / 1_000.0, "us", None))
 }
 
 /// Mounts `stack` under the (scaled) NVMe cost model, runs `create_micro`

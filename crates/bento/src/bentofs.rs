@@ -17,13 +17,15 @@
 //!   mount gets a fresh instance over its own buffer cache of
 //!   [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks, and reads no mount options
 //!   (the caches and allocator keep their automatic sharding);
-//! * **online upgrade** ([`BentoFs::upgrade`]): swapping in a new file
+//! * **online upgrade** ([`BentoFs::upgrade`], or [`BentoFs::begin_upgrade`]
+//!   and [`UpgradeGate::complete`] in two steps): swapping in a new file
 //!   system implementation while the mount stays live (paper §4.8).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
-use parking_lot::{RwLock, RwLockReadGuard};
+use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
@@ -46,9 +48,9 @@ pub const DEFAULT_BUFFER_CACHE_BLOCKS: usize = 4096;
 /// `BentoFs` implements [`VfsFs`] by forwarding every operation to the
 /// currently installed [`FileSystem`] implementation.  The implementation is
 /// held behind a read/write lock: ordinary operations take the read side, so
-/// they proceed concurrently; [`BentoFs::upgrade`] takes the write side,
-/// which quiesces the file system for the duration of the swap (applications
-/// only observe a short delay, never an unmount).
+/// they proceed concurrently; an upgrade takes the write side, which drains
+/// the operations in flight and holds new ones until the new instance is
+/// installed (applications only observe a short delay, never an unmount).
 pub struct BentoFs {
     name: String,
     sb: SuperBlock,
@@ -56,7 +58,7 @@ pub struct BentoFs {
     generation: AtomicU64,
     ops: AtomicU64,
     /// Operations currently parked in [`BentoFs::read_fs`] behind an
-    /// in-flight upgrade — the upgrade's quiesce barrier occupancy.
+    /// upgrade holding (or waiting for) the write side.
     blocked_readers: AtomicU64,
 }
 
@@ -121,13 +123,8 @@ impl BentoFs {
     }
 
     /// Replaces the running file system implementation with `new_fs`
-    /// without unmounting (paper §4.8).
-    ///
-    /// The upgrade waits for in-flight operations to drain (the read/write
-    /// lock), asks the old instance for its transferable state, installs the
-    /// new instance, and hands it the state.  If the old instance does not
-    /// implement state transfer, BentoFS falls back to flushing it
-    /// (`sync_fs`) and freshly initializing the new instance from disk.
+    /// without unmounting (paper §4.8): [`BentoFs::begin_upgrade`] followed
+    /// at once by [`UpgradeGate::complete`].
     ///
     /// Open files remain open: inode numbers and file handles are
     /// file-system-defined and must remain meaningful across versions (the
@@ -138,77 +135,19 @@ impl BentoFs {
     /// If state extraction, restoration, or re-initialization fails the old
     /// implementation is left in place and the error is returned.
     pub fn upgrade(&self, new_fs: Box<dyn FileSystem>) -> KernelResult<UpgradeReport> {
-        let req = Request::kernel();
-        // The application-visible pause: waiting out in-flight operations
-        // (acquiring the write lock) plus the state transfer itself, ending
-        // when the new instance is installed.
-        let pause_started = std::time::Instant::now();
-        let mut guard = self.fs.write();
-        // Cooperative quiesce barrier.  On a single-CPU host the upgrade
-        // thread can otherwise run the entire state transfer without being
-        // preempted, so concurrent operations never even reach the lock and
-        // the pause is invisible to them.  With the write side held, wait
-        // until a concurrent caller parks in `read_fs()`, then briefly
-        // longer so the remaining runnable workers reach the barrier too,
-        // bounded by a small deadline so an idle mount upgrades without
-        // traffic to wait for.  Short sleeps, not `yield_now`: CFS's
-        // `sched_yield` often leaves the yielder running, while a sleep
-        // reliably hands the CPU to the workers.  Parked callers charge
-        // the wait to their trace spans as commit-wait, which is what
-        // makes the pause observable to the health monitor's phase-stall
-        // detector.
-        let grace_deadline = pause_started + std::time::Duration::from_millis(3);
-        loop {
-            let waiters = self.blocked_readers.load(Ordering::Relaxed);
-            if waiters > 0 {
-                // Settle: keep waiting while the barrier is still filling,
-                // so every runnable worker parks, not just the first.
-                let mut last = waiters;
-                let mut stable = 0u32;
-                while stable < 3 && std::time::Instant::now() < grace_deadline {
-                    std::thread::sleep(std::time::Duration::from_micros(50));
-                    let now_waiting = self.blocked_readers.load(Ordering::Relaxed);
-                    if now_waiting > last {
-                        last = now_waiting;
-                        stable = 0;
-                    } else {
-                        stable += 1;
-                    }
-                }
-                break;
-            }
-            if std::time::Instant::now() >= grace_deadline {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        }
-        let mut report = match guard.extract_state(&req, &self.sb) {
-            Ok(state) => {
-                let entries = state.len();
-                new_fs.restore_state(&req, &self.sb, state)?;
-                UpgradeReport {
-                    generation: self.generation.load(Ordering::Relaxed) + 1,
-                    transferred_entries: entries,
-                    state_transfer: true,
-                    pause_ns: 0,
-                }
-            }
-            Err(e) if e.errno() == Errno::NoSys => {
-                guard.sync_fs(&req, &self.sb)?;
-                new_fs.init(&req, &self.sb)?;
-                UpgradeReport {
-                    generation: self.generation.load(Ordering::Relaxed) + 1,
-                    transferred_entries: 0,
-                    state_transfer: false,
-                    pause_ns: 0,
-                }
-            }
-            Err(e) => return Err(e),
-        };
-        *guard = new_fs;
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        report.pause_ns = pause_started.elapsed().as_nanos() as u64;
-        Ok(report)
+        self.begin_upgrade().complete(new_fs)
+    }
+
+    /// Starts an upgrade: takes the write side of the implementation lock,
+    /// which waits for the operations in flight to drain, and returns the
+    /// gate that holds it.  From here until the gate is completed or
+    /// dropped, every new operation parks (see [`UpgradeGate::parked`]).
+    /// Dropping the gate without [`UpgradeGate::complete`] aborts the
+    /// upgrade; the old instance keeps serving.
+    pub fn begin_upgrade(&self) -> UpgradeGate<'_> {
+        let requested = Instant::now();
+        let guard = self.fs.write();
+        UpgradeGate { fs: self, guard, requested, drain_ns: requested.elapsed().as_nanos() as u64 }
     }
 
     fn track(&self) -> Request {
@@ -218,11 +157,11 @@ impl BentoFs {
 
     /// Takes the read side of the implementation lock.  Uncontended — the
     /// overwhelmingly common case — this is a single `try_read`.  When an
-    /// [`BentoFs::upgrade`] holds (or is waiting for) the write side, the
-    /// blocked acquisition is attributed to the caller's active trace span
-    /// as commit-wait: the upgrade quiesce is a whole-filesystem
-    /// drain/flush, so the pause shows up in a latency window's phase
-    /// breakdown instead of as unattributed "other" time.
+    /// upgrade holds (or is waiting for) the write side, the caller counts
+    /// as parked for [`UpgradeGate::parked`], and the blocked acquisition
+    /// is attributed to its active trace span as commit-wait: the upgrade
+    /// is a whole-filesystem drain, so the pause shows up in a latency
+    /// window's phase breakdown instead of as unattributed "other" time.
     fn read_fs(&self) -> RwLockReadGuard<'_, Box<dyn FileSystem>> {
         if let Some(guard) = self.fs.try_read() {
             return guard;
@@ -405,6 +344,69 @@ impl VfsFs for BentoFs {
     }
 }
 
+/// An upgrade in progress: the write side of a [`BentoFs`]'s
+/// implementation lock, taken by [`BentoFs::begin_upgrade`].
+///
+/// While the gate lives, the old instance is drained and every new
+/// operation on the mount parks.  [`UpgradeGate::complete`] installs the
+/// new instance and releases them; dropping the gate instead aborts the
+/// upgrade and releases them to the old instance.
+#[must_use = "dropping the gate aborts the upgrade"]
+pub struct UpgradeGate<'a> {
+    fs: &'a BentoFs,
+    guard: RwLockWriteGuard<'a, Box<dyn FileSystem>>,
+    requested: Instant,
+    drain_ns: u64,
+}
+
+impl UpgradeGate<'_> {
+    /// Operations currently parked behind this gate.
+    pub fn parked(&self) -> u64 {
+        self.fs.blocked_readers.load(Ordering::Relaxed)
+    }
+
+    /// Moves the old instance's state into `new_fs` and installs it.
+    ///
+    /// The old instance is asked for its transferable state, which the new
+    /// instance restores.  If the old instance does not implement state
+    /// transfer, BentoFS falls back to flushing it (`sync_fs`) and freshly
+    /// initializing the new instance from disk.
+    ///
+    /// # Errors
+    ///
+    /// If state extraction, restoration, or re-initialization fails the old
+    /// implementation is left in place, the gate is released, and the
+    /// error is returned.
+    pub fn complete(mut self, new_fs: Box<dyn FileSystem>) -> KernelResult<UpgradeReport> {
+        let req = Request::kernel();
+        let sb = &self.fs.sb;
+        let transfer_started = Instant::now();
+        let (transferred_entries, state_transfer) = match self.guard.extract_state(&req, sb) {
+            Ok(state) => {
+                let entries = state.len();
+                new_fs.restore_state(&req, sb, state)?;
+                (entries, true)
+            }
+            Err(e) if e.errno() == Errno::NoSys => {
+                self.guard.sync_fs(&req, sb)?;
+                new_fs.init(&req, sb)?;
+                (0, false)
+            }
+            Err(e) => return Err(e),
+        };
+        let transfer_ns = transfer_started.elapsed().as_nanos() as u64;
+        *self.guard = new_fs;
+        Ok(UpgradeReport {
+            generation: self.fs.generation.fetch_add(1, Ordering::Relaxed) + 1,
+            transferred_entries,
+            state_transfer,
+            pause_ns: self.requested.elapsed().as_nanos() as u64,
+            drain_ns: self.drain_ns,
+            transfer_ns,
+        })
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Registration
 // ---------------------------------------------------------------------------
@@ -504,6 +506,10 @@ mod tests {
         version: u32,
         /// The length of every buffer `read` was lent, in call order.
         read_lens: Arc<Mutex<Vec<usize>>>,
+        /// `getattr` calls this instance served.
+        getattrs: Arc<AtomicU64>,
+        /// `restore_state` rejects every bundle with `EINVAL`.
+        rejects_state: bool,
     }
 
     impl TestFs {
@@ -518,6 +524,7 @@ mod tests {
         }
 
         fn getattr(&self, _req: &Request, _sb: &SuperBlock, ino: u64) -> KernelResult<InodeAttr> {
+            self.getattrs.fetch_add(1, Ordering::Relaxed);
             if ino == 1 {
                 return Ok(InodeAttr::directory(1));
             }
@@ -666,6 +673,9 @@ mod tests {
             _sb: &SuperBlock,
             state: StateBundle,
         ) -> KernelResult<()> {
+            if self.rejects_state {
+                return Err(KernelError::with_context(Errno::Inval, "testfs: bundle rejected"));
+            }
             let files: Vec<(u64, String, Vec<u8>)> = state.get("files")?;
             let next: u64 = state.get("next_ino")?;
             let mut map = self.files.lock();
@@ -786,6 +796,64 @@ mod tests {
         // from "disk") legitimately loses the in-memory file.  A real file
         // system (xv6fs) persists to the device and would still see it.
         assert_eq!(fs.lookup(1, "lost").unwrap_err().errno(), Errno::NoEnt);
+    }
+
+    /// Mounts version 1 holding one file whose first 10 bytes are 7s.
+    fn mounted_with_file() -> (Arc<BentoFs>, u64) {
+        let fs = mounted();
+        let ino = fs.create(1, "kept", FileMode::regular()).unwrap().ino;
+        fs.write_page(ino, 0, &vec![7u8; PAGE_SIZE], 10).unwrap();
+        (fs, ino)
+    }
+
+    /// After an aborted upgrade the old instance still serves its files,
+    /// and the write lock is free: the next upgrade goes through.
+    fn assert_abort_left_old_instance(fs: &BentoFs, ino: u64) {
+        assert_eq!(fs.generation(), 0, "an aborted upgrade installs nothing");
+        let mut buf = vec![0u8; PAGE_SIZE];
+        assert_eq!(fs.read_page(ino, 0, &mut buf).unwrap(), 10);
+        assert!(buf[..10].iter().all(|&b| b == 7));
+        let report = fs.upgrade(Box::new(TestFs::with_version(2))).unwrap();
+        assert_eq!((report.generation, fs.generation()), (1, 1));
+    }
+
+    #[test]
+    fn failed_restore_leaves_the_old_instance_serving() {
+        let (fs, ino) = mounted_with_file();
+        let rejecting = TestFs { rejects_state: true, ..TestFs::with_version(2) };
+        assert_eq!(fs.upgrade(Box::new(rejecting)).unwrap_err().errno(), Errno::Inval);
+        assert_abort_left_old_instance(&fs, ino);
+    }
+
+    #[test]
+    fn dropped_gate_leaves_the_old_instance_serving() {
+        let (fs, ino) = mounted_with_file();
+        drop(fs.begin_upgrade());
+        assert_abort_left_old_instance(&fs, ino);
+    }
+
+    #[test]
+    fn gate_parks_callers_and_releases_them_to_the_new_instance() {
+        let (fs, ino) = mounted_with_file();
+        let v2 = TestFs::with_version(2);
+        let v2_getattrs = Arc::clone(&v2.getattrs);
+        let gate = fs.begin_upgrade();
+        let caller = {
+            let fs = Arc::clone(&fs);
+            std::thread::spawn(move || fs.getattr(ino))
+        };
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while gate.parked() == 0 {
+            assert!(Instant::now() < deadline, "the getattr never parked behind the gate");
+            std::thread::yield_now();
+        }
+        assert_eq!(gate.parked(), 1);
+        let report = gate.complete(Box::new(v2)).unwrap();
+        assert_eq!(caller.join().unwrap().unwrap().size, 10);
+        assert_eq!(v2_getattrs.load(Ordering::Relaxed), 1, "served by the new instance");
+        assert_eq!(fs.generation(), 1);
+        assert!(report.drain_ns > 0 && report.transfer_ns > 0, "{report:?}");
+        assert!(report.drain_ns + report.transfer_ns <= report.pause_ns, "{report:?}");
     }
 
     #[test]

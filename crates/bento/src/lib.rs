@@ -24,7 +24,8 @@
 //! * **Online upgrade** (§4.8, [`upgrade`] + [`bentofs::BentoFs::upgrade`]):
 //!   a running file system can be replaced by a new implementation without
 //!   unmounting; in-memory state is carried across through a
-//!   [`StateBundle`].
+//!   [`StateBundle`].  The pause is the write lock's drain plus the state
+//!   transfer, nothing more.
 //! * **Userspace debugging** (§4.9, [`userspace`]): the same file system code
 //!   runs in userspace unchanged.  Its one kernel-service surface is the
 //!   [`SuperBlock`] capability over a [`BlockIo`] provider, and the
@@ -74,7 +75,7 @@ pub mod fileops;
 pub mod upgrade;
 pub mod userspace;
 
-pub use bentofs::{register_bento_fs, unregister_bento_fs, BentoFs, BentoFsType};
+pub use bentofs::{register_bento_fs, unregister_bento_fs, BentoFs, BentoFsType, UpgradeGate};
 pub use bentoks::{BlockBuffer, BlockIo, BufferHead, SuperBlock};
 pub use fileops::{FileSystem, Request};
 pub use upgrade::StateBundle;

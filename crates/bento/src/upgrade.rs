@@ -127,12 +127,19 @@ pub struct UpgradeReport {
     /// Whether the state-transfer path was used (`extract_state` /
     /// `restore_state`), as opposed to the sync-and-reinit fallback.
     pub state_transfer: bool,
-    /// How long applications were paused: the time the upgrade held the
-    /// file system exclusively, from requesting the write lock (waiting
-    /// out in-flight operations) to installing the new instance.  The
+    /// How long applications were paused: from requesting the write lock
+    /// to installing the new instance.  It covers `drain_ns` and
+    /// `transfer_ns`, plus however long the caller held the
+    /// [`UpgradeGate`](crate::bentofs::UpgradeGate) between the two.  The
     /// paper's §4.8 headline is that this is milliseconds, not an
     /// unmount/remount window.
     pub pause_ns: u64,
+    /// Acquiring the write lock: waiting for the operations in flight to
+    /// drain.
+    pub drain_ns: u64,
+    /// Moving the state: `extract_state` + `restore_state`, or `sync_fs` +
+    /// `init` on the fallback path.
+    pub transfer_ns: u64,
 }
 
 #[cfg(test)]

@@ -202,14 +202,6 @@ impl FaultDevice {
         self.trace_enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// The live transient-EIO probabilities as `(read, write)`.
-    pub fn transient_eio(&self) -> (f64, f64) {
-        (
-            f64::from_bits(self.read_eio_bits.load(Ordering::Relaxed)),
-            f64::from_bits(self.write_eio_bits.load(Ordering::Relaxed)),
-        )
-    }
-
     /// Retunes the transient-EIO probabilities while the device is live.
     ///
     /// This is the mid-run fault scenario hook: a load generator mounts a

@@ -227,11 +227,6 @@ impl ClassPhaseTrace {
     pub fn attributed_ns(&self) -> u64 {
         self.phase_sum_ns.iter().sum()
     }
-
-    /// Fraction of total service time spent in `phase` (0 when no spans).
-    pub fn phase_share(&self, phase: Phase) -> f64 {
-        self.phase_sum_ns[phase.index()] as f64 / (self.total_sum_ns as f64).max(1.0)
-    }
 }
 
 /// The outcome of one load run.

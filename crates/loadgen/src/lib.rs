@@ -28,7 +28,8 @@
 //!   crate's `load` experiment.
 //! * **Scenario hooks** ([`scenario`]): [`BentoFs::upgrade`] fired mid-run
 //!   under traffic (zero failed ops, measured pause — the paper's
-//!   upgrade-under-load experiment) and crashsim `FaultDevice`
+//!   upgrade-under-load experiment; optionally held until callers park
+//!   behind it, for detector tests) and crashsim `FaultDevice`
 //!   transient-EIO injection under load (failed ops counted per class,
 //!   liveness re-probed after the fault clears).
 //!

@@ -4,9 +4,10 @@
 //! The paper's flagship demo (§6.2) is upgrading a live file system under
 //! sustained traffic: applications observe a pause of milliseconds, not an
 //! unmount window.  [`run_upgrade_under_load`] reproduces that experiment —
-//! traffic from any personality, a [`BentoFs::upgrade`] fired halfway
-//! through, the pause measured and zero failed operations asserted by the
-//! caller via [`LoadResult::is_clean`].
+//! traffic from any personality, an upgrade fired halfway through
+//! (optionally held until callers park behind it), the pause measured and
+//! zero failed operations asserted by the caller via
+//! [`LoadResult::is_clean`].
 //!
 //! [`run_eio_under_load`] drives the same traffic over a crashsim
 //! [`FaultDevice`] and flips transient-EIO injection on for a window
@@ -35,11 +36,24 @@ pub struct UpgradeOutcome {
     pub report: UpgradeReport,
     /// When the upgrade fired, relative to run start.
     pub fired_at: Duration,
+    /// The health monitor's window in progress when the upgrade fired
+    /// (`None` when the run has no monitor).
+    pub fired_window: Option<u64>,
 }
 
-/// Runs `spec` against an already-mounted **Bento** stack and fires
-/// [`BentoFs::upgrade`] (swapping in a fresh [`xv6fs::Xv6FileSystem`])
-/// halfway through the run, while the drivers keep issuing operations.
+/// How long a held upgrade waits for the first caller to park before the
+/// scenario gives up.
+const PARK_WAIT: Duration = Duration::from_secs(2);
+
+/// Runs `spec` against an already-mounted **Bento** stack and upgrades it
+/// (swapping in a fresh [`xv6fs::Xv6FileSystem`]) halfway through the run,
+/// while the drivers keep issuing operations.
+///
+/// With `hold: None` the upgrade is [`BentoFs::upgrade`], whose pause is
+/// the drain plus the state transfer.  With `Some(hold)` the scenario owns
+/// the contention: it keeps the gate from [`BentoFs::begin_upgrade`] until
+/// a caller has parked behind it, then for `hold` more, so every parked
+/// caller observes the pause — what a detector test needs.
 ///
 /// The upgrade handle is recovered from the VFS mount table through the
 /// [`VfsFs::as_any`](simkernel::vfs::VfsFs::as_any) downcast hook, so the
@@ -49,39 +63,48 @@ pub struct UpgradeOutcome {
 /// # Errors
 ///
 /// Fails if `vfs`'s root mount is not a BentoFS mount, if the upgrade
-/// itself fails, or (under [`ErrorPolicy::FailFast`]) if any operation
-/// fails — the paper's bar is zero failed ops across the swap.
+/// itself fails, if a held upgrade sees no caller park within 2 s (the
+/// upgrade is then aborted), or (under [`ErrorPolicy::FailFast`]) if any
+/// operation fails — the paper's bar is zero failed ops across the swap.
 pub fn run_upgrade_under_load(
     vfs: &Arc<Vfs>,
     spec: &WorkloadSpec,
     cfg: &LoadConfig,
+    hold: Option<Duration>,
 ) -> KernelResult<(LoadResult, UpgradeOutcome)> {
     let mounted = vfs.mounted_fs("/")?;
-    // Hold the Arc for the scenario thread; the downcast is re-done there
-    // because `Any` borrows cannot cross the thread spawn.
-    if mounted.as_any().and_then(|a| a.downcast_ref::<BentoFs>()).is_none() {
-        return Err(KernelError::with_context(
-            Errno::Inval,
-            "upgrade-under-load requires a BentoFS mount at /",
-        ));
-    }
-    let fire_after = cfg.duration / 2;
+    let bento = mounted.as_any().and_then(|a| a.downcast_ref::<BentoFs>()).ok_or_else(|| {
+        KernelError::with_context(Errno::Inval, "upgrade-under-load requires a BentoFS mount at /")
+    })?;
     let started = Instant::now();
-    let scenario = std::thread::spawn(move || -> KernelResult<UpgradeOutcome> {
-        std::thread::sleep(fire_after);
-        let bento = mounted
-            .as_any()
-            .and_then(|a| a.downcast_ref::<BentoFs>())
-            .expect("checked before spawn");
-        let fired_at = started.elapsed();
-        let report = bento.upgrade(Box::new(xv6fs::Xv6FileSystem::with_label("loadgen-v2")))?;
-        Ok(UpgradeOutcome { report, fired_at })
-    });
-    let result = run_load(vfs, spec, cfg)?;
-    let outcome = scenario
-        .join()
-        .map_err(|_| KernelError::with_context(Errno::Io, "upgrade scenario thread panicked"))??;
-    Ok((result, outcome))
+    std::thread::scope(|scope| {
+        let scenario = scope.spawn(|| -> KernelResult<UpgradeOutcome> {
+            std::thread::sleep(cfg.duration / 2);
+            let fired_at = started.elapsed();
+            let fired_window = cfg.monitor.as_ref().map(|m| m.windows_closed());
+            let gate = bento.begin_upgrade();
+            if let Some(hold) = hold {
+                let deadline = Instant::now() + PARK_WAIT;
+                while gate.parked() == 0 {
+                    if Instant::now() >= deadline {
+                        return Err(KernelError::with_context(
+                            Errno::Io,
+                            "held upgrade: no caller parked behind the gate",
+                        ));
+                    }
+                    std::thread::sleep(Duration::from_micros(50));
+                }
+                std::thread::sleep(hold);
+            }
+            let report = gate.complete(Box::new(xv6fs::Xv6FileSystem::with_label("loadgen-v2")))?;
+            Ok(UpgradeOutcome { report, fired_at, fired_window })
+        });
+        let result = run_load(vfs, spec, cfg);
+        let outcome = scenario.join().map_err(|_| {
+            KernelError::with_context(Errno::Io, "upgrade scenario thread panicked")
+        })?;
+        Ok((result?, outcome?))
+    })
 }
 
 /// What the transient-EIO scenario observed.

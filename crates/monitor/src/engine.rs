@@ -244,6 +244,12 @@ impl HealthMonitor {
         self.inner.lock().windows.iter().cloned().collect()
     }
 
+    /// Windows closed so far, which is also the index of the window in
+    /// progress.
+    pub fn windows_closed(&self) -> u64 {
+        self.inner.lock().next_index
+    }
+
     /// Index of the first closed window containing a failed op, if any —
     /// tracked online, so it survives ring eviction.
     pub fn first_error_window(&self) -> Option<u64> {
@@ -575,5 +581,6 @@ mod tests {
         let windows = monitor.windows();
         assert_eq!(windows.len(), 3);
         assert_eq!(windows.first().map(|w| w.index), Some(7), "oldest evicted");
+        assert_eq!(monitor.windows_closed(), 10, "the count survives eviction");
     }
 }

@@ -27,8 +27,8 @@
 //!   ([`MonitorConfig::stall_threshold_ns`]) for gross pauses, and
 //!   per-class **phase-stall** detectors ([`PhaseStallSpec`]) that flag a
 //!   window when an op class spent over-threshold exclusive time in a
-//!   phase it never enters on clean runs — the detector that separates a
-//!   sub-millisecond upgrade quiesce (commit-wait on reads) from
+//!   phase it never enters on clean runs — the detector that separates
+//!   reads parked behind a live upgrade (commit-wait on reads) from
 //!   multi-millisecond group-commit and scheduling noise.
 //! * **Flight recorder**: every fired alert (and every stall-flagged
 //!   window, see [`MonitorConfig::stall_threshold_ns`]) freezes the last

@@ -52,7 +52,6 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
@@ -117,16 +116,9 @@ impl MetricsSnapshot {
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry (tests; most callers use
-    /// [`MetricsRegistry::global`]).
+    /// Creates an empty registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The process-wide registry every stack publishes into.
-    pub fn global() -> &'static MetricsRegistry {
-        static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-        GLOBAL.get_or_init(MetricsRegistry::new)
     }
 
     /// Sets counter `key` to `value` (last write wins — the shape for

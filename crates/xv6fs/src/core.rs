@@ -218,15 +218,6 @@ impl AllocGroups {
             g.inode_hint = inode_hint as u32;
         }
     }
-
-    /// Drops every cached used-count (after a bulk on-disk change).
-    pub fn invalidate_used_counts(&self) {
-        for group in &self.groups {
-            let mut g = group.lock();
-            g.used_blocks = None;
-            g.used_inodes = None;
-        }
-    }
 }
 
 /// The read-mostly half of a mounted file system: everything that is fixed

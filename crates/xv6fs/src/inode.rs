@@ -90,11 +90,6 @@ impl InodeData {
         self.ftype == T_DIR
     }
 
-    /// Whether this inode slot is free.
-    pub fn is_free(&self) -> bool {
-        self.ftype == T_FREE
-    }
-
     /// VFS attributes for inode number `inum`.
     pub fn attr(&self, inum: u32) -> InodeAttr {
         InodeAttr {
@@ -161,11 +156,6 @@ impl InodeCache {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
-    }
-
-    /// Inode numbers currently cached (used for upgrade state transfer).
-    pub fn cached_inums(&self) -> Vec<u32> {
-        self.map.keys()
     }
 }
 

@@ -57,6 +57,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             "upgraded to {version}: generation {}, state transfer: {}, {} state entries carried over",
             report.generation, report.state_transfer, report.transferred_entries
         );
+        println!(
+            "  pause {:.1} us = drain {:.1} us + transfer {:.1} us + install",
+            report.pause_ns as f64 / 1e3,
+            report.drain_ns as f64 / 1e3,
+            report.transfer_ns as f64 / 1e3
+        );
         thread::sleep(Duration::from_millis(20));
     }
 
