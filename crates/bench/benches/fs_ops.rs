@@ -91,18 +91,22 @@ fn bench_cached_read_4k() {
 /// The journal's two per-commit software costs on a bare RAM disk, so a
 /// regression of the commit path localises without a full run: the
 /// payload digest of one block, and a whole 4-block commit (stage, digest,
-/// payload + record, barrier, install).
+/// payload + record, barrier; the blocks are re-logged every commit, so
+/// their installs are superseded).  xv6's log geometry, homes after the
+/// log.
 fn bench_journal() {
     use journal::io::DeviceIo;
     use journal::{Journal, JournalConfig};
     use simkernel::dev::RamDisk;
+    use xv6fs::layout::LOGSIZE;
 
     let block = vec![0xA5u8; 4096];
     time_op("digest 4 KiB", "journal", || {
         std::hint::black_box(journal::record::payload_digest([std::hint::black_box(&block[..])]));
     });
     let io = DeviceIo::new(Arc::new(RamDisk::new(4096, 4096)));
-    let journal = Journal::new(JournalConfig::from_geometry(2, 514, 514, (1024, 4096)));
+    let homes = (2 + LOGSIZE as u64, 4096);
+    let journal = Journal::new(JournalConfig::from_geometry(2, LOGSIZE, LOGSIZE, homes));
     time_op("commit 4 blocks", "journal", || {
         journal.begin_op();
         for home in 0..4 {

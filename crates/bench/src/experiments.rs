@@ -406,6 +406,7 @@ fn write_path_delta(before: &WritePathStats, after: &WritePathStats) -> WritePat
         log_commits: after.log_commits.saturating_sub(before.log_commits),
         log_ops: after.log_ops.saturating_sub(before.log_ops),
         log_blocks: after.log_blocks.saturating_sub(before.log_blocks),
+        log_installs: after.log_installs.saturating_sub(before.log_installs),
         log_barriers: after.log_barriers.saturating_sub(before.log_barriers),
         alloc_per_group: after
             .alloc_per_group
@@ -539,6 +540,14 @@ pub fn scaling_experiment_with_threads(
                 ));
                 rows.push(Row::new(
                     "scaling",
+                    &format!("create-{threads}t-installs-per-commit"),
+                    stack.label(),
+                    delta.installs_per_commit(),
+                    "installs/commit",
+                    None,
+                ));
+                rows.push(Row::new(
+                    "scaling",
                     &format!("create-{threads}t-groups-used"),
                     stack.label(),
                     delta.groups_used() as f64,
@@ -612,8 +621,8 @@ pub fn scaling_experiment_with_threads(
     }
     // Queue-depth sweep on the queued NVMe device (Bento, 8 threads,
     // `queue_depth` mount option).  Depth 1 still queues but serializes
-    // service; deeper queues let the two-stage commit overlap stage-1
-    // payload copies with the previous group's installs.  Besides ops/s
+    // service; deeper queues let a commit's batched epoch — the installs
+    // that fell due and the payload copies — overlap.  Besides ops/s
     // the rows surface the write-path barrier discipline (must stay flat —
     // overlap may never add barriers) and the in-flight depth gauge the
     // device samples (mean/max), which is the direct evidence that
@@ -755,7 +764,7 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
         gate(&mut rows, &report, "")?;
     }
     // One more pass through the queued (multi-queue) device model: batched
-    // payload submission and two-stage commit overlap must keep both
+    // submission of each commit's installs and payload must keep both
     // oracles clean, with the recorder observing every queued write in its
     // submission epoch.  `queued-*` rows distinguish it in the JSON.
     let queued_cfg = CrashTestConfig { queue_depth: 8, ..crash_cfg };
@@ -943,7 +952,7 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     // instead of hiding it.  Each personality runs twice, on the default
     // synchronous device (`{name}-open-*` rows) and on the queued NVMe
     // model at depth 32 (`{name}-open-queued-*` rows): under overload the
-    // two-stage commit overlaps consecutive groups' log I/O, so the queued
+    // batched commit epochs overlap their log and install I/O, so the queued
     // p99 must come in below the synchronous one at the same offered rate.
     let label = FsStack::BentoXv6.label();
     let specs: [fn() -> loadgen::WorkloadSpec; 2] =

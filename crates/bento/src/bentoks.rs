@@ -66,11 +66,11 @@ pub trait BlockIo: Send + Sync {
     fn sync_all(&self) -> KernelResult<()>;
 
     /// Writes `data` to `blockno` on the device *without* going through the
-    /// buffer cache.  The pipelined log uses this to install a committed
-    /// snapshot of a block whose cached copy has since been modified by a
-    /// later, not-yet-committed transaction: the newer cached bytes stay
-    /// dirty (their own group will log and install them) while the home
-    /// location receives exactly the committed bytes.
+    /// buffer cache.  The log installs every committed snapshot this way:
+    /// when a later, not-yet-committed transaction has modified the cached
+    /// copy since, the newer cached bytes stay dirty (their own group will
+    /// log and install them) while the home location receives exactly the
+    /// committed bytes.
     ///
     /// # Errors
     ///
@@ -78,8 +78,8 @@ pub trait BlockIo: Send + Sync {
     fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
     /// Returns the asynchronous multi-queue face of the underlying device,
-    /// if it has one.  The write-ahead log uses it to batch-submit payload
-    /// copies and overlap them with a previous group's installs; `None`
+    /// if it has one.  The write-ahead log uses it to batch-submit a
+    /// commit's installs and payload copies together; `None`
     /// (the default, and the userspace provider's only answer) keeps the
     /// log on the synchronous path.
     fn queued(&self) -> Option<&dyn QueuedBlockDevice> {
@@ -107,6 +107,14 @@ pub trait BlockBuffer {
     ///
     /// Propagates device errors.
     fn write(&mut self) -> KernelResult<()>;
+
+    /// Marks the buffer clean without a device write (its bytes already
+    /// reached the device by another path).
+    fn mark_clean(&mut self);
+
+    /// Names the buffer's current contents (see
+    /// [`simkernel::buffer::BufferGuard::generation`]).
+    fn generation(&self) -> u64;
 }
 
 // ---------------------------------------------------------------------------
@@ -156,6 +164,14 @@ impl BlockBuffer for KernelBlockBuffer {
 
     fn write(&mut self) -> KernelResult<()> {
         self.guard.write()
+    }
+
+    fn mark_clean(&mut self) {
+        self.guard.mark_clean();
+    }
+
+    fn generation(&self) -> u64 {
+        self.guard.generation()
     }
 }
 
@@ -326,6 +342,19 @@ impl BufferHead {
     /// Propagates device errors.
     pub fn write(&mut self) -> KernelResult<()> {
         self.inner.write()
+    }
+
+    /// Marks the buffer clean without writing it: the log has just
+    /// installed exactly these bytes through [`SuperBlock::write_raw`].
+    pub fn mark_clean(&mut self) {
+        self.inner.mark_clean();
+    }
+
+    /// Names the buffer's current contents: it changes whenever they may
+    /// have, so the log can tell an unmodified buffer without comparing
+    /// bytes.
+    pub fn generation(&self) -> u64 {
+        self.inner.generation()
     }
 }
 

@@ -105,6 +105,14 @@ impl BlockBuffer for UserBlockBuffer {
         self.blocks_written_since_sync.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
+
+    fn mark_clean(&mut self) {
+        self.guard.mark_clean();
+    }
+
+    fn generation(&self) -> u64 {
+        self.guard.generation()
+    }
 }
 
 impl BlockIo for UserDisk {

@@ -20,15 +20,15 @@ use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 
 use bento::bentoks::{KernelBlockIo, SuperBlock};
-use journal::io::{DeviceIo, JournalIo};
+use journal::io::DeviceIo;
 use journal::record::BSIZE;
 use journal::{Journal, JournalConfig, JournalStats};
 use xv6fs::layout::{DiskSuperblock, FSMAGIC, LOGSIZE};
 use xv6fs::log::Log;
 
 /// The shared log geometry every harness stack mounts: log at block 2
-/// (after boot block and superblock), the full double-buffered
-/// [`LOGSIZE`], homes legal from the end of the log area to `disk_blocks`.
+/// (after boot block and superblock), the full [`LOGSIZE`] ring of
+/// regions, homes legal from the end of the log area to `disk_blocks`.
 pub fn test_geometry(disk_blocks: u32) -> DiskSuperblock {
     DiskSuperblock {
         magic: FSMAGIC,
@@ -165,8 +165,10 @@ impl LogHandle for BareHandle {
     }
 
     fn read_block(&self, blockno: u64) -> KernelResult<Vec<u8>> {
+        // No cache: a home whose install is pending is read from the
+        // journal, as ext4sim reads it.
         let mut buf = vec![0u8; BSIZE];
-        self.io.read_block(blockno, &mut buf)?;
+        self.journal.read_home(&self.io, blockno, &mut buf)?;
         Ok(buf)
     }
 }

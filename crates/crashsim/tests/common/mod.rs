@@ -25,7 +25,9 @@ pub fn config(seed: u64, queue_depth: usize) -> CrashTestConfig {
     CrashTestConfig {
         seed,
         ops: 60,
-        disk_blocks: 4096,
+        // ext4sim's reserved area (log ring and inode table) ends near
+        // block 5 100; this leaves both stacks room for data.
+        disk_blocks: 6144,
         mode: CrashMode::Sampled { states: 300 },
         max_violations: 8,
         queue_depth,
@@ -87,7 +89,7 @@ pub fn clean_unmount_violations(
     queue_depth: usize,
     fault: PlantedFault,
 ) -> Vec<String> {
-    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 6144));
     match stack {
         CrashStack::Ext4 => drop(Ext4Sim::format_and_mount(Arc::clone(&base)).unwrap()),
         _ => drop(xv6fs::mkfs::mkfs_on_device(&base, 256).unwrap()),

@@ -1,5 +1,5 @@
-//! Crash-recovery property tests for the shared pipelined, double-buffered
-//! write-ahead log, run through the journal-generic harness
+//! Crash-recovery property tests for the shared pipelined write-ahead log
+//! and its ring of regions, run through the journal-generic harness
 //! ([`crashsim::logharness`]): the same two-transaction scenario and the
 //! same all-or-nothing, commit-ordered oracles apply to **every** log
 //! stack — the bare `journal::Journal` and the xv6 core's log, which both
@@ -78,7 +78,7 @@ fn every_write_prefix_crash_recovers_atomically_on_every_stack() {
 }
 
 /// Full-stack variant: crash at every write prefix while a burst of
-/// creates commits through alternating log regions; every remount must
+/// creates commits around the ring of log regions; every remount must
 /// succeed, pass fsck, and leave a usable file system.
 #[test]
 fn full_stack_create_burst_survives_crash_at_every_write_prefix() {

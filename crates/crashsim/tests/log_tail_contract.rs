@@ -1,18 +1,22 @@
 //! What the one-barrier commit protocol defers, and who pays it.
 //!
-//! A commit leaves its record valid on the medium and its installs
-//! unflushed; the next commit's barrier settles the installs, the commit
-//! after that overwrites the record — or a checkpoint settles both.  These
-//! tests pin down the three places where "the next commit" does not exist:
+//! A commit leaves its record valid on the medium and its blocks pending:
+//! the epoch of the commit three later installs them (unless a commit in
+//! between logged them again), and the commit after that overwrites the
+//! record — or a checkpoint settles everything.  These tests pin down the
+//! three places where "the commits after" do not exist:
 //!
-//! * a **clean unmount** checkpoints, so both log headers are clear and the
+//! * a **clean unmount** checkpoints, so every log header is clear and the
 //!   next mount replays nothing (and writes nothing),
-//! * a **live upgrade** hands the log tail to the new instance, which
-//!   neither replays the live records nor forgets to clear them at its own
-//!   unmount, and touches no device block in the pause,
+//! * a **live upgrade** hands the log tail — live headers and pending
+//!   copies — to the new instance, which neither replays the live records
+//!   nor forgets to install and clear them, and touches no device block in
+//!   the pause,
 //! * a **crash** right after an acknowledged `fsync` finds the newest
 //!   record valid and its installs missing from the medium — and recovery
 //!   brings the acknowledged bytes back.
+
+use std::collections::HashMap;
 
 use std::sync::Arc;
 
@@ -21,7 +25,7 @@ use bento::bentoks::{KernelBlockIo, SuperBlock};
 use bento::fileops::{FileSystem, Request};
 use crashsim::{prefix_states, DiskImage, Event, FaultConfig, FaultDevice};
 use journal::record::{parse_head, payload_digest};
-use journal::JournalConfig;
+use journal::{JournalConfig, REGIONS};
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::vfs::{FileMode, OpenFlags, VfsFs, PAGE_SIZE};
 use xv6fs::layout::{DiskSuperblock, BSIZE, LOGSIZE};
@@ -50,6 +54,30 @@ fn attach(dev: &Arc<dyn BlockDevice>) -> (Xv6FileSystem, SuperBlock) {
     (fs, sb)
 }
 
+/// The log area of `dev`'s superblock.
+fn log_area(dev: &Arc<dyn BlockDevice>) -> std::ops::Range<u64> {
+    let mut block = vec![0u8; BSIZE];
+    dev.read_block(1, &mut block).unwrap();
+    let dsb = DiskSuperblock::decode(&block).unwrap();
+    dsb.logstart as u64..dsb.logstart as u64 + dsb.nlog as u64
+}
+
+/// Per home, the bytes recovery would leave there: the copy of the newest
+/// valid record holding it.
+fn newest_copies(dev: &Arc<dyn BlockDevice>) -> HashMap<u64, Vec<u8>> {
+    let mut records = valid_records(dev);
+    records.sort_by_key(|(_, seq, _)| *seq);
+    let mut newest = HashMap::new();
+    for (head, _, homes) in records {
+        for (i, home) in homes.into_iter().enumerate() {
+            let mut copy = vec![0u8; BSIZE];
+            dev.read_block(head + 1 + i as u64, &mut copy).unwrap();
+            newest.insert(home, copy);
+        }
+    }
+    newest
+}
+
 /// The commit records recovery would replay from the raw medium (header
 /// checksum and payload digest both hold), as `(region head, seq, homes)`.
 fn valid_records(dev: &Arc<dyn BlockDevice>) -> Vec<(u64, u64, Vec<u64>)> {
@@ -63,7 +91,7 @@ fn valid_records(dev: &Arc<dyn BlockDevice>) -> Vec<(u64, u64, Vec<u64>)> {
         (dsb.inodestart as u64, dsb.size as u64),
     );
     let mut records = Vec::new();
-    for region in 0..2u64 {
+    for region in 0..REGIONS as u64 {
         let head = cfg.start + region * cfg.region_size as u64;
         dev.read_block(head, &mut block).unwrap();
         let Some(parsed) = parse_head(&block, cfg.capacity) else { continue };
@@ -80,6 +108,7 @@ fn valid_records(dev: &Arc<dyn BlockDevice>) -> Vec<(u64, u64, Vec<u64>)> {
 
 #[test]
 fn clean_unmount_leaves_both_headers_clear_and_nothing_to_replay() {
+    // Every header, that is: the name predates the ring of four.
     type Mount = fn(Arc<dyn BlockDevice>) -> Arc<dyn VfsFs>;
     let mounts: [(&str, Mount); 2] = [
         ("bento-xv6fs", |dev| xv6fs::fstype().mount_on(dev).unwrap() as Arc<dyn VfsFs>),
@@ -98,14 +127,14 @@ fn clean_unmount_leaves_both_headers_clear_and_nothing_to_replay() {
         let before = recorder.event_count();
         let fs = mount(Arc::clone(&dev));
         assert!(recorder.event_count() > before, "{name}: recovery replays the live record");
-        assert!(valid_records(&dev).is_empty(), "{name}: recovery leaves both headers clean");
+        assert!(valid_records(&dev).is_empty(), "{name}: recovery leaves every header clean");
 
         // Unmounted: checkpointed.
         fs.create(1, "unmounted", FileMode::regular()).unwrap();
         fs.sync_fs().unwrap();
         fs.destroy().unwrap();
         drop(fs);
-        assert!(valid_records(&dev).is_empty(), "{name}: clean unmount clears both headers");
+        assert!(valid_records(&dev).is_empty(), "{name}: clean unmount clears every header");
         let before = recorder.event_count();
         let fs = mount(Arc::clone(&dev));
         assert_eq!(recorder.event_count(), before, "{name}: nothing to replay, nothing written");
@@ -133,16 +162,16 @@ fn live_upgrade_continues_the_log_without_replaying_it() {
     assert_eq!(recorder.event_count(), before, "the upgrade attaches without touching the device");
     assert_eq!(valid_records(&dev), pending, "the live record is neither replayed nor lost");
 
-    // The new instance's first commit takes the *other* region and leaves
+    // The new instance's first commit takes the *next* region and leaves
     // its predecessor's record where it is.
     fs.create(1, "after", FileMode::regular()).unwrap();
     let records = valid_records(&dev);
     assert_eq!(records.len(), 2);
     let newest = records.iter().max_by_key(|(_, seq, _)| *seq).unwrap();
-    assert_ne!(newest.0, pending[0].0, "regions keep alternating across the upgrade");
+    assert_ne!(newest.0, pending[0].0, "the ring keeps turning across the upgrade");
     assert_eq!(newest.1, pending[0].1 + 1, "sequence numbers continue");
 
-    // Its unmount clears both headers, the inherited one included.
+    // Its unmount clears every header, the inherited one included.
     fs.destroy().unwrap();
     drop(fs);
     assert!(valid_records(&dev).is_empty());
@@ -151,6 +180,54 @@ fn live_upgrade_continues_the_log_without_replaying_it() {
     let req = Request::kernel();
     attached.lookup(&req, &sb, 1, "before").unwrap();
     attached.lookup(&req, &sb, 1, "after").unwrap();
+    assert!(xv6fs::fsck::fsck_device(&dev).unwrap().is_clean());
+}
+
+#[test]
+fn live_upgrade_hands_the_pending_installs_to_the_successor() {
+    let recorder = formatted_recorder();
+    let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
+    let fs =
+        BentoFs::mount("xv6fs", Arc::clone(&dev), 512, Box::new(Xv6FileSystem::new())).unwrap();
+    for i in 0..6 {
+        fs.create(1, &format!("f{i}"), FileMode::regular()).unwrap();
+    }
+    // What recovery would install, and which of those homes the medium
+    // does not hold yet: the pending copies.
+    let newest = newest_copies(&dev);
+    let mut home = vec![0u8; BSIZE];
+    let stale: Vec<u64> = newest
+        .iter()
+        .filter(|&(&blockno, copy)| {
+            dev.read_block(blockno, &mut home).unwrap();
+            &home != copy
+        })
+        .map(|(&blockno, _)| blockno)
+        .collect();
+    assert!(!stale.is_empty(), "installs are pending at the upgrade");
+
+    let before = recorder.event_count();
+    fs.upgrade(Box::new(Xv6FileSystem::with_label("xv6fs-v2"))).unwrap();
+    assert_eq!(recorder.event_count(), before, "the pause touches no device block");
+    // The successor's checkpoint installs exactly the predecessor's
+    // committed bytes, and nothing else outside the log area.
+    fs.destroy().unwrap();
+    drop(fs);
+    let log = log_area(&dev);
+    let installed: HashMap<u64, Vec<u8>> = recorder.trace().events[before..]
+        .iter()
+        .filter_map(|event| match event {
+            Event::Write { blockno, data } if !log.contains(blockno) => {
+                Some((*blockno, data.clone()))
+            }
+            _ => None,
+        })
+        .collect();
+    for blockno in &stale {
+        assert!(installed.get(blockno) == newest.get(blockno), "home {blockno}");
+    }
+    assert!(installed.keys().all(|blockno| newest.contains_key(blockno)), "{installed:?}");
+    assert!(valid_records(&dev).is_empty());
     assert!(xv6fs::fsck::fsck_device(&dev).unwrap().is_clean());
 }
 
@@ -175,11 +252,12 @@ fn crash_after_acknowledged_fsync_replays_the_uncleared_record() {
         assert_eq!(fs.log_stats().barriers, barriers, "fsync on an idle log issues no barrier");
     }
     // Power fails right after the fsync returned: everything up to the
-    // last barrier is on the medium, nothing after it.
+    // last barrier is on the medium.  Nothing follows it — the last
+    // commit's installs wait for the commits after it, or the unmount.
     let trace = recorder.trace();
     let last_flush =
         trace.events.iter().rposition(|e| matches!(e, Event::Flush)).expect("commits flushed");
-    assert!(last_flush + 1 < trace.events.len(), "the last commit's installs follow its barrier");
+    assert_eq!(last_flush + 1, trace.events.len(), "no install follows the last barrier");
     let state = prefix_states(&trace, &image).swap_remove(last_flush + 1);
     let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
 

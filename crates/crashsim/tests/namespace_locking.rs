@@ -40,7 +40,7 @@ fn vfs_xv6_with_per_directory_locks_survives_sampled_crashes() {
 
 #[test]
 fn bento_xv6_per_directory_locks_stay_clean_at_queue_depth_8() {
-    // The two-stage overlapped commit interleaves with namespace traffic;
+    // The batched commit epochs interleave with namespace traffic;
     // the directory locks drop before end_op, so commits from different
     // directories pipeline — crash states must still all recover.
     assert_clean(CrashStack::BentoXv6, &CrashTestConfig::standard(0xD1_510A).with_queue_depth(8));

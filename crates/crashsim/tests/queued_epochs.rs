@@ -11,8 +11,8 @@
 //!   device; and
 //! * **end-to-end cleanliness** — full crash-test runs (fsck + durability
 //!   oracles over sampled crash states) stay violation-free when the xv6
-//!   stacks commit through the queued device with batched, overlapped
-//!   stage-1 payloads.
+//!   stacks commit through the queued device with batched epochs of due
+//!   installs and payload.
 
 use std::sync::Arc;
 

@@ -1,8 +1,8 @@
 //! Proof that the queued-device crash checker has teeth: the planted
 //! protocol violations of `planted_bug.rs`, committed through the
-//! multi-queue device (queue depth 8) — batched stage-1 payload
-//! submissions, the record, and the prefetched payload of the next group
-//! all reordering freely inside their barrier epoch.
+//! multi-queue device (queue depth 8) — batched submissions of due
+//! installs and payload, and the record, all reordering freely inside
+//! their barrier epoch.
 
 mod common;
 

@@ -24,7 +24,7 @@
 //! | blocks                         | contents                                   |
 //! |--------------------------------|--------------------------------------------|
 //! | 0                              | superblock (magic, device size), by format |
-//! | 1 ..                           | the journal's two commit regions           |
+//! | 1 ..                           | the journal's ring of four commit regions  |
 //! | [`TABLE_START`] ..             | inode table                                |
 //! | [`DATA_START`] ..              | file data and inode overflow blocks        |
 //!
@@ -48,8 +48,13 @@
 //! A commit re-encodes the inodes dirtied since the last one, logs the
 //! metadata blocks whose bytes changed — one journal operation, chunked at
 //! [`MAX_OP_BLOCKS`] — into the group that already holds the data they map,
-//! and flushes the journal: one barrier.  Mount is journal recovery plus a
-//! table read.  Blocks an operation frees are *quarantined* until the
+//! and flushes the journal: one barrier.  The journal installs a group's
+//! blocks lazily, three commits later, and not at all when a newer commit
+//! re-logged them, so a home on the device may be older than its committed
+//! bytes: ext4sim keeps no block cache, and [`read_page`](VfsFs::read_page)
+//! reads data blocks through [`Journal::read_home`].  Mount is journal
+//! recovery plus a table read; unmount checkpoints, installing what is
+//! pending.  Blocks an operation frees are *quarantined* until the
 //! commit that records the free returns: a concurrent operation that
 //! reused one between the commit's encode and its group close would
 //! otherwise overwrite a block the recovered metadata still maps.
@@ -102,9 +107,9 @@ const SUPERBLOCK: u64 = 0;
 const SUPER_MAGIC: u64 = 0x6578_7434_7369_6d21; // "ext4sim!"
 /// First block of the journal's log area.
 const LOG_START: u64 = 1;
-/// The log area: two commit regions, each a header block and the most
-/// blocks one commit record can name.
-const LOG_BLOCKS: u64 = 2 * (LOG_HEAD_MAX_ENTRIES as u64 + 1);
+/// The log area: a ring of [`journal::REGIONS`] (four) commit regions,
+/// each a header block and the most blocks one commit record can name.
+const LOG_BLOCKS: u64 = journal::REGIONS as u64 * (LOG_HEAD_MAX_ENTRIES as u64 + 1);
 /// First block of the inode table.
 pub const TABLE_START: u64 = LOG_START + LOG_BLOCKS;
 const TABLE_BLOCKS: u64 = 1024;
@@ -481,6 +486,9 @@ pub struct JournalStats {
     /// Blocks written through the journal: data and metadata blocks
     /// logged, plus any replayed by recovery.
     pub blocks_journaled: u64,
+    /// Home-block installs the journal issued (a block re-logged before
+    /// its install fell due is installed once).
+    pub installs: u64,
 }
 
 /// Outcome of [`Ext4Sim::check_consistency`].
@@ -541,7 +549,9 @@ impl Ext4Sim {
         // to read.  The superblock goes last.
         let config = journal_config(end);
         let mut block = vec![0u8; BSIZE];
-        for home in [config.start, config.start + config.region_size as u64, TABLE_START] {
+        let heads =
+            (0..journal::REGIONS as u64).map(|r| config.start + r * config.region_size as u64);
+        for home in heads.chain([TABLE_START]) {
             device.write_block(home, &block)?;
         }
         put_u64(&mut block, 0, SUPER_MAGIC);
@@ -638,7 +648,11 @@ impl Ext4Sim {
     /// Journal statistics (for the experiment harness).
     pub fn journal_stats(&self) -> JournalStats {
         let stats = self.journal.stats();
-        JournalStats { commits: stats.commits, blocks_journaled: stats.blocks_logged }
+        JournalStats {
+            commits: stats.commits,
+            blocks_journaled: stats.blocks_logged,
+            installs: stats.installs,
+        }
     }
 
     /// Quarantines freed blocks until the commit recording the free
@@ -1139,8 +1153,9 @@ impl VfsFs for Ext4Sim {
         let valid = ((size - offset) as usize).min(PAGE_SIZE);
         match block {
             // The caller's page is the read buffer; past EOF it stays zero.
+            // The journal serves a block whose install is still pending.
             Some(b) => {
-                self.io.read_block(b, page)?;
+                self.journal.read_home(&self.io, b, page)?;
                 page[valid..].fill(0);
             }
             None => page[..valid].fill(0),
@@ -1258,6 +1273,25 @@ mod tests {
         assert_eq!(fs.read_page(f.ino, 0, &mut buf).unwrap(), 500);
         assert!(buf[..500].iter().all(|&b| b == 0x21));
         assert!(buf[500..].iter().all(|&b| b == 0), "past EOF the page reads zero");
+    }
+
+    #[test]
+    fn read_page_sees_a_committed_rewrite_before_its_install() {
+        // The page cache is bypassed: the first bytes are installed, the
+        // rewrite is committed but its install is three commits away, and
+        // read_page must still return the rewrite.
+        let fs = fresh();
+        let f = write_file(&fs, 1, "a", 1, 0x11);
+        fs.fsync(f.ino, false).unwrap();
+        fs.journal.checkpoint(&fs.io).unwrap();
+        fs.write_page(f.ino, 0, &[0x22; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+        fs.fsync(f.ino, false).unwrap();
+        let block = fs.meta.read().inodes[&f.ino].blocks[&0];
+        let mut page = vec![0u8; PAGE_SIZE];
+        fs.io.read_block(block, &mut page).unwrap();
+        assert_eq!(page[0], 0x11, "the home still holds the installed bytes");
+        assert_eq!(fs.read_page(f.ino, 0, &mut page).unwrap(), PAGE_SIZE);
+        assert!(page.iter().all(|&b| b == 0x22), "read_page returned the stale home");
     }
 
     #[test]

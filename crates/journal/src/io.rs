@@ -11,9 +11,10 @@
 //! used for commit records and recovery installs so a mounted cache stays
 //! coherent) from *raw* writes ([`JournalIo::write_raw`], used for log
 //! payload blocks — only recovery ever reads them back, so caching them
-//! would evict useful blocks once per commit).  The conflict-safe install
-//! policy lives in the journal itself and is expressed through
-//! [`JournalIo::flush_cached_if_eq`].
+//! would evict useful blocks once per commit — and for installs, which
+//! write the frozen committed copy so a newer, uncommitted cached copy
+//! never reaches the home).  After an install the journal tells the cache
+//! through [`JournalIo::installed`].
 
 use std::sync::Arc;
 
@@ -43,27 +44,28 @@ pub trait JournalIo {
     fn write_block(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
     /// Writes `data` to block `blockno` bypassing any cache.  Used for log
-    /// payload blocks and conflict installs (frozen snapshots that must
-    /// not clobber a newer cached copy).
+    /// payload blocks and installs (frozen snapshots that must not clobber
+    /// a newer cached copy).
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
-    /// Conflict-safe install probe: if the backend caches `blockno` and
-    /// the cached bytes equal `expected`, write the cached copy to the
-    /// device (keeping cache and disk coherent) and return `true`.
-    /// Returns `false` when the cached copy differs — a later,
-    /// not-yet-committed operation already modified it, and the journal
-    /// will [`JournalIo::write_raw`] the frozen snapshot instead so
-    /// uncommitted bytes never reach the home location.  Cacheless
-    /// backends simply return `false`.
+    /// The journal has just written `data` to home block `blockno` raw (an
+    /// install).  If the backend caches `blockno` and the cached bytes
+    /// equal `data`, the cached copy is clean now — the device holds it.
+    /// A cached copy that differs belongs to a later operation and stays
+    /// dirty for its own group.  `tag` is the one
+    /// [`crate::Journal::log_write_tagged`] was given with the snapshot (0
+    /// for none): a backend that tags snapshots with a buffer generation
+    /// may trust an unchanged generation instead of comparing bytes.
+    /// Cacheless backends do nothing.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    fn flush_cached_if_eq(&self, blockno: u64, expected: &[u8]) -> KernelResult<bool>;
+    fn installed(&self, blockno: u64, data: &[u8], tag: u64) -> KernelResult<()>;
 
     /// Durability barrier: everything written before this call is on
     /// stable storage when it returns (device FLUSH; an fsync of the whole
@@ -76,15 +78,15 @@ pub trait JournalIo {
     fn barrier(&self) -> KernelResult<()>;
 
     /// The multi-queue face of the underlying device, when it has one —
-    /// enables batched stage-1 payload submission and the two-stage
-    /// overlapped commit.
+    /// enables batched submission of a commit's installs and payload.
     fn queued(&self) -> Option<&dyn QueuedBlockDevice>;
 }
 
 /// [`JournalIo`] over a bare block device — no cache, so cached and raw
-/// writes coincide and [`JournalIo::flush_cached_if_eq`] always defers to
-/// the raw-write path.  This is how the crash-contract tests run the
-/// journal with no file system on top.
+/// writes coincide and [`JournalIo::installed`] has nothing to do.  Homes
+/// are read through [`crate::Journal::read_home`], which serves a pending
+/// install's committed copy.  This is how ext4sim and the crash-contract
+/// tests run the journal.
 #[derive(Clone)]
 pub struct DeviceIo {
     dev: Arc<dyn BlockDevice>,
@@ -121,10 +123,8 @@ impl JournalIo for DeviceIo {
         self.dev.write_block(blockno, data)
     }
 
-    fn flush_cached_if_eq(&self, _blockno: u64, _expected: &[u8]) -> KernelResult<bool> {
-        // No cache: the journal falls through to write_raw, which is the
-        // correct install for an uncached backend.
-        Ok(false)
+    fn installed(&self, _blockno: u64, _data: &[u8], _tag: u64) -> KernelResult<()> {
+        Ok(())
     }
 
     fn barrier(&self) -> KernelResult<()> {

@@ -13,43 +13,67 @@
 //!
 //! Every operation that modifies the file system wraps its block writes in
 //! a transaction: [`Journal::begin_op`] … stage frozen snapshots via
-//! [`Journal::log_write`] … [`Journal::end_op`].  The commit protocol for
-//! group *N* is hardened for devices with a reordering volatile write
-//! cache and trimmed to the one barrier that buys durability:
+//! [`Journal::log_write`] … [`Journal::end_op`].  The log area is a ring of
+//! [`REGIONS`] commit regions, and group *N* commits into region
+//! *N* mod [`REGIONS`].  The commit protocol for group *N* is hardened for
+//! devices with a reordering volatile write cache and trimmed to the one
+//! barrier that buys durability:
 //!
-//! 1. copy each modified block into group *N*'s on-disk log region **and**
+//! 1. one epoch: copy each modified block into group *N*'s log region,
 //!    write the log header naming them — the commit record, which carries
-//!    a digest of those log blocks under a self-checksum (see [`record`]).
-//!    Payload and record share one barrier epoch: the write cache may
-//!    persist them in any order, but a record whose payload is not wholly
-//!    on the medium does not validate, so no barrier has to keep the
-//!    record behind the payload;
-//! 2. issue the **commit barrier**.  The group is committed the instant it
-//!    returns; the same barrier makes group *N − 1*'s installs durable;
-//! 3. install the blocks to their home locations.  No barrier follows:
-//!    recovery replays a committed record idempotently, so the installs
-//!    ride to durability on group *N + 1*'s barrier, or on
-//!    [`Journal::checkpoint`].
+//!    a digest of those log blocks under a self-checksum (see [`record`])
+//!    — and issue the **due installs**: the blocks group *N − 3* committed
+//!    that no later group — *N − 2*, *N − 1* or *N* itself — logged again,
+//!    written to their homes.  The write cache may persist the epoch in
+//!    any order: a record whose payload is not wholly on the medium does
+//!    not validate, and group *N − 3*'s record stays valid until group
+//!    *N + 1* reuses its region;
+//! 2. the **commit barrier**.  Group *N* is committed the instant it
+//!    returns, and group *N − 3*'s installs are durable;
+//! 3. group *N*'s blocks become the newest committed copies of their homes,
+//!    pending install in group *N + 3*'s epoch.  A copy an older group
+//!    still had pending is **superseded**: it is never installed, because
+//!    the home takes group *N*'s bytes (or a newer group's) instead — a hot
+//!    inode, bitmap or directory block re-logged by every commit is
+//!    written once per commit, to the log, until it cools down.
 //!
 //! That is the **barrier budget**: exactly one barrier per commit, and
-//! none at all for an `fsync` that finds the journal idle.  A committed
-//! record stays on the medium until the group two commits later
-//! overwrites its region, so after a crash up to two consecutive records
-//! validate (*N − 1* and *N*); [`Journal::recover`] replays them in
-//! sequence order.  A valid record *K* on the medium implies no install of
-//! any group later than *K + 1* has started.  Nothing clears a header in
-//! steady state.  What a **clean unmount** owes is [`Journal::checkpoint`]
-//! (clear the older header → barrier → clear the newest → barrier), so the
-//! next mount replays nothing; **recovery** leaves every header it found
-//! non-clean — replayed, digest-rejected, torn or foreign — clean the same
-//! way, so a stale record can never be re-validated by a later session
-//! that happens to log identical bytes into its region; a **failed
-//! commit** leaves the journal owing that checkpoint before the next
-//! commit may reuse a region; a **live upgrade** carries the
-//! [`JournalTail`] into the new instance, which keeps numbering commits
-//! where the old one stopped and knows which headers are live.  What
-//! differs from the teaching implementation is *where the waiting
-//! happens*:
+//! none at all for an `fsync` that finds the journal idle.  The **region
+//! reuse rule**: group *N + 1* overwrites the region of group *N − 3* only
+//! after group *N*'s barrier, by which time every block whose newest
+//! committed copy lived there is durable at home (installed in *N*'s
+//! epoch) or held by a newer valid record (superseded by a group
+//! *N − 2* … *N*, all of whose barriers have returned).  A failed commit
+//! supersedes nothing: the copies it skipped are still pending, and the
+//! settle it leaves owed installs them before any region is reused.  A crash inside a reuse epoch leaves the region holding the old
+//! record over a partly overwritten payload (digest mismatch: rejected,
+//! harmless since everything it held is installed or superseded), the new
+//! record over a partial payload (rejected: never acknowledged), or the new
+//! record over its whole payload (committed).  So after a crash **up to
+//! four** records validate (*N − 3* … *N*), and [`Journal::recover`]
+//! replays them in sequence order: the newest copy of each home lands
+//! last.  Nothing clears a header in steady state.
+//!
+//! A home whose install is pending is stale on the medium.  A backend with
+//! a cache holds the committed bytes in a dirty buffer, which the cache
+//! never evicts, until the install; a backend without one reads homes
+//! through [`Journal::read_home`].
+//!
+//! What a **clean unmount** owes is [`Journal::checkpoint`]: install every
+//! pending copy, one barrier, then clear the live headers oldest first,
+//! each followed by its own barrier — a crash partway through leaves a
+//! suffix of the records, which replays over the installed homes without
+//! rolling any of them back — so the next mount replays nothing.
+//! **Recovery** leaves every header it found non-clean — replayed,
+//! digest-rejected, torn or foreign — clean the same way, so a stale record
+//! can never be re-validated by a later session that happens to log
+//! identical bytes into its region; a **failed commit** leaves the journal
+//! owing that checkpoint before the next commit may reuse a region; a
+//! **live upgrade** carries the [`JournalTail`] — the sequence, the live
+//! headers and the pending copies — into the new instance without a device
+//! access, and the new instance keeps numbering commits where the old one
+//! stopped.  What differs from the teaching implementation is *where the
+//! waiting happens*:
 //!
 //! * **Reservation, not serialization.**  [`Journal::begin_op`] reserves
 //!   [`MAX_OP_BLOCKS`] slots from an atomic reservation counter and only
@@ -76,41 +100,25 @@
 //!     unmount and its own size threshold, which must keep the group
 //!     below [`Journal::region_capacity`]: `begin_op` waits for that flush
 //!     when the group is full.
-//! * **Double-buffered commit.**  Commits alternate between two on-disk
-//!   log regions and run entirely outside the group mutex: while group *N*
-//!   writes its epoch into one region, group *N + 1* forms, absorbs
-//!   operations, and copies nothing until its own turn.  Commits install
-//!   in formation order (a sequence number in each region header keeps
-//!   [`Journal::recover`] correct for either region).  The **region reuse
-//!   rule**: group *N + 1* overwrites the region of group *N − 1* — header
-//!   and log blocks, in one epoch — which is legal because group *N*'s
-//!   barrier made the installs of *N − 1* durable before *N + 1* writes a
-//!   byte into it.  A crash inside that epoch leaves the region holding
-//!   the old record over a partly overwritten payload (digest mismatch:
-//!   rejected, harmless since its installs are durable), the new record
-//!   over a partial payload (rejected: never acknowledged), or the new
-//!   record over its whole payload (committed).
-//! * **Two-stage overlapped commit (queued devices).**  When the device
-//!   exposes a multi-queue face ([`simkernel::queue::QueuedBlockDevice`],
-//!   via [`io::JournalIo::queued`]), stage 1 — the log-region payload
-//!   copies — is *batch-submitted* instead of written serially, and the
-//!   committer prefetches: right after group *N*'s barrier it closes group
-//!   *N + 1* if one is ready and submits its stage-1 payload, so those
-//!   copies are serviced by the device *while group N's installs are still
-//!   completing*.  The barrier count per commit is unchanged and the
-//!   ordering contract {payload, record}→FLUSH→install is intact: a
-//!   prefetched group's payload lands in the same barrier epoch as the
-//!   previous group's installs (disjoint blocks — different log region,
-//!   and installs target home locations) and as its own record.
+//! * **Pipelined commit.**  Commits run entirely outside the group mutex:
+//!   while group *N* writes its epoch, group *N + 1* forms, absorbs
+//!   operations, and copies nothing until its own turn.  Commits run in
+//!   formation order (a sequence number in each region header keeps
+//!   [`Journal::recover`] correct for any region).
+//! * **One batched epoch (queued devices).**  When the device exposes a
+//!   multi-queue face ([`simkernel::queue::QueuedBlockDevice`], via
+//!   [`io::JournalIo::queued`]), a commit batch-submits its due installs
+//!   and its payload together instead of writing them serially; the commit
+//!   barrier drains the queues.
 //!
-//! Because commits write the *frozen* bytes — both into the log region
-//! and, on conflict, directly to the home location via
-//! [`io::JournalIo::write_raw`] — an operation that modifies a block while
-//! an earlier group holding that block is mid-commit can never leak its
-//! uncommitted bytes into the earlier group's transaction.
+//! Because commits write *frozen* bytes — into the log region and, at the
+//! install, to the home location via [`io::JournalIo::write_raw`] — an
+//! operation that modifies a block while an earlier group holding that
+//! block is still pending can never leak its uncommitted bytes into the
+//! earlier group's transaction.
 //!
 //! [`Journal::recover`] replays the committed transactions still on the
-//! medium from both regions (in sequence order) after a crash, rejecting
+//! medium from every region (in sequence order) after a crash, rejecting
 //! torn commit records (checksum mismatch), records whose payload is not
 //! the one they were sealed over (digest mismatch) and foreign or corrupt
 //! headers (home blocks outside the configured valid range).
@@ -127,6 +135,7 @@ pub mod record;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
@@ -140,6 +149,12 @@ use crate::record::{BSIZE, LOG_HEAD_MAX_ENTRIES};
 /// larger writes).  Also the reservation granularity of
 /// [`Journal::begin_op`].
 pub const MAX_OP_BLOCKS: usize = 64;
+
+/// Commit regions in the log ring.  Group *N* commits into region
+/// *N* mod `REGIONS`, and the blocks it holds that no later group
+/// supersedes are installed in group *N + REGIONS − 1*'s epoch — the last
+/// one before its region is reused.
+pub const REGIONS: usize = 4;
 
 /// A deliberately planted protocol violation ([`Journal::plant_fault`]):
 /// each one removes a rule the one-barrier commit's safety rests on, so the
@@ -156,22 +171,33 @@ pub enum PlantedFault {
     /// verifying the payload digest, so a record the write cache persisted
     /// ahead of its payload installs whatever the region held before.
     TrustHeaderChecksum,
-    /// Installs are issued before the commit barrier instead of after it,
-    /// so a crash can leave a group half installed with no record to
-    /// finish it from.
+    /// A group's own blocks are installed in its own epoch, before its
+    /// commit barrier, so a crash can leave a group half installed with no
+    /// record to finish it from.
     InstallBeforeBarrier,
-    /// The checkpoint clears the newest header without the barrier that
-    /// makes its installs durable first, so a crash can lose an
-    /// acknowledged group.
+    /// The checkpoint issues its installs and every header clear in one
+    /// epoch, without the barriers that make the installs durable and
+    /// order the clears, so a crash can lose an acknowledged group.
     CheckpointWithoutBarrier,
+    /// Commits never issue their due installs, so a region is reused —
+    /// and the group that committed there forgotten — while a block whose
+    /// newest committed copy lives there is uninstalled.
+    ReuseBeforeInstall,
+    /// A group's installs are issued by the group that reuses its region,
+    /// one commit late: that group counts itself as superseding the blocks
+    /// it logs again, though its record is not durable while its epoch
+    /// overwrites the old one, and issues the rest in that same epoch.
+    AbsorbIntoReusingGroup,
 }
 
 /// One logged block: home address, modification version (orders snapshots
-/// of the same block), and the frozen bytes.
+/// of the same block), the backend's tag for the snapshot, and the frozen
+/// bytes.
 #[derive(Debug)]
 struct LoggedBlock {
     home: u64,
     version: u64,
+    tag: u64,
     data: Vec<u8>,
 }
 
@@ -214,7 +240,8 @@ static SNAPSHOT_VERSION: AtomicU64 = AtomicU64::new(1);
 pub struct JournalStats {
     /// Number of committed transaction groups.
     pub commits: u64,
-    /// Total blocks written through the journal (logged + installed).
+    /// Blocks the committed groups logged (a block once per group that
+    /// holds it), plus the blocks recovery replayed.
     pub blocks_logged: u64,
     /// Transactions recovered at mount time.
     pub recoveries: u64,
@@ -223,10 +250,10 @@ pub struct JournalStats {
     pub ops_committed: u64,
     /// Device barriers issued by commits, checkpoints and recovery.
     pub barriers: u64,
-    /// Commits whose stage-1 payload was prefetch-submitted while the
-    /// previous group's installs were still completing (two-stage overlap
-    /// on a queued device).  Always 0 on a synchronous device.
-    pub overlapped_commits: u64,
+    /// Home-block writes issued by commits (their due installs), settles
+    /// and checkpoints.  `blocks_logged − installs` is what superseding
+    /// saved, give or take the copies still pending.
+    pub installs: u64,
 }
 
 /// Striped hot-path counters behind [`JournalStats`].
@@ -237,7 +264,7 @@ struct JournalCounters {
     recoveries: StripedCounter,
     ops_committed: StripedCounter,
     barriers: StripedCounter,
-    overlapped_commits: StripedCounter,
+    installs: StripedCounter,
 }
 
 impl JournalCounters {
@@ -248,7 +275,7 @@ impl JournalCounters {
             recoveries: self.recoveries.get(),
             ops_committed: self.ops_committed.get(),
             barriers: self.barriers.get(),
-            overlapped_commits: self.overlapped_commits.get(),
+            installs: self.installs.get(),
         }
     }
 
@@ -258,7 +285,7 @@ impl JournalCounters {
         self.recoveries.reset(stats.recoveries);
         self.ops_committed.reset(stats.ops_committed);
         self.barriers.reset(stats.barriers);
-        self.overlapped_commits.reset(stats.overlapped_commits);
+        self.installs.reset(stats.installs);
     }
 }
 
@@ -275,28 +302,92 @@ struct Committed {
     payload: Vec<u8>,
 }
 
-/// The journal's knowledge of the two region headers on the medium (the
+/// The journal's knowledge of the region headers on the medium (the
 /// mutable part of a [`JournalTail`]).
 #[derive(Debug, Default)]
 struct Medium {
-    live: [Option<u64>; 2],
+    live: [Option<u64>; REGIONS],
     owes_checkpoint: bool,
+}
+
+/// A committed group whose region has not been reused yet: the blocks it
+/// logged, some of them still the newest committed copy of their home.
+#[derive(Debug)]
+struct CommittedGroup {
+    seq: u64,
+    blocks: Arc<Vec<LoggedBlock>>,
+}
+
+/// The committed copies whose install is pending.
+#[derive(Debug, Default)]
+struct Pending {
+    /// Per home block whose install is pending, the group holding its
+    /// newest committed copy and the copy's slot there.
+    newest: HashMap<u64, (u64, usize)>,
+    /// Per region, the group that last committed there, until it falls
+    /// due.
+    groups: [Option<CommittedGroup>; REGIONS],
+}
+
+/// One install of an epoch: a pending copy, by group sequence, the
+/// group's blocks and the copy's slot there.
+type Install = (u64, Arc<Vec<LoggedBlock>>, usize);
+
+impl Pending {
+    /// Group `seq`, while it is held.
+    fn group(&self, seq: u64) -> Option<&CommittedGroup> {
+        self.groups[(seq % REGIONS as u64) as usize].as_ref().filter(|group| group.seq == seq)
+    }
+
+    /// The newest committed copy of `home`, if its install is pending.
+    fn copy(&self, home: u64) -> Option<&LoggedBlock> {
+        let &(seq, slot) = self.newest.get(&home)?;
+        Some(&self.group(seq)?.blocks[slot])
+    }
+
+    /// Every pending copy, in home order.
+    fn sorted(&self) -> Vec<Install> {
+        let mut homes: Vec<(u64, u64, usize)> =
+            self.newest.iter().map(|(&home, &(seq, slot))| (home, seq, slot)).collect();
+        homes.sort_unstable();
+        homes
+            .into_iter()
+            .filter_map(|(_, seq, slot)| Some((seq, Arc::clone(&self.group(seq)?.blocks), slot)))
+            .collect()
+    }
 }
 
 /// Where a running journal stands on the medium: what a successor instance
 /// attaching to the same device *without* running recovery (a live upgrade)
 /// must know to keep honoring the protocol.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalTail {
     /// Sequence number the next closed group takes (and thus its region).
     pub next_seq: u64,
     /// Per region, the sequence of the record its header may hold (`None`
-    /// = known clean): what [`Journal::checkpoint`] still has to clear,
-    /// newest last.
-    pub live: [Option<u64>; 2],
+    /// = known clean): what [`Journal::checkpoint`] still has to clear.
+    pub live: [Option<u64>; REGIONS],
     /// A commit's I/O failed: the checkpoint is owed before the next
     /// commit, not just at unmount.
     pub owes_checkpoint: bool,
+    /// The committed copies whose install is pending, in home order: the
+    /// successor installs them when they fall due, or at its checkpoint.
+    pub pending: Vec<PendingInstall>,
+}
+
+/// A committed copy whose install is pending, as a [`JournalTail`] carries
+/// it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PendingInstall {
+    /// The group that logged it.
+    pub seq: u64,
+    /// Its home block.
+    pub home: u64,
+    /// The tag [`Journal::log_write_tagged`] was given with it (0 for
+    /// none).
+    pub tag: u64,
+    /// The committed bytes.
+    pub data: Vec<u8>,
 }
 
 /// When the forming group closes and commits (see the crate docs).  Fixed
@@ -313,8 +404,8 @@ pub enum GroupClose {
     OnFlush,
 }
 
-/// On-disk geometry of one journal: where the two commit regions live and
-/// which home blocks a recovered header may legally name.
+/// On-disk geometry of one journal: where the [`REGIONS`] commit regions
+/// live and which home blocks a recovered header may legally name.
 ///
 /// Built through [`JournalConfig::from_geometry`] by every adapter, so two
 /// stacks mounting the same superblock get byte-for-byte identical region
@@ -323,7 +414,8 @@ pub enum GroupClose {
 pub struct JournalConfig {
     /// First block of the log area (region 0's header block).
     pub start: u64,
-    /// Blocks per region (header + data); two regions fit in the log area.
+    /// Blocks per region (header + data); [`REGIONS`] of them fit in the
+    /// log area.
     pub region_size: usize,
     /// Data blocks per region — the most one group may hold.
     pub capacity: usize,
@@ -336,10 +428,10 @@ pub struct JournalConfig {
 }
 
 impl JournalConfig {
-    /// Derives the double-buffered region geometry from a superblock's log
-    /// area: `logstart` is the first log block, `nlog` the on-disk log
-    /// size (clamped to `max_log_blocks`, the compile-time layout bound),
-    /// and `home_range` the `[lo, hi)` range of legal home blocks.  Groups
+    /// Derives the region ring's geometry from a superblock's log area:
+    /// `logstart` is the first log block, `nlog` the on-disk log size
+    /// (clamped to `max_log_blocks`, the compile-time layout bound), and
+    /// `home_range` the `[lo, hi)` range of legal home blocks.  Groups
     /// close at every operation; a binding that commits on flush overrides
     /// [`JournalConfig::close`].
     pub fn from_geometry(
@@ -349,7 +441,7 @@ impl JournalConfig {
         home_range: (u64, u64),
     ) -> Self {
         let size = nlog.min(max_log_blocks);
-        let region_size = (size / 2).max(2);
+        let region_size = (size / REGIONS).max(2);
         let capacity = (region_size - 1).min(LOG_HEAD_MAX_ENTRIES);
         JournalConfig {
             start: logstart,
@@ -393,6 +485,10 @@ pub struct Journal {
     /// whole of a commit's I/O and of a checkpoint's, so the two never
     /// interleave (commits are already serialized by `commit_turn`).
     medium: Mutex<Medium>,
+    /// The committed copies not yet installed.  Changed only by a holder
+    /// of `medium`; locked briefly, never across I/O, so
+    /// [`Journal::read_home`] does not wait for a commit.
+    pending: Mutex<Pending>,
     fault: PlantedFault,
     counters: JournalCounters,
 }
@@ -417,6 +513,7 @@ impl Journal {
             commit_turn: Mutex::new(CommitTurn::default()),
             commit_cond: Condvar::new(),
             medium: Mutex::new(Medium::default()),
+            pending: Mutex::new(Pending::default()),
             fault: PlantedFault::None,
             counters: JournalCounters::default(),
         }
@@ -449,19 +546,41 @@ impl Journal {
             next_seq: self.next_seq.load(Ordering::SeqCst),
             live: medium.live,
             owes_checkpoint: medium.owes_checkpoint,
+            pending: (self.pending.lock().sorted().into_iter())
+                .map(|(seq, blocks, slot)| {
+                    let LoggedBlock { home, tag, ref data, .. } = blocks[slot];
+                    PendingInstall { seq, home, tag, data: data.clone() }
+                })
+                .collect(),
         }
     }
 
     /// Adopts the tail of the journal instance this one replaces on the
     /// same device, *instead of* running [`Journal::recover`]: numbering
-    /// continues where the predecessor stopped (so regions keep
-    /// alternating) and this journal's checkpoint clears the headers the
-    /// predecessor left live.  Call before the first operation.
+    /// continues where the predecessor stopped (so the ring keeps turning),
+    /// the pending copies are installed when they fall due, and this
+    /// journal's checkpoint clears the headers the predecessor left live.
+    /// Call before the first operation.
     pub fn restore_tail(&self, tail: JournalTail) {
         self.next_seq.store(tail.next_seq, Ordering::SeqCst);
         self.commits_done.store(tail.next_seq, Ordering::SeqCst);
         self.commit_turn.lock().next = tail.next_seq;
-        *self.medium.lock() = Medium { live: tail.live, owes_checkpoint: tail.owes_checkpoint };
+        let mut medium = self.medium.lock();
+        *medium = Medium { live: tail.live, owes_checkpoint: tail.owes_checkpoint };
+        // Every pending copy in a region belongs to the group that last
+        // committed there.
+        let mut pending = Pending::default();
+        let mut groups: [Option<(u64, Vec<LoggedBlock>)>; REGIONS] = Default::default();
+        for PendingInstall { seq, home, tag, data } in tail.pending {
+            let region = (seq % REGIONS as u64) as usize;
+            let (_, blocks) = groups[region].get_or_insert_with(|| (seq, Vec::new()));
+            pending.newest.insert(home, (seq, blocks.len()));
+            blocks.push(LoggedBlock { home, version: 0, tag, data });
+        }
+        for (slot, group) in pending.groups.iter_mut().zip(groups) {
+            *slot = group.map(|(seq, blocks)| CommittedGroup { seq, blocks: Arc::new(blocks) });
+        }
+        *self.pending.lock() = pending;
     }
 
     /// Data blocks one commit region can hold (one group's maximum size).
@@ -473,6 +592,22 @@ impl Journal {
     /// (callers chunk larger writes).
     pub fn max_op_blocks() -> usize {
         MAX_OP_BLOCKS
+    }
+
+    /// Reads home block `blockno` as committed: the newest committed copy
+    /// while its install is pending, the medium otherwise.  A backend with
+    /// no cache must read homes through this — between a commit and the
+    /// install three commits later the medium holds older bytes.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn read_home(&self, io: &dyn JournalIo, blockno: u64, out: &mut [u8]) -> KernelResult<()> {
+        if let Some(copy) = self.pending.lock().copy(blockno) {
+            out.copy_from_slice(&copy.data);
+            return Ok(());
+        }
+        io.read_block(blockno, out)
     }
 
     fn try_reserve(&self) -> bool {
@@ -492,7 +627,6 @@ impl Journal {
             }
         }
     }
-
     /// Begins an operation that will modify at most [`MAX_OP_BLOCKS`]
     /// blocks.  Reserves that worst case from the forming group's space
     /// via an atomic counter; it only blocks when the group cannot fit
@@ -536,6 +670,17 @@ impl Journal {
     /// operation exceeds [`MAX_OP_BLOCKS`] distinct blocks (a chunking bug
     /// in the caller).
     pub fn log_write(&self, home: u64, data: &[u8]) -> KernelResult<()> {
+        self.log_write_tagged(home, data, 0)
+    }
+
+    /// [`Journal::log_write`] with a nonzero `tag` naming the snapshot in
+    /// the backend — the buffer generation of a cached block — handed back
+    /// to [`JournalIo::installed`] when the snapshot is installed.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::log_write`].
+    pub fn log_write_tagged(&self, home: u64, data: &[u8], tag: u64) -> KernelResult<()> {
         let _stage = simkernel::trace::phase(simkernel::trace::Phase::LogStage);
         let version = SNAPSHOT_VERSION.fetch_add(1, Ordering::SeqCst);
         TX.with(|cell| {
@@ -553,6 +698,7 @@ impl Journal {
                 // Absorption: a block modified twice in one operation is
                 // logged once, with the newest snapshot.
                 tx.blocks[i].version = version;
+                tx.blocks[i].tag = tag;
                 tx.blocks[i].data.clear();
                 tx.blocks[i].data.extend_from_slice(data);
             } else {
@@ -563,7 +709,7 @@ impl Journal {
                     ));
                 }
                 tx.index.insert(home, tx.blocks.len());
-                tx.blocks.push(LoggedBlock { home, version, data: data.to_vec() });
+                tx.blocks.push(LoggedBlock { home, version, tag, data: data.to_vec() });
             }
             Ok(())
         })
@@ -644,11 +790,11 @@ impl Journal {
             }
             self.take_group_if_ready(&mut inner)
         };
-        if let Some((seq, blocks, ops)) = to_commit {
+        if let Some((seq, group)) = to_commit {
             // This thread became the committer: the whole group's commit I/O
             // runs on its clock, so attribute it as commit wait.
             let _commit = simkernel::trace::phase(simkernel::trace::Phase::CommitWait);
-            self.commit_group(io, seq, blocks, ops)?;
+            self.commit_group(io, seq, group)?;
         }
         Ok(())
     }
@@ -685,7 +831,7 @@ impl Journal {
             group
         };
         let result = match to_commit {
-            Some((seq, blocks, ops)) => self.commit_group(io, seq, blocks, ops),
+            Some((seq, group)) => self.commit_group(io, seq, group),
             None => Ok(()),
         };
         // Data merged into a group another thread adopted is only durable
@@ -706,10 +852,7 @@ impl Journal {
     /// adopts it on completion — which is where group-commit batching
     /// comes from.  Never under [`GroupClose::OnFlush`], where only
     /// [`Journal::flush`] closes the group.
-    fn take_group_if_ready(
-        &self,
-        inner: &mut FormingGroup,
-    ) -> Option<(u64, Vec<LoggedBlock>, u64)> {
+    fn take_group_if_ready(&self, inner: &mut FormingGroup) -> Option<(u64, FormingGroup)> {
         if self.close == GroupClose::OnFlush {
             return None;
         }
@@ -723,63 +866,35 @@ impl Journal {
         }
     }
 
-    /// Closes the forming group for the committer's *prefetch*: called by
-    /// the thread that is itself mid-commit, right after its commit
-    /// barrier, to start the next group's stage-1 payload early.  Requires
-    /// quiescence (same entanglement argument as
-    /// [`Journal::take_group_if_ready`]) but deliberately ignores the
-    /// in-flight check — the caller *is* the in-flight commit, and the
-    /// turn ticket it already holds orders the adopted group right behind
-    /// it.  Never under [`GroupClose::OnFlush`].
-    fn take_group_for_overlap(
-        &self,
-        inner: &mut FormingGroup,
-    ) -> Option<(u64, Vec<LoggedBlock>, u64)> {
-        if self.close == GroupClose::EveryOp && self.outstanding.load(Ordering::SeqCst) == 0 {
-            self.take_group(inner)
-        } else {
-            None
-        }
-    }
-
     /// Closes the forming group, assigning its commit sequence (and thus
     /// its region).  The group's slots are released immediately: a closed
     /// group owns its own on-disk region, so only the *forming* group
     /// counts against the reservation budget — operations keep flowing
     /// while the closed group's commit I/O runs.
-    fn take_group(&self, inner: &mut FormingGroup) -> Option<(u64, Vec<LoggedBlock>, u64)> {
+    fn take_group(&self, inner: &mut FormingGroup) -> Option<(u64, FormingGroup)> {
         if inner.blocks.is_empty() {
             return None;
         }
-        let blocks = std::mem::take(&mut inner.blocks);
-        inner.index.clear();
-        let ops = std::mem::take(&mut inner.ops);
+        let group = std::mem::take(inner);
+        // The next group's index starts where this one's ended, so forming
+        // it does not regrow the table block by block.
+        inner.index.reserve(group.index.capacity());
         let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
-        self.reserved.fetch_sub(blocks.len(), Ordering::SeqCst);
+        self.reserved.fetch_sub(group.blocks.len(), Ordering::SeqCst);
         // Callers hold `inner`, which is what space waiters pair with.
         self.space_cond.notify_all();
-        Some((seq, blocks, ops))
+        Some((seq, group))
     }
 
     /// Commits closed groups in formation order, then adopts the next
     /// group if it became ready while this one was committing (the
-    /// pipelined handoff) — or the group [`Journal::commit_io`] already
-    /// prefetch-staged on a queued device (the two-stage overlap).
+    /// pipelined handoff).
     fn commit_group(
         &self,
         io: &dyn JournalIo,
         mut seq: u64,
-        mut blocks: Vec<LoggedBlock>,
-        mut ops: u64,
+        mut group: FormingGroup,
     ) -> KernelResult<()> {
-        // Whether `blocks`' stage-1 payload was already submitted to the
-        // queued device by the previous iteration's prefetch.
-        let mut staged = false;
-        // A prefetch-adopted group must still be committed even if an
-        // earlier iteration's I/O failed: its sequence is assigned, and
-        // abandoning it would strand every flush() waiting on the turn.
-        // The first error is remembered and returned at the end.
-        let mut first_err: Option<KernelError> = None;
         loop {
             {
                 let mut turn = self.commit_turn.lock();
@@ -787,8 +902,8 @@ impl Journal {
                     self.commit_cond.wait(&mut turn);
                 }
             }
-            let mut prefetched = None;
-            let result = self.commit_io(io, seq, &blocks, staged, &mut prefetched);
+            let (logged, ops) = (group.blocks.len() as u64, group.ops);
+            let result = self.commit_io(io, seq, group);
             // Advance the pipeline even if the commit I/O failed, so
             // waiters are never stranded.  The completion count rises
             // *before* the handoff check below, so an end_op that observed
@@ -800,70 +915,21 @@ impl Journal {
                 turn.next = seq + 1;
                 self.commit_cond.notify_all();
             }
-            match result {
-                Ok(()) => {
-                    self.counters.commits.inc();
-                    self.counters.blocks_logged.add(blocks.len() as u64);
-                    self.counters.ops_committed.add(ops);
-                    if staged {
-                        self.counters.overlapped_commits.inc();
-                    }
-                }
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-            let next = match prefetched {
-                // The prefetched group is committed regardless of errors
-                // (its seq is assigned); `staged` may be false if its
-                // payload submission failed — commit_io then rewrites the
-                // payload, which is idempotent.
-                Some(group) => Some(group),
-                None => {
-                    let mut inner = self.inner.lock();
-                    if first_err.is_some() {
-                        None
-                    } else {
-                        self.take_group_if_ready(&mut inner).map(|(s, b, o)| (s, b, o, false))
-                    }
-                }
-            };
-            match next {
-                Some((next_seq, next_blocks, next_ops, next_staged)) => {
-                    seq = next_seq;
-                    blocks = next_blocks;
-                    ops = next_ops;
-                    staged = next_staged;
-                }
-                None => {
-                    return match first_err {
-                        Some(e) => Err(e),
-                        None => Ok(()),
-                    };
-                }
-            }
+            result?;
+            self.counters.commits.inc();
+            self.counters.blocks_logged.add(logged);
+            self.counters.ops_committed.add(ops);
+            let next = self.take_group_if_ready(&mut self.inner.lock());
+            let Some(next) = next else { return Ok(()) };
+            (seq, group) = next;
         }
     }
 
-    /// The commit I/O: frozen blocks and the commit record into this
-    /// group's region, one barrier, install.
-    ///
-    /// On a queued device the payload copies are batch-submitted (stage
-    /// 1), and right after the barrier the committer tries to *prefetch*
-    /// the next group: close it and submit its stage-1 payload, handing it
-    /// back via `prefetched` so its copies are serviced while this group's
-    /// installs run.  `staged` marks a group whose payload was already
-    /// submitted that way.
-    fn commit_io(
-        &self,
-        io: &dyn JournalIo,
-        seq: u64,
-        blocks: &[LoggedBlock],
-        staged: bool,
-        prefetched: &mut Option<(u64, Vec<LoggedBlock>, u64, bool)>,
-    ) -> KernelResult<()> {
+    /// The commit I/O of group `seq`: one epoch of due installs, payload
+    /// and commit record; one barrier; then the group's blocks become the
+    /// newest pending copies of their homes.
+    fn commit_io(&self, io: &dyn JournalIo, seq: u64, group: FormingGroup) -> KernelResult<()> {
+        let blocks = group.blocks;
         debug_assert!(blocks.len() <= self.capacity);
         let head_block = self.region_head(seq);
         // Held across all of this commit's I/O: a checkpoint must never
@@ -871,29 +937,37 @@ impl Journal {
         // already serializes commits).
         let mut medium = self.medium.lock();
         // Owed until this commit's I/O has wholly succeeded.  After a
-        // failed commit neither region obeys the reuse rule (a record
-        // that was never installed from may sit in one, the other's
-        // installs never got their barrier), so that debt is paid first.
+        // failed commit the ring does not obey the reuse rule (that
+        // epoch's due installs never got their barrier), so the debt is
+        // paid first.
         if medium.owes_checkpoint {
             self.settle(io, &mut medium)?;
         }
         medium.owes_checkpoint = true;
-        // 1. Frozen copies into the region's data blocks, and the commit
-        // record over the header of the group two commits back.  The
-        // payload is written raw: log data blocks are only ever read back
-        // by recovery (on a fresh cache), so going through a buffer cache
-        // would just evict useful blocks once per commit.  On a queued
-        // device the copies are batch-submitted; a prefetch-staged group
-        // submitted them during the previous commit already.  Nothing
-        // orders the record behind the payload: it carries the payload's
-        // digest, so however the write cache reorders this epoch, a record
-        // without its whole payload is rejected by recovery.
-        if !staged {
-            self.submit_payload(io, head_block, blocks)?;
+        // 1. The epoch: the due installs, and the frozen copies into the
+        // region's data blocks, all raw — log blocks are only ever read
+        // back by recovery (on a fresh cache), so going through a buffer
+        // cache would just evict useful blocks once per commit.  Then the
+        // commit record over the header of the group four commits back.
+        // Nothing orders the record behind the payload: it carries the
+        // payload's digest, so however the write cache reorders this
+        // epoch, a record without its whole payload is rejected by
+        // recovery.
+        let blocks = Arc::new(blocks);
+        let due = self.due(seq);
+        let mut installs = due.map_or_else(Vec::new, |due| self.due_installs(due, &group.index));
+        if self.fault == PlantedFault::InstallBeforeBarrier {
+            installs.extend((0..blocks.len()).map(|slot| (seq, Arc::clone(&blocks), slot)));
         }
+        let payload: Vec<(u64, &[u8])> = blocks
+            .iter()
+            .enumerate()
+            .map(|(i, block)| (head_block + 1 + i as u64, block.data.as_slice()))
+            .collect();
+        self.write_epoch(io, &installs, &payload)?;
         // Marked live before the write is attempted: even a failed header
         // write may have reached the medium.
-        medium.live[(seq % 2) as usize] = Some(seq);
+        medium.live[(seq % REGIONS as u64) as usize] = Some(seq);
         let mut head = [0u8; BSIZE];
         record::encode_head(
             &mut head,
@@ -902,66 +976,103 @@ impl Journal {
             record::payload_digest(blocks.iter().map(|b| b.data.as_slice())),
         );
         io.write_block(head_block, &head)?;
-        let install_early = self.fault == PlantedFault::InstallBeforeBarrier;
-        if install_early {
-            self.install(io, blocks)?;
-        }
-        // 2. The commit barrier: this group is durable, and so are the
-        // previous group's installs — which is what frees that group's
-        // region for the next commit.  (On the queued device the barrier
-        // also drains the submission queues, so it covers batched payload
-        // writes exactly as it covers synchronous ones.)
+        // 2. The commit barrier: this group is durable, and so are the due
+        // installs — which is what frees their group's region for the next
+        // commit.  (On the queued device the barrier also drains the
+        // submission queues, so it covers batched writes exactly as it
+        // covers synchronous ones.)
         self.barrier(io)?;
-        // Two-stage overlap: the next group (if one is ready) may start
-        // its stage-1 payload copies now, overlapping them with this
-        // group's installs below.  This is the earliest safe point — the
-        // next group reuses the region of group `seq - 1`, whose installs
-        // the barrier just made durable.
-        if io.queued().is_some() {
-            let adopted = {
-                let mut inner = self.inner.lock();
-                self.take_group_for_overlap(&mut inner)
-            };
-            if let Some((next_seq, next_blocks, next_ops)) = adopted {
-                let next_head = self.region_head(next_seq);
-                debug_assert_ne!(next_head, head_block, "consecutive groups alternate regions");
-                let submitted = self.submit_payload(io, next_head, &next_blocks).is_ok();
-                // On a failed submission the group is still adopted (its
-                // seq is assigned) but unstaged: the next commit_io
-                // rewrites the payload from scratch, which is idempotent.
-                *prefetched = Some((next_seq, next_blocks, next_ops, submitted));
-            }
+        // 3. The newest committed copies: whatever these replace is
+        // superseded and never installed.
+        // The group that fell due in this epoch is done with: what it held
+        // is installed or superseded now.
+        let mut pending = self.pending.lock();
+        for (slot, block) in blocks.iter().enumerate() {
+            pending.newest.insert(block.home, (seq, slot));
         }
-        // 3. Install to home locations.  Deliberately *not* followed by a
-        // barrier: until the next commit's barrier (or a checkpoint) makes
-        // the installs durable, this group's record stays valid and a
-        // crash merely re-replays it idempotently.
-        if !install_early {
-            self.install(io, blocks)?;
+        if let Some(due) = due {
+            pending.groups[(due % REGIONS as u64) as usize] = None;
         }
+        pending.groups[(seq % REGIONS as u64) as usize] = Some(CommittedGroup { seq, blocks });
         medium.owes_checkpoint = false;
         Ok(())
     }
 
-    /// Step 3 of the commit.  `flush_cached_if_eq` writes the cached copy
-    /// when it still equals the committed snapshot; when a later operation
-    /// already modified the cache, the frozen snapshot goes straight to
-    /// the device so uncommitted bytes never reach the home location (the
-    /// newer bytes stay dirty for their own group).
-    fn install(&self, io: &dyn JournalIo, blocks: &[LoggedBlock]) -> KernelResult<()> {
-        for block in blocks {
-            if !io.flush_cached_if_eq(block.home, &block.data)? {
-                io.write_raw(block.home, &block.data)?;
+    /// The group whose installs fall due in group `seq`'s epoch: group
+    /// `seq − (REGIONS − 1)`, whose region group `seq + 1` reuses.
+    fn due(&self, seq: u64) -> Option<u64> {
+        let lag = match self.fault {
+            PlantedFault::ReuseBeforeInstall => return None,
+            PlantedFault::AbsorbIntoReusingGroup => REGIONS,
+            _ => REGIONS - 1,
+        };
+        seq.checked_sub(lag as u64)
+    }
+
+    /// The copies of group `due` its epoch installs: those no later group
+    /// re-logged.  Groups in between did so by becoming the newest copy
+    /// when their barrier returned; the group committing now (`relogged`,
+    /// its index) does so because its record is durable before the next
+    /// group may reuse the region — and if its commit fails, the skipped
+    /// copy is still pending for the settle that must come first.
+    fn due_installs(&self, due: u64, relogged: &HashMap<u64, usize>) -> Vec<Install> {
+        let pending = self.pending.lock();
+        let Some(group) = pending.group(due) else { return Vec::new() };
+        (group.blocks.iter().enumerate())
+            .filter(|&(slot, block)| {
+                pending.newest.get(&block.home) == Some(&(due, slot))
+                    && !relogged.contains_key(&block.home)
+            })
+            .map(|(slot, _)| (due, Arc::clone(&group.blocks), slot))
+            .collect()
+    }
+
+    /// Issues one epoch's writes raw — `installs` to their homes, then
+    /// `log` — batch-submitted on a queued device (the next barrier
+    /// completes them), serially otherwise.  Then each installed copy is
+    /// clean in the backend's cache and leaves the pending set, unless a
+    /// newer copy replaced it meanwhile.
+    fn write_epoch(
+        &self,
+        io: &dyn JournalIo,
+        installs: &[Install],
+        log: &[(u64, &[u8])],
+    ) -> KernelResult<()> {
+        let writes: Vec<(u64, &[u8])> = installs
+            .iter()
+            .map(|(_, blocks, slot)| (blocks[*slot].home, blocks[*slot].data.as_slice()))
+            .chain(log.iter().copied())
+            .collect();
+        match io.queued() {
+            Some(q) if !writes.is_empty() => {
+                q.submit_write_batch(q.preferred_queue(), &writes)?;
+            }
+            _ => {
+                for &(blockno, data) in &writes {
+                    io.write_raw(blockno, data)?;
+                }
+            }
+        }
+        for (_, blocks, slot) in installs {
+            let block = &blocks[*slot];
+            io.installed(block.home, &block.data, block.tag)?;
+        }
+        self.counters.installs.add(installs.len() as u64);
+        let newest = &mut self.pending.lock().newest;
+        for (seq, blocks, slot) in installs {
+            let home = blocks[*slot].home;
+            if newest.get(&home).is_some_and(|&(newest, _)| newest == *seq) {
+                newest.remove(&home);
             }
         }
         Ok(())
     }
 
     /// Brings the on-disk log to its clean state — the unmount path.
-    /// Commits everything in progress ([`Journal::flush`]), then clears
-    /// the live headers so the next mount finds nothing to replay.  A
-    /// no-op (no I/O at all) when no header is live.  Like `flush`, it
-    /// must not be called from inside a transaction.
+    /// Commits everything in progress ([`Journal::flush`]), installs every
+    /// pending copy, then clears the live headers so the next mount finds
+    /// nothing to replay.  A no-op (no I/O at all) when no header is live.
+    /// Like `flush`, it must not be called from inside a transaction.
     ///
     /// # Errors
     ///
@@ -973,59 +1084,38 @@ impl Journal {
         self.settle(io, &mut self.medium.lock())
     }
 
-    /// Clears every live header, oldest first, each in its own epoch: a
-    /// crash that kept an older record while losing the newest would
-    /// replay the older one alone, over home blocks the newest had already
-    /// rewritten.  The barrier ahead of a clear is also what makes the
-    /// installs of the record being cleared durable; an older record's
-    /// already are, by the newest's commit barrier — unless that commit
-    /// failed (`owes_checkpoint`).
+    /// Installs every pending copy, then clears every live header, oldest
+    /// first, each in its own epoch behind a barrier: the first barrier
+    /// makes the installs durable, and each later one keeps a clear from
+    /// persisting ahead of an older record's — a crash that kept an older
+    /// record while losing a newer one would replay the older one alone,
+    /// over homes that already hold the newer bytes.  After a failed
+    /// commit (`owes_checkpoint`) nothing issued so far is known durable,
+    /// so even a journal with nothing pending starts with a barrier.
     fn settle(&self, io: &dyn JournalIo, medium: &mut Medium) -> KernelResult<()> {
+        let installs = self.pending.lock().sorted();
+        self.write_epoch(io, &installs, &[])?;
+        *self.pending.lock() = Pending::default();
         let mut live: Vec<(u64, u64)> =
-            (0..2).filter_map(|region| Some((medium.live[region as usize]?, region))).collect();
+            (0..REGIONS).filter_map(|region| Some((medium.live[region]?, region as u64))).collect();
+        if installs.is_empty() && live.is_empty() {
+            // Nothing on the medium depends on what a failed commit left
+            // unflushed: no barrier needed.
+            *medium = Medium::default();
+            return Ok(());
+        }
         live.sort_unstable();
-        for (i, &(_, region)) in live.iter().enumerate() {
-            let newest = i + 1 == live.len();
-            let installs_durable = !newest && !medium.owes_checkpoint;
-            let planted = newest && self.fault == PlantedFault::CheckpointWithoutBarrier;
-            if !installs_durable && !planted {
+        let ordered = self.fault != PlantedFault::CheckpointWithoutBarrier;
+        let mut unflushed = !installs.is_empty() || medium.owes_checkpoint;
+        for &(_, region) in &live {
+            if unflushed && ordered {
                 self.barrier(io)?;
             }
             self.write_clean_head(io, self.region_head(region))?;
+            unflushed = true;
         }
-        if !live.is_empty() {
-            self.barrier(io)?;
-        }
+        self.barrier(io)?;
         *medium = Medium::default();
-        Ok(())
-    }
-
-    /// Stage 1: writes the group's frozen blocks into its log region —
-    /// batch-submitted without waiting on a queued device (the following
-    /// barrier, or any earlier one, completes them), serial raw writes
-    /// otherwise.
-    fn submit_payload(
-        &self,
-        io: &dyn JournalIo,
-        head_block: u64,
-        blocks: &[LoggedBlock],
-    ) -> KernelResult<()> {
-        match io.queued() {
-            Some(q) => {
-                let queue = q.preferred_queue();
-                let writes: Vec<(u64, &[u8])> = blocks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, block)| (head_block + 1 + i as u64, block.data.as_slice()))
-                    .collect();
-                q.submit_write_batch(queue, &writes)?;
-            }
-            None => {
-                for (i, block) in blocks.iter().enumerate() {
-                    io.write_raw(head_block + 1 + i as u64, &block.data)?;
-                }
-            }
-        }
         Ok(())
     }
 
@@ -1037,7 +1127,7 @@ impl Journal {
 
     /// Header block of the region group `seq` commits into.
     fn region_head(&self, seq: u64) -> u64 {
-        self.start + (seq % 2) * self.region_size as u64
+        self.start + (seq % REGIONS as u64) * self.region_size as u64
     }
 
     /// Rewrites the header at `head_block` clean, keeping its sequence
@@ -1051,21 +1141,22 @@ impl Journal {
     }
 
     /// Recovers from the on-disk log at mount time: committed transactions
-    /// found in either region are installed in sequence order, and every
+    /// found in any region are installed in sequence order, and every
     /// header that was not clean is left clean.  Returns the number of
     /// blocks replayed.
     ///
     /// A record is replayed only if its self-checksum holds, its home
     /// blocks are in range, *and* the log blocks behind it hash to the
     /// digest it was sealed over.  After a crash the newest committed
-    /// record always validates, and so may the one before it; replaying
-    /// either is idempotent, since no group after them had started
-    /// installing.  Headers that do not validate are cleared too: a
-    /// rejected record left in place could be re-validated by a later
-    /// session that logs identical bytes into its region and crashes
-    /// before its own record lands.  A cleanly unmounted image
-    /// ([`Journal::checkpoint`]) has both headers clear, replays nothing
-    /// and writes nothing.
+    /// record always validates, and so may the three before it; replaying
+    /// them oldest first is idempotent and lands each home's newest copy
+    /// last, since every block an older record holds is either installed
+    /// already or held again by a newer valid record.  Headers that do not
+    /// validate are cleared too: a rejected record left in place could be
+    /// re-validated by a later session that logs identical bytes into its
+    /// region and crashes before its own record lands.  A cleanly
+    /// unmounted image ([`Journal::checkpoint`]) has every header clear,
+    /// replays nothing and writes nothing.
     ///
     /// # Errors
     ///
@@ -1078,7 +1169,7 @@ impl Journal {
         let mut medium = self.medium.lock();
         let mut committed: Vec<Committed> = Vec::new();
         let mut head = vec![0u8; BSIZE];
-        for region in 0..2u64 {
+        for region in 0..REGIONS as u64 {
             let head_block = self.region_head(region);
             io.read_block(head_block, &mut head)?;
             if record::get_u32(&head, record::LOG_HEAD_COUNT_OFF) == 0 {
@@ -1127,8 +1218,8 @@ impl Journal {
         };
         if record.homes.iter().any(|&h| h < self.home_range.0 || h >= self.home_range.1) {
             // Not a header this format wrote (corruption, or an image
-            // from before the double-buffered layout): treating it as
-            // clean beats installing over arbitrary blocks.
+            // from another log layout): treating it as clean beats
+            // installing over arbitrary blocks.
             return Ok(None);
         }
         let mut payload = vec![0u8; record.homes.len() * BSIZE];
@@ -1154,13 +1245,16 @@ mod tests {
         encode_head, get_u32, get_u64, payload_digest, put_u32, LOG_HEAD_BLOCKS_OFF,
         LOG_HEAD_COUNT_OFF, LOG_HEAD_SEQ_OFF,
     };
+    use crashsim::{prefix_states, DiskImage, Event, FaultConfig, FaultDevice};
     use simkernel::dev::{BlockDevice, FaultInjectingDevice, FaultMode, RamDisk};
-    use std::sync::Arc;
 
-    /// The same log geometry the xv6 stacks use: log at block 2, two
-    /// regions, homes legal from the end of the log area to disk size.
-    const LOG_BLOCKS: usize = 2 * (4 * MAX_OP_BLOCKS + 1);
-    const HALF: u64 = (LOG_BLOCKS / 2) as u64;
+    /// The same log geometry the xv6 stacks use: log at block 2, a ring of
+    /// four regions, homes legal from the end of the log area to disk size.
+    const LOG_BLOCKS: usize = REGIONS * (4 * MAX_OP_BLOCKS + 1);
+    const REGION: u64 = (LOG_BLOCKS / REGIONS) as u64;
+    const DISK: u64 = 2048;
+    /// A home block past the log area.
+    const HOME: u64 = 1600;
 
     fn test_config(disk_blocks: u64) -> JournalConfig {
         JournalConfig::from_geometry(
@@ -1172,13 +1266,21 @@ mod tests {
     }
 
     fn setup() -> (DeviceIo, Journal) {
-        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, 1024)));
-        (io, Journal::new(test_config(1024)))
+        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, DISK)));
+        (io, Journal::new(test_config(DISK)))
     }
 
+    /// First byte of `blockno` as the medium holds it.
     fn block_fill(io: &DeviceIo, blockno: u64) -> u8 {
         let mut buf = vec![0u8; BSIZE];
         io.read_block(blockno, &mut buf).unwrap();
+        buf[0]
+    }
+
+    /// First byte of home `blockno` as committed (pending copy or medium).
+    fn home_fill(io: &DeviceIo, journal: &Journal, blockno: u64) -> u8 {
+        let mut buf = vec![0u8; BSIZE];
+        journal.read_home(io, blockno, &mut buf).unwrap();
         buf[0]
     }
 
@@ -1202,7 +1304,7 @@ mod tests {
     /// right after the commit barrier leaves it: block `i` of `region`
     /// holds `fills[i]`, the header names `homes`.
     fn plant_record(io: &DeviceIo, region: u64, seq: u64, homes: &[u64], fills: &[u8]) {
-        let head_block = 2 + region * HALF;
+        let head_block = 2 + region * REGION;
         for (i, &fill) in fills.iter().enumerate() {
             io.write_block(head_block + 1 + i as u64, &[fill; BSIZE]).unwrap();
         }
@@ -1212,60 +1314,111 @@ mod tests {
     /// `(count, seq)` of the header in `region`.
     fn region_header(io: &DeviceIo, region: u64) -> (u32, u64) {
         let mut head = vec![0u8; BSIZE];
-        io.read_block(2 + region * HALF, &mut head).unwrap();
+        io.read_block(2 + region * REGION, &mut head).unwrap();
         (get_u32(&head, LOG_HEAD_COUNT_OFF), get_u64(&head, LOG_HEAD_SEQ_OFF))
     }
 
     /// Remounts: a fresh journal recovers `io`.  Asserts that whatever it
-    /// found, both headers are clean afterwards and a further mount writes
+    /// found, every header is clean afterwards and a further mount writes
     /// nothing.  Returns the blocks replayed.
     fn remount(io: &DeviceIo) -> usize {
-        let replayed = Journal::new(test_config(1024)).recover(io).unwrap();
-        for region in 0..2 {
+        let replayed = Journal::new(test_config(DISK)).recover(io).unwrap();
+        for region in 0..REGIONS as u64 {
             assert_eq!(region_header(io, region).0, 0, "region {region} left non-clean");
         }
         let writes = io.device().stats().writes;
-        assert_eq!(Journal::new(test_config(1024)).recover(io).unwrap(), 0);
+        assert_eq!(Journal::new(test_config(DISK)).recover(io).unwrap(), 0);
         assert_eq!(io.device().stats().writes, writes, "a clean log is mounted without a write");
         replayed
     }
 
     #[test]
     fn commit_installs_blocks_to_home_locations() {
+        // A commit's blocks reach their homes in the epoch of the commit
+        // three later (or at the checkpoint); until then the medium holds
+        // the old bytes and read_home serves the committed copy.
         let (io, journal) = setup();
-        write_block(&io, &journal, 600, 0xAB);
-        write_block(&io, &journal, 601, 0xCD);
-        assert_eq!(block_fill(&io, 600), 0xAB);
-        assert_eq!(block_fill(&io, 601), 0xCD);
+        for i in 0..3u8 {
+            write_block(&io, &journal, HOME + u64::from(i), 0xA0 + i);
+        }
+        assert_eq!(block_fill(&io, HOME), 0, "not installed yet");
+        assert_eq!(home_fill(&io, &journal, HOME), 0xA0);
+        assert_eq!(journal.stats().installs, 0);
+        write_block(&io, &journal, HOME + 3, 0xA3);
+        assert_eq!(block_fill(&io, HOME), 0xA0, "due in the fourth commit's epoch");
+        assert_eq!(block_fill(&io, HOME + 1), 0, "due in the fifth");
         let stats = journal.stats();
-        assert_eq!(stats.commits, 2);
-        assert_eq!(stats.blocks_logged, 2);
-        assert_eq!(stats.ops_committed, 2);
-        assert_eq!(stats.barriers, 2, "one barrier per commit");
+        assert_eq!((stats.commits, stats.blocks_logged, stats.ops_committed), (4, 4, 4));
+        assert_eq!((stats.barriers, stats.installs), (4, 1), "one barrier per commit");
+        journal.checkpoint(&io).unwrap();
+        for i in 0..4u8 {
+            assert_eq!(block_fill(&io, HOME + u64::from(i)), 0xA0 + i);
+        }
+        assert_eq!(journal.stats().installs, 4);
     }
 
     #[test]
-    fn consecutive_commits_alternate_log_regions() {
+    fn consecutive_commits_walk_the_region_ring() {
         let (io, journal) = setup();
-        write_block(&io, &journal, 600, 0x11);
-        assert_eq!(region_header(&io, 0), (1, 0));
-        assert_eq!(journal.tail().live, [Some(0), None]);
-        write_block(&io, &journal, 601, 0x22);
-        // Region 0 logged block 600, region 1 logged block 601; nothing
-        // clears a header in steady state.
-        assert_eq!(region_header(&io, 0), (1, 0));
-        assert_eq!(region_header(&io, 1), (1, 1));
-        assert_eq!(block_fill(&io, 2 + 1), 0x11);
-        assert_eq!(block_fill(&io, 2 + HALF + 1), 0x22);
-        // The third commit overwrites the first one's region, record and
-        // payload alike.
-        write_block(&io, &journal, 602, 0x33);
-        assert_eq!(region_header(&io, 0), (1, 2));
-        assert_eq!(block_fill(&io, 2 + 1), 0x33);
+        for i in 0..REGIONS as u64 {
+            write_block(&io, &journal, HOME + i, 0x11 * (i as u8 + 1));
+            assert_eq!(region_header(&io, i), (1, i));
+            assert_eq!(block_fill(&io, 2 + i * REGION + 1), 0x11 * (i as u8 + 1));
+        }
+        // Nothing clears a header in steady state: four records are live.
+        let live: Vec<Option<u64>> = (0..REGIONS as u64).map(Some).collect();
+        assert_eq!(journal.tail().live[..], live[..]);
+        // The fifth commit overwrites the first one's region, record and
+        // payload alike, after the fourth commit's epoch installed it.
+        write_block(&io, &journal, HOME + 4, 0x55);
+        assert_eq!(region_header(&io, 0), (1, 4));
+        assert_eq!(block_fill(&io, 2 + 1), 0x55);
+        assert_eq!(block_fill(&io, HOME), 0x11);
+        let tail = journal.tail();
         assert_eq!(
-            journal.tail(),
-            JournalTail { next_seq: 3, live: [Some(2), Some(1)], owes_checkpoint: false }
+            (tail.next_seq, tail.live, tail.owes_checkpoint),
+            (5, [Some(4), Some(1), Some(2), Some(3)], false)
         );
+        let pending: Vec<(u64, u64)> = tail.pending.iter().map(|p| (p.seq, p.home)).collect();
+        assert_eq!(
+            pending,
+            [(2, HOME + 2), (3, HOME + 3), (4, HOME + 4)],
+            "seq 1 installed in seq 4's epoch"
+        );
+    }
+
+    #[test]
+    fn a_block_relogged_by_every_commit_is_installed_once_at_checkpoint() {
+        // REGIONS + 1 commits each log home HOME: every copy but the last
+        // is superseded before it falls due, so the home is written once,
+        // by the checkpoint — and a crash before it recovers the last
+        // commit's bytes from the record.
+        let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK));
+        let image = Arc::new(DiskImage::capture(&base).unwrap());
+        let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+        let io = DeviceIo::new(Arc::clone(&recorder) as Arc<dyn BlockDevice>);
+        let journal = Journal::new(test_config(DISK));
+        let last = REGIONS as u8 + 1;
+        for fill in 1..=last {
+            write_block(&io, &journal, HOME, fill);
+            assert_eq!(home_fill(&io, &journal, HOME), fill);
+        }
+        let before_checkpoint = recorder.event_count();
+        journal.checkpoint(&io).unwrap();
+        let trace = recorder.trace();
+        let home_writes: Vec<usize> = (0..trace.events.len())
+            .filter(|&i| matches!(trace.events[i], Event::Write { blockno: HOME, .. }))
+            .collect();
+        assert_eq!(home_writes.len(), 1, "the home is written once");
+        assert!(home_writes[0] >= before_checkpoint, "by the checkpoint");
+        assert_eq!(block_fill(&io, HOME), last);
+        assert_eq!(journal.stats().installs, 1);
+
+        let state = prefix_states(&trace, &image).swap_remove(before_checkpoint);
+        let crashed = DeviceIo::new(Arc::clone(&state.disk) as Arc<dyn BlockDevice>);
+        assert_eq!(block_fill(&crashed, HOME), 0, "never installed before the checkpoint");
+        assert_eq!(remount(&crashed), REGIONS, "the four live records replay");
+        assert_eq!(block_fill(&crashed, HOME), last);
     }
 
     #[test]
@@ -1273,85 +1426,132 @@ mod tests {
         let (io, journal) = setup();
         journal.checkpoint(&io).unwrap();
         assert_eq!(journal.stats().barriers, 0, "nothing live: no I/O");
-        write_block(&io, &journal, 600, 0x11);
+        write_block(&io, &journal, HOME, 0x11);
         journal.checkpoint(&io).unwrap();
         assert_eq!(region_header(&io, 0), (0, 0));
+        assert_eq!(block_fill(&io, HOME), 0x11);
         assert_eq!(journal.stats().barriers, 1 + 2, "commit + checkpoint");
         assert_eq!(journal.tail(), JournalTail { next_seq: 1, ..JournalTail::default() });
         journal.checkpoint(&io).unwrap();
         assert_eq!(journal.stats().barriers, 3, "second checkpoint is a no-op");
         // A clean image replays nothing on the next mount.
         assert_eq!(remount(&io), 0);
-        // Commits after a checkpoint keep alternating regions, and with
-        // both headers live the checkpoint still costs two barriers.
-        write_block(&io, &journal, 601, 0x22);
-        write_block(&io, &journal, 602, 0x33);
-        assert_eq!((region_header(&io, 1), region_header(&io, 0)), ((1, 1), (1, 2)));
+        // Commits after a checkpoint keep walking the ring, and with two
+        // headers live the checkpoint costs the installs' barrier and one
+        // per clear.
+        write_block(&io, &journal, HOME + 1, 0x22);
+        write_block(&io, &journal, HOME + 2, 0x33);
+        assert_eq!((region_header(&io, 1), region_header(&io, 2)), ((1, 1), (1, 2)));
         journal.checkpoint(&io).unwrap();
-        assert_eq!(journal.stats().barriers, 3 + 2 + 2);
+        assert_eq!(journal.stats().barriers, 3 + 2 + 3);
+        assert_eq!((block_fill(&io, HOME + 1), block_fill(&io, HOME + 2)), (0x22, 0x33));
         assert_eq!(remount(&io), 0);
     }
 
     #[test]
     fn restored_tail_continues_the_sequence_and_pays_the_owed_clear() {
         let (io, old) = setup();
-        write_block(&io, &old, 600, 0x11);
+        write_block(&io, &old, HOME, 0x11);
         let tail = old.tail();
+        let pending = PendingInstall { seq: 0, home: HOME, tag: 0, data: vec![0x11; BSIZE] };
+        assert_eq!(tail.pending, [pending]);
         drop(old);
-        // The successor attaches without recovery (live upgrade).
-        let new = Journal::new(test_config(1024));
+        // The successor attaches without recovery (live upgrade) and
+        // without a device access.
+        let writes = io.device().stats();
+        let new = Journal::new(test_config(DISK));
         new.restore_tail(tail);
-        write_block(&io, &new, 601, 0x22);
+        assert_eq!(io.device().stats(), writes);
+        assert_eq!(home_fill(&io, &new, HOME), 0x11, "the pending copy came along");
+        write_block(&io, &new, HOME + 1, 0x22);
         assert_eq!(region_header(&io, 0), (1, 0), "predecessor's record untouched");
-        assert_eq!(region_header(&io, 1), (1, 1), "successor took the other region");
+        assert_eq!(region_header(&io, 1), (1, 1), "successor took the next region");
         assert_eq!(new.stats().recoveries, 0);
-        // Its checkpoint clears the predecessor's header along with its own.
+        // It installs the predecessor's copy when it falls due...
+        write_block(&io, &new, HOME + 2, 0x33);
+        assert_eq!(block_fill(&io, HOME), 0);
+        write_block(&io, &new, HOME + 3, 0x44);
+        assert_eq!(block_fill(&io, HOME), 0x11);
+        // ...and its checkpoint clears the predecessor's header along with
+        // its own.
         new.checkpoint(&io).unwrap();
         assert_eq!(remount(&io), 0);
     }
 
     #[test]
     fn a_commit_after_a_failed_commit_pays_the_owed_checkpoint_before_reusing_a_region() {
-        let ram = Arc::new(RamDisk::new(BSIZE as u32, 1024));
+        let ram = Arc::new(RamDisk::new(BSIZE as u32, DISK));
         let faulty = Arc::new(FaultInjectingDevice::new(
             Arc::clone(&ram) as Arc<dyn BlockDevice>,
             FaultMode::FailIo,
             u64::MAX,
         ));
         let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
-        let journal = Journal::new(test_config(1024));
-        write_block(&io, &journal, 600, 0x11);
+        let journal = Journal::new(test_config(DISK));
+        write_block(&io, &journal, HOME, 0x11);
         // Commit 1 meets a transient EIO window: nothing of it is
         // acknowledged, and the journal does not know what reached the
         // medium.
         faulty.trip_now();
         journal.begin_op();
-        journal.log_write(601, &[0x22; BSIZE]).unwrap();
+        journal.log_write(HOME + 1, &[0x22; BSIZE]).unwrap();
         assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
         assert!(journal.tail().owes_checkpoint);
         faulty.clear();
-        // Commit 2 would overwrite commit 0's region on the strength of a
-        // barrier commit 1 never completed.  It settles first: barrier,
-        // commit 0's header cleared, barrier — and only then its own epoch.
+        // Commit 2 settles first — commit 0's install, barrier, its header
+        // cleared, barrier — and only then writes its own epoch.
         let before = (journal.stats().barriers, ram.stats().writes);
-        write_block(&io, &journal, 602, 0x33);
+        write_block(&io, &journal, HOME + 2, 0x33);
         assert_eq!(journal.stats().barriers - before.0, 2 + 1, "checkpoint, then the commit");
-        assert_eq!(ram.stats().writes - before.1, 1 + 3, "one clear; payload, record, install");
-        assert_eq!(region_header(&io, 0), (1, 2), "its own record is not the one cleared");
+        assert_eq!(ram.stats().writes - before.1, 2 + 2, "install and clear; payload, record");
+        assert_eq!(region_header(&io, 2), (1, 2), "its own record is not the one cleared");
+        let tail = journal.tail();
         assert_eq!(
-            journal.tail(),
-            JournalTail { next_seq: 3, live: [Some(2), None], owes_checkpoint: false }
+            (tail.next_seq, tail.live, tail.owes_checkpoint),
+            (3, [None, None, Some(2), None], false)
         );
         assert_eq!(remount(&io), 1);
-        assert_eq!((block_fill(&io, 600), block_fill(&io, 602)), (0x11, 0x33));
+        assert_eq!(
+            (block_fill(&io, HOME), block_fill(&io, HOME + 1), block_fill(&io, HOME + 2)),
+            (0x11, 0, 0x33)
+        );
+    }
+
+    #[test]
+    fn a_failed_commit_supersedes_nothing() {
+        // Commit 3 logs HOME again, so its epoch skips commit 0's due
+        // install of HOME — then fails.  The skipped copy is still
+        // pending: the next commit's settle installs it, and commit 3's
+        // bytes, never acknowledged, never reach the home.
+        let ram = Arc::new(RamDisk::new(BSIZE as u32, DISK));
+        let faulty = Arc::new(FaultInjectingDevice::new(
+            Arc::clone(&ram) as Arc<dyn BlockDevice>,
+            FaultMode::FailIo,
+            u64::MAX,
+        ));
+        let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        let journal = Journal::new(test_config(DISK));
+        for (i, fill) in [0x10u8, 0x11, 0x12].into_iter().enumerate() {
+            write_block(&io, &journal, HOME + i as u64, fill);
+        }
+        faulty.trip_now();
+        journal.begin_op();
+        journal.log_write(HOME, &[0x13; BSIZE]).unwrap();
+        assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
+        faulty.clear();
+        assert_eq!(home_fill(&io, &journal, HOME), 0x10, "the failed commit replaced nothing");
+        write_block(&io, &journal, HOME + 4, 0x14);
+        assert_eq!(block_fill(&io, HOME), 0x10, "installed by the settle");
+        assert_eq!(remount(&io), 1);
+        assert_eq!(block_fill(&io, HOME), 0x10);
     }
 
     #[test]
     fn on_flush_operations_join_the_running_group_until_a_flush() {
-        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, 1024)));
+        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, DISK)));
         let journal =
-            Journal::new(JournalConfig { close: GroupClose::OnFlush, ..test_config(1024) });
-        for (block, fill) in [(600, 1), (601, 2), (600, 3)] {
+            Journal::new(JournalConfig { close: GroupClose::OnFlush, ..test_config(DISK) });
+        for (block, fill) in [(HOME, 1), (HOME + 1, 2), (HOME, 3)] {
             write_block(&io, &journal, block, fill);
         }
         assert_eq!(journal.stats(), JournalStats::default(), "no group closed yet");
@@ -1360,7 +1560,7 @@ mod tests {
         let stats = journal.stats();
         assert_eq!((stats.commits, stats.blocks_logged, stats.ops_committed), (1, 2, 3));
         assert_eq!(stats.barriers, 1, "one group, one barrier");
-        assert_eq!((block_fill(&io, 600), block_fill(&io, 601)), (3, 2));
+        assert_eq!((home_fill(&io, &journal, HOME), home_fill(&io, &journal, HOME + 1)), (3, 2));
         let writes = io.device().stats().writes;
         journal.flush(&io).unwrap();
         assert_eq!((journal.stats(), io.device().stats().writes), (stats, writes), "idle flush");
@@ -1371,11 +1571,11 @@ mod tests {
         let (io, journal) = setup();
         journal.begin_op();
         for fill in [1u8, 2, 3] {
-            journal.log_write(700, &[fill; BSIZE]).unwrap();
+            journal.log_write(HOME, &[fill; BSIZE]).unwrap();
         }
         journal.end_op(&io).unwrap();
         assert_eq!(journal.stats().blocks_logged, 1);
-        assert_eq!(block_fill(&io, 700), 3);
+        assert_eq!(home_fill(&io, &journal, HOME), 3);
     }
 
     #[test]
@@ -1390,13 +1590,13 @@ mod tests {
         assert_eq!(journal.staged_blocks(), 0, "nothing staged outside an operation");
         journal.begin_op();
         for i in 0..MAX_OP_BLOCKS as u64 {
-            journal.log_write(600 + i, &[1u8; BSIZE]).unwrap();
+            journal.log_write(HOME + i, &[1u8; BSIZE]).unwrap();
             assert_eq!(journal.staged_blocks(), i as usize + 1);
         }
-        journal.log_write(600, &[2u8; BSIZE]).unwrap();
+        journal.log_write(HOME, &[2u8; BSIZE]).unwrap();
         assert_eq!(journal.staged_blocks(), MAX_OP_BLOCKS, "a re-logged block is staged once");
         assert_eq!(
-            journal.log_write(600 + MAX_OP_BLOCKS as u64, &[1u8; BSIZE]).unwrap_err().errno(),
+            journal.log_write(HOME + MAX_OP_BLOCKS as u64, &[1u8; BSIZE]).unwrap_err().errno(),
             Errno::NoSpc
         );
         journal.end_op(&io).unwrap();
@@ -1406,9 +1606,8 @@ mod tests {
     #[test]
     fn group_commit_combines_concurrent_ops() {
         use std::thread;
-        let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, 2048)));
-        let io = Arc::new(io);
-        let journal = Arc::new(Journal::new(test_config(2048)));
+        let io = Arc::new(DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, DISK))));
+        let journal = Arc::new(Journal::new(test_config(DISK)));
         let mut handles = Vec::new();
         for t in 0..8u64 {
             let journal = Arc::clone(&journal);
@@ -1422,10 +1621,10 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Every block made it to its home location.
+        // Every block is committed, and after the checkpoint at home.
         for t in 0..8u64 {
             for i in 0..20u64 {
-                assert_eq!(block_fill(&io, 1200 + t * 20 + i), (t + 1) as u8);
+                assert_eq!(home_fill(&io, &journal, 1200 + t * 20 + i), (t + 1) as u8);
             }
         }
         // Group commit means commits <= operations.
@@ -1434,6 +1633,13 @@ mod tests {
         assert_eq!(stats.blocks_logged, 160);
         assert_eq!(stats.ops_committed, 160);
         assert_eq!(stats.barriers, stats.commits);
+        journal.checkpoint(&*io).unwrap();
+        assert_eq!(journal.stats().installs, 160, "no block was logged twice");
+        for t in 0..8u64 {
+            for i in 0..20u64 {
+                assert_eq!(block_fill(&io, 1200 + t * 20 + i), (t + 1) as u8);
+            }
+        }
     }
 
     #[test]
@@ -1445,7 +1651,7 @@ mod tests {
         let io = Arc::new(io);
         let journal = Arc::new(journal);
         journal.begin_op(); // op A holds the group open
-        journal.log_write(800, &[0x01; BSIZE]).unwrap(); // older snapshot
+        journal.log_write(HOME, &[0x01; BSIZE]).unwrap(); // older snapshot
         {
             // Op B on another thread modifies the same block afterwards
             // and merges first (op A is still outstanding, so no commit
@@ -1453,14 +1659,14 @@ mod tests {
             let journal = Arc::clone(&journal);
             let io = Arc::clone(&io);
             std::thread::spawn(move || {
-                write_block(&io, &journal, 800, 0x02);
+                write_block(&io, &journal, HOME, 0x02);
             })
             .join()
             .unwrap();
         }
         // Op A merges its older snapshot last, closes the group, commits.
         journal.end_op(&*io).unwrap();
-        assert_eq!(block_fill(&io, 800), 0x02, "newest snapshot must win");
+        assert_eq!(home_fill(&io, &journal, HOME), 0x02, "newest snapshot must win");
         let stats = journal.stats();
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.blocks_logged, 1, "absorbed across ops in one group");
@@ -1469,28 +1675,31 @@ mod tests {
 
     #[test]
     fn recover_replays_committed_transaction_from_either_region() {
-        for region in 0..2u64 {
+        for region in 0..REGIONS as u64 {
             let (io, _) = setup();
             // Simulate a crash after the commit barrier but before
             // install: the home block still has its old (zero) contents.
-            plant_record(&io, region, region, &[800], &[0x5E]);
+            plant_record(&io, region, region, &[HOME], &[0x5E]);
             assert_eq!(remount(&io), 1, "region {region}");
-            assert_eq!(block_fill(&io, 800), 0x5E, "region {region}");
+            assert_eq!(block_fill(&io, HOME), 0x5E, "region {region}");
         }
     }
 
     #[test]
-    fn recover_replays_both_regions_in_sequence_order() {
+    fn recover_replays_every_valid_region_in_sequence_order() {
         let (io, _) = setup();
-        // Both regions hold a committed transaction for the same home
-        // block: region 1 carries seq 1, region 0 carries seq 2 (newest).
-        // Recovery must install in sequence order so the seq-2 bytes win.
-        plant_record(&io, 1, 1, &[810], &[0xAA]);
-        plant_record(&io, 0, 2, &[810], &[0xBB]);
-        let journal = Journal::new(test_config(1024));
-        assert_eq!(journal.recover(&io).unwrap(), 2);
-        assert_eq!(block_fill(&io, 810), 0xBB);
-        assert_eq!(journal.stats().barriers, 3, "installs, older header, newest header");
+        // Four regions hold committed transactions for the same home
+        // block, seqs 5..=8 around the ring (region 0 holds the newest);
+        // the oldest also holds a block nothing later logged.  Recovery
+        // must install in sequence order so the seq-8 bytes win.
+        plant_record(&io, 1, 5, &[HOME, HOME + 1], &[0xA5, 0x15]);
+        plant_record(&io, 2, 6, &[HOME], &[0xA6]);
+        plant_record(&io, 3, 7, &[HOME], &[0xA7]);
+        plant_record(&io, 0, 8, &[HOME], &[0xA8]);
+        let journal = Journal::new(test_config(DISK));
+        assert_eq!(journal.recover(&io).unwrap(), 5);
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0xA8, 0x15));
+        assert_eq!(journal.stats().barriers, 1 + REGIONS as u64, "installs, then one per clear");
         assert_eq!(remount(&io), 0);
     }
 
@@ -1500,14 +1709,14 @@ mod tests {
         // commit-record write) must be treated as clean, not installed.
         let (io, _) = setup();
         io.write_block(3, &[0x99; BSIZE]).unwrap();
-        let mut head = sealed_head(0, &[800], &[0x99]);
+        let mut head = sealed_head(0, &[HOME], &[0x99]);
         // Corrupt one home entry after sealing: simulates a tear where
         // the checksum sector and the block-list sector disagree.
-        put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, 801);
+        put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, HOME as u32 + 1);
         io.write_block(2, &head).unwrap();
         assert_eq!(remount(&io), 0);
-        assert_eq!(block_fill(&io, 800), 0, "nothing installed");
-        assert_eq!(block_fill(&io, 801), 0, "nothing installed");
+        assert_eq!(block_fill(&io, HOME), 0, "nothing installed");
+        assert_eq!(block_fill(&io, HOME + 1), 0, "nothing installed");
     }
 
     #[test]
@@ -1528,13 +1737,13 @@ mod tests {
         // write cache persisted the record ahead of that block (or the
         // block was since overwritten).  Not committed, not replayed.
         let (io, _) = setup();
-        plant_record(&io, 0, 0, &[800, 801], &[0x5E, 0x5F]);
+        plant_record(&io, 0, 0, &[HOME, HOME + 1], &[0x5E, 0x5F]);
         let mut copy = vec![0x5F; BSIZE];
         copy[BSIZE - 1] ^= 1;
         io.write_block(2 + 2, &copy).unwrap();
-        let journal = Journal::new(test_config(1024));
+        let journal = Journal::new(test_config(DISK));
         assert_eq!(journal.recover(&io).unwrap(), 0);
-        assert_eq!((block_fill(&io, 800), block_fill(&io, 801)), (0, 0));
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0, 0));
         assert_eq!(journal.stats().recoveries, 0);
         assert_eq!(remount(&io), 0);
     }
@@ -1542,11 +1751,12 @@ mod tests {
     #[test]
     fn a_rejected_record_cannot_be_revalidated_by_a_later_session() {
         let (io, _) = setup();
-        io.write_block(700, &[0x77; BSIZE]).unwrap();
-        io.write_block(701, &[0x77; BSIZE]).unwrap();
+        io.write_block(HOME, &[0x77; BSIZE]).unwrap();
+        io.write_block(HOME + 1, &[0x77; BSIZE]).unwrap();
         // Session 1 crashed mid-epoch: record X (two zero-filled blocks
-        // for homes 700 and 701) is durable, its payload only in part.
-        plant_record(&io, 0, 0, &[700, 701], &[0, 0]);
+        // for homes HOME and HOME + 1) is durable, its payload only in
+        // part.
+        plant_record(&io, 0, 0, &[HOME, HOME + 1], &[0, 0]);
         io.write_block(2 + 2, &[0xEE; BSIZE]).unwrap();
         // Session 2 mounts (X is rejected), then commits a *different*
         // group of two zero-filled blocks into the same region and crashes
@@ -1557,6 +1767,6 @@ mod tests {
         // Had X's header survived session 2's mount, it would validate now
         // and zero homes it was never installed to.
         assert_eq!(remount(&io), 0);
-        assert_eq!((block_fill(&io, 700), block_fill(&io, 701)), (0x77, 0x77));
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0x77, 0x77));
     }
 }

@@ -1,6 +1,6 @@
 //! Planted-fault tests for the journal-level crash oracles, synchronous
 //! device: each [`PlantedFault`] removes one rule the one-barrier commit
-//! rests on, and the enumeration of the chain workload (five commits and
+//! rests on, and the enumeration of the chain workload (six commits and
 //! a checkpoint, see `common`) must then report the violation that rule
 //! prevents — while the identical run with nothing planted shows none
 //! (`crash_contract.rs`).  This proves the oracles detect real protocol
@@ -14,7 +14,7 @@ mod common;
 use crashsim::prefix_states;
 use journal::{GroupClose, PlantedFault};
 
-use common::{is_atomicity, record_chain, sampled_chain_violations};
+use common::{is_atomicity, record_chain, sampled_chain_violations, CHAIN_PERIOD};
 
 fn sampled_violations(fault: PlantedFault) -> Vec<String> {
     sampled_chain_violations(false, fault, 0x2BA2_21E2)
@@ -22,8 +22,8 @@ fn sampled_violations(fault: PlantedFault) -> Vec<String> {
 
 /// (a) Recovery that trusts the header checksum replays a record the
 /// write cache persisted ahead of its payload, installing whatever the
-/// region held two commits ago — and, even with no reordering at all, an
-/// old record over a region the next group has begun to overwrite, which
+/// region held four commits ago — and, even with no reordering at all, an
+/// old record over a region a later group has begun to overwrite, which
 /// is why the exhaustive prefix walk catches it too.
 #[test]
 fn reorder_enumeration_catches_recovery_that_skips_the_payload_digest() {
@@ -52,4 +52,34 @@ fn atomicity_oracle_catches_installs_before_the_commit_barrier() {
 fn durability_oracle_catches_checkpoint_clear_without_barrier() {
     let violations = sampled_violations(PlantedFault::CheckpointWithoutBarrier);
     assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
+}
+
+/// (d) Commits that never install leave the newest committed copy of a
+/// block in a region the ring then reuses: once the reusing group's
+/// payload has overwritten part of the record, no valid record and no
+/// home holds the block, and the exhaustive walk finds it.
+#[test]
+fn prefix_walk_catches_a_region_reused_before_its_installs() {
+    let fault = PlantedFault::ReuseBeforeInstall;
+    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let (violations, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
+    assert!(violations.iter().any(|v| v.contains("not a prefix")), "undetected: {violations:#?}");
+    assert!(!sampled_violations(fault).is_empty(), "sampled states missed it");
+}
+
+/// (e) The group that overwrites a record counting itself as superseding
+/// it: the period block, logged by that group and by the one four commits
+/// back and by none between, is never installed, and a crash inside the
+/// reuse epoch leaves its newest committed copy nowhere.
+#[test]
+fn prefix_walk_catches_a_reusing_group_absorbing_the_record_it_overwrites() {
+    let fault = PlantedFault::AbsorbIntoReusingGroup;
+    let lost = format!("block {CHAIN_PERIOD} holds 0x0");
+    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let (violations, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
+    assert!(violations.iter().any(|v| v.contains(&lost)), "undetected: {violations:#?}");
+    assert!(
+        sampled_violations(fault).iter().any(|v| v.contains(&lost)),
+        "sampled states missed it"
+    );
 }

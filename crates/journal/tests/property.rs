@@ -20,15 +20,15 @@ use std::sync::Arc;
 use crashsim::{sampled_states, DiskImage, FaultConfig, FaultDevice};
 use journal::io::{DeviceIo, JournalIo};
 use journal::record::BSIZE;
-use journal::{Journal, JournalConfig, MAX_OP_BLOCKS};
+use journal::{Journal, JournalConfig, MAX_OP_BLOCKS, REGIONS};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use simkernel::dev::{BlockDevice, RamDisk};
 
-const LOG_BLOCKS: usize = 2 * (4 * MAX_OP_BLOCKS + 1);
-const DISK_BLOCKS: u64 = 1024;
+const LOG_BLOCKS: usize = REGIONS * (4 * MAX_OP_BLOCKS + 1);
+const DISK_BLOCKS: u64 = 2048;
 /// First home block each transaction's disjoint range is carved from.
-const HOME_BASE: u64 = 600;
+const HOME_BASE: u64 = 1600;
 /// Transactions per round; each owns `BLOCKS_PER_TX` consecutive blocks.
 const TXS_PER_ROUND: u64 = 12;
 const BLOCKS_PER_TX: u64 = 4;

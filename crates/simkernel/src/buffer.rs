@@ -23,6 +23,7 @@
 //! instead of scanning the shard.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
@@ -40,6 +41,16 @@ struct BufferData {
     /// Whether `bytes` has been modified since it was last written to the
     /// device.
     dirty: bool,
+    /// See [`BufferGuard::generation`].
+    generation: u64,
+}
+
+/// Source of buffer generations: unique across every cache, so one
+/// generation names one content of one buffer.
+static GENERATIONS: AtomicU64 = AtomicU64::new(1);
+
+fn next_generation() -> u64 {
+    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// End-of-list marker for the recency links.
@@ -245,6 +256,7 @@ impl BufferCache {
         if missed {
             self.dev.read_block(blockno, &mut guard.bytes)?;
             guard.valid = true;
+            guard.generation = next_generation();
             self.misses.inc();
         } else {
             self.hits.inc();
@@ -268,6 +280,7 @@ impl BufferCache {
         guard.bytes.fill(0);
         guard.valid = true;
         guard.dirty = true;
+        guard.generation = next_generation();
         Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed: false })
     }
 
@@ -325,8 +338,12 @@ impl BufferCache {
                 i
             }
             None => {
-                let data =
-                    BufferData { bytes: vec![0u8; self.block_size], valid: false, dirty: false };
+                let data = BufferData {
+                    bytes: vec![0u8; self.block_size],
+                    valid: false,
+                    dirty: false,
+                    generation: 0,
+                };
                 let data = Arc::new(Mutex::new(data));
                 shard.slots.push(Slot { blockno, data, older: NIL, newer: NIL });
                 shard.slots.len() - 1
@@ -378,10 +395,21 @@ impl BufferGuard {
         &self.guard.bytes
     }
 
-    /// Mutable view of the block contents; marks the buffer dirty.
+    /// Mutable view of the block contents; marks the buffer dirty and
+    /// starts a new [`BufferGuard::generation`].
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.guard.dirty = true;
+        self.guard.generation = next_generation();
         &mut self.guard.bytes
+    }
+
+    /// Names the buffer's current contents: a new, process-unique value
+    /// whenever they may have changed (a device read, zeroing, or
+    /// [`BufferGuard::data_mut`]).  A caller that saw generation `g` and
+    /// sees `g` again knows the bytes are the ones it saw, without
+    /// comparing them.
+    pub fn generation(&self) -> u64 {
+        self.guard.generation
     }
 
     /// Whether the cached contents differ from what was last written to the
@@ -402,6 +430,13 @@ impl BufferGuard {
         self.dev.write_block(self.blockno, &self.guard.bytes)?;
         self.guard.dirty = false;
         Ok(())
+    }
+
+    /// Clears the dirty flag without a device write: the caller has just
+    /// written these exact bytes to the block by another path (the log's
+    /// raw install), so the buffer may be evicted again.
+    pub fn mark_clean(&mut self) {
+        self.guard.dirty = false;
     }
 }
 

@@ -20,8 +20,8 @@
 //! * [`queue`] — the completion-based multi-queue device model
 //!   ([`queue::MultiQueueDevice`]): NVMe-style submission/completion queue
 //!   pairs with configurable depth, batch submission, and cost charging
-//!   that overlaps in-flight requests instead of summing them serially.  The write-ahead logs use it for two-stage
-//!   overlapped commit.
+//!   that overlaps in-flight requests instead of summing them serially.  The
+//!   write-ahead log batch-submits each commit's epoch on it.
 //! * [`buffer`] — a buffer cache with xv6/Linux `bread`/`bwrite`/`brelse`
 //!   semantics; buffers are handed out as RAII guards.
 //! * [`pagecache`] — a per-file page cache with dirty tracking and both

@@ -248,8 +248,11 @@ pub struct WritePathStats {
     pub log_commits: u64,
     /// Operations absorbed into committed groups.
     pub log_ops: u64,
-    /// Blocks written through the log.
+    /// Blocks the committed log groups held (each once per group).
     pub log_blocks: u64,
+    /// Home-block writes the log issued to install committed blocks; below
+    /// `log_blocks` by the copies a newer commit superseded.
+    pub log_installs: u64,
     /// Device barriers issued by log commits, checkpoints and recovery.
     pub log_barriers: u64,
     /// Allocations served per allocation group.
@@ -271,6 +274,12 @@ impl WritePathStats {
     /// Operations per commit (the group-commit batching factor).
     pub fn ops_per_commit(&self) -> f64 {
         self.log_ops as f64 / (self.log_commits as f64).max(1.0)
+    }
+
+    /// Home-block installs per commit: below the blocks per commit by what
+    /// superseding saved.
+    pub fn installs_per_commit(&self) -> f64 {
+        self.log_installs as f64 / (self.log_commits as f64).max(1.0)
     }
 
     /// Device barriers per absorbed operation.

@@ -105,6 +105,7 @@ impl MountedStack {
                 registry.set_counter(&key("log_commits"), wp.log_commits);
                 registry.set_counter(&key("log_ops"), wp.log_ops);
                 registry.set_counter(&key("log_blocks"), wp.log_blocks);
+                registry.set_counter(&key("log_installs"), wp.log_installs);
                 registry.set_counter(&key("log_barriers"), wp.log_barriers);
                 registry.set_counter(&key("queue_depth_max"), wp.queue_depth_max);
                 registry.set_counter(&key("queue_depth_sum"), wp.queue_depth_sum);
@@ -121,6 +122,7 @@ impl MountedStack {
                 let js = ext4.journal_stats();
                 registry.set_counter(&key("log_commits"), js.commits);
                 registry.set_counter(&key("log_blocks"), js.blocks_journaled);
+                registry.set_counter(&key("log_installs"), js.installs);
             }
         }
         let dev = self.device.stats();
@@ -183,8 +185,8 @@ pub fn mount_stack(
 /// Like [`mount_stack`] with explicit mount options.  The one option read
 /// is `queue_depth=N` (N > 0): mount on the NVMe-style multi-queue device
 /// with four queue pairs of depth N instead of the synchronous
-/// [`SsdDevice`]; the write-ahead logs then batch-submit their commit
-/// payloads and overlap consecutive commits (two-stage commit).
+/// [`SsdDevice`]; the write-ahead log then batch-submits each commit's
+/// epoch (due installs and payload together).
 ///
 /// # Errors
 ///

@@ -328,7 +328,7 @@ mod tests {
 
     #[test]
     fn balloc_exhaustion_reports_nospc() {
-        let (sb, core) = fresh_fs(640);
+        let (sb, core) = fresh_fs(1154);
         core.log.begin_op();
         let mut allocated = 0u64;
         loop {
@@ -356,7 +356,7 @@ mod tests {
         // With several groups on a small disk, a thread that exhausts its
         // home range must keep allocating from the other groups until the
         // disk is genuinely full.
-        let (sb, core) = fresh_fs_with_groups(640, 4);
+        let (sb, core) = fresh_fs_with_groups(1154, 4);
         assert!(core.alloc.group_count() >= 2);
         let per_group: Vec<(u64, u64)> =
             (0..core.alloc.group_count()).map(|g| core.alloc.block_range(g)).collect();

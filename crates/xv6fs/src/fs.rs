@@ -18,6 +18,7 @@
 //! operations first.  The locking protocol of the operations is described
 //! in [`crate::ops`].
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -33,6 +34,17 @@ use simkernel::vfs::{
 use crate::core::{FsCore, FsStats};
 use crate::layout::{T_DIR, T_FILE};
 use crate::log::{LogStats, LogTail};
+use journal::PendingInstall;
+
+/// A [`LogTail`] as the upgrade bundle carries it under `log_tail`: next
+/// sequence, the live header per region, whether a checkpoint is owed,
+/// and the pending copies as a flat `[seq, home, tag, …]` list.  Only the
+/// bytes of the copies the buffer cache does not hold travel, by index,
+/// under `log_tail_bytes`: BentoFS keeps the cache across the swap, and a
+/// pending copy's dirty buffer is still at the generation the copy was
+/// tagged with unless a later operation touched it.  Serializing a few
+/// hundred blocks would dominate the pause.
+type LogTailFields = (u64, Vec<Option<u64>>, bool, Vec<u64>);
 
 /// The xv6 file system, implemented against the Bento file operations API.
 ///
@@ -324,7 +336,7 @@ impl FileSystem for Xv6FileSystem {
         Xv6FileSystem::op_stats(self)
     }
 
-    fn extract_state(&self, _req: &Request, _sb: &SuperBlock) -> KernelResult<StateBundle> {
+    fn extract_state(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<StateBundle> {
         self.with_core(|core| {
             let mut bundle = StateBundle::new();
             bundle.put("alloc_hints", &core.alloc.export_hints())?;
@@ -332,16 +344,27 @@ impl FileSystem for Xv6FileSystem {
             let log_stats = core.log.stats();
             bundle.put("log_commits", &log_stats.commits)?;
             bundle.put("log_blocks", &log_stats.blocks_logged)?;
+            bundle.put("log_installs", &log_stats.installs)?;
             bundle.put("log_recoveries", &log_stats.recoveries)?;
             bundle.put("log_ops", &log_stats.ops_committed)?;
             bundle.put("log_barriers", &log_stats.barriers)?;
-            bundle.put("log_overlapped", &log_stats.overlapped_commits)?;
             // BentoFS quiesced the mount, so the log is idle; the new
             // instance continues it from here instead of replaying the
-            // records still live on the medium.
+            // records still live on the medium, and installs the pending
+            // copies it carries when they fall due.
             let tail = core.log.tail();
-            let [live0, live1] = tail.live;
-            bundle.put("log_tail", &(tail.next_seq, live0, live1, tail.owes_checkpoint))?;
+            let (mut pending, mut uncached) = (Vec::new(), Vec::new());
+            for (i, PendingInstall { seq, home, tag, data }) in tail.pending.into_iter().enumerate()
+            {
+                pending.extend([seq, home, tag]);
+                if sb.bread(home)?.generation() != tag {
+                    uncached.push((i, data));
+                }
+            }
+            let fields: LogTailFields =
+                (tail.next_seq, tail.live.to_vec(), tail.owes_checkpoint, pending);
+            bundle.put("log_tail", &fields)?;
+            bundle.put("log_tail_bytes", &uncached)?;
             let mut opens: Vec<(u32, u32)> = Vec::new();
             core.opens.for_each(|k, v| opens.push((*k, *v)));
             bundle.put("open_files", &opens)?;
@@ -359,13 +382,26 @@ impl FileSystem for Xv6FileSystem {
         // continue the old instance's log rather than recovering it — a
         // bundle without a log tail falls back to recovery — then layer
         // the transferred in-memory state on top.
-        let tail = state.get_opt::<(u64, Option<u64>, Option<u64>, bool)>("log_tail")?.map(
-            |(next_seq, live0, live1, owes_checkpoint)| LogTail {
-                next_seq,
-                live: [live0, live1],
-                owes_checkpoint,
-            },
-        );
+        let tail = match state.get_opt::<LogTailFields>("log_tail")? {
+            Some((next_seq, live, owes_checkpoint, pending)) => {
+                let malformed = || KernelError::with_context(Errno::Inval, "xv6fs: bad log tail");
+                let uncached = state.get_opt::<Vec<(usize, Vec<u8>)>>("log_tail_bytes")?;
+                let mut uncached: HashMap<usize, Vec<u8>> =
+                    uncached.unwrap_or_default().into_iter().collect();
+                let mut copies = Vec::with_capacity(pending.len() / 3);
+                for (i, fields) in pending.chunks(3).enumerate() {
+                    let &[seq, home, tag] = fields else { return Err(malformed()) };
+                    let data = match uncached.remove(&i) {
+                        Some(data) => data,
+                        None => sb.bread(home)?.data().to_vec(),
+                    };
+                    copies.push(PendingInstall { seq, home, tag, data });
+                }
+                let live = live.try_into().map_err(|_| malformed())?;
+                Some(LogTail { next_seq, live, owes_checkpoint, pending: copies })
+            }
+            None => None,
+        };
         self.attach(sb, tail)?;
         self.with_core(|core| {
             if let Some(hints) = state.get_opt::<Vec<(u64, u64)>>("alloc_hints")? {
@@ -380,7 +416,7 @@ impl FileSystem for Xv6FileSystem {
                 recoveries: state.get_opt("log_recoveries")?.unwrap_or(0),
                 ops_committed: state.get_opt("log_ops")?.unwrap_or(0),
                 barriers: state.get_opt("log_barriers")?.unwrap_or(0),
-                overlapped_commits: state.get_opt("log_overlapped")?.unwrap_or(0),
+                installs: state.get_opt("log_installs")?.unwrap_or(0),
             });
             if let Some(opens) = state.get_opt::<Vec<(u32, u32)>>("open_files")? {
                 for (inum, count) in opens {

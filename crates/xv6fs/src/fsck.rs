@@ -457,7 +457,7 @@ mod tests {
         fs.link(g.ino, d.ino, "alias").unwrap();
         fs.unlink(1, "other").unwrap();
         fs.rename(d.ino, "file", 1, "moved").unwrap();
-        fs.sync_fs().unwrap();
+        fs.destroy().unwrap();
         drop(fs);
         let report = fsck_device(&dev).unwrap();
         assert!(report.is_clean(), "{:?}", report.errors);
@@ -469,7 +469,7 @@ mod tests {
         let dev = fresh(4096);
         let fs = crate::fstype().mount_on(Arc::clone(&dev)).unwrap();
         let f = fs.create(1, "victim", FileMode::regular()).unwrap();
-        fs.sync_fs().unwrap();
+        fs.destroy().unwrap();
         drop(fs);
         // Corrupt: free the inode on disk while its dirent remains.
         let sb = DiskSuperblock::decode(&read_block(&dev, 1).unwrap()).unwrap();
@@ -489,7 +489,7 @@ mod tests {
         let b = fs.create(1, "b", FileMode::regular()).unwrap();
         fs.write_page(a.ino, 0, &vec![1u8; BSIZE], BSIZE as u64).unwrap();
         fs.write_page(b.ino, 0, &vec![2u8; BSIZE], BSIZE as u64).unwrap();
-        fs.sync_fs().unwrap();
+        fs.destroy().unwrap();
         drop(fs);
         let sb = DiskSuperblock::decode(&read_block(&dev, 1).unwrap()).unwrap();
         // Point b's first block at a's first block: doubly claimed, and b's
@@ -514,7 +514,7 @@ mod tests {
         let dev = fresh(4096);
         let fs = crate::fstype().mount_on(Arc::clone(&dev)).unwrap();
         let f = fs.create(1, "f", FileMode::regular()).unwrap();
-        fs.sync_fs().unwrap();
+        fs.destroy().unwrap();
         drop(fs);
         let sb = DiskSuperblock::decode(&read_block(&dev, 1).unwrap()).unwrap();
         let inode_block = sb.inode_block(f.ino as u32);
@@ -531,7 +531,7 @@ mod tests {
         let dev = fresh(4096);
         let fs = crate::fstype().mount_on(Arc::clone(&dev)).unwrap();
         let f = fs.create(1, "o", FileMode::regular()).unwrap();
-        fs.sync_fs().unwrap();
+        fs.destroy().unwrap();
         drop(fs);
         let sb = DiskSuperblock::decode(&read_block(&dev, 1).unwrap()).unwrap();
         // Simulate the crash window between unlink and reap: remove the

@@ -56,11 +56,12 @@ pub const BPB: usize = BSIZE * 8;
 /// journal's reservation granularity.
 pub const MAXOPBLOCKS: usize = journal::MAX_OP_BLOCKS;
 
-/// Total log blocks reserved on disk: **two** commit regions (the log is
-/// double-buffered so transaction groups can form while the previous group
-/// writes its commit epoch), each holding a header block plus room for four
-/// worst-case operations.
-pub const LOGSIZE: usize = 2 * (4 * MAXOPBLOCKS + 1);
+/// Total log blocks reserved on disk: a ring of [`journal::REGIONS`] (four)
+/// commit regions, each holding a header block plus room for four
+/// worst-case operations.  A group's capacity is one region's; the ring's
+/// length is how long a committed block may wait for a newer commit to
+/// supersede its install (see the `journal` crate docs).
+pub const LOGSIZE: usize = journal::REGIONS * (4 * MAXOPBLOCKS + 1);
 
 /// Inode number of the root directory.
 pub const ROOT_INO: u32 = 1;

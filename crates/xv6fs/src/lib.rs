@@ -301,8 +301,8 @@ mod tests {
 
     #[test]
     fn out_of_space_is_reported_and_recoverable() {
-        // A deliberately tiny file system.
-        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 600));
+        // A deliberately tiny file system: 86 blocks past the log area.
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 1114));
         mkfs::mkfs_on_device(&dev, 64).unwrap();
         let fs = fstype().mount_on(dev).unwrap();
         let f = fs.create(1, "filler", FileMode::regular()).unwrap();

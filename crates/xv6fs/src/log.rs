@@ -3,14 +3,16 @@
 //!
 //! The whole pipelined group-commit protocol — atomic space reservation,
 //! thread-local staging, quiescent group formation with committer handoff,
-//! double-buffered log regions, payload-checksummed commit records, the two-stage
-//! overlapped commit on queued devices, and torn-record-rejecting recovery
-//! — lives in the `journal` crate.  This module only translates the
-//! [`SuperBlock`] capability into the journal's block-IO face
+//! the ring of log regions with lazy installs, payload-checksummed commit
+//! records, batched epochs on queued devices, and torn-record-rejecting
+//! recovery — lives in the `journal` crate.  This module only translates
+//! the [`SuperBlock`] capability into the journal's block-IO face
 //! ([`journal::io::JournalIo`]): buffer-cache reads and writes via
 //! [`SuperBlock::bread`], raw device writes via [`SuperBlock::write_raw`],
 //! barriers via [`SuperBlock::sync_all`], and the multi-queue face via
-//! [`SuperBlock::queued`].
+//! [`SuperBlock::queued`].  A logged block's buffer stays dirty — so the
+//! cache keeps it and every read sees the committed bytes — until the
+//! journal installs it and [`BufferHead::mark_clean`] releases it.
 //!
 //! Every xv6 stack mounts this one adapter — the Bento and VFS bindings
 //! over the kernel buffer cache, the FUSE daemon over its userspace disk
@@ -50,17 +52,18 @@ impl JournalIo for SbIo<'_> {
         self.0.write_raw(blockno, data)
     }
 
-    fn flush_cached_if_eq(&self, blockno: u64, expected: &[u8]) -> KernelResult<bool> {
+    fn installed(&self, blockno: u64, data: &[u8], tag: u64) -> KernelResult<()> {
+        // The buffer stayed dirty (so the cache kept it) from the
+        // operation that logged it until this install.  The tag is the
+        // buffer generation the snapshot was taken at: unchanged, the
+        // buffer holds exactly the installed bytes.  When a later
+        // operation has modified it since, it stays dirty for that
+        // operation's own group.
         let mut buf = self.0.bread(blockno)?;
-        if buf.data() == expected {
-            buf.write()?;
-            Ok(true)
-        } else {
-            // A later operation already modified this block in the cache;
-            // its own group will log and install the newer bytes.  The
-            // journal writes the committed snapshot raw instead.
-            Ok(false)
+        if buf.generation() == tag || buf.data() == data {
+            buf.mark_clean();
         }
+        Ok(())
     }
 
     fn barrier(&self) -> KernelResult<()> {
@@ -141,7 +144,7 @@ impl Log {
     ///
     /// See [`Journal::log_write`].
     pub fn log_write(&self, buf: &BufferHead) -> KernelResult<()> {
-        self.journal.log_write(buf.blockno(), buf.data())
+        self.journal.log_write_tagged(buf.blockno(), buf.data(), buf.generation())
     }
 
     /// Distinct blocks the calling thread's open operation has staged;
@@ -169,8 +172,9 @@ impl Log {
         self.journal.flush(&SbIo(sb))
     }
 
-    /// Commits everything in progress and leaves both log headers clean
-    /// (the unmount path); see [`Journal::checkpoint`].
+    /// Commits everything in progress, installs what is pending and
+    /// leaves every log header clean (the unmount path); see
+    /// [`Journal::checkpoint`].
     ///
     /// # Errors
     ///
@@ -211,6 +215,8 @@ mod tests {
     use simkernel::dev::{BlockDevice, RamDisk};
     use std::sync::Arc;
 
+    const DISK: u32 = 2048;
+
     fn test_dsb(size: u32) -> DiskSuperblock {
         DiskSuperblock {
             magic: crate::layout::FSMAGIC,
@@ -225,33 +231,36 @@ mod tests {
     }
 
     fn setup() -> (SuperBlock, Log, Arc<RamDisk>) {
-        let dev = Arc::new(RamDisk::new(BSIZE as u32, 1024));
+        let dev = Arc::new(RamDisk::new(BSIZE as u32, DISK.into()));
         let io = KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512);
         let sb = bento::userspace::userspace_superblock(Arc::new(io), "test");
-        (sb, Log::new(&test_dsb(1024)), dev)
+        (sb, Log::new(&test_dsb(DISK)), dev)
     }
 
     #[test]
     fn commit_through_superblock_installs_and_counts_barriers() {
         let (sb, log, dev) = setup();
         log.begin_op();
-        let mut buf = sb.bread(600).unwrap();
+        let mut buf = sb.bread(1600).unwrap();
         buf.data_mut().fill(0xAB);
         log.log_write(&buf).unwrap();
         drop(buf);
         log.end_op(&sb).unwrap();
-        assert_eq!(sb.bread(600).unwrap().data()[0], 0xAB);
-        // Installed on the raw device, not just in the cache.
-        let mut raw = vec![0u8; BSIZE];
-        dev.read_block(600, &mut raw).unwrap();
-        assert_eq!(raw[0], 0xAB);
         let stats = log.stats();
         assert_eq!(stats.commits, 1);
         assert_eq!(stats.barriers, 1, "one barrier per commit through sync_all");
+        // Committed but not installed: the dirty buffer holds the bytes
+        // and the raw device does not yet.
+        let mut raw = vec![0u8; BSIZE];
+        dev.read_block(1600, &mut raw).unwrap();
+        assert_eq!((sb.bread(1600).unwrap().data()[0], raw[0]), (0xAB, 0));
         log.flush(&sb).unwrap();
         assert_eq!(log.stats().barriers, 1, "flushing an idle log costs nothing");
         log.checkpoint(&sb).unwrap();
         assert_eq!(log.stats().barriers, 3, "checkpoint: installs durable, then the clear");
+        assert_eq!(log.stats().installs, 1);
+        dev.read_block(1600, &mut raw).unwrap();
+        assert_eq!(raw[0], 0xAB, "installed on the raw device");
         assert_eq!(log.recover(&sb).unwrap(), 0, "clean log replays nothing");
     }
 
@@ -265,11 +274,16 @@ mod tests {
         drop(data);
         let mut head = sb.bread(2).unwrap();
         head.data_mut().fill(0);
-        encode_head(head.data_mut(), 0, [800u64].into_iter(), payload_digest([&[0x5E; BSIZE][..]]));
+        encode_head(
+            head.data_mut(),
+            0,
+            [1800u64].into_iter(),
+            payload_digest([&[0x5E; BSIZE][..]]),
+        );
         head.write().unwrap();
         drop(head);
         assert_eq!(log.recover(&sb).unwrap(), 1);
-        assert_eq!(sb.bread(800).unwrap().data()[0], 0x5E);
+        assert_eq!(sb.bread(1800).unwrap().data()[0], 0x5E);
         assert_eq!(log.recover(&sb).unwrap(), 0, "header cleared after replay");
         assert_eq!(log.stats().recoveries, 1);
     }

@@ -648,6 +648,7 @@ impl FsCore {
             log_commits: log.commits,
             log_ops: log.ops_committed,
             log_blocks: log.blocks_logged,
+            log_installs: log.installs,
             log_barriers: log.barriers,
             alloc_per_group: self.alloc.allocations_per_group(),
             ..WritePathStats::default()

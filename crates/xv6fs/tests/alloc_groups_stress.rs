@@ -73,7 +73,7 @@ fn eight_threads_never_double_allocate_blocks_or_inodes() {
 fn eight_threads_exhaust_the_disk_exactly_once_via_stealing() {
     // Small disk, many groups: threads drain their home groups, then must
     // steal from the others until the disk is genuinely full.
-    let (sb, core) = fresh_fs(640, 64, 8);
+    let (sb, core) = fresh_fs(1154, 64, 8);
     let free = core.total_data_blocks() - 1; // root directory data block
     let mut handles = Vec::new();
     for _ in 0..8 {

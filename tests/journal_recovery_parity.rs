@@ -12,10 +12,10 @@
 //! ext4sim's own layout, under `Ext4Sim::mount`.  Each scenario plants a
 //! hostile or valid commit record (torn checksum, a payload that is not
 //! the one the record was sealed over, out-of-range homes, over-capacity
-//! count, cleared header, garbage bytes, real records in one or both
-//! regions) on a fresh disk per stack and compares the replayed-block
+//! count, cleared header, garbage bytes, real records in one, two or all
+//! four regions) on a fresh disk per stack and compares the replayed-block
 //! count and a full raw dump of the device afterwards — which also pins
-//! that every stack leaves both headers clean, whatever it found there.
+//! that every stack leaves every header clean, whatever it found there.
 
 use std::sync::Arc;
 
@@ -24,21 +24,23 @@ use journal::record::{
     encode_clear, encode_head, get_u32, payload_digest, BSIZE, LOG_HEAD_COUNT_OFF,
     LOG_HEAD_MAX_ENTRIES,
 };
+use journal::REGIONS;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::vfs::VfsFs;
 
-const DISK_BLOCKS: u64 = 1024;
+const DISK_BLOCKS: u64 = 2048;
 
-/// Region geometry mirroring [`test_geometry`]: `nlog = LOGSIZE = 514`,
-/// so each region spans 257 blocks (1 header + 256 data) starting at
-/// block 2.
+/// Region geometry mirroring [`test_geometry`]: `nlog = LOGSIZE = 1028`,
+/// so each of the four regions spans 257 blocks (1 header + 256 data),
+/// the first starting at block 2.
+const REGION_BLOCKS: u64 = 257;
 const REGION0_HEAD: u64 = 2;
-const REGION1_HEAD: u64 = 2 + 257;
+const REGION1_HEAD: u64 = 2 + REGION_BLOCKS;
 
-/// Where a layout puts its two region headers and the blocks the
-/// scenarios name as homes: one list of pre-images serves every layout.
+/// Where a layout puts its region headers and the blocks the scenarios
+/// name as homes: one list of pre-images serves every layout.
 struct Geometry {
-    region: [u64; 2],
+    region: [u64; REGIONS],
     capacity: usize,
     /// First of three legal home blocks the records name.
     home: u64,
@@ -49,8 +51,13 @@ struct Geometry {
 }
 
 /// The xv6 layout of [`test_geometry`] on a [`DISK_BLOCKS`] disk.
-const XV6: Geometry =
-    Geometry { region: [REGION0_HEAD, REGION1_HEAD], capacity: 256, home: 900, low: 3, high: 4000 };
+const XV6: Geometry = Geometry {
+    region: [REGION0_HEAD, REGION1_HEAD, 2 + 2 * REGION_BLOCKS, 2 + 3 * REGION_BLOCKS],
+    capacity: 256,
+    home: 1900,
+    low: 3,
+    high: 4000,
+};
 
 /// ext4sim's disk in the ext4 rows: its reserved area plus room for data.
 const EXT4_DISK_BLOCKS: u64 = ext4sim::DATA_START + 1024;
@@ -59,7 +66,7 @@ const EXT4_DISK_BLOCKS: u64 = ext4sim::DATA_START + 1024;
 fn ext4_geometry() -> Geometry {
     let config = ext4sim::journal_config(EXT4_DISK_BLOCKS);
     Geometry {
-        region: [config.start, config.start + config.region_size as u64],
+        region: std::array::from_fn(|r| config.start + (r * config.region_size) as u64),
         capacity: config.capacity,
         home: ext4sim::DATA_START + 100,
         low: config.start + 2,
@@ -95,7 +102,7 @@ fn head_with(seq: u64, homes: &[u64], fills: &[u8]) -> Vec<u8> {
 }
 
 fn scenarios(g: &Geometry) -> Vec<Scenario> {
-    let [r0, r1] = g.region;
+    let [r0, r1, r2, r3] = g.region;
     let [h0, h1, h2] = [g.home, g.home + 1, g.home + 2];
     let mut out = Vec::new();
 
@@ -122,6 +129,24 @@ fn scenarios(g: &Geometry) -> Vec<Scenario> {
         ],
     });
 
+    // The whole ring committed, the newest record in region 0: replay
+    // must honor sequence order around the ring (h0 ends at seq 8's value,
+    // h1 at the only copy, seq 5's).
+    out.push(Scenario {
+        name: "valid-four-regions-seq-order",
+        writes: vec![
+            (r1, head_with(5, &[h0, h1], &[0xE5, 0xE1])),
+            (r1 + 1, vec![0xE5; BSIZE]),
+            (r1 + 2, vec![0xE1; BSIZE]),
+            (r2, head_with(6, &[h0], &[0xE6])),
+            (r2 + 1, vec![0xE6; BSIZE]),
+            (r3, head_with(7, &[h2], &[0xE7])),
+            (r3 + 1, vec![0xE7; BSIZE]),
+            (r0, head_with(8, &[h0], &[0xE8])),
+            (r0 + 1, vec![0xE8; BSIZE]),
+        ],
+    });
+
     // Torn record: one flipped checksum byte must reject the region.
     let mut torn = head_with(1, &[h0, h1], &[0xC1, 0xC2]);
     torn[journal::record::LOG_HEAD_CHECKSUM_OFF] ^= 0xFF;
@@ -144,7 +169,7 @@ fn scenarios(g: &Geometry) -> Vec<Scenario> {
         ],
     });
 
-    // One valid record, one rejected: the valid one replays, both headers
+    // One valid record, one rejected: the valid one replays, every header
     // end up clean.
     out.push(Scenario {
         name: "valid-beside-payload-mismatch",
@@ -192,7 +217,7 @@ fn scenarios(g: &Geometry) -> Vec<Scenario> {
     out
 }
 
-/// Whether both region headers of layout `g` on `dev` are clean (count 0).
+/// Whether every region header of layout `g` on `dev` is clean (count 0).
 fn headers_clean(dev: &Arc<dyn BlockDevice>, g: &Geometry) -> bool {
     g.region.iter().all(|&blockno| get_u32(&read(dev, blockno), LOG_HEAD_COUNT_OFF) == 0)
 }
@@ -217,8 +242,9 @@ fn hostile_headers_recover_identically_on_every_stack() {
     // The geometry constants above must stay in sync with the shared
     // harness geometry.
     let dsb = test_geometry(DISK_BLOCKS as u32);
-    assert_eq!(dsb.logstart as u64, REGION0_HEAD);
-    assert_eq!(dsb.logstart as u64 + dsb.nlog as u64 / 2, REGION1_HEAD);
+    for (r, &head) in XV6.region.iter().enumerate() {
+        assert_eq!(dsb.logstart as u64 + r as u64 * dsb.nlog as u64 / REGIONS as u64, head);
+    }
 
     for scenario in scenarios(&XV6) {
         let mut results: Vec<(&'static str, usize, Vec<u8>)> = Vec::new();
@@ -261,6 +287,7 @@ fn expected_replays(scenario: &str) -> usize {
     match scenario {
         "valid-region0" => 2,
         "valid-both-regions-seq-order" => 3,
+        "valid-four-regions-seq-order" => 5,
         "valid-beside-payload-mismatch" => 1,
         _ => 0,
     }
@@ -277,10 +304,11 @@ fn hostile_headers_recover_identically_through_both_full_mounts() {
         let mut results: Vec<(usize, Vec<u8>)> = Vec::new();
         for (name, mount) in mounts {
             // A real image this time; `mkfs` lays the log out where
-            // `test_geometry` does, and blocks 900.. are free data blocks.
+            // `test_geometry` does, and blocks 1900.. are free data blocks.
             let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
             let dsb = xv6fs::mkfs::mkfs_on_device(&dev, 128).unwrap();
-            assert_eq!((dsb.logstart, dsb.nlog), (REGION0_HEAD as u32, 2 * 257));
+            let nlog = REGIONS as u32 * REGION_BLOCKS as u32;
+            assert_eq!((dsb.logstart, dsb.nlog), (REGION0_HEAD as u32, nlog));
             for (blockno, data) in &scenario.writes {
                 dev.write_block(*blockno, data).unwrap();
             }
@@ -353,20 +381,20 @@ fn valid_records_install_payload_identically() {
     // bytes must be the payload bytes on every stack.
     for stack in all_stacks() {
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-        dev.write_block(REGION0_HEAD, &head_with(1, &[900], &[0xC1])).unwrap();
+        dev.write_block(REGION0_HEAD, &head_with(1, &[1900], &[0xC1])).unwrap();
         dev.write_block(REGION0_HEAD + 1, &[0xC1; BSIZE]).unwrap();
-        dev.write_block(REGION1_HEAD, &head_with(2, &[900, 902], &[0xD1, 0xD2])).unwrap();
+        dev.write_block(REGION1_HEAD, &head_with(2, &[1900, 1902], &[0xD1, 0xD2])).unwrap();
         dev.write_block(REGION1_HEAD + 1, &[0xD1; BSIZE]).unwrap();
         dev.write_block(REGION1_HEAD + 2, &[0xD2; BSIZE]).unwrap();
         let log = stack.open(Arc::clone(&dev), DISK_BLOCKS as u32);
         assert_eq!(log.recover().unwrap(), 3, "{}", stack.name());
         assert!(
-            log.read_block(900).unwrap().iter().all(|&b| b == 0xD1),
+            log.read_block(1900).unwrap().iter().all(|&b| b == 0xD1),
             "{}: seq order not honored for conflicting home",
             stack.name()
         );
         assert!(
-            log.read_block(902).unwrap().iter().all(|&b| b == 0xD2),
+            log.read_block(1902).unwrap().iter().all(|&b| b == 0xD2),
             "{}: payload not installed",
             stack.name()
         );
@@ -378,11 +406,11 @@ fn a_rejected_record_is_never_revalidated_by_a_later_session_on_any_stack() {
     for stack in all_stacks() {
         let name = stack.name();
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-        dev.write_block(900, &[0x77; BSIZE]).unwrap();
-        dev.write_block(901, &[0x77; BSIZE]).unwrap();
+        dev.write_block(1900, &[0x77; BSIZE]).unwrap();
+        dev.write_block(1901, &[0x77; BSIZE]).unwrap();
         // Session 1 crashed mid-epoch: record X (two zero-filled blocks for
-        // homes 900 and 901) is durable, its payload only in part.
-        dev.write_block(REGION0_HEAD, &head_with(0, &[900, 901], &[0, 0])).unwrap();
+        // homes 1900 and 1901) is durable, its payload only in part.
+        dev.write_block(REGION0_HEAD, &head_with(0, &[1900, 1901], &[0, 0])).unwrap();
         dev.write_block(REGION0_HEAD + 2, &[0xEE; BSIZE]).unwrap();
         // Session 2 mounts (X is rejected) ...
         assert_eq!(stack.open(Arc::clone(&dev), DISK_BLOCKS as u32).recover().unwrap(), 0);
@@ -395,7 +423,7 @@ fn a_rejected_record_is_never_revalidated_by_a_later_session_on_any_stack() {
         // Session 3 must not find X valid and zero homes it never owned.
         let log = stack.open(Arc::clone(&dev), DISK_BLOCKS as u32);
         assert_eq!(log.recover().unwrap(), 0, "{name}");
-        for home in [900, 901] {
+        for home in [1900, 1901] {
             assert!(log.read_block(home).unwrap().iter().all(|&b| b == 0x77), "{name}: {home}");
         }
     }

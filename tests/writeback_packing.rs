@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use crashsim::{Event, FaultConfig, FaultDevice};
 use journal::record::parse_head;
-use journal::{JournalConfig, MAX_OP_BLOCKS};
+use journal::{JournalConfig, MAX_OP_BLOCKS, REGIONS};
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 use xv6fs::layout::{DiskSuperblock, LOGSIZE, NDIRECT, NINDIRECT};
@@ -98,7 +98,7 @@ impl FileMap {
 struct Recorded {
     fs: Arc<dyn VfsFs>,
     recorder: Arc<FaultDevice>,
-    log_heads: [u64; 2],
+    log_heads: [u64; REGIONS],
     capacity: usize,
 }
 
@@ -117,7 +117,7 @@ impl Recorded {
         Recorded {
             fs,
             recorder,
-            log_heads: [log.start, log.start + log.region_size as u64],
+            log_heads: std::array::from_fn(|r| log.start + (r * log.region_size) as u64),
             capacity: log.capacity,
         }
     }
