@@ -111,10 +111,6 @@ pub trait BlockBuffer {
     /// Marks the buffer clean without a device write (its bytes already
     /// reached the device by another path).
     fn mark_clean(&mut self);
-
-    /// Names the buffer's current contents (see
-    /// [`simkernel::buffer::BufferGuard::generation`]).
-    fn generation(&self) -> u64;
 }
 
 // ---------------------------------------------------------------------------
@@ -168,10 +164,6 @@ impl BlockBuffer for KernelBlockBuffer {
 
     fn mark_clean(&mut self) {
         self.guard.mark_clean();
-    }
-
-    fn generation(&self) -> u64 {
-        self.guard.generation()
     }
 }
 
@@ -348,13 +340,6 @@ impl BufferHead {
     /// installed exactly these bytes through [`SuperBlock::write_raw`].
     pub fn mark_clean(&mut self) {
         self.inner.mark_clean();
-    }
-
-    /// Names the buffer's current contents: it changes whenever they may
-    /// have, so the log can tell an unmodified buffer without comparing
-    /// bytes.
-    pub fn generation(&self) -> u64 {
-        self.inner.generation()
     }
 }
 

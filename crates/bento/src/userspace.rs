@@ -109,10 +109,6 @@ impl BlockBuffer for UserBlockBuffer {
     fn mark_clean(&mut self) {
         self.guard.mark_clean();
     }
-
-    fn generation(&self) -> u64 {
-        self.guard.generation()
-    }
 }
 
 impl BlockIo for UserDisk {

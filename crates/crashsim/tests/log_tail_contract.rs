@@ -232,6 +232,49 @@ fn live_upgrade_hands_the_pending_installs_to_the_successor() {
 }
 
 #[test]
+fn an_upgrade_carries_the_bytes_of_a_pending_copy_the_cache_moved_past() {
+    type Carried = (u64, Vec<Option<u64>>, bool, Vec<(u64, u64, Option<Vec<u8>>)>);
+    let recorder = formatted_recorder();
+    let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
+    let (fs, sb) = attach(&dev);
+    let req = Request::kernel();
+    for i in 0..3 {
+        fs.create(&req, &sb, 1, &format!("f{i}"), FileMode::regular(), OpenFlags::RDWR).unwrap();
+    }
+    let newest = newest_copies(&dev);
+    let mut home = vec![0u8; BSIZE];
+    let moved = *newest
+        .iter()
+        .find(|&(&blockno, copy)| {
+            dev.read_block(blockno, &mut home).unwrap();
+            &home != copy
+        })
+        .expect("an install is pending")
+        .0;
+    // The cached buffer moves past its committed copy (a change no commit
+    // has logged yet): the successor cannot take the copy from the cache.
+    sb.bread(moved).unwrap().data_mut()[BSIZE - 1] ^= 0xFF;
+
+    let bundle = fs.extract_state(&req, &sb).unwrap();
+    let (_, _, _, pending): Carried = bundle.get("log_tail").unwrap();
+    assert!(pending.iter().any(|(_, blockno, _)| *blockno == moved));
+    for (_, blockno, bytes) in &pending {
+        let expected = (*blockno == moved).then(|| newest[blockno].clone());
+        assert_eq!(bytes, &expected, "only the copy the cache moved past travels ({blockno})");
+    }
+
+    let before = recorder.event_count();
+    let successor = Xv6FileSystem::with_label("xv6fs-v2");
+    successor.restore_state(&req, &sb, bundle).unwrap();
+    successor.destroy(&req, &sb).unwrap();
+    let installed = recorder.trace().events[before..].iter().rev().find_map(|event| match event {
+        Event::Write { blockno, data } if *blockno == moved => Some(data.clone()),
+        _ => None,
+    });
+    assert_eq!(installed.as_ref(), Some(&newest[&moved]), "the committed bytes, not the cache's");
+}
+
+#[test]
 fn crash_after_acknowledged_fsync_replays_the_uncleared_record() {
     let recorder = formatted_recorder();
     let image = {

@@ -56,16 +56,12 @@ pub trait JournalIo {
     /// install).  If the backend caches `blockno` and the cached bytes
     /// equal `data`, the cached copy is clean now — the device holds it.
     /// A cached copy that differs belongs to a later operation and stays
-    /// dirty for its own group.  `tag` is the one
-    /// [`crate::Journal::log_write_tagged`] was given with the snapshot (0
-    /// for none): a backend that tags snapshots with a buffer generation
-    /// may trust an unchanged generation instead of comparing bytes.
-    /// Cacheless backends do nothing.
+    /// dirty for its own group.  Cacheless backends do nothing.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    fn installed(&self, blockno: u64, data: &[u8], tag: u64) -> KernelResult<()>;
+    fn installed(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
     /// Durability barrier: everything written before this call is on
     /// stable storage when it returns (device FLUSH; an fsync of the whole
@@ -123,7 +119,7 @@ impl JournalIo for DeviceIo {
         self.dev.write_block(blockno, data)
     }
 
-    fn installed(&self, _blockno: u64, _data: &[u8], _tag: u64) -> KernelResult<()> {
+    fn installed(&self, _blockno: u64, _data: &[u8]) -> KernelResult<()> {
         Ok(())
     }
 

@@ -191,13 +191,11 @@ pub enum PlantedFault {
 }
 
 /// One logged block: home address, modification version (orders snapshots
-/// of the same block), the backend's tag for the snapshot, and the frozen
-/// bytes.
+/// of the same block), and the frozen bytes.
 #[derive(Debug)]
 struct LoggedBlock {
     home: u64,
     version: u64,
-    tag: u64,
     data: Vec<u8>,
 }
 
@@ -383,9 +381,6 @@ pub struct PendingInstall {
     pub seq: u64,
     /// Its home block.
     pub home: u64,
-    /// The tag [`Journal::log_write_tagged`] was given with it (0 for
-    /// none).
-    pub tag: u64,
     /// The committed bytes.
     pub data: Vec<u8>,
 }
@@ -548,8 +543,8 @@ impl Journal {
             owes_checkpoint: medium.owes_checkpoint,
             pending: (self.pending.lock().sorted().into_iter())
                 .map(|(seq, blocks, slot)| {
-                    let LoggedBlock { home, tag, ref data, .. } = blocks[slot];
-                    PendingInstall { seq, home, tag, data: data.clone() }
+                    let LoggedBlock { home, ref data, .. } = blocks[slot];
+                    PendingInstall { seq, home, data: data.clone() }
                 })
                 .collect(),
         }
@@ -571,11 +566,11 @@ impl Journal {
         // committed there.
         let mut pending = Pending::default();
         let mut groups: [Option<(u64, Vec<LoggedBlock>)>; REGIONS] = Default::default();
-        for PendingInstall { seq, home, tag, data } in tail.pending {
+        for PendingInstall { seq, home, data } in tail.pending {
             let region = (seq % REGIONS as u64) as usize;
             let (_, blocks) = groups[region].get_or_insert_with(|| (seq, Vec::new()));
             pending.newest.insert(home, (seq, blocks.len()));
-            blocks.push(LoggedBlock { home, version: 0, tag, data });
+            blocks.push(LoggedBlock { home, version: 0, data });
         }
         for (slot, group) in pending.groups.iter_mut().zip(groups) {
             *slot = group.map(|(seq, blocks)| CommittedGroup { seq, blocks: Arc::new(blocks) });
@@ -670,17 +665,6 @@ impl Journal {
     /// operation exceeds [`MAX_OP_BLOCKS`] distinct blocks (a chunking bug
     /// in the caller).
     pub fn log_write(&self, home: u64, data: &[u8]) -> KernelResult<()> {
-        self.log_write_tagged(home, data, 0)
-    }
-
-    /// [`Journal::log_write`] with a nonzero `tag` naming the snapshot in
-    /// the backend — the buffer generation of a cached block — handed back
-    /// to [`JournalIo::installed`] when the snapshot is installed.
-    ///
-    /// # Errors
-    ///
-    /// As [`Journal::log_write`].
-    pub fn log_write_tagged(&self, home: u64, data: &[u8], tag: u64) -> KernelResult<()> {
         let _stage = simkernel::trace::phase(simkernel::trace::Phase::LogStage);
         let version = SNAPSHOT_VERSION.fetch_add(1, Ordering::SeqCst);
         TX.with(|cell| {
@@ -698,7 +682,6 @@ impl Journal {
                 // Absorption: a block modified twice in one operation is
                 // logged once, with the newest snapshot.
                 tx.blocks[i].version = version;
-                tx.blocks[i].tag = tag;
                 tx.blocks[i].data.clear();
                 tx.blocks[i].data.extend_from_slice(data);
             } else {
@@ -709,7 +692,7 @@ impl Journal {
                     ));
                 }
                 tx.index.insert(home, tx.blocks.len());
-                tx.blocks.push(LoggedBlock { home, version, tag, data: data.to_vec() });
+                tx.blocks.push(LoggedBlock { home, version, data: data.to_vec() });
             }
             Ok(())
         })
@@ -1055,7 +1038,7 @@ impl Journal {
         }
         for (_, blocks, slot) in installs {
             let block = &blocks[*slot];
-            io.installed(block.home, &block.data, block.tag)?;
+            io.installed(block.home, &block.data)?;
         }
         self.counters.installs.add(installs.len() as u64);
         let newest = &mut self.pending.lock().newest;
@@ -1453,7 +1436,7 @@ mod tests {
         let (io, old) = setup();
         write_block(&io, &old, HOME, 0x11);
         let tail = old.tail();
-        let pending = PendingInstall { seq: 0, home: HOME, tag: 0, data: vec![0x11; BSIZE] };
+        let pending = PendingInstall { seq: 0, home: HOME, data: vec![0x11; BSIZE] };
         assert_eq!(tail.pending, [pending]);
         drop(old);
         // The successor attaches without recovery (live upgrade) and

@@ -23,7 +23,6 @@
 //! instead of scanning the shard.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
@@ -41,16 +40,6 @@ struct BufferData {
     /// Whether `bytes` has been modified since it was last written to the
     /// device.
     dirty: bool,
-    /// See [`BufferGuard::generation`].
-    generation: u64,
-}
-
-/// Source of buffer generations: unique across every cache, so one
-/// generation names one content of one buffer.
-static GENERATIONS: AtomicU64 = AtomicU64::new(1);
-
-fn next_generation() -> u64 {
-    GENERATIONS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// End-of-list marker for the recency links.
@@ -256,7 +245,6 @@ impl BufferCache {
         if missed {
             self.dev.read_block(blockno, &mut guard.bytes)?;
             guard.valid = true;
-            guard.generation = next_generation();
             self.misses.inc();
         } else {
             self.hits.inc();
@@ -280,7 +268,6 @@ impl BufferCache {
         guard.bytes.fill(0);
         guard.valid = true;
         guard.dirty = true;
-        guard.generation = next_generation();
         Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed: false })
     }
 
@@ -338,12 +325,8 @@ impl BufferCache {
                 i
             }
             None => {
-                let data = BufferData {
-                    bytes: vec![0u8; self.block_size],
-                    valid: false,
-                    dirty: false,
-                    generation: 0,
-                };
+                let data =
+                    BufferData { bytes: vec![0u8; self.block_size], valid: false, dirty: false };
                 let data = Arc::new(Mutex::new(data));
                 shard.slots.push(Slot { blockno, data, older: NIL, newer: NIL });
                 shard.slots.len() - 1
@@ -395,21 +378,10 @@ impl BufferGuard {
         &self.guard.bytes
     }
 
-    /// Mutable view of the block contents; marks the buffer dirty and
-    /// starts a new [`BufferGuard::generation`].
+    /// Mutable view of the block contents; marks the buffer dirty.
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.guard.dirty = true;
-        self.guard.generation = next_generation();
         &mut self.guard.bytes
-    }
-
-    /// Names the buffer's current contents: a new, process-unique value
-    /// whenever they may have changed (a device read, zeroing, or
-    /// [`BufferGuard::data_mut`]).  A caller that saw generation `g` and
-    /// sees `g` again knows the bytes are the ones it saw, without
-    /// comparing them.
-    pub fn generation(&self) -> u64 {
-        self.guard.generation
     }
 
     /// Whether the cached contents differ from what was last written to the

@@ -23,11 +23,14 @@
 //!
 //! Shard selection uses an unkeyed [`DefaultHasher`], so a key maps to the
 //! same shard for the lifetime of the process — eviction and invalidation
-//! sweeps can rely on that stability.
+//! sweeps can rely on that stability.  The shards hash with it too, so a
+//! sweep visits the keys in an order that depends only on the map's
+//! history, never on a per-process random seed: page-cache write-back, and
+//! with it the order of the commits it issues, repeats from run to run.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
@@ -73,9 +76,12 @@ pub struct ShardStats {
 /// visit shards one at a time — they never hold more than one shard lock at
 /// once, so they cannot deadlock against per-key operations.
 pub struct ShardedMap<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
+    shards: Vec<RwLock<Shard<K, V>>>,
     mask: usize,
 }
+
+/// One shard: a `HashMap` with the unkeyed hasher (see the module docs).
+pub type Shard<K, V> = HashMap<K, V, BuildHasherDefault<DefaultHasher>>;
 
 impl<K, V> std::fmt::Debug for ShardedMap<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -95,7 +101,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     pub fn new(shards: usize) -> Self {
         let count = resolve_shards(shards);
         ShardedMap {
-            shards: (0..count).map(|_| RwLock::new(HashMap::new())).collect(),
+            shards: (0..count).map(|_| RwLock::new(Shard::default())).collect(),
             mask: count - 1,
         }
     }
@@ -110,7 +116,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
         shard_of(key, self.mask)
     }
 
-    fn shard(&self, key: &K) -> &RwLock<HashMap<K, V>> {
+    fn shard(&self, key: &K) -> &RwLock<Shard<K, V>> {
         &self.shards[self.shard_index(key)]
     }
 
@@ -163,7 +169,7 @@ impl<K: Hash + Eq, V> ShardedMap<K, V> {
     /// Runs `f` on the shard map owning `key` under its write lock — the
     /// escape hatch for compound operations (conditional removal,
     /// decrement-and-prune) that must be atomic for that key.
-    pub fn with_shard_mut<R>(&self, key: &K, f: impl FnOnce(&mut HashMap<K, V>) -> R) -> R {
+    pub fn with_shard_mut<R>(&self, key: &K, f: impl FnOnce(&mut Shard<K, V>) -> R) -> R {
         f(&mut self.shard(key).write())
     }
 

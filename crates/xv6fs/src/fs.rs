@@ -18,7 +18,6 @@
 //! operations first.  The locking protocol of the operations is described
 //! in [`crate::ops`].
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use parking_lot::RwLock;
@@ -38,13 +37,12 @@ use journal::PendingInstall;
 
 /// A [`LogTail`] as the upgrade bundle carries it under `log_tail`: next
 /// sequence, the live header per region, whether a checkpoint is owed,
-/// and the pending copies as a flat `[seq, home, tag, …]` list.  Only the
-/// bytes of the copies the buffer cache does not hold travel, by index,
-/// under `log_tail_bytes`: BentoFS keeps the cache across the swap, and a
-/// pending copy's dirty buffer is still at the generation the copy was
-/// tagged with unless a later operation touched it.  Serializing a few
-/// hundred blocks would dominate the pause.
-type LogTailFields = (u64, Vec<Option<u64>>, bool, Vec<u64>);
+/// and each pending copy as `(seq, home, bytes)`.  BentoFS keeps the
+/// buffer cache across the swap, and a pending copy's buffer stays dirty,
+/// so cached, until its install: the bytes travel only when the cached
+/// buffer differs from them (a later operation modified it), and are
+/// `None` otherwise.
+type LogTailFields = (u64, Vec<Option<u64>>, bool, Vec<(u64, u64, Option<Vec<u8>>)>);
 
 /// The xv6 file system, implemented against the Bento file operations API.
 ///
@@ -353,18 +351,14 @@ impl FileSystem for Xv6FileSystem {
             // records still live on the medium, and installs the pending
             // copies it carries when they fall due.
             let tail = core.log.tail();
-            let (mut pending, mut uncached) = (Vec::new(), Vec::new());
-            for (i, PendingInstall { seq, home, tag, data }) in tail.pending.into_iter().enumerate()
-            {
-                pending.extend([seq, home, tag]);
-                if sb.bread(home)?.generation() != tag {
-                    uncached.push((i, data));
-                }
+            let mut pending = Vec::with_capacity(tail.pending.len());
+            for PendingInstall { seq, home, data } in tail.pending {
+                let cached = sb.bread(home)?.data() == data.as_slice();
+                pending.push((seq, home, (!cached).then_some(data)));
             }
             let fields: LogTailFields =
                 (tail.next_seq, tail.live.to_vec(), tail.owes_checkpoint, pending);
             bundle.put("log_tail", &fields)?;
-            bundle.put("log_tail_bytes", &uncached)?;
             let mut opens: Vec<(u32, u32)> = Vec::new();
             core.opens.for_each(|k, v| opens.push((*k, *v)));
             bundle.put("open_files", &opens)?;
@@ -384,20 +378,17 @@ impl FileSystem for Xv6FileSystem {
         // the transferred in-memory state on top.
         let tail = match state.get_opt::<LogTailFields>("log_tail")? {
             Some((next_seq, live, owes_checkpoint, pending)) => {
-                let malformed = || KernelError::with_context(Errno::Inval, "xv6fs: bad log tail");
-                let uncached = state.get_opt::<Vec<(usize, Vec<u8>)>>("log_tail_bytes")?;
-                let mut uncached: HashMap<usize, Vec<u8>> =
-                    uncached.unwrap_or_default().into_iter().collect();
-                let mut copies = Vec::with_capacity(pending.len() / 3);
-                for (i, fields) in pending.chunks(3).enumerate() {
-                    let &[seq, home, tag] = fields else { return Err(malformed()) };
-                    let data = match uncached.remove(&i) {
+                let mut copies = Vec::with_capacity(pending.len());
+                for (seq, home, data) in pending {
+                    let data = match data {
                         Some(data) => data,
                         None => sb.bread(home)?.data().to_vec(),
                     };
-                    copies.push(PendingInstall { seq, home, tag, data });
+                    copies.push(PendingInstall { seq, home, data });
                 }
-                let live = live.try_into().map_err(|_| malformed())?;
+                let live = live
+                    .try_into()
+                    .map_err(|_| KernelError::with_context(Errno::Inval, "xv6fs: bad log tail"))?;
                 Some(LogTail { next_seq, live, owes_checkpoint, pending: copies })
             }
             None => None,

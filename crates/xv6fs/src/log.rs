@@ -52,15 +52,13 @@ impl JournalIo for SbIo<'_> {
         self.0.write_raw(blockno, data)
     }
 
-    fn installed(&self, blockno: u64, data: &[u8], tag: u64) -> KernelResult<()> {
+    fn installed(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
         // The buffer stayed dirty (so the cache kept it) from the
-        // operation that logged it until this install.  The tag is the
-        // buffer generation the snapshot was taken at: unchanged, the
-        // buffer holds exactly the installed bytes.  When a later
+        // operation that logged it until this install.  When a later
         // operation has modified it since, it stays dirty for that
         // operation's own group.
         let mut buf = self.0.bread(blockno)?;
-        if buf.generation() == tag || buf.data() == data {
+        if buf.data() == data {
             buf.mark_clean();
         }
         Ok(())
@@ -144,7 +142,7 @@ impl Log {
     ///
     /// See [`Journal::log_write`].
     pub fn log_write(&self, buf: &BufferHead) -> KernelResult<()> {
-        self.journal.log_write_tagged(buf.blockno(), buf.data(), buf.generation())
+        self.journal.log_write(buf.blockno(), buf.data())
     }
 
     /// Distinct blocks the calling thread's open operation has staged;
@@ -235,6 +233,30 @@ mod tests {
         let io = KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512);
         let sb = bento::userspace::userspace_superblock(Arc::new(io), "test");
         (sb, Log::new(&test_dsb(DISK)), dev)
+    }
+
+    #[test]
+    fn an_install_releases_only_a_buffer_still_holding_the_installed_bytes() {
+        let dev = Arc::new(RamDisk::new(BSIZE as u32, DISK.into()));
+        let io = Arc::new(KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512));
+        let sb = bento::userspace::userspace_superblock(Arc::clone(&io) as _, "test");
+        let log = Log::new(&test_dsb(DISK));
+        log.begin_op();
+        for home in [1600, 1601] {
+            let mut buf = sb.bread(home).unwrap();
+            buf.data_mut().fill(0xAB);
+            log.log_write(&buf).unwrap();
+        }
+        log.end_op(&sb).unwrap();
+        // A later change to 1601 that no commit has logged yet.
+        sb.bread(1601).unwrap().data_mut()[0] = 0xCD;
+        log.checkpoint(&sb).unwrap();
+        let dirty = |home| io.cache().bread(home).unwrap().is_dirty();
+        assert!(!dirty(1600), "installed bytes: the buffer may be evicted");
+        assert!(dirty(1601), "newer bytes than the install: the buffer stays dirty");
+        let mut raw = vec![0u8; BSIZE];
+        dev.read_block(1601, &mut raw).unwrap();
+        assert_eq!(raw[0], 0xAB, "the home holds the committed bytes");
     }
 
     #[test]
