@@ -376,6 +376,18 @@ mod tests {
     use std::thread;
 
     #[test]
+    fn equal_histories_sweep_in_equal_order() {
+        let maps: [ShardedMap<u64, ()>; 2] = [ShardedMap::new(4), ShardedMap::new(4)];
+        for map in &maps {
+            for key in (0..400).map(|k| k * 7919 % 1000) {
+                map.insert(key, ());
+            }
+            map.retain(|key, _| key % 3 != 0);
+        }
+        assert_eq!(maps[0].keys(), maps[1].keys());
+    }
+
+    #[test]
     fn shard_count_is_resolved_to_powers_of_two() {
         assert_eq!(ShardedMap::<u64, u64>::new(0).shard_count(), DEFAULT_SHARDS);
         assert_eq!(ShardedMap::<u64, u64>::new(1).shard_count(), 1);
