@@ -8,11 +8,14 @@
 //! * the read path: a page-cache fill lends the page itself to
 //!   `FileSystem::read`, which fills it from the file system's blocks — no
 //!   intermediate buffer, no second copy;
-//! * the writeback path: all the dirty pages of an inode arriving from the
-//!   page cache in one write-back pass become one `write_vectored` call
-//!   that lends the page slices (the `writepages` behaviour BentoFS
+//! * the writeback path: all the dirty pages of every file arriving from
+//!   the page cache in one write-back pass become one `write_vectored`
+//!   call that lends the page slices (the `writepages` behaviour BentoFS
 //!   inherits from the FUSE kernel module — the source of Bento's edge
-//!   over the hand-written VFS baseline on large writes and untar);
+//!   over the hand-written VFS baseline on large writes and untar).  A
+//!   `sync` pass carries many files, which the file system may pack into
+//!   one transaction; that goes beyond the paper, where Linux `sync` calls
+//!   `writepages` once per inode;
 //! * mounting/registration ([`BentoFsType`], [`register_bento_fs`]): every
 //!   mount gets a fresh instance over its own buffer cache of
 //!   [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks, and reads no mount options
@@ -31,11 +34,11 @@ use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
     DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, Vfs,
-    VfsFs, PAGE_SIZE,
+    VfsFs, WritebackFile, PAGE_SIZE,
 };
 
 use crate::bentoks::{KernelBlockIo, SuperBlock};
-use crate::fileops::{FileSystem, Request};
+use crate::fileops::{FileSegments, FileSystem, Request};
 use crate::upgrade::UpgradeReport;
 
 /// Default number of blocks in the per-mount buffer cache (16 MiB of 4 KiB
@@ -278,22 +281,30 @@ impl VfsFs for BentoFs {
         Ok(())
     }
 
-    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
-        // The writepages path: the pass's dirty pages become the segments
-        // of one vectored write.  The page slices are lent, not copied
-        // (§4.4), and the file system packs the segments — adjacent in the
-        // file or not — into as few log transactions as its log allows.
+    fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
+        // The writepages path: the pass's dirty pages, every file's, become
+        // the segments of one vectored write.  The page slices are lent,
+        // not copied (§4.4), and the file system packs the segments —
+        // adjacent in a file or not, of one file or of many — into as few
+        // log transactions as its log allows.
         let req = self.track();
-        let segs: Vec<(u64, &[u8])> = pages
+        let segs: Vec<Vec<(u64, &[u8])>> = files
             .iter()
-            .filter_map(|&(index, page)| {
-                let offset = index * PAGE_SIZE as u64;
-                let valid = page.len().min(file_size.saturating_sub(offset) as usize);
-                (valid > 0).then(|| (offset, &page[..valid]))
+            .map(|&(_, pages, file_size)| {
+                pages
+                    .iter()
+                    .filter_map(|&(index, page)| {
+                        let offset = index * PAGE_SIZE as u64;
+                        let valid = page.len().min(file_size.saturating_sub(offset) as usize);
+                        (valid > 0).then(|| (offset, &page[..valid]))
+                    })
+                    .collect()
             })
             .collect();
-        let valid: usize = segs.iter().map(|(_, seg)| seg.len()).sum();
-        let written = self.read_fs().write_vectored(&req, &self.sb, ino, 0, &segs)?;
+        let pass: Vec<FileSegments<'_>> =
+            files.iter().zip(&segs).map(|(&(ino, _, _), segs)| (ino, segs.as_slice())).collect();
+        let valid: usize = segs.iter().flatten().map(|(_, seg)| seg.len()).sum();
+        let written = self.read_fs().write_vectored(&req, &self.sb, &pass)?;
         if written != valid {
             return Err(KernelError::with_context(
                 Errno::Io,
@@ -741,24 +752,27 @@ mod tests {
     #[test]
     fn write_pages_batches_into_single_write() {
         let fs = mounted();
-        let attr = fs.create(1, "big", FileMode::regular()).unwrap();
-        // Two runs — pages 0,1 and 4,5 — and a file that ends inside page 5.
+        let big = fs.create(1, "big", FileMode::regular()).unwrap().ino;
+        let small = fs.create(1, "small", FileMode::regular()).unwrap().ino;
+        // Two runs — pages 0,1 and 4,5 — and a file that ends inside page
+        // 5; a second file of one page in the same pass.
         let pages: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; PAGE_SIZE]).collect();
         let set: Vec<(u64, &[u8])> =
             [0u64, 1, 4, 5].into_iter().zip(pages.iter().map(|p| p.as_slice())).collect();
         let size = (PAGE_SIZE * 5 + 100) as u64;
         let before = fs.operations_dispatched();
-        fs.write_pages(attr.ino, &set, size).unwrap();
-        assert_eq!(fs.operations_dispatched() - before, 1, "one dispatch for the whole set");
-        assert_eq!(fs.getattr(attr.ino).unwrap().size, size, "the last page is clamped");
+        fs.write_pages(&[(big, &set, size), (small, &set[..1], 7)]).unwrap();
+        assert_eq!(fs.operations_dispatched() - before, 1, "one dispatch for the whole pass");
+        assert_eq!(fs.getattr(big).unwrap().size, size, "the last page is clamped");
+        assert_eq!(fs.getattr(small).unwrap().size, 7);
         let mut buf = vec![0u8; PAGE_SIZE];
         for (index, fill, valid) in [(1, 2, PAGE_SIZE), (3, 0, PAGE_SIZE), (5, 4, 100)] {
-            assert_eq!(fs.read_page(attr.ino, index, &mut buf).unwrap(), valid);
+            assert_eq!(fs.read_page(big, index, &mut buf).unwrap(), valid);
             assert!(buf[..valid].iter().all(|&b| b == fill), "page {index}");
         }
         // A page wholly past the file size is not written.
-        fs.write_pages(attr.ino, &[(9, &pages[0])], size).unwrap();
-        assert_eq!(fs.getattr(attr.ino).unwrap().size, size);
+        fs.write_pages(&[(big, &[(9, &pages[0])], size)]).unwrap();
+        assert_eq!(fs.getattr(big).unwrap().size, size);
     }
 
     #[test]

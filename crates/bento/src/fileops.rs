@@ -25,6 +25,10 @@ use simkernel::vfs::{DirEntry, FileMode, InodeAttr, OpenFlags, SetAttr, StatFs};
 use crate::bentoks::SuperBlock;
 use crate::upgrade::StateBundle;
 
+/// One file's share of a vectored write: `(ino, segments)`, each segment
+/// an `(offset, bytes)` pair (see [`FileSystem::write_vectored`]).
+pub type FileSegments<'a> = (u64, &'a [(u64, &'a [u8])]);
+
 /// Per-request context (the analogue of `fuse_req_t` / kernel credentials).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Request {
@@ -276,15 +280,17 @@ pub trait FileSystem: Send + Sync {
         nosys("write")
     }
 
-    /// Writes every `(offset, data)` segment of `segs`, in order; returns
-    /// the total number of bytes written.  This is what BentoFS's
-    /// write-back calls, once per inode per pass, with one segment per
-    /// dirty page: the caller *lends* the page slices (§4.4) instead of
-    /// assembling them into a buffer, and a file system that overrides
-    /// this can put segments that are not adjacent in the file into one
-    /// transaction.  The default, in the manner of
-    /// [`std::io::Write::write_vectored`], calls [`FileSystem::write`]
-    /// per segment and stops after a short write.
+    /// Writes every `(offset, data)` segment of every file of `files`, in
+    /// order; returns the total number of bytes written.  This is what
+    /// BentoFS's write-back calls, once per pass, with the files of the
+    /// pass in ascending inode order and one segment per dirty page: the
+    /// caller *lends* the page slices (§4.4) instead of assembling them
+    /// into a buffer, and a file system that overrides this can put
+    /// segments that are not adjacent in a file — or not even in one file —
+    /// into one transaction.  Write-back carries no file handle.  The
+    /// default, in the manner of [`std::io::Write::write_vectored`], calls
+    /// [`FileSystem::write`] per segment (with handle 0) and stops after a
+    /// short write.
     ///
     /// # Errors
     ///
@@ -294,16 +300,16 @@ pub trait FileSystem: Send + Sync {
         &self,
         req: &Request,
         sb: &SuperBlock,
-        ino: u64,
-        fh: u64,
-        segs: &[(u64, &[u8])],
+        files: &[FileSegments<'_>],
     ) -> KernelResult<usize> {
         let mut written = 0usize;
-        for &(offset, data) in segs {
-            let n = self.write(req, sb, ino, fh, offset, data)?;
-            written += n;
-            if n < data.len() {
-                break;
+        for &(ino, segs) in files {
+            for &(offset, data) in segs {
+                let n = self.write(req, sb, ino, 0, offset, data)?;
+                written += n;
+                if n < data.len() {
+                    return Ok(written);
+                }
             }
         }
         Ok(written)

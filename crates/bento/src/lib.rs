@@ -77,5 +77,5 @@ pub mod userspace;
 
 pub use bentofs::{register_bento_fs, unregister_bento_fs, BentoFs, BentoFsType, UpgradeGate};
 pub use bentoks::{BlockBuffer, BlockIo, BufferHead, SuperBlock};
-pub use fileops::{FileSystem, Request};
+pub use fileops::{FileSegments, FileSystem, Request};
 pub use upgrade::StateBundle;

@@ -544,7 +544,7 @@ fn write_file(
         .iter()
         .map(|&index| (index, &content[index as usize * PAGE_SIZE..][..PAGE_SIZE]))
         .collect();
-    fs.write_pages(attr.ino, &set, content.len() as u64)?;
+    fs.write_pages(&[(attr.ino, &set, content.len() as u64)])?;
     model.set_content(path, content);
     Ok(())
 }

@@ -4,6 +4,12 @@
 //! The C-Kernel stack writes the same pages one transaction each, so it may
 //! — and, enumerated, does — recover to a state holding one run of a pass
 //! without the other.  Both stay fsck-clean in every state.
+//!
+//! A `sync`-shaped pass over several files is packed into transactions
+//! that each carry pieces of several files.  Across a crash the files that
+//! share a transaction move together: every recovered state is a prefix of
+//! the pass cut at a commit, on Bento at one of its few commits, on the
+//! C-Kernel stack at any page.
 
 use std::sync::Arc;
 
@@ -11,7 +17,7 @@ use crashsim::{prefix_states, sampled_states, DiskImage, Event, FaultConfig, Fau
 use journal::record::parse_head;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::{Errno, KernelResult};
-use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
+use simkernel::vfs::{FileMode, VfsFs, WritebackFile, PAGE_SIZE};
 use xv6fs::layout::BSIZE;
 
 type Mount = fn(Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>>;
@@ -36,12 +42,13 @@ fn write_back(fs: &dyn VfsFs, ino: u64, pass: &[(u64, u8)], size: u64) {
     let pages: Vec<(u64, Vec<u8>)> =
         pass.iter().map(|&(index, fill)| (index, vec![fill; PAGE_SIZE])).collect();
     let set: Vec<(u64, &[u8])> = pages.iter().map(|(index, page)| (*index, &page[..])).collect();
-    fs.write_pages(ino, &set, size).unwrap();
+    fs.write_pages(&[(ino, &set, size)]).unwrap();
 }
 
-/// The recovered file as one fill byte per page; `None` if it is absent.
-fn observe(fs: &dyn VfsFs) -> Option<Vec<u8>> {
-    let attr = match fs.lookup(1, "f") {
+/// The recovered file `name` as one fill byte per page; `None` if it is
+/// absent.
+fn observe_file(fs: &dyn VfsFs, name: &str) -> Option<Vec<u8>> {
+    let attr = match fs.lookup(1, name) {
         Ok(attr) => attr,
         Err(e) if e.errno() == Errno::NoEnt => return None,
         Err(e) => panic!("lookup: {e}"),
@@ -54,6 +61,26 @@ fn observe(fs: &dyn VfsFs) -> Option<Vec<u8>> {
         page[0]
     });
     Some(fills.collect())
+}
+
+/// The recovered file `f`.
+fn observe(fs: &dyn VfsFs) -> Option<Vec<u8>> {
+    observe_file(fs, "f")
+}
+
+/// The block counts of every commit record in `trace` (log heads sit
+/// below the inode table).
+fn commit_sizes(trace: &crashsim::WriteTrace, dsb: &xv6fs::layout::DiskSuperblock) -> Vec<usize> {
+    trace
+        .events
+        .iter()
+        .filter_map(|event| match event {
+            Event::Write { blockno, data } if (*blockno as u32) < dsb.inodestart => {
+                parse_head(data, journal::MAX_OP_BLOCKS).map(|record| record.homes.len())
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// Runs create → pass 0 → pass 1 on a recording device, and returns every
@@ -72,17 +99,7 @@ fn recovered_states(name: &str, mount: Mount) -> (Vec<Option<Vec<u8>>>, usize) {
         }
     }
     let trace = recorder.trace();
-    let largest_commit = trace
-        .events
-        .iter()
-        .filter_map(|event| match event {
-            Event::Write { blockno, data } if (*blockno as u32) < dsb.inodestart => {
-                parse_head(data, journal::MAX_OP_BLOCKS).map(|record| record.homes.len())
-            }
-            _ => None,
-        })
-        .max()
-        .unwrap();
+    let largest_commit = commit_sizes(&trace, &dsb).into_iter().max().unwrap();
 
     let mut crash_states = prefix_states(&trace, &image);
     crash_states.extend(sampled_states(&trace, &image, 0x22_0B17, 200));
@@ -122,4 +139,118 @@ fn a_two_run_pass_is_all_or_nothing_on_bento_and_page_by_page_on_ckernel() {
         "a page per transaction: the first run of pass 0 can survive alone: {ckernel:?}"
     );
     assert!(largest <= 3, "no C-Kernel write-back transaction carries two pages");
+}
+
+/// The files of the multi-file pass, in inode order, with their page
+/// counts: 56 fresh pages and their bitmap and indirect blocks need two
+/// transactions, so at least one carries pieces of two files.
+const FILES: [(&str, u64); 3] = [("a", 16), ("b", 24), ("c", 16)];
+
+/// Pages of each file of [`FILES`] after the first `k` pages of the pass.
+fn pass_prefix(k: u64) -> Vec<u64> {
+    let mut left = k;
+    FILES
+        .iter()
+        .map(|&(_, pages)| {
+            let taken = left.min(pages);
+            left -= taken;
+            taken
+        })
+        .collect()
+}
+
+/// Creates [`FILES`] empty (checkpointed into the base image), then
+/// writes them back in one `write_pages` pass on a recording device.
+/// Returns the sorted distinct pass prefixes (in pages) every enumerated
+/// crash state recovers to, and the commit count of the pass.
+fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, 4096));
+    let dsb = xv6fs::mkfs::mkfs_on_device(&base, 64).unwrap();
+    let inos: Vec<u64> = {
+        let fs = mount(Arc::clone(&base)).unwrap();
+        let inos =
+            FILES.iter().map(|(file, _)| fs.create(1, file, FileMode::regular()).unwrap().ino);
+        let inos = inos.collect();
+        fs.destroy().unwrap();
+        inos
+    };
+    assert!(inos.windows(2).all(|w| w[0] < w[1]), "the pass is in inode order");
+    let image = Arc::new(DiskImage::capture(&base).unwrap());
+    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+    {
+        let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
+        let pages: Vec<Vec<u8>> =
+            (0..FILES.len()).map(|i| vec![0xA0 + i as u8; PAGE_SIZE]).collect();
+        let sets: Vec<Vec<(u64, &[u8])>> = FILES
+            .iter()
+            .zip(&pages)
+            .map(|(&(_, count), page)| (0..count).map(|index| (index, &page[..])).collect())
+            .collect();
+        let pass: Vec<WritebackFile<'_>> = inos
+            .iter()
+            .zip(&sets)
+            .map(|(&ino, set)| (ino, &set[..], (set.len() * PAGE_SIZE) as u64))
+            .collect();
+        fs.write_pages(&pass).unwrap();
+    }
+    let trace = recorder.trace();
+    let commits = commit_sizes(&trace, &dsb).len();
+
+    let mut crash_states = prefix_states(&trace, &image);
+    crash_states.extend(sampled_states(&trace, &image, 0x33_F11E, 200));
+    let mut prefixes: Vec<u64> = Vec::new();
+    for state in crash_states {
+        let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let fs = mount(Arc::clone(&disk)).unwrap();
+        let report = xv6fs::fsck::fsck_device(&disk).unwrap();
+        assert!(report.is_clean(), "{name}: {}: {:?}", state.description, report.errors);
+        let files: Vec<u64> = FILES
+            .iter()
+            .enumerate()
+            .map(|(i, (file, _))| {
+                let fills = observe_file(&*fs, file).expect("created before the pass");
+                assert!(
+                    fills.iter().all(|&fill| fill == 0xA0 + i as u8),
+                    "{name}: {file} {fills:?}"
+                );
+                fills.len() as u64
+            })
+            .collect();
+        let k = files.iter().sum();
+        assert_eq!(
+            files,
+            pass_prefix(k),
+            "{name}: {}: not a prefix of the pass",
+            state.description
+        );
+        if !prefixes.contains(&k) {
+            prefixes.push(k);
+        }
+    }
+    prefixes.sort_unstable();
+    (prefixes, commits)
+}
+
+#[test]
+fn files_sharing_a_write_back_transaction_move_together() {
+    let total: u64 = FILES.iter().map(|(_, pages)| pages).sum();
+
+    let (bento, commits) = multi_file_prefixes("bento-xv6fs", mount_bento);
+    assert!(commits >= 2, "the pass needs several transactions: {commits}");
+    assert!(commits < FILES.len() * 2, "files share transactions: {commits} commits");
+    // Every transaction is atomic: the recovered states are the pass cut at
+    // its commits, and nowhere else.
+    assert_eq!(bento.len(), commits + 1, "one state per commit boundary: {bento:?}");
+    assert_eq!((bento[0], bento[commits]), (0, total));
+    // Coverage: the enumeration recovered a record carrying the data of
+    // two files at once.
+    let two_files = bento.windows(2).any(|cut| {
+        let (before, after) = (pass_prefix(cut[0]), pass_prefix(cut[1]));
+        before.iter().zip(&after).filter(|(b, a)| b != a).count() >= 2
+    });
+    assert!(two_files, "no recovered record named the data of two inodes: {bento:?}");
+
+    let (ckernel, commits) = multi_file_prefixes("vfs-xv6fs", mount_vfs);
+    assert_eq!(commits as u64, total, "a transaction per page");
+    assert_eq!(ckernel, (0..=total).collect::<Vec<_>>(), "every page prefix is recoverable");
 }

@@ -96,7 +96,7 @@ use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
     DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
-    StatFs, VfsFs, PAGE_SIZE,
+    StatFs, VfsFs, WritebackFile, PAGE_SIZE,
 };
 
 /// Registered name of the simulated ext4.
@@ -1170,14 +1170,17 @@ impl VfsFs for Ext4Sim {
         data: &[u8],
         file_size: u64,
     ) -> KernelResult<()> {
-        self.write_pages(ino, &[(page_index, data)], file_size)
+        self.write_pages(&[(ino, &[(page_index, data)], file_size)])
     }
 
-    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
-        if pages.is_empty() {
-            return self.log_pages(ino, pages, file_size);
-        }
-        pages.chunks(MAX_OP_BLOCKS).try_for_each(|chunk| self.log_pages(ino, chunk, file_size))
+    fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
+        // File by file, as Linux `sync` calls `writepages` per inode.
+        files.iter().try_for_each(|&(ino, pages, file_size)| {
+            if pages.is_empty() {
+                return self.log_pages(ino, pages, file_size);
+            }
+            pages.chunks(MAX_OP_BLOCKS).try_for_each(|chunk| self.log_pages(ino, chunk, file_size))
+        })
     }
 
     fn supports_writepages(&self) -> bool {
@@ -1255,7 +1258,7 @@ mod tests {
         let f = fs.create(dir, name, FileMode::regular()).unwrap();
         let page = vec![fill; PAGE_SIZE];
         let set: Vec<(u64, &[u8])> = (0..pages).map(|index| (index, &page[..])).collect();
-        fs.write_pages(f.ino, &set, pages * PAGE_SIZE as u64).unwrap();
+        fs.write_pages(&[(f.ino, &set, pages * PAGE_SIZE as u64)]).unwrap();
         f
     }
 
@@ -1389,7 +1392,7 @@ mod tests {
             let f = fs.create(1, "sparse", FileMode::regular()).unwrap();
             let page = vec![3u8; PAGE_SIZE];
             let set: Vec<(u64, &[u8])> = (0..20).map(|i| (2 * i, &page[..])).collect();
-            fs.write_pages(f.ino, &set, 40 * PAGE_SIZE as u64).unwrap();
+            fs.write_pages(&[(f.ino, &set, 40 * PAGE_SIZE as u64)]).unwrap();
             fs.destroy().unwrap();
         }
         let fs = Ext4Sim::mount(Arc::clone(&dev)).unwrap();

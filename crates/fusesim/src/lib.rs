@@ -38,7 +38,7 @@ use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
     DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, VfsFs,
-    PAGE_SIZE,
+    WritebackFile, PAGE_SIZE,
 };
 
 /// Maximum payload of one FUSE WRITE request (the kernel driver splits
@@ -389,32 +389,35 @@ impl VfsFs for FuseKernelDriver {
         }
     }
 
-    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
-        // The FUSE writeback cache sends one WRITE request per contiguous
-        // run of dirty pages, capped at FUSE_MAX_WRITE bytes: a request
-        // names one offset, and its payload is copied across the boundary,
-        // so — unlike BentoFS — runs are assembled here, not lent.
+    fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
+        // The FUSE writeback cache sends, file by file, one WRITE request
+        // per contiguous run of dirty pages, capped at FUSE_MAX_WRITE
+        // bytes: a request names one file and one offset, and its payload
+        // is copied across the boundary, so — unlike BentoFS — runs are
+        // assembled here, not lent.
         const MAX_PAGES: usize = FUSE_MAX_WRITE / PAGE_SIZE;
-        let mut rest = pages;
-        while let Some(&(first, _)) = rest.first() {
-            let offset = first * PAGE_SIZE as u64;
-            if offset >= file_size {
-                rest = &rest[1..];
-                continue;
+        for &(ino, pages, file_size) in files {
+            let mut rest = pages;
+            while let Some(&(first, _)) = rest.first() {
+                let offset = first * PAGE_SIZE as u64;
+                if offset >= file_size {
+                    rest = &rest[1..];
+                    continue;
+                }
+                let limit = rest.len().min(MAX_PAGES);
+                let run = (1..limit).find(|&i| rest[i].0 != first + i as u64).unwrap_or(limit);
+                let mut chunk = Vec::with_capacity(run * PAGE_SIZE);
+                for (_, page) in &rest[..run] {
+                    chunk.extend_from_slice(page);
+                }
+                chunk.truncate((file_size - offset).min(chunk.len() as u64) as usize);
+                let len = chunk.len();
+                match self.call(len, FuseRequest::Write(ino, offset, chunk))? {
+                    FuseReply::Written(n) if n == len => {}
+                    _ => return Err(KernelError::with_context(Errno::Io, "fuse: short write")),
+                }
+                rest = &rest[run..];
             }
-            let limit = rest.len().min(MAX_PAGES);
-            let run = (1..limit).find(|&i| rest[i].0 != first + i as u64).unwrap_or(limit);
-            let mut chunk = Vec::with_capacity(run * PAGE_SIZE);
-            for (_, page) in &rest[..run] {
-                chunk.extend_from_slice(page);
-            }
-            chunk.truncate((file_size - offset).min(chunk.len() as u64) as usize);
-            let len = chunk.len();
-            match self.call(len, FuseRequest::Write(ino, offset, chunk))? {
-                FuseReply::Written(n) if n == len => {}
-                _ => return Err(KernelError::with_context(Errno::Io, "fuse: short write")),
-            }
-            rest = &rest[run..];
         }
         Ok(())
     }

@@ -15,20 +15,29 @@
 //! tracking, a configurable dirty threshold that triggers synchronous
 //! writeback (the stand-in for `balance_dirty_pages` throttling, which is
 //! what makes a sustained write benchmark device-bound rather than
-//! memcpy-bound), and a writeback routine that, when the file system
-//! supports it, makes **one `write_pages` call per inode per pass**: the
-//! call lends the whole sorted set of the inode's dirty pages, adjacent or
-//! not, and how that set is cut into transactions (or FUSE requests) is
-//! the file system's business, which knows what its log can hold.
+//! memcpy-bound), and a writeback routine that makes **one `write_pages`
+//! call per pass**.  A pass is every file with dirty pages (`sync`,
+//! unmount) or one file (`fsync`, the dirty threshold); the call lends
+//! each file's whole sorted set of dirty pages, adjacent or not, with the
+//! files in ascending inode order, and how the pass is cut into
+//! transactions (or FUSE requests) is the file system's business, which
+//! knows what its log can hold.  Packing several files into one
+//! transaction goes beyond the paper: Linux `sync` calls `writepages` once
+//! per inode.
+//!
+//! A pass either succeeds as a whole or marks nothing clean: if
+//! `write_pages` fails, every file of the pass keeps its dirty pages and
+//! the next pass writes them again, including any prefix the file system
+//! had already committed (rewriting it is idempotent).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::KernelResult;
 use crate::shard::{ShardedMap, StripedCounter};
-use crate::vfs::{VfsFs, PAGE_SIZE};
+use crate::vfs::{VfsFs, WritebackFile, PAGE_SIZE};
 
 #[derive(Debug)]
 struct Page {
@@ -55,6 +64,27 @@ struct FilePages {
 impl FilePages {
     fn new() -> FilePages {
         FilePages { pages: BTreeMap::new(), size: 0, size_loaded: false, dirty_count: 0 }
+    }
+
+    /// The dirty pages, as `(page_index, data)` sorted by index.
+    fn dirty_pages(&self) -> Vec<(u64, &[u8])> {
+        self.pages.iter().filter(|(_, p)| p.dirty).map(|(idx, p)| (*idx, &*p.data)).collect()
+    }
+
+    /// Marks every page clean after a successful write-back, and trims the
+    /// cache if it has grown very large.
+    fn mark_clean(&mut self) {
+        for page in self.pages.values_mut() {
+            page.dirty = false;
+        }
+        self.dirty_count = 0;
+        if self.pages.len() > MAX_CACHED_PAGES_PER_FILE {
+            let excess = self.pages.len() - MAX_CACHED_PAGES_PER_FILE;
+            let victims: Vec<u64> = self.pages.keys().copied().take(excess).collect();
+            for v in victims {
+                self.pages.remove(&v);
+            }
+        }
     }
 }
 
@@ -87,11 +117,16 @@ pub struct PageCacheStats {
     pub read_fills: u64,
     /// Pages written back via single-page `write_page` calls.
     pub writeback_single: u64,
-    /// Pages written back as part of batched `write_pages` calls.
+    /// Pages written back through a file system with a batched
+    /// `write_pages`.
     pub writeback_batched: u64,
-    /// Number of `write_pages` calls into the file system (one per inode
-    /// per write-back pass).
+    /// Files written back through a file system with a batched
+    /// `write_pages`: one per inode per write-back pass.
     pub writeback_batches: u64,
+    /// Write-back passes: `write_pages` calls into the file system, each
+    /// carrying one file (`fsync`, the dirty threshold) or every file with
+    /// dirty pages (`sync`, unmount).
+    pub writeback_passes: u64,
 }
 
 /// Hot-path counters, striped so concurrent readers/writers on different
@@ -104,6 +139,7 @@ struct StripedStats {
     writeback_single: StripedCounter,
     writeback_batched: StripedCounter,
     writeback_batches: StripedCounter,
+    writeback_passes: StripedCounter,
 }
 
 /// A write-back page cache covering every file of one mounted file system.
@@ -116,7 +152,8 @@ pub struct PageCache {
     config: PageCacheConfig,
     files: ShardedMap<u64, Arc<Mutex<FilePages>>>,
     stats: StripedStats,
-    /// Whether writeback should use the batched `write_pages` path.
+    /// Whether the file system batches `write_pages` (which decides only
+    /// how write-back is counted).
     batch_writeback: bool,
 }
 
@@ -131,8 +168,10 @@ impl std::fmt::Debug for PageCache {
 }
 
 impl PageCache {
-    /// Creates a page cache.  `batch_writeback` selects the `write_pages`
-    /// (batched) writeback path; the VFS baseline passes `false`.
+    /// Creates a page cache.  `batch_writeback` says whether the file
+    /// system's `write_pages` is batched (counted as batched write-back) or
+    /// the per-page default (counted as single-page write-back); the VFS
+    /// baseline passes `false`.
     pub fn new(config: PageCacheConfig, batch_writeback: bool) -> Self {
         PageCache {
             config,
@@ -150,12 +189,8 @@ impl PageCache {
             writeback_single: self.stats.writeback_single.get(),
             writeback_batched: self.stats.writeback_batched.get(),
             writeback_batches: self.stats.writeback_batches.get(),
+            writeback_passes: self.stats.writeback_passes.get(),
         }
-    }
-
-    /// Whether batched writeback is enabled.
-    pub fn batch_writeback(&self) -> bool {
-        self.batch_writeback
     }
 
     fn file(&self, ino: u64) -> Arc<Mutex<FilePages>> {
@@ -333,72 +368,82 @@ impl PageCache {
             done += chunk;
         }
         fp.size = fp.size.max(offset + data.len() as u64);
-        let over_threshold = fp.dirty_count >= self.config.dirty_threshold_pages;
-        if over_threshold {
-            self.writeback_locked(fs, ino, fp)?;
+        if fp.dirty_count >= self.config.dirty_threshold_pages {
+            self.writeback_pass(fs, &mut [(ino, fp)])?;
         }
         Ok(done)
     }
 
-    /// Writes back every dirty page of `ino` to the file system.
+    /// Writes back every dirty page of `ino` to the file system: a pass of
+    /// one file.
     ///
     /// # Errors
     ///
-    /// Propagates file system write errors.
+    /// Propagates file system write errors; the file stays dirty.
     pub fn writeback(&self, fs: &Arc<dyn VfsFs>, ino: u64) -> KernelResult<()> {
         let file = self.file(ino);
         let mut fp = file.lock();
-        self.writeback_locked(fs, ino, &mut fp)
-    }
-
-    fn writeback_locked(
-        &self,
-        fs: &Arc<dyn VfsFs>,
-        ino: u64,
-        fp: &mut FilePages,
-    ) -> KernelResult<()> {
         if fp.dirty_count == 0 {
             return Ok(());
         }
-        let size = fp.size;
-        let dirty = fp.pages.iter().filter(|(_, p)| p.dirty).map(|(idx, p)| (*idx, &*p.data));
-        if self.batch_writeback {
-            let pages: Vec<(u64, &[u8])> = dirty.collect();
-            fs.write_pages(ino, &pages, size)?;
-            self.stats.writeback_batched.add(pages.len() as u64);
-            self.stats.writeback_batches.inc();
-        } else {
-            for (idx, page) in dirty {
-                fs.write_page(ino, idx, page, size)?;
-                self.stats.writeback_single.inc();
-            }
-        }
-        for page in fp.pages.values_mut() {
-            page.dirty = false;
-        }
-        fp.dirty_count = 0;
-        // Trim the cache if it has grown very large (clean pages only).
-        if fp.pages.len() > MAX_CACHED_PAGES_PER_FILE {
-            let excess = fp.pages.len() - MAX_CACHED_PAGES_PER_FILE;
-            let victims: Vec<u64> =
-                fp.pages.iter().filter(|(_, p)| !p.dirty).map(|(k, _)| *k).take(excess).collect();
-            for v in victims {
-                fp.pages.remove(&v);
-            }
-        }
-        Ok(())
+        self.writeback_pass(fs, &mut [(ino, &mut fp)])
     }
 
-    /// Writes back every file with dirty pages (used by `sync`, `fsync` on a
-    /// directory, and unmount).
+    /// Writes back every file with dirty pages in one pass (used by
+    /// `sync`, `fsync` on a directory, and unmount).  The files are locked
+    /// in ascending inode order and stay locked for the whole pass.
     ///
     /// # Errors
     ///
-    /// Propagates file system write errors.
+    /// Propagates file system write errors; no file of the pass is marked
+    /// clean.
     pub fn writeback_all(&self, fs: &Arc<dyn VfsFs>) -> KernelResult<()> {
-        let inos: Vec<u64> = self.files.keys();
-        for ino in inos {
-            self.writeback(fs, ino)?;
+        let mut inos = self.files.keys();
+        inos.sort_unstable();
+        let entries: Vec<(u64, Arc<Mutex<FilePages>>)> =
+            inos.into_iter().filter_map(|ino| Some((ino, self.files.get(&ino)?))).collect();
+        let mut locked: Vec<(u64, MutexGuard<'_, FilePages>)> = entries
+            .iter()
+            .map(|(ino, file)| (*ino, file.lock()))
+            .filter(|(_, fp)| fp.dirty_count > 0)
+            .collect();
+        if locked.is_empty() {
+            return Ok(());
+        }
+        let mut files: Vec<(u64, &mut FilePages)> =
+            locked.iter_mut().map(|(ino, fp)| (*ino, &mut **fp)).collect();
+        self.writeback_pass(fs, &mut files)
+    }
+
+    /// One write-back pass: a single `write_pages` call carrying every
+    /// dirty page of `files` (locked, dirty, in ascending inode order).
+    /// Only if it succeeds are the files marked clean.
+    fn writeback_pass(
+        &self,
+        fs: &Arc<dyn VfsFs>,
+        files: &mut [(u64, &mut FilePages)],
+    ) -> KernelResult<()> {
+        debug_assert!(files.windows(2).all(|w| w[0].0 < w[1].0), "a pass is sorted by inode");
+        let pages = {
+            let dirty: Vec<Vec<(u64, &[u8])>> =
+                files.iter().map(|(_, fp)| fp.dirty_pages()).collect();
+            let pass: Vec<WritebackFile<'_>> = files
+                .iter()
+                .zip(&dirty)
+                .map(|((ino, fp), pages)| (*ino, pages.as_slice(), fp.size))
+                .collect();
+            fs.write_pages(&pass)?;
+            dirty.iter().map(Vec::len).sum::<usize>() as u64
+        };
+        if self.batch_writeback {
+            self.stats.writeback_batched.add(pages);
+            self.stats.writeback_batches.add(files.len() as u64);
+        } else {
+            self.stats.writeback_single.add(pages);
+        }
+        self.stats.writeback_passes.inc();
+        for (_, fp) in files.iter_mut() {
+            fp.mark_clean();
         }
         Ok(())
     }
@@ -455,12 +500,17 @@ mod tests {
     use parking_lot::Mutex as PlMutex;
     use std::collections::HashMap as Map;
 
+    /// What one `write_pages` call carried: `(ino, page indexes)` per file.
+    type PassRecord = Vec<(u64, Vec<u64>)>;
+
     /// A trivial in-memory VfsFs used to test the page cache in isolation.
     struct MemFs {
         files: PlMutex<Map<u64, Vec<u8>>>,
         write_page_calls: PlMutex<u64>,
-        /// The page indexes each `write_pages` call carried.
-        write_pages_calls: PlMutex<Vec<Vec<u64>>>,
+        /// What each `write_pages` call carried.
+        write_pages_calls: PlMutex<Vec<PassRecord>>,
+        /// An inode whose write-back fails with `EIO`.
+        failing: PlMutex<Option<u64>>,
     }
 
     impl MemFs {
@@ -471,10 +521,16 @@ mod tests {
 
         /// The same file system with its call records reachable.
         fn concrete() -> Arc<MemFs> {
+            Self::with_files(&[2])
+        }
+
+        /// Empty files `inos`, with the call records reachable.
+        fn with_files(inos: &[u64]) -> Arc<MemFs> {
             Arc::new(MemFs {
-                files: PlMutex::new(Map::from([(2u64, Vec::new())])),
+                files: PlMutex::new(inos.iter().map(|&ino| (ino, Vec::new())).collect()),
                 write_page_calls: PlMutex::new(0),
                 write_pages_calls: PlMutex::new(Vec::new()),
+                failing: PlMutex::new(None),
             })
         }
     }
@@ -545,6 +601,9 @@ mod tests {
             file_size: u64,
         ) -> KernelResult<()> {
             *self.write_page_calls.lock() += 1;
+            if *self.failing.lock() == Some(ino) {
+                return Err(KernelError::new(Errno::Io));
+            }
             let mut files = self.files.lock();
             let file = files.get_mut(&ino).ok_or(KernelError::new(Errno::NoEnt))?;
             if (file.len() as u64) < file_size {
@@ -555,15 +614,17 @@ mod tests {
             file[start..start + n].copy_from_slice(&data[..n]);
             Ok(())
         }
-        fn write_pages(
-            &self,
-            ino: u64,
-            pages: &[(u64, &[u8])],
-            file_size: u64,
-        ) -> KernelResult<()> {
-            self.write_pages_calls.lock().push(pages.iter().map(|(index, _)| *index).collect());
-            for &(page_index, page) in pages {
-                self.write_page(ino, page_index, page, file_size)?;
+        fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
+            self.write_pages_calls.lock().push(
+                files
+                    .iter()
+                    .map(|&(ino, pages, _)| (ino, pages.iter().map(|(index, _)| *index).collect()))
+                    .collect(),
+            );
+            for &(ino, pages, file_size) in files {
+                for &(page_index, page) in pages {
+                    self.write_page(ino, page_index, page, file_size)?;
+                }
             }
             Ok(())
         }
@@ -703,9 +764,14 @@ mod tests {
         let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
         let pc = cache(true);
         dirty_two_runs(&pc, &fs);
-        assert_eq!(*mem.write_pages_calls.lock(), [vec![0, 1, 2, 10, 11]], "one call, sorted");
+        assert_eq!(
+            *mem.write_pages_calls.lock(),
+            [[(2, vec![0, 1, 2, 10, 11])]],
+            "one call, sorted"
+        );
         let stats = pc.stats();
         assert_eq!((stats.writeback_batches, stats.writeback_batched), (1, 5));
+        assert_eq!(stats.writeback_passes, 1);
         // A second pass with nothing dirty makes no call at all.
         pc.writeback(&fs, 2).unwrap();
         assert_eq!(pc.stats().writeback_batches, 1);
@@ -716,8 +782,66 @@ mod tests {
         let pc = cache(false);
         dirty_two_runs(&pc, &fs);
         assert_eq!(*mem.write_page_calls.lock(), 5);
-        assert!(mem.write_pages_calls.lock().is_empty());
+        assert_eq!(mem.write_pages_calls.lock().len(), 1, "one pass, by the trait's default");
         assert_eq!(pc.stats().writeback_single, 5);
+    }
+
+    #[test]
+    fn sync_is_one_pass_over_every_dirty_file_in_inode_order() {
+        let mem = MemFs::with_files(&[2, 3, 5, 9]);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        for (ino, pages) in [(9u64, 2usize), (3, 1), (2, 3)] {
+            pc.write(&fs, ino, 0, &vec![ino as u8; PAGE_SIZE * pages]).unwrap();
+        }
+        // Cached but clean: read, not written.
+        pc.read(&fs, 5, 0, &mut [0u8; 16]).unwrap();
+        pc.writeback_all(&fs).unwrap();
+        let calls = mem.write_pages_calls.lock().clone();
+        assert_eq!(calls, [vec![(2, vec![0, 1, 2]), (3, vec![0]), (9, vec![0, 1])]]);
+        let stats = pc.stats();
+        assert_eq!(
+            (stats.writeback_passes, stats.writeback_batches, stats.writeback_batched),
+            (1, 3, 6),
+            "one pass, one batch per file, every page"
+        );
+        assert_eq!(pc.dirty_pages(), 0);
+        // Nothing dirty: no call.
+        pc.writeback_all(&fs).unwrap();
+        assert_eq!(mem.write_pages_calls.lock().len(), 1);
+    }
+
+    #[test]
+    fn a_failed_pass_marks_no_file_clean_and_the_next_pass_rewrites_it() {
+        let mem = MemFs::with_files(&[2, 3, 4]);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        for ino in [2u64, 3, 4] {
+            pc.write(&fs, ino, 0, &vec![ino as u8; PAGE_SIZE + 10]).unwrap();
+        }
+        *mem.failing.lock() = Some(3);
+        let failed = pc.writeback_all(&fs).unwrap_err();
+        assert_eq!(failed.errno(), Errno::Io);
+        // The file system got as far as ino 2 before ino 3 failed; nothing
+        // of the pass is clean, and nothing was counted.
+        assert_eq!(fs.getattr(2).unwrap().size, (PAGE_SIZE + 10) as u64, "a committed prefix");
+        assert_eq!(fs.getattr(4).unwrap().size, 0);
+        assert_eq!(pc.dirty_pages(), 6);
+        assert_eq!(pc.stats(), PageCacheStats::default());
+
+        // The next pass carries all three again; rewriting ino 2 is
+        // idempotent.
+        *mem.failing.lock() = None;
+        pc.writeback_all(&fs).unwrap();
+        let calls = mem.write_pages_calls.lock().clone();
+        assert_eq!(calls.len(), 2);
+        assert_eq!(calls[0], calls[1], "the same pass, whole");
+        assert_eq!(pc.dirty_pages(), 0);
+        for ino in [2u64, 3, 4] {
+            let mut page = vec![0u8; PAGE_SIZE];
+            assert_eq!(fs.read_page(ino, 1, &mut page).unwrap(), 10);
+            assert!(page[..10].iter().all(|&b| b == ino as u8), "ino {ino}");
+        }
     }
 
     #[test]

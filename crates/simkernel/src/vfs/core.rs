@@ -353,7 +353,14 @@ impl Vfs {
                     (mount, existing)
                 }
                 Err(e) if e.errno() == Errno::NoEnt => {
-                    let attr = mount.fs.create(parent.ino, &name, FileMode::regular())?;
+                    let attr = match mount.fs.create(parent.ino, &name, FileMode::regular()) {
+                        // Another opener created the name since the
+                        // lookup: without O_EXCL, open that file.
+                        Err(e) if e.errno() == Errno::Exist && !flags.contains(OpenFlags::EXCL) => {
+                            mount.fs.lookup(parent.ino, &name)?
+                        }
+                        created => created?,
+                    };
                     (mount, attr)
                 }
                 Err(e) => return Err(e),
@@ -632,12 +639,13 @@ impl Vfs {
         let _span = crate::trace::op_span("unlink");
         let (mount, parent, name) = self.resolve_parent(path)?;
         let target = mount.fs.lookup(parent.ino, &name)?;
-        if target.kind == FileType::Regular && target.nlink <= 1 {
-            // Last link: the file system may free the inode number inside
-            // this call, so its cached pages go before, not after.
-            mount.page_cache.invalidate_around(target.ino, || mount.fs.unlink(parent.ino, &name))
+        let unlink = || mount.fs.unlink(parent.ino, &name);
+        if is_last_link(&target) {
+            // The file system may free the inode number inside this call,
+            // so its cached pages go before, not after.
+            mount.page_cache.invalidate_around(target.ino, unlink)
         } else {
-            mount.fs.unlink(parent.ino, &name)
+            unlink()
         }
     }
 
@@ -654,7 +662,17 @@ impl Vfs {
         if old_mount.id != new_mount.id {
             return Err(KernelError::with_context(Errno::Inval, "cross-mount rename"));
         }
-        old_mount.fs.rename(old_parent.ino, &old_name, new_parent.ino, &new_name)
+        let fs = &old_mount.fs;
+        let rename = || fs.rename(old_parent.ino, &old_name, new_parent.ino, &new_name);
+        // A replaced file loses its last link here, as in `unlink` — unless
+        // the rename is onto the file itself (or another link of it).
+        let victim = fs.lookup(new_parent.ino, &new_name).ok().filter(is_last_link);
+        match victim {
+            Some(target) if fs.lookup(old_parent.ino, &old_name)?.ino != target.ino => {
+                old_mount.page_cache.invalidate_around(target.ino, rename)
+            }
+            _ => rename(),
+        }
     }
 
     /// Creates a hard link at `new` pointing to the inode of `existing`.
@@ -735,6 +753,13 @@ impl Vfs {
     pub fn open_fd_count(&self) -> usize {
         self.fds.len()
     }
+}
+
+/// Whether dropping a link to `attr` leaves a regular file with none: the
+/// file system may then free the inode inside that call, so its page-cache
+/// entry must go before it (see [`PageCache::invalidate_around`]).
+fn is_last_link(attr: &InodeAttr) -> bool {
+    attr.kind == FileType::Regular && attr.nlink <= 1
 }
 
 // ---------------------------------------------------------------------------
@@ -978,11 +1003,13 @@ mod tests {
     /// A root directory holding at most one regular file, which always
     /// gets inode number 2 — the smallest file system that recycles an
     /// inode number.  `after_free` runs inside `unlink`, once the number
-    /// is free again.
+    /// is free again; `before_create` runs inside `create`, before the name
+    /// is checked.
     #[derive(Default)]
     struct OneInodeFs {
         file: Mutex<Option<(String, Vec<u8>)>>,
         after_free: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        before_create: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl OneInodeFs {
@@ -1021,9 +1048,15 @@ mod tests {
             err(Errno::NoSys)
         }
         fn create(&self, _dir: u64, name: &str, _mode: FileMode) -> KernelResult<InodeAttr> {
+            let hook = self.before_create.lock().take();
+            if let Some(hook) = hook {
+                hook();
+            }
             let mut file = self.file.lock();
-            if file.is_some() {
-                return err(Errno::NoSpc);
+            match file.as_ref() {
+                Some((existing, _)) if existing == name => return err(Errno::Exist),
+                Some(_) => return err(Errno::NoSpc),
+                None => {}
             }
             *file = Some((name.to_string(), Vec::new()));
             Ok(InodeAttr::regular(Self::INO, 0))
@@ -1093,6 +1126,39 @@ mod tests {
         ) -> KernelResult<Arc<dyn VfsFs>> {
             Ok(Arc::clone(&self.0) as Arc<dyn VfsFs>)
         }
+    }
+
+    #[test]
+    fn open_creat_that_loses_the_create_race_opens_the_winners_file() {
+        let fs = Arc::new(OneInodeFs::default());
+        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
+        vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
+        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
+            .unwrap();
+        // Between an opener's lookup (no such name) and its create, a
+        // second opener creates the name and writes to it.
+        let race = |vfs: &Arc<Vfs>| {
+            let racer = Arc::clone(vfs);
+            *fs.before_create.lock() = Some(Box::new(move || {
+                let fd = racer.open("/log", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+                racer.write(fd, b"first ").unwrap();
+                racer.close(fd).unwrap();
+            }));
+        };
+        race(&vfs);
+        let append = OpenFlags::RDWR.with(OpenFlags::CREAT).with(OpenFlags::APPEND);
+        let fd = vfs.open("/log", append).expect("without O_EXCL, losing the race opens the file");
+        vfs.write(fd, b"second").unwrap();
+        let mut back = [0u8; 12];
+        assert_eq!(vfs.pread(fd, &mut back, 0).unwrap(), 12);
+        assert_eq!(&back, b"first second");
+        vfs.close(fd).unwrap();
+
+        // With O_EXCL the loser must see the name exist.
+        vfs.unlink("/log").unwrap();
+        race(&vfs);
+        let excl = OpenFlags::WRONLY.with(OpenFlags::CREAT).with(OpenFlags::EXCL);
+        assert_eq!(vfs.open("/log", excl).unwrap_err().errno(), Errno::Exist);
     }
 
     #[test]

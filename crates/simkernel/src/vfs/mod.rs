@@ -379,6 +379,11 @@ pub trait FilesystemType: Send + Sync {
     ) -> KernelResult<Arc<dyn VfsFs>>;
 }
 
+/// One file's share of a write-back pass: `(ino, pages, file_size)`, with
+/// `pages` the file's dirty pages as `(page_index, data)` sorted by index
+/// (see [`VfsFs::write_pages`]).
+pub type WritebackFile<'a> = (u64, &'a [(u64, &'a [u8])], u64);
+
 /// Operations a mounted file system provides to the VFS.
 ///
 /// This mirrors (in simplified, inode-number-keyed form) the union of the
@@ -392,10 +397,12 @@ pub trait FilesystemType: Send + Sync {
 /// The distinction between [`VfsFs::write_page`] and [`VfsFs::write_pages`]
 /// is load-bearing for the paper's evaluation: BentoFS (which inherits the
 /// FUSE kernel module's writeback path) implements the batched
-/// `write_pages` — all dirty pages of an inode per write-back pass — while
-/// the paper's hand-written VFS baseline only implements per-page
-/// `writepage` — the source of Bento's advantage on large writes and untar
-/// (§6.5.2, §6.6.3).
+/// `write_pages` while the paper's hand-written VFS baseline only
+/// implements per-page `writepage` — the source of Bento's advantage on
+/// large writes and untar (§6.5.2, §6.6.3).  `write_pages` is called once
+/// per write-back pass with every file the pass carries, so BentoFS can
+/// pack many files into one log transaction.  That goes beyond the paper:
+/// Linux `sync` calls `writepages` once per inode.
 pub trait VfsFs: Send + Sync {
     /// Short name for diagnostics.
     fn fs_name(&self) -> &str;
@@ -542,30 +549,39 @@ pub trait VfsFs: Send + Sync {
         file_size: u64,
     ) -> KernelResult<()>;
 
-    /// Writes back `pages` — every dirty page of `ino` the page cache holds
-    /// in this write-back pass, as `(page_index, data)` sorted by index and
+    /// Writes back one pass: every `(ino, pages, file_size)` of `files`,
+    /// sorted by ascending ino, where `pages` is every dirty page of `ino`
+    /// the page cache holds, as `(page_index, data)` sorted by index and
     /// not necessarily adjacent.  `file_size` is as for
     /// [`VfsFs::write_page`]; pages at or past it are skipped and the one
-    /// straddling it is clamped.
+    /// straddling it is clamped.  `fsync` and the dirty threshold pass one
+    /// file, `sync` and unmount every file with dirty pages.
     ///
-    /// The default implementation loops over [`VfsFs::write_page`] — that is
-    /// the paper's VFS-baseline behaviour.  BentoFS overrides it: the whole
-    /// set reaches the file system as one vectored write, which packs it
-    /// into as few transactions as its log allows.
+    /// The default implementation loops per file, then per page, over
+    /// [`VfsFs::write_page`] — the paper's VFS-baseline behaviour.  BentoFS
+    /// overrides it: the whole pass reaches the file system as one
+    /// vectored write, which packs it — across files — into as few
+    /// transactions as its log allows.
     ///
     /// # Errors
     ///
-    /// As for [`VfsFs::write_page`].
-    fn write_pages(&self, ino: u64, pages: &[(u64, &[u8])], file_size: u64) -> KernelResult<()> {
-        for &(page_index, page) in pages {
-            self.write_page(ino, page_index, page, file_size)?;
+    /// As for [`VfsFs::write_page`].  On an error the page cache marks no
+    /// file of the pass clean, so the next pass carries all of them again.
+    /// An implementation may have committed a prefix of the pass before it
+    /// failed; rewriting that prefix must be idempotent (it is: the pages
+    /// hold the same bytes and the file size only grows to `file_size`).
+    fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
+        for &(ino, pages, file_size) in files {
+            for &(page_index, page) in pages {
+                self.write_page(ino, page_index, page, file_size)?;
+            }
         }
         Ok(())
     }
 
-    /// Whether this file system provides a batched [`VfsFs::write_pages`];
-    /// the page cache of its mount then calls that, once per inode per
-    /// pass, instead of [`VfsFs::write_page`] per page.
+    /// Whether this file system provides a batched [`VfsFs::write_pages`].
+    /// Write-back calls `write_pages` either way; the page cache of the
+    /// mount counts the pages as batched or single-page write-back by this.
     fn supports_writepages(&self) -> bool {
         false
     }

@@ -17,18 +17,19 @@
 //!   and the file system: no `Request`, no `FileSystem` trait object
 //!   behind a lock, and no online upgrade (`read_page` fills the page
 //!   cache's buffer in place, as BentoFS's lent-page `read` does);
-//! * write-back is the plain **per-page `writepage`** path: the page cache
-//!   hands over one dirty page at a time and each page is its own log
-//!   transaction.  `supports_writepages()` is false, so the batched
+//! * write-back is the plain **per-page `writepage`** path: this binding
+//!   keeps the trait's default `write_pages`, which walks the pass file by
+//!   file and hands over one dirty page at a time, and each page is its
+//!   own log transaction.  `supports_writepages()` is false: the batched
 //!   `write_pages` that BentoFS inherits from the FUSE kernel module —
 //!   what the paper credits for Bento's edge on large writes and untar
-//!   (§6.5.2, §6.6.3) — is never used.  What Bento batches is **all the
-//!   dirty pages of an inode per write-back pass** (one vectored write,
-//!   packed into as few transactions as the log allows); what this stack
-//!   batches is **one page**.  On an identical operation stream it
+//!   (§6.5.2, §6.6.3) — is not this stack's.  What Bento batches is **all
+//!   the dirty pages of every file in a write-back pass** (one vectored
+//!   write, packed into as few transactions as the log allows); what this
+//!   stack batches is **one page**.  On an identical operation stream it
 //!   therefore commits exactly `pages written back − Bento's write-back
 //!   transactions` more often than the Bento stack (`pages − write-back
-//!   batches` while every pass fits one transaction).
+//!   passes` while every pass fits one transaction).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

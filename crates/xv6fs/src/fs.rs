@@ -23,7 +23,7 @@ use std::sync::Arc;
 use parking_lot::RwLock;
 
 use bento::bentoks::SuperBlock;
-use bento::fileops::{CreateReply, FileSystem, Request};
+use bento::fileops::{CreateReply, FileSegments, FileSystem, Request};
 use bento::upgrade::StateBundle;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
@@ -294,11 +294,9 @@ impl FileSystem for Xv6FileSystem {
         &self,
         _req: &Request,
         sb: &SuperBlock,
-        ino: u64,
-        _fh: u64,
-        segs: &[(u64, &[u8])],
+        files: &[FileSegments<'_>],
     ) -> KernelResult<usize> {
-        self.with_core(|core| core.write_vectored(sb, ino, segs))
+        self.with_core(|core| core.write_vectored(sb, files))
     }
 
     fn fsync(

@@ -30,6 +30,7 @@
 //!   behind the commit.
 
 use bento::bentoks::SuperBlock;
+use bento::fileops::FileSegments;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{DirEntry, FsOpStats, InodeAttr, SetAttr, StatFs, WritePathStats};
 
@@ -515,50 +516,73 @@ impl FsCore {
     }
 
     /// Writes `src` to `ino` at `offset`: [`FsCore::write_vectored`] of one
-    /// segment.
+    /// segment of one file.
     ///
     /// # Errors
     ///
     /// [`Errno::NoSpc`], [`Errno::FBig`], I/O errors.
     pub fn write(&self, sb: &SuperBlock, ino: u64, offset: u64, src: &[u8]) -> KernelResult<usize> {
-        self.write_vectored(sb, ino, &[(offset, src)])
+        self.write_vectored(sb, &[(ino, &[(offset, src)])])
     }
 
-    /// Writes every `(offset, bytes)` segment of `segs` to `ino`, in as few
-    /// log transactions as the log allows; returns the number of bytes
-    /// written.  Segments are taken a block-sized piece at a time into the
-    /// open transaction for as long as the blocks it has staged, the worst
-    /// case of one more piece (`PIECE_WORST_BLOCKS`) and the inode block
-    /// that closes it fit [`Log::max_op_blocks`]; then the transaction ends
-    /// — and commits — and the next one opens.  A write-back pass over
-    /// scattered dirty pages therefore costs a commit per ~58 overwritten
-    /// blocks, not one per page or per contiguous run.
+    /// Writes every `(offset, bytes)` segment of every `(ino, segments)` of
+    /// `files` (sorted by ascending inode number), in as few log
+    /// transactions as the log allows; returns the number of bytes
+    /// written.  The segments of all the files form one stream of
+    /// block-sized pieces, taken into the open transaction for as long as
+    /// the blocks it has staged, the worst case of one more piece
+    /// (`PIECE_WORST_BLOCKS`) and the inode block of the file being written
+    /// fit [`Log::max_op_blocks`]: `staged + PIECE_WORST_BLOCKS + 1 ≤
+    /// MAX_OP_BLOCKS`, checked before every piece — a file's first piece
+    /// included, so a file is only opened in a transaction with room for
+    /// its inode block.  When the stream moves to the next file, the
+    /// finished file's inode block is logged; when the rule fails, the open
+    /// file's is, and the transaction ends — and commits — and the next one
+    /// opens.  A write-back pass therefore costs a commit per ~57 staged
+    /// blocks, however many files and runs of pages it carries.
+    ///
+    /// Each file's inode lock is held only while its pieces and its inode
+    /// block are staged, so locks are taken one at a time in ascending
+    /// inode order, and each file's inode update goes in the transaction
+    /// that carries its pieces.
     ///
     /// # Errors
     ///
-    /// [`Errno::NoSpc`], [`Errno::FBig`], I/O errors.
+    /// [`Errno::NoSpc`], [`Errno::FBig`], [`Errno::NoEnt`] for a free
+    /// inode, I/O errors.  Transactions already ended stay committed, as
+    /// do the pieces of the failing one staged before the error.
     pub fn write_vectored(
         &self,
         sb: &SuperBlock,
-        ino: u64,
-        segs: &[(u64, &[u8])],
+        files: &[FileSegments<'_>],
     ) -> KernelResult<usize> {
-        let inum = ino as u32;
-        let inode = self.icache.get(inum);
-        let mut pieces =
-            segs.iter().flat_map(|&(offset, src)| block_pieces(offset, src)).peekable();
+        debug_assert!(files.windows(2).all(|w| w[0].0 < w[1].0), "files in ascending inode order");
+        let mut pieces = files
+            .iter()
+            .flat_map(|&(ino, segs)| {
+                segs.iter().flat_map(move |&(offset, src)| {
+                    block_pieces(offset, src).map(move |(at, piece)| (ino as u32, at, piece))
+                })
+            })
+            .peekable();
+        let room = || self.log.staged_blocks() + PIECE_WORST_BLOCKS < Log::max_op_blocks();
         let mut written = 0usize;
         while pieces.peek().is_some() {
             written += self.transaction(sb, (), || {
-                let mut guard = inode.data.write();
-                self.load_inode(sb, inum, &mut guard)?;
                 let mut done = 0usize;
-                while self.log.staged_blocks() + PIECE_WORST_BLOCKS < Log::max_op_blocks() {
-                    let Some((at, piece)) = pieces.next() else { break };
-                    self.write_piece(sb, &mut guard, at, piece)?;
-                    done += piece.len();
+                while let Some(&(inum, ..)) = pieces.peek() {
+                    if !room() {
+                        break;
+                    }
+                    let inode = self.icache.get(inum);
+                    let mut guard = inode.data.write();
+                    self.load_inode(sb, inum, &mut guard)?;
+                    while let Some((_, at, piece)) = pieces.next_if(|p| p.0 == inum && room()) {
+                        self.write_piece(sb, &mut guard, at, piece)?;
+                        done += piece.len();
+                    }
+                    self.update_inode(sb, inum, &guard)?;
                 }
-                self.update_inode(sb, inum, &guard)?;
                 self.stats.bytes_written.add(done as u64);
                 Ok(done)
             })?;
@@ -712,7 +736,7 @@ mod tests {
         let segs: Vec<(u64, &[u8])> =
             (0..BLOCKS - 1).filter(|&b| b != 3).map(|b| (at(b), &fill[..])).collect();
         let before = reads();
-        assert_eq!(core.write_vectored(&sb, ino, &segs).unwrap(), segs.len() * BSIZE);
+        assert_eq!(core.write_vectored(&sb, &[(ino, &segs)]).unwrap(), segs.len() * BSIZE);
         assert_eq!(reads() - before, 0, "a whole-block overwrite needs none of the old bytes");
 
         // A partial overwrite of the still-cold block 3 reads it, once.

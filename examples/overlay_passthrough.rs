@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bento::bentoks::SuperBlock;
-use bento::fileops::{CreateReply, FileSystem, Request};
+use bento::fileops::{CreateReply, FileSegments, FileSystem, Request};
 use parking_lot::Mutex;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::KernelResult;
@@ -175,22 +175,20 @@ impl FileSystem for AuditFs {
         self.lower.write(req, sb, ino, fh, offset, data)
     }
 
-    // Write-back arrives here, once per inode per pass.  Forwarding the
-    // whole segment list keeps the lower file system's packing into few
-    // transactions; the trait's default would split it into a `write` —
-    // and a transaction — per segment.
+    // Write-back arrives here, once per pass, with every file of the pass.
+    // Forwarding the whole list keeps the lower file system's packing into
+    // few transactions; the trait's default would split it into a `write`
+    // — and a transaction — per segment.
     fn write_vectored(
         &self,
         req: &Request,
         sb: &SuperBlock,
-        ino: u64,
-        fh: u64,
-        segs: &[(u64, &[u8])],
+        files: &[FileSegments<'_>],
     ) -> KernelResult<usize> {
         self.ops.fetch_add(1, Ordering::Relaxed);
-        let bytes: usize = segs.iter().map(|(_, seg)| seg.len()).sum();
-        self.note(format!("write {bytes} bytes to inode {ino} in {} segments", segs.len()));
-        self.lower.write_vectored(req, sb, ino, fh, segs)
+        let bytes: usize = files.iter().flat_map(|(_, segs)| *segs).map(|(_, seg)| seg.len()).sum();
+        self.note(format!("write back {bytes} bytes of {} files", files.len()));
+        self.lower.write_vectored(req, sb, files)
     }
 
     fn fsync(

@@ -231,3 +231,39 @@ fn dotdot_names_the_parent_across_a_rename_on_ext4_and_bento() {
         mounted.unmount().expect("unmount");
     }
 }
+
+/// Renaming a file over one with unsynced pages drops the replaced file's
+/// page-cache entry, as `unlink` does: the file system frees the replaced
+/// inode inside the rename, so write-back must never reach it — one such
+/// entry would fail every later `sync` pass, and with it the other files
+/// the pass carries.  A rename onto the file itself, or onto another link
+/// of it, drops no link and keeps the pages.
+#[test]
+fn rename_over_a_file_with_unsynced_pages_drops_its_pages() {
+    for stack in FsStack::all() {
+        let mounted = mount_stack(stack, CostModel::zero(), 16_384).expect("mount");
+        let vfs = &mounted.vfs;
+        let write = |path: &str, fill: u8, len: usize| {
+            let fd = vfs.open(path, OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("open");
+            vfs.write(fd, &vec![fill; len]).expect("write");
+            vfs.close(fd).expect("close");
+        };
+        let contents = |path: &str| {
+            let fd = vfs.open(path, OpenFlags::RDONLY).expect("open");
+            let mut buf = vec![0u8; 3 * 4096];
+            let n = vfs.read(fd, &mut buf).expect("read");
+            vfs.close(fd).expect("close");
+            buf.truncate(n);
+            buf
+        };
+        write("/a", 0xA1, 6000);
+        write("/b", 0xB2, 9000);
+        write("/c", 0xC3, 100);
+        vfs.rename("/a", "/b").expect("rename over a dirty file");
+        vfs.rename("/c", "/c").expect("rename onto itself");
+        vfs.sync().unwrap_or_else(|e| panic!("{stack:?}: sync after the rename: {e}"));
+        assert_eq!(contents("/b"), vec![0xA1; 6000], "{stack:?}: /b holds what /a held");
+        assert_eq!(contents("/c"), vec![0xC3; 100], "{stack:?}: /c kept its pages");
+        mounted.unmount_and_check().unwrap_or_else(|e| panic!("{stack:?}: unmount: {e}"));
+    }
+}

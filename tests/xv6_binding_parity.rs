@@ -4,19 +4,25 @@
 //! The Bento stack (`xv6fs::fstype()`: VFS → BentoFS → file-operations API
 //! → `FsCore`) and the C-Kernel stack (`xv6fs_vfs`: VFS → `FsCore`) run one
 //! file system.  The only behavioural difference left between them is the
-//! write-back path (§6.5.2): BentoFS hands all the dirty pages of a pass to
-//! the core as one vectored write, the C-Kernel stack writes each page in
-//! its own transaction.  Three properties pin that down from outside,
-//! through `Vfs`, on identical images and one seeded operation stream:
+//! write-back path (§6.5.2): BentoFS hands all the dirty pages of a pass —
+//! of every file the pass carries — to the core as one vectored write, the
+//! C-Kernel stack writes each page in its own transaction.  Four
+//! properties pin that down from outside, through `Vfs`, on identical
+//! images and one seeded operation stream.  In each stream below a pass
+//! fits one write transaction of the core, so a pass is one Bento commit
+//! and the identity is `extra C-Kernel commits = pages − passes`:
 //!
 //! * when no write-back pass carries more than one page, the two stacks
 //!   leave **byte-identical** images (every block outside the log area);
 //! * when passes carry several pages, the C-Kernel stack commits exactly
-//!   `pages written back − write-back batches` more often, and logs more
+//!   `pages written back − write-back passes` more often, and logs more
 //!   blocks only by what those extra commits re-log;
 //! * when a pass carries several *disjoint* runs of pages, it is still one
-//!   batch and one Bento transaction — the same identity holds with a
-//!   batch per pass — and the images are byte-identical again.
+//!   pass and one Bento transaction — the same identity holds — and the
+//!   images are byte-identical again;
+//! * when `sync` passes carry several *files*, the pass is still one Bento
+//!   transaction — the same identity holds, with a batch per file and
+//!   several batches per pass — and the images are byte-identical again.
 
 use std::sync::Arc;
 
@@ -66,16 +72,14 @@ fn mount(binding: Binding) -> Mounted {
 /// miss — and both stacks must fail the same steps.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Create-or-open, write `fill` over every `(offset, len)` extent,
-    /// fsync: one write-back pass over exactly the pages these writes
-    /// dirtied.  (Always fsynced, so no file is renamed over while it has
-    /// dirty cached pages: `Vfs::rename` does not drop a replaced target's
-    /// pages the way `Vfs::unlink` does — a VFS-layer gap under every
-    /// stack, and not what this test compares.)
+    /// Create-or-open, write `fill` over every `(offset, len)` extent and,
+    /// if `fsync`, fsync: one write-back pass over exactly the pages these
+    /// writes dirtied.  Without it the pages wait for the next `Sync`.
     Write {
         path: String,
         extents: Vec<(u64, usize)>,
         fill: u8,
+        fsync: bool,
     },
     Mkdir(String),
     Rename(String, String),
@@ -88,12 +92,12 @@ enum Op {
 
 fn apply(vfs: &Vfs, op: &Op) -> bool {
     match op {
-        Op::Write { path, extents, fill } => (|| {
+        Op::Write { path, extents, fill, fsync } => (|| {
             let fd = vfs.open(path, OpenFlags::RDWR.with(OpenFlags::CREAT))?;
             let done = extents
                 .iter()
                 .try_for_each(|&(offset, len)| vfs.pwrite(fd, &vec![*fill; len], offset).map(drop))
-                .and_then(|()| vfs.fsync(fd));
+                .and_then(|()| if *fsync { vfs.fsync(fd) } else { Ok(()) });
             vfs.close(fd)?;
             done
         })()
@@ -110,8 +114,21 @@ fn apply(vfs: &Vfs, op: &Op) -> bool {
 
 /// `count` seeded steps.  A write is `runs` extents, each covering
 /// `1..=max_pages` pages (the last one possibly partial) and starting on a
-/// page boundary below page 24.
+/// page boundary below page 24, and is fsynced.
 fn stream(seed: u64, count: usize, max_pages: u64, runs: usize) -> Vec<Op> {
+    stream_with(seed, count, max_pages, runs, None)
+}
+
+/// As [`stream`]; with `Some(every)`, writes are not fsynced and a `Sync`
+/// follows every `every`-th step instead, so `sync` passes carry several
+/// files.
+fn stream_with(
+    seed: u64,
+    count: usize,
+    max_pages: u64,
+    runs: usize,
+    sync_every: Option<usize>,
+) -> Vec<Op> {
     let mut rng = SmallRng::seed_from_u64(seed);
     let dirs = ["", "/d0", "/d1", "/d2"];
     let file = |rng: &mut SmallRng| {
@@ -128,7 +145,8 @@ fn stream(seed: u64, count: usize, max_pages: u64, runs: usize) -> Vec<Op> {
                     (offset, (pages as usize - 1) * PAGE_SIZE + rng.gen_range(1..=PAGE_SIZE))
                 };
                 let extents = (0..runs).map(|_| extent()).collect();
-                Op::Write { path: file(&mut rng), extents, fill: (i % 251) as u8 + 1 }
+                let fsync = sync_every.is_none();
+                Op::Write { path: file(&mut rng), extents, fill: (i % 251) as u8 + 1, fsync }
             }
             45..=59 => Op::Rename(file(&mut rng), file(&mut rng)),
             60..=66 => Op::Link(file(&mut rng), file(&mut rng)),
@@ -138,6 +156,9 @@ fn stream(seed: u64, count: usize, max_pages: u64, runs: usize) -> Vec<Op> {
             92..=95 => Op::Mkdir(dirs[rng.gen_range(1..dirs.len())].to_string()),
             _ => Op::Sync,
         });
+        if sync_every.is_some_and(|every| (i + 1) % every == 0) {
+            ops.push(Op::Sync);
+        }
     }
     ops
 }
@@ -214,13 +235,16 @@ fn the_commit_gap_is_exactly_pages_minus_batches() {
         let (bento_ok, bento_pages, bento_log, _) = run(Binding::Bento, &ops);
         let (ck_ok, ck_pages, ck_log, _) = run(Binding::CKernel, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
-        let (pages, batches) = (ck_pages.writeback_single, bento_pages.writeback_batches);
+        let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
         assert_eq!((bento_pages.writeback_single, ck_pages.writeback_batches), (0, 0));
-        assert!(pages > 2 * batches, "seed {seed}: the stream has no multi-page passes");
+        assert_eq!(ck_pages.writeback_passes, passes, "seed {seed}: same passes");
+        // Every pass is an fsync of one file: one batch each.
+        assert_eq!(bento_pages.writeback_batches, passes, "seed {seed}");
+        assert!(pages > 2 * passes, "seed {seed}: the stream has no multi-page passes");
 
         let extra_commits = ck_log.log_commits - bento_log.log_commits;
-        assert_eq!(extra_commits, pages - batches, "seed {seed}: commit gap");
+        assert_eq!(extra_commits, pages - passes, "seed {seed}: commit gap");
         assert_eq!(ck_log.log_ops - bento_log.log_ops, extra_commits, "seed {seed}");
         // A page written in a transaction of its own logs its data block
         // as before, and again the inode block; when it allocates, again
@@ -243,22 +267,51 @@ fn multi_run_passes_are_one_batch_and_leave_byte_identical_images() {
         let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
         let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
-        let (pages, batches) = (ck_pages.writeback_single, bento_pages.writeback_batches);
+        let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
 
-        // One batch per pass, however many runs the pass has: every
-        // successful write op is one fsync of a file with dirty pages.
-        let passes = ops
+        // One pass and one batch per successful write op, however many
+        // runs it has: each is one fsync of a file with dirty pages.
+        let writes = ops
             .iter()
             .zip(&bento_ok)
             .filter(|(op, ok)| matches!(op, Op::Write { .. }) && **ok)
             .count() as u64;
-        assert_eq!(batches, passes, "seed {seed}: a pass made more than one write_pages call");
-        assert!(pages > 4 * batches, "seed {seed}: the passes carry too few pages");
+        assert_eq!(passes, writes, "seed {seed}: a pass made more than one write_pages call");
+        assert_eq!(bento_pages.writeback_batches, passes, "seed {seed}");
+        assert!(pages > 4 * passes, "seed {seed}: the passes carry too few pages");
 
-        // ... and one Bento transaction per batch.
+        // ... and one Bento transaction per pass.
         let extra_commits = ck_log.log_commits - bento_log.log_commits;
-        assert_eq!(extra_commits, pages - batches, "seed {seed}: commit gap");
+        assert_eq!(extra_commits, pages - passes, "seed {seed}: commit gap");
+        let (bento_image, ck_image) =
+            (blocks_outside_the_log(&bento_dev), blocks_outside_the_log(&ck_dev));
+        for (index, (a, b)) in bento_image.iter().zip(&ck_image).enumerate() {
+            assert!(a == b, "seed {seed}: non-log block #{index} differs between the stacks");
+        }
+    }
+}
+
+#[test]
+fn multi_file_sync_passes_are_one_transaction_and_leave_byte_identical_images() {
+    for seed in [31, 32, 33] {
+        // Up to two pages per write, no fsync, a sync after every 8th
+        // step: a pass carries at most 8 writes' pages, spread over several
+        // files, and fits one write transaction of the core.
+        let ops = stream_with(seed, 400, 2, 1, Some(8));
+        let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
+        let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
+        assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
+        let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
+        assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
+        assert_eq!(ck_pages.writeback_passes, passes, "seed {seed}: same passes");
+        // A batch per file per pass, several files per pass.
+        let files = bento_pages.writeback_batches;
+        assert!(files > 2 * passes, "seed {seed}: {files} files over {passes} passes");
+
+        // ... and still one Bento transaction per pass.
+        let extra_commits = ck_log.log_commits - bento_log.log_commits;
+        assert_eq!(extra_commits, pages - passes, "seed {seed}: commit gap");
         let (bento_image, ck_image) =
             (blocks_outside_the_log(&bento_dev), blocks_outside_the_log(&ck_dev));
         for (index, (a, b)) in bento_image.iter().zip(&ck_image).enumerate() {
