@@ -142,12 +142,12 @@ const EXPERIMENTS: &[Experiment] = &[
     }),
     // Observability: disabled-path hook cost (gated), traced varmail +
     // fileserver on all three load stacks with per-phase p50/p99
-    // attribution, span-coverage and reconciliation gates, unified registry
+    // attribution, span-coverage and reconciliation gates, the mount's
     // counters, and the trace-on/off overhead probe.
     ("obs", true, |ctx, name| {
         ctx.run(
             name,
-            "Obs: phase-attributed tail latency, span coverage gates, metrics registry",
+            "Obs: phase-attributed tail latency, span coverage gates, stack counters",
             |c| obs_experiment(&c.cfg),
         )
     }),

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use simkernel::cost::CostModel;
+use simkernel::cost::{CostModel, CostSnapshot};
 use simkernel::error::KernelResult;
 use simkernel::vfs::{MountOptions, WritePathStats};
 
@@ -414,13 +414,25 @@ fn write_path_delta(before: &WritePathStats, after: &WritePathStats) -> WritePat
             .zip(before.alloc_per_group.iter().chain(std::iter::repeat(&0)))
             .map(|(a, b)| a.saturating_sub(*b))
             .collect(),
-        // In-flight depth is a gauge sampled by the device, not a
-        // monotonic counter: the max cannot be differenced, so the
-        // interval keeps the device-lifetime max, and the mean components
-        // are differenced like the counters.
-        queue_depth_max: after.queue_depth_max,
-        queue_depth_sum: after.queue_depth_sum.saturating_sub(before.queue_depth_sum),
-        queue_depth_samples: after.queue_depth_samples.saturating_sub(before.queue_depth_samples),
+    }
+}
+
+/// The in-flight depth figures of a mount's queued device (`None` on the
+/// synchronous device).
+fn inflight_snapshot(mounted: &MountedStack) -> Option<CostSnapshot> {
+    Some(mounted.device.as_queued()?.cost_counters().snapshot())
+}
+
+/// In-flight depth over an interval.  Depth is a gauge the device samples
+/// at every submission, not a monotonic counter: the max cannot be
+/// differenced, so the interval keeps the device-lifetime max, and the
+/// mean's sum and sample count are differenced.
+fn inflight_delta(before: &CostSnapshot, after: &CostSnapshot) -> CostSnapshot {
+    CostSnapshot {
+        max_inflight: after.max_inflight,
+        inflight_sum: after.inflight_sum.saturating_sub(before.inflight_sum),
+        inflight_samples: after.inflight_samples.saturating_sub(before.inflight_samples),
+        ..CostSnapshot::default()
     }
 }
 
@@ -592,7 +604,7 @@ pub fn scaling_experiment_with_threads(
     // up as fewer device barriers per operation at higher thread counts.
     for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
         for threads in SCALING_SMOKE_THREADS {
-            let (create, delta) = create_with_write_path_stats(
+            let (create, delta, _) = create_with_write_path_stats(
                 stack,
                 cfg,
                 &MountOptions::default(),
@@ -632,7 +644,7 @@ pub fn scaling_experiment_with_threads(
         // Unscaled NVMe service time: the ~10 µs per-block service is what
         // makes in-flight overlap visible on the depth gauge (heavily
         // scaled-down service completes before the next submission).
-        let (create, delta) = create_with_write_path_stats(
+        let (create, delta, inflight) = create_with_write_path_stats(
             FsStack::BentoXv6,
             cfg,
             &options,
@@ -657,11 +669,13 @@ pub fn scaling_experiment_with_threads(
                 "barriers/op",
                 None,
             ));
+        }
+        if let Some(inflight) = inflight {
             rows.push(Row::new(
                 "scaling",
                 &format!("create-8t-qd{depth}-mean-depth"),
                 label,
-                delta.mean_queue_depth(),
+                inflight.mean_inflight(),
                 "requests",
                 None,
             ));
@@ -669,7 +683,7 @@ pub fn scaling_experiment_with_threads(
                 "scaling",
                 &format!("create-8t-qd{depth}-max-depth"),
                 label,
-                delta.queue_depth_max as f64,
+                inflight.max_inflight as f64,
                 "requests",
                 None,
             ));
@@ -1116,8 +1130,8 @@ fn obs_required_phases(stack: FsStack, mix_has_fsync: bool) -> &'static [simkern
 ///    (`attributed <= 1.1 x total`; exclusive-time attribution guarantees
 ///    the 1.0 bound, the slack is clock granularity).  Rows report the
 ///    per-phase p50/p99 breakdown, the attributed/other shares, the
-///    slowest traced op, and the unified metrics registry counters the
-///    mount published ([`MountedStack::publish_metrics`]).
+///    slowest traced op, and the mount's counters
+///    ([`MountedStack::counters`]).
 /// 3. **Enabled-path overhead**: varmail on Bento runs back-to-back with
 ///    tracing off and on (`trace-off-ops` / `trace-on-ops` /
 ///    `trace-overhead-pct` rows).  Informational, not gated: on the 1-CPU
@@ -1132,7 +1146,6 @@ fn obs_required_phases(stack: FsStack, mix_has_fsync: bool) -> &'static [simkern
 /// attribution sum that exceeds the end-to-end total by more than 10%.
 pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     use simkernel::error::{Errno, KernelError};
-    use simkernel::registry::MetricsRegistry;
     use simkernel::trace;
 
     let mut rows = Vec::new();
@@ -1269,19 +1282,12 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
                     None,
                 ));
             }
-            // The unified registry: absorb this mount's counters and report
-            // them (stack prefix stripped — the row's stack column holds it).
-            // Sync first so writeback-mode stacks flush their dirty pages
-            // and the device/journal counters reflect the run's traffic.
+            // The mount's counters (stack prefix stripped — the row's stack
+            // column holds it).  Sync first so writeback-mode stacks flush
+            // their dirty pages and the device/journal counters reflect the
+            // run's traffic.
             mounted.vfs.sync()?;
-            let registry = MetricsRegistry::new();
-            mounted.publish_metrics(&registry);
-            // The trace subsystem's own back-pressure counters ride the
-            // same registry (`trace.dropped_spans[.ringN]`), so ring
-            // overflow is visible wherever the mount's counters go.
-            trace::publish_dropped(&registry);
-            let snapshot = registry.snapshot();
-            for (key, value) in &snapshot.counters {
+            for (key, value) in &mounted.counters() {
                 let name = key.strip_prefix(&format!("{label}.")).unwrap_or(key);
                 rows.push(Row::new(
                     "obs",
@@ -1324,7 +1330,7 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
 }
 
 /// One clean, traced, monitored closed-loop run of `spec` on the Bento
-/// stack: mounts, wires the monitor's registry snapshot source to the
+/// stack: mounts, wires the monitor's snapshot source to the
 /// mount's counters, runs under a fresh trace epoch (the monitor's flight
 /// recorder drains spans from the rings), and unmounts.
 fn run_monitored_clean(
@@ -1338,16 +1344,8 @@ fn run_monitored_clean(
     let load_cfg =
         loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(mon));
     loadgen::prepare(&mounted.vfs, spec, &load_cfg)?;
-    let source_stack = MountedStack {
-        vfs: Arc::clone(&mounted.vfs),
-        stack: FsStack::BentoXv6,
-        device: Arc::clone(&mounted.device),
-    };
-    let registry = simkernel::registry::MetricsRegistry::new();
-    mon.set_snapshot_source(move || {
-        source_stack.publish_metrics(&registry);
-        registry.snapshot()
-    });
+    let source = mounted.clone();
+    mon.set_snapshot_source(move || source.counters());
     let tracing = simkernel::trace::enable();
     simkernel::trace::reset();
     let result = loadgen::run_load(&mounted.vfs, spec, &load_cfg)?;
@@ -1682,18 +1680,8 @@ pub fn health_experiment(
     let up_cfg =
         loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(&up_mon));
     loadgen::prepare(&mounted.vfs, &up_spec, &up_cfg)?;
-    {
-        let source_stack = MountedStack {
-            vfs: Arc::clone(&mounted.vfs),
-            stack: FsStack::BentoXv6,
-            device: Arc::clone(&mounted.device),
-        };
-        let registry = simkernel::registry::MetricsRegistry::new();
-        up_mon.set_snapshot_source(move || {
-            source_stack.publish_metrics(&registry);
-            registry.snapshot()
-        });
-    }
+    let source = mounted.clone();
+    up_mon.set_snapshot_source(move || source.counters());
     let tracing = simkernel::trace::enable();
     simkernel::trace::reset();
     let upgrade_run =
@@ -1808,24 +1796,30 @@ fn upgrade_pause_rows(
 }
 
 /// Mounts `stack` under the (scaled) NVMe cost model, runs `create_micro`
-/// with `threads` workers, and returns the result plus the write-path
-/// counter delta for the run.
+/// with `threads` workers, and returns the result plus the run's write-path
+/// counter delta and, on a queued device, its in-flight depth
+/// ([`inflight_delta`]).
 fn create_with_write_path_stats(
     stack: FsStack,
     cfg: &ExperimentConfig,
     options: &MountOptions,
     threads: usize,
     model: CostModel,
-) -> KernelResult<(workloads::WorkloadResult, Option<WritePathStats>)> {
+) -> KernelResult<(workloads::WorkloadResult, Option<WritePathStats>, Option<CostSnapshot>)> {
     let mounted = mount_stack_with(stack, model, cfg.disk_blocks, options)?;
     let before = write_path_snapshot(&mounted);
+    let inflight_before = inflight_snapshot(&mounted);
     let create = create_micro(&mounted.vfs, 4096, threads, cfg.duration)?;
     let delta = match (before, write_path_snapshot(&mounted)) {
         (Some(before), Some(after)) => Some(write_path_delta(&before, &after)),
         _ => None,
     };
+    let inflight = match (inflight_before, inflight_snapshot(&mounted)) {
+        (Some(before), Some(after)) => Some(inflight_delta(&before, &after)),
+        _ => None,
+    };
     mounted.unmount()?;
-    Ok((create, delta))
+    Ok((create, delta, inflight))
 }
 
 #[cfg(test)]
@@ -2015,7 +2009,7 @@ mod tests {
                 let share = p(format!("{personality}-attributed-share"));
                 assert!((0.0..=1.1).contains(&share), "{stack} share {share} out of range");
                 assert!(p(format!("{personality}-slowest-us")) > 0.0);
-                // Registry counters reached the rows: the device wrote
+                // The mount's counters reached the rows: the device wrote
                 // (the experiment syncs before publishing, so this holds
                 // for writeback-mode Ext4 too).
                 assert!(p(format!("{personality}-ctr-dev_writes")) > 0.0);

@@ -334,11 +334,7 @@ impl VfsFs for BentoFs {
     }
 
     fn write_path_stats(&self) -> Option<simkernel::vfs::WritePathStats> {
-        Some(self.read_fs().write_path_stats()?.with_queue_depth(self.sb.queued()))
-    }
-
-    fn op_stats(&self) -> Option<simkernel::vfs::FsOpStats> {
-        self.read_fs().op_stats()
+        self.read_fs().write_path_stats()
     }
 
     fn as_any(&self) -> Option<&dyn std::any::Any> {

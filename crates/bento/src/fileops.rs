@@ -421,13 +421,6 @@ pub trait FileSystem: Send + Sync {
         None
     }
 
-    /// Operation counters (creates, removes, bytes moved, fsyncs), if this
-    /// file system tracks them.  Forwarded to the VFS the same way as
-    /// [`FileSystem::write_path_stats`].
-    fn op_stats(&self) -> Option<simkernel::vfs::FsOpStats> {
-        None
-    }
-
     // -- online upgrade (paper §4.8) ----------------------------------------
 
     /// Extracts the in-memory state that must survive an online upgrade

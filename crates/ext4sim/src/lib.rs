@@ -96,7 +96,7 @@ use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
     DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
-    StatFs, VfsFs, WritebackFile, PAGE_SIZE,
+    StatFs, VfsFs, WritePathStats, WritebackFile, PAGE_SIZE,
 };
 
 /// Registered name of the simulated ext4.
@@ -960,9 +960,13 @@ impl VfsFs for Ext4Sim {
         ROOT_INO
     }
 
+    fn write_path_stats(&self) -> Option<WritePathStats> {
+        Some(self.journal.stats().write_path_stats())
+    }
+
     fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets the metrics-publishing harness recover the concrete handle
-        // and absorb [`Ext4Sim::journal_stats`] into the unified registry.
+        // Lets holders of the mount table entry recover the concrete
+        // handle (the crash tests reach `check_consistency` this way).
         Some(self)
     }
 

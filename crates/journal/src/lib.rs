@@ -141,6 +141,7 @@ use parking_lot::{Condvar, Mutex};
 
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::shard::StripedCounter;
+use simkernel::vfs::WritePathStats;
 
 use crate::io::JournalIo;
 use crate::record::{BSIZE, LOG_HEAD_MAX_ENTRIES};
@@ -252,6 +253,21 @@ pub struct JournalStats {
     /// and checkpoints.  `blocks_logged − installs` is what superseding
     /// saved, give or take the copies still pending.
     pub installs: u64,
+}
+
+impl JournalStats {
+    /// The log figures in the VFS-neutral [`WritePathStats`] shape, with no
+    /// allocation-group spread (a binding that allocates by group adds it).
+    pub fn write_path_stats(&self) -> WritePathStats {
+        WritePathStats {
+            log_commits: self.commits,
+            log_ops: self.ops_committed,
+            log_blocks: self.blocks_logged,
+            log_installs: self.installs,
+            log_barriers: self.barriers,
+            alloc_per_group: Vec::new(),
+        }
+    }
 }
 
 /// Striped hot-path counters behind [`JournalStats`].

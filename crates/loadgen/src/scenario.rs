@@ -150,20 +150,15 @@ pub fn run_eio_under_load(
     crate::driver::prepare(&vfs, spec, cfg)?;
 
     let cfg = LoadConfig { error_policy: ErrorPolicy::Count, ..cfg.clone() };
-    // A health monitor attached to the run gets per-window registry counter
-    // deltas: publish this mount's counters into a private registry at
-    // every window close.
+    // A health monitor attached to the run gets per-window counter deltas
+    // of this mount.
     if let Some(mon) = &cfg.monitor {
         let mounted = MountedStack {
             vfs: Arc::clone(&vfs),
             stack,
             device: Arc::clone(&fault) as Arc<dyn BlockDevice>,
         };
-        let registry = simkernel::registry::MetricsRegistry::new();
-        mon.set_snapshot_source(move || {
-            mounted.publish_metrics(&registry);
-            registry.snapshot()
-        });
+        mon.set_snapshot_source(move || mounted.counters());
     }
     let quarter = cfg.duration / 4;
     let toggle_device = Arc::clone(&fault);

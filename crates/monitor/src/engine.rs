@@ -6,7 +6,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Serialize, Value};
-use simkernel::registry::MetricsSnapshot;
 use simkernel::trace::{self, SpanRecord};
 
 use crate::incident::IncidentBundle;
@@ -106,9 +105,9 @@ impl Serialize for HealthEvent {
     }
 }
 
-/// Pulls a fresh [`MetricsSnapshot`] at each window close (typically a
-/// closure over `MountedStack::publish_metrics` into a private registry).
-pub type SnapshotSource = Box<dyn FnMut() -> MetricsSnapshot + Send>;
+/// Pulls fresh cumulative counters, keyed by name, at each window close
+/// (typically a closure over `MountedStack::counters`).
+pub type SnapshotSource = Box<dyn FnMut() -> BTreeMap<String, u64> + Send>;
 
 /// The continuous health engine.  See the crate docs for the three roles
 /// (sampler, SLO engine, flight recorder); one instance watches one run.
@@ -127,7 +126,7 @@ struct Inner {
     current: WindowAccum,
     next_index: u64,
     windows: VecDeque<WindowSummary>,
-    last_snapshot: MetricsSnapshot,
+    last_snapshot: BTreeMap<String, u64>,
     snapshot_source: Option<SnapshotSource>,
     /// Per-SLO "alert currently firing" latch, [`MonitorConfig::slos`]
     /// order.
@@ -158,7 +157,7 @@ impl HealthMonitor {
                 current: WindowAccum::new(&cfg),
                 next_index: 0,
                 windows: VecDeque::new(),
-                last_snapshot: MetricsSnapshot::default(),
+                last_snapshot: BTreeMap::new(),
                 snapshot_source: None,
                 alert_active: vec![false; slos],
                 first_error_window: None,
@@ -186,13 +185,13 @@ impl HealthMonitor {
         self.enabled.load(Ordering::Relaxed)
     }
 
-    /// Installs the registry snapshot source consulted at every window
-    /// close; per-window [`WindowSummary::counter_deltas`] are differences
-    /// of consecutive snapshots.  Also primes the baseline so the first
+    /// Installs the counter source consulted at every window close;
+    /// per-window [`WindowSummary::counter_deltas`] are differences of
+    /// consecutive snapshots.  Also primes the baseline so the first
     /// window's deltas do not include pre-run history.
     pub fn set_snapshot_source(
         &self,
-        mut source: impl FnMut() -> MetricsSnapshot + Send + 'static,
+        mut source: impl FnMut() -> BTreeMap<String, u64> + Send + 'static,
     ) {
         let mut inner = self.inner.lock();
         inner.last_snapshot = source();
@@ -268,7 +267,7 @@ impl HealthMonitor {
         let deltas = match inner.snapshot_source.as_mut() {
             Some(source) => {
                 let snap = source();
-                let deltas = snap.counter_deltas(&inner.last_snapshot);
+                let deltas = counter_deltas(&inner.last_snapshot, &snap);
                 inner.last_snapshot = snap;
                 deltas
             }
@@ -399,11 +398,27 @@ impl HealthMonitor {
     }
 }
 
+/// Per-key counter increase from `earlier` to `later`.  Keys absent from
+/// `earlier` count from zero; keys whose value went *down* (a producer
+/// reset underneath) saturate to zero rather than wrapping, and keys only
+/// in `earlier` are omitted — a window delta is about what grew.
+fn counter_deltas(
+    earlier: &BTreeMap<String, u64>,
+    later: &BTreeMap<String, u64>,
+) -> BTreeMap<String, u64> {
+    later
+        .iter()
+        .map(|(key, &now)| {
+            let before = earlier.get(key).copied().unwrap_or(0);
+            (key.clone(), now.saturating_sub(before))
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::slo::SloSpec;
-    use simkernel::registry::MetricsRegistry;
 
     fn error_budget_monitor(window_ops: u64, budget: f64) -> Arc<HealthMonitor> {
         HealthMonitor::new(
@@ -545,18 +560,36 @@ mod tests {
 
     #[test]
     fn window_close_differences_registry_snapshots() {
-        let registry = Arc::new(MetricsRegistry::new());
-        registry.set_counter("dev.writes", 100);
+        let counters = Arc::new(Mutex::new(BTreeMap::from([("dev.writes".to_string(), 100u64)])));
+        let set = |v: u64| {
+            counters.lock().insert("dev.writes".to_string(), v);
+        };
         let monitor = HealthMonitor::new(MonitorConfig::new(4));
-        let source_registry = Arc::clone(&registry);
-        monitor.set_snapshot_source(move || source_registry.snapshot());
-        registry.set_counter("dev.writes", 140);
+        let source = Arc::clone(&counters);
+        monitor.set_snapshot_source(move || source.lock().clone());
+        set(140);
         drive_clean(&monitor, 4);
-        registry.set_counter("dev.writes", 150);
+        set(150);
         drive_clean(&monitor, 4);
         let windows = monitor.windows();
         assert_eq!(windows[0].counter_deltas["dev.writes"], 40, "baseline primed at install");
         assert_eq!(windows[1].counter_deltas["dev.writes"], 10);
+    }
+
+    #[test]
+    fn counter_deltas_between_snapshots() {
+        let map = |pairs: &[(&str, u64)]| -> BTreeMap<String, u64> {
+            pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+        };
+        let earlier = map(&[("a.ops", 100), ("b.resets", 50), ("c.same", 7), ("e.gone", 3)]);
+        // `b.resets`: the producer reset underneath us.
+        let later = map(&[("a.ops", 160), ("b.resets", 10), ("c.same", 7), ("d.new", 5)]);
+        let deltas = counter_deltas(&earlier, &later);
+        assert_eq!(deltas.get("a.ops"), Some(&60));
+        assert_eq!(deltas.get("b.resets"), Some(&0), "decreases saturate to zero");
+        assert_eq!(deltas.get("c.same"), Some(&0), "unchanged keys stay, at zero");
+        assert_eq!(deltas.get("d.new"), Some(&5), "new keys count from zero");
+        assert_eq!(deltas.get("e.gone"), None, "keys missing from the later map are omitted");
     }
 
     #[test]

@@ -1,19 +1,18 @@
 //! # monitor — continuous health engine over the telemetry layer
 //!
-//! The observability PRs gave the workspace point-in-time telemetry:
-//! phase-attributed spans ([`simkernel::trace`]) and a pull-shaped
-//! [`MetricsRegistry`](simkernel::registry::MetricsRegistry).  This crate
-//! turns that telemetry into *decisions* — the sensing half of the
+//! The workspace's point-in-time telemetry is phase-attributed spans
+//! ([`simkernel::trace`]) and each mounted stack's typed counters, read
+//! as one name-keyed map (`MountedStack::counters` in `workloads`).  This
+//! crate turns that telemetry into *decisions* — the sensing half of the
 //! ROADMAP's fleet rollout orchestrator:
 //!
 //! * **Sampler** ([`HealthMonitor`]): every observed operation feeds a
 //!   current window; windows close every [`MonitorConfig::window_ops`]
 //!   operations (**op-indexed**, not wall-clock, so a 1-CPU CI container
 //!   and a fast workstation close windows at the same points in the op
-//!   stream).  At each close the monitor snapshots a registry through an
+//!   stream).  At each close the monitor reads the counters through an
 //!   optional [snapshot source](HealthMonitor::set_snapshot_source),
-//!   differences it against the previous window
-//!   ([`MetricsSnapshot::counter_deltas`](simkernel::registry::MetricsSnapshot::counter_deltas)),
+//!   differences them against the previous window's (saturating at zero),
 //!   and pushes a [`WindowSummary`] (rates, p50/p99/max, error counts,
 //!   per-phase attribution, slowest spans) into a bounded ring.
 //! * **SLO engine**: declarative per-op-class objectives ([`SloSpec`]:

@@ -87,7 +87,7 @@ pub struct WindowSummary {
     /// Exclusive ns summed over the window's observed spans, per phase in
     /// [`Phase::ALL`] order.
     pub phase_ns: Vec<u64>,
-    /// Registry counter increases across this window (empty without a
+    /// Counter increases across this window (empty without a
     /// snapshot source).
     pub counter_deltas: BTreeMap<String, u64>,
     /// Per-class slice of the window.

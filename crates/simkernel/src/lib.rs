@@ -52,8 +52,6 @@
 //!   exclusive-time phase attribution (namespace-lock wait, journal
 //!   reserve/stage/commit wait, device I/O) recorded into per-thread rings;
 //!   the disabled path is a single relaxed atomic load.
-//! * [`registry`] — the unified metrics registry: named counters and
-//!   latency histograms from every stats surface behind one snapshot API.
 //!
 //! The crate is intentionally free of `unsafe` code.
 //!
@@ -84,7 +82,6 @@ pub mod metrics;
 pub mod nslock;
 pub mod pagecache;
 pub mod queue;
-pub mod registry;
 pub mod shard;
 pub mod trace;
 pub mod vfs;

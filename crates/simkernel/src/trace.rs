@@ -250,20 +250,6 @@ pub fn dropped_per_thread() -> Vec<u64> {
     rings().lock().iter().map(|r| r.dropped.load(Ordering::Relaxed)).collect()
 }
 
-/// Publishes the drop counters into `registry`: the total under
-/// `trace.dropped_spans` and each ring's count under
-/// `trace.dropped_spans.ring<N>` (only rings that dropped, to keep clean
-/// snapshots small).  `set_counter` semantics — republishing refreshes.
-pub fn publish_dropped(registry: &crate::registry::MetricsRegistry) {
-    let per_thread = dropped_per_thread();
-    registry.set_counter("trace.dropped_spans", per_thread.iter().sum());
-    for (i, &n) in per_thread.iter().enumerate() {
-        if n > 0 {
-            registry.set_counter(&format!("trace.dropped_spans.ring{i}"), n);
-        }
-    }
-}
-
 /// Drains every thread's ring, returning all records finished under the
 /// current epoch (oldest first per thread).
 pub fn drain() -> Vec<SpanRecord> {
@@ -581,19 +567,8 @@ mod tests {
         // and the total is the per-thread sum.
         let per_thread = dropped_per_thread();
         assert_eq!(per_thread.iter().sum::<u64>(), 10);
-        assert_eq!(per_thread.iter().filter(|&&n| n > 0).count(), 1);
-        // Published through the registry: total plus only the hot ring.
-        let registry = crate::registry::MetricsRegistry::new();
-        publish_dropped(&registry);
-        let snap = registry.snapshot();
-        assert_eq!(snap.counter("trace.dropped_spans"), Some(10));
-        let per_ring: Vec<u64> = snap
-            .counters
-            .iter()
-            .filter(|(k, _)| k.starts_with("trace.dropped_spans.ring"))
-            .map(|(_, &v)| v)
-            .collect();
-        assert_eq!(per_ring, vec![10]);
+        let hot: Vec<u64> = per_thread.into_iter().filter(|&n| n > 0).collect();
+        assert_eq!(hot, vec![10]);
         assert_eq!(drain().len(), RING_CAPACITY);
         reset();
         assert_eq!(dropped(), 0, "reset clears the per-ring drop counters");

@@ -31,7 +31,6 @@ use std::sync::Arc;
 
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
-use crate::queue::QueuedBlockDevice;
 
 pub use self::core::{SeekFrom, Vfs, VfsConfig};
 
@@ -257,17 +256,6 @@ pub struct WritePathStats {
     pub log_barriers: u64,
     /// Allocations served per allocation group.
     pub alloc_per_group: Vec<u64>,
-    /// Peak requests in flight on the mounted device at once (1 on a
-    /// synchronous device; rises toward the queue depth when the log
-    /// overlaps submissions on a multi-queue device).  Zero when the device
-    /// exposes no depth statistics.
-    pub queue_depth_max: u64,
-    /// Sum of the in-flight depth sampled at every submission; divide by
-    /// [`WritePathStats::queue_depth_samples`] for the mean
-    /// (see [`WritePathStats::mean_queue_depth`]).
-    pub queue_depth_sum: u64,
-    /// Number of depth samples (one per submitted request).
-    pub queue_depth_samples: u64,
 }
 
 impl WritePathStats {
@@ -291,49 +279,6 @@ impl WritePathStats {
     pub fn groups_used(&self) -> usize {
         self.alloc_per_group.iter().filter(|&&n| n > 0).count()
     }
-
-    /// Fills the queue-depth figures from the mounted device's multi-queue
-    /// face.  A file system core holds no device handle, so its binding
-    /// adds them; they stay zero on a synchronous device.
-    #[must_use]
-    pub fn with_queue_depth(mut self, queued: Option<&dyn QueuedBlockDevice>) -> Self {
-        if let Some(q) = queued {
-            let depth = q.cost_counters().snapshot();
-            self.queue_depth_max = depth.max_inflight;
-            self.queue_depth_sum = depth.inflight_sum;
-            self.queue_depth_samples = depth.inflight_samples;
-        }
-        self
-    }
-
-    /// Mean in-flight request depth over all submissions (0.0 when the
-    /// device exposed no depth statistics).
-    pub fn mean_queue_depth(&self) -> f64 {
-        if self.queue_depth_samples == 0 {
-            0.0
-        } else {
-            self.queue_depth_sum as f64 / self.queue_depth_samples as f64
-        }
-    }
-}
-
-/// Operation-level counters a file system may expose (see
-/// [`VfsFs::op_stats`]): the neutral projection of the concrete cores'
-/// stats structs (the xv6 cores' `FsStats`, ext4sim's journal counters),
-/// so the unified metrics registry ([`crate::registry`]) can absorb every
-/// stack through one trait call instead of per-crate downcasts.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsOpStats {
-    /// Files created.
-    pub creates: u64,
-    /// Files/directories removed.
-    pub removes: u64,
-    /// Payload bytes read through the file system.
-    pub bytes_read: u64,
-    /// Payload bytes written through the file system.
-    pub bytes_written: u64,
-    /// Explicit durability operations (fsync/fdatasync) served.
-    pub fsyncs: u64,
 }
 
 /// Mount options passed at mount time (the equivalent of `-o` options).
@@ -413,13 +358,6 @@ pub trait VfsFs: Send + Sync {
     /// Write-path batching statistics, if this file system tracks them
     /// (journalling file systems do; the in-memory ones return `None`).
     fn write_path_stats(&self) -> Option<WritePathStats> {
-        None
-    }
-
-    /// Operation-level counters, if this file system tracks them (see
-    /// [`FsOpStats`]); the unified metrics registry publishes these per
-    /// mounted stack.
-    fn op_stats(&self) -> Option<FsOpStats> {
         None
     }
 

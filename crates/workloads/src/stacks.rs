@@ -12,6 +12,7 @@
 //! all keep their automatic sharding, because sweeping those counts moved no
 //! measured row outside tolerance.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use simkernel::cost::CostModel;
@@ -60,6 +61,7 @@ impl FsStack {
 }
 
 /// A mounted stack: the VFS to issue syscalls against plus bookkeeping.
+#[derive(Clone)]
 pub struct MountedStack {
     /// The kernel VFS; workloads issue syscalls against this.
     pub vfs: Arc<Vfs>,
@@ -87,48 +89,28 @@ impl MountedStack {
         self.vfs.unmount("/")
     }
 
-    /// Publishes this mount's counters into `registry`, keyed by the
+    /// This mount's cumulative counters, keyed `"{label}.{name}"` by the
     /// stack's paper label (`"Bento.log_commits"`, `"Ext4.dev_writes"`,
-    /// …).  This is the pull half of the unified metrics story: each
-    /// subsystem keeps its own cheap counters on the hot path and this
-    /// method absorbs whichever of them the mounted stack actually has —
-    /// write-path/journal batching figures, operation counts, the ext4sim
-    /// journal (reached by downcast; it predates
-    /// [`simkernel::vfs::WritePathStats`]), and
-    /// raw device traffic.  Counters a stack does not track are simply
-    /// absent, so reports stay honest about what each baseline measures.
-    pub fn publish_metrics(&self, registry: &simkernel::registry::MetricsRegistry) {
+    /// …): the journal's [`simkernel::vfs::WritePathStats`] where the
+    /// file system keeps a log, and raw device traffic on every stack.
+    /// Counters a stack does not track are absent, so reports stay honest
+    /// about what each baseline measures.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
         let label = self.stack.label();
-        let key = |name: &str| format!("{label}.{name}");
-        if let Ok(fs) = self.vfs.mounted_fs("/") {
-            if let Some(wp) = fs.write_path_stats() {
-                registry.set_counter(&key("log_commits"), wp.log_commits);
-                registry.set_counter(&key("log_ops"), wp.log_ops);
-                registry.set_counter(&key("log_blocks"), wp.log_blocks);
-                registry.set_counter(&key("log_installs"), wp.log_installs);
-                registry.set_counter(&key("log_barriers"), wp.log_barriers);
-                registry.set_counter(&key("queue_depth_max"), wp.queue_depth_max);
-                registry.set_counter(&key("queue_depth_sum"), wp.queue_depth_sum);
-                registry.set_counter(&key("queue_depth_samples"), wp.queue_depth_samples);
-            }
-            if let Some(ops) = fs.op_stats() {
-                registry.set_counter(&key("op_creates"), ops.creates);
-                registry.set_counter(&key("op_removes"), ops.removes);
-                registry.set_counter(&key("op_bytes_read"), ops.bytes_read);
-                registry.set_counter(&key("op_bytes_written"), ops.bytes_written);
-                registry.set_counter(&key("op_fsyncs"), ops.fsyncs);
-            }
-            if let Some(ext4) = fs.as_any().and_then(|any| any.downcast_ref::<ext4sim::Ext4Sim>()) {
-                let js = ext4.journal_stats();
-                registry.set_counter(&key("log_commits"), js.commits);
-                registry.set_counter(&key("log_blocks"), js.blocks_journaled);
-                registry.set_counter(&key("log_installs"), js.installs);
-            }
-        }
+        let wp = self.vfs.mounted_fs("/").ok().and_then(|fs| fs.write_path_stats());
+        let log = wp.iter().flat_map(|wp| {
+            [
+                ("log_commits", wp.log_commits),
+                ("log_ops", wp.log_ops),
+                ("log_blocks", wp.log_blocks),
+                ("log_installs", wp.log_installs),
+                ("log_barriers", wp.log_barriers),
+            ]
+        });
         let dev = self.device.stats();
-        registry.set_counter(&key("dev_reads"), dev.reads);
-        registry.set_counter(&key("dev_writes"), dev.writes);
-        registry.set_counter(&key("dev_flushes"), dev.flushes);
+        let dev =
+            [("dev_reads", dev.reads), ("dev_writes", dev.writes), ("dev_flushes", dev.flushes)];
+        log.chain(dev).map(|(name, value)| (format!("{label}.{name}"), value)).collect()
     }
 
     /// Unmounts the stack and runs its offline consistency checker over the
@@ -302,49 +284,35 @@ mod tests {
     }
 
     #[test]
-    fn publish_metrics_absorbs_stack_counters_into_a_registry() {
-        use simkernel::registry::MetricsRegistry;
+    fn counters_name_every_stack_s_journal_and_device() {
+        const DEV: [&str; 3] = ["dev_flushes", "dev_reads", "dev_writes"];
+        const LOG: [&str; 5] =
+            ["log_barriers", "log_blocks", "log_commits", "log_installs", "log_ops"];
         for stack in FsStack::all() {
-            let registry = MetricsRegistry::new();
             let mounted = mount_stack(stack, CostModel::zero(), 16_384).unwrap();
             let fd = mounted.vfs.open("/m", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
             mounted.vfs.write(fd, b"metrics").unwrap();
             mounted.vfs.fsync(fd).unwrap();
             mounted.vfs.close(fd).unwrap();
-            mounted.publish_metrics(&registry);
-            let snap = registry.snapshot();
+            let counters = mounted.counters();
             let label = stack.label();
-            // Every stack runs on the shared device models, so raw device
-            // traffic is always present; the fsync forced writes out.
-            assert!(
-                snap.counter(&format!("{label}.dev_writes")).is_some_and(|v| v > 0),
-                "{label} published no device writes: {:?}",
-                snap.counters
-            );
-            // The journaled stacks also surface commit counters.
-            match stack {
-                FsStack::BentoXv6 | FsStack::Ext4 => {
-                    assert!(
-                        snap.counter(&format!("{label}.log_commits")).is_some_and(|v| v > 0),
-                        "{label} published no log commits: {:?}",
-                        snap.counters
-                    );
-                }
-                FsStack::VfsXv6 | FsStack::FuseXv6 => {}
+            // Every stack runs on the shared device models; all but FUSE
+            // (whose mount does not report its daemon's log) add the log.
+            let journaled = stack != FsStack::FuseXv6;
+            let expected: Vec<String> = DEV
+                .iter()
+                .chain(LOG.iter().filter(|_| journaled))
+                .map(|name| format!("{label}.{name}"))
+                .collect();
+            assert_eq!(counters.keys().cloned().collect::<Vec<_>>(), expected, "{label}");
+            // The fsync forced device writes and, where there is a log, a
+            // commit.
+            assert!(counters[&format!("{label}.dev_writes")] > 0, "{label}: {counters:?}");
+            if journaled {
+                assert!(counters[&format!("{label}.log_commits")] > 0, "{label}: {counters:?}");
             }
             mounted.unmount().unwrap();
         }
-        // Bento is the only stack wiring FsStats through op_stats today.
-        let registry = MetricsRegistry::new();
-        let mounted = mount_stack(FsStack::BentoXv6, CostModel::zero(), 16_384).unwrap();
-        let fd = mounted.vfs.open("/ops", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
-        mounted.vfs.write(fd, b"counted").unwrap();
-        mounted.vfs.close(fd).unwrap();
-        mounted.publish_metrics(&registry);
-        let snap = registry.snapshot();
-        assert!(snap.counter("Bento.op_creates").is_some_and(|v| v > 0));
-        assert!(snap.counter("Bento.op_bytes_written").is_some_and(|v| v >= 7));
-        mounted.unmount().unwrap();
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl VfsFs for Xv6VfsFilesystem {
     }
 
     fn write_path_stats(&self) -> Option<WritePathStats> {
-        Some(self.core.write_path_stats().with_queue_depth(self.sb.queued()))
+        Some(self.core.write_path_stats())
     }
 
     fn lookup(&self, dir: u64, name: &str) -> KernelResult<InodeAttr> {

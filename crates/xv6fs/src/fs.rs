@@ -26,9 +26,7 @@ use bento::bentoks::SuperBlock;
 use bento::fileops::{CreateReply, FileSegments, FileSystem, Request};
 use bento::upgrade::StateBundle;
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::vfs::{
-    DirEntry, FileMode, FsOpStats, InodeAttr, OpenFlags, SetAttr, StatFs, WritePathStats,
-};
+use simkernel::vfs::{DirEntry, FileMode, InodeAttr, OpenFlags, SetAttr, StatFs, WritePathStats};
 
 use crate::core::{FsCore, FsStats};
 use crate::layout::{T_DIR, T_FILE};
@@ -99,19 +97,13 @@ impl Xv6FileSystem {
         self.core.read().as_ref().map(|c| c.stats.snapshot()).unwrap_or_default()
     }
 
-    /// Operation-level counters in the VFS-neutral shape the unified
-    /// metrics registry consumes (`None` until mounted).
-    pub fn op_stats(&self) -> Option<FsOpStats> {
-        self.core.read().as_ref().map(|c| c.op_stats())
-    }
-
     /// Log statistics (zeroed until mounted).
     pub fn log_stats(&self) -> LogStats {
         self.core.read().as_ref().map(|c| c.log.stats()).unwrap_or_default()
     }
 
     /// Write-path batching statistics (log batching + allocator spread;
-    /// `None` until mounted).  BentoFS adds the queue-depth figures.
+    /// `None` until mounted).
     pub fn write_path_stats(&self) -> Option<WritePathStats> {
         self.core.read().as_ref().map(|c| c.write_path_stats())
     }
@@ -326,10 +318,6 @@ impl FileSystem for Xv6FileSystem {
 
     fn write_path_stats(&self) -> Option<WritePathStats> {
         Xv6FileSystem::write_path_stats(self)
-    }
-
-    fn op_stats(&self) -> Option<FsOpStats> {
-        Xv6FileSystem::op_stats(self)
     }
 
     fn extract_state(&self, _req: &Request, sb: &SuperBlock) -> KernelResult<StateBundle> {

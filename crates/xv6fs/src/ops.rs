@@ -32,7 +32,7 @@
 use bento::bentoks::SuperBlock;
 use bento::fileops::FileSegments;
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::vfs::{DirEntry, FsOpStats, InodeAttr, SetAttr, StatFs, WritePathStats};
+use simkernel::vfs::{DirEntry, InodeAttr, SetAttr, StatFs, WritePathStats};
 
 use crate::core::{block_pieces, FsCore};
 use crate::inode::InodeData;
@@ -664,31 +664,10 @@ impl FsCore {
     }
 
     /// Write-path batching statistics (log batching + allocator spread).
-    /// The core holds no device handle; the binding adds the queue-depth
-    /// figures ([`WritePathStats::with_queue_depth`]).
     pub fn write_path_stats(&self) -> WritePathStats {
-        let log = self.log.stats();
         WritePathStats {
-            log_commits: log.commits,
-            log_ops: log.ops_committed,
-            log_blocks: log.blocks_logged,
-            log_installs: log.installs,
-            log_barriers: log.barriers,
             alloc_per_group: self.alloc.allocations_per_group(),
-            ..WritePathStats::default()
-        }
-    }
-
-    /// Operation-level counters in the VFS-neutral shape the unified
-    /// metrics registry consumes.
-    pub fn op_stats(&self) -> FsOpStats {
-        let s = self.stats.snapshot();
-        FsOpStats {
-            creates: s.creates,
-            removes: s.removes,
-            bytes_read: s.bytes_read,
-            bytes_written: s.bytes_written,
-            fsyncs: s.fsyncs,
+            ..self.log.stats().write_path_stats()
         }
     }
 }
