@@ -420,7 +420,7 @@ fn write_path_delta(before: &WritePathStats, after: &WritePathStats) -> WritePat
 /// The in-flight depth figures of a mount's queued device (`None` on the
 /// synchronous device).
 fn inflight_snapshot(mounted: &MountedStack) -> Option<CostSnapshot> {
-    Some(mounted.device.as_queued()?.cost_counters().snapshot())
+    Some(mounted.queue_counters.as_ref()?.snapshot())
 }
 
 /// In-flight depth over an interval.  Depth is a gauge the device samples

@@ -26,7 +26,6 @@ use std::sync::Arc;
 use simkernel::buffer::{BufferCache, BufferGuard};
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
-use simkernel::queue::QueuedBlockDevice;
 
 /// Provider of block I/O for a mounted file system.
 ///
@@ -65,26 +64,18 @@ pub trait BlockIo: Send + Sync {
     /// Propagates device errors.
     fn sync_all(&self) -> KernelResult<()>;
 
-    /// Writes `data` to `blockno` on the device *without* going through the
-    /// buffer cache.  The log installs every committed snapshot this way:
-    /// when a later, not-yet-committed transaction has modified the cached
-    /// copy since, the newer cached bytes stay dirty (their own group will
-    /// log and install them) while the home location receives exactly the
-    /// committed bytes.
+    /// Writes a batch of `(blockno, data)` blocks to the device *without*
+    /// going through the buffer cache.  The log installs every committed
+    /// snapshot this way: when a later, not-yet-committed transaction has
+    /// modified the cached copy since, the newer cached bytes stay dirty
+    /// (their own group will log and install them) while the home location
+    /// receives exactly the committed bytes.  One commit's installs and
+    /// payload are one batch, so a queued device submits them together.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
-
-    /// Returns the asynchronous multi-queue face of the underlying device,
-    /// if it has one.  The write-ahead log uses it to batch-submit a
-    /// commit's installs and payload copies together; `None`
-    /// (the default, and the userspace provider's only answer) keeps the
-    /// log on the synchronous path.
-    fn queued(&self) -> Option<&dyn QueuedBlockDevice> {
-        None
-    }
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()>;
 }
 
 /// An exclusive handle to one block's contents.
@@ -188,12 +179,8 @@ impl BlockIo for KernelBlockIo {
         self.cache.flush_device()
     }
 
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        self.cache.device().write_block(blockno, data)
-    }
-
-    fn queued(&self) -> Option<&dyn QueuedBlockDevice> {
-        self.cache.device().as_queued()
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        self.cache.device().write_blocks(writes)
     }
 }
 
@@ -276,22 +263,15 @@ impl SuperBlock {
         self.io.sync_all()
     }
 
-    /// Writes `data` to `blockno` bypassing the buffer cache (see
-    /// [`BlockIo::write_raw`]): the log's conflict-safe install path.
+    /// Writes a batch of `(blockno, data)` blocks bypassing the buffer
+    /// cache (see [`BlockIo::write_raw`]): the log's conflict-safe install
+    /// and payload path.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    pub fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        self.io.write_raw(blockno, data)
-    }
-
-    /// The asynchronous multi-queue face of the mounted device, if it has
-    /// one (see [`BlockIo::queued`]).  The write-ahead log checks this at
-    /// commit time to decide between synchronous writes and batch
-    /// submission with overlapped completion.
-    pub fn queued(&self) -> Option<&dyn QueuedBlockDevice> {
-        self.io.queued()
+    pub fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        self.io.write_raw(writes)
     }
 }
 

@@ -154,12 +154,14 @@ impl BlockIo for UserDisk {
         self.cache.flush_device()
     }
 
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        // A pwrite on the O_DIRECT disk file, bypassing the user-level
-        // cache: one boundary crossing plus the device write.
-        self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
-        self.cache.device().write_block(blockno, data)?;
-        self.blocks_written_since_sync.fetch_add(1, Ordering::Relaxed);
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        // One pwrite per block on the O_DIRECT disk file, bypassing the
+        // user-level cache: a boundary crossing plus the device write each.
+        for &(blockno, data) in writes {
+            self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
+            self.cache.device().write_block(blockno, data)?;
+            self.blocks_written_since_sync.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(())
     }
 }

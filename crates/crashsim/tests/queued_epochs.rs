@@ -21,7 +21,7 @@ use crashsim::{
 };
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::queue::{MultiQueueDevice, QueueConfig, QueuedBlockDevice};
+use simkernel::queue::{MultiQueueDevice, QueueConfig};
 
 #[test]
 fn queued_writes_are_recorded_in_their_submission_epoch() {
@@ -31,13 +31,17 @@ fn queued_writes_are_recorded_in_their_submission_epoch() {
     let queued = MultiQueueDevice::new(fault_dyn, CostModel::zero(), QueueConfig::new(2, 8));
 
     let block = vec![0x5Au8; 4096];
-    let q = 0;
     // Epoch 0: blocks 10, 11, 12 batch-submitted, then a barrier.
-    queued.submit_write_batch(q, &[(10, &block), (11, &block), (12, &block)]).unwrap();
+    queued.write_blocks(&[(10, &block), (11, &block), (12, &block)]).unwrap();
     queued.flush().unwrap();
-    // Epoch 1: blocks 20, 21 submitted on different queues, then a barrier.
-    queued.submit_write(0, 20, &block).unwrap();
-    queued.submit_write(1, 21, &block).unwrap();
+    // Epoch 1: blocks 20 and 21 batch-submitted from two threads (each on
+    // its own thread's queue), then a barrier.
+    std::thread::scope(|s| {
+        for blockno in [20u64, 21] {
+            let (queued, block) = (&queued, &block);
+            s.spawn(move || queued.write_blocks(&[(blockno, block)]).unwrap());
+        }
+    });
     queued.flush().unwrap();
 
     let trace = fault.trace();

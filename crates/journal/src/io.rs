@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
-use simkernel::queue::QueuedBlockDevice;
 
 /// Block I/O as seen by the journal.  All methods operate on whole blocks
 /// of the mounted device's block size ([`crate::record::BSIZE`] everywhere
@@ -43,14 +42,16 @@ pub trait JournalIo {
     /// Propagates device errors.
     fn write_block(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
-    /// Writes `data` to block `blockno` bypassing any cache.  Used for log
-    /// payload blocks and installs (frozen snapshots that must not clobber
-    /// a newer cached copy).
+    /// Writes a batch of `(blockno, data)` blocks bypassing any cache, as
+    /// one [`BlockDevice::write_blocks`] call: serial writes on a
+    /// synchronous device, one submission on a queued one (the next
+    /// barrier completes it).  Used for one epoch's installs (frozen
+    /// snapshots that must not clobber a newer cached copy) and log payload.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()>;
 
     /// The journal has just written `data` to home block `blockno` raw (an
     /// install).  If the backend caches `blockno` and the cached bytes
@@ -72,10 +73,6 @@ pub trait JournalIo {
     ///
     /// Propagates device errors.
     fn barrier(&self) -> KernelResult<()>;
-
-    /// The multi-queue face of the underlying device, when it has one —
-    /// enables batched submission of a commit's installs and payload.
-    fn queued(&self) -> Option<&dyn QueuedBlockDevice>;
 }
 
 /// [`JournalIo`] over a bare block device — no cache, so cached and raw
@@ -115,8 +112,8 @@ impl JournalIo for DeviceIo {
         self.dev.write_block(blockno, data)
     }
 
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        self.dev.write_block(blockno, data)
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        self.dev.write_blocks(writes)
     }
 
     fn installed(&self, _blockno: u64, _data: &[u8]) -> KernelResult<()> {
@@ -125,9 +122,5 @@ impl JournalIo for DeviceIo {
 
     fn barrier(&self) -> KernelResult<()> {
         self.dev.flush()
-    }
-
-    fn queued(&self) -> Option<&dyn QueuedBlockDevice> {
-        self.dev.as_queued()
     }
 }

@@ -105,11 +105,11 @@
 //!   operations, and copies nothing until its own turn.  Commits run in
 //!   formation order (a sequence number in each region header keeps
 //!   [`Journal::recover`] correct for any region).
-//! * **One batched epoch (queued devices).**  When the device exposes a
-//!   multi-queue face ([`simkernel::queue::QueuedBlockDevice`], via
-//!   [`io::JournalIo::queued`]), a commit batch-submits its due installs
-//!   and its payload together instead of writing them serially; the commit
-//!   barrier drains the queues.
+//! * **One batched epoch.**  A commit hands its due installs and its
+//!   payload to the device as one batch ([`io::JournalIo::write_raw`], a
+//!   [`simkernel::dev::BlockDevice::write_blocks`] call): a synchronous
+//!   device writes it serially, the multi-queue model submits it at once
+//!   and the commit barrier drains the queues.
 //!
 //! Because commits write *frozen* bytes — into the log region and, at the
 //! install, to the home location via [`io::JournalIo::write_raw`] — an
@@ -1026,11 +1026,10 @@ impl Journal {
             .collect()
     }
 
-    /// Issues one epoch's writes raw — `installs` to their homes, then
-    /// `log` — batch-submitted on a queued device (the next barrier
-    /// completes them), serially otherwise.  Then each installed copy is
-    /// clean in the backend's cache and leaves the pending set, unless a
-    /// newer copy replaced it meanwhile.
+    /// Issues one epoch's writes raw, as one batch — `installs` to their
+    /// homes, then `log` (a queued device's next barrier completes them).
+    /// Then each installed copy is clean in the backend's cache and leaves
+    /// the pending set, unless a newer copy replaced it meanwhile.
     fn write_epoch(
         &self,
         io: &dyn JournalIo,
@@ -1042,16 +1041,7 @@ impl Journal {
             .map(|(_, blocks, slot)| (blocks[*slot].home, blocks[*slot].data.as_slice()))
             .chain(log.iter().copied())
             .collect();
-        match io.queued() {
-            Some(q) if !writes.is_empty() => {
-                q.submit_write_batch(q.preferred_queue(), &writes)?;
-            }
-            _ => {
-                for &(blockno, data) in &writes {
-                    io.write_raw(blockno, data)?;
-                }
-            }
-        }
+        io.write_raw(&writes)?;
         for (_, blocks, slot) in installs {
             let block = &blocks[*slot];
             io.installed(block.home, &block.data)?;
@@ -1245,7 +1235,7 @@ mod tests {
         LOG_HEAD_COUNT_OFF, LOG_HEAD_SEQ_OFF,
     };
     use crashsim::{prefix_states, DiskImage, Event, FaultConfig, FaultDevice};
-    use simkernel::dev::{BlockDevice, FaultInjectingDevice, FaultMode, RamDisk};
+    use simkernel::dev::{BlockDevice, RamDisk};
 
     /// The same log geometry the xv6 stacks use: log at block 2, a ring of
     /// four regions, homes legal from the end of the log area to disk size.
@@ -1267,6 +1257,19 @@ mod tests {
     fn setup() -> (DeviceIo, Journal) {
         let io = DeviceIo::new(Arc::new(RamDisk::new(BSIZE as u32, DISK)));
         (io, Journal::new(test_config(DISK)))
+    }
+
+    /// A RAM disk behind crashsim's fault device, whose transient-EIO
+    /// probabilities the caller raises to 1 to open an EIO window.
+    fn eio_window_disk() -> (Arc<RamDisk>, Arc<FaultDevice>, DeviceIo) {
+        let ram = Arc::new(RamDisk::new(BSIZE as u32, DISK));
+        let faulty = Arc::new(FaultDevice::new(
+            Arc::clone(&ram) as Arc<dyn BlockDevice>,
+            FaultConfig::recorder(0),
+        ));
+        faulty.set_trace_enabled(false);
+        let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        (ram, faulty, io)
     }
 
     /// First byte of `blockno` as the medium holds it.
@@ -1479,24 +1482,18 @@ mod tests {
 
     #[test]
     fn a_commit_after_a_failed_commit_pays_the_owed_checkpoint_before_reusing_a_region() {
-        let ram = Arc::new(RamDisk::new(BSIZE as u32, DISK));
-        let faulty = Arc::new(FaultInjectingDevice::new(
-            Arc::clone(&ram) as Arc<dyn BlockDevice>,
-            FaultMode::FailIo,
-            u64::MAX,
-        ));
-        let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        let (ram, faulty, io) = eio_window_disk();
         let journal = Journal::new(test_config(DISK));
         write_block(&io, &journal, HOME, 0x11);
         // Commit 1 meets a transient EIO window: nothing of it is
         // acknowledged, and the journal does not know what reached the
         // medium.
-        faulty.trip_now();
+        faulty.set_transient_eio(1.0, 1.0);
         journal.begin_op();
         journal.log_write(HOME + 1, &[0x22; BSIZE]).unwrap();
         assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
         assert!(journal.tail().owes_checkpoint);
-        faulty.clear();
+        faulty.set_transient_eio(0.0, 0.0);
         // Commit 2 settles first — commit 0's install, barrier, its header
         // cleared, barrier — and only then writes its own epoch.
         let before = (journal.stats().barriers, ram.stats().writes);
@@ -1522,22 +1519,16 @@ mod tests {
         // install of HOME — then fails.  The skipped copy is still
         // pending: the next commit's settle installs it, and commit 3's
         // bytes, never acknowledged, never reach the home.
-        let ram = Arc::new(RamDisk::new(BSIZE as u32, DISK));
-        let faulty = Arc::new(FaultInjectingDevice::new(
-            Arc::clone(&ram) as Arc<dyn BlockDevice>,
-            FaultMode::FailIo,
-            u64::MAX,
-        ));
-        let io = DeviceIo::new(Arc::clone(&faulty) as Arc<dyn BlockDevice>);
+        let (_, faulty, io) = eio_window_disk();
         let journal = Journal::new(test_config(DISK));
         for (i, fill) in [0x10u8, 0x11, 0x12].into_iter().enumerate() {
             write_block(&io, &journal, HOME + i as u64, fill);
         }
-        faulty.trip_now();
+        faulty.set_transient_eio(1.0, 1.0);
         journal.begin_op();
         journal.log_write(HOME, &[0x13; BSIZE]).unwrap();
         assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
-        faulty.clear();
+        faulty.set_transient_eio(0.0, 0.0);
         assert_eq!(home_fill(&io, &journal, HOME), 0x10, "the failed commit replaced nothing");
         write_block(&io, &journal, HOME + 4, 0x14);
         assert_eq!(block_fill(&io, HOME), 0x10, "installed by the settle");

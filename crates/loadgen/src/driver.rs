@@ -2,8 +2,9 @@
 //! histograms and a windowed throughput timeline.
 //!
 //! * **Closed loop**: `workers` threads each issue one operation at a time,
-//!   optionally separated by think time.  Offered load adapts to service
-//!   rate — the classic benchmark shape, good for peak-throughput numbers.
+//!   the next as soon as the previous one completes.  Offered load adapts
+//!   to service rate — the classic benchmark shape, good for
+//!   peak-throughput numbers.
 //! * **Open loop**: operations *arrive* on a virtual clock at a target rate
 //!   regardless of how fast the stack serves them, and each op's latency is
 //!   measured from its **scheduled arrival**, not from when a worker got
@@ -35,13 +36,11 @@ use crate::zipf::Zipfian;
 /// How operations are offered to the stack.
 #[derive(Debug, Clone, Copy)]
 pub enum Driver {
-    /// `workers` threads, each issuing the next op after the previous one
-    /// completes plus `think` time.
+    /// `workers` threads, each issuing the next op as soon as the previous
+    /// one completes.
     Closed {
         /// Number of worker threads.
         workers: usize,
-        /// Per-op think time (zero = tight loop).
-        think: Duration,
     },
     /// Operations arrive at `rate` ops/sec on a virtual clock, served by
     /// `workers` threads; latency includes time spent queued behind the
@@ -58,14 +57,14 @@ impl Driver {
     /// Row label: `"closed-4w"` / `"open-500ops"`.
     pub fn label(&self) -> String {
         match self {
-            Driver::Closed { workers, .. } => format!("closed-{workers}w"),
+            Driver::Closed { workers } => format!("closed-{workers}w"),
             Driver::Open { rate, .. } => format!("open-{rate:.0}ops"),
         }
     }
 
     fn workers(&self) -> usize {
         match *self {
-            Driver::Closed { workers, .. } | Driver::Open { workers, .. } => workers.max(1),
+            Driver::Closed { workers } | Driver::Open { workers, .. } => workers.max(1),
         }
     }
 }
@@ -103,11 +102,11 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// A closed-loop config with no think time.
+    /// A closed-loop config.
     pub fn closed(workers: usize, duration: Duration) -> Self {
         LoadConfig {
             duration,
-            driver: Driver::Closed { workers, think: Duration::ZERO },
+            driver: Driver::Closed { workers },
             error_policy: ErrorPolicy::FailFast,
             window: Duration::from_millis(50),
             seed: 0x10ad_6e4e,
@@ -195,19 +194,7 @@ impl ClassPhaseTrace {
                 self.per_phase[p.index()].record(ns);
             }
         }
-        self.keep_if_slow(rec);
-    }
-
-    fn keep_if_slow(&mut self, rec: SpanRecord) {
-        if self.slowest.len() < SLOWEST_K {
-            self.slowest.push(rec);
-        } else if self.slowest.last().is_some_and(|tail| rec.total_ns > tail.total_ns) {
-            self.slowest.pop();
-            self.slowest.push(rec);
-        } else {
-            return;
-        }
-        self.slowest.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
+        trace::keep_slowest(&mut self.slowest, rec, SLOWEST_K);
     }
 
     fn merge(&mut self, other: &ClassPhaseTrace) {
@@ -219,7 +206,7 @@ impl ClassPhaseTrace {
             self.per_phase[i].merge(&other.per_phase[i]);
         }
         for &rec in &other.slowest {
-            self.keep_if_slow(rec);
+            trace::keep_slowest(&mut self.slowest, rec, SLOWEST_K);
         }
     }
 
@@ -611,11 +598,6 @@ impl Worker {
                             }
                         }
                     }
-                }
-            }
-            if let Driver::Closed { think, .. } = self.cfg.driver {
-                if !think.is_zero() {
-                    std::thread::sleep(think);
                 }
             }
         }

@@ -18,7 +18,7 @@
 //!   [`WorkloadSpec::namespace_churn`] (rename-heavy, cross-directory —
 //!   the mix that leans on the per-directory namespace locks).
 //! * **Closed- and open-loop drivers** ([`driver::run_load`]): closed loop
-//!   = N workers + think time (peak throughput); open loop = a target
+//!   = N workers in a tight loop (peak throughput); open loop = a target
 //!   arrival rate on a virtual clock, where overload shows up as measured
 //!   backlog and growing latency instead of silently throttled offered
 //!   load.

@@ -157,6 +157,7 @@ pub fn run_eio_under_load(
             vfs: Arc::clone(&vfs),
             stack,
             device: Arc::clone(&fault) as Arc<dyn BlockDevice>,
+            queue_counters: None,
         };
         mon.set_snapshot_source(move || mounted.counters());
     }

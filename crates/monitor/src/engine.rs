@@ -280,7 +280,7 @@ impl HealthMonitor {
             inner.first_error_window = Some(index);
         }
         inner.windows.push_back(summary);
-        while inner.windows.len() > self.cfg.ring_windows.max(1) {
+        while inner.windows.len() > MonitorConfig::RING_WINDOWS {
             inner.windows.pop_front();
         }
         self.evaluate_slos(inner, index);
@@ -306,11 +306,11 @@ impl HealthMonitor {
 
     fn evaluate_slos(&self, inner: &mut Inner, index: u64) {
         for i in 0..self.cfg.slos.len() {
-            let fast = self.burn_rate(inner, i, self.cfg.fast_windows);
-            let slow = self.burn_rate(inner, i, self.cfg.slow_windows);
+            let fast = self.burn_rate(inner, i, MonitorConfig::FAST_WINDOWS);
+            let slow = self.burn_rate(inner, i, MonitorConfig::SLOW_WINDOWS);
             if !inner.alert_active[i]
-                && fast >= self.cfg.fast_burn_threshold
-                && slow >= self.cfg.slow_burn_threshold
+                && fast >= MonitorConfig::FAST_BURN_THRESHOLD
+                && slow >= MonitorConfig::SLOW_BURN_THRESHOLD
             {
                 inner.alert_active[i] = true;
                 let event = HealthEvent::SloBurnFired {
@@ -321,7 +321,7 @@ impl HealthMonitor {
                 };
                 inner.events.push(event.clone());
                 self.freeze_incident(inner, event);
-            } else if inner.alert_active[i] && fast < self.cfg.clear_burn_threshold {
+            } else if inner.alert_active[i] && fast < MonitorConfig::CLEAR_BURN_THRESHOLD {
                 inner.alert_active[i] = false;
                 inner.events.push(HealthEvent::SloBurnCleared {
                     slo: self.cfg.slos[i].name.clone(),
@@ -384,14 +384,8 @@ impl HealthMonitor {
     fn freeze_incident(&self, inner: &mut Inner, trigger: HealthEvent) {
         let id = inner.next_incident_id;
         inner.next_incident_id += 1;
-        let windows: Vec<WindowSummary> = inner
-            .windows
-            .iter()
-            .rev()
-            .take(self.cfg.freeze_windows.max(1))
-            .rev()
-            .cloned()
-            .collect();
+        let windows: Vec<WindowSummary> =
+            inner.windows.iter().rev().take(MonitorConfig::FREEZE_WINDOWS).rev().cloned().collect();
         let slowest_spans: Vec<SpanSummary> =
             trace::drain_slowest(16).iter().map(SpanSummary::from_record).collect();
         inner.incidents.push(IncidentBundle { id, trigger, windows, slowest_spans });
@@ -607,13 +601,12 @@ mod tests {
 
     #[test]
     fn ring_is_bounded() {
-        let mut cfg = MonitorConfig::new(2);
-        cfg.ring_windows = 3;
-        let monitor = HealthMonitor::new(cfg);
-        drive_clean(&monitor, 2 * 10);
+        const RING: usize = MonitorConfig::RING_WINDOWS;
+        let monitor = HealthMonitor::new(MonitorConfig::new(1));
+        drive_clean(&monitor, RING as u64 + 10);
         let windows = monitor.windows();
-        assert_eq!(windows.len(), 3);
-        assert_eq!(windows.first().map(|w| w.index), Some(7), "oldest evicted");
-        assert_eq!(monitor.windows_closed(), 10, "the count survives eviction");
+        assert_eq!(windows.len(), RING);
+        assert_eq!(windows.first().map(|w| w.index), Some(10), "oldest evicted");
+        assert_eq!(monitor.windows_closed(), RING as u64 + 10, "the count survives eviction");
     }
 }

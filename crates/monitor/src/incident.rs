@@ -18,7 +18,7 @@ pub struct IncidentBundle {
     pub id: u64,
     /// The event that froze this bundle.
     pub trigger: HealthEvent,
-    /// The last [`MonitorConfig::freeze_windows`](crate::MonitorConfig)
+    /// The last [`MonitorConfig::FREEZE_WINDOWS`](crate::MonitorConfig::FREEZE_WINDOWS)
     /// window summaries, oldest first.
     pub windows: Vec<WindowSummary>,
     /// Slowest spans still in the trace rings at freeze time, slowest

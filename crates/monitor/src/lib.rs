@@ -15,13 +15,13 @@
 //!   differences them against the previous window's (saturating at zero),
 //!   and pushes a [`WindowSummary`] (rates, p50/p99/max, error counts,
 //!   per-phase attribution, slowest spans) into a bounded ring.
-//! * **SLO engine**: declarative per-op-class objectives ([`SloSpec`]:
-//!   latency threshold + error budget) evaluated with multi-window
-//!   **burn-rate** alerting — a fast window pair (default 5 windows) for
-//!   responsiveness and a slow pair (default 60) for noise immunity, the
-//!   standard SRE shape.  Crossing both thresholds emits a typed
-//!   [`HealthEvent::SloBurnFired`]; the alert clears when the fast burn
-//!   drops under [`MonitorConfig::clear_burn_threshold`].
+//! * **SLO engine**: declarative per-op-class error budgets ([`SloSpec`])
+//!   evaluated with multi-window **burn-rate** alerting — a fast window
+//!   pair ([`MonitorConfig::FAST_WINDOWS`], 5 windows) for responsiveness
+//!   and a slow pair ([`MonitorConfig::SLOW_WINDOWS`], 60) for noise
+//!   immunity, the standard SRE shape.  Crossing both thresholds emits a
+//!   typed [`HealthEvent::SloBurnFired`]; the alert clears when the fast
+//!   burn drops under [`MonitorConfig::CLEAR_BURN_THRESHOLD`].
 //! * **Stall detectors**: an absolute whole-window detector
 //!   ([`MonitorConfig::stall_threshold_ns`]) for gross pauses, and
 //!   per-class **phase-stall** detectors ([`PhaseStallSpec`]) that flag a
@@ -31,7 +31,7 @@
 //!   multi-millisecond group-commit and scheduling noise.
 //! * **Flight recorder**: every fired alert (and every stall-flagged
 //!   window, see [`MonitorConfig::stall_threshold_ns`]) freezes the last
-//!   [`MonitorConfig::freeze_windows`] window summaries plus the slowest
+//!   [`MonitorConfig::FREEZE_WINDOWS`] window summaries plus the slowest
 //!   spans drained from the trace rings into an [`IncidentBundle`] — a
 //!   self-contained JSON postmortem written next to the BENCH report.
 //!

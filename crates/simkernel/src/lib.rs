@@ -13,15 +13,17 @@
 //! Running a real kernel module is not possible in this environment, so this
 //! crate reproduces those surfaces faithfully in userspace:
 //!
-//! * [`dev`] — block devices: a [`dev::RamDisk`] and an [`dev::SsdDevice`]
-//!   wrapper that injects a calibrated NVMe-SSD latency model (per-block
-//!   read/write cost, volatile write cache, FLUSH cost) and records
-//!   statistics.
+//! * [`dev`] — the one block-device interface, [`dev::BlockDevice`]
+//!   (single-block reads and writes, a batch of raw writes, FLUSH), with a
+//!   [`dev::RamDisk`] and an [`dev::SsdDevice`] wrapper that injects a
+//!   calibrated NVMe-SSD latency model (per-block read/write cost, volatile
+//!   write cache, FLUSH cost) and records statistics.
 //! * [`queue`] — the completion-based multi-queue device model
 //!   ([`queue::MultiQueueDevice`]): NVMe-style submission/completion queue
-//!   pairs with configurable depth, batch submission, and cost charging
-//!   that overlaps in-flight requests instead of summing them serially.  The
-//!   write-ahead log batch-submits each commit's epoch on it.
+//!   pairs with configurable depth, and cost charging that overlaps
+//!   in-flight requests instead of summing them serially.  It implements
+//!   [`dev::BlockDevice`] like the others; its batch write submits the
+//!   write-ahead log's commit epoch to one queue.
 //! * [`buffer`] — a buffer cache with xv6/Linux `bread`/`bwrite`/`brelse`
 //!   semantics; buffers are handed out as RAII guards.
 //! * [`pagecache`] — a per-file page cache with dirty tracking and both

@@ -4,12 +4,15 @@
 //! thread pays the full service latency before the call returns, so a log
 //! commit that copies N payload blocks pays N × `block_write_ns` even though
 //! a real NVMe drive would service those writes from its submission queues
-//! concurrently.  [`MultiQueueDevice`] models that concurrency:
+//! concurrently.  [`MultiQueueDevice`] models that concurrency behind the
+//! one [`BlockDevice`] interface: its [`BlockDevice::write_blocks`] submits
+//! a batch without waiting for the service, while
+//! [`BlockDevice::write_block`] stays a synchronous depth-1 write.
 //!
-//! * **Submission/completion queue pairs.**  The device exposes
+//! * **Submission/completion queue pairs.**  The device has
 //!   [`QueueConfig::num_queues`] independent queue pairs (real drivers
-//!   allocate one pair per CPU; callers pick one with
-//!   [`QueuedBlockDevice::preferred_queue`], which hashes the thread id).
+//!   allocate one pair per CPU); a batch goes to the calling thread's
+//!   queue, a stable hash of its thread id.
 //! * **Queue depth.**  Each pair admits up to [`QueueConfig::queue_depth`]
 //!   outstanding requests; submission applies backpressure once the queue
 //!   is full, exactly like ringing a full NVMe submission doorbell.
@@ -21,7 +24,7 @@
 //!   instead of summing serially.  Accounting still records the full
 //!   per-request service time in [`CostCounters`] (device busy time), and
 //!   the in-flight depth gauge ([`CostCounters::io_submitted`]) makes the
-//!   overlap observable even on the 1-CPU container.
+//!   overlap observable even on a 1-CPU machine.
 //! * **Interrupt-driven completion.**  Waiting for completions sleeps until
 //!   the completion deadline, yielding the CPU like an IRQ-driven driver.
 //!
@@ -80,91 +83,14 @@ impl Default for QueueConfig {
     }
 }
 
-/// Ticket identifying one submitted request.
-pub type RequestId = u64;
-
-/// The asynchronous face of a queued block device, alongside the
-/// synchronous [`BlockDevice`] it also implements.  Obtained via
-/// [`BlockDevice::as_queued`].
-pub trait QueuedBlockDevice: BlockDevice {
-    /// Number of submission/completion queue pairs.
-    fn queue_count(&self) -> usize;
-
-    /// Outstanding requests admitted per queue pair.
-    fn queue_depth(&self) -> usize;
-
-    /// Submits a write of `data` to `blockno` on queue `queue` and returns
-    /// its ticket without waiting for the service latency.  The data is
-    /// accepted by the device write cache immediately (reads see it);
-    /// durability still requires a [`BlockDevice::flush`].  Blocks only
-    /// when the queue is at [`QueuedBlockDevice::queue_depth`] outstanding
-    /// requests.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Inval`] for an out-of-range queue, block number, or buffer
-    /// length; propagates inner device errors.
-    fn submit_write(&self, queue: usize, blockno: u64, data: &[u8]) -> KernelResult<RequestId>;
-
-    /// Submits a batch of writes to one queue (one doorbell ring for the
-    /// lot) and returns their tickets.
-    ///
-    /// # Errors
-    ///
-    /// As [`QueuedBlockDevice::submit_write`]; on error, writes before the
-    /// failing one were submitted.
-    fn submit_write_batch(
-        &self,
-        queue: usize,
-        writes: &[(u64, &[u8])],
-    ) -> KernelResult<Vec<RequestId>> {
-        let mut ids = Vec::with_capacity(writes.len());
-        for &(blockno, data) in writes {
-            ids.push(self.submit_write(queue, blockno, data)?);
-        }
-        Ok(ids)
-    }
-
-    /// Reaps every request on `queue` whose service has finished,
-    /// returning their tickets.  Never blocks (the poll path).
-    fn poll_completions(&self, queue: usize) -> Vec<RequestId>;
-
-    /// Waits (sleeping) until every outstanding request on `queue` has
-    /// completed.
-    ///
-    /// # Errors
-    ///
-    /// [`Errno::Inval`] for an out-of-range queue.
-    fn drain_queue(&self, queue: usize) -> KernelResult<()>;
-
-    /// The cost counters this device charges into (service time plus the
-    /// in-flight depth statistics).
-    fn cost_counters(&self) -> Arc<CostCounters>;
-
-    /// The queue the calling thread should submit to: a stable hash of the
-    /// thread id, modelling per-CPU queue assignment.
-    fn preferred_queue(&self) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        std::thread::current().id().hash(&mut hasher);
-        (hasher.finish() as usize) % self.queue_count().max(1)
-    }
-}
-
-/// One in-flight request: ticket and virtual completion deadline.
-#[derive(Debug, Clone, Copy)]
-struct InFlight {
-    id: RequestId,
-    completes_at: Instant,
-}
-
 /// Mutable state of one queue pair.
 #[derive(Debug)]
 struct QueueState {
     /// Busy-until instant of each parallel service channel (one per queue
     /// slot); a new request starts on the earliest-free channel.
     channels: Vec<Instant>,
-    inflight: Vec<InFlight>,
+    /// Completion deadlines of the requests in flight.
+    inflight: Vec<Instant>,
 }
 
 #[derive(Debug)]
@@ -187,7 +113,6 @@ pub struct MultiQueueDevice {
     config: QueueConfig,
     counters: Arc<CostCounters>,
     queues: Vec<QueuePair>,
-    next_id: AtomicU64,
     dirty_since_flush: AtomicU64,
     stats: QueueDevStats,
 }
@@ -219,7 +144,6 @@ impl MultiQueueDevice {
             config,
             counters: Arc::new(CostCounters::new()),
             queues,
-            next_id: AtomicU64::new(1),
             dirty_since_flush: AtomicU64::new(0),
             stats: QueueDevStats::default(),
         }
@@ -259,22 +183,85 @@ impl MultiQueueDevice {
     }
 
     /// Reaps finished requests under the queue lock, updating the depth
-    /// gauge; returns their tickets.
-    fn reap_locked(&self, state: &mut QueueState) -> Vec<RequestId> {
+    /// gauge.
+    fn reap_locked(&self, state: &mut QueueState) {
         let now = Instant::now();
-        let mut done = Vec::new();
-        state.inflight.retain(|req| {
-            if req.completes_at <= now {
-                done.push(req.id);
-                false
-            } else {
-                true
-            }
-        });
-        for _ in &done {
+        let before = state.inflight.len();
+        state.inflight.retain(|&completes_at| completes_at > now);
+        for _ in state.inflight.len()..before {
             self.counters.io_completed();
         }
-        done
+    }
+
+    /// The queue the calling thread submits to: a stable hash of the
+    /// thread id, modelling per-CPU queue assignment.
+    fn preferred_queue(&self) -> usize {
+        use std::hash::{Hash, Hasher};
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        std::thread::current().id().hash(&mut hasher);
+        (hasher.finish() as usize) % self.queues.len()
+    }
+
+    /// Submits a write of `data` to `blockno` on `pair` without waiting
+    /// for the service latency.  The data is accepted by the device write
+    /// cache immediately (reads see it); durability still requires a
+    /// [`BlockDevice::flush`].  Blocks only when the queue is at
+    /// [`QueueConfig::queue_depth`] outstanding requests.
+    fn submit(&self, pair: &QueuePair, blockno: u64, data: &[u8]) -> KernelResult<()> {
+        // Submission covers the store-through plus any full-queue
+        // backpressure wait — both are device time to the submitting op.
+        let _io = crate::trace::phase(crate::trace::Phase::DevIo);
+        // Store through at submission time: the write cache accepts the
+        // data now (and a recorder below sees submission order); only the
+        // service latency is deferred to completion.
+        self.inner.write_block(blockno, data)?;
+        self.dirty_since_flush.fetch_add(1, Ordering::Relaxed);
+        self.counters.record(CostKind::DeviceWrite, self.model.block_write_ns);
+        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+        let service = std::time::Duration::from_nanos(self.service_ns());
+        loop {
+            let mut state = pair.state.lock();
+            self.reap_locked(&mut state);
+            if state.inflight.len() < self.config.queue_depth {
+                let now = Instant::now();
+                // Earliest-free service channel.
+                let (slot, busy_until) = state
+                    .channels
+                    .iter()
+                    .copied()
+                    .enumerate()
+                    .min_by_key(|&(_, t)| t)
+                    .expect("queue_depth is nonzero");
+                let completes_at = busy_until.max(now) + service;
+                state.channels[slot] = completes_at;
+                state.inflight.push(completes_at);
+                self.counters.io_submitted();
+                return Ok(());
+            }
+            // Queue full: completions are purely time-driven, so waiting
+            // until the earliest deadline is guaranteed to free a slot.
+            let earliest = state.inflight.iter().copied().min().expect("full queue is nonempty");
+            drop(state);
+            Self::wait_until(earliest);
+        }
+    }
+
+    /// Waits (sleeping) until every outstanding request on `queue` has
+    /// completed.
+    fn drain_queue(&self, queue: usize) -> KernelResult<()> {
+        let _io = crate::trace::phase(crate::trace::Phase::DevIo);
+        let pair = self.pair(queue)?;
+        loop {
+            let deadline = {
+                let mut state = pair.state.lock();
+                self.reap_locked(&mut state);
+                match state.inflight.iter().copied().max() {
+                    None => return Ok(()),
+                    Some(deadline) => deadline,
+                }
+            };
+            Self::wait_until(deadline);
+        }
     }
 
     /// Sleeps until `deadline`, as an interrupt-driven driver would.
@@ -308,7 +295,7 @@ impl BlockDevice for MultiQueueDevice {
     fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
         // The synchronous path behaves exactly like SsdDevice (depth-1
         // service), so non-batched writers see identical costs on both
-        // device models; only explicit queued submission overlaps.
+        // device models; only a batch (`write_blocks`) overlaps.
         let _io = crate::trace::phase(crate::trace::Phase::DevIo);
         self.inner.write_block(blockno, buf)?;
         self.dirty_since_flush.fetch_add(1, Ordering::Relaxed);
@@ -316,6 +303,16 @@ impl BlockDevice for MultiQueueDevice {
         self.model.charge(&self.counters, CostKind::DeviceWrite, self.model.block_write_ns);
         self.counters.io_completed();
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    fn write_blocks(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        // One doorbell ring for the lot, on the caller's queue; the next
+        // flush drains it.
+        let pair = &self.queues[self.preferred_queue()];
+        for &(blockno, data) in writes {
+            self.submit(pair, blockno, data)?;
+        }
         Ok(())
     }
 
@@ -342,96 +339,6 @@ impl BlockDevice for MultiQueueDevice {
             flushes: self.stats.flushes.load(Ordering::Relaxed),
         }
     }
-
-    fn as_queued(&self) -> Option<&dyn QueuedBlockDevice> {
-        Some(self)
-    }
-}
-
-impl QueuedBlockDevice for MultiQueueDevice {
-    fn queue_count(&self) -> usize {
-        self.config.num_queues
-    }
-
-    fn queue_depth(&self) -> usize {
-        self.config.queue_depth
-    }
-
-    fn submit_write(&self, queue: usize, blockno: u64, data: &[u8]) -> KernelResult<RequestId> {
-        // Submission covers the store-through plus any full-queue
-        // backpressure wait — both are device time to the submitting op.
-        let _io = crate::trace::phase(crate::trace::Phase::DevIo);
-        let pair = self.pair(queue)?;
-        // Store through at submission time: the write cache accepts the
-        // data now (and a recorder below sees submission order); only the
-        // service latency is deferred to completion.
-        self.inner.write_block(blockno, data)?;
-        self.dirty_since_flush.fetch_add(1, Ordering::Relaxed);
-        self.counters.record(CostKind::DeviceWrite, self.model.block_write_ns);
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let service = std::time::Duration::from_nanos(self.service_ns());
-        loop {
-            let mut state = pair.state.lock();
-            self.reap_locked(&mut state);
-            if state.inflight.len() < self.config.queue_depth {
-                let now = Instant::now();
-                // Earliest-free service channel.
-                let (slot, busy_until) = state
-                    .channels
-                    .iter()
-                    .copied()
-                    .enumerate()
-                    .min_by_key(|&(_, t)| t)
-                    .expect("queue_depth is nonzero");
-                let completes_at = busy_until.max(now) + service;
-                state.channels[slot] = completes_at;
-                state.inflight.push(InFlight { id, completes_at });
-                self.counters.io_submitted();
-                return Ok(id);
-            }
-            // Queue full: completions are purely time-driven, so waiting
-            // until the earliest deadline is guaranteed to free a slot.
-            let earliest = state
-                .inflight
-                .iter()
-                .map(|req| req.completes_at)
-                .min()
-                .expect("full queue is nonempty");
-            drop(state);
-            Self::wait_until(earliest);
-        }
-    }
-
-    fn poll_completions(&self, queue: usize) -> Vec<RequestId> {
-        match self.pair(queue) {
-            Ok(pair) => {
-                let mut state = pair.state.lock();
-                self.reap_locked(&mut state)
-            }
-            Err(_) => Vec::new(),
-        }
-    }
-
-    fn drain_queue(&self, queue: usize) -> KernelResult<()> {
-        let _io = crate::trace::phase(crate::trace::Phase::DevIo);
-        let pair = self.pair(queue)?;
-        loop {
-            let deadline = {
-                let mut state = pair.state.lock();
-                self.reap_locked(&mut state);
-                match state.inflight.iter().map(|req| req.completes_at).max() {
-                    None => return Ok(()),
-                    Some(deadline) => deadline,
-                }
-            };
-            Self::wait_until(deadline);
-        }
-    }
-
-    fn cost_counters(&self) -> Arc<CostCounters> {
-        Arc::clone(&self.counters)
-    }
 }
 
 #[cfg(test)]
@@ -450,26 +357,29 @@ mod tests {
     #[test]
     fn submitted_writes_are_immediately_readable() {
         let dev = zero_dev(8);
-        dev.submit_write(0, 5, &pattern(0xAA)).unwrap();
+        dev.write_blocks(&[(5, &pattern(0xAA))]).unwrap();
         let mut buf = vec![0u8; 4096];
         dev.read_block(5, &mut buf).unwrap();
         assert_eq!(buf, pattern(0xAA), "read-your-writes across submission");
-        dev.drain_queue(0).unwrap();
+        dev.flush().unwrap();
     }
 
     #[test]
-    fn batch_submission_returns_a_ticket_per_write() {
+    fn batch_submission_stores_and_counts_every_write() {
         let dev = zero_dev(8);
         let a = pattern(1);
         let b = pattern(2);
-        let writes: Vec<(u64, &[u8])> = vec![(10, a.as_slice()), (11, b.as_slice())];
-        let ids = dev.submit_write_batch(0, &writes).unwrap();
-        assert_eq!(ids.len(), 2);
-        assert_ne!(ids[0], ids[1]);
-        dev.drain_queue(0).unwrap();
+        dev.write_blocks(&[(10, &a), (11, &b)]).unwrap();
+        dev.flush().unwrap();
         let snap = dev.counters().snapshot();
         assert_eq!(snap.writes, 2);
+        assert_eq!(dev.stats().writes, 2);
         assert!(snap.max_inflight >= 1);
+        let mut buf = vec![0u8; 4096];
+        for (blockno, data) in [(10, &a), (11, &b)] {
+            dev.read_block(blockno, &mut buf).unwrap();
+            assert_eq!(&buf, data, "block {blockno}");
+        }
     }
 
     #[test]
@@ -480,10 +390,16 @@ mod tests {
             inject_delays: false,
             ..CostModel::zero()
         };
-        let dev = MultiQueueDevice::ram_backed(64, model, QueueConfig::new(2, 4));
-        dev.submit_write(0, 1, &pattern(1)).unwrap();
-        dev.submit_write(1, 2, &pattern(2)).unwrap();
+        let dev = Arc::new(MultiQueueDevice::ram_backed(64, model, QueueConfig::new(2, 4)));
+        // Batches from two threads, plus a synchronous write.
+        std::thread::scope(|s| {
+            for blockno in [1u64, 2] {
+                let dev = &dev;
+                s.spawn(move || dev.write_blocks(&[(blockno, &pattern(blockno as u8))]).unwrap());
+            }
+        });
         dev.write_block(3, &pattern(3)).unwrap();
+        assert!(dev.counters().inflight_now() >= 1, "a batch is still in flight");
         dev.flush().unwrap();
         let snap = dev.counters().snapshot();
         assert_eq!(snap.flushes, 1);
@@ -501,7 +417,7 @@ mod tests {
         let data = pattern(7);
         let writes: Vec<(u64, &[u8])> = (0..8u64).map(|i| (i, data.as_slice())).collect();
         let start = Instant::now();
-        dev.submit_write_batch(0, &writes).unwrap();
+        dev.write_blocks(&writes).unwrap();
         dev.drain_queue(0).unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(2), "service time still paid: {elapsed:?}");
@@ -519,7 +435,7 @@ mod tests {
         let data = pattern(9);
         let writes: Vec<(u64, &[u8])> = (0..4u64).map(|i| (i, data.as_slice())).collect();
         let start = Instant::now();
-        dev.submit_write_batch(0, &writes).unwrap();
+        dev.write_blocks(&writes).unwrap();
         dev.drain_queue(0).unwrap();
         let elapsed = start.elapsed();
         assert!(elapsed >= Duration::from_millis(4), "depth 1 sums serially: {elapsed:?}");
@@ -527,36 +443,47 @@ mod tests {
     }
 
     #[test]
-    fn poll_completions_reaps_finished_requests() {
-        let dev = zero_dev(4);
-        // Zero model: the request completes immediately, so the first poll
-        // reaps it and the second finds the queue empty.  (A second submit
-        // would already reap the first internally while looking for a slot,
-        // which is also legal driver behaviour.)
-        let a = dev.submit_write(0, 1, &pattern(1)).unwrap();
-        assert_eq!(dev.poll_completions(0), vec![a]);
-        assert!(dev.poll_completions(0).is_empty());
+    fn finished_requests_are_reaped_at_the_next_submission() {
+        let dev = MultiQueueDevice::ram_backed(128, CostModel::zero(), QueueConfig::new(1, 4));
+        // Zero model: a request is finished as soon as it is submitted, but
+        // it leaves the queue (and the depth gauge) only when reaped — here
+        // by the next submission looking for a slot, then by the flush.
+        dev.write_blocks(&[(1, &pattern(1))]).unwrap();
+        assert_eq!(dev.counters().inflight_now(), 1);
+        dev.write_blocks(&[(2, &pattern(2))]).unwrap();
+        assert_eq!(dev.counters().inflight_now(), 1, "the first request was reaped");
+        assert_eq!(dev.counters().snapshot().max_inflight, 1);
+        dev.flush().unwrap();
+        assert_eq!(dev.counters().inflight_now(), 0);
     }
 
     #[test]
     fn invalid_queue_and_block_are_rejected() {
         let dev = zero_dev(4);
-        assert_eq!(dev.submit_write(9, 0, &pattern(0)).unwrap_err().errno(), Errno::Inval);
-        assert_eq!(dev.submit_write(0, 10_000, &pattern(0)).unwrap_err().errno(), Errno::Inval);
+        let err = dev.write_blocks(&[(10_000, &pattern(0))]).unwrap_err();
+        assert_eq!(err.errno(), Errno::Inval);
+        assert_eq!(dev.counters().inflight_now(), 0, "a rejected write is never queued");
         assert_eq!(dev.drain_queue(9).unwrap_err().errno(), Errno::Inval);
-        assert!(dev.poll_completions(9).is_empty());
     }
 
     #[test]
-    fn as_queued_exposes_the_trait() {
-        let dev: Arc<dyn BlockDevice> = Arc::new(zero_dev(4));
-        let q = dev.as_queued().expect("MultiQueueDevice is queued");
-        assert_eq!(q.queue_count(), 2);
-        assert_eq!(q.queue_depth(), 4);
-        assert!(q.preferred_queue() < 2);
-        // And the synchronous face still rejects a queued view on RamDisk.
+    fn a_batch_through_the_block_device_trait_overlaps() {
+        // The journal sees only `dyn BlockDevice`: its batch must reach the
+        // queued submission path (overlapped, on the caller's queue), while
+        // a RamDisk runs the same call as serial writes.
+        let model =
+            CostModel { block_write_ns: 20_000_000, inject_delays: true, ..CostModel::zero() };
+        let mqd = Arc::new(MultiQueueDevice::ram_backed(64, model, QueueConfig::new(2, 4)));
+        assert!(mqd.preferred_queue() < 2);
+        let dev: Arc<dyn BlockDevice> = Arc::clone(&mqd) as Arc<dyn BlockDevice>;
+        let data = pattern(4);
+        let writes: Vec<(u64, &[u8])> = (0..4u64).map(|i| (i, data.as_slice())).collect();
+        dev.write_blocks(&writes).unwrap();
+        assert_eq!(mqd.counters().snapshot().max_inflight, 4, "the batch overlapped");
+        dev.flush().unwrap();
         let ram: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 8));
-        assert!(ram.as_queued().is_none());
+        ram.write_blocks(&writes).unwrap();
+        assert_eq!(ram.stats().writes, 4);
     }
 
     #[test]
@@ -567,9 +494,7 @@ mod tests {
         let data = pattern(3);
         let start = Instant::now();
         // Third submit must wait for a slot (~1 ms).
-        dev.submit_write(0, 0, &data).unwrap();
-        dev.submit_write(0, 1, &data).unwrap();
-        dev.submit_write(0, 2, &data).unwrap();
+        dev.write_blocks(&[(0, &data), (1, &data), (2, &data)]).unwrap();
         assert!(start.elapsed() >= Duration::from_millis(1), "backpressure applied");
         assert!(dev.counters().snapshot().max_inflight <= 2);
         dev.drain_queue(0).unwrap();

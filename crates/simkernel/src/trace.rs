@@ -271,6 +271,21 @@ pub fn drain_slowest(k: usize) -> Vec<SpanRecord> {
     all
 }
 
+/// Keeps `rec` in `slowest` — at most `k` records, slowest first — when it
+/// is among the `k` slowest seen so far: the running form of
+/// [`drain_slowest`], for callers that watch spans go by.
+pub fn keep_slowest(slowest: &mut Vec<SpanRecord>, rec: SpanRecord, k: usize) {
+    if slowest.len() < k {
+        slowest.push(rec);
+    } else if slowest.last().is_some_and(|tail| rec.total_ns > tail.total_ns) {
+        slowest.pop();
+        slowest.push(rec);
+    } else {
+        return;
+    }
+    slowest.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
+}
+
 /// RAII root span for one logical operation.  Inert (all methods no-ops)
 /// when tracing is disabled or another span is already active on this
 /// thread — nested spans attribute to the outermost one, so a load
@@ -572,6 +587,26 @@ mod tests {
         assert_eq!(drain().len(), RING_CAPACITY);
         reset();
         assert_eq!(dropped(), 0, "reset clears the per-ring drop counters");
+    }
+
+    #[test]
+    fn keep_slowest_holds_the_k_slowest_in_order() {
+        let rec = |op_id: u64, total_ns: u64| SpanRecord {
+            op_id,
+            class: "mixed",
+            epoch: 0,
+            total_ns,
+            phase_ns: [0; Phase::COUNT],
+            phase_counts: [0; Phase::COUNT],
+        };
+        let mut slowest = Vec::new();
+        for (op_id, total_ns) in [(1, 30), (2, 10), (3, 50), (4, 20), (5, 40), (6, 40)] {
+            keep_slowest(&mut slowest, rec(op_id, total_ns), 3);
+        }
+        let kept: Vec<(u64, u64)> = slowest.iter().map(|r| (r.op_id, r.total_ns)).collect();
+        assert_eq!(kept, vec![(3, 50), (5, 40), (6, 40)], "equal totals keep arrival order");
+        keep_slowest(&mut slowest, rec(7, 5), 3);
+        assert_eq!(slowest.len(), 3, "a faster span is not kept");
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //!
 //! There is one mount setting: `queue_depth=N` switches to the
 //! completion-based multi-queue model ([`MultiQueueDevice`]) with four queue
-//! pairs of depth N — see [`mount_stack_with`].  No file system reads an
-//! option: the buffer caches, page caches, fd tables and allocation groups
-//! all keep their automatic sharding, because sweeping those counts moved no
-//! measured row outside tolerance.
+//! pairs of depth N — see [`mount_stack_with`].  Both devices are plain
+//! [`BlockDevice`]s to the stack above (the queued one only batches a
+//! commit's epoch differently), and [`MountedStack::queue_counters`] keeps
+//! the queued device's in-flight figures for the `scaling` depth rows.  No
+//! file system reads an option: the buffer caches, page caches, fd tables
+//! and allocation groups all keep their automatic sharding, because
+//! sweeping those counts moved no measured row outside tolerance.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use simkernel::cost::CostModel;
+use simkernel::cost::{CostCounters, CostModel};
 use simkernel::dev::{BlockDevice, SsdDevice};
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
@@ -67,10 +70,13 @@ pub struct MountedStack {
     pub vfs: Arc<Vfs>,
     /// Which stack this is.
     pub stack: FsStack,
-    /// The latency-modelled device underneath (a synchronous [`SsdDevice`]
-    /// by default, a [`MultiQueueDevice`] when the mount asked for one;
-    /// `device.as_queued()` distinguishes them).
+    /// The latency-modelled device underneath: a synchronous [`SsdDevice`]
+    /// by default, a [`MultiQueueDevice`] when the mount asked for one.
     pub device: Arc<dyn BlockDevice>,
+    /// The [`MultiQueueDevice`]'s cost counters (service time and in-flight
+    /// depth) when the mount asked for one; `None` on the synchronous
+    /// device.
+    pub queue_counters: Option<Arc<CostCounters>>,
 }
 
 impl std::fmt::Debug for MountedStack {
@@ -167,8 +173,8 @@ pub fn mount_stack(
 /// Like [`mount_stack`] with explicit mount options.  The one option read
 /// is `queue_depth=N` (N > 0): mount on the NVMe-style multi-queue device
 /// with four queue pairs of depth N instead of the synchronous
-/// [`SsdDevice`]; the write-ahead log then batch-submits each commit's
-/// epoch (due installs and payload together).
+/// [`SsdDevice`]; the one batched write of each commit's epoch (due
+/// installs and payload together) is then a single queue submission.
 ///
 /// # Errors
 ///
@@ -179,25 +185,27 @@ pub fn mount_stack_with(
     disk_blocks: u64,
     options: &MountOptions,
 ) -> KernelResult<MountedStack> {
-    let device = device_for_options(&model, disk_blocks, options);
+    let (device, queue_counters) = device_for_options(&model, disk_blocks, options);
     let vfs = mount_stack_on_device(stack, model, Arc::clone(&device))?;
-    Ok(MountedStack { vfs, stack, device })
+    Ok(MountedStack { vfs, stack, device, queue_counters })
 }
 
 /// Builds the backing device the mount options select: the synchronous
-/// [`SsdDevice`] by default, the multi-queue model when `queue_depth` is
-/// set to a nonzero value.
+/// [`SsdDevice`] by default, the multi-queue model (returned with its cost
+/// counters) when `queue_depth` is set to a nonzero value.
 fn device_for_options(
     model: &CostModel,
     disk_blocks: u64,
     options: &MountOptions,
-) -> Arc<dyn BlockDevice> {
+) -> (Arc<dyn BlockDevice>, Option<Arc<CostCounters>>) {
     let depth = options.get("queue_depth").and_then(|v| v.parse::<usize>().ok()).unwrap_or(0);
     if depth == 0 {
-        return Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone()));
+        return (Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone())), None);
     }
     let config = QueueConfig { queue_depth: depth, ..QueueConfig::default() };
-    Arc::new(MultiQueueDevice::ram_backed(disk_blocks, model.clone(), config))
+    let device = MultiQueueDevice::ram_backed(disk_blocks, model.clone(), config);
+    let counters = device.counters();
+    (Arc::new(device), Some(counters))
 }
 
 /// Mounts `stack` at `/` of a fresh VFS over a **caller-provided** block
@@ -267,20 +275,23 @@ mod tests {
         let options = MountOptions::default().with_option("queue_depth", "8");
         for stack in FsStack::all() {
             let mounted = mount_stack_with(stack, CostModel::zero(), 16_384, &options).unwrap();
-            assert!(
-                mounted.device.as_queued().is_some(),
-                "queue_depth must select the multi-queue model ({stack:?})"
-            );
+            let queue = mounted.queue_counters.as_ref().unwrap_or_else(|| {
+                panic!("queue_depth must select the multi-queue model ({stack:?})")
+            });
             let fd = mounted.vfs.open("/q", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
             mounted.vfs.write(fd, b"queued").unwrap();
             mounted.vfs.fsync(fd).unwrap();
             mounted.vfs.close(fd).unwrap();
             assert_eq!(mounted.vfs.stat("/q").unwrap().size, 6, "stack {stack:?}");
+            // The counters are the mounted device's own: its writes are theirs.
+            let queued = queue.snapshot();
+            assert!(queued.writes > 0, "stack {stack:?}");
+            assert_eq!(queued.writes, mounted.device.stats().writes, "stack {stack:?}");
             mounted.unmount().unwrap();
         }
         // Without the option the mount stays on the synchronous model.
         let sync = mount_stack(FsStack::BentoXv6, CostModel::zero(), 16_384).unwrap();
-        assert!(sync.device.as_queued().is_none());
+        assert!(sync.queue_counters.is_none());
     }
 
     #[test]

@@ -391,19 +391,20 @@ mod tests {
 
     #[test]
     fn crash_recovery_replays_committed_transactions() {
-        use simkernel::dev::{FaultInjectingDevice, FaultMode};
-        // Build a file system, then crash the device (drop all writes) part
-        // way through a burst of creates.  After "reboot" (a fresh mount on
-        // the same underlying ram disk), the file system must mount cleanly
+        use crashsim::{FaultConfig, FaultDevice};
+        // Build a file system, then crash the device (every operation fails
+        // from a fixed point on, and nothing more reaches the disk) part way
+        // through a burst of creates.  After "reboot" (a fresh mount on the
+        // same underlying ram disk), the file system must mount cleanly
         // and every file that was reported created before the crash point
         // must either exist completely or not at all.
         let ram = Arc::new(RamDisk::new(4096, 4096));
         mkfs::mkfs_on_device(&(Arc::clone(&ram) as Arc<dyn BlockDevice>), 256).unwrap();
-        let faulty = Arc::new(FaultInjectingDevice::new(
+        let faulty = Arc::new(FaultDevice::new(
             Arc::clone(&ram) as Arc<dyn BlockDevice>,
-            FaultMode::DropWrites,
-            250,
+            FaultConfig { disconnect_after_ops: Some(250), ..FaultConfig::recorder(0) },
         ));
+        faulty.set_trace_enabled(false);
         let mut created = Vec::new();
         {
             let fs = fstype().mount_on(Arc::clone(&faulty) as Arc<dyn BlockDevice>).unwrap();
@@ -412,13 +413,18 @@ mod tests {
                     Ok(_) => created.push(format!("c{i}")),
                     Err(_) => break,
                 }
-                if faulty.tripped() {
+                if faulty.disconnected() {
                     break;
                 }
             }
         }
-        // Reboot: mount the backing ram disk directly (the dropped writes
-        // are simply gone, as after a power failure).
+        assert!(
+            !created.is_empty() && faulty.disconnected(),
+            "the crash point fell inside the burst ({} created)",
+            created.len()
+        );
+        // Reboot: mount the backing ram disk directly (the failed writes
+        // never reached it, as after a power failure).
         let fs = fstype().mount_on(Arc::clone(&ram) as Arc<dyn BlockDevice>).unwrap();
         let entries = fs.readdir(1).unwrap();
         for entry in &entries {

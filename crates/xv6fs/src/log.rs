@@ -4,15 +4,15 @@
 //! The whole pipelined group-commit protocol — atomic space reservation,
 //! thread-local staging, quiescent group formation with committer handoff,
 //! the ring of log regions with lazy installs, payload-checksummed commit
-//! records, batched epochs on queued devices, and torn-record-rejecting
+//! records, one batched write per commit epoch, and torn-record-rejecting
 //! recovery — lives in the `journal` crate.  This module only translates
 //! the [`SuperBlock`] capability into the journal's block-IO face
 //! ([`journal::io::JournalIo`]): buffer-cache reads and writes via
-//! [`SuperBlock::bread`], raw device writes via [`SuperBlock::write_raw`],
-//! barriers via [`SuperBlock::sync_all`], and the multi-queue face via
-//! [`SuperBlock::queued`].  A logged block's buffer stays dirty — so the
-//! cache keeps it and every read sees the committed bytes — until the
-//! journal installs it and [`BufferHead::mark_clean`] releases it.
+//! [`SuperBlock::bread`], raw batched device writes via
+//! [`SuperBlock::write_raw`], and barriers via [`SuperBlock::sync_all`].  A
+//! logged block's buffer stays dirty — so the cache keeps it and every read
+//! sees the committed bytes — until the journal installs it and
+//! [`BufferHead::mark_clean`] releases it.
 //!
 //! Every xv6 stack mounts this one adapter — the Bento and VFS bindings
 //! over the kernel buffer cache, the FUSE daemon over its userspace disk
@@ -48,8 +48,8 @@ impl JournalIo for SbIo<'_> {
         buf.write()
     }
 
-    fn write_raw(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        self.0.write_raw(blockno, data)
+    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        self.0.write_raw(writes)
     }
 
     fn installed(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
@@ -66,10 +66,6 @@ impl JournalIo for SbIo<'_> {
 
     fn barrier(&self) -> KernelResult<()> {
         self.0.sync_all()
-    }
-
-    fn queued(&self) -> Option<&dyn simkernel::queue::QueuedBlockDevice> {
-        self.0.queued()
     }
 }
 
