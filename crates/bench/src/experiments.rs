@@ -720,7 +720,7 @@ pub fn scaling_experiment_with_threads(
 }
 
 /// The `crash` experiment: runs the crashsim harness (see the `crashsim`
-/// crate) for each crash-tested stack and reports checked/found counts
+/// crate) for each of the four stacks and reports checked/found counts
 /// into the BENCH JSON.  Any oracle violation fails the experiment — CI's
 /// `crash-smoke` step gates on that.
 ///
@@ -730,15 +730,12 @@ pub fn scaling_experiment_with_threads(
 /// few replayable state descriptions in the message) or on harness I/O
 /// failure.
 pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    use crashsim::{run_crash_test, CrashMode, CrashStack, CrashTestConfig};
+    use crashsim::{run_crash_test, CrashMode, CrashTestConfig};
     let quick = cfg.threads_high < 32;
     let crash_cfg = CrashTestConfig {
-        seed: 0x2021_FA57,
-        ops: 200,
-        disk_blocks: 8192,
         mode: CrashMode::Sampled { states: if quick { 160 } else { 400 } },
         max_violations: 8,
-        queue_depth: 0,
+        ..CrashTestConfig::standard(0x2021_FA57)
     };
     let mut rows = Vec::new();
     let gate = |rows: &mut Vec<Row>, report: &crashsim::CrashReport, prefix: &str| {
@@ -773,7 +770,7 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
         }
         Ok(())
     };
-    for stack in CrashStack::all() {
+    for stack in FsStack::all() {
         let report = run_crash_test(stack, &crash_cfg)?;
         gate(&mut rows, &report, "")?;
     }
@@ -782,7 +779,7 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     // oracles clean, with the recorder observing every queued write in its
     // submission epoch.  `queued-*` rows distinguish it in the JSON.
     let queued_cfg = CrashTestConfig { queue_depth: 8, ..crash_cfg };
-    let report = run_crash_test(CrashStack::BentoXv6, &queued_cfg)?;
+    let report = run_crash_test(FsStack::BentoXv6, &queued_cfg)?;
     gate(&mut rows, &report, "queued-")?;
     Ok(rows)
 }
@@ -1018,7 +1015,7 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     let upgrade_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
     loadgen::prepare(&mounted.vfs, &spec, &upgrade_cfg)?;
     let (under_upgrade, outcome) =
-        loadgen::run_upgrade_under_load(&mounted.vfs, &spec, &upgrade_cfg, None)?;
+        loadgen::run_upgrade_under_load(&mounted, &spec, &upgrade_cfg, None)?;
     if !under_upgrade.is_clean() {
         return Err(KernelError::with_context(
             Errno::Io,
@@ -1685,7 +1682,7 @@ pub fn health_experiment(
     let tracing = simkernel::trace::enable();
     simkernel::trace::reset();
     let upgrade_run =
-        loadgen::run_upgrade_under_load(&mounted.vfs, &up_spec, &up_cfg, Some(UPGRADE_HOLD));
+        loadgen::run_upgrade_under_load(&mounted, &up_spec, &up_cfg, Some(UPGRADE_HOLD));
     drop(tracing);
     let (under_upgrade, outcome) = upgrade_run?;
     if !under_upgrade.is_clean() {

@@ -337,14 +337,6 @@ impl VfsFs for BentoFs {
         self.read_fs().write_path_stats()
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets holders of the VFS mount table entry recover the concrete
-        // BentoFs handle — the load generator uses this to drive
-        // [`BentoFs::upgrade`] against a stack mounted through the normal
-        // VFS path.
-        Some(self)
-    }
-
     fn destroy(&self) -> KernelResult<()> {
         let req = Request::kernel();
         self.read_fs().destroy(&req, &self.sb)

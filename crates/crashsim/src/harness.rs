@@ -1,7 +1,9 @@
 //! The end-to-end crash-consistency harness.
 //!
-//! [`run_crash_test`] formats a disk, mounts one of the evaluated stacks on
-//! a recording [`crate::device::FaultDevice`], drives a seeded
+//! [`run_crash_test`] formats a disk, mounts one of the four evaluated
+//! stacks on a recording [`crate::device::FaultDevice`] (formatting and
+//! mounting through [`workloads::stacks`], the stack list and mount path
+//! every other caller uses), drives a seeded
 //! randomized workload (creates, page writes, truncates, renames, unlinks,
 //! directory ops, fsyncs) while mirroring it in a
 //! [`crate::model::WorkloadModel`], then "crashes" by
@@ -9,9 +11,9 @@
 //! for every state remounts (running the stack's recovery) and applies two
 //! oracles:
 //!
-//! * **fsck** — structural consistency: [`xv6fs::fsck`] for both xv6
-//!   stacks (they share one on-disk format), and
-//!   [`Ext4Sim::check_consistency`] for the ext4 comparator;
+//! * **fsck** — structural consistency, [`MountedStack::check`](workloads::MountedStack::check):
+//!   `xv6fs::fsck` for the three xv6 stacks (they share one on-disk
+//!   format), and `Ext4Sim::check_consistency` for the ext4 comparator;
 //! * **durability** — everything fsync'd before the crash survives
 //!   byte-for-byte ([`WorkloadModel::verify`]).
 //!
@@ -30,11 +32,8 @@ use simkernel::error::{Errno, KernelResult};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
 use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 
-use bento::bentofs::{BentoFs, DEFAULT_BUFFER_CACHE_BLOCKS};
-use ext4sim::Ext4Sim;
 use journal::PlantedFault;
-use xv6fs::Xv6FileSystem;
-use xv6fs_vfs::Xv6VfsFilesystem;
+use workloads::{format, mount_stack_on, FsStack};
 
 use crate::device::{DiskImage, FaultConfig, FaultDevice};
 use crate::enumerate::{prefix_states, sampled_states, CrashState};
@@ -42,35 +41,8 @@ use crate::model::{resolve, Violation, WorkloadModel};
 
 /// Block size used throughout the storage stack.
 const BSIZE: usize = PAGE_SIZE;
-
-/// The stacks the harness can put under crash test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CrashStack {
-    /// xv6 in Rust on Bento (the paper's main subject).
-    BentoXv6,
-    /// xv6 directly against the VFS layer (the C baseline).
-    VfsXv6,
-    /// The ext4-like comparator.
-    Ext4,
-}
-
-impl CrashStack {
-    /// All crash-tested stacks.  (The FUSE stack shares `xv6fs` — and
-    /// therefore its log and recovery — with the Bento stack; its extra
-    /// layer adds boundary-crossing cost, not new on-disk states.)
-    pub fn all() -> [CrashStack; 3] {
-        [CrashStack::BentoXv6, CrashStack::VfsXv6, CrashStack::Ext4]
-    }
-
-    /// Display label matching the paper's legends.
-    pub fn label(self) -> &'static str {
-        match self {
-            CrashStack::BentoXv6 => "Bento",
-            CrashStack::VfsXv6 => "C-Kernel",
-            CrashStack::Ext4 => "Ext4",
-        }
-    }
-}
+/// Inode-table size of the xv6 images the harness formats.
+const XV6_INODES: u32 = 256;
 
 /// How crash states are drawn from the trace.
 #[derive(Debug, Clone, Copy)]
@@ -159,84 +131,26 @@ impl CrashReport {
     }
 }
 
-/// Formats the base disk for `stack` and returns it.
-fn format_base(stack: CrashStack, disk_blocks: u64) -> KernelResult<Arc<dyn BlockDevice>> {
-    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, disk_blocks));
-    match stack {
-        CrashStack::BentoXv6 | CrashStack::VfsXv6 => {
-            xv6fs::mkfs::mkfs_on_device(&base, 256)?;
-        }
-        CrashStack::Ext4 => {
-            // format_and_mount commits the root directory and leaves the
-            // log clean; the instance is dropped clean.
-            Ext4Sim::format_and_mount(Arc::clone(&base))?;
-        }
-    }
-    Ok(base)
-}
-
-/// A mounted stack: the generic handle, or (for ext4) the concrete handle
-/// the consistency checker needs.
-enum MountedState {
-    Generic(Arc<dyn VfsFs>),
-    Ext4(Arc<Ext4Sim>),
-}
-
-impl MountedState {
-    fn vfs(&self) -> &dyn VfsFs {
-        match self {
-            MountedState::Generic(fs) => fs.as_ref(),
-            MountedState::Ext4(fs) => fs.as_ref() as &dyn VfsFs,
-        }
-    }
-}
-
-/// Mounts `stack` on `device` (for crash images this runs recovery).
-/// `planted` goes into the journal of the Bento stack and of ext4sim; the
-/// C-Kernel stack runs the same xv6 core as Bento and ignores it.
-fn mount_stack_on(
-    stack: CrashStack,
-    device: Arc<dyn BlockDevice>,
-    planted: PlantedFault,
-) -> KernelResult<MountedState> {
-    Ok(match stack {
-        CrashStack::BentoXv6 => {
-            let fs = Xv6FileSystem::new().with_planted_log_fault(planted);
-            let mounted = BentoFs::mount(
-                xv6fs::BENTO_XV6_NAME,
-                device,
-                DEFAULT_BUFFER_CACHE_BLOCKS,
-                Box::new(fs),
-            )?;
-            MountedState::Generic(mounted as Arc<dyn VfsFs>)
-        }
-        CrashStack::VfsXv6 => {
-            MountedState::Generic(Xv6VfsFilesystem::mount(device)? as Arc<dyn VfsFs>)
-        }
-        CrashStack::Ext4 => MountedState::Ext4(Ext4Sim::mount_planted(device, planted)?),
-    })
-}
-
 /// Runs the full harness for one stack.
 ///
 /// # Errors
 ///
 /// Propagates unexpected I/O errors (oracle violations are *reported*, not
 /// returned as errors).
-pub fn run_crash_test(stack: CrashStack, cfg: &CrashTestConfig) -> KernelResult<CrashReport> {
+pub fn run_crash_test(stack: FsStack, cfg: &CrashTestConfig) -> KernelResult<CrashReport> {
     run_crash_test_planted(stack, cfg, PlantedFault::None)
 }
 
 /// [`run_crash_test`] with a protocol violation planted in the journal of
-/// the workload mount and of every recovery mount ([`CrashStack::BentoXv6`]
-/// and [`CrashStack::Ext4`]): the proof that the oracles above have teeth.
+/// the workload mount and of every recovery mount ([`FsStack::BentoXv6`]
+/// and [`FsStack::Ext4`]): the proof that the oracles above have teeth.
 ///
 /// # Errors
 ///
 /// As [`run_crash_test`].
 #[doc(hidden)]
 pub fn run_crash_test_planted(
-    stack: CrashStack,
+    stack: FsStack,
     cfg: &CrashTestConfig,
     planted: PlantedFault,
 ) -> KernelResult<CrashReport> {
@@ -252,13 +166,14 @@ pub fn run_crash_test_planted(
 /// As [`run_crash_test`].
 #[doc(hidden)]
 pub fn run_crash_test_inspected(
-    stack: CrashStack,
+    stack: FsStack,
     cfg: &CrashTestConfig,
     planted: PlantedFault,
     inspect: &mut dyn FnMut(&CrashState),
 ) -> KernelResult<CrashReport> {
     // 1. Format, snapshot the base image, wrap the recorder.
-    let base = format_base(stack, cfg.disk_blocks)?;
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, cfg.disk_blocks));
+    format(stack, &base, XV6_INODES)?;
     let image = Arc::new(DiskImage::capture(&base)?);
     let fault = Arc::new(FaultDevice::new(base, FaultConfig::recorder(cfg.seed)));
     let fault_dyn: Arc<dyn BlockDevice> = Arc::clone(&fault) as Arc<dyn BlockDevice>;
@@ -280,8 +195,8 @@ pub fn run_crash_test_inspected(
     // 2. Mount and run the modelled workload, then crash (drop, no sync).
     let mut model = WorkloadModel::new();
     let ops_run = {
-        let fs = mount_stack_on(stack, mount_dev, planted)?;
-        run_workload(fs.vfs(), &fault, &mut model, cfg)?
+        let mounted = mount_stack_on(stack, mount_dev, CostModel::zero(), planted)?;
+        run_workload(&*mounted.fs(), &fault, &mut model, cfg)?
     };
     let trace = fault.trace();
     let epochs = trace.epochs().len();
@@ -303,8 +218,8 @@ pub fn run_crash_test_inspected(
     };
     for state in &states {
         inspect(state);
-        let disk_dyn: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let mounted = match mount_stack_on(stack, Arc::clone(&disk_dyn), planted) {
+        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let mounted = match mount_stack_on(stack, disk, CostModel::zero(), planted) {
             Ok(mounted) => mounted,
             Err(e) => {
                 record(
@@ -319,45 +234,32 @@ pub fn run_crash_test_inspected(
             }
         };
         // Structural oracle (after recovery ran during mount).
-        let mut structural = Vec::new();
-        match &mounted {
-            MountedState::Ext4(fs) => {
-                let report = fs.check_consistency();
-                for error in report.errors {
-                    structural.push(Violation {
-                        state: state.description.clone(),
-                        detail: format!("fsck: {error}"),
-                    });
-                }
-            }
-            MountedState::Generic(_) => match xv6fs::fsck::fsck_device(&disk_dyn) {
-                Ok(report) => {
-                    for error in report.errors {
-                        structural.push(Violation {
-                            state: state.description.clone(),
-                            detail: format!("fsck: {error}"),
-                        });
-                    }
-                }
-                Err(e) => structural.push(Violation {
+        let structural = match mounted.check() {
+            Ok(errors) => errors
+                .into_iter()
+                .map(|error| Violation {
                     state: state.description.clone(),
-                    detail: format!("fsck aborted with I/O error: {e}"),
-                }),
-            },
-        }
+                    detail: format!("fsck: {error}"),
+                })
+                .collect(),
+            Err(e) => vec![Violation {
+                state: state.description.clone(),
+                detail: format!("fsck aborted with I/O error: {e}"),
+            }],
+        };
         record(&mut violations, &mut violations_found, structural);
         // Durability oracle.  An *error* while evaluating it (e.g. the
         // root inode vanished, a directory walk hit garbage) means the
         // recovered image is broken — report it as a violation of this
         // state rather than aborting the whole run.
-        let durability = match model.verify(mounted.vfs(), &state.description, state.durable_events)
-        {
-            Ok(list) => list,
-            Err(e) => vec![Violation {
-                state: state.description.clone(),
-                detail: format!("durability oracle aborted: {e}"),
-            }],
-        };
+        let durability =
+            match model.verify(&*mounted.fs(), &state.description, state.durable_events) {
+                Ok(list) => list,
+                Err(e) => vec![Violation {
+                    state: state.description.clone(),
+                    detail: format!("durability oracle aborted: {e}"),
+                }],
+            };
         record(&mut violations, &mut violations_found, durability);
     }
 
@@ -383,7 +285,7 @@ const MAX_FILES: usize = 48;
 const MAX_DIRS: usize = 6;
 /// Highest page a write may start at; files reach at most four pages
 /// past it (sizes stay page-aligned so the model's byte-for-byte
-/// comparison is exact across all three stacks' partial-page semantics).
+/// comparison is exact across all four stacks' partial-page semantics).
 const MAX_FILE_PAGES: u64 = 4;
 
 /// Drives `ops` randomized operations against `fs`, mirroring each into

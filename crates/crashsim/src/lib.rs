@@ -19,9 +19,11 @@
 //!   oracle: everything fsync'd before the crash must survive remount
 //!   byte-for-byte;
 //! * [`harness`] — [`harness::run_crash_test`] wires it all
-//!   together for the Bento xv6, VFS xv6, and ext4sim stacks (structural
-//!   checking via [`xv6fs::fsck`] respectively
-//!   [`Ext4Sim::check_consistency`](ext4sim::Ext4Sim::check_consistency)).
+//!   together for each of the four stacks of [`workloads::FsStack`] —
+//!   Bento xv6, VFS xv6, FUSE xv6 and ext4sim — formatted and mounted
+//!   through [`workloads::stacks`] and checked structurally by
+//!   [`workloads::MountedStack::check`] (`xv6fs::fsck` for the xv6
+//!   stacks, `Ext4Sim::check_consistency` for ext4sim).
 //!
 //! ## Replaying a failure
 //!
@@ -31,7 +33,8 @@
 //! and crash states — no stored artifacts needed.
 //!
 //! ```
-//! use crashsim::{run_crash_test, CrashMode, CrashStack, CrashTestConfig};
+//! use crashsim::{run_crash_test, CrashMode, CrashTestConfig};
+//! use workloads::FsStack;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let cfg = CrashTestConfig {
@@ -42,7 +45,7 @@
 //!     max_violations: 8,
 //!     queue_depth: 0,
 //! };
-//! let report = run_crash_test(CrashStack::BentoXv6, &cfg)?;
+//! let report = run_crash_test(FsStack::FuseXv6, &cfg)?;
 //! assert!(report.is_clean(), "{:?}", report.violations);
 //! # Ok(())
 //! # }
@@ -63,6 +66,6 @@ pub use device::{
 pub use enumerate::{prefix_states, sampled_states, CrashState};
 pub use harness::{
     run_crash_test, run_crash_test_inspected, run_crash_test_planted, CrashMode, CrashReport,
-    CrashStack, CrashTestConfig,
+    CrashTestConfig,
 };
 pub use model::{StableSnapshot, Violation, WorkloadModel};

@@ -14,9 +14,10 @@
 //! same ones, and one run goes through the queued device at depth 8 so the
 //! overlapped-commit pipeline is exercised under the new locking too.
 
-use crashsim::{run_crash_test, CrashStack, CrashTestConfig};
+use crashsim::{run_crash_test, CrashTestConfig};
+use workloads::FsStack;
 
-fn assert_clean(stack: CrashStack, cfg: &CrashTestConfig) {
+fn assert_clean(stack: FsStack, cfg: &CrashTestConfig) {
     let report = run_crash_test(stack, cfg).unwrap_or_else(|e| panic!("{stack:?}: {e}"));
     assert_eq!(report.ops_run, cfg.ops);
     assert!(report.states_checked > 0);
@@ -30,12 +31,12 @@ fn assert_clean(stack: CrashStack, cfg: &CrashTestConfig) {
 
 #[test]
 fn bento_xv6_with_per_directory_locks_survives_sampled_crashes() {
-    assert_clean(CrashStack::BentoXv6, &CrashTestConfig::standard(0xD1_5108));
+    assert_clean(FsStack::BentoXv6, &CrashTestConfig::standard(0xD1_5108));
 }
 
 #[test]
 fn vfs_xv6_with_per_directory_locks_survives_sampled_crashes() {
-    assert_clean(CrashStack::VfsXv6, &CrashTestConfig::standard(0xD1_5109));
+    assert_clean(FsStack::VfsXv6, &CrashTestConfig::standard(0xD1_5109));
 }
 
 #[test]
@@ -43,10 +44,10 @@ fn bento_xv6_per_directory_locks_stay_clean_at_queue_depth_8() {
     // The batched commit epochs interleave with namespace traffic;
     // the directory locks drop before end_op, so commits from different
     // directories pipeline — crash states must still all recover.
-    assert_clean(CrashStack::BentoXv6, &CrashTestConfig::standard(0xD1_510A).with_queue_depth(8));
+    assert_clean(FsStack::BentoXv6, &CrashTestConfig::standard(0xD1_510A).with_queue_depth(8));
 }
 
 #[test]
 fn vfs_xv6_per_directory_locks_stay_clean_at_queue_depth_8() {
-    assert_clean(CrashStack::VfsXv6, &CrashTestConfig::standard(0xD1_510B).with_queue_depth(8));
+    assert_clean(FsStack::VfsXv6, &CrashTestConfig::standard(0xD1_510B).with_queue_depth(8));
 }

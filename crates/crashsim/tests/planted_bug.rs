@@ -13,8 +13,9 @@
 
 mod common;
 
-use crashsim::{run_crash_test, CrashStack, CrashTestConfig};
+use crashsim::{run_crash_test, CrashTestConfig};
 use journal::PlantedFault;
+use workloads::FsStack;
 
 use common::assert_caught;
 
@@ -31,24 +32,22 @@ fn ext4_config() -> CrashTestConfig {
 
 #[test]
 fn the_same_run_with_nothing_planted_is_clean() {
-    let clean = run_crash_test(CrashStack::BentoXv6, &config()).unwrap();
+    let clean = run_crash_test(FsStack::BentoXv6, &config()).unwrap();
     assert!(clean.is_clean(), "{:#?}", clean.violations.iter().take(3).collect::<Vec<_>>());
-    assert!(
-        common::clean_unmount_violations(CrashStack::BentoXv6, 0, PlantedFault::None).is_empty()
-    );
+    assert!(common::clean_unmount_violations(FsStack::BentoXv6, 0, PlantedFault::None).is_empty());
 }
 
 /// (a) A record persisted ahead of its payload — or outliving it — is
 /// replayed: recovery installs stale log-region bytes over live metadata.
 #[test]
 fn recovery_that_skips_the_payload_digest_is_caught() {
-    assert_caught(CrashStack::BentoXv6, &config(), PlantedFault::TrustHeaderChecksum);
+    assert_caught(FsStack::BentoXv6, &config(), PlantedFault::TrustHeaderChecksum);
 }
 
 /// (b) A group half installed with no durable record to finish it from.
 #[test]
 fn installs_before_the_commit_barrier_are_caught() {
-    assert_caught(CrashStack::BentoXv6, &config(), PlantedFault::InstallBeforeBarrier);
+    assert_caught(FsStack::BentoXv6, &config(), PlantedFault::InstallBeforeBarrier);
 }
 
 /// (c) An fsync-acknowledged file lost when the unmount's final header
@@ -56,7 +55,7 @@ fn installs_before_the_commit_barrier_are_caught() {
 #[test]
 fn checkpoint_clear_without_barrier_is_caught() {
     let violations = common::clean_unmount_violations(
-        CrashStack::BentoXv6,
+        FsStack::BentoXv6,
         0,
         PlantedFault::CheckpointWithoutBarrier,
     );
@@ -69,27 +68,24 @@ fn checkpoint_clear_without_barrier_is_caught() {
 /// durability oracle.
 #[test]
 fn ext4_the_same_run_with_nothing_planted_is_clean() {
-    let clean = run_crash_test(CrashStack::Ext4, &ext4_config()).unwrap();
+    let clean = run_crash_test(FsStack::Ext4, &ext4_config()).unwrap();
     assert!(clean.is_clean(), "{:#?}", clean.violations.iter().take(3).collect::<Vec<_>>());
-    assert!(common::clean_unmount_violations(CrashStack::Ext4, 0, PlantedFault::None).is_empty());
+    assert!(common::clean_unmount_violations(FsStack::Ext4, 0, PlantedFault::None).is_empty());
 }
 
 #[test]
 fn ext4_recovery_that_skips_the_payload_digest_is_caught() {
-    assert_caught(CrashStack::Ext4, &ext4_config(), PlantedFault::TrustHeaderChecksum);
+    assert_caught(FsStack::Ext4, &ext4_config(), PlantedFault::TrustHeaderChecksum);
 }
 
 #[test]
 fn ext4_installs_before_the_commit_barrier_are_caught() {
-    assert_caught(CrashStack::Ext4, &ext4_config(), PlantedFault::InstallBeforeBarrier);
+    assert_caught(FsStack::Ext4, &ext4_config(), PlantedFault::InstallBeforeBarrier);
 }
 
 #[test]
 fn ext4_checkpoint_clear_without_barrier_is_caught() {
-    let violations = common::clean_unmount_violations(
-        CrashStack::Ext4,
-        0,
-        PlantedFault::CheckpointWithoutBarrier,
-    );
+    let violations =
+        common::clean_unmount_violations(FsStack::Ext4, 0, PlantedFault::CheckpointWithoutBarrier);
     assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
 }

@@ -16,12 +16,11 @@
 
 use std::sync::Arc;
 
-use crashsim::{
-    run_crash_test, CrashMode, CrashStack, CrashTestConfig, Event, FaultConfig, FaultDevice,
-};
+use crashsim::{run_crash_test, CrashMode, CrashTestConfig, Event, FaultConfig, FaultDevice};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
+use workloads::FsStack;
 
 #[test]
 fn queued_writes_are_recorded_in_their_submission_epoch() {
@@ -64,7 +63,7 @@ fn queued_writes_are_recorded_in_their_submission_epoch() {
     assert!(blocks_in(epochs[2].clone()).is_empty(), "no writes after the last barrier");
 }
 
-fn assert_clean_queued(stack: CrashStack, seed: u64) {
+fn assert_clean_queued(stack: FsStack, seed: u64) {
     let cfg = CrashTestConfig {
         ops: 120,
         mode: CrashMode::Sampled { states: 96 },
@@ -83,10 +82,10 @@ fn assert_clean_queued(stack: CrashStack, seed: u64) {
 
 #[test]
 fn bento_xv6_recovers_cleanly_through_the_queued_device() {
-    assert_clean_queued(CrashStack::BentoXv6, 0x0B3_4EDA);
+    assert_clean_queued(FsStack::BentoXv6, 0x0B3_4EDA);
 }
 
 #[test]
 fn vfs_xv6_recovers_cleanly_through_the_queued_device() {
-    assert_clean_queued(CrashStack::VfsXv6, 0x0C6_4EDA);
+    assert_clean_queued(FsStack::VfsXv6, 0x0C6_4EDA);
 }

@@ -1,21 +1,21 @@
 //! Acceptance tests: crash enumeration over a seeded 200-op randomized
 //! trace reports zero oracle violations (fsck clean + fsync durability) on
-//! all three crash-tested stacks.
+//! all four stacks.
 
 use crashsim::{
-    run_crash_test, run_crash_test_inspected, CrashMode, CrashReport, CrashStack, CrashState,
-    CrashTestConfig,
+    run_crash_test, run_crash_test_inspected, CrashMode, CrashReport, CrashState, CrashTestConfig,
 };
 use journal::record::{parse_head, payload_digest, BSIZE};
 use journal::PlantedFault;
 use simkernel::dev::BlockDevice;
+use workloads::FsStack;
 
-fn assert_clean(stack: CrashStack, cfg: &CrashTestConfig) {
+fn assert_clean(stack: FsStack, cfg: &CrashTestConfig) {
     let report = run_crash_test(stack, cfg).unwrap_or_else(|e| panic!("{stack:?}: {e}"));
     assert_clean_report(stack, cfg, &report);
 }
 
-fn assert_clean_report(stack: CrashStack, cfg: &CrashTestConfig, report: &CrashReport) {
+fn assert_clean_report(stack: FsStack, cfg: &CrashTestConfig, report: &CrashReport) {
     assert_eq!(report.ops_run, cfg.ops);
     assert!(report.fsync_points > 0, "{stack:?}: workload must hit durability points");
     assert!(report.trace_writes > 0 && report.trace_epochs > 1, "{stack:?}: trace too small");
@@ -30,12 +30,20 @@ fn assert_clean_report(stack: CrashStack, cfg: &CrashTestConfig, report: &CrashR
 
 #[test]
 fn bento_xv6_survives_sampled_crash_states_over_200_ops() {
-    assert_clean(CrashStack::BentoXv6, &CrashTestConfig::standard(0xB3_2021));
+    assert_clean(FsStack::BentoXv6, &CrashTestConfig::standard(0xB3_2021));
 }
 
 #[test]
 fn vfs_xv6_survives_sampled_crash_states_over_200_ops() {
-    assert_clean(CrashStack::VfsXv6, &CrashTestConfig::standard(0xC6_2021));
+    assert_clean(FsStack::VfsXv6, &CrashTestConfig::standard(0xC6_2021));
+}
+
+/// FUSE runs the Bento stack's xv6 core in a userspace daemon, over its own
+/// block cache and with a whole-file fsync: a different write stream,
+/// recovered by the same log.
+#[test]
+fn fuse_stack_recovers_from_sampled_crash_states() {
+    assert_clean(FsStack::FuseXv6, &CrashTestConfig::standard(0xF5_2021));
 }
 
 /// ext4sim commits data and the metadata mapping it in one journal group:
@@ -46,12 +54,11 @@ fn vfs_xv6_survives_sampled_crash_states_over_200_ops() {
 fn ext4sim_survives_sampled_crash_states_over_200_ops() {
     let cfg = CrashTestConfig::standard(0xE4_2021);
     let mut mixed_records = 0usize;
-    let report =
-        run_crash_test_inspected(CrashStack::Ext4, &cfg, PlantedFault::None, &mut |state| {
-            mixed_records += usize::from(holds_a_data_and_metadata_record(state, cfg.disk_blocks));
-        })
-        .unwrap();
-    assert_clean_report(CrashStack::Ext4, &cfg, &report);
+    let report = run_crash_test_inspected(FsStack::Ext4, &cfg, PlantedFault::None, &mut |state| {
+        mixed_records += usize::from(holds_a_data_and_metadata_record(state, cfg.disk_blocks));
+    })
+    .unwrap();
+    assert_clean_report(FsStack::Ext4, &cfg, &report);
     assert!(mixed_records > 0, "no crash state held a record naming data and metadata homes");
 }
 
@@ -88,7 +95,7 @@ fn exhaustive_prefix_enumeration_is_clean_on_a_short_trace() {
         max_violations: 16,
         queue_depth: 0,
     };
-    let report = run_crash_test(CrashStack::BentoXv6, &cfg).unwrap();
+    let report = run_crash_test(FsStack::BentoXv6, &cfg).unwrap();
     assert!(report.states_checked > report.trace_writes, "one state per event boundary");
     assert!(
         report.is_clean(),
@@ -99,6 +106,21 @@ fn exhaustive_prefix_enumeration_is_clean_on_a_short_trace() {
 }
 
 #[test]
+fn exhaustive_prefix_enumeration_is_clean_on_a_short_fuse_trace() {
+    let cfg = CrashTestConfig {
+        seed: 0xF5E,
+        ops: 40,
+        disk_blocks: 4096,
+        mode: CrashMode::Prefixes,
+        max_violations: 16,
+        queue_depth: 0,
+    };
+    let report = run_crash_test(FsStack::FuseXv6, &cfg).unwrap();
+    assert!(report.states_checked > report.trace_writes, "one state per event boundary");
+    assert_clean_report(FsStack::FuseXv6, &cfg, &report);
+}
+
+#[test]
 fn different_seeds_produce_different_traces_but_stay_clean() {
     for seed in [1u64, 2, 3] {
         let cfg = CrashTestConfig {
@@ -106,7 +128,7 @@ fn different_seeds_produce_different_traces_but_stay_clean() {
             mode: CrashMode::Sampled { states: 48 },
             ..CrashTestConfig::standard(seed)
         };
-        for stack in CrashStack::all() {
+        for stack in FsStack::all() {
             let report = run_crash_test(stack, &cfg).unwrap();
             assert!(
                 report.is_clean(),

@@ -9,45 +9,42 @@
 use std::sync::Arc;
 
 use crashsim::{prefix_states, sampled_states, DiskImage, FaultConfig, FaultDevice};
+use journal::PlantedFault;
+use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::error::KernelResult;
-use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
+use simkernel::vfs::{FileMode, PAGE_SIZE};
+use workloads::{format, mount_stack_on, FsStack, MountedStack};
 use xv6fs::layout::BSIZE;
 
-type Mount = fn(Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>>;
+const XV6_STACKS: [FsStack; 2] = [FsStack::BentoXv6, FsStack::VfsXv6];
 
-fn mount_bento(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
-    Ok(xv6fs::fstype().mount_on(dev)? as Arc<dyn VfsFs>)
-}
-
-fn mount_vfs(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
-    Ok(xv6fs_vfs::Xv6VfsFilesystem::mount(dev)? as Arc<dyn VfsFs>)
+fn mount(stack: FsStack, dev: Arc<dyn BlockDevice>) -> MountedStack {
+    mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).unwrap()
 }
 
 /// Reboots into every state (mount runs recovery) and requires a clean
 /// fsck with no orphan inode.
-fn assert_recovers_without_orphans(name: &str, mount: Mount, states: Vec<crashsim::CrashState>) {
+fn assert_recovers_without_orphans(stack: FsStack, states: Vec<crashsim::CrashState>) {
     for state in states {
         let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let fs = mount(Arc::clone(&disk)).unwrap();
+        let mounted = mount(stack, Arc::clone(&disk));
         let report = xv6fs::fsck::fsck_device(&disk).unwrap();
-        assert!(report.is_clean(), "{name}: {}: {:?}", state.description, report.errors);
-        assert_eq!(report.orphan_inodes, 0, "{name}: {}", state.description);
-        drop(fs);
+        assert!(report.is_clean(), "{stack:?}: {}: {:?}", state.description, report.errors);
+        assert_eq!(report.orphan_inodes, 0, "{stack:?}: {}", state.description);
+        drop(mounted);
     }
 }
 
 #[test]
 fn small_file_unlink_never_recovers_to_an_orphan() {
     const DISK_BLOCKS: u64 = 4096;
-    for (name, mount) in [("bento-xv6fs", mount_bento as Mount), ("vfs-xv6fs", mount_vfs as Mount)]
-    {
+    for stack in XV6_STACKS {
         let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-        xv6fs::mkfs::mkfs_on_device(&base, 256).unwrap();
+        format(stack, &base, 256).unwrap();
         let image = Arc::new(DiskImage::capture(&base).unwrap());
         let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
         {
-            let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
+            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs();
             for round in 0..3u8 {
                 // 14 pages: past the direct blocks, so the reap also frees
                 // an indirect block.
@@ -62,7 +59,7 @@ fn small_file_unlink_never_recovers_to_an_orphan() {
         let trace = recorder.trace();
         let mut states = prefix_states(&trace, &image);
         states.extend(sampled_states(&trace, &image, 0x0D15_CA2D, 200));
-        assert_recovers_without_orphans(name, mount, states);
+        assert_recovers_without_orphans(stack, states);
     }
 }
 
@@ -75,12 +72,11 @@ fn small_file_unlink_never_recovers_to_an_orphan() {
 fn a_file_within_one_truncate_chunk_is_unlinked_in_one_transaction() {
     const DISK_BLOCKS: u64 = 4096;
     const FILE_BLOCKS: u64 = 600;
-    for (name, mount) in [("bento-xv6fs", mount_bento as Mount), ("vfs-xv6fs", mount_vfs as Mount)]
-    {
+    for stack in XV6_STACKS {
         let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
-        xv6fs::mkfs::mkfs_on_device(&base, 256).unwrap();
+        format(stack, &base, 256).unwrap();
         {
-            let fs = mount(Arc::clone(&base)).unwrap();
+            let fs = mount(stack, Arc::clone(&base)).fs();
             let file = fs.create(1, "victim", FileMode::regular()).unwrap();
             let page = vec![0xC7u8; PAGE_SIZE];
             for index in 0..FILE_BLOCKS {
@@ -92,12 +88,12 @@ fn a_file_within_one_truncate_chunk_is_unlinked_in_one_transaction() {
         let image = Arc::new(DiskImage::capture(&base).unwrap());
         let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
         {
-            let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
-            let commits = |fs: &Arc<dyn VfsFs>| fs.write_path_stats().unwrap().log_commits;
-            let before = commits(&fs);
+            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs();
+            let commits = || fs.write_path_stats().unwrap().log_commits;
+            let before = commits();
             fs.unlink(1, "victim").unwrap();
-            assert_eq!(commits(&fs) - before, 1, "{name}: unlink + reap is one transaction");
+            assert_eq!(commits() - before, 1, "{stack:?}: unlink + reap is one transaction");
         }
-        assert_recovers_without_orphans(name, mount, prefix_states(&recorder.trace(), &image));
+        assert_recovers_without_orphans(stack, prefix_states(&recorder.trace(), &image));
     }
 }

@@ -15,19 +15,16 @@ use std::sync::Arc;
 
 use crashsim::{prefix_states, sampled_states, DiskImage, Event, FaultConfig, FaultDevice};
 use journal::record::parse_head;
+use journal::PlantedFault;
+use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::error::{Errno, KernelResult};
+use simkernel::error::Errno;
 use simkernel::vfs::{FileMode, VfsFs, WritebackFile, PAGE_SIZE};
+use workloads::{mount_stack_on, FsStack};
 use xv6fs::layout::BSIZE;
 
-type Mount = fn(Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>>;
-
-fn mount_bento(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
-    Ok(xv6fs::fstype().mount_on(dev)? as Arc<dyn VfsFs>)
-}
-
-fn mount_vfs(dev: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
-    Ok(xv6fs_vfs::Xv6VfsFilesystem::mount(dev)? as Arc<dyn VfsFs>)
+fn mount(stack: FsStack, dev: Arc<dyn BlockDevice>) -> Arc<dyn VfsFs> {
+    mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).unwrap().fs()
 }
 
 /// The two passes of the workload, as `(page, fill)` sets, and the file
@@ -86,13 +83,13 @@ fn commit_sizes(trace: &crashsim::WriteTrace, dsb: &xv6fs::layout::DiskSuperbloc
 /// Runs create → pass 0 → pass 1 on a recording device, and returns every
 /// distinct file state the enumerated crash images recover to, plus the
 /// block count of the largest commit in the trace.
-fn recovered_states(name: &str, mount: Mount) -> (Vec<Option<Vec<u8>>>, usize) {
+fn recovered_states(stack: FsStack) -> (Vec<Option<Vec<u8>>>, usize) {
     let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, 4096));
     let dsb = xv6fs::mkfs::mkfs_on_device(&base, 64).unwrap();
     let image = Arc::new(DiskImage::capture(&base).unwrap());
     let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
     {
-        let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
+        let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>);
         let ino = fs.create(1, "f", FileMode::regular()).unwrap().ino;
         for (pass, after) in PASSES.iter().zip(&AFTER[1..]) {
             write_back(&*fs, ino, pass, (after.len() * PAGE_SIZE) as u64);
@@ -106,9 +103,9 @@ fn recovered_states(name: &str, mount: Mount) -> (Vec<Option<Vec<u8>>>, usize) {
     let mut seen: Vec<Option<Vec<u8>>> = Vec::new();
     for state in crash_states {
         let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let fs = mount(Arc::clone(&disk)).unwrap();
+        let fs = mount(stack, Arc::clone(&disk));
         let report = xv6fs::fsck::fsck_device(&disk).unwrap();
-        assert!(report.is_clean(), "{name}: {}: {:?}", state.description, report.errors);
+        assert!(report.is_clean(), "{stack:?}: {}: {:?}", state.description, report.errors);
         let file = observe(&*fs);
         if !seen.contains(&file) {
             seen.push(file);
@@ -122,7 +119,7 @@ fn a_two_run_pass_is_all_or_nothing_on_bento_and_page_by_page_on_ckernel() {
     let whole: Vec<Option<Vec<u8>>> =
         std::iter::once(None).chain(AFTER.iter().map(|file| Some(file.to_vec()))).collect();
 
-    let (bento, largest) = recovered_states("bento-xv6fs", mount_bento);
+    let (bento, largest) = recovered_states(FsStack::BentoXv6);
     for file in &bento {
         assert!(whole.contains(file), "Bento recovered to a partial pass: {file:?}");
     }
@@ -130,7 +127,7 @@ fn a_two_run_pass_is_all_or_nothing_on_bento_and_page_by_page_on_ckernel() {
     // Pass 0 in one record: three data blocks, the bitmap and the inode.
     assert_eq!(largest, 5, "the enumeration saw the multi-page write-back transaction");
 
-    let (ckernel, largest) = recovered_states("vfs-xv6fs", mount_vfs);
+    let (ckernel, largest) = recovered_states(FsStack::VfsXv6);
     for file in &whole {
         assert!(ckernel.contains(file), "C-Kernel never recovered to {file:?}");
     }
@@ -163,11 +160,11 @@ fn pass_prefix(k: u64) -> Vec<u64> {
 /// writes them back in one `write_pages` pass on a recording device.
 /// Returns the sorted distinct pass prefixes (in pages) every enumerated
 /// crash state recovers to, and the commit count of the pass.
-fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
+fn multi_file_prefixes(stack: FsStack) -> (Vec<u64>, usize) {
     let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, 4096));
     let dsb = xv6fs::mkfs::mkfs_on_device(&base, 64).unwrap();
     let inos: Vec<u64> = {
-        let fs = mount(Arc::clone(&base)).unwrap();
+        let fs = mount(stack, Arc::clone(&base));
         let inos =
             FILES.iter().map(|(file, _)| fs.create(1, file, FileMode::regular()).unwrap().ino);
         let inos = inos.collect();
@@ -178,7 +175,7 @@ fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
     let image = Arc::new(DiskImage::capture(&base).unwrap());
     let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
     {
-        let fs = mount(Arc::clone(&recorder) as Arc<dyn BlockDevice>).unwrap();
+        let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>);
         let pages: Vec<Vec<u8>> =
             (0..FILES.len()).map(|i| vec![0xA0 + i as u8; PAGE_SIZE]).collect();
         let sets: Vec<Vec<(u64, &[u8])>> = FILES
@@ -201,9 +198,9 @@ fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
     let mut prefixes: Vec<u64> = Vec::new();
     for state in crash_states {
         let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let fs = mount(Arc::clone(&disk)).unwrap();
+        let fs = mount(stack, Arc::clone(&disk));
         let report = xv6fs::fsck::fsck_device(&disk).unwrap();
-        assert!(report.is_clean(), "{name}: {}: {:?}", state.description, report.errors);
+        assert!(report.is_clean(), "{stack:?}: {}: {:?}", state.description, report.errors);
         let files: Vec<u64> = FILES
             .iter()
             .enumerate()
@@ -211,7 +208,7 @@ fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
                 let fills = observe_file(&*fs, file).expect("created before the pass");
                 assert!(
                     fills.iter().all(|&fill| fill == 0xA0 + i as u8),
-                    "{name}: {file} {fills:?}"
+                    "{stack:?}: {file} {fills:?}"
                 );
                 fills.len() as u64
             })
@@ -220,7 +217,7 @@ fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
         assert_eq!(
             files,
             pass_prefix(k),
-            "{name}: {}: not a prefix of the pass",
+            "{stack:?}: {}: not a prefix of the pass",
             state.description
         );
         if !prefixes.contains(&k) {
@@ -235,7 +232,7 @@ fn multi_file_prefixes(name: &str, mount: Mount) -> (Vec<u64>, usize) {
 fn files_sharing_a_write_back_transaction_move_together() {
     let total: u64 = FILES.iter().map(|(_, pages)| pages).sum();
 
-    let (bento, commits) = multi_file_prefixes("bento-xv6fs", mount_bento);
+    let (bento, commits) = multi_file_prefixes(FsStack::BentoXv6);
     assert!(commits >= 2, "the pass needs several transactions: {commits}");
     assert!(commits < FILES.len() * 2, "files share transactions: {commits} commits");
     // Every transaction is atomic: the recovered states are the pass cut at
@@ -250,7 +247,7 @@ fn files_sharing_a_write_back_transaction_move_together() {
     });
     assert!(two_files, "no recovered record named the data of two inodes: {bento:?}");
 
-    let (ckernel, commits) = multi_file_prefixes("vfs-xv6fs", mount_vfs);
+    let (ckernel, commits) = multi_file_prefixes(FsStack::VfsXv6);
     assert_eq!(commits as u64, total, "a transaction per page");
     assert_eq!(ckernel, (0..=total).collect::<Vec<_>>(), "every page prefix is recoverable");
 }

@@ -534,13 +534,24 @@ impl std::fmt::Debug for Ext4Sim {
 
 impl Ext4Sim {
     /// Formats `device` with an empty file system (root directory only) and
-    /// mounts it.
+    /// mounts it: [`Ext4Sim::format`], then [`Ext4Sim::mount`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Ext4Sim::format`] and [`Ext4Sim::mount`].
+    pub fn format_and_mount(device: Arc<dyn BlockDevice>) -> KernelResult<Arc<Self>> {
+        Self::format(&device)?;
+        Self::mount(device)
+    }
+
+    /// Formats `device` with an empty file system (root directory only),
+    /// committed and checkpointed, so the log is clean.
     ///
     /// # Errors
     ///
     /// Returns [`Errno::Inval`] for devices too small to hold the journal
     /// and inode table; propagates device errors.
-    pub fn format_and_mount(device: Arc<dyn BlockDevice>) -> KernelResult<Arc<Self>> {
+    pub fn format(device: &Arc<dyn BlockDevice>) -> KernelResult<()> {
         let end = device.num_blocks();
         if end <= DATA_START + 16 {
             return Err(KernelError::with_context(Errno::Inval, "ext4sim: device too small"));
@@ -558,7 +569,7 @@ impl Ext4Sim {
         put_u64(&mut block, 8, end);
         device.write_block(SUPERBLOCK, &block)?;
         device.flush()?;
-        let fs = Self::open(Arc::clone(&device), PlantedFault::None)?;
+        let fs = Self::open(Arc::clone(device), PlantedFault::None)?;
         {
             let mut meta = fs.meta.write();
             let root = meta.alloc_ino()?;
@@ -567,8 +578,23 @@ impl Ext4Sim {
             meta.dirty.insert(ROOT_INO);
         }
         fs.commit()?;
-        fs.journal.checkpoint(&fs.io)?;
-        Self::mount(device)
+        fs.journal.checkpoint(&fs.io)
+    }
+
+    /// [`Ext4Sim::format`]s `device` if it is blank (no ext4sim magic in
+    /// block 0) and keeps the image otherwise.  A device whose block 0
+    /// fails to read returns the error instead of being wiped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Ext4Sim::format`].
+    pub fn format_if_blank(device: &Arc<dyn BlockDevice>) -> KernelResult<()> {
+        let mut block = vec![0u8; BSIZE];
+        device.read_block(SUPERBLOCK, &mut block)?;
+        if get_u64(&block, 0) == SUPER_MAGIC {
+            return Ok(());
+        }
+        Self::format(device)
     }
 
     /// Mounts a previously formatted device: journal recovery, then a read
@@ -964,12 +990,6 @@ impl VfsFs for Ext4Sim {
         Some(self.journal.stats().write_path_stats())
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        // Lets holders of the mount table entry recover the concrete
-        // handle (the crash tests reach `check_consistency` this way).
-        Some(self)
-    }
-
     fn lookup(&self, dir: u64, name: &str) -> KernelResult<InodeAttr> {
         let ino = self.lookup_in(dir, name)?;
         self.inode_attr(ino)
@@ -1221,8 +1241,8 @@ impl VfsFs for Ext4Sim {
     }
 }
 
-/// Mountable type for [`Ext4Sim`].  Mount formats only a blank device (no
-/// ext4sim magic in block 0); a device that fails to read or holds a
+/// Mountable type for [`Ext4Sim`].  Mount formats only a blank device
+/// ([`Ext4Sim::format_if_blank`]); a device that fails to read or holds a
 /// damaged image returns the error instead of being wiped.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct Ext4FilesystemType;
@@ -1237,11 +1257,8 @@ impl FilesystemType for Ext4FilesystemType {
         device: Arc<dyn BlockDevice>,
         _options: &MountOptions,
     ) -> KernelResult<Arc<dyn VfsFs>> {
-        let mut block = vec![0u8; BSIZE];
-        device.read_block(SUPERBLOCK, &mut block)?;
-        let blank = get_u64(&block, 0) != SUPER_MAGIC;
-        let fs = if blank { Ext4Sim::format_and_mount(device)? } else { Ext4Sim::mount(device)? };
-        Ok(fs as Arc<dyn VfsFs>)
+        Ext4Sim::format_if_blank(&device)?;
+        Ok(Ext4Sim::mount(device)? as Arc<dyn VfsFs>)
     }
 }
 

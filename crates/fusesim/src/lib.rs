@@ -478,33 +478,11 @@ pub fn mount_fuse_xv6(
     }))
 }
 
-/// Mountable VFS type for the FUSE xv6 baseline (uses [`CostModel::zero`]
-/// unless constructed with [`FuseXv6FilesystemType::with_model`]).
-pub struct FuseXv6FilesystemType {
-    model: CostModel,
-    workers: usize,
-}
-
-impl std::fmt::Debug for FuseXv6FilesystemType {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FuseXv6FilesystemType")
-            .field("workers", &self.workers)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Default for FuseXv6FilesystemType {
-    fn default() -> Self {
-        FuseXv6FilesystemType { model: CostModel::zero(), workers: 4 }
-    }
-}
-
-impl FuseXv6FilesystemType {
-    /// Uses `model` for boundary costs and `workers` daemon threads.
-    pub fn with_model(model: CostModel, workers: usize) -> Self {
-        FuseXv6FilesystemType { model, workers }
-    }
-}
+/// Mountable VFS type for the FUSE xv6 baseline: [`CostModel::zero`] and
+/// four daemon threads.  A mount with a boundary-crossing model calls
+/// [`mount_fuse_xv6`].
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FuseXv6FilesystemType;
 
 impl FilesystemType for FuseXv6FilesystemType {
     fn fs_name(&self) -> &str {
@@ -516,7 +494,7 @@ impl FilesystemType for FuseXv6FilesystemType {
         device: Arc<dyn BlockDevice>,
         _options: &MountOptions,
     ) -> KernelResult<Arc<dyn VfsFs>> {
-        Ok(mount_fuse_xv6(device, self.model.clone(), self.workers)? as Arc<dyn VfsFs>)
+        Ok(mount_fuse_xv6(device, CostModel::zero(), 4)? as Arc<dyn VfsFs>)
     }
 }
 
@@ -584,7 +562,7 @@ mod tests {
         let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 4096));
         mkfs_on_device(&dev, 256).unwrap();
         let vfs = Vfs::default();
-        vfs.register_filesystem(Arc::new(FuseXv6FilesystemType::default())).unwrap();
+        vfs.register_filesystem(Arc::new(FuseXv6FilesystemType)).unwrap();
         vfs.mount("xv6fs_fuse", dev, "/", &MountOptions::default()).unwrap();
         let fd = vfs.open("/hello", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, b"fuse path works").unwrap();

@@ -17,14 +17,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bento::bentofs::BentoFs;
 use bento::upgrade::UpgradeReport;
 use crashsim::{FaultConfig, FaultDevice, FaultStats};
+use journal::PlantedFault;
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, SsdDevice};
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::vfs::{OpenFlags, Vfs};
-use workloads::{mount_stack_on_device, FsStack, MountedStack};
+use simkernel::vfs::OpenFlags;
+use workloads::stacks::XV6_INODES;
+use workloads::{format, mount_stack_on, FsStack, MountedStack, StackHandle};
 
 use crate::driver::{run_load, ErrorPolicy, LoadConfig, LoadResult};
 use crate::spec::WorkloadSpec;
@@ -45,37 +46,41 @@ pub struct UpgradeOutcome {
 /// scenario gives up.
 const PARK_WAIT: Duration = Duration::from_secs(2);
 
-/// Runs `spec` against an already-mounted **Bento** stack and upgrades it
+/// Runs `spec` against a mounted **Bento** stack and upgrades it
 /// (swapping in a fresh [`xv6fs::Xv6FileSystem`]) halfway through the run,
 /// while the drivers keep issuing operations.
 ///
-/// With `hold: None` the upgrade is [`BentoFs::upgrade`], whose pause is
+/// With `hold: None` the upgrade is
+/// [`BentoFs::upgrade`](bento::bentofs::BentoFs::upgrade), whose pause is
 /// the drain plus the state transfer.  With `Some(hold)` the scenario owns
-/// the contention: it keeps the gate from [`BentoFs::begin_upgrade`] until
+/// the contention: it keeps the gate from
+/// [`BentoFs::begin_upgrade`](bento::bentofs::BentoFs::begin_upgrade) until
 /// a caller has parked behind it, then for `hold` more, so every parked
 /// caller observes the pause — what a detector test needs.
 ///
-/// The upgrade handle is recovered from the VFS mount table through the
-/// [`VfsFs::as_any`](simkernel::vfs::VfsFs::as_any) downcast hook, so the
-/// scenario works on a stack mounted through the ordinary
-/// [`workloads::mount_stack`] path — no bespoke test mount.
+/// The upgrade goes through the mount's typed handle
+/// ([`StackHandle::Bento`]), so the scenario works on a stack mounted
+/// through the ordinary [`workloads::mount_stack`] path — no bespoke test
+/// mount.
 ///
 /// # Errors
 ///
-/// Fails if `vfs`'s root mount is not a BentoFS mount, if the upgrade
+/// Fails if `mounted` is not the Bento stack, if the upgrade
 /// itself fails, if a held upgrade sees no caller park within 2 s (the
 /// upgrade is then aborted), or (under [`ErrorPolicy::FailFast`]) if any
 /// operation fails — the paper's bar is zero failed ops across the swap.
 pub fn run_upgrade_under_load(
-    vfs: &Arc<Vfs>,
+    mounted: &MountedStack,
     spec: &WorkloadSpec,
     cfg: &LoadConfig,
     hold: Option<Duration>,
 ) -> KernelResult<(LoadResult, UpgradeOutcome)> {
-    let mounted = vfs.mounted_fs("/")?;
-    let bento = mounted.as_any().and_then(|a| a.downcast_ref::<BentoFs>()).ok_or_else(|| {
-        KernelError::with_context(Errno::Inval, "upgrade-under-load requires a BentoFS mount at /")
-    })?;
+    let StackHandle::Bento(bento) = &mounted.handle else {
+        return Err(KernelError::with_context(
+            Errno::Inval,
+            "upgrade-under-load requires a BentoFS mount at /",
+        ));
+    };
     let started = Instant::now();
     std::thread::scope(|scope| {
         let scenario = scope.spawn(|| -> KernelResult<UpgradeOutcome> {
@@ -99,7 +104,7 @@ pub fn run_upgrade_under_load(
             let report = gate.complete(Box::new(xv6fs::Xv6FileSystem::with_label("loadgen-v2")))?;
             Ok(UpgradeOutcome { report, fired_at, fired_window })
         });
-        let result = run_load(vfs, spec, cfg);
+        let result = run_load(&mounted.vfs, spec, cfg);
         let outcome = scenario.join().map_err(|_| {
             KernelError::with_context(Errno::Io, "upgrade scenario thread panicked")
         })?;
@@ -146,20 +151,18 @@ pub fn run_eio_under_load(
     let fault =
         Arc::new(FaultDevice::new(ssd as Arc<dyn BlockDevice>, FaultConfig::recorder(cfg.seed)));
     fault.set_trace_enabled(false); // live injection only; no crash replay
-    let vfs = mount_stack_on_device(stack, model, Arc::clone(&fault) as Arc<dyn BlockDevice>)?;
-    crate::driver::prepare(&vfs, spec, cfg)?;
+    let device = Arc::clone(&fault) as Arc<dyn BlockDevice>;
+    format(stack, &device, XV6_INODES)?;
+    let mounted = mount_stack_on(stack, device, model, PlantedFault::None)?;
+    let vfs = &mounted.vfs;
+    crate::driver::prepare(vfs, spec, cfg)?;
 
     let cfg = LoadConfig { error_policy: ErrorPolicy::Count, ..cfg.clone() };
     // A health monitor attached to the run gets per-window counter deltas
     // of this mount.
     if let Some(mon) = &cfg.monitor {
-        let mounted = MountedStack {
-            vfs: Arc::clone(&vfs),
-            stack,
-            device: Arc::clone(&fault) as Arc<dyn BlockDevice>,
-            queue_counters: None,
-        };
-        mon.set_snapshot_source(move || mounted.counters());
+        let source = mounted.clone();
+        mon.set_snapshot_source(move || source.counters());
     }
     let quarter = cfg.duration / 4;
     let toggle_device = Arc::clone(&fault);
@@ -169,7 +172,7 @@ pub fn run_eio_under_load(
         std::thread::sleep(quarter * 2);
         toggle_device.set_transient_eio(0.0, 0.0);
     });
-    let result = run_load(&vfs, spec, &cfg);
+    let result = run_load(vfs, spec, &cfg);
     toggler
         .join()
         .map_err(|_| KernelError::with_context(Errno::Io, "EIO toggle thread panicked"))?;

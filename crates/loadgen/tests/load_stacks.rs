@@ -158,7 +158,7 @@ fn upgrade_under_load_pauses_briefly_and_fails_nothing() {
     let spec = quick(WorkloadSpec::varmail());
     let cfg = LoadConfig::closed(2, Duration::from_millis(250));
     prepare(&mounted.vfs, &spec, &cfg).unwrap();
-    let (result, outcome) = run_upgrade_under_load(&mounted.vfs, &spec, &cfg, None).unwrap();
+    let (result, outcome) = run_upgrade_under_load(&mounted, &spec, &cfg, None).unwrap();
     // The paper's bar: traffic keeps flowing (FailFast would have errored),
     // nothing fails, and the pause is bounded and measured.
     assert!(result.is_clean(), "zero failed ops across the live upgrade");
@@ -181,7 +181,7 @@ fn upgrade_under_load_pauses_briefly_and_fails_nothing() {
 
     // On a non-Bento stack the scenario refuses cleanly.
     let vfs_stack = mount_stack(FsStack::VfsXv6, CostModel::zero(), DISK_BLOCKS).unwrap();
-    assert!(run_upgrade_under_load(&vfs_stack.vfs, &spec, &cfg, None).is_err());
+    assert!(run_upgrade_under_load(&vfs_stack, &spec, &cfg, None).is_err());
     vfs_stack.unmount().unwrap();
 }
 

@@ -361,15 +361,6 @@ pub trait VfsFs: Send + Sync {
         None
     }
 
-    /// Downcast hook: implementations that expose extra, concretely typed
-    /// management surfaces (e.g. BentoFS's online upgrade) return
-    /// `Some(self)` so tooling holding only the `Arc<dyn VfsFs>` from
-    /// [`Vfs::mounted_fs`](crate::vfs::Vfs::mounted_fs) can reach them.
-    /// The default hides the concrete type.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
     /// Looks up `name` in directory `dir`.
     ///
     /// # Errors

@@ -9,7 +9,8 @@
 //! [`Vfs`](simkernel::vfs::Vfs) — any of the four stacks (Bento xv6, VFS
 //! xv6, FUSE xv6, ext4sim) mounted on the simulated NVMe device.
 //!
-//! [`stacks`] contains the helpers that build each mounted stack;
+//! [`stacks`] is the one place that maps a stack to its format, mount and
+//! checker code;
 //! [`runner`] contains the generators and the [`WorkloadResult`] they
 //! produce (operations/second or MB/s, matching the units in the paper's
 //! figures and tables).
@@ -25,5 +26,7 @@ pub use runner::{
     create_crossdir_micro, create_micro, delete_micro, fileserver, read_micro, read_micro_disjoint,
     rename_storm, varmail, write_micro, write_micro_disjoint, AccessPattern, WorkloadResult,
 };
-pub use stacks::{mount_stack, mount_stack_on_device, mount_stack_with, FsStack, MountedStack};
+pub use stacks::{
+    format, mount_stack, mount_stack_on, mount_stack_with, FsStack, MountedStack, StackHandle,
+};
 pub use untar::{generate_linux_like_manifest, untar, UntarEntry, UntarManifest};

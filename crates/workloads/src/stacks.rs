@@ -1,9 +1,16 @@
-//! Building the four file system stacks the paper compares.
+//! The one place that maps a stack to its code: the four stacks the paper
+//! compares ([`FsStack`]), how each formats a device ([`format()`]), mounts
+//! one ([`mount_stack_on`]) and checks its image ([`MountedStack::check`]).
+//! The experiments, the load generator, the crash harness and the tests
+//! all mount through here; where they need more than the VFS (an online
+//! upgrade, ext4sim's checker) they read the concretely typed file system
+//! from [`MountedStack::handle`].
 //!
-//! Each stack is mounted on a RAM-backed, latency-modelled NVMe device so
-//! that all four see identical storage behaviour; the FUSE stack
+//! [`mount_stack`] formats and mounts a stack on a fresh RAM-backed,
+//! latency-modelled NVMe device (by default the synchronous [`SsdDevice`])
+//! so that all four see identical storage behaviour; the FUSE stack
 //! additionally receives the boundary-crossing / whole-file-fsync model
-//! (§6.4).  By default the device is the synchronous [`SsdDevice`].
+//! (§6.4).
 //!
 //! There is one mount setting: `queue_depth=N` switches to the
 //! completion-based multi-queue model ([`MultiQueueDevice`]) with four queue
@@ -22,11 +29,19 @@ use simkernel::cost::{CostCounters, CostModel};
 use simkernel::dev::{BlockDevice, SsdDevice};
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::queue::{MultiQueueDevice, QueueConfig};
-use simkernel::vfs::{MountOptions, Vfs, VfsConfig};
+use simkernel::vfs::{MountOptions, Vfs, VfsConfig, VfsFs};
 
-use ext4sim::Ext4FilesystemType;
-use fusesim::FuseXv6FilesystemType;
-use xv6fs_vfs::Xv6VfsFilesystemType;
+use bento::bentofs::{BentoFs, DEFAULT_BUFFER_CACHE_BLOCKS};
+use ext4sim::Ext4Sim;
+use fusesim::FuseKernelDriver;
+use journal::PlantedFault;
+use xv6fs::{Xv6FileSystem, BENTO_XV6_NAME};
+use xv6fs_vfs::Xv6VfsFilesystem;
+
+/// Inode-table size [`mount_stack`] formats the xv6 stacks with.
+pub const XV6_INODES: u32 = 8192;
+/// Daemon threads of the FUSE stack.
+const FUSE_WORKERS: usize = 8;
 
 /// The four evaluated file system stacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,6 +78,19 @@ impl FsStack {
     }
 }
 
+/// The concretely typed file system a [`MountedStack`] mounted at `/`.
+#[derive(Clone)]
+pub enum StackHandle {
+    /// BentoFS over xv6 ([`BentoFs::upgrade`] lives here).
+    Bento(Arc<BentoFs>),
+    /// xv6 bound directly to the VFS.
+    CKernel(Arc<Xv6VfsFilesystem>),
+    /// The FUSE kernel driver in front of the xv6 daemon.
+    Fuse(Arc<FuseKernelDriver>),
+    /// ext4sim ([`Ext4Sim::check_consistency`] lives here).
+    Ext4(Arc<Ext4Sim>),
+}
+
 /// A mounted stack: the VFS to issue syscalls against plus bookkeeping.
 #[derive(Clone)]
 pub struct MountedStack {
@@ -70,13 +98,15 @@ pub struct MountedStack {
     pub vfs: Arc<Vfs>,
     /// Which stack this is.
     pub stack: FsStack,
-    /// The latency-modelled device underneath: a synchronous [`SsdDevice`]
-    /// by default, a [`MultiQueueDevice`] when the mount asked for one.
+    /// The device the stack is mounted on: for [`mount_stack`] a
+    /// latency-modelled synchronous [`SsdDevice`], or a
+    /// [`MultiQueueDevice`] when the mount asked for one.
     pub device: Arc<dyn BlockDevice>,
     /// The [`MultiQueueDevice`]'s cost counters (service time and in-flight
-    /// depth) when the mount asked for one; `None` on the synchronous
-    /// device.
+    /// depth) when the mount asked for one; `None` otherwise.
     pub queue_counters: Option<Arc<CostCounters>>,
+    /// The mounted file system, concretely typed.
+    pub handle: StackHandle,
 }
 
 impl std::fmt::Debug for MountedStack {
@@ -86,6 +116,17 @@ impl std::fmt::Debug for MountedStack {
 }
 
 impl MountedStack {
+    /// The mounted file system behind the VFS's interface, for callers
+    /// that drive it below the page cache (the crash harness).
+    pub fn fs(&self) -> Arc<dyn VfsFs> {
+        match &self.handle {
+            StackHandle::Bento(fs) => Arc::clone(fs) as Arc<dyn VfsFs>,
+            StackHandle::CKernel(fs) => Arc::clone(fs) as Arc<dyn VfsFs>,
+            StackHandle::Fuse(fs) => Arc::clone(fs) as Arc<dyn VfsFs>,
+            StackHandle::Ext4(fs) => Arc::clone(fs) as Arc<dyn VfsFs>,
+        }
+    }
+
     /// Unmounts the stack (writes back all dirty state).
     ///
     /// # Errors
@@ -119,11 +160,25 @@ impl MountedStack {
         log.chain(dev).map(|(name, value)| (format!("{label}.{name}"), value)).collect()
     }
 
-    /// Unmounts the stack and runs its offline consistency checker over the
-    /// raw device, failing if the on-disk image violates any invariant.  The
-    /// three xv6 variants share one on-disk format and so one checker,
-    /// `xv6fs::fsck`; ext4sim is remounted from the image (journal recovery
-    /// included) and checked with `Ext4Sim::check_consistency`.
+    /// Runs the stack's offline consistency checker and returns every
+    /// violated invariant.  The three xv6 variants share one on-disk
+    /// format and so one checker, `xv6fs::fsck`, which reads the device;
+    /// ext4sim's `Ext4Sim::check_consistency` reads the mounted instance
+    /// (on a fresh mount, the image as its recovery left it).
+    ///
+    /// # Errors
+    ///
+    /// I/O errors while `xv6fs::fsck` reads the device.
+    pub fn check(&self) -> KernelResult<Vec<String>> {
+        match &self.handle {
+            StackHandle::Ext4(fs) => Ok(fs.check_consistency().errors),
+            _ => Ok(xv6fs::fsck::fsck_device(&self.device)?.errors),
+        }
+    }
+
+    /// Unmounts the stack, remounts its image (journal recovery included)
+    /// and runs [`MountedStack::check`] on it, failing if the on-disk
+    /// image violates any invariant.
     ///
     /// This is the gate concurrency experiments run through: a locking bug
     /// in the per-directory namespace paths (lost dirent, double-allocated
@@ -136,14 +191,13 @@ impl MountedStack {
     /// as `Io` errors after printing every violated invariant.
     pub fn unmount_and_check(&self) -> KernelResult<()> {
         self.unmount()?;
-        let errors = match self.stack {
-            FsStack::BentoXv6 | FsStack::VfsXv6 | FsStack::FuseXv6 => {
-                xv6fs::fsck::fsck_device(&self.device)?.errors
-            }
-            FsStack::Ext4 => {
-                ext4sim::Ext4Sim::mount(Arc::clone(&self.device))?.check_consistency().errors
-            }
-        };
+        let remounted = mount_stack_on(
+            self.stack,
+            Arc::clone(&self.device),
+            CostModel::zero(),
+            PlantedFault::None,
+        )?;
+        let errors = remounted.check()?;
         if !errors.is_empty() {
             eprintln!("{} violations after unmount: {errors:?}", self.stack.label());
             return Err(KernelError::with_context(
@@ -155,8 +209,69 @@ impl MountedStack {
     }
 }
 
-/// Mounts `stack` at `/` of a fresh VFS over a RAM-backed SSD of
-/// `disk_blocks` 4 KiB blocks with the given latency model and default
+/// Writes `stack`'s empty file system onto `device`: `xv6fs` mkfs with an
+/// `inodes`-entry inode table for the three xv6 stacks (one format, three
+/// bindings); for [`FsStack::Ext4`], whose inode table has a fixed size, a
+/// committed, checkpointed root directory on a blank device
+/// ([`Ext4Sim::format_if_blank`], the rule ext4sim's mount by name
+/// applies).
+///
+/// # Errors
+///
+/// Propagates mkfs errors (a device too small, I/O).
+pub fn format(stack: FsStack, device: &Arc<dyn BlockDevice>, inodes: u32) -> KernelResult<()> {
+    match stack {
+        FsStack::BentoXv6 | FsStack::VfsXv6 | FsStack::FuseXv6 => {
+            xv6fs::mkfs::mkfs_on_device(device, inodes).map(drop)
+        }
+        FsStack::Ext4 => Ext4Sim::format_if_blank(device),
+    }
+}
+
+/// Mounts the image on `device` as `stack` at `/` of a fresh VFS, running
+/// the stack's journal recovery; no mkfs.  `model` is the FUSE stack's
+/// boundary-crossing model.  `planted` goes into the journal of the Bento
+/// stack and of ext4sim (the crash suites' proof that their oracles have
+/// teeth); the C-Kernel and FUSE stacks run the same xv6 core as Bento and
+/// ignore it.
+///
+/// This is the hook for interposed devices: the load generator wraps the
+/// usual [`SsdDevice`] in a crashsim `FaultDevice`, and the crash harness
+/// mounts a recorder and then every crash image, through here, so fault
+/// and crash scenarios drive the exact mount path of the clean runs.
+///
+/// # Errors
+///
+/// Propagates mount errors (no file system on the device, I/O).
+pub fn mount_stack_on(
+    stack: FsStack,
+    device: Arc<dyn BlockDevice>,
+    model: CostModel,
+    planted: PlantedFault,
+) -> KernelResult<MountedStack> {
+    let dev = Arc::clone(&device);
+    let handle = match stack {
+        FsStack::BentoXv6 => {
+            let fs = Box::new(Xv6FileSystem::new().with_planted_log_fault(planted));
+            StackHandle::Bento(BentoFs::mount(
+                BENTO_XV6_NAME,
+                dev,
+                DEFAULT_BUFFER_CACHE_BLOCKS,
+                fs,
+            )?)
+        }
+        FsStack::VfsXv6 => StackHandle::CKernel(Xv6VfsFilesystem::mount(dev)?),
+        FsStack::FuseXv6 => StackHandle::Fuse(fusesim::mount_fuse_xv6(dev, model, FUSE_WORKERS)?),
+        FsStack::Ext4 => StackHandle::Ext4(Ext4Sim::mount_planted(dev, planted)?),
+    };
+    let vfs = Arc::new(Vfs::new(VfsConfig::default()));
+    let mounted = MountedStack { vfs, stack, device, queue_counters: None, handle };
+    mounted.vfs.mount_fs(mounted.fs(), "/")?;
+    Ok(mounted)
+}
+
+/// Formats and mounts `stack` at `/` of a fresh VFS over a RAM-backed SSD
+/// of `disk_blocks` 4 KiB blocks with the given latency model and default
 /// mount options.
 ///
 /// # Errors
@@ -186,8 +301,9 @@ pub fn mount_stack_with(
     options: &MountOptions,
 ) -> KernelResult<MountedStack> {
     let (device, queue_counters) = device_for_options(&model, disk_blocks, options);
-    let vfs = mount_stack_on_device(stack, model, Arc::clone(&device))?;
-    Ok(MountedStack { vfs, stack, device, queue_counters })
+    format(stack, &device, XV6_INODES)?;
+    let mounted = mount_stack_on(stack, device, model, PlantedFault::None)?;
+    Ok(MountedStack { queue_counters, ..mounted })
 }
 
 /// Builds the backing device the mount options select: the synchronous
@@ -206,47 +322,6 @@ fn device_for_options(
     let device = MultiQueueDevice::ram_backed(disk_blocks, model.clone(), config);
     let counters = device.counters();
     (Arc::new(device), Some(counters))
-}
-
-/// Mounts `stack` at `/` of a fresh VFS over a **caller-provided** block
-/// device (mkfs included for the xv6 variants), returning the VFS.
-///
-/// This is the hook for interposed devices: the load generator wraps the
-/// usual [`SsdDevice`] in a crashsim `FaultDevice` and mounts through here,
-/// so fault scenarios drive the exact same mount path as the clean runs.
-///
-/// # Errors
-///
-/// Propagates mkfs/mount errors.
-pub fn mount_stack_on_device(
-    stack: FsStack,
-    model: CostModel,
-    device: Arc<dyn BlockDevice>,
-) -> KernelResult<Arc<Vfs>> {
-    let options = &MountOptions::default();
-    let vfs = Arc::new(Vfs::new(VfsConfig::default()));
-    match stack {
-        FsStack::BentoXv6 => {
-            xv6fs::mkfs::mkfs_on_device(&device, 8192)?;
-            vfs.register_filesystem(Arc::new(xv6fs::fstype()))?;
-            vfs.mount(xv6fs::BENTO_XV6_NAME, device, "/", options)?;
-        }
-        FsStack::VfsXv6 => {
-            xv6fs::mkfs::mkfs_on_device(&device, 8192)?;
-            vfs.register_filesystem(Arc::new(Xv6VfsFilesystemType))?;
-            vfs.mount(xv6fs_vfs::VFS_XV6_NAME, device, "/", options)?;
-        }
-        FsStack::FuseXv6 => {
-            xv6fs::mkfs::mkfs_on_device(&device, 8192)?;
-            vfs.register_filesystem(Arc::new(FuseXv6FilesystemType::with_model(model, 8)))?;
-            vfs.mount("xv6fs_fuse", device, "/", options)?;
-        }
-        FsStack::Ext4 => {
-            vfs.register_filesystem(Arc::new(Ext4FilesystemType))?;
-            vfs.mount(ext4sim::EXT4_NAME, device, "/", options)?;
-        }
-    }
-    Ok(vfs)
 }
 
 #[cfg(test)]
@@ -323,6 +398,53 @@ mod tests {
                 assert!(counters[&format!("{label}.log_commits")] > 0, "{label}: {counters:?}");
             }
             mounted.unmount().unwrap();
+        }
+    }
+
+    /// Formatting and mounting, with nothing run yet: the device traffic
+    /// (and the empty log) every stack's counters start from, on either
+    /// device.  These are the figures of the mount by name through each
+    /// stack's registered file system type that [`mount_stack`] ran
+    /// before it formatted and mounted in two steps; ext4sim's 15 reads
+    /// include the probe of block 0 for a blank device.
+    #[test]
+    fn mount_time_traffic_is_pinned() {
+        const XV6: [(&str, u64); 8] = [
+            ("dev_flushes", 1),
+            ("dev_reads", 5),
+            ("dev_writes", 1289),
+            ("log_barriers", 0),
+            ("log_blocks", 0),
+            ("log_commits", 0),
+            ("log_installs", 0),
+            ("log_ops", 0),
+        ];
+        const EXT4: [(&str, u64); 8] = [
+            ("dev_flushes", 4),
+            ("dev_reads", 15),
+            ("dev_writes", 12),
+            ("log_barriers", 0),
+            ("log_blocks", 0),
+            ("log_commits", 0),
+            ("log_installs", 0),
+            ("log_ops", 0),
+        ];
+        for stack in FsStack::all() {
+            let expected: &[(&str, u64)] = match stack {
+                FsStack::BentoXv6 | FsStack::VfsXv6 => &XV6,
+                // The FUSE mount does not report its daemon's log.
+                FsStack::FuseXv6 => &XV6[..3],
+                FsStack::Ext4 => &EXT4,
+            };
+            let label = stack.label();
+            let expected: BTreeMap<String, u64> =
+                expected.iter().map(|&(name, value)| (format!("{label}.{name}"), value)).collect();
+            let queued = MountOptions::default().with_option("queue_depth", "8");
+            for options in [MountOptions::default(), queued] {
+                let mounted = mount_stack_with(stack, CostModel::zero(), 16_384, &options).unwrap();
+                assert_eq!(mounted.counters(), expected, "{label} {options:?}");
+                mounted.unmount().unwrap();
+            }
         }
     }
 

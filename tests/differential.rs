@@ -8,11 +8,12 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use journal::PlantedFault;
 use simkernel::cost::CostModel;
-use simkernel::dev::RamDisk;
+use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::memfs::MemFilesystemType;
 use simkernel::vfs::{MountOptions, OpenFlags, Vfs, VfsConfig};
-use workloads::{mount_stack, FsStack};
+use workloads::{format, mount_stack, mount_stack_on, FsStack, MountedStack};
 
 /// A scripted operation applied identically to every stack.
 #[derive(Debug, Clone)]
@@ -186,19 +187,10 @@ fn all_stacks_agree_with_the_in_memory_oracle() {
     }
 }
 
-/// Mounts the xv6 image on `device` at `/` of a fresh VFS through the
-/// Bento binding (`bento == true`) or the VFS binding.
-fn mount_xv6(bento: bool, device: &Arc<dyn simkernel::dev::BlockDevice>) -> Arc<Vfs> {
-    let vfs = Arc::new(Vfs::default());
-    let name = if bento {
-        vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
-        xv6fs::BENTO_XV6_NAME
-    } else {
-        vfs.register_filesystem(Arc::new(xv6fs_vfs::Xv6VfsFilesystemType)).expect("register");
-        xv6fs_vfs::VFS_XV6_NAME
-    };
-    vfs.mount(name, Arc::clone(device), "/", &MountOptions::default()).expect("mount");
-    vfs
+/// Mounts the image on `device` as `stack` at `/` of a fresh VFS.
+fn remount(stack: FsStack, device: &Arc<dyn BlockDevice>) -> MountedStack {
+    mount_stack_on(stack, Arc::clone(device), CostModel::zero(), PlantedFault::None)
+        .unwrap_or_else(|e| panic!("mount {stack:?}: {e}"))
 }
 
 #[test]
@@ -211,40 +203,29 @@ fn bento_and_vfs_baseline_agree_after_remount() {
     // of the bitmap and inode table).
     let ops = scripted_ops(7, 40);
     let mut states = Vec::new();
-    for bento in [true, false] {
-        let device = Arc::new(RamDisk::new(4096, 32 * 1024));
-        let device_dyn: Arc<dyn simkernel::dev::BlockDevice> = Arc::clone(&device) as _;
-        xv6fs::mkfs::mkfs_on_device(&device_dyn, 2048).expect("mkfs");
-        let vfs = mount_xv6(bento, &device_dyn);
+    for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
+        let device: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 32 * 1024));
+        format(stack, &device, 2048).expect("mkfs");
+        let mounted = remount(stack, &device);
         for op in &ops {
-            apply(&vfs, op);
+            apply(&mounted.vfs, op);
         }
-        let live = vfs.statfs("/").expect("statfs");
-        vfs.unmount("/").expect("unmount");
-        let vfs = mount_xv6(bento, &device_dyn);
-        let remounted = vfs.statfs("/").expect("statfs after remount");
-        vfs.unmount("/").expect("unmount");
+        let live = mounted.vfs.statfs("/").expect("statfs");
+        mounted.unmount().expect("unmount");
+        let mounted = remount(stack, &device);
+        let remounted = mounted.vfs.statfs("/").expect("statfs after remount");
+        mounted.unmount().expect("unmount");
         assert!(remounted.free_inodes > 0 && remounted.free_inodes < remounted.total_inodes);
         // Remount with the *Bento* stack in both cases (shared on-disk
         // format) and observe.
-        let vfs = mount_xv6(true, &device_dyn);
+        let mounted = remount(FsStack::BentoXv6, &device);
         let mut state = BTreeMap::new();
-        observe(&vfs, "/", &mut state);
+        observe(&mounted.vfs, "/", &mut state);
         states.push((state, live, remounted));
     }
     assert_eq!(states[0].0, states[1].0, "Bento and VFS xv6 leave identical on-disk state");
     assert_eq!(states[0].1, states[1].1, "statfs differs on the live mounts");
     assert_eq!(states[0].2, states[1].2, "statfs differs after remount");
-}
-
-/// The name each stack's file system type is registered under.
-fn fs_type_name(stack: FsStack) -> &'static str {
-    match stack {
-        FsStack::BentoXv6 => xv6fs::BENTO_XV6_NAME,
-        FsStack::VfsXv6 => xv6fs_vfs::VFS_XV6_NAME,
-        FsStack::FuseXv6 => "xv6fs_fuse",
-        FsStack::Ext4 => ext4sim::EXT4_NAME,
-    }
 }
 
 #[test]
@@ -286,10 +267,7 @@ fn whole_file_read_after_remount_agrees_with_the_oracle() {
             .unwrap_or_else(|e| panic!("mount {stack:?}: {e}"));
         write(&mounted.vfs);
         mounted.unmount().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
-        mounted
-            .vfs
-            .mount(fs_type_name(stack), Arc::clone(&mounted.device), "/", &MountOptions::default())
-            .unwrap_or_else(|e| panic!("remount {stack:?}: {e}"));
+        let mounted = remount(stack, &mounted.device);
         assert_eq!(read_whole(&mounted.vfs), expected, "stack {stack:?} diverged after remount");
         mounted.unmount().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
     }

@@ -40,8 +40,7 @@ fn data_written_through_bento_survives_unmount_and_fuse_remount() {
     }
     {
         let vfs = Vfs::default();
-        vfs.register_filesystem(Arc::new(fusesim::FuseXv6FilesystemType::default()))
-            .expect("register");
+        vfs.register_filesystem(Arc::new(fusesim::FuseXv6FilesystemType)).expect("register");
         vfs.mount("xv6fs_fuse", device_dyn, "/", &MountOptions::default()).expect("fuse mount");
         let fd = vfs.open("/shared/blob", OpenFlags::RDONLY).expect("open over fuse");
         let mut back = vec![0u8; payload.len()];

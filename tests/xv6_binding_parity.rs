@@ -29,43 +29,15 @@ use std::sync::Arc;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use journal::PlantedFault;
+use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::pagecache::PageCacheStats;
-use simkernel::vfs::{MountOptions, OpenFlags, Vfs, WritePathStats, PAGE_SIZE};
+use simkernel::vfs::{OpenFlags, Vfs, WritePathStats, PAGE_SIZE};
+use workloads::{format, mount_stack_on, FsStack};
 use xv6fs::layout::DiskSuperblock;
 
 const DISK_BLOCKS: u64 = 8192;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Binding {
-    Bento,
-    CKernel,
-}
-
-/// A formatted image mounted at `/` of its own VFS through `binding`.
-struct Mounted {
-    vfs: Vfs,
-    device: Arc<RamDisk>,
-}
-
-fn mount(binding: Binding) -> Mounted {
-    let device = Arc::new(RamDisk::new(PAGE_SIZE as u32, DISK_BLOCKS));
-    let dev: Arc<dyn BlockDevice> = Arc::clone(&device) as _;
-    xv6fs::mkfs::mkfs_on_device(&dev, 512).expect("mkfs");
-    let vfs = Vfs::default();
-    let name = match binding {
-        Binding::Bento => {
-            vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
-            xv6fs::BENTO_XV6_NAME
-        }
-        Binding::CKernel => {
-            vfs.register_filesystem(Arc::new(xv6fs_vfs::Xv6VfsFilesystemType)).expect("register");
-            xv6fs_vfs::VFS_XV6_NAME
-        }
-    };
-    vfs.mount(name, dev, "/", &MountOptions::default()).expect("mount");
-    Mounted { vfs, device }
-}
 
 /// One step of the stream.  Paths come from a small pool so that names
 /// collide: creates hit existing files, renames replace targets, removals
@@ -163,11 +135,16 @@ fn stream_with(
     ops
 }
 
-/// Runs `ops`, syncs, and unmounts.  Returns which steps succeeded, the
-/// page-cache and log counters of the whole run, and the device.
-fn run(binding: Binding, ops: &[Op]) -> (Vec<bool>, PageCacheStats, WritePathStats, Arc<RamDisk>) {
-    let Mounted { vfs, device } = mount(binding);
-    let outcomes = ops.iter().map(|op| apply(&vfs, op)).collect();
+/// Formats an image, mounts it as `stack`, runs `ops`, syncs, and
+/// unmounts.  Returns which steps succeeded, the page-cache and log
+/// counters of the whole run, and the device.
+fn run(stack: FsStack, ops: &[Op]) -> (Vec<bool>, PageCacheStats, WritePathStats, Arc<RamDisk>) {
+    let device = Arc::new(RamDisk::new(PAGE_SIZE as u32, DISK_BLOCKS));
+    let dev: Arc<dyn BlockDevice> = Arc::clone(&device) as _;
+    format(stack, &dev, 512).expect("mkfs");
+    let mounted = mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).expect("mount");
+    let vfs = &mounted.vfs;
+    let outcomes = ops.iter().map(|op| apply(vfs, op)).collect();
     // After the sync nothing is dirty, so the unmount below adds no
     // write-back and the page-cache counters read here are final.
     vfs.sync().expect("sync");
@@ -209,8 +186,8 @@ fn assert_same_outcomes(seed: u64, ops: &[Op], bento: &[bool], ckernel: &[bool])
 fn single_page_streams_leave_byte_identical_images() {
     for seed in [1, 2, 3] {
         let ops = stream(seed, 400, 1, 1);
-        let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
-        let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
+        let (bento_ok, bento_pages, bento_log, bento_dev) = run(FsStack::BentoXv6, &ops);
+        let (ck_ok, ck_pages, ck_log, ck_dev) = run(FsStack::VfsXv6, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
         assert!(bento_ok.iter().filter(|ok| !**ok).count() > 20, "seed {seed}: no collisions");
         // The stream did what it claims: one page per pass on both sides.
@@ -232,8 +209,8 @@ fn the_commit_gap_is_exactly_pages_minus_batches() {
         // At most 12 pages per write below page 24: the pass fits one
         // write transaction of the core, so a batch is one Bento commit.
         let ops = stream(seed, 400, 12, 1);
-        let (bento_ok, bento_pages, bento_log, _) = run(Binding::Bento, &ops);
-        let (ck_ok, ck_pages, ck_log, _) = run(Binding::CKernel, &ops);
+        let (bento_ok, bento_pages, bento_log, _) = run(FsStack::BentoXv6, &ops);
+        let (ck_ok, ck_pages, ck_log, _) = run(FsStack::VfsXv6, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
         let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
@@ -264,8 +241,8 @@ fn multi_run_passes_are_one_batch_and_leave_byte_identical_images() {
         // fsync: a pass of several disjoint runs, at most 12 pages, which
         // fits one write transaction of the core.
         let ops = stream(seed, 400, 3, 4);
-        let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
-        let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
+        let (bento_ok, bento_pages, bento_log, bento_dev) = run(FsStack::BentoXv6, &ops);
+        let (ck_ok, ck_pages, ck_log, ck_dev) = run(FsStack::VfsXv6, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
         let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
@@ -299,8 +276,8 @@ fn multi_file_sync_passes_are_one_transaction_and_leave_byte_identical_images() 
         // step: a pass carries at most 8 writes' pages, spread over several
         // files, and fits one write transaction of the core.
         let ops = stream_with(seed, 400, 2, 1, Some(8));
-        let (bento_ok, bento_pages, bento_log, bento_dev) = run(Binding::Bento, &ops);
-        let (ck_ok, ck_pages, ck_log, ck_dev) = run(Binding::CKernel, &ops);
+        let (bento_ok, bento_pages, bento_log, bento_dev) = run(FsStack::BentoXv6, &ops);
+        let (ck_ok, ck_pages, ck_log, ck_dev) = run(FsStack::VfsXv6, &ops);
         assert_same_outcomes(seed, &ops, &bento_ok, &ck_ok);
         let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
