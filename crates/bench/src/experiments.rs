@@ -756,9 +756,21 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
             ));
         }
         if !report.is_clean() {
+            // The trace's shape goes with the violations: FUSE's daemon
+            // threads pick xv6 allocation groups, so its trace (and the
+            // states drawn from it) can differ on a rerun of the same seed.
             eprintln!(
-                "crash oracle violations on {}{}: {} found across {} states",
-                prefix, report.stack, report.violations_found, report.states_checked
+                "crash oracle violations on {}{}: {} found across {} states \
+                 (seed {:#x}, {} ops, {} fsync points, {} trace writes in {} epochs)",
+                prefix,
+                report.stack,
+                report.violations_found,
+                report.states_checked,
+                crash_cfg.seed,
+                report.ops_run,
+                report.fsync_points,
+                report.trace_writes,
+                report.trace_epochs,
             );
             for violation in &report.violations {
                 eprintln!("  [{}] {}", violation.state, violation.detail);
@@ -2036,7 +2048,7 @@ mod tests {
     fn crash_experiment_reports_clean_counts_for_every_stack() {
         let cfg = ExperimentConfig::quick();
         let rows = crash_experiment(&cfg).expect("crash experiment must be violation-free");
-        for stack in ["Bento", "C-Kernel", "Ext4"] {
+        for stack in ["Bento", "C-Kernel", "FUSE", "Ext4"] {
             let get = |config: &str| {
                 rows.iter()
                     .find(|r| r.stack == stack && r.config == config)

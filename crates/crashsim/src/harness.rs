@@ -196,7 +196,7 @@ pub fn run_crash_test_inspected(
     let mut model = WorkloadModel::new();
     let ops_run = {
         let mounted = mount_stack_on(stack, mount_dev, CostModel::zero(), planted)?;
-        run_workload(&*mounted.fs(), &fault, &mut model, cfg)?
+        run_workload(&*mounted.fs, &fault, &mut model, cfg)?
     };
     let trace = fault.trace();
     let epochs = trace.epochs().len();
@@ -252,14 +252,14 @@ pub fn run_crash_test_inspected(
         // root inode vanished, a directory walk hit garbage) means the
         // recovered image is broken — report it as a violation of this
         // state rather than aborting the whole run.
-        let durability =
-            match model.verify(&*mounted.fs(), &state.description, state.durable_events) {
-                Ok(list) => list,
-                Err(e) => vec![Violation {
-                    state: state.description.clone(),
-                    detail: format!("durability oracle aborted: {e}"),
-                }],
-            };
+        let durability = match model.verify(&*mounted.fs, &state.description, state.durable_events)
+        {
+            Ok(list) => list,
+            Err(e) => vec![Violation {
+                state: state.description.clone(),
+                detail: format!("durability oracle aborted: {e}"),
+            }],
+        };
         record(&mut violations, &mut violations_found, durability);
     }
 

@@ -80,7 +80,7 @@ pub fn clean_unmount_violations(
     // Event count at which file i's fsync was acknowledged.
     let mut acked = Vec::new();
     {
-        let fs = mount_stack_on(stack, dev, CostModel::zero(), fault).unwrap().fs();
+        let fs = mount_stack_on(stack, dev, CostModel::zero(), fault).unwrap().fs;
         for i in 0..FILES {
             let attr = fs.create(fs.root_ino(), &name(i), FileMode::regular()).unwrap();
             fs.write_page(attr.ino, 0, &content(i), PAGE_SIZE as u64).unwrap();
@@ -95,7 +95,7 @@ pub fn clean_unmount_violations(
     for state in sampled_states(&trace, &image, 0x0C1E_A2ED, 400) {
         let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
         let mounted = mount_stack_on(stack, disk, CostModel::zero(), PlantedFault::None).unwrap();
-        let fs = mounted.fs();
+        let fs = &mounted.fs;
         let promised = acked.iter().take_while(|&&at| at <= state.durable_events).count();
         for i in 0..promised {
             let mut page = vec![0u8; PAGE_SIZE];

@@ -44,7 +44,7 @@ fn small_file_unlink_never_recovers_to_an_orphan() {
         let image = Arc::new(DiskImage::capture(&base).unwrap());
         let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
         {
-            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs();
+            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs;
             for round in 0..3u8 {
                 // 14 pages: past the direct blocks, so the reap also frees
                 // an indirect block.
@@ -76,7 +76,7 @@ fn a_file_within_one_truncate_chunk_is_unlinked_in_one_transaction() {
         let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
         format(stack, &base, 256).unwrap();
         {
-            let fs = mount(stack, Arc::clone(&base)).fs();
+            let fs = mount(stack, Arc::clone(&base)).fs;
             let file = fs.create(1, "victim", FileMode::regular()).unwrap();
             let page = vec![0xC7u8; PAGE_SIZE];
             for index in 0..FILE_BLOCKS {
@@ -88,7 +88,7 @@ fn a_file_within_one_truncate_chunk_is_unlinked_in_one_transaction() {
         let image = Arc::new(DiskImage::capture(&base).unwrap());
         let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
         {
-            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs();
+            let fs = mount(stack, Arc::clone(&recorder) as Arc<dyn BlockDevice>).fs;
             let commits = || fs.write_path_stats().unwrap().log_commits;
             let before = commits();
             fs.unlink(1, "victim").unwrap();

@@ -24,7 +24,7 @@ use workloads::{mount_stack_on, FsStack};
 use xv6fs::layout::BSIZE;
 
 fn mount(stack: FsStack, dev: Arc<dyn BlockDevice>) -> Arc<dyn VfsFs> {
-    mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).unwrap().fs()
+    mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).unwrap().fs
 }
 
 /// The two passes of the workload, as `(page, fill)` sets, and the file
