@@ -40,11 +40,15 @@ use simkernel::vfs::{
     DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, VfsFs,
     WritebackFile, PAGE_SIZE,
 };
+use xv6fs::core::{thread_home, with_home};
 
-/// Maximum payload of one FUSE WRITE request (the kernel driver splits
-/// larger writebacks), matching the 128 KiB used by Linux FUSE with
-/// `max_pages` defaults.
-pub const FUSE_MAX_WRITE: usize = 128 * 1024;
+/// Maximum payload of one FUSE READ or WRITE request (the kernel driver
+/// splits larger fills and write-backs), matching the 128 KiB (32 pages)
+/// used by Linux FUSE with `max_pages` defaults.
+pub const FUSE_MAX_IO: usize = 128 * 1024;
+
+/// [`FUSE_MAX_IO`] in pages.
+const FUSE_MAX_PAGES: usize = FUSE_MAX_IO / PAGE_SIZE;
 
 /// A request travelling from the kernel driver to the userspace daemon.
 #[derive(Debug)]
@@ -108,8 +112,9 @@ pub enum FuseReply {
 
 type ReplySlot = Sender<KernelResult<FuseReply>>;
 
-/// A queued request paired with its reply channel.
-type QueuedRequest = (FuseRequest, ReplySlot);
+/// A queued request with the calling thread's allocation home
+/// ([`xv6fs::core::thread_home`]) and its reply channel.
+type QueuedRequest = (FuseRequest, u64, ReplySlot);
 
 /// The userspace daemon: worker threads dispatching requests to a Bento
 /// [`FileSystem`] running against userspace services.
@@ -141,12 +146,14 @@ impl FuseDaemon {
             let sb = Arc::clone(&sb);
             handles.push(std::thread::spawn(move || {
                 let req_ctx = Request::default();
-                while let Ok((request, reply_slot)) = rx.recv() {
+                while let Ok((request, home, reply_slot)) = rx.recv() {
                     if matches!(request, FuseRequest::Shutdown) {
                         let _ = reply_slot.send(Ok(FuseReply::Ok));
                         break;
                     }
-                    let reply = dispatch(&*fs, &sb, &req_ctx, request);
+                    // Allocate where the caller would have: which worker
+                    // wakes for a request must not decide block placement.
+                    let reply = with_home(home, || dispatch(&*fs, &sb, &req_ctx, request));
                     let _ = reply_slot.send(reply);
                 }
             }));
@@ -158,7 +165,7 @@ impl FuseDaemon {
     pub fn shutdown(&mut self) {
         for _ in 0..self.workers.len() {
             let (tx, _rx) = unbounded();
-            let _ = self.queue.send((FuseRequest::Shutdown, tx));
+            let _ = self.queue.send((FuseRequest::Shutdown, 0, tx));
         }
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -274,7 +281,7 @@ impl FuseKernelDriver {
         }
         let (tx, rx) = unbounded();
         self.queue
-            .send((request, tx))
+            .send((request, thread_home(), tx))
             .map_err(|_| KernelError::with_context(Errno::Io, "fuse: daemon connection closed"))?;
         rx.recv().map_err(|_| KernelError::with_context(Errno::Io, "fuse: daemon died"))?
     }
@@ -357,17 +364,38 @@ impl VfsFs for FuseKernelDriver {
     }
 
     fn read_page(&self, ino: u64, page_index: u64, buf: &mut [u8]) -> KernelResult<usize> {
-        let size = buf.len().min(PAGE_SIZE) as u32;
-        match self
-            .call(size as usize, FuseRequest::Read(ino, page_index * PAGE_SIZE as u64, size))?
+        self.read_pages(ino, page_index, &mut [buf])
+    }
+
+    fn read_pages(
+        &self,
+        ino: u64,
+        first_page: u64,
+        pages: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        // The kernel FUSE client fills a run of pages with one READ per
+        // FUSE_MAX_IO bytes; the daemon's reply is copied across the
+        // boundary straight into the page cache's pages.
+        let mut filled = 0;
+        for (first, run) in
+            (first_page..).step_by(FUSE_MAX_PAGES).zip(pages.chunks_mut(FUSE_MAX_PAGES))
         {
-            FuseReply::Data(data) => {
-                let n = data.len().min(buf.len());
-                buf[..n].copy_from_slice(&data[..n]);
-                Ok(n)
+            let size = run.len() * PAGE_SIZE;
+            let offset = first * PAGE_SIZE as u64;
+            let data = match self.call(size, FuseRequest::Read(ino, offset, size as u32))? {
+                FuseReply::Data(data) => data,
+                _ => return Err(KernelError::with_context(Errno::Io, "fuse: unexpected reply")),
+            };
+            for (page, chunk) in run.iter_mut().zip(data.chunks(PAGE_SIZE)) {
+                let n = chunk.len().min(page.len());
+                page[..n].copy_from_slice(&chunk[..n]);
+                filled += n;
             }
-            _ => Err(KernelError::with_context(Errno::Io, "fuse: unexpected reply")),
+            if data.len() < size {
+                break;
+            }
         }
+        Ok(filled)
     }
 
     fn write_page(
@@ -391,11 +419,10 @@ impl VfsFs for FuseKernelDriver {
 
     fn write_pages(&self, files: &[WritebackFile<'_>]) -> KernelResult<()> {
         // The FUSE writeback cache sends, file by file, one WRITE request
-        // per contiguous run of dirty pages, capped at FUSE_MAX_WRITE
-        // bytes: a request names one file and one offset, and its payload
-        // is copied across the boundary, so — unlike BentoFS — runs are
+        // per contiguous run of dirty pages, capped at FUSE_MAX_IO bytes:
+        // a request names one file and one offset, and its payload is
+        // copied across the boundary, so — unlike BentoFS — runs are
         // assembled here, not lent.
-        const MAX_PAGES: usize = FUSE_MAX_WRITE / PAGE_SIZE;
         for &(ino, pages, file_size) in files {
             let mut rest = pages;
             while let Some(&(first, _)) = rest.first() {
@@ -404,7 +431,7 @@ impl VfsFs for FuseKernelDriver {
                     rest = &rest[1..];
                     continue;
                 }
-                let limit = rest.len().min(MAX_PAGES);
+                let limit = rest.len().min(FUSE_MAX_PAGES);
                 let run = (1..limit).find(|&i| rest[i].0 != first + i as u64).unwrap_or(limit);
                 let mut chunk = Vec::with_capacity(run * PAGE_SIZE);
                 for (_, page) in &rest[..run] {
@@ -590,5 +617,104 @@ mod tests {
         }
         assert_eq!(fs.readdir(1).unwrap().len(), 2 + 32);
         fs.destroy().unwrap();
+    }
+
+    /// A FUSE mount behind a VFS (page cache included) over `dev`, with
+    /// every payload byte charged one nanosecond.
+    fn fuse_vfs(dev: &Arc<dyn BlockDevice>, workers: usize) -> (Vfs, Arc<FuseKernelDriver>) {
+        let model = CostModel { copy_per_byte_ns: 1, ..CostModel::zero() };
+        let fs = mount_fuse_xv6(Arc::clone(dev), model, workers).unwrap();
+        let vfs = Vfs::default();
+        vfs.mount_fs(Arc::clone(&fs) as Arc<dyn VfsFs>, "/").unwrap();
+        (vfs, fs)
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// A RAM disk holding `/f` with `len` pattern bytes, unmounted (so the
+    /// next mount starts cold).
+    fn disk_with_file(len: usize) -> Arc<dyn BlockDevice> {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 4096));
+        mkfs_on_device(&dev, 256).unwrap();
+        let (vfs, _) = fuse_vfs(&dev, 2);
+        let fd = vfs.open("/f", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
+        vfs.write(fd, &pattern(len)).unwrap();
+        vfs.close(fd).unwrap();
+        vfs.unmount("/").unwrap();
+        dev
+    }
+
+    #[test]
+    fn a_cold_64k_read_is_one_read_request() {
+        let dev = disk_with_file(128 * 1024);
+        let (vfs, fs) = fuse_vfs(&dev, 2);
+        let fd = vfs.open("/f", OpenFlags::RDONLY).unwrap();
+        vfs.fstat(fd).unwrap();
+        let before = fs.counters().snapshot();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut out = Vec::new();
+        for _ in 0..2 {
+            assert_eq!(vfs.read(fd, &mut buf).unwrap(), buf.len());
+            out.extend_from_slice(&buf);
+        }
+        assert_eq!(out, pattern(128 * 1024));
+        let after = fs.counters().snapshot();
+        assert_eq!(after.fuse_round_trips - before.fuse_round_trips, 2, "one READ per 64 KiB");
+        assert_eq!(after.copies - before.copies, 2);
+        assert_eq!(after.total_ns - before.total_ns, 128 * 1024, "each byte copied once");
+        vfs.close(fd).unwrap();
+        vfs.unmount("/").unwrap();
+    }
+
+    #[test]
+    fn a_1m_read_is_eight_128k_read_requests() {
+        let dev = disk_with_file(1024 * 1024);
+        let (vfs, fs) = fuse_vfs(&dev, 2);
+        let fd = vfs.open("/f", OpenFlags::RDONLY).unwrap();
+        vfs.fstat(fd).unwrap();
+        let before = fs.counters().snapshot();
+        let mut buf = vec![0u8; 1024 * 1024];
+        assert_eq!(vfs.read(fd, &mut buf).unwrap(), buf.len());
+        assert_eq!(buf, pattern(buf.len()));
+        let after = fs.counters().snapshot();
+        assert_eq!(after.fuse_round_trips - before.fuse_round_trips, 8);
+        assert_eq!(after.total_ns - before.total_ns, 1024 * 1024, "8 requests of FUSE_MAX_IO");
+        vfs.close(fd).unwrap();
+        vfs.unmount("/").unwrap();
+    }
+
+    /// The image one client's create/write stream leaves on a mount with
+    /// `workers` daemon threads.
+    fn image_after_one_client(workers: usize) -> Vec<Vec<u8>> {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 4096));
+        mkfs_on_device(&dev, 256).unwrap();
+        let (vfs, _) = fuse_vfs(&dev, workers);
+        for i in 0..24usize {
+            vfs.mkdir(&format!("/d{i}")).unwrap();
+            let fd = vfs.open(&format!("/d{i}/f"), OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
+            vfs.write(fd, &pattern(3000 * (i + 1))).unwrap();
+            if i % 3 == 0 {
+                vfs.fsync(fd).unwrap();
+            }
+            vfs.close(fd).unwrap();
+        }
+        vfs.unmount("/").unwrap();
+        (0..dev.num_blocks())
+            .map(|b| {
+                let mut block = vec![0u8; PAGE_SIZE];
+                dev.read_block(b, &mut block).unwrap();
+                block
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_placement_follows_the_client_not_the_daemon_worker() {
+        let one = image_after_one_client(1);
+        let eight = image_after_one_client(8);
+        let differing: Vec<usize> = (0..one.len()).filter(|&b| one[b] != eight[b]).collect();
+        assert!(differing.is_empty(), "blocks {differing:?} differ between 1 and 8 workers");
     }
 }

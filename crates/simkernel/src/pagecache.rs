@@ -25,6 +25,13 @@
 //! transaction goes beyond the paper: Linux `sync` calls `writepages` once
 //! per inode.
 //!
+//! Fills mirror that: a read (or a write's read-modify-write of a partial
+//! page) fills each run of adjacent missing pages of its range, clipped
+//! to EOF, with **one `read_pages` call**, into fresh pages whose buffers
+//! it lends.  The VFS baseline and BentoFS take the trait default, a
+//! `read_page` per page; the FUSE driver sends the run as one READ, as the
+//! kernel FUSE client does.  A fill that fails caches nothing.
+//!
 //! A pass either succeeds as a whole or marks nothing clean: if
 //! `write_pages` fails, every file of the pass keeps its dirty pages and
 //! the next pass writes them again, including any prefix the file system
@@ -205,6 +212,38 @@ impl PageCache {
         Ok(())
     }
 
+    /// Fills the pages of `wanted` (ascending page indexes, before EOF)
+    /// that `fp` does not hold, with one [`VfsFs::read_pages`] call per run
+    /// of adjacent missing pages.  The pages are allocated first and their
+    /// buffers lent to the file system, so each byte is copied once; they
+    /// are cached only after every run has been read, so on an error none
+    /// is.  Returns the number of pages filled.
+    fn fill(
+        &self,
+        fs: &Arc<dyn VfsFs>,
+        ino: u64,
+        fp: &mut FilePages,
+        wanted: impl IntoIterator<Item = u64>,
+    ) -> KernelResult<usize> {
+        let missing: Vec<u64> =
+            wanted.into_iter().filter(|page_idx| !fp.pages.contains_key(page_idx)).collect();
+        if missing.is_empty() {
+            return Ok(0);
+        }
+        let mut pages: Vec<Page> = missing.iter().map(|_| Page::new_zeroed()).collect();
+        let mut rest = pages.as_mut_slice();
+        for run in missing.chunk_by(|a, b| a + 1 == *b) {
+            let (now, later) = rest.split_at_mut(run.len());
+            rest = later;
+            let mut bufs: Vec<&mut [u8]> = now.iter_mut().map(|page| &mut *page.data).collect();
+            let filled = fs.read_pages(ino, run[0], &mut bufs)?;
+            debug_assert!(filled <= run.len() * PAGE_SIZE);
+        }
+        self.stats.read_fills.add(missing.len() as u64);
+        fp.pages.extend(missing.iter().copied().zip(pages));
+        Ok(missing.len())
+    }
+
     /// The cached size of `ino`, loading it from the file system if needed.
     ///
     /// # Errors
@@ -265,22 +304,16 @@ impl PageCache {
             return Ok(0);
         }
         let to_read = buf.len().min((fp.size - offset) as usize);
+        let first = offset / PAGE_SIZE as u64;
+        let end = (offset + to_read as u64).div_ceil(PAGE_SIZE as u64);
+        let filled = self.fill(fs, ino, &mut fp, first..end)?;
+        self.stats.read_hits.add(end - first - filled as u64);
         let mut done = 0usize;
-        while done < to_read {
+        for (&page_idx, page) in fp.pages.range(first..end) {
             let pos = offset + done as u64;
-            let page_idx = pos / PAGE_SIZE as u64;
+            debug_assert_eq!(page_idx, pos / PAGE_SIZE as u64, "every page was just filled");
             let page_off = (pos % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - page_off).min(to_read - done);
-            if let std::collections::btree_map::Entry::Vacant(e) = fp.pages.entry(page_idx) {
-                let mut page = Page::new_zeroed();
-                let filled = fs.read_page(ino, page_idx, &mut page.data)?;
-                debug_assert!(filled <= PAGE_SIZE);
-                e.insert(page);
-                self.stats.read_fills.inc();
-            } else {
-                self.stats.read_hits.inc();
-            }
-            let page = fp.pages.get(&page_idx).expect("page just ensured");
             buf[done..done + chunk].copy_from_slice(&page.data[page_off..page_off + chunk]);
             done += chunk;
         }
@@ -344,21 +377,20 @@ impl PageCache {
         data: &[u8],
         fp: &mut FilePages,
     ) -> KernelResult<usize> {
+        // Only the first and the last page can be partly overwritten; those
+        // that hold data before EOF are read in first.
+        let end = offset + data.len() as u64;
+        let partial = |p: u64| offset > p * PAGE_SIZE as u64 || end < (p + 1) * PAGE_SIZE as u64;
+        let size = fp.size;
+        let (first, last) = (offset / PAGE_SIZE as u64, (end - 1) / PAGE_SIZE as u64);
+        let rmw = (first..=last).filter(|&p| partial(p) && p * (PAGE_SIZE as u64) < size);
+        self.fill(fs, ino, fp, rmw)?;
         let mut done = 0usize;
         while done < data.len() {
             let pos = offset + done as u64;
             let page_idx = pos / PAGE_SIZE as u64;
             let page_off = (pos % PAGE_SIZE as u64) as usize;
             let chunk = (PAGE_SIZE - page_off).min(data.len() - done);
-            let need_fill = !fp.pages.contains_key(&page_idx)
-                && (page_off != 0 || chunk != PAGE_SIZE)
-                && page_idx * (PAGE_SIZE as u64) < fp.size;
-            if need_fill {
-                let mut page = Page::new_zeroed();
-                fs.read_page(ino, page_idx, &mut page.data)?;
-                fp.pages.insert(page_idx, page);
-                self.stats.read_fills.inc();
-            }
             let page = fp.pages.entry(page_idx).or_insert_with(Page::new_zeroed);
             page.data[page_off..page_off + chunk].copy_from_slice(&data[done..done + chunk]);
             if !page.dirty {
@@ -511,6 +543,10 @@ mod tests {
         write_pages_calls: PlMutex<Vec<PassRecord>>,
         /// An inode whose write-back fails with `EIO`.
         failing: PlMutex<Option<u64>>,
+        /// What each `read_pages` call asked for: `(ino, first_page, pages)`.
+        read_pages_calls: PlMutex<Vec<(u64, u64, usize)>>,
+        /// A first page whose `read_pages` call fails with `EIO`.
+        failing_fill: PlMutex<Option<u64>>,
     }
 
     impl MemFs {
@@ -531,8 +567,27 @@ mod tests {
                 write_page_calls: PlMutex::new(0),
                 write_pages_calls: PlMutex::new(Vec::new()),
                 failing: PlMutex::new(None),
+                read_pages_calls: PlMutex::new(Vec::new()),
+                failing_fill: PlMutex::new(None),
             })
         }
+
+        /// File 2 holding `len` bytes, byte `i` being `i % 251`, written
+        /// straight to the file system (nothing cached).
+        fn with_contents(len: usize) -> Arc<MemFs> {
+            let mem = Self::concrete();
+            mem.files.lock().insert(2, pattern(len));
+            mem
+        }
+
+        /// Takes the recorded `read_pages` calls.
+        fn fills(&self) -> Vec<(u64, u64, usize)> {
+            std::mem::take(&mut *self.read_pages_calls.lock())
+        }
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i % 251) as u8).collect()
     }
 
     impl VfsFs for MemFs {
@@ -592,6 +647,22 @@ mod tests {
             let n = (data.len() - start).min(PAGE_SIZE);
             buf[..n].copy_from_slice(&data[start..start + n]);
             Ok(n)
+        }
+        fn read_pages(
+            &self,
+            ino: u64,
+            first_page: u64,
+            pages: &mut [&mut [u8]],
+        ) -> KernelResult<usize> {
+            self.read_pages_calls.lock().push((ino, first_page, pages.len()));
+            if *self.failing_fill.lock() == Some(first_page) {
+                return Err(KernelError::new(Errno::Io));
+            }
+            let mut filled = 0;
+            for (page_index, page) in (first_page..).zip(pages.iter_mut()) {
+                filled += self.read_page(ino, page_index, page)?;
+            }
+            Ok(filled)
         }
         fn write_page(
             &self,
@@ -918,5 +989,92 @@ mod tests {
         let mut out = vec![1u8; PAGE_SIZE];
         pc.read(&fs, 2, 0, &mut out).unwrap();
         assert!(out[100..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn a_cold_read_is_one_fill_call_for_the_whole_run() {
+        let mem = MemFs::with_contents(20 * PAGE_SIZE);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        let mut buf = vec![0u8; 16 * PAGE_SIZE];
+        assert_eq!(pc.read(&fs, 2, 0, &mut buf).unwrap(), buf.len());
+        assert_eq!(buf, pattern(16 * PAGE_SIZE));
+        assert_eq!(mem.fills(), [(2, 0, 16)], "one call of 16 pages");
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (16, 0));
+        // Warm: no call at all.
+        pc.read(&fs, 2, 0, &mut buf).unwrap();
+        assert!(mem.fills().is_empty());
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (16, 16));
+    }
+
+    #[test]
+    fn each_run_of_missing_pages_is_one_fill_call() {
+        let mem = MemFs::with_contents(5 * PAGE_SIZE);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        let mut buf = vec![0u8; 5 * PAGE_SIZE];
+        pc.read(&fs, 2, 0, &mut buf[..10]).unwrap();
+        pc.read(&fs, 2, 3 * PAGE_SIZE as u64 + 7, &mut buf[..10]).unwrap();
+        assert_eq!(mem.fills(), [(2, 0, 1), (2, 3, 1)]);
+        // Cached, missing, missing, cached, missing: two runs, two calls.
+        assert_eq!(pc.read(&fs, 2, 0, &mut buf).unwrap(), buf.len());
+        assert_eq!(buf, pattern(5 * PAGE_SIZE));
+        assert_eq!(mem.fills(), [(2, 1, 2), (2, 4, 1)]);
+        assert_eq!((pc.stats().read_fills, pc.stats().read_hits), (5, 2));
+    }
+
+    #[test]
+    fn no_page_at_or_past_eof_is_filled() {
+        let len = 2 * PAGE_SIZE + 1000;
+        let mem = MemFs::with_contents(len);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        let mut buf = vec![0u8; 16 * PAGE_SIZE];
+        assert_eq!(pc.read(&fs, 2, 0, &mut buf).unwrap(), len);
+        assert_eq!(buf[..len], pattern(len)[..]);
+        assert_eq!(mem.fills(), [(2, 0, 3)], "the page holding EOF, none after it");
+        assert_eq!(pc.read(&fs, 2, len as u64, &mut buf).unwrap(), 0);
+        assert!(mem.fills().is_empty());
+
+        // A write's read-modify-write fill stops at EOF too: a partial
+        // page past it is zeros, one before it is read.
+        pc.invalidate(2);
+        pc.write(&fs, 2, 5 * PAGE_SIZE as u64 + 10, &[1u8; 10]).unwrap();
+        assert!(mem.fills().is_empty(), "page 5 lies past EOF");
+        pc.write(&fs, 2, PAGE_SIZE as u64 - 5, &[2u8; 10]).unwrap();
+        assert_eq!(mem.fills(), [(2, 0, 2)], "both partial pages, adjacent: one run");
+        pc.write(&fs, 2, 10, &vec![3u8; 2 * PAGE_SIZE]).unwrap();
+        assert_eq!(mem.fills(), [(2, 2, 1)], "only the uncached partial tail page");
+        assert_eq!(pc.stats().read_fills, 3 + 3, "the read's pages, then the writes'");
+    }
+
+    #[test]
+    fn a_failed_fill_caches_nothing_and_the_retry_reads_the_right_bytes() {
+        let mem = MemFs::with_contents(5 * PAGE_SIZE);
+        let fs: Arc<dyn VfsFs> = Arc::clone(&mem) as _;
+        let pc = cache(true);
+        let mut buf = vec![0u8; 5 * PAGE_SIZE];
+        pc.read(&fs, 2, 0, &mut buf[..10]).unwrap();
+        pc.read(&fs, 2, 3 * PAGE_SIZE as u64, &mut buf[..10]).unwrap();
+        mem.fills();
+        // The second run fails after the first was read: neither is cached.
+        *mem.failing_fill.lock() = Some(4);
+        assert_eq!(pc.read(&fs, 2, 0, &mut buf).unwrap_err().errno(), Errno::Io);
+        assert_eq!(mem.fills(), [(2, 1, 2), (2, 4, 1)]);
+        assert_eq!(pc.stats().read_fills, 2, "only the two earlier fills count");
+        *mem.failing_fill.lock() = None;
+        buf.fill(0);
+        assert_eq!(pc.read(&fs, 2, 0, &mut buf).unwrap(), buf.len());
+        assert_eq!(buf, pattern(5 * PAGE_SIZE));
+        assert_eq!(mem.fills(), [(2, 1, 2), (2, 4, 1)], "the retry asks for both runs again");
+        assert_eq!(pc.stats().read_fills, 5);
+        // A write whose fill fails changes nothing either.
+        pc.invalidate(2);
+        *mem.failing_fill.lock() = Some(0);
+        assert_eq!(pc.write(&fs, 2, 10, &[9u8; 10]).unwrap_err().errno(), Errno::Io);
+        assert_eq!(pc.dirty_pages(), 0);
+        *mem.failing_fill.lock() = None;
+        pc.read(&fs, 2, 0, &mut buf).unwrap();
+        assert_eq!(buf, pattern(5 * PAGE_SIZE));
     }
 }

@@ -463,6 +463,33 @@ pub trait VfsFs: Send + Sync {
     /// [`Errno::NoEnt`] if the inode does not exist; I/O errors propagate.
     fn read_page(&self, ino: u64, page_index: u64, buf: &mut [u8]) -> KernelResult<usize>;
 
+    /// Fills `pages`, the page buffers of the adjacent pages `first_page`,
+    /// `first_page + 1`, … of file `ino`; returns the number of valid bytes
+    /// across the run.  The page cache makes one call per run of missing
+    /// pages in a read (or a write's read-modify-write fill).
+    ///
+    /// The default implementation loops over [`VfsFs::read_page`], so a
+    /// file system that does not override it sees the same calls, in the
+    /// same order, as a fill page by page.  The FUSE driver overrides it:
+    /// the run travels as one READ request.
+    ///
+    /// # Errors
+    ///
+    /// As for [`VfsFs::read_page`].  On an error the page cache caches
+    /// none of the run's pages.
+    fn read_pages(
+        &self,
+        ino: u64,
+        first_page: u64,
+        pages: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        let mut filled = 0;
+        for (page_index, page) in (first_page..).zip(pages.iter_mut()) {
+            filled += self.read_page(ino, page_index, page)?;
+        }
+        Ok(filled)
+    }
+
     /// Writes one page of data at `page_index`; `file_size` is the
     /// up-to-date size of the file as known by the page cache, which the
     /// file system must persist if it exceeds its recorded size.

@@ -3,6 +3,9 @@
 //! writes, and truncation.  Everything here runs inside transactions managed
 //! by the caller (see [`crate::ops`]).
 
+use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -95,7 +98,8 @@ pub struct GroupState {
 /// The paper notes (§6.1) that the port had to add a lock around inode and
 /// block allocation; a single such lock made every concurrent creator and
 /// writer contend on one cursor.  Here a thread allocates from a *home*
-/// group derived from its thread id and only steals from other groups when
+/// group derived from its thread id (a FUSE daemon worker: from its client's,
+/// see [`with_home`]) and only steals from other groups when
 /// its own range is exhausted, so disjoint writers touch disjoint cursors
 /// (and mostly disjoint bitmap bytes).
 #[derive(Debug)]
@@ -109,6 +113,33 @@ pub struct AllocGroups {
     /// Allocations (blocks + inodes) served per group, for the experiment
     /// harness's skew diagnostics.
     allocs: Vec<AtomicU64>,
+}
+
+thread_local! {
+    /// The allocation home of the work running on this thread: the
+    /// thread's own id, hashed, except inside [`with_home`].
+    static HOME: Cell<u64> = Cell::new({
+        let mut hasher = DefaultHasher::new();
+        std::thread::current().id().hash(&mut hasher);
+        hasher.finish()
+    });
+}
+
+/// The calling thread's allocation home, which [`AllocGroups::home_group`]
+/// maps to a group.  A server that runs file-system calls for its clients
+/// on worker threads (the FUSE daemon) sends the client's home with each
+/// request and serves it under [`with_home`], so the client, not whichever
+/// worker wakes, picks where the request allocates.
+pub fn thread_home() -> u64 {
+    HOME.with(Cell::get)
+}
+
+/// Runs `f` with this thread's allocation home set to `home`.
+pub fn with_home<R>(home: u64, f: impl FnOnce() -> R) -> R {
+    let own = HOME.with(|h| h.replace(home));
+    let result = f();
+    HOME.with(|h| h.set(own));
+    result
 }
 
 impl AllocGroups {
@@ -141,18 +172,10 @@ impl AllocGroups {
         self.groups.len()
     }
 
-    /// The group this thread allocates from first (stable per thread).
+    /// The group this thread allocates from first: that of its
+    /// [`thread_home`].
     pub fn home_group(&self) -> usize {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        thread_local! {
-            static HOME: usize = {
-                let mut hasher = DefaultHasher::new();
-                std::thread::current().id().hash(&mut hasher);
-                hasher.finish() as usize
-            };
-        }
-        HOME.with(|h| *h) & (self.groups.len() - 1)
+        thread_home() as usize & (self.groups.len() - 1)
     }
 
     /// Locks group `g`'s cursor state.
