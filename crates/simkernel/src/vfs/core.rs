@@ -16,6 +16,7 @@ use crate::dev::BlockDevice;
 use crate::error::{err, Errno, KernelError, KernelResult};
 use crate::pagecache::{PageCache, PageCacheConfig, PageCacheStats};
 use crate::shard::ShardedMap;
+use crate::vfs::dcache::{Dentry, DentryCache};
 use crate::vfs::{
     DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
     StatFs, VfsFs,
@@ -42,7 +43,48 @@ struct Mount {
     id: u64,
     path: String,
     fs: Arc<dyn VfsFs>,
+    /// The root directory's inode number, read once at mount time.
+    root: u64,
+    dcache: DentryCache,
     page_cache: PageCache,
+}
+
+impl Mount {
+    /// Walks the mount-relative path `rest` to the directory holding its
+    /// last component, returning that directory and the component (the
+    /// root and `None` when `rest` is empty).  Intermediate components come
+    /// from the dentry cache when it has them.
+    fn walk<'p>(&self, rest: &'p str) -> KernelResult<(u64, Option<&'p str>)> {
+        let mut dir = self.root;
+        let mut comps = components(rest).peekable();
+        while let Some(name) = comps.next() {
+            if comps.peek().is_none() {
+                return Ok((dir, Some(name)));
+            }
+            let child = match self.dcache.get(dir, name) {
+                Some(cached) => cached,
+                None => Dentry::from(self.dcache.lookup(&*self.fs, dir, name)?),
+            };
+            if child.kind != FileType::Directory {
+                return Err(KernelError::with_context(
+                    Errno::NotDir,
+                    "path component not a directory",
+                ));
+            }
+            dir = child.ino;
+        }
+        Ok((dir, None))
+    }
+
+    /// The attributes of `name` in directory `dir`, always from the file
+    /// system: a `getattr` when the name is cached, else a `lookup` whose
+    /// answer the cache keeps.
+    fn lookup(&self, dir: u64, name: &str) -> KernelResult<InodeAttr> {
+        match self.dcache.get(dir, name) {
+            Some(cached) => self.fs.getattr(cached.ino),
+            None => self.dcache.lookup(&*self.fs, dir, name),
+        }
+    }
 }
 
 impl std::fmt::Debug for Mount {
@@ -204,7 +246,9 @@ impl Vfs {
         }
         let id = self.next_mount.fetch_add(1, Ordering::Relaxed);
         let page_cache = PageCache::new(PageCacheConfig::default(), fs.supports_writepages());
-        let mount = Arc::new(Mount { id, path, fs, page_cache });
+        let root = fs.root_ino();
+        let mount =
+            Arc::new(Mount { id, path, fs, root, dcache: DentryCache::default(), page_cache });
         // The mount table is an immutable snapshot: build the successor
         // vector and swap it in, so readers never hold the lock while
         // resolving paths.  Longest path first so that prefix matching picks
@@ -243,6 +287,7 @@ impl Vfs {
         let mut mounts = self.mounts.write();
         let next: Vec<Arc<Mount>> = mounts.iter().filter(|m| m.id != mount.id).cloned().collect();
         *mounts = Arc::new(next);
+        mount.dcache.clear();
         Ok(())
     }
 
@@ -286,42 +331,23 @@ impl Vfs {
     fn resolve(&self, path: &str) -> KernelResult<(Arc<Mount>, InodeAttr)> {
         let normalized = normalize_path(path)?;
         let (mount, rest) = self.find_mount(&normalized)?;
-        let mut attr = mount.fs.getattr(mount.fs.root_ino())?;
-        for comp in components(&rest) {
-            if attr.kind != FileType::Directory {
-                return Err(KernelError::with_context(
-                    Errno::NotDir,
-                    "path component not a directory",
-                ));
-            }
-            attr = mount.fs.lookup(attr.ino, comp)?;
-        }
+        let attr = match mount.walk(&rest)? {
+            (dir, Some(name)) => mount.lookup(dir, name)?,
+            // The path names the mount's root.
+            (root, None) => mount.fs.getattr(root)?,
+        };
         Ok((mount, attr))
     }
 
     /// Resolves the *parent directory* of `path`, returning the mount, the
-    /// parent's attributes and the final component name.
-    fn resolve_parent(&self, path: &str) -> KernelResult<(Arc<Mount>, InodeAttr, String)> {
+    /// parent's inode number and the final component name.
+    fn resolve_parent(&self, path: &str) -> KernelResult<(Arc<Mount>, u64, String)> {
         let normalized = normalize_path(path)?;
         let (mount, rest) = self.find_mount(&normalized)?;
-        let comps: Vec<&str> = components(&rest).collect();
-        let Some((last, parents)) = comps.split_last() else {
+        let (dir, Some(name)) = mount.walk(&rest)? else {
             return Err(KernelError::with_context(Errno::Inval, "path has no final component"));
         };
-        let mut attr = mount.fs.getattr(mount.fs.root_ino())?;
-        for comp in parents {
-            if attr.kind != FileType::Directory {
-                return Err(KernelError::with_context(
-                    Errno::NotDir,
-                    "path component not a directory",
-                ));
-            }
-            attr = mount.fs.lookup(attr.ino, comp)?;
-        }
-        if attr.kind != FileType::Directory {
-            return Err(KernelError::with_context(Errno::NotDir, "parent is not a directory"));
-        }
-        Ok((mount, attr, (*last).to_string()))
+        Ok((mount, dir, name.to_string()))
     }
 
     // -- file descriptor syscalls -------------------------------------------
@@ -342,7 +368,7 @@ impl Vfs {
         let _span = crate::trace::op_span("open");
         let (mount, attr) = if flags.contains(OpenFlags::CREAT) {
             let (mount, parent, name) = self.resolve_parent(path)?;
-            match mount.fs.lookup(parent.ino, &name) {
+            match mount.lookup(parent, &name) {
                 Ok(existing) => {
                     if flags.contains(OpenFlags::EXCL) {
                         return Err(KernelError::with_context(
@@ -353,11 +379,11 @@ impl Vfs {
                     (mount, existing)
                 }
                 Err(e) if e.errno() == Errno::NoEnt => {
-                    let attr = match mount.fs.create(parent.ino, &name, FileMode::regular()) {
+                    let attr = match mount.fs.create(parent, &name, FileMode::regular()) {
                         // Another opener created the name since the
                         // lookup: without O_EXCL, open that file.
                         Err(e) if e.errno() == Errno::Exist && !flags.contains(OpenFlags::EXCL) => {
-                            mount.fs.lookup(parent.ino, &name)?
+                            mount.lookup(parent, &name)?
                         }
                         created => created?,
                     };
@@ -615,7 +641,7 @@ impl Vfs {
     pub fn mkdir(&self, path: &str) -> KernelResult<()> {
         let _span = crate::trace::op_span("mkdir");
         let (mount, parent, name) = self.resolve_parent(path)?;
-        mount.fs.mkdir(parent.ino, &name, FileMode::directory())?;
+        mount.fs.mkdir(parent, &name, FileMode::directory())?;
         Ok(())
     }
 
@@ -627,7 +653,7 @@ impl Vfs {
     pub fn rmdir(&self, path: &str) -> KernelResult<()> {
         let _span = crate::trace::op_span("rmdir");
         let (mount, parent, name) = self.resolve_parent(path)?;
-        mount.fs.rmdir(parent.ino, &name)
+        mount.dcache.remove_around(&[(parent, &name)], || mount.fs.rmdir(parent, &name))
     }
 
     /// Removes a file.
@@ -638,8 +664,9 @@ impl Vfs {
     pub fn unlink(&self, path: &str) -> KernelResult<()> {
         let _span = crate::trace::op_span("unlink");
         let (mount, parent, name) = self.resolve_parent(path)?;
-        let target = mount.fs.lookup(parent.ino, &name)?;
-        let unlink = || mount.fs.unlink(parent.ino, &name);
+        let target = mount.lookup(parent, &name)?;
+        let unlink =
+            || mount.dcache.remove_around(&[(parent, &name)], || mount.fs.unlink(parent, &name));
         if is_last_link(&target) {
             // The file system may free the inode number inside this call,
             // so its cached pages go before, not after.
@@ -657,19 +684,23 @@ impl Vfs {
     /// propagate.
     pub fn rename(&self, old: &str, new: &str) -> KernelResult<()> {
         let _span = crate::trace::op_span("rename");
-        let (old_mount, old_parent, old_name) = self.resolve_parent(old)?;
+        let (mount, old_parent, old_name) = self.resolve_parent(old)?;
         let (new_mount, new_parent, new_name) = self.resolve_parent(new)?;
-        if old_mount.id != new_mount.id {
+        if mount.id != new_mount.id {
             return Err(KernelError::with_context(Errno::Inval, "cross-mount rename"));
         }
-        let fs = &old_mount.fs;
-        let rename = || fs.rename(old_parent.ino, &old_name, new_parent.ino, &new_name);
+        let names = [(old_parent, old_name.as_str()), (new_parent, new_name.as_str())];
+        let rename = || {
+            mount.dcache.remove_around(&names, || {
+                mount.fs.rename(old_parent, &old_name, new_parent, &new_name)
+            })
+        };
         // A replaced file loses its last link here, as in `unlink` — unless
         // the rename is onto the file itself (or another link of it).
-        let victim = fs.lookup(new_parent.ino, &new_name).ok().filter(is_last_link);
+        let victim = mount.lookup(new_parent, &new_name).ok().filter(is_last_link);
         match victim {
-            Some(target) if fs.lookup(old_parent.ino, &old_name)?.ino != target.ino => {
-                old_mount.page_cache.invalidate_around(target.ino, rename)
+            Some(target) if mount.lookup(old_parent, &old_name)?.ino != target.ino => {
+                mount.page_cache.invalidate_around(target.ino, rename)
             }
             _ => rename(),
         }
@@ -688,7 +719,7 @@ impl Vfs {
         if mount.id != new_mount.id {
             return Err(KernelError::with_context(Errno::Inval, "cross-mount link"));
         }
-        mount.fs.link(attr.ino, new_parent.ino, &new_name)?;
+        mount.fs.link(attr.ino, new_parent, &new_name)?;
         Ok(())
     }
 
@@ -1004,12 +1035,14 @@ mod tests {
     /// gets inode number 2 — the smallest file system that recycles an
     /// inode number.  `after_free` runs inside `unlink`, once the number
     /// is free again; `before_create` runs inside `create`, before the name
-    /// is checked.
+    /// is checked; `before_reply` runs inside `lookup`, once the answer is
+    /// known.
     #[derive(Default)]
     struct OneInodeFs {
         file: Mutex<Option<(String, Vec<u8>)>>,
         after_free: Mutex<Option<Box<dyn FnOnce() + Send>>>,
         before_create: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+        before_reply: Mutex<Option<Box<dyn FnOnce() + Send>>>,
     }
 
     impl OneInodeFs {
@@ -1031,12 +1064,17 @@ mod tests {
             1
         }
         fn lookup(&self, _dir: u64, name: &str) -> KernelResult<InodeAttr> {
-            match self.file.lock().as_ref() {
+            let reply = match self.file.lock().as_ref() {
                 Some((n, bytes)) if n == name => {
                     Ok(InodeAttr::regular(Self::INO, bytes.len() as u64))
                 }
                 _ => err(Errno::NoEnt),
+            };
+            let hook = self.before_reply.lock().take();
+            if let Some(hook) = hook {
+                hook();
             }
+            reply
         }
         fn getattr(&self, ino: u64) -> KernelResult<InodeAttr> {
             if ino == 1 {
@@ -1115,6 +1153,15 @@ mod tests {
 
     struct OneInodeFsType(Arc<OneInodeFs>);
 
+    fn mount_one_inode_fs() -> (Arc<OneInodeFs>, Arc<Vfs>) {
+        let fs = Arc::new(OneInodeFs::default());
+        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
+        vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
+        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
+            .unwrap();
+        (fs, vfs)
+    }
+
     impl FilesystemType for OneInodeFsType {
         fn fs_name(&self) -> &str {
             "oneinode"
@@ -1130,11 +1177,7 @@ mod tests {
 
     #[test]
     fn open_creat_that_loses_the_create_race_opens_the_winners_file() {
-        let fs = Arc::new(OneInodeFs::default());
-        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
-        vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
-        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
-            .unwrap();
+        let (fs, vfs) = mount_one_inode_fs();
         // Between an opener's lookup (no such name) and its create, a
         // second opener creates the name and writes to it.
         let race = |vfs: &Arc<Vfs>| {
@@ -1163,11 +1206,7 @@ mod tests {
 
     #[test]
     fn unlink_drops_cached_pages_before_the_inode_number_is_recycled() {
-        let fs = Arc::new(OneInodeFs::default());
-        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
-        vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
-        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
-            .unwrap();
+        let (fs, vfs) = mount_one_inode_fs();
         // The previous owner of inode 2: 12 KiB, still dirty in the cache.
         let fd = vfs.open("/old", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, &vec![0xAA; 12_288]).unwrap();
@@ -1189,5 +1228,53 @@ mod tests {
         assert_eq!(stored.0, "new");
         assert_eq!(stored.1.len(), 10_240);
         assert!(stored.1.iter().all(|&b| b == 0xBB));
+    }
+
+    #[test]
+    fn a_lookup_that_races_an_unlink_leaves_no_entry_for_the_recycled_number() {
+        let (fs, vfs) = mount_one_inode_fs();
+        let fd = vfs.open("/old", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+        vfs.close(fd).unwrap();
+        // A walk asks the file system, which answers "inode 2" and then
+        // parks until another thread has unlinked the name.
+        let unlinked = Arc::new(std::sync::Barrier::new(2));
+        let parked = Arc::new(std::sync::Barrier::new(2));
+        let (wait_unlinked, wait_parked) = (Arc::clone(&unlinked), Arc::clone(&parked));
+        *fs.before_reply.lock() = Some(Box::new(move || {
+            wait_parked.wait();
+            wait_unlinked.wait();
+        }));
+        let unlinker = {
+            let vfs = Arc::clone(&vfs);
+            std::thread::spawn(move || {
+                parked.wait();
+                vfs.unlink("/old").unwrap();
+                unlinked.wait();
+            })
+        };
+        assert!(vfs.exists("/old"), "the walk answers as of before the unlink");
+        unlinker.join().unwrap();
+        let (mount, _) = vfs.find_mount("/").unwrap();
+        assert_eq!(mount.dcache.len(), 0, "the stale answer was cached");
+        // Inode 2 now belongs to another name; the old one must not find it.
+        let fd = vfs.open("/new", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+        vfs.close(fd).unwrap();
+        assert_eq!(vfs.stat("/old").unwrap_err().errno(), Errno::NoEnt);
+        assert_eq!(vfs.stat("/new").unwrap().ino, OneInodeFs::INO);
+    }
+
+    #[test]
+    fn path_walks_fill_the_dentry_cache_and_unmount_empties_it() {
+        let vfs = vfs_with_root();
+        vfs.mkdir("/a").unwrap();
+        vfs.mkdir("/a/b").unwrap();
+        let fd = vfs.open("/a/b/f", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+        vfs.close(fd).unwrap();
+        assert!(vfs.exists("/a/b/f"));
+        let (mount, _) = vfs.find_mount("/").unwrap();
+        assert_eq!(mount.dcache.len(), 3);
+        assert!(mount.dcache.get(mount.root, "a").is_some());
+        vfs.unmount("/").unwrap();
+        assert_eq!(mount.dcache.len(), 0);
     }
 }

@@ -3,9 +3,11 @@
 //! Linux's VFS layer is the pluggable interface every kernel file system
 //! implements: it owns path resolution, the dentry and inode caches, the
 //! page cache, and the file-descriptor table, and calls into the concrete
-//! file system through operation tables.  The Bento paper's whole design is
-//! about what that interface looks like when the file system must be written
-//! in safe Rust.
+//! file system through operation tables.  This VFS keeps a dentry cache
+//! (the names path walks have looked up, per mount) but no inode or
+//! attribute cache: attributes always come from the file system.  The
+//! Bento paper's whole design is about what that interface looks like when
+//! the file system must be written in safe Rust.
 //!
 //! This module provides:
 //!
@@ -15,8 +17,9 @@
 //!   file system provides, and [`FilesystemType`] — the mountable type
 //!   registered with the kernel), and
 //! * [`Vfs`] in [`core`] — the kernel-side implementation of
-//!   registration, mounting, path resolution, file descriptors, the page
-//!   cache, and the POSIX-flavoured syscalls the workloads use.
+//!   registration, mounting, path resolution through the dentry cache,
+//!   file descriptors, the page cache, and the POSIX-flavoured syscalls the
+//!   workloads use.
 //!
 //! Three stacks implement [`VfsFs`] in this repository: `bento`'s BentoFS
 //! (translating to the Bento file-operations API), the `xv6fs-vfs` binding
@@ -25,6 +28,7 @@
 //! userspace daemon).  `ext4sim` implements it directly as well.
 
 pub mod core;
+mod dcache;
 
 use std::fmt;
 use std::sync::Arc;

@@ -11,32 +11,48 @@ use bento::bentoks::SuperBlock;
 
 use crate::core::FsCore;
 use crate::inode::InodeData;
-use crate::layout::{validate_name, Dinode, Dirent, DiskSuperblock, BSIZE, DIRENT_SIZE, T_DIR};
+use crate::layout::{
+    get_u32, validate_name, Dinode, Dirent, DiskSuperblock, BSIZE, DIRENT_SIZE, T_DIR,
+};
+
+/// What a hole in a directory reads as: free slots.
+static HOLE: [u8; BSIZE] = [0; BSIZE];
+
+/// Whether the raw slot holds a live entry named `name` (which has no NUL
+/// byte): its bytes compared in place, no decode.
+fn holds(slot: &[u8], name: &[u8]) -> bool {
+    let raw = &slot[4..];
+    get_u32(slot, 0) != 0 && raw.starts_with(name) && raw.get(name.len()).is_none_or(|&c| c == 0)
+}
+
+fn is_free(slot: &[u8]) -> bool {
+    get_u32(slot, 0) == 0
+}
 
 impl FsCore {
-    /// Walks the directory's slots in order, a whole block of entries per
-    /// read, handing each decoded slot and its byte offset to `visit`
-    /// until it returns `Some`.
+    /// Walks the directory's slots in order, straight from each cached
+    /// block, handing every raw [`DIRENT_SIZE`]-byte slot and its byte
+    /// offset to `visit` until it returns `Some`.
     fn scan_dir<T>(
         &self,
         sb: &SuperBlock,
         dir_data: &mut InodeData,
-        mut visit: impl FnMut(u64, Dirent) -> KernelResult<Option<T>>,
+        mut visit: impl FnMut(u64, &[u8]) -> Option<T>,
     ) -> KernelResult<Option<T>> {
-        let mut offset = 0u64;
-        let mut block = vec![0u8; BSIZE];
-        while offset < dir_data.size {
-            let n = self.readi(sb, dir_data, offset, &mut block)?;
-            if n < DIRENT_SIZE {
-                break;
-            }
-            let usable = n - n % DIRENT_SIZE;
-            for chunk in (0..usable).step_by(DIRENT_SIZE) {
-                if let Some(found) = visit(offset + chunk as u64, Dirent::decode(&block, chunk))? {
+        let mut start = 0u64;
+        while start < dir_data.size {
+            let len = (dir_data.size - start).min(BSIZE as u64) as usize;
+            let bn = start / BSIZE as u64;
+            let block = self.bmap(sb, dir_data, bn, false)?.map(|b| sb.bread(b)).transpose()?;
+            self.stats.bytes_read.add(len as u64);
+            let bytes = block.as_ref().map_or(&HOLE[..], |b| b.data());
+            let usable = len - len % DIRENT_SIZE;
+            for (i, slot) in bytes[..usable].chunks_exact(DIRENT_SIZE).enumerate() {
+                if let Some(found) = visit(start + (i * DIRENT_SIZE) as u64, slot) {
                     return Ok(Some(found));
                 }
             }
-            offset += usable as u64;
+            start += BSIZE as u64;
         }
         Ok(None)
     }
@@ -57,9 +73,42 @@ impl FsCore {
         if !dir_data.is_dir() {
             return Err(KernelError::with_context(Errno::NotDir, "xv6fs: lookup in non-directory"));
         }
-        self.scan_dir(sb, dir_data, |offset, entry| {
-            Ok((entry.inum != 0 && entry.name == name).then_some((entry.inum, offset)))
+        let name = name.as_bytes();
+        if name.contains(&0) {
+            // No stored name holds a NUL.
+            return Ok(None);
+        }
+        self.scan_dir(sb, dir_data, |offset, slot| {
+            holds(slot, name).then(|| (get_u32(slot, 0), offset))
         })
+    }
+
+    /// Where a new entry `name` goes, found in one pass over the
+    /// directory: the first free slot, or the end of the last whole one.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::Exist`] if the name is already present; name-validation and
+    /// I/O errors propagate.
+    pub(crate) fn dir_free_slot(
+        &self,
+        sb: &SuperBlock,
+        dir_data: &mut InodeData,
+        name: &str,
+    ) -> KernelResult<u64> {
+        validate_name(name)?;
+        let name = name.as_bytes();
+        let mut free = None;
+        let taken = self.scan_dir(sb, dir_data, |offset, slot| {
+            if free.is_none() && is_free(slot) {
+                free = Some(offset);
+            }
+            holds(slot, name).then_some(())
+        })?;
+        if taken.is_some() {
+            return Err(KernelError::with_context(Errno::Exist, "xv6fs: name already exists"));
+        }
+        Ok(free.unwrap_or(dir_data.size - dir_data.size % DIRENT_SIZE as u64))
     }
 
     /// Adds an entry `name -> inum` to the directory, reusing a free slot or
@@ -77,14 +126,25 @@ impl FsCore {
         name: &str,
         inum: u32,
     ) -> KernelResult<()> {
-        validate_name(name)?;
-        if self.dirlookup(sb, dir_data, name)?.is_some() {
-            return Err(KernelError::with_context(Errno::Exist, "xv6fs: name already exists"));
-        }
-        // The first free slot, or the end of the last whole one.
-        let free =
-            self.scan_dir(sb, dir_data, |offset, entry| Ok((entry.inum == 0).then_some(offset)));
-        let offset = free?.unwrap_or(dir_data.size - dir_data.size % DIRENT_SIZE as u64);
+        let offset = self.dir_free_slot(sb, dir_data, name)?;
+        self.dirlink_at(sb, dir_inum, dir_data, offset, name, inum)
+    }
+
+    /// Writes the entry `name -> inum` into the slot at `offset` (from
+    /// [`FsCore::dir_free_slot`]).  Must be called inside a transaction.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors propagate.
+    pub(crate) fn dirlink_at(
+        &self,
+        sb: &SuperBlock,
+        dir_inum: u32,
+        dir_data: &mut InodeData,
+        offset: u64,
+        name: &str,
+        inum: u32,
+    ) -> KernelResult<()> {
         let entry = Dirent { inum, name: name.to_string() };
         let mut encoded = [0u8; DIRENT_SIZE];
         entry.encode(&mut encoded, 0)?;
@@ -123,8 +183,8 @@ impl FsCore {
     ///
     /// I/O errors propagate.
     pub fn dir_is_empty(&self, sb: &SuperBlock, dir_data: &mut InodeData) -> KernelResult<bool> {
-        let occupied = self.scan_dir(sb, dir_data, |_, entry| {
-            Ok((entry.inum != 0 && entry.name != "." && entry.name != "..").then_some(()))
+        let occupied = self.scan_dir(sb, dir_data, |_, slot| {
+            (!is_free(slot) && !holds(slot, b".") && !holds(slot, b"..")).then_some(())
         })?;
         Ok(occupied.is_none())
     }
@@ -140,9 +200,18 @@ impl FsCore {
         sb: &SuperBlock,
         dir_data: &mut InodeData,
     ) -> KernelResult<Vec<DirEntry>> {
+        // A copy of each block, so no buffer stays locked while the
+        // entries' inode blocks are read.
         let mut out = Vec::new();
-        self.scan_dir(sb, dir_data, |_, entry| {
-            if entry.inum != 0 {
+        let mut block = [0u8; BSIZE];
+        let mut offset = 0u64;
+        while offset < dir_data.size {
+            let n = self.readi(sb, dir_data, offset, &mut block)?;
+            for slot in block[..n - n % DIRENT_SIZE].chunks_exact(DIRENT_SIZE) {
+                if is_free(slot) {
+                    continue;
+                }
+                let entry = Dirent::decode(slot, 0);
                 // Read the referenced inode's type straight from its disk
                 // block (through the buffer cache) rather than taking its
                 // in-memory inode lock: readdir may encounter "." and ".."
@@ -154,8 +223,8 @@ impl FsCore {
                 let kind = InodeData::from_dinode(&dinode).file_type();
                 out.push(DirEntry { ino: entry.inum as u64, name: entry.name, kind });
             }
-            Ok(None::<()>)
-        })?;
+            offset += BSIZE as u64;
+        }
         Ok(out)
     }
 

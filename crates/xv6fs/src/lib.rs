@@ -211,6 +211,32 @@ mod tests {
     }
 
     #[test]
+    fn a_create_takes_the_first_free_slot_and_names_match_exactly() {
+        let fs = mount_fresh(4096);
+        for name in ["a", "b", "c"] {
+            fs.create(1, name, FileMode::regular()).unwrap();
+        }
+        fs.unlink(1, "b").unwrap();
+        fs.create(1, "e", FileMode::regular()).unwrap();
+        let names: Vec<String> = fs.readdir(1).unwrap().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, [".", "..", "a", "e", "c"]);
+
+        let longest = "n".repeat(layout::DIRSIZ);
+        let ino = fs.create(1, &longest, FileMode::regular()).unwrap().ino;
+        assert_eq!(fs.lookup(1, &longest).unwrap().ino, ino);
+        assert_eq!(fs.lookup(1, &longest[1..]).unwrap_err().errno(), Errno::NoEnt);
+        assert_eq!(fs.lookup(1, "a\0").unwrap_err().errno(), Errno::NoEnt);
+        assert_eq!(fs.lookup(1, "").unwrap_err().errno(), Errno::NoEnt);
+
+        // A name that cannot be stored fails before an inode is taken.
+        let free = fs.statfs().unwrap().free_inodes;
+        let too_long = "n".repeat(layout::DIRSIZ + 1);
+        let err = fs.create(1, &too_long, FileMode::regular()).unwrap_err();
+        assert_eq!(err.errno(), Errno::NameTooLong);
+        assert_eq!(fs.statfs().unwrap().free_inodes, free);
+    }
+
+    #[test]
     fn rename_within_and_across_directories() {
         let fs = mount_fresh(4096);
         let d1 = fs.mkdir(1, "d1", FileMode::directory()).unwrap();

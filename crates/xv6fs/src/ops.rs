@@ -201,9 +201,9 @@ impl FsCore {
             let dir = self.icache.get(parent);
             let mut dir_data = dir.data.write();
             self.load_inode(sb, parent, &mut dir_data)?;
-            if self.dirlookup(sb, &mut dir_data, name)?.is_some() {
-                return Err(KernelError::with_context(Errno::Exist, "xv6fs: name exists"));
-            }
+            // One pass over the parent: the name must be absent, and the
+            // slot it goes into stays free while the child is set up.
+            let slot = self.dir_free_slot(sb, &mut dir_data, name)?;
             let inum = self.ialloc(sb, ftype)?;
             let inode = self.icache.get(inum);
             let mut data = inode.data.write();
@@ -217,7 +217,7 @@ impl FsCore {
                 dir_data.nlink += 1;
                 self.update_inode(sb, parent, &dir_data)?;
             }
-            self.dirlink(sb, parent, &mut dir_data, name, inum)?;
+            self.dirlink_at(sb, parent, &mut dir_data, slot, name, inum)?;
             Ok(data.attr(inum))
         })?;
         self.stats.creates.inc();
