@@ -12,7 +12,9 @@
 //! * [`BufferHead`] — a safe RAII wrapper (§4.7) around a locked block
 //!   buffer.  `data()`/`data_mut()` expose the block contents as a sized
 //!   slice, `write()` is `bwrite`, and dropping the guard is `brelse`, so
-//!   buffer leaks become as hard as memory leaks in Rust.
+//!   buffer leaks become as hard as memory leaks in Rust.  `share()` hands
+//!   the log a reference to the bytes instead of a copy; the buffer copies
+//!   them on its next write if the log still holds them.
 //! * [`BlockIo`]/[`BlockBuffer`] — the provider traits behind those types.
 //!   The kernel provider ([`KernelBlockIo`]) is backed by the simulated
 //!   kernel's buffer cache and block device; the userspace provider
@@ -23,7 +25,7 @@
 
 use std::sync::Arc;
 
-use simkernel::buffer::{BufferCache, BufferGuard};
+use simkernel::buffer::{Block, BufferCache, BufferGuard};
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 
@@ -52,6 +54,16 @@ pub trait BlockIo: Send + Sync {
     ///
     /// Propagates device errors.
     fn bread_zeroed(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>>;
+
+    /// Returns an exclusive buffer for `blockno` holding a copy of `src`
+    /// (one whole block), without reading the device or zero-filling it
+    /// first: the whole-block overwrite.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; [`simkernel::error::Errno::Inval`] if
+    /// `src` is not one block long.
+    fn bread_with(&self, blockno: u64, src: &[u8]) -> KernelResult<Box<dyn BlockBuffer>>;
 
     /// Makes every previously written block durable (an ordering barrier).
     ///
@@ -89,8 +101,11 @@ pub trait BlockBuffer {
     /// Read-only view of the block contents.
     fn data(&self) -> &[u8];
 
-    /// Mutable view of the block contents.
+    /// Mutable view of the block contents (copied first while shared).
     fn data_mut(&mut self) -> &mut [u8];
+
+    /// A reference to the current bytes, which never change.
+    fn share(&self) -> Block;
 
     /// Writes the buffer to the device (`bwrite`).
     ///
@@ -99,9 +114,10 @@ pub trait BlockBuffer {
     /// Propagates device errors.
     fn write(&mut self) -> KernelResult<()>;
 
-    /// Marks the buffer clean without a device write (its bytes already
-    /// reached the device by another path).
-    fn mark_clean(&mut self);
+    /// Marks the buffer clean without a device write if it still holds
+    /// exactly `block` (whose bytes reached the device by another path);
+    /// returns whether it did.
+    fn clean_if_holds(&mut self, block: &Block) -> bool;
 }
 
 // ---------------------------------------------------------------------------
@@ -149,12 +165,16 @@ impl BlockBuffer for KernelBlockBuffer {
         self.guard.data_mut()
     }
 
+    fn share(&self) -> Block {
+        self.guard.share()
+    }
+
     fn write(&mut self) -> KernelResult<()> {
         self.guard.write()
     }
 
-    fn mark_clean(&mut self) {
-        self.guard.mark_clean();
+    fn clean_if_holds(&mut self, block: &Block) -> bool {
+        self.guard.clean_if_holds(block)
     }
 }
 
@@ -173,6 +193,10 @@ impl BlockIo for KernelBlockIo {
 
     fn bread_zeroed(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>> {
         Ok(Box::new(KernelBlockBuffer { guard: self.cache.getblk_zeroed(blockno)? }))
+    }
+
+    fn bread_with(&self, blockno: u64, src: &[u8]) -> KernelResult<Box<dyn BlockBuffer>> {
+        Ok(Box::new(KernelBlockBuffer { guard: self.cache.getblk_with(blockno, src)? }))
     }
 
     fn sync_all(&self) -> KernelResult<()> {
@@ -243,14 +267,26 @@ impl SuperBlock {
         Ok(BufferHead { inner: self.io.bread(blockno)? })
     }
 
-    /// Returns a zero-filled buffer for a block that will be completely
-    /// overwritten (`getblk` + zeroing).
+    /// Returns a zero-filled buffer for a block that must read as zeros
+    /// (`getblk` + zeroing), without reading the device.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
     pub fn bread_zeroed(&self, blockno: u64) -> KernelResult<BufferHead> {
         Ok(BufferHead { inner: self.io.bread_zeroed(blockno)? })
+    }
+
+    /// Returns a buffer holding a copy of `src`, a whole block, without
+    /// reading the device or zero-filling it first (`getblk` + one copy):
+    /// for a block that is wholly overwritten.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; [`simkernel::error::Errno::Inval`] if
+    /// `src` is not one block long.
+    pub fn bread_with(&self, blockno: u64, src: &[u8]) -> KernelResult<BufferHead> {
+        Ok(BufferHead { inner: self.io.bread_with(blockno, src)? })
     }
 
     /// Makes all previously written blocks durable (kernel: device FLUSH;
@@ -302,9 +338,17 @@ impl BufferHead {
         self.inner.data()
     }
 
-    /// Mutable view of the block contents.
+    /// Mutable view of the block contents.  Bytes the log still shares
+    /// are copied first, so what it logged stays frozen.
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.inner.data_mut()
+    }
+
+    /// A reference to the block's current bytes for the log to keep: no
+    /// copy, and they never change (the buffer's next write goes to a
+    /// copy).
+    pub fn share(&self) -> Block {
+        self.inner.share()
     }
 
     /// Writes the buffer to the device (`bwrite`).
@@ -316,10 +360,12 @@ impl BufferHead {
         self.inner.write()
     }
 
-    /// Marks the buffer clean without writing it: the log has just
-    /// installed exactly these bytes through [`SuperBlock::write_raw`].
-    pub fn mark_clean(&mut self) {
-        self.inner.mark_clean();
+    /// Marks the buffer clean without writing it if it still holds exactly
+    /// `block`, which the log has just installed through
+    /// [`SuperBlock::write_raw`]; a buffer changed since stays dirty.
+    /// Returns whether it was marked clean.
+    pub fn clean_if_holds(&mut self, block: &Block) -> bool {
+        self.inner.clean_if_holds(block)
     }
 }
 
@@ -376,6 +422,18 @@ mod tests {
         }
         let bh = sb.bread_zeroed(2).unwrap();
         assert!(bh.data().iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn bread_with_fills_the_whole_block_without_a_device_read() {
+        let dev = Arc::new(RamDisk::new(4096, 16));
+        let sb = SuperBlock::from_provider(
+            Arc::new(KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 16)),
+            "ram0",
+        );
+        let bh = sb.bread_with(4, &[0x5A; 4096]).unwrap();
+        assert!(bh.data().iter().all(|&b| b == 0x5A));
+        assert_eq!(dev.stats().reads, 0);
     }
 
     #[test]

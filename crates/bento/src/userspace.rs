@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simkernel::buffer::BufferCache;
+use simkernel::buffer::{Block, BufferCache, BufferGuard};
 use simkernel::cost::{CostCounters, CostKind, CostModel};
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
@@ -75,10 +75,19 @@ impl UserDisk {
     fn charge_crossing(&self) {
         self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
     }
+
+    fn buffer(&self, guard: BufferGuard) -> Box<dyn BlockBuffer> {
+        Box::new(UserBlockBuffer {
+            guard,
+            model: self.model.clone(),
+            counters: Arc::clone(&self.counters),
+            blocks_written_since_sync: Arc::clone(&self.blocks_written_since_sync),
+        })
+    }
 }
 
 struct UserBlockBuffer {
-    guard: simkernel::buffer::BufferGuard,
+    guard: BufferGuard,
     model: CostModel,
     counters: Arc<CostCounters>,
     blocks_written_since_sync: Arc<AtomicU64>,
@@ -97,6 +106,10 @@ impl BlockBuffer for UserBlockBuffer {
         self.guard.data_mut()
     }
 
+    fn share(&self) -> Block {
+        self.guard.share()
+    }
+
     fn write(&mut self) -> KernelResult<()> {
         // Every userspace block write is a pwrite on the O_DIRECT disk file:
         // one boundary crossing plus the device write itself.
@@ -106,8 +119,8 @@ impl BlockBuffer for UserBlockBuffer {
         Ok(())
     }
 
-    fn mark_clean(&mut self) {
-        self.guard.mark_clean();
+    fn clean_if_holds(&mut self, block: &Block) -> bool {
+        self.guard.clean_if_holds(block)
     }
 }
 
@@ -126,22 +139,15 @@ impl BlockIo for UserDisk {
             // The block actually came from the device: one pread crossing.
             self.charge_crossing();
         }
-        Ok(Box::new(UserBlockBuffer {
-            guard,
-            model: self.model.clone(),
-            counters: Arc::clone(&self.counters),
-            blocks_written_since_sync: Arc::clone(&self.blocks_written_since_sync),
-        }))
+        Ok(self.buffer(guard))
     }
 
     fn bread_zeroed(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>> {
-        let guard = self.cache.getblk_zeroed(blockno)?;
-        Ok(Box::new(UserBlockBuffer {
-            guard,
-            model: self.model.clone(),
-            counters: Arc::clone(&self.counters),
-            blocks_written_since_sync: Arc::clone(&self.blocks_written_since_sync),
-        }))
+        Ok(self.buffer(self.cache.getblk_zeroed(blockno)?))
+    }
+
+    fn bread_with(&self, blockno: u64, src: &[u8]) -> KernelResult<Box<dyn BlockBuffer>> {
+        Ok(self.buffer(self.cache.getblk_with(blockno, src)?))
     }
 
     fn sync_all(&self) -> KernelResult<()> {

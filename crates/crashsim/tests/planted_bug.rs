@@ -9,13 +9,26 @@
 //! with its payload, so what used to be planted *orderings* (record ahead
 //! of payload) are now legal; the rules that carry the safety instead are
 //! the payload digest at recovery, installs strictly after the commit
-//! barrier, and the barriers ahead of a checkpoint's header clears.
+//! barrier, the barriers ahead of a checkpoint's header clears, and
+//! installs of the frozen block rather than the buffer's current bytes.
 
 mod common;
 
-use crashsim::{run_crash_test, CrashTestConfig};
+use std::sync::mpsc;
+use std::sync::Arc;
+
+use bento::bentoks::{KernelBlockIo, SuperBlock};
+use crashsim::{
+    prefix_states, run_crash_test, CrashTestConfig, DiskImage, FaultConfig, FaultDevice,
+};
 use journal::PlantedFault;
+use parking_lot::Mutex;
+use simkernel::dev::{BlockDevice, DeviceStats, RamDisk};
+use simkernel::error::KernelResult;
+use simkernel::vfs::PAGE_SIZE;
 use workloads::FsStack;
+use xv6fs::log::Log;
+use xv6fs::mkfs::mkfs_on_device;
 
 use common::assert_caught;
 
@@ -88,4 +101,135 @@ fn ext4_checkpoint_clear_without_barrier_is_caught() {
     let violations =
         common::clean_unmount_violations(FsStack::Ext4, 0, PlantedFault::CheckpointWithoutBarrier);
     assert!(violations.iter().any(|v| v.contains("acknowledged")), "undetected: {violations:#?}");
+}
+
+/// Passes everything to `inner`, and runs `hook` (once, when armed) at the
+/// start of the next batched write — a commit's epoch.
+struct EpochHook {
+    inner: Arc<dyn BlockDevice>,
+    hook: Mutex<Option<Box<dyn FnOnce() + Send>>>,
+}
+
+impl BlockDevice for EpochHook {
+    fn block_size(&self) -> u32 {
+        self.inner.block_size()
+    }
+    fn num_blocks(&self) -> u64 {
+        self.inner.num_blocks()
+    }
+    fn read_block(&self, blockno: u64, buf: &mut [u8]) -> KernelResult<()> {
+        self.inner.read_block(blockno, buf)
+    }
+    fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
+        self.inner.write_block(blockno, buf)
+    }
+    fn write_blocks(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        if let Some(hook) = self.hook.lock().take() {
+            hook();
+        }
+        self.inner.write_blocks(writes)
+    }
+    fn flush(&self) -> KernelResult<()> {
+        self.inner.flush()
+    }
+    fn stats(&self) -> DeviceStats {
+        self.inner.stats()
+    }
+}
+
+fn kernel_sb(dev: Arc<dyn BlockDevice>) -> SuperBlock {
+    bento::userspace::userspace_superblock(Arc::new(KernelBlockIo::new(dev, 512)), "bento")
+}
+
+fn logged_op(sb: &SuperBlock, log: &Log, writes: &[(u64, u8)]) {
+    log.begin_op();
+    for &(home, fill) in writes {
+        let mut buf = sb.bread(home).unwrap();
+        buf.data_mut().fill(fill);
+        log.log_write(&buf).unwrap();
+    }
+    log.end_op(sb).unwrap();
+}
+
+/// Bento xv6's log binding — xv6fs's log over a Bento kernel
+/// [`SuperBlock`] — with `fault` planted, where one operation is still
+/// running while an earlier group's copy falls due: group 0 logs home `H`;
+/// groups 1–3 log other blocks; while group 3's epoch is being written, a
+/// second thread's operation rewrites `H` and `K` (staged, not ended), and
+/// group 3's epoch installs group 0's `H`; then that operation ends and
+/// commits as group 4, reusing group 0's region.  Every in-order crash
+/// prefix of the run is recovered and checked for the operation's
+/// atomicity: `H` holds its bytes exactly when `K` does.  The
+/// single-threaded harness cannot reach this: an install differs from the
+/// buffer only while another operation is open.
+fn live_install_violations(fault: PlantedFault) -> Vec<String> {
+    const H: u64 = 3000;
+    const K: u64 = 3001;
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
+    let dsb = mkfs_on_device(&base, 256).unwrap();
+    let image = Arc::new(DiskImage::capture(&base).unwrap());
+    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+    let hooked = Arc::new(EpochHook { inner: Arc::clone(&recorder) as _, hook: Mutex::new(None) });
+    let sb = Arc::new(kernel_sb(Arc::clone(&hooked) as _));
+    let mut log = Log::new(&dsb);
+    log.plant_fault(fault);
+    let log = Arc::new(log);
+
+    logged_op(&sb, &log, &[(H, 0xA0)]);
+    logged_op(&sb, &log, &[(H + 10, 0x01)]);
+    logged_op(&sb, &log, &[(H + 11, 0x02)]);
+    let (go, wait_go) = mpsc::channel::<()>();
+    let (staged, wait_staged) = mpsc::channel::<()>();
+    let (finish, wait_finish) = mpsc::channel::<()>();
+    let later = {
+        let (sb, log) = (Arc::clone(&sb), Arc::clone(&log));
+        std::thread::spawn(move || {
+            wait_go.recv().unwrap();
+            log.begin_op();
+            for (home, fill) in [(H, 0xB0), (K, 0xB1)] {
+                let mut buf = sb.bread(home).unwrap();
+                buf.data_mut().fill(fill);
+                log.log_write(&buf).unwrap();
+            }
+            staged.send(()).unwrap();
+            wait_finish.recv().unwrap();
+            log.end_op(&sb).unwrap();
+        })
+    };
+    *hooked.hook.lock() = Some(Box::new(move || {
+        go.send(()).unwrap();
+        wait_staged.recv().unwrap();
+    }));
+    logged_op(&sb, &log, &[(H + 12, 0x03)]);
+    assert_eq!(log.stats().installs, 1, "group 3's epoch installed group 0's copy of H");
+    finish.send(()).unwrap();
+    later.join().unwrap();
+    assert_eq!(log.stats().commits, 5);
+
+    let mut violations = Vec::new();
+    for state in prefix_states(&recorder.trace(), &image) {
+        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let sb = kernel_sb(Arc::clone(&disk));
+        Log::new(&dsb).recover(&sb).unwrap();
+        let fill = |home| {
+            let mut block = vec![0u8; PAGE_SIZE];
+            disk.read_block(home, &mut block).unwrap();
+            block[0]
+        };
+        let (h, k) = (fill(H), fill(K));
+        if (h == 0xB0) != (k == 0xB1) {
+            violations.push(format!("{}: H = {h:#x}, K = {k:#x}", state.description));
+        }
+    }
+    violations
+}
+
+/// (d) An install of the buffer's current bytes instead of the frozen
+/// block: a running operation's half reaches the home and, once the region
+/// holding the committed copy is reused, survives recovery.
+#[test]
+fn installing_the_live_buffer_instead_of_the_frozen_block_is_caught() {
+    assert_eq!(live_install_violations(PlantedFault::None), Vec::<String>::new());
+    let violations = live_install_violations(PlantedFault::InstallLiveBuffer);
+    assert!(!violations.is_empty(), "the live-buffer install went undetected");
 }

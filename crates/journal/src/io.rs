@@ -14,10 +14,13 @@
 //! would evict useful blocks once per commit — and for installs, which
 //! write the frozen committed copy so a newer, uncommitted cached copy
 //! never reaches the home).  After an install the journal tells the cache
-//! through [`JournalIo::installed`].
+//! through [`JournalIo::installed`], handing it the very [`Block`] it
+//! installed, so a cache that shared it can tell by identity alone whether
+//! its buffer still holds those bytes.
 
 use std::sync::Arc;
 
+use simkernel::buffer::Block;
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 
@@ -53,16 +56,20 @@ pub trait JournalIo {
     /// Propagates device errors.
     fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()>;
 
-    /// The journal has just written `data` to home block `blockno` raw (an
-    /// install).  If the backend caches `blockno` and the cached bytes
-    /// equal `data`, the cached copy is clean now — the device holds it.
-    /// A cached copy that differs belongs to a later operation and stays
-    /// dirty for its own group.  Cacheless backends do nothing.
+    /// The journal has just written `block` to home block `blockno` raw
+    /// (an install).  If the backend caches `blockno` and its buffer still
+    /// holds this very block — the bytes it shared at `log_write`, never
+    /// changed since (a change copies them first) — the cached copy is
+    /// clean now: the device holds it.  The test is identity, not a byte
+    /// compare: a buffer that changed since holds another block, belongs
+    /// to a later operation and stays dirty for that operation's own group,
+    /// even if its bytes happen to be equal again.  Cacheless backends do
+    /// nothing.
     ///
     /// # Errors
     ///
     /// Propagates device errors.
-    fn installed(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
+    fn installed(&self, blockno: u64, block: &Block) -> KernelResult<()>;
 
     /// Durability barrier: everything written before this call is on
     /// stable storage when it returns (device FLUSH; an fsync of the whole
@@ -116,7 +123,7 @@ impl JournalIo for DeviceIo {
         self.dev.write_blocks(writes)
     }
 
-    fn installed(&self, _blockno: u64, _data: &[u8]) -> KernelResult<()> {
+    fn installed(&self, _blockno: u64, _block: &Block) -> KernelResult<()> {
         Ok(())
     }
 

@@ -80,10 +80,12 @@
 //!   sleeps when the forming group is genuinely out of space — never
 //!   merely because a commit is in flight.
 //! * **Per-transaction staging.**  [`Journal::log_write`] records the
-//!   block and a *frozen copy* of its bytes (taken while the caller still
-//!   holds the buffer lock, so the snapshot is exactly the state this
-//!   operation produced) in thread-local state.  The hot path takes no
-//!   lock at all.
+//!   block and a *frozen* [`Block`] of its bytes (taken while the caller
+//!   still holds the buffer lock, so the snapshot is exactly the state this
+//!   operation produced) in thread-local state.  A buffer cache shares the
+//!   buffer's own bytes, which are copied only if the buffer changes while
+//!   the journal still holds them (copy on write); a cacheless binding
+//!   wraps a copy once.  The hot path takes no lock at all.
 //! * **Group merge at `end_op`.**  When an operation ends, its staged
 //!   blocks merge into the forming group (absorption dedups by block
 //!   number, keeping the newest snapshot by modification version).  When
@@ -139,6 +141,7 @@ use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
 
+use simkernel::buffer::Block;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::shard::StripedCounter;
 use simkernel::vfs::WritePathStats;
@@ -189,6 +192,12 @@ pub enum PlantedFault {
     /// it logs again, though its record is not durable while its epoch
     /// overwrites the old one, and issues the rest in that same epoch.
     AbsorbIntoReusingGroup,
+    /// A cached binding's install writes its buffer's current bytes to the
+    /// home instead of the frozen block the journal committed, so an
+    /// operation still running — or never committed — reaches the home
+    /// while the record holding the committed copy can be lost.  The
+    /// journal itself ignores it; the xv6 binding acts on it.
+    InstallLiveBuffer,
 }
 
 /// One logged block: home address, modification version (orders snapshots
@@ -197,7 +206,7 @@ pub enum PlantedFault {
 struct LoggedBlock {
     home: u64,
     version: u64,
-    data: Vec<u8>,
+    data: Block,
 }
 
 /// The forming transaction group: completed operations merge here at
@@ -391,14 +400,15 @@ pub struct JournalTail {
 
 /// A committed copy whose install is pending, as a [`JournalTail`] carries
 /// it.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PendingInstall {
     /// The group that logged it.
     pub seq: u64,
     /// Its home block.
     pub home: u64,
-    /// The committed bytes.
-    pub data: Vec<u8>,
+    /// The committed bytes, shared with the journal (and with the cached
+    /// buffer while it has not changed since).
+    pub data: Block,
 }
 
 /// When the forming group closes and commits (see the crate docs).  Fixed
@@ -549,8 +559,9 @@ impl Journal {
     }
 
     /// Where this journal stands on the medium, for a live upgrade's
-    /// state transfer.  Only meaningful while the journal is quiescent (no
-    /// operation outstanding, no commit in flight).
+    /// state transfer: the pending copies are references to the journal's
+    /// blocks, not copies.  Only meaningful while the journal is quiescent
+    /// (no operation outstanding, no commit in flight).
     pub fn tail(&self) -> JournalTail {
         let medium = self.medium.lock();
         JournalTail {
@@ -672,16 +683,19 @@ impl Journal {
     /// Records that home block `home` was modified by the current
     /// operation, freezing a snapshot of `data`.  Call this while still
     /// holding the block's buffer (immediately after modifying it): the
-    /// snapshot must be exactly the state this operation produced.  The
-    /// staging is thread-local — no journal lock is taken.
+    /// snapshot must be exactly the state this operation produced.  A
+    /// [`Block`] is kept as is — a buffer's shared bytes, which never
+    /// change — and plain bytes are wrapped in one once.  The staging is
+    /// thread-local — no journal lock is taken.
     ///
     /// # Errors
     ///
     /// [`Errno::Inval`] outside a transaction; [`Errno::NoSpc`] if the
     /// operation exceeds [`MAX_OP_BLOCKS`] distinct blocks (a chunking bug
     /// in the caller).
-    pub fn log_write(&self, home: u64, data: &[u8]) -> KernelResult<()> {
+    pub fn log_write(&self, home: u64, data: impl Into<Block>) -> KernelResult<()> {
         let _stage = simkernel::trace::phase(simkernel::trace::Phase::LogStage);
+        let data = data.into();
         let version = SNAPSHOT_VERSION.fetch_add(1, Ordering::SeqCst);
         TX.with(|cell| {
             let mut map = cell.borrow_mut();
@@ -698,8 +712,7 @@ impl Journal {
                 // Absorption: a block modified twice in one operation is
                 // logged once, with the newest snapshot.
                 tx.blocks[i].version = version;
-                tx.blocks[i].data.clear();
-                tx.blocks[i].data.extend_from_slice(data);
+                tx.blocks[i].data = data;
             } else {
                 if tx.blocks.len() >= MAX_OP_BLOCKS {
                     return Err(KernelError::with_context(
@@ -708,7 +721,7 @@ impl Journal {
                     ));
                 }
                 tx.index.insert(home, tx.blocks.len());
-                tx.blocks.push(LoggedBlock { home, version, data: data.to_vec() });
+                tx.blocks.push(LoggedBlock { home, version, data });
             }
             Ok(())
         })
@@ -961,7 +974,7 @@ impl Journal {
         let payload: Vec<(u64, &[u8])> = blocks
             .iter()
             .enumerate()
-            .map(|(i, block)| (head_block + 1 + i as u64, block.data.as_slice()))
+            .map(|(i, block)| (head_block + 1 + i as u64, &block.data[..]))
             .collect();
         self.write_epoch(io, &installs, &payload)?;
         // Marked live before the write is attempted: even a failed header
@@ -972,7 +985,7 @@ impl Journal {
             &mut head,
             seq,
             blocks.iter().map(|b| b.home),
-            record::payload_digest(blocks.iter().map(|b| b.data.as_slice())),
+            record::payload_digest(blocks.iter().map(|b| &b.data[..])),
         );
         io.write_block(head_block, &head)?;
         // 2. The commit barrier: this group is durable, and so are the due
@@ -1038,7 +1051,7 @@ impl Journal {
     ) -> KernelResult<()> {
         let writes: Vec<(u64, &[u8])> = installs
             .iter()
-            .map(|(_, blocks, slot)| (blocks[*slot].home, blocks[*slot].data.as_slice()))
+            .map(|(_, blocks, slot)| (blocks[*slot].home, &blocks[*slot].data[..]))
             .chain(log.iter().copied())
             .collect();
         io.write_raw(&writes)?;
@@ -1455,7 +1468,7 @@ mod tests {
         let (io, old) = setup();
         write_block(&io, &old, HOME, 0x11);
         let tail = old.tail();
-        let pending = PendingInstall { seq: 0, home: HOME, data: vec![0x11; BSIZE] };
+        let pending = PendingInstall { seq: 0, home: HOME, data: Block::from(&[0x11; BSIZE]) };
         assert_eq!(tail.pending, [pending]);
         drop(old);
         // The successor attaches without recovery (live upgrade) and

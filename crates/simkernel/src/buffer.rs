@@ -21,8 +21,17 @@
 //! nor dirty and reuses its slot and its memory for the new block; the walk
 //! steps over held and dirty buffers only, so it ends within a few links
 //! instead of scanning the shard.
+//!
+//! A buffer's bytes are a [`Block`], which the journal shares instead of
+//! copying (Linux jbd2's frozen `b_frozen_data`, without the copy): once
+//! shared, a block never changes.  [`BufferGuard::data_mut`] copies the
+//! bytes first when someone else still holds them, and
+//! [`BufferCache::getblk_with`] replaces them wholesale, so a logged
+//! snapshot stays exactly what its operation produced while the buffer
+//! moves on.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
@@ -31,10 +40,81 @@ use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
 use crate::shard::{resolve_shards, shard_of, StripedCounter};
 
+/// The bytes of one block, immutable once shared.
+///
+/// Cloning a `Block` hands out a reference, not a copy; [`Block::ptr_eq`]
+/// tells whether two holders share one allocation.  The buffer cache and
+/// the journal hold the same block from `log_write` until the buffer
+/// changes again (the buffer then takes its own copy) or the install marks
+/// it clean ([`BufferGuard::clean_if_holds`]).
+#[derive(Clone, PartialEq, Eq)]
+pub struct Block(Arc<[u8]>);
+
+impl Block {
+    fn zeroed(len: usize) -> Self {
+        Block(std::iter::repeat_n(0, len).collect())
+    }
+
+    /// Whether `self` and `other` are the same allocation (not merely equal
+    /// bytes).
+    pub fn ptr_eq(&self, other: &Block) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Mutable bytes, copied first — and counted in `copies` — if anyone
+    /// else holds them (copy on write).
+    fn make_mut(&mut self, copies: &StripedCounter) -> &mut [u8] {
+        let shared = Arc::as_ptr(&self.0);
+        let bytes = Arc::make_mut(&mut self.0);
+        if !std::ptr::eq(shared, bytes) {
+            copies.inc();
+        }
+        bytes
+    }
+}
+
+impl Deref for Block {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
+impl std::fmt::Debug for Block {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Block({} bytes)", self.len())
+    }
+}
+
+impl From<&[u8]> for Block {
+    fn from(bytes: &[u8]) -> Self {
+        Block(Arc::from(bytes))
+    }
+}
+
+impl From<&Vec<u8>> for Block {
+    fn from(bytes: &Vec<u8>) -> Self {
+        Block::from(bytes.as_slice())
+    }
+}
+
+impl<const N: usize> From<&[u8; N]> for Block {
+    fn from(bytes: &[u8; N]) -> Self {
+        Block::from(bytes.as_slice())
+    }
+}
+
+impl From<Vec<u8>> for Block {
+    fn from(bytes: Vec<u8>) -> Self {
+        Block(Arc::from(bytes))
+    }
+}
+
 /// Data and state attached to one cached block.
 #[derive(Debug)]
 struct BufferData {
-    bytes: Vec<u8>,
+    bytes: Block,
     /// Whether `bytes` holds the current on-device content (or newer).
     valid: bool,
     /// Whether `bytes` has been modified since it was last written to the
@@ -142,13 +222,21 @@ impl Shard {
 /// capacity of a hardware set-associative cache), which keeps eviction a
 /// shard-local operation.
 pub struct BufferCache {
-    dev: Arc<dyn BlockDevice>,
+    backing: Arc<Backing>,
     capacity: usize,
     shard_capacity: usize,
     block_size: usize,
     shards: Vec<Mutex<Shard>>,
     hits: StripedCounter,
     misses: StripedCounter,
+}
+
+/// What a [`BufferGuard`] needs of its cache after the shard lock is gone:
+/// the device its `write` goes to and the copy-on-write counter its
+/// `data_mut` bumps.
+struct Backing {
+    dev: Arc<dyn BlockDevice>,
+    cow_copies: StripedCounter,
 }
 
 impl std::fmt::Debug for BufferCache {
@@ -170,6 +258,10 @@ pub struct BufferCacheStats {
     pub misses: u64,
     /// Buffers currently cached.
     pub cached: usize,
+    /// Buffer bytes copied before a change because another holder (the
+    /// journal) still shared them.  A whole-block overwrite
+    /// ([`BufferCache::getblk_with`]) never copies.
+    pub cow_copies: u64,
 }
 
 impl BufferCache {
@@ -201,7 +293,7 @@ impl BufferCache {
         let max_shards = 1usize << (usize::BITS - 1 - capacity.leading_zeros());
         let shard_count = resolve_shards(shards).min(max_shards);
         BufferCache {
-            dev,
+            backing: Arc::new(Backing { dev, cow_copies: StripedCounter::new(shard_count) }),
             capacity,
             shard_capacity: capacity / shard_count,
             block_size,
@@ -218,7 +310,7 @@ impl BufferCache {
 
     /// The underlying block device.
     pub fn device(&self) -> &Arc<dyn BlockDevice> {
-        &self.dev
+        &self.backing.dev
     }
 
     /// Block size in bytes.
@@ -237,38 +329,77 @@ impl BufferCache {
     ///
     /// Propagates device errors ([`Errno::Io`], [`Errno::Inval`]).
     pub fn bread(&self, blockno: u64) -> KernelResult<BufferGuard> {
-        if blockno >= self.dev.num_blocks() {
-            return Err(KernelError::with_context(Errno::Inval, "bread: block out of range"));
-        }
-        let mut guard = Mutex::lock_arc(&self.get_or_insert(blockno));
+        let mut guard = self.lock(blockno, "bread: block out of range")?;
         let missed = !guard.valid;
         if missed {
-            self.dev.read_block(blockno, &mut guard.bytes)?;
+            self.backing.dev.read_block(blockno, guard.bytes.make_mut(&self.backing.cow_copies))?;
             guard.valid = true;
             self.misses.inc();
         } else {
             self.hits.inc();
         }
-        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed })
+        Ok(self.guard(blockno, guard, missed))
     }
 
     /// Like [`BufferCache::bread`] but does not read the device: the returned
-    /// buffer is zero-filled and marked valid.  Used for blocks that are
-    /// about to be completely overwritten (log blocks, freshly allocated
-    /// blocks).
+    /// buffer is zero-filled and marked valid.  Used for blocks that must
+    /// read as zeros (freshly allocated blocks).
     ///
     /// # Errors
     ///
     /// Returns [`Errno::Inval`] if `blockno` is out of range.
     pub fn getblk_zeroed(&self, blockno: u64) -> KernelResult<BufferGuard> {
-        if blockno >= self.dev.num_blocks() {
-            return Err(KernelError::with_context(Errno::Inval, "getblk: block out of range"));
-        }
-        let mut guard = Mutex::lock_arc(&self.get_or_insert(blockno));
-        guard.bytes.fill(0);
+        let mut guard = self.lock(blockno, "getblk: block out of range")?;
+        guard.bytes.make_mut(&self.backing.cow_copies).fill(0);
         guard.valid = true;
         guard.dirty = true;
-        Ok(BufferGuard { blockno, guard, dev: Arc::clone(&self.dev), missed: false })
+        Ok(self.guard(blockno, guard, false))
+    }
+
+    /// Returns the buffer for `blockno` holding a copy of `src`, without
+    /// reading the device and without zero-filling it first: the whole-block
+    /// overwrite.  One copy of `src`, into the buffer's own bytes while
+    /// nobody else holds them, into a fresh block otherwise (never a copy
+    /// of bytes the journal still holds).  The buffer is dirty.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Errno::Inval`] if `blockno` is out of range or `src` is not
+    /// one block long.
+    pub fn getblk_with(&self, blockno: u64, src: &[u8]) -> KernelResult<BufferGuard> {
+        if src.len() != self.block_size {
+            return Err(KernelError::with_context(Errno::Inval, "getblk_with: not a whole block"));
+        }
+        let mut guard = self.lock(blockno, "getblk_with: block out of range")?;
+        match Arc::get_mut(&mut guard.bytes.0) {
+            Some(bytes) => bytes.copy_from_slice(src),
+            None => guard.bytes = Block::from(src),
+        }
+        guard.valid = true;
+        guard.dirty = true;
+        Ok(self.guard(blockno, guard, false))
+    }
+
+    /// Locks the buffer for `blockno`, or [`Errno::Inval`] (`what`) past the
+    /// device's end.
+    fn lock(
+        &self,
+        blockno: u64,
+        what: &'static str,
+    ) -> KernelResult<ArcMutexGuard<RawMutex, BufferData>> {
+        if blockno >= self.backing.dev.num_blocks() {
+            return Err(KernelError::with_context(Errno::Inval, what));
+        }
+        Ok(Mutex::lock_arc(&self.get_or_insert(blockno)))
+    }
+
+    fn guard(
+        &self,
+        blockno: u64,
+        guard: ArcMutexGuard<RawMutex, BufferData>,
+        missed: bool,
+    ) -> BufferGuard {
+        BufferGuard { blockno, guard, backing: Arc::clone(&self.backing), missed }
     }
 
     /// Drops every cached buffer that is clean and unlocked.  Used by tests
@@ -293,6 +424,7 @@ impl BufferCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             cached: self.shards.iter().map(|s| s.lock().index.len()).sum(),
+            cow_copies: self.backing.cow_copies.get(),
         }
     }
 
@@ -302,7 +434,7 @@ impl BufferCache {
     ///
     /// Propagates device errors.
     pub fn flush_device(&self) -> KernelResult<()> {
-        self.dev.flush()
+        self.backing.dev.flush()
     }
 
     /// The buffer for `blockno`, made most recently used; a miss takes the
@@ -325,8 +457,8 @@ impl BufferCache {
                 i
             }
             None => {
-                let data =
-                    BufferData { bytes: vec![0u8; self.block_size], valid: false, dirty: false };
+                let bytes = Block::zeroed(self.block_size);
+                let data = BufferData { bytes, valid: false, dirty: false };
                 let data = Arc::new(Mutex::new(data));
                 shard.slots.push(Slot { blockno, data, older: NIL, newer: NIL });
                 shard.slots.len() - 1
@@ -347,7 +479,7 @@ impl BufferCache {
 pub struct BufferGuard {
     blockno: u64,
     guard: ArcMutexGuard<RawMutex, BufferData>,
-    dev: Arc<dyn BlockDevice>,
+    backing: Arc<Backing>,
     missed: bool,
 }
 
@@ -368,7 +500,7 @@ impl BufferGuard {
 
     /// Whether the `bread` that returned this guard read the block from the
     /// device (a cache miss).  Always `false` for
-    /// [`BufferCache::getblk_zeroed`].
+    /// [`BufferCache::getblk_zeroed`] and [`BufferCache::getblk_with`].
     pub fn missed(&self) -> bool {
         self.missed
     }
@@ -378,10 +510,18 @@ impl BufferGuard {
         &self.guard.bytes
     }
 
-    /// Mutable view of the block contents; marks the buffer dirty.
+    /// Mutable view of the block contents; marks the buffer dirty.  Bytes
+    /// someone else still shares ([`BufferGuard::share`]) are copied first,
+    /// so what they hold never changes.
     pub fn data_mut(&mut self) -> &mut [u8] {
         self.guard.dirty = true;
-        &mut self.guard.bytes
+        self.guard.bytes.make_mut(&self.backing.cow_copies)
+    }
+
+    /// A reference to the block's current bytes, which stay as they are
+    /// now: the buffer's next change goes to a copy.
+    pub fn share(&self) -> Block {
+        self.guard.bytes.clone()
     }
 
     /// Whether the cached contents differ from what was last written to the
@@ -399,16 +539,23 @@ impl BufferGuard {
     ///
     /// Propagates device errors.
     pub fn write(&mut self) -> KernelResult<()> {
-        self.dev.write_block(self.blockno, &self.guard.bytes)?;
+        self.backing.dev.write_block(self.blockno, &self.guard.bytes)?;
         self.guard.dirty = false;
         Ok(())
     }
 
-    /// Clears the dirty flag without a device write: the caller has just
-    /// written these exact bytes to the block by another path (the log's
-    /// raw install), so the buffer may be evicted again.
-    pub fn mark_clean(&mut self) {
-        self.guard.dirty = false;
+    /// Clears the dirty flag without a device write if the buffer still
+    /// holds exactly `block` — the very bytes the caller has just written
+    /// to this block by another path (the log's raw install) — so the
+    /// buffer may be evicted again.  A buffer that changed since it shared
+    /// `block` holds another allocation and stays dirty.  Returns whether
+    /// it was marked clean.
+    pub fn clean_if_holds(&mut self, block: &Block) -> bool {
+        let holds = self.guard.bytes.ptr_eq(block);
+        if holds {
+            self.guard.dirty = false;
+        }
+        holds
     }
 }
 
@@ -491,6 +638,49 @@ mod tests {
         assert!(!b.missed());
         assert!(b.data().iter().all(|&x| x == 0));
         assert_eq!(c.device().stats().reads, reads_before);
+    }
+
+    #[test]
+    fn a_partial_write_to_a_shared_buffer_copies_it_first() {
+        let c = cache(32, 8);
+        let mut b = c.bread(6).unwrap();
+        b.data_mut()[0] = 1;
+        let logged = b.share();
+        b.data_mut()[1] = 2;
+        assert_eq!((logged[0], logged[1]), (1, 0), "the shared bytes never change");
+        assert_eq!((b.data()[0], b.data()[1]), (1, 2), "the copy keeps the old bytes");
+        assert!(!b.share().ptr_eq(&logged));
+        assert_eq!(c.stats().cow_copies, 1);
+        b.data_mut()[2] = 3;
+        assert_eq!(c.stats().cow_copies, 1, "unshared bytes change in place");
+    }
+
+    #[test]
+    fn a_whole_block_overwrite_of_a_shared_buffer_allocates_without_copying_it() {
+        let c = cache(32, 8);
+        let logged = c.getblk_with(7, &[0x11; 4096]).unwrap().share();
+        let b = c.getblk_with(7, &[0x22; 4096]).unwrap();
+        assert!(b.is_dirty() && !b.missed());
+        assert!(b.data().iter().all(|&x| x == 0x22));
+        assert!(logged.iter().all(|&x| x == 0x11), "the shared bytes never change");
+        assert_eq!(c.stats().cow_copies, 0, "nothing copied but `src`");
+        assert_eq!(c.device().stats().reads, 0);
+        drop(b);
+        assert_eq!(c.getblk_with(7, &[0; 100]).unwrap_err().errno(), Errno::Inval);
+    }
+
+    #[test]
+    fn only_the_shared_block_itself_marks_the_buffer_clean() {
+        let c = cache(32, 8);
+        let mut b = c.getblk_with(8, &[0x44; 4096]).unwrap();
+        let logged = b.share();
+        assert!(!b.clean_if_holds(&Block::from(&[0x44; 4096])), "equal bytes are not the block");
+        assert!(b.is_dirty());
+        assert!(b.clean_if_holds(&logged));
+        assert!(!b.is_dirty());
+        b.data_mut()[0] = 0x44;
+        assert!(!b.clean_if_holds(&logged), "a changed buffer holds a copy");
+        assert!(b.is_dirty());
     }
 
     #[test]

@@ -256,6 +256,28 @@ impl PageCache {
         Ok(fp.size)
     }
 
+    /// The size the cache holds for `ino`, if it has loaded one: no
+    /// file-system call, and no entry is created for a file it does not
+    /// cache.
+    pub fn cached_size(&self, ino: u64) -> Option<u64> {
+        let file = self.files.get(&ino)?;
+        let fp = file.lock();
+        fp.size_loaded.then_some(fp.size)
+    }
+
+    /// Takes `size`, from attributes the caller has just resolved, as
+    /// `ino`'s size unless one is loaded already (buffered writes may have
+    /// moved a loaded size past the file system's).  Spares the first read
+    /// or write of a freshly opened file a `getattr`.
+    pub fn seed_size(&self, ino: u64, size: u64) {
+        let file = self.file(ino);
+        let mut fp = file.lock();
+        if !fp.size_loaded {
+            fp.size = size;
+            fp.size_loaded = true;
+        }
+    }
+
     /// Overrides the cached size (used by truncate and by the VFS after
     /// `setattr`).
     pub fn set_file_size(&self, ino: u64, size: u64) {
@@ -514,6 +536,11 @@ impl PageCache {
     /// Drops the whole cache (used at unmount, after writeback).
     pub fn invalidate_all(&self) {
         self.files.clear();
+    }
+
+    /// Files the cache holds an entry for (diagnostics).
+    pub fn cached_files(&self) -> usize {
+        self.files.len()
     }
 
     /// Total dirty pages across all files (diagnostics).

@@ -401,9 +401,13 @@ impl Vfs {
             ));
         }
         let fh = mount.fs.open(attr.ino, flags)?;
-        if flags.contains(OpenFlags::TRUNC) && attr.kind == FileType::Regular {
-            mount.fs.setattr(attr.ino, &SetAttr::truncate(0))?;
-            mount.page_cache.set_file_size(attr.ino, 0);
+        if attr.kind == FileType::Regular {
+            if flags.contains(OpenFlags::TRUNC) {
+                mount.fs.setattr(attr.ino, &SetAttr::truncate(0))?;
+                mount.page_cache.set_file_size(attr.ino, 0);
+            } else {
+                mount.page_cache.seed_size(attr.ino, attr.size);
+            }
         }
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
         let file = Arc::new(OpenFile {
@@ -620,8 +624,10 @@ impl Vfs {
     pub fn stat(&self, path: &str) -> KernelResult<InodeAttr> {
         let _span = crate::trace::op_span("stat");
         let (mount, mut attr) = self.resolve(path)?;
-        if attr.kind == FileType::Regular {
-            attr.size = attr.size.max(mount.page_cache.file_size(&mount.fs, attr.ino)?);
+        // The attributes just resolved carry the file system's size; only
+        // buffered writes the page cache holds can be ahead of it.
+        if let Some(cached) = mount.page_cache.cached_size(attr.ino) {
+            attr.size = attr.size.max(cached);
         }
         Ok(attr)
     }
@@ -1016,6 +1022,19 @@ mod tests {
         assert_eq!(vfs.lseek(fd, SeekFrom::Current(-2)).unwrap(), 8);
         assert!(vfs.lseek(fd, SeekFrom::Current(-100)).is_err());
         vfs.close(fd).unwrap();
+    }
+
+    #[test]
+    fn stat_of_a_file_the_page_cache_does_not_hold_adds_no_entry() {
+        let vfs = vfs_with_root();
+        let fd = vfs.open("/g", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
+        vfs.write(fd, b"abcd").unwrap();
+        vfs.fsync(fd).unwrap();
+        vfs.close(fd).unwrap();
+        let (mount, _) = vfs.find_mount("/").unwrap();
+        mount.page_cache.invalidate_all();
+        assert_eq!(vfs.stat("/g").unwrap().size, 4, "the size comes from the resolved attrs");
+        assert_eq!(mount.page_cache.cached_files(), 0, "stat created a page-cache entry");
     }
 
     #[test]

@@ -540,10 +540,15 @@ impl FsCore {
             KernelError::with_context(Errno::Io, "xv6fs: bmap failed to allocate")
         })?;
         // A piece that covers its whole block needs none of the old bytes:
-        // take the buffer without reading the device.
-        let mut block =
-            if piece.len() == BSIZE { sb.bread_zeroed(blockno)? } else { sb.bread(blockno)? };
-        block.data_mut()[block_off..block_off + piece.len()].copy_from_slice(piece);
+        // take the buffer filled with it, without reading the device or
+        // zero-filling it first.
+        let block = if piece.len() == BSIZE {
+            sb.bread_with(blockno, piece)?
+        } else {
+            let mut block = sb.bread(blockno)?;
+            block.data_mut()[block_off..block_off + piece.len()].copy_from_slice(piece);
+            block
+        };
         self.log.log_write(&block)?;
         data.size = data.size.max(offset + piece.len() as u64);
         Ok(())

@@ -25,6 +25,7 @@ use parking_lot::RwLock;
 use bento::bentoks::SuperBlock;
 use bento::fileops::{CreateReply, FileSegments, FileSystem, Request};
 use bento::upgrade::StateBundle;
+use simkernel::buffer::Block;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{DirEntry, FileMode, InodeAttr, OpenFlags, SetAttr, StatFs, WritePathStats};
 
@@ -336,11 +337,14 @@ impl FileSystem for Xv6FileSystem {
             // instance continues it from here instead of replaying the
             // records still live on the medium, and installs the pending
             // copies it carries when they fall due.
+            // A pending copy the cached buffer still holds (the very block,
+            // not merely equal bytes) travels as a reference to the cache;
+            // only a copy the buffer has moved past travels as bytes.
             let tail = core.log.tail();
             let mut pending = Vec::with_capacity(tail.pending.len());
             for PendingInstall { seq, home, data } in tail.pending {
-                let cached = sb.bread(home)?.data() == data.as_slice();
-                pending.push((seq, home, (!cached).then_some(data)));
+                let cached = sb.bread(home)?.share().ptr_eq(&data);
+                pending.push((seq, home, (!cached).then(|| data.to_vec())));
             }
             let fields: LogTailFields =
                 (tail.next_seq, tail.live.to_vec(), tail.owes_checkpoint, pending);
@@ -367,8 +371,8 @@ impl FileSystem for Xv6FileSystem {
                 let mut copies = Vec::with_capacity(pending.len());
                 for (seq, home, data) in pending {
                     let data = match data {
-                        Some(data) => data,
-                        None => sb.bread(home)?.data().to_vec(),
+                        Some(data) => Block::from(data),
+                        None => sb.bread(home)?.share(),
                     };
                     copies.push(PendingInstall { seq, home, data });
                 }

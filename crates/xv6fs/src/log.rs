@@ -9,10 +9,14 @@
 //! the [`SuperBlock`] capability into the journal's block-IO face
 //! ([`journal::io::JournalIo`]): buffer-cache reads and writes via
 //! [`SuperBlock::bread`], raw batched device writes via
-//! [`SuperBlock::write_raw`], and barriers via [`SuperBlock::sync_all`].  A
-//! logged block's buffer stays dirty — so the cache keeps it and every read
-//! sees the committed bytes — until the journal installs it and
-//! [`BufferHead::mark_clean`] releases it.
+//! [`SuperBlock::write_raw`], and barriers via [`SuperBlock::sync_all`].
+//! [`Log::log_write`] hands the journal the buffer's own bytes
+//! ([`BufferHead::share`]) rather than a copy; the buffer copies them only
+//! if it changes while the journal still holds them.  A logged block's
+//! buffer stays dirty — so the cache keeps it and every read sees the
+//! committed bytes — until the journal installs it and
+//! [`BufferHead::clean_if_holds`] finds the buffer still holding the very
+//! block installed.
 //!
 //! Every xv6 stack mounts this one adapter — the Bento and VFS bindings
 //! over the kernel buffer cache, the FUSE daemon over its userspace disk
@@ -24,7 +28,8 @@ use bento::bentoks::{BufferHead, SuperBlock};
 use simkernel::error::KernelResult;
 
 use journal::io::JournalIo;
-use journal::{Journal, JournalConfig};
+use journal::{Journal, JournalConfig, PlantedFault};
+use simkernel::buffer::Block;
 
 use crate::layout::{DiskSuperblock, LOGSIZE};
 
@@ -32,40 +37,45 @@ pub use journal::{JournalStats as LogStats, JournalTail as LogTail};
 
 /// [`JournalIo`] over the Bento [`SuperBlock`] capability: cached I/O goes
 /// through the kernel buffer cache (`bread`), raw writes and barriers hit
-/// the device provider directly.
-struct SbIo<'a>(&'a SuperBlock);
+/// the device provider directly.  `fault` is the log's planted fault; only
+/// [`PlantedFault::InstallLiveBuffer`] concerns this adapter.
+struct SbIo<'a> {
+    sb: &'a SuperBlock,
+    fault: PlantedFault,
+}
 
 impl JournalIo for SbIo<'_> {
     fn read_block(&self, blockno: u64, out: &mut [u8]) -> KernelResult<()> {
-        let buf = self.0.bread(blockno)?;
+        let buf = self.sb.bread(blockno)?;
         out.copy_from_slice(buf.data());
         Ok(())
     }
 
     fn write_block(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
-        let mut buf = self.0.bread(blockno)?;
+        let mut buf = self.sb.bread(blockno)?;
         buf.data_mut().copy_from_slice(data);
         buf.write()
     }
 
     fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
-        self.0.write_raw(writes)
+        self.sb.write_raw(writes)
     }
 
-    fn installed(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
+    fn installed(&self, blockno: u64, block: &Block) -> KernelResult<()> {
         // The buffer stayed dirty (so the cache kept it) from the
         // operation that logged it until this install.  When a later
-        // operation has modified it since, it stays dirty for that
-        // operation's own group.
-        let mut buf = self.0.bread(blockno)?;
-        if buf.data() == data {
-            buf.mark_clean();
+        // operation has modified it since, it holds a copy and stays dirty
+        // for that operation's own group.
+        let mut buf = self.sb.bread(blockno)?;
+        if self.fault == PlantedFault::InstallLiveBuffer {
+            return buf.write();
         }
+        buf.clean_if_holds(block);
         Ok(())
     }
 
     fn barrier(&self) -> KernelResult<()> {
-        self.0.sync_all()
+        self.sb.sync_all()
     }
 }
 
@@ -74,6 +84,7 @@ impl JournalIo for SbIo<'_> {
 #[derive(Debug)]
 pub struct Log {
     journal: Journal,
+    fault: PlantedFault,
 }
 
 impl Log {
@@ -87,13 +98,19 @@ impl Log {
                 LOGSIZE,
                 (sb.inodestart as u64, sb.size as u64),
             )),
+            fault: PlantedFault::None,
         }
     }
 
     /// Test-only crash-safety hook; see [`Journal::plant_fault`].
     #[doc(hidden)]
-    pub fn plant_fault(&mut self, fault: journal::PlantedFault) {
+    pub fn plant_fault(&mut self, fault: PlantedFault) {
         self.journal.plant_fault(fault);
+        self.fault = fault;
+    }
+
+    fn io<'a>(&self, sb: &'a SuperBlock) -> SbIo<'a> {
+        SbIo { sb, fault: self.fault }
     }
 
     /// Returns cumulative statistics.
@@ -131,14 +148,16 @@ impl Log {
     }
 
     /// Records that the block held by `buf` was modified by the current
-    /// operation, freezing a snapshot of its bytes.  Call while still
-    /// holding the [`BufferHead`] (immediately after modifying it).
+    /// operation, freezing its bytes: the journal keeps a reference to them
+    /// ([`BufferHead::share`]), and the buffer's next change goes to a
+    /// copy.  Call while still holding the [`BufferHead`] (immediately after
+    /// modifying it).
     ///
     /// # Errors
     ///
     /// See [`Journal::log_write`].
     pub fn log_write(&self, buf: &BufferHead) -> KernelResult<()> {
-        self.journal.log_write(buf.blockno(), buf.data())
+        self.journal.log_write(buf.blockno(), buf.share())
     }
 
     /// Distinct blocks the calling thread's open operation has staged;
@@ -153,7 +172,7 @@ impl Log {
     ///
     /// Propagates I/O errors from the commit.
     pub fn end_op(&self, sb: &SuperBlock) -> KernelResult<()> {
-        self.journal.end_op(&SbIo(sb))
+        self.journal.end_op(&self.io(sb))
     }
 
     /// Forces everything durable-in-progress to commit; see
@@ -163,7 +182,7 @@ impl Log {
     ///
     /// Propagates I/O errors from the commit.
     pub fn flush(&self, sb: &SuperBlock) -> KernelResult<()> {
-        self.journal.flush(&SbIo(sb))
+        self.journal.flush(&self.io(sb))
     }
 
     /// Commits everything in progress, installs what is pending and
@@ -174,7 +193,7 @@ impl Log {
     ///
     /// Propagates I/O errors.
     pub fn checkpoint(&self, sb: &SuperBlock) -> KernelResult<()> {
-        self.journal.checkpoint(&SbIo(sb))
+        self.journal.checkpoint(&self.io(sb))
     }
 
     /// Replays committed-but-not-cleared transactions at mount time;
@@ -184,7 +203,7 @@ impl Log {
     ///
     /// Propagates I/O errors.
     pub fn recover(&self, sb: &SuperBlock) -> KernelResult<usize> {
-        self.journal.recover(&SbIo(sb))
+        self.journal.recover(&self.io(sb))
     }
 
     /// Maximum number of data blocks a single operation may safely modify
@@ -231,12 +250,83 @@ mod tests {
         (sb, Log::new(&test_dsb(DISK)), dev)
     }
 
-    #[test]
-    fn an_install_releases_only_a_buffer_still_holding_the_installed_bytes() {
+    type Setup = (Arc<KernelBlockIo>, SuperBlock, Log, Arc<RamDisk>);
+
+    /// [`setup`], keeping the kernel provider for a look at its cache.
+    fn setup_cached() -> Setup {
         let dev = Arc::new(RamDisk::new(BSIZE as u32, DISK.into()));
         let io = Arc::new(KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512));
         let sb = bento::userspace::userspace_superblock(Arc::clone(&io) as _, "test");
-        let log = Log::new(&test_dsb(DISK));
+        (io, sb, Log::new(&test_dsb(DISK)), dev)
+    }
+
+    /// One operation that fills `home` with `fill` and logs it.
+    fn logged_op(sb: &SuperBlock, log: &Log, home: u64, fill: u8) {
+        log.begin_op();
+        let mut buf = sb.bread(home).unwrap();
+        buf.data_mut().fill(fill);
+        log.log_write(&buf).unwrap();
+        drop(buf);
+        log.end_op(sb).unwrap();
+    }
+
+    fn raw_fill(dev: &RamDisk, home: u64) -> u8 {
+        let mut raw = vec![0u8; BSIZE];
+        dev.read_block(home, &mut raw).unwrap();
+        raw[0]
+    }
+
+    /// Group 0 logs `home`; then `change` modifies its buffer without
+    /// logging it (a later operation's copy on write); then groups 1–3 log
+    /// other blocks, and group 3's epoch installs group 0's copy.
+    fn install_under_a_later_change(change: impl FnOnce(&SuperBlock)) -> Setup {
+        let (io, sb, log, dev) = setup_cached();
+        logged_op(&sb, &log, 1600, 0xA1);
+        change(&sb);
+        for (i, home) in (1601..1604).enumerate() {
+            logged_op(&sb, &log, home, 0x10 + i as u8);
+        }
+        assert_eq!(log.stats().installs, 1, "group 3's epoch installed group 0's copy");
+        assert_eq!(raw_fill(&dev, 1600), 0xA1, "the home holds the committed bytes");
+        (io, sb, log, dev)
+    }
+
+    /// The later change is logged by its own group and installed at the
+    /// checkpoint: only then is the buffer clean.
+    fn install_own_group(setup: Setup, fill: u8) {
+        let (io, sb, log, dev) = setup;
+        let dirty = |home| io.cache().bread(home).unwrap().is_dirty();
+        assert!(dirty(1600), "the install was not of the bytes the buffer holds");
+        log.begin_op();
+        log.log_write(&sb.bread(1600).unwrap()).unwrap();
+        log.end_op(&sb).unwrap();
+        assert!(dirty(1600), "logged again, not installed yet");
+        log.checkpoint(&sb).unwrap();
+        assert_eq!(raw_fill(&dev, 1600), fill);
+        assert!(!dirty(1600), "its own group's install releases it");
+    }
+
+    #[test]
+    fn a_buffer_changed_before_its_install_stays_dirty_until_its_own_group_installs() {
+        let setup =
+            install_under_a_later_change(|sb| sb.bread(1600).unwrap().data_mut().fill(0xB2));
+        assert_eq!(setup.0.cache().bread(1600).unwrap().data()[0], 0xB2, "the change survives");
+        install_own_group(setup, 0xB2);
+    }
+
+    #[test]
+    fn equal_bytes_in_a_new_block_are_not_the_installed_copy() {
+        // The later operation writes the very bytes group 0 committed: a new
+        // block (copy on write) with equal contents.  A byte compare would
+        // call the buffer clean while the change waits for its own group.
+        let setup =
+            install_under_a_later_change(|sb| sb.bread(1600).unwrap().data_mut().fill(0xA1));
+        install_own_group(setup, 0xA1);
+    }
+
+    #[test]
+    fn an_install_releases_only_a_buffer_still_holding_the_installed_bytes() {
+        let (io, sb, log, dev) = setup_cached();
         log.begin_op();
         for home in [1600, 1601] {
             let mut buf = sb.bread(home).unwrap();
