@@ -40,6 +40,7 @@ use simkernel::vfs::{
 use crate::bentoks::{KernelBlockIo, SuperBlock};
 use crate::fileops::{FileSegments, FileSystem, Request};
 use crate::upgrade::UpgradeReport;
+use crate::userspace::userspace_superblock;
 
 /// Default number of blocks in the per-mount buffer cache (16 MiB of 4 KiB
 /// blocks), matching a typical kernel buffer cache footprint for a small
@@ -91,8 +92,7 @@ impl BentoFs {
         cache_blocks: usize,
         fs: Box<dyn FileSystem>,
     ) -> KernelResult<Arc<BentoFs>> {
-        let io = Arc::new(KernelBlockIo::new(device, cache_blocks));
-        let sb = SuperBlock::from_provider(io, name);
+        let sb = userspace_superblock(Arc::new(KernelBlockIo::new(device, cache_blocks)), name);
         fs.init(&Request::kernel(), &sb)?;
         Ok(Arc::new(BentoFs {
             name: name.to_string(),

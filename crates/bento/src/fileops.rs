@@ -456,6 +456,7 @@ pub trait FileSystem: Send + Sync {
 mod tests {
     use super::*;
     use crate::bentoks::{KernelBlockIo, SuperBlock};
+    use crate::userspace::userspace_superblock;
     use simkernel::dev::RamDisk;
     use std::sync::Arc;
 
@@ -467,7 +468,7 @@ mod tests {
     }
 
     fn sb() -> SuperBlock {
-        SuperBlock::from_provider(
+        userspace_superblock(
             Arc::new(KernelBlockIo::new(Arc::new(RamDisk::new(4096, 8)), 8)),
             "ram0",
         )

@@ -28,10 +28,11 @@
 //!   transfer, nothing more.
 //! * **Userspace debugging** (§4.9, [`userspace`]): the same file system code
 //!   runs in userspace unchanged.  Its one kernel-service surface is the
-//!   [`SuperBlock`] capability over a [`BlockIo`] provider, and the
-//!   userspace face supplies a second provider,
-//!   [`userspace::UserDisk`], in place of the kernel buffer cache (used by
-//!   the FUSE baseline and by `examples/userspace_debug.rs`).
+//!   [`SuperBlock`] capability over a buffer cache; BentoKS-User is the
+//!   same capability types over a userspace disk file,
+//!   [`userspace::UserDisk`], which charges the boundary crossings and
+//!   whole-file fsyncs where the daemon touches the disk (used by the FUSE
+//!   baseline and by `examples/userspace_debug.rs`).
 //!
 //! ## The ownership model
 //!
@@ -76,6 +77,6 @@ pub mod upgrade;
 pub mod userspace;
 
 pub use bentofs::{register_bento_fs, unregister_bento_fs, BentoFs, BentoFsType, UpgradeGate};
-pub use bentoks::{BlockBuffer, BlockIo, BufferHead, SuperBlock};
+pub use bentoks::{BufferHead, SuperBlock};
 pub use fileops::{FileSegments, FileSystem, Request};
 pub use upgrade::StateBundle;

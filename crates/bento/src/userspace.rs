@@ -2,62 +2,61 @@
 //! "BentoKS-User").
 //!
 //! For debugging — and for the paper's FUSE baseline — the same file-system
-//! code must run in userspace without modification.  That requires userspace
-//! implementations of the same APIs the kernel provides:
+//! code must run in userspace without modification.  BentoKS-User is the
+//! same capability types over a userspace disk file: a [`SuperBlock`] over
+//! a buffer cache whose device is a [`UserDisk`].
 //!
-//! * [`UserDisk`] is the userspace replacement for the kernel buffer cache:
-//!   block I/O goes through an `O_DIRECT`-style handle on the backing disk
-//!   file, so every device access pays a user/kernel boundary crossing
+//! * [`UserDisk`] is the daemon's `O_DIRECT`-style handle on the backing
+//!   disk file.  Every device access pays a user/kernel boundary crossing
 //!   (200–400 ns in the paper's measurement), and making writes durable
 //!   requires `fsync`ing the *whole* disk file because the file interface
 //!   cannot sync a byte range (§6.4) — the dominant cost in the FUSE
-//!   numbers.
-//! * [`userspace_superblock`] mints a [`SuperBlock`] capability backed by a
-//!   [`UserDisk`], so `xv6fs` code written against the kernel API runs here
-//!   unchanged.
+//!   numbers.  Cache hits cross nothing: the xv6 FUSE port carries its own
+//!   buffer cache in userspace.
+//! * [`userspace_superblock`] mints the [`SuperBlock`] capability, in the
+//!   kernel and in userspace alike, so `xv6fs` code written against the
+//!   kernel API runs here unchanged.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use simkernel::buffer::{Block, BufferCache, BufferGuard};
 use simkernel::cost::{CostCounters, CostKind, CostModel};
-use simkernel::dev::BlockDevice;
+use simkernel::dev::{BlockDevice, DeviceStats};
 use simkernel::error::KernelResult;
 
-use crate::bentoks::{BlockBuffer, BlockIo, SuperBlock};
+use crate::bentoks::{KernelBlockIo, SuperBlock};
 
-/// Userspace block I/O provider: the stand-in for opening the disk with
-/// `O_DIRECT` from a FUSE daemon.
+/// The backing disk file as a FUSE daemon sees it, opened with `O_DIRECT`:
+/// a [`BlockDevice`] over `device` that charges each access to the cost
+/// model.
 ///
-/// The provider keeps a small user-level block cache (the xv6 FUSE port
-/// carries its own buffer cache in userspace), but every actual device
-/// access is charged a boundary crossing, and [`BlockIo::sync_all`] is
-/// charged as a whole-disk-file fsync.
+/// Each `pread` or `pwrite` of a block is one boundary crossing, and a
+/// flush is an `fsync` of the whole file, charged by the blocks written
+/// since the previous one.
 pub struct UserDisk {
-    cache: Arc<BufferCache>,
+    device: Arc<dyn BlockDevice>,
     model: CostModel,
     counters: Arc<CostCounters>,
-    blocks_written_since_sync: Arc<AtomicU64>,
+    pending_blocks: AtomicU64,
 }
 
 impl std::fmt::Debug for UserDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("UserDisk")
-            .field("nblocks", &self.cache.device().num_blocks())
-            .field("pending_blocks", &self.blocks_written_since_sync.load(Ordering::Relaxed))
+            .field("nblocks", &self.device.num_blocks())
+            .field("pending_blocks", &self.pending_blocks())
             .finish_non_exhaustive()
     }
 }
 
 impl UserDisk {
-    /// Opens `device` from userspace with the given boundary cost model and
-    /// a user-level block cache of `cache_blocks` blocks.
-    pub fn new(device: Arc<dyn BlockDevice>, model: CostModel, cache_blocks: usize) -> Self {
+    /// Opens `device` from userspace with the given boundary cost model.
+    pub fn new(device: Arc<dyn BlockDevice>, model: CostModel) -> Self {
         UserDisk {
-            cache: Arc::new(BufferCache::new(device, cache_blocks)),
+            device,
             model,
             counters: Arc::new(CostCounters::new()),
-            blocks_written_since_sync: Arc::new(AtomicU64::new(0)),
+            pending_blocks: AtomicU64::new(0),
         }
     }
 
@@ -67,133 +66,90 @@ impl UserDisk {
         Arc::clone(&self.counters)
     }
 
-    /// Blocks written since the last [`BlockIo::sync_all`] (diagnostics).
+    /// Blocks written since the last flush (diagnostics).
     pub fn pending_blocks(&self) -> u64 {
-        self.blocks_written_since_sync.load(Ordering::Relaxed)
+        self.pending_blocks.load(Ordering::Relaxed)
     }
 
     fn charge_crossing(&self) {
         self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
     }
-
-    fn buffer(&self, guard: BufferGuard) -> Box<dyn BlockBuffer> {
-        Box::new(UserBlockBuffer {
-            guard,
-            model: self.model.clone(),
-            counters: Arc::clone(&self.counters),
-            blocks_written_since_sync: Arc::clone(&self.blocks_written_since_sync),
-        })
-    }
 }
 
-struct UserBlockBuffer {
-    guard: BufferGuard,
-    model: CostModel,
-    counters: Arc<CostCounters>,
-    blocks_written_since_sync: Arc<AtomicU64>,
-}
-
-impl BlockBuffer for UserBlockBuffer {
-    fn blockno(&self) -> u64 {
-        self.guard.blockno()
+impl BlockDevice for UserDisk {
+    fn block_size(&self) -> u32 {
+        self.device.block_size()
     }
 
-    fn data(&self) -> &[u8] {
-        self.guard.data()
+    fn num_blocks(&self) -> u64 {
+        self.device.num_blocks()
     }
 
-    fn data_mut(&mut self) -> &mut [u8] {
-        self.guard.data_mut()
+    fn read_block(&self, blockno: u64, buf: &mut [u8]) -> KernelResult<()> {
+        self.charge_crossing();
+        self.device.read_block(blockno, buf)
     }
 
-    fn share(&self) -> Block {
-        self.guard.share()
-    }
-
-    fn write(&mut self) -> KernelResult<()> {
-        // Every userspace block write is a pwrite on the O_DIRECT disk file:
-        // one boundary crossing plus the device write itself.
-        self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
-        self.guard.write()?;
-        self.blocks_written_since_sync.fetch_add(1, Ordering::Relaxed);
+    fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
+        self.charge_crossing();
+        self.device.write_block(blockno, buf)?;
+        self.pending_blocks.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
-    fn clean_if_holds(&mut self, block: &Block) -> bool {
-        self.guard.clean_if_holds(block)
-    }
-}
-
-impl BlockIo for UserDisk {
-    fn block_size(&self) -> usize {
-        self.cache.block_size()
-    }
-
-    fn nblocks(&self) -> u64 {
-        self.cache.device().num_blocks()
-    }
-
-    fn bread(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>> {
-        let guard = self.cache.bread(blockno)?;
-        if guard.missed() {
-            // The block actually came from the device: one pread crossing.
-            self.charge_crossing();
+    /// One `pwrite` per block: the disk file has no batch submission, so
+    /// even a queued device underneath sees single-block writes.
+    fn write_blocks(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
+        for &(blockno, data) in writes {
+            self.write_block(blockno, data)?;
         }
-        Ok(self.buffer(guard))
+        Ok(())
     }
 
-    fn bread_zeroed(&self, blockno: u64) -> KernelResult<Box<dyn BlockBuffer>> {
-        Ok(self.buffer(self.cache.getblk_zeroed(blockno)?))
-    }
-
-    fn bread_with(&self, blockno: u64, src: &[u8]) -> KernelResult<Box<dyn BlockBuffer>> {
-        Ok(self.buffer(self.cache.getblk_with(blockno, src)?))
-    }
-
-    fn sync_all(&self) -> KernelResult<()> {
+    fn flush(&self) -> KernelResult<()> {
         // fsync of the whole backing disk file: base cost plus a per-block
         // cost for everything written since the previous sync (§6.4).
-        let pending = self.blocks_written_since_sync.swap(0, Ordering::Relaxed);
+        let pending = self.pending_blocks.swap(0, Ordering::Relaxed);
         let cost =
             self.model.whole_file_sync_base_ns + pending * self.model.whole_file_sync_per_block_ns;
         self.model.charge(&self.counters, CostKind::UserspaceWholeFileSync, cost);
-        self.cache.flush_device()
+        self.device.flush()
     }
 
-    fn write_raw(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
-        // One pwrite per block on the O_DIRECT disk file, bypassing the
-        // user-level cache: a boundary crossing plus the device write each.
-        for &(blockno, data) in writes {
-            self.model.charge(&self.counters, CostKind::BoundaryCrossing, self.model.crossing_ns);
-            self.cache.device().write_block(blockno, data)?;
-            self.blocks_written_since_sync.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+    fn stats(&self) -> DeviceStats {
+        self.device.stats()
     }
 }
 
-/// Mints a [`SuperBlock`] capability backed by a userspace disk, the
-/// "BentoKS-User" entry point.  The identical file-system code that runs in
-/// the kernel runs against this superblock unchanged.
-pub fn userspace_superblock(io: Arc<dyn BlockIo>, name: &str) -> SuperBlock {
-    SuperBlock::from_provider(io, name)
+/// Mints a [`SuperBlock`] capability over `io`: the one constructor, which
+/// BentoFS, the C-Kernel binding, the FUSE daemon and the tests all call.
+/// The same file-system code runs against the result whether `io` caches
+/// the kernel's device or a [`UserDisk`].  It keeps its userspace name
+/// because the frozen benchmark's probes call it by that name.
+pub fn userspace_superblock(io: Arc<KernelBlockIo>, name: &str) -> SuperBlock {
+    SuperBlock { io, device_name: name.to_string() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use simkernel::dev::RamDisk;
+    use simkernel::queue::{MultiQueueDevice, QueueConfig};
 
-    fn user_sb(model: CostModel) -> (SuperBlock, Arc<CostCounters>) {
-        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 32));
-        let disk = Arc::new(UserDisk::new(dev, model, 16));
-        let counters = disk.counters();
-        (userspace_superblock(disk, "userdisk"), counters)
+    /// A superblock over a 16-block cache on a [`UserDisk`] over `dev`.
+    fn user_sb(dev: Arc<dyn BlockDevice>, model: CostModel) -> (SuperBlock, Arc<UserDisk>) {
+        let disk = Arc::new(UserDisk::new(dev, model));
+        let io = KernelBlockIo::new(Arc::clone(&disk) as _, 16);
+        (userspace_superblock(Arc::new(io), "userdisk"), disk)
+    }
+
+    fn ram(blocks: u64) -> Arc<dyn BlockDevice> {
+        Arc::new(RamDisk::new(4096, blocks))
     }
 
     #[test]
     fn userspace_superblock_reads_and_writes() {
-        let (sb, _) = user_sb(CostModel::zero());
+        let (sb, _) = user_sb(ram(32), CostModel::zero());
         let mut bh = sb.bread(4).unwrap();
         bh.data_mut()[0] = 0x42;
         bh.write().unwrap();
@@ -204,34 +160,37 @@ mod tests {
 
     #[test]
     fn crossings_are_charged_per_device_access_not_per_cache_hit() {
-        let (sb, counters) = user_sb(CostModel::zero());
+        let (sb, disk) = user_sb(ram(32), CostModel::zero());
+        let crossings = || disk.counters().snapshot().crossings;
         drop(sb.bread(1).unwrap()); // miss -> crossing
         drop(sb.bread(1).unwrap()); // hit  -> no crossing
         drop(sb.bread(2).unwrap()); // miss -> crossing
-        assert_eq!(counters.snapshot().crossings, 2);
+        assert_eq!(crossings(), 2);
         let mut bh = sb.bread(1).unwrap();
         bh.write().unwrap(); // pwrite -> crossing
-        assert_eq!(counters.snapshot().crossings, 3);
+        assert_eq!(crossings(), 3);
     }
 
     #[test]
     fn concurrent_misses_are_charged_one_crossing_each() {
         // Eight daemon-style workers read disjoint blocks through one
-        // UserDisk whose cache is far smaller than their working set, so
-        // misses and hits interleave across threads: every device read is
-        // one crossing, charged to the bread that made it, never twice and
-        // never to a neighbour's hit.
-        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 1024));
-        let disk = Arc::new(UserDisk::new(Arc::clone(&dev), CostModel::zero(), 32));
+        // cache far smaller than their working set, so misses and hits
+        // interleave across threads: every device read is one crossing,
+        // charged to the bread that made it, never twice and never to a
+        // neighbour's hit.
+        let dev = ram(1024);
+        let disk = Arc::new(UserDisk::new(Arc::clone(&dev), CostModel::zero()));
+        let io = KernelBlockIo::new(Arc::clone(&disk) as _, 32);
+        let sb = Arc::new(userspace_superblock(Arc::new(io), "userdisk"));
         let workers: Vec<_> = (0..8u64)
             .map(|t| {
-                let disk = Arc::clone(&disk);
+                let sb = Arc::clone(&sb);
                 std::thread::spawn(move || {
                     for round in 0..20u64 {
                         for i in 0..16u64 {
                             let blockno = t * 128 + (i * 7 + round) % 64;
-                            drop(disk.bread(blockno).unwrap());
-                            drop(disk.bread(blockno).unwrap());
+                            drop(sb.bread(blockno).unwrap());
+                            drop(sb.bread(blockno).unwrap());
                         }
                     }
                 })
@@ -253,10 +212,7 @@ mod tests {
             inject_delays: false,
             ..CostModel::zero()
         };
-        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 32));
-        let disk = Arc::new(UserDisk::new(dev, model, 16));
-        let counters = disk.counters();
-        let sb = userspace_superblock(Arc::clone(&disk) as Arc<dyn BlockIo>, "userdisk");
+        let (sb, disk) = user_sb(ram(32), model);
         for i in 0..5 {
             let mut bh = sb.bread_zeroed(i).unwrap();
             bh.data_mut()[0] = i as u8;
@@ -265,8 +221,25 @@ mod tests {
         assert_eq!(disk.pending_blocks(), 5);
         sb.sync_all().unwrap();
         assert_eq!(disk.pending_blocks(), 0);
-        let snap = counters.snapshot();
+        let snap = disk.counters().snapshot();
         assert_eq!(snap.whole_file_syncs, 1);
         assert_eq!(snap.total_ns, 1_000 + 5 * 100);
+    }
+
+    #[test]
+    fn write_raw_over_a_queued_device_is_one_pwrite_per_block() {
+        // The queued device batches `write_blocks`, leaving the submissions
+        // in flight until the next flush; through the disk file every block
+        // is its own crossing and a synchronous `write_block`, so nothing
+        // is left in flight.
+        let mqd =
+            Arc::new(MultiQueueDevice::new(ram(32), CostModel::zero(), QueueConfig::new(1, 8)));
+        let (sb, disk) = user_sb(Arc::clone(&mqd) as _, CostModel::zero());
+        let block = [0x5Au8; 4096];
+        sb.write_raw(&[(3, &block[..]), (4, &block[..]), (5, &block[..])]).unwrap();
+        assert_eq!(disk.counters().snapshot().crossings, 3);
+        assert_eq!(disk.pending_blocks(), 3);
+        assert_eq!(mqd.stats().writes, 3);
+        assert_eq!(mqd.counters().inflight_now(), 0, "no write was submitted as a batch");
     }
 }

@@ -16,8 +16,9 @@
 //! * [`FuseDaemon`] is the userspace side: a pool of worker threads that pop
 //!   requests and dispatch them to any [`bento::FileSystem`] implementation
 //!   — the *same* `xv6fs` code that runs in the kernel through BentoFS, now
-//!   running against [`bento::userspace::UserDisk`] (which charges the
-//!   crossings and whole-file fsyncs the paper describes in §6.4).
+//!   over a buffer cache whose device is [`bento::userspace::UserDisk`],
+//!   the daemon's disk file (which charges the crossings and whole-file
+//!   fsyncs the paper describes in §6.4).
 //! * [`mount_fuse_xv6`] wires the two together for the evaluation, and
 //!   [`FuseXv6FilesystemType`] exposes it as a mountable VFS type.
 
@@ -30,7 +31,7 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use bento::bentoks::SuperBlock;
+use bento::bentoks::{KernelBlockIo, SuperBlock};
 use bento::fileops::{FileSystem, Request};
 use bento::userspace::{userspace_superblock, UserDisk};
 use simkernel::cost::{CostCounters, CostKind, CostModel};
@@ -489,9 +490,10 @@ pub fn mount_fuse_xv6(
     model: CostModel,
     workers: usize,
 ) -> KernelResult<Arc<FuseKernelDriver>> {
-    let disk = Arc::new(UserDisk::new(device, model.clone(), 4096));
+    let disk = Arc::new(UserDisk::new(device, model.clone()));
     let disk_counters = disk.counters();
-    let sb = Arc::new(userspace_superblock(disk, "fuse-userdisk"));
+    let io = Arc::new(KernelBlockIo::new(disk, 4096));
+    let sb = Arc::new(userspace_superblock(io, "fuse-userdisk"));
     let fs: Arc<dyn FileSystem> = Arc::new(xv6fs::Xv6FileSystem::with_label("xv6fs-fuse"));
     fs.init(&Request::default(), &sb)?;
     let (daemon, queue) = FuseDaemon::start(fs, sb, workers);

@@ -322,23 +322,21 @@ impl BufferCache {
     ///
     /// The guard's lock is exclusive (like the kernel's buffer lock); a
     /// second `bread` of the same block from another thread blocks until the
-    /// first guard is dropped.  [`BufferGuard::missed`] tells whether this
-    /// call read the device.
+    /// first guard is dropped.
     ///
     /// # Errors
     ///
     /// Propagates device errors ([`Errno::Io`], [`Errno::Inval`]).
     pub fn bread(&self, blockno: u64) -> KernelResult<BufferGuard> {
         let mut guard = self.lock(blockno, "bread: block out of range")?;
-        let missed = !guard.valid;
-        if missed {
+        if !guard.valid {
             self.backing.dev.read_block(blockno, guard.bytes.make_mut(&self.backing.cow_copies))?;
             guard.valid = true;
             self.misses.inc();
         } else {
             self.hits.inc();
         }
-        Ok(self.guard(blockno, guard, missed))
+        Ok(self.guard(blockno, guard))
     }
 
     /// Like [`BufferCache::bread`] but does not read the device: the returned
@@ -353,7 +351,7 @@ impl BufferCache {
         guard.bytes.make_mut(&self.backing.cow_copies).fill(0);
         guard.valid = true;
         guard.dirty = true;
-        Ok(self.guard(blockno, guard, false))
+        Ok(self.guard(blockno, guard))
     }
 
     /// Returns the buffer for `blockno` holding a copy of `src`, without
@@ -377,7 +375,7 @@ impl BufferCache {
         }
         guard.valid = true;
         guard.dirty = true;
-        Ok(self.guard(blockno, guard, false))
+        Ok(self.guard(blockno, guard))
     }
 
     /// Locks the buffer for `blockno`, or [`Errno::Inval`] (`what`) past the
@@ -393,13 +391,8 @@ impl BufferCache {
         Ok(Mutex::lock_arc(&self.get_or_insert(blockno)))
     }
 
-    fn guard(
-        &self,
-        blockno: u64,
-        guard: ArcMutexGuard<RawMutex, BufferData>,
-        missed: bool,
-    ) -> BufferGuard {
-        BufferGuard { blockno, guard, backing: Arc::clone(&self.backing), missed }
+    fn guard(&self, blockno: u64, guard: ArcMutexGuard<RawMutex, BufferData>) -> BufferGuard {
+        BufferGuard { blockno, guard, backing: Arc::clone(&self.backing) }
     }
 
     /// Drops every cached buffer that is clean and unlocked.  Used by tests
@@ -480,7 +473,6 @@ pub struct BufferGuard {
     blockno: u64,
     guard: ArcMutexGuard<RawMutex, BufferData>,
     backing: Arc<Backing>,
-    missed: bool,
 }
 
 impl std::fmt::Debug for BufferGuard {
@@ -496,13 +488,6 @@ impl BufferGuard {
     /// The block number this guard refers to.
     pub fn blockno(&self) -> u64 {
         self.blockno
-    }
-
-    /// Whether the `bread` that returned this guard read the block from the
-    /// device (a cache miss).  Always `false` for
-    /// [`BufferCache::getblk_zeroed`] and [`BufferCache::getblk_with`].
-    pub fn missed(&self) -> bool {
-        self.missed
     }
 
     /// Read-only view of the block contents.
@@ -585,13 +570,13 @@ mod tests {
         let c = cache(32, 8);
         {
             let mut b = c.bread(5).unwrap();
-            assert!(b.missed());
+            assert_eq!(c.device().stats().reads, 1, "a miss reads the device");
             b.data_mut()[0] = 42;
             b.write().unwrap();
         }
         {
             let b = c.bread(5).unwrap();
-            assert!(!b.missed());
+            assert_eq!(c.device().stats().reads, 1, "a hit does not");
             assert_eq!(b.data()[0], 42);
         }
         let stats = c.stats();
@@ -635,7 +620,6 @@ mod tests {
         c.device().write_block(4, &vec![0xFFu8; 4096]).unwrap();
         let reads_before = c.device().stats().reads;
         let b = c.getblk_zeroed(4).unwrap();
-        assert!(!b.missed());
         assert!(b.data().iter().all(|&x| x == 0));
         assert_eq!(c.device().stats().reads, reads_before);
     }
@@ -660,7 +644,7 @@ mod tests {
         let c = cache(32, 8);
         let logged = c.getblk_with(7, &[0x11; 4096]).unwrap().share();
         let b = c.getblk_with(7, &[0x22; 4096]).unwrap();
-        assert!(b.is_dirty() && !b.missed());
+        assert!(b.is_dirty());
         assert!(b.data().iter().all(|&x| x == 0x22));
         assert!(logged.iter().all(|&x| x == 0x11), "the shared bytes never change");
         assert_eq!(c.stats().cow_copies, 0, "nothing copied but `src`");
@@ -950,8 +934,9 @@ mod tests {
         }
         c.invalidate_clean();
         assert_eq!(c.stats().cached, 0);
+        let reads = c.device().stats().reads;
         let b = c.bread(2).unwrap();
-        assert!(b.missed());
+        assert_eq!(c.device().stats().reads, reads + 1, "the block is read again");
         assert_eq!(b.data()[0], 5);
         assert_eq!(c.stats().misses, 2);
     }

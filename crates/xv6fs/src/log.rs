@@ -252,11 +252,11 @@ mod tests {
 
     type Setup = (Arc<KernelBlockIo>, SuperBlock, Log, Arc<RamDisk>);
 
-    /// [`setup`], keeping the kernel provider for a look at its cache.
+    /// [`setup`], keeping the [`KernelBlockIo`] for a look at its cache.
     fn setup_cached() -> Setup {
         let dev = Arc::new(RamDisk::new(BSIZE as u32, DISK.into()));
         let io = Arc::new(KernelBlockIo::new(Arc::clone(&dev) as Arc<dyn BlockDevice>, 512));
-        let sb = bento::userspace::userspace_superblock(Arc::clone(&io) as _, "test");
+        let sb = bento::userspace::userspace_superblock(Arc::clone(&io), "test");
         (io, sb, Log::new(&test_dsb(DISK)), dev)
     }
 

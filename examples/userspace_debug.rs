@@ -9,6 +9,7 @@
 use std::error::Error;
 use std::sync::Arc;
 
+use bento::bentoks::KernelBlockIo;
 use bento::fileops::{FileSystem, Request};
 use bento::userspace::{userspace_superblock, UserDisk};
 use simkernel::cost::CostModel;
@@ -21,11 +22,11 @@ fn main() -> Result<(), Box<dyn Error>> {
     let device: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 8 * 1024));
     xv6fs::mkfs::mkfs_on_device(&device, 512)?;
 
-    // BentoKS-User: the same SuperBlock/BufferHead API, backed by an
-    // O_DIRECT-style userspace disk instead of the kernel buffer cache.
-    let disk = Arc::new(UserDisk::new(device, CostModel::zero(), 1024));
+    // BentoKS-User: the same SuperBlock/BufferHead API over a buffer cache
+    // whose device is an O_DIRECT-style userspace disk file.
+    let disk = Arc::new(UserDisk::new(device, CostModel::zero()));
     let counters = disk.counters();
-    let sb = userspace_superblock(disk, "debug-disk");
+    let sb = userspace_superblock(Arc::new(KernelBlockIo::new(disk, 1024)), "debug-disk");
 
     // The exact same FileSystem implementation that runs in the kernel.
     let fs = Xv6FileSystem::with_label("xv6fs-userspace");
