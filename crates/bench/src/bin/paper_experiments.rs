@@ -11,9 +11,8 @@ use std::collections::BTreeSet;
 use bench::{
     crash_experiment, fig2_read_4k, fig3_read_throughput, fig4_write_throughput, health_experiment,
     load_experiment, load_smoke_experiment, obs_experiment, print_rows, report_to_json,
-    scaling_experiment, scaling_experiment_with_threads, table1_bug_analysis,
-    table2_mechanism_comparison, table4_create, table5_delete, table6_macrobenchmarks,
-    ExperimentConfig, Row, RunMeta, SCALING_SMOKE_THREADS,
+    scaling_experiment, table1_bug_analysis, table2_mechanism_comparison, table4_create,
+    table5_delete, table6_macrobenchmarks, BenchResult, ExperimentConfig, Row, RunMeta,
 };
 
 /// What an experiment runs with and reports into.
@@ -29,13 +28,13 @@ struct Ctx {
 impl Ctx {
     /// Runs one experiment, appends an `elapsed` row recording how long it
     /// took (wall clock, whole experiment including mounts), and folds the
-    /// rows into the report; a failure is printed and counted, not fatal to
-    /// other experiments.
+    /// rows into the report; a failure is printed with where it happened
+    /// and counted, not fatal to other experiments.
     fn run(
         &mut self,
         name: &str,
         title: &str,
-        experiment: impl FnOnce(&Ctx) -> Result<Vec<Row>, simkernel::error::KernelError>,
+        experiment: impl FnOnce(&Ctx) -> BenchResult<Vec<Row>>,
     ) {
         let start = std::time::Instant::now();
         let result = experiment(self);
@@ -124,13 +123,6 @@ const EXPERIMENTS: &[Experiment] = &[
             load_smoke_experiment(&c.cfg)
         })
     }),
-    // CI smoke: 1 and 8 threads only, so the write-path counters (group
-    // commit batching, allocator spread) are exercised on every PR.
-    ("scaling-smoke", false, |ctx, name| {
-        ctx.run(name, "Scaling smoke: 1 and 8 threads, write-path batching counters", |c| {
-            scaling_experiment_with_threads(&c.cfg, &SCALING_SMOKE_THREADS)
-        })
-    }),
     // Continuous health engine: disabled-path observe cost (gated),
     // clean-run false-positive gate, the EIO burn-rate fire/clear contract,
     // the upgrade pause as a commit-wait-attributed flagged window, and
@@ -176,9 +168,9 @@ fn main() {
     let everything = selected.is_empty() || selected.contains("all");
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::full() };
     println!(
-        "Bento reproduction: paper experiments ({} mode, {} ms per configuration, {} high-thread count)",
+        "Bento reproduction: paper experiments ({} mode, {} base ops per worker per configuration, {} high-thread count)",
         if quick { "quick" } else { "full" },
-        cfg.duration.as_millis(),
+        cfg.ops,
         cfg.threads_high
     );
 

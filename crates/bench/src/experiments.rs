@@ -1,16 +1,17 @@
-//! The experiments: one function per table / figure of the paper.
+//! The experiments: one function per table / figure of the paper.  Every
+//! measured point is a seeded [`WorkloadSpec`] run for a fixed op count on
+//! the `loadgen` driver.
 
-use std::time::Duration;
+use std::fmt;
 
 use simkernel::cost::{CostModel, CostSnapshot};
-use simkernel::error::KernelResult;
+use simkernel::error::KernelError;
 use simkernel::vfs::{MountOptions, WritePathStats};
 
 use bugdb::BugStudy;
+use loadgen::{AccessPattern, LoadConfig, LoadError, LoadResult, WorkloadSpec};
 use workloads::{
-    create_crossdir_micro, create_micro, delete_micro, fileserver, generate_linux_like_manifest,
-    mount_stack, mount_stack_with, read_micro, read_micro_disjoint, untar, varmail, write_micro,
-    write_micro_disjoint, AccessPattern, FsStack, MountedStack,
+    generate_linux_like_manifest, mount_stack, mount_stack_with, untar, FsStack, MountedStack,
 };
 
 use crate::report::Row;
@@ -18,8 +19,10 @@ use crate::report::Row;
 /// Knobs shared by all experiments.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
-    /// Measured duration of each timed workload configuration.
-    pub duration: Duration,
+    /// The op count each worker runs per measured configuration.  Create
+    /// loops run half of it, the macrobenchmarks all of it, cheaper loops
+    /// a multiple (see each experiment).
+    pub ops: u64,
     /// Thread count for the "32 thread" configurations.
     pub threads_high: usize,
     /// Device/boundary cost model.
@@ -28,7 +31,7 @@ pub struct ExperimentConfig {
     pub disk_blocks: u64,
     /// Size of the file used by the read/write microbenchmarks, in bytes.
     pub micro_file_size: u64,
-    /// Files pre-created per thread for the delete microbenchmark.
+    /// Files pre-created (over all threads) for the delete microbenchmark.
     pub delete_precreate_total: usize,
     /// Files per thread for varmail / fileserver; threads used for macros.
     pub macro_files_per_thread: usize,
@@ -42,7 +45,7 @@ impl ExperimentConfig {
     /// The full configuration used for EXPERIMENTS.md numbers.
     pub fn full() -> Self {
         ExperimentConfig {
-            duration: Duration::from_millis(500),
+            ops: 2_000,
             threads_high: 32,
             model: CostModel::nvme_ssd(),
             disk_blocks: 96 * 1024, // 384 MiB
@@ -57,7 +60,7 @@ impl ExperimentConfig {
     /// A scaled-down configuration for smoke tests and `cargo bench`.
     pub fn quick() -> Self {
         ExperimentConfig {
-            duration: Duration::from_millis(150),
+            ops: 500,
             threads_high: 8,
             model: CostModel::nvme_ssd_scaled(4),
             disk_blocks: 48 * 1024,
@@ -72,6 +75,89 @@ impl ExperimentConfig {
     fn delete_per_thread(&self, threads: usize) -> usize {
         (self.delete_precreate_total / threads).max(20)
     }
+
+    /// Ops per worker for one I/O loop: `per_op_kib` KiB per op of the
+    /// base count, so large requests run proportionally fewer ops.
+    fn io_ops(&self, io_size: usize, per_op_kib: u64) -> u64 {
+        (self.ops * per_op_kib * 1024 / io_size as u64).max(1)
+    }
+}
+
+/// Why an experiment failed; a failed measured point names the
+/// experiment, the row, the stack and, from the driver, the thread count,
+/// worker, op index, op and seed.
+#[derive(Debug, Clone)]
+pub struct BenchError(pub String);
+
+impl fmt::Display for BenchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for BenchError {}
+
+impl From<KernelError> for BenchError {
+    fn from(e: KernelError) -> Self {
+        BenchError(e.to_string())
+    }
+}
+
+impl From<LoadError> for BenchError {
+    fn from(e: LoadError) -> Self {
+        BenchError(e.to_string())
+    }
+}
+
+/// What every experiment returns.
+pub type BenchResult<T> = Result<T, BenchError>;
+
+/// Prepares and runs `spec` on `mounted` under `load` — with tracing on
+/// for the run alone when `traced` — and names the experiment, the row and
+/// the stack in a failure.
+fn measure(
+    experiment: &str,
+    config: &str,
+    mounted: &MountedStack,
+    spec: &WorkloadSpec,
+    load: &LoadConfig,
+    traced: bool,
+) -> BenchResult<LoadResult> {
+    let at = |e: &dyn fmt::Display| {
+        BenchError(format!("{experiment} {config} on {}: {e}", mounted.stack.label()))
+    };
+    loadgen::prepare(&mounted.vfs, spec, load).map_err(|e| at(&e))?;
+    let tracing = traced.then(simkernel::trace::enable);
+    let result = loadgen::run_load(&mounted.vfs, spec, load);
+    drop(tracing);
+    result.map_err(|e| at(&e))
+}
+
+/// [`measure`] with `threads` closed-loop workers of `ops` ops each on a
+/// fresh mount of `stack` under `model`, unmounted afterwards.
+fn measure_fresh(
+    (experiment, config): (&str, &str),
+    stack: FsStack,
+    cfg: &ExperimentConfig,
+    spec: &WorkloadSpec,
+    threads: usize,
+    ops: u64,
+) -> BenchResult<LoadResult> {
+    let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
+    let load = LoadConfig::closed(threads, ops);
+    let result = measure(experiment, config, &mounted, spec, &load, false)?;
+    mounted.unmount()?;
+    Ok(result)
+}
+
+/// MB/s (10^6 bytes, as filebench reports) of a run.
+fn mbps(result: &LoadResult) -> f64 {
+    result.bytes as f64 / 1_000_000.0 / result.elapsed.as_secs_f64().max(1e-9)
+}
+
+/// The paper's value for `stack` in a `(stack label, value)` table.
+fn paper_of(table: &[(&str, f64)], stack: FsStack) -> Option<f64> {
+    table.iter().find(|(name, _)| *name == stack.label()).map(|(_, v)| *v)
 }
 
 /// Table 1: the bug study counts and derived percentages.
@@ -129,42 +215,46 @@ pub fn table2_mechanism_comparison() -> Vec<(String, [&'static str; 4])> {
     ]
 }
 
-/// Figure 2: 4 KiB read ops/sec for seq/rnd × 1/32 threads, three xv6
-/// stacks.
-///
-/// # Errors
-///
-/// Propagates mount/workload errors.
-pub fn fig2_read_4k(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+/// The read loop of Figures 2 and 3 on every xv6 stack: `io_size` reads
+/// through a held descriptor on one shared `micro_file_size` file, warmed
+/// into the page cache first (§6.5.1: all three stacks serve reads from
+/// the same in-kernel cache), at seq/rnd × 1/32 threads, in rows labelled
+/// `{prefix}seq-1t` and so on.  Each worker reads `per_op_kib` KiB of the
+/// base op count.
+fn read_rows(
+    (experiment, prefix): (&str, &str),
+    cfg: &ExperimentConfig,
+    io_size: usize,
+    per_op_kib: u64,
+    value: fn(&LoadResult) -> (f64, &'static str),
+) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
-        let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
         for (pattern, threads, label) in [
             (AccessPattern::Sequential, 1, "seq-1t"),
             (AccessPattern::Sequential, cfg.threads_high, "seq-32t"),
             (AccessPattern::Random, 1, "rnd-1t"),
             (AccessPattern::Random, cfg.threads_high, "rnd-32t"),
         ] {
-            let result = read_micro(
-                &mounted.vfs,
-                cfg.micro_file_size,
-                4096,
-                pattern,
-                threads,
-                cfg.duration,
-            )?;
-            rows.push(Row::new(
-                "fig2",
-                label,
-                stack.label(),
-                result.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
+            let config = format!("{prefix}{label}");
+            let spec = WorkloadSpec::io(false, cfg.micro_file_size, io_size, pattern);
+            let ops = cfg.io_ops(io_size, per_op_kib);
+            let result = measure_fresh((experiment, &config), stack, cfg, &spec, threads, ops)?;
+            let (measured, unit) = value(&result);
+            rows.push(Row::new(experiment, &config, stack.label(), measured, unit, None));
         }
-        mounted.unmount()?;
     }
     Ok(rows)
+}
+
+/// Figure 2: 4 KiB read ops/sec for seq/rnd × 1/32 threads, three xv6
+/// stacks.
+///
+/// # Errors
+///
+/// The first mount or run failure, naming the row and stack.
+pub fn fig2_read_4k(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
+    read_rows(("fig2", ""), cfg, 4096, 160, |r| (r.ops_per_sec(), "ops/sec"))
 }
 
 /// Figure 3: read throughput (MB/s) at 32 KiB / 128 KiB / 1024 KiB request
@@ -172,49 +262,27 @@ pub fn fig2_read_4k(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
-pub fn fig3_read_throughput(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+/// The first mount or run failure, naming the row and stack.
+pub fn fig3_read_throughput(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
-    for stack in FsStack::xv6_variants() {
-        let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-        for io_size in [32 * 1024usize, 128 * 1024, 1024 * 1024] {
-            for (pattern, threads, label) in [
-                (AccessPattern::Sequential, 1, "seq-1t"),
-                (AccessPattern::Sequential, cfg.threads_high, "seq-32t"),
-                (AccessPattern::Random, 1, "rnd-1t"),
-                (AccessPattern::Random, cfg.threads_high, "rnd-32t"),
-            ] {
-                let result = read_micro(
-                    &mounted.vfs,
-                    cfg.micro_file_size,
-                    io_size,
-                    pattern,
-                    threads,
-                    cfg.duration,
-                )?;
-                let config = format!("{}k-{label}", io_size / 1024);
-                rows.push(Row::new(
-                    "fig3",
-                    &config,
-                    stack.label(),
-                    result.throughput_mbps(),
-                    "MB/s",
-                    None,
-                ));
-            }
-        }
-        mounted.unmount()?;
+    for io_size in [32 * 1024usize, 128 * 1024, 1024 * 1024] {
+        let prefix = format!("{}k-", io_size / 1024);
+        rows.extend(read_rows(("fig3", &prefix), cfg, io_size, 256, |r| (mbps(r), "MB/s"))?);
     }
     Ok(rows)
 }
 
 /// Figure 4: write throughput (MB/s) at 32 KiB / 128 KiB / 1024 KiB request
-/// sizes for seq-1t, rnd-1t and rnd-32t.
+/// sizes for seq-1t, rnd-1t and rnd-32t: pwrites through a held descriptor
+/// into a preallocated shared file.  Each configuration writes 32 KiB per
+/// op of the base count in all, split over its threads, so every row
+/// spans several write-back passes (the page cache writes back at 512
+/// dirty pages).
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
-pub fn fig4_write_throughput(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+/// The first mount or run failure, naming the row and stack.
+pub fn fig4_write_throughput(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
         for io_size in [32 * 1024usize, 128 * 1024, 1024 * 1024] {
@@ -223,166 +291,116 @@ pub fn fig4_write_throughput(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
                 (AccessPattern::Random, 1, "rnd-1t"),
                 (AccessPattern::Random, cfg.threads_high, "rnd-32t"),
             ] {
-                let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-                let result = write_micro(
-                    &mounted.vfs,
-                    cfg.micro_file_size,
-                    io_size,
-                    pattern,
-                    threads,
-                    cfg.duration,
-                )?;
                 let config = format!("{}k-{label}", io_size / 1024);
-                rows.push(Row::new(
-                    "fig4",
-                    &config,
-                    stack.label(),
-                    result.throughput_mbps(),
-                    "MB/s",
-                    None,
-                ));
-                mounted.unmount()?;
+                let spec = WorkloadSpec::io(true, cfg.micro_file_size, io_size, pattern);
+                let ops = (cfg.io_ops(io_size, 32) / threads as u64).max(1);
+                let result = measure_fresh(("fig4", &config), stack, cfg, &spec, threads, ops)?;
+                rows.push(Row::new("fig4", &config, stack.label(), mbps(&result), "MB/s", None));
             }
         }
     }
     Ok(rows)
 }
 
-/// Table 4: file creation ops/sec, 1 and 32 threads.
-///
-/// # Errors
-///
-/// Propagates mount/workload errors.
-pub fn table4_create(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    let paper: &[(&str, f64, f64)] =
-        &[("Bento", 1126.0, 1072.0), ("C-Kernel", 933.0, 881.0), ("FUSE", 24.0, 24.0)];
+/// Tables 4 and 5 on the xv6 stacks at 1 and 32 threads, in ops/sec next
+/// to the paper's values (`paper[0]` for 1 thread, `paper[1]` for 32):
+/// `point(threads)` gives the spec and the ops per thread.
+fn file_micro_rows(
+    experiment: &str,
+    cfg: &ExperimentConfig,
+    paper: [[(&str, f64); 3]; 2],
+    point: impl Fn(usize) -> (WorkloadSpec, u64),
+) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
-        for (threads, label, paper_idx) in
-            [(1usize, "1 thread", 1usize), (cfg.threads_high, "32 threads", 2)]
+        for ((threads, label), paper) in
+            [(1, "1 thread"), (cfg.threads_high, "32 threads")].into_iter().zip(&paper)
         {
-            let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-            let result = create_micro(&mounted.vfs, 16 * 1024, threads, cfg.duration)?;
-            let paper_value = paper
-                .iter()
-                .find(|(name, _, _)| *name == stack.label())
-                .map(|(_, one, many)| if paper_idx == 1 { *one } else { *many });
-            rows.push(Row::new(
-                "table4",
-                label,
-                stack.label(),
-                result.ops_per_sec(),
-                "ops/sec",
-                paper_value,
-            ));
-            mounted.unmount()?;
+            let (spec, ops) = point(threads);
+            let result = measure_fresh((experiment, label), stack, cfg, &spec, threads, ops)?;
+            let (value, paper) = (result.ops_per_sec(), paper_of(paper, stack));
+            rows.push(Row::new(experiment, label, stack.label(), value, "ops/sec", paper));
         }
     }
     Ok(rows)
 }
 
-/// Table 5: file deletion ops/sec, 1 and 32 threads.
+/// Table 4: file creation ops/sec, 1 and 32 threads: each thread creates
+/// 16 KiB files in its own directory, half the base op count each.
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
-pub fn table5_delete(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    let paper: &[(&str, f64, f64)] =
-        &[("Bento", 7499.0, 7502.0), ("C-Kernel", 7500.0, 8253.0), ("FUSE", 118.0, 116.0)];
-    let mut rows = Vec::new();
-    for stack in FsStack::xv6_variants() {
-        for (threads, label, first) in
-            [(1usize, "1 thread", true), (cfg.threads_high, "32 threads", false)]
-        {
-            let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-            let per_thread = cfg.delete_per_thread(threads);
-            let result = delete_micro(&mounted.vfs, per_thread, 4096, threads, cfg.duration)?;
-            let paper_value = paper
-                .iter()
-                .find(|(name, _, _)| *name == stack.label())
-                .map(|(_, one, many)| if first { *one } else { *many });
-            rows.push(Row::new(
-                "table5",
-                label,
-                stack.label(),
-                result.ops_per_sec(),
-                "ops/sec",
-                paper_value,
-            ));
-            mounted.unmount()?;
-        }
-    }
-    Ok(rows)
+/// The first mount or run failure, naming the row and stack.
+pub fn table4_create(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
+    let paper = [
+        [("Bento", 1126.0), ("C-Kernel", 933.0), ("FUSE", 24.0)],
+        [("Bento", 1072.0), ("C-Kernel", 881.0), ("FUSE", 24.0)],
+    ];
+    file_micro_rows("table4", cfg, paper, |threads| {
+        (WorkloadSpec::createfiles(16 * 1024, threads), cfg.ops / 2)
+    })
 }
 
-/// Table 6: the varmail and fileserver macrobenchmarks (ops/sec) and the
-/// untar benchmark (seconds), across all four stacks.
+/// Table 5: file deletion ops/sec, 1 and 32 threads: each thread deletes
+/// the 4 KiB files precreated in its own directory.
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
-pub fn table6_macrobenchmarks(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+/// The first mount or run failure, naming the row and stack.
+pub fn table5_delete(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
+    let paper = [
+        [("Bento", 7499.0), ("C-Kernel", 7500.0), ("FUSE", 118.0)],
+        [("Bento", 7502.0), ("C-Kernel", 8253.0), ("FUSE", 116.0)],
+    ];
+    file_micro_rows("table5", cfg, paper, |threads| {
+        let per_thread = cfg.delete_per_thread(threads);
+        (WorkloadSpec::deletefiles(per_thread, 4096, threads), per_thread as u64)
+    })
+}
+
+/// Table 6: the varmail and fileserver macrobenchmarks (ops/sec, the same
+/// specs the `load` experiment runs, base op count per thread) and the
+/// untar benchmark (µs per extracted file), across all four stacks.
+///
+/// The paper reports untar in seconds for the real kernel tree; the
+/// synthetic tree here is a few hundred files, so its row reports time per
+/// file and carries no paper value (EXPERIMENTS.md keeps the paper's
+/// seconds and compares orderings).
+///
+/// # Errors
+///
+/// The first mount or run failure, naming the row and stack.
+pub fn table6_macrobenchmarks(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     let paper_varmail = [("Bento", 320.0), ("C-Kernel", 303.0), ("FUSE", 24.0), ("Ext4", 785.0)];
     let paper_fileserver =
         [("Bento", 3860.0), ("C-Kernel", 2947.0), ("FUSE", 7.0), ("Ext4", 5172.0)];
-    let paper_untar = [("Bento", 19.8), ("C-Kernel", 31.6), ("FUSE", 3404.9), ("Ext4", 6.2)];
-    let paper_of = |table: &[(&str, f64)], stack: FsStack| {
-        table.iter().find(|(name, _)| *name == stack.label()).map(|(_, v)| *v)
-    };
+    let files = cfg.macro_files_per_thread * cfg.macro_threads;
     let mut rows = Vec::new();
-    let macro_duration = cfg.duration.max(Duration::from_millis(300)) * 2;
     for stack in FsStack::all() {
-        // varmail
-        let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-        let result = varmail(
-            &mounted.vfs,
-            cfg.macro_files_per_thread,
-            8 * 1024,
-            cfg.macro_threads,
-            macro_duration,
-        )?;
-        rows.push(Row::new(
-            "table6",
-            "varmail",
-            stack.label(),
-            result.ops_per_sec(),
-            "ops/sec",
-            paper_of(&paper_varmail, stack),
-        ));
-        mounted.unmount()?;
-
-        // fileserver
-        let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-        let result = fileserver(
-            &mounted.vfs,
-            cfg.macro_files_per_thread,
-            64 * 1024,
-            cfg.macro_threads,
-            macro_duration,
-        )?;
-        rows.push(Row::new(
-            "table6",
-            "fileserver",
-            stack.label(),
-            result.ops_per_sec(),
-            "ops/sec",
-            paper_of(&paper_fileserver, stack),
-        ));
-        mounted.unmount()?;
-
-        // untar (synthetic Linux-like tree; absolute seconds depend on the
-        // scaled-down tree, so the paper column is about relative ordering).
+        for (spec, paper) in [
+            (WorkloadSpec::varmail(), &paper_varmail),
+            (WorkloadSpec::fileserver(), &paper_fileserver),
+        ] {
+            let spec = spec.with_files(files);
+            let name = spec.name.clone();
+            let result =
+                measure_fresh(("table6", &name), stack, cfg, &spec, cfg.macro_threads, cfg.ops)?;
+            let value = result.ops_per_sec();
+            rows.push(Row::new(
+                "table6",
+                &name,
+                stack.label(),
+                value,
+                "ops/sec",
+                paper_of(paper, stack),
+            ));
+        }
         let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
         let manifest = generate_linux_like_manifest(cfg.untar_files / 6, cfg.untar_files, 42);
-        let (elapsed, _) = untar(&mounted.vfs, "/", &manifest)?;
-        rows.push(Row::new(
-            "table6",
-            "untar",
-            stack.label(),
-            elapsed.as_secs_f64(),
-            "seconds",
-            paper_of(&paper_untar, stack),
-        ));
+        let (elapsed, _) = untar(&mounted.vfs, &manifest)
+            .map_err(|e| BenchError(format!("table6 untar on {}: {e}", stack.label())))?;
+        let us_per_file = elapsed.as_secs_f64() * 1e6 / manifest.file_count() as f64;
+        rows.push(Row::new("table6", "untar", stack.label(), us_per_file, "us/file", None));
         mounted.unmount()?;
     }
     Ok(rows)
@@ -392,8 +410,8 @@ pub fn table6_macrobenchmarks(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> 
 /// and 32 threads; the sweep fills in the curve between them.
 pub const SCALING_THREADS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
-/// The thread counts used by the CI smoke run of the scaling sweep.
-pub const SCALING_SMOKE_THREADS: [usize; 2] = [1, 8];
+/// The thread counts of the NVMe group-commit pass of the scaling sweep.
+pub const SCALING_NVME_THREADS: [usize; 2] = [1, 8];
 
 /// Write-path batching counters accumulated by a mounted stack since a
 /// snapshot (see [`write_path_snapshot`] / [`write_path_delta`]).
@@ -436,18 +454,63 @@ fn inflight_delta(before: &CostSnapshot, after: &CostSnapshot) -> CostSnapshot {
     }
 }
 
+/// What one create point of the scaling sweep measured: the run, and the
+/// write-path counters and queued-device depth it moved.
+pub struct CreatePoint {
+    /// The driver's result.
+    pub result: LoadResult,
+    /// Write-path counters over the run (`None` on a stack without them).
+    pub write_path: Option<WritePathStats>,
+    /// In-flight depth over the run (`None` on the synchronous device).
+    pub inflight: Option<CostSnapshot>,
+}
+
+/// One create point of the scaling sweep on `mounted`: `threads` workers
+/// each create up to half the base op count of 4 KiB files, in their own
+/// directory or (`crossdir`) across a shared pool of `2 * threads`
+/// directories.  The driver sizes the run to the mount's free inodes, so a
+/// point on a small inode table runs fewer creates, never out of inodes.
+/// `traced` turns tracing on for the run.
+///
+/// # Errors
+///
+/// The first failed op, naming the row, stack, worker, op and seed.
+pub fn scaling_create(
+    mounted: &MountedStack,
+    cfg: &ExperimentConfig,
+    threads: usize,
+    crossdir: bool,
+    traced: bool,
+) -> BenchResult<CreatePoint> {
+    let (spec, config) = if crossdir {
+        (WorkloadSpec::create_crossdir(4096, threads), format!("create-{threads}t-crossdir"))
+    } else {
+        (WorkloadSpec::createfiles(4096, threads), format!("create-{threads}t"))
+    };
+    let before = write_path_snapshot(mounted);
+    let inflight_before = inflight_snapshot(mounted);
+    let load = LoadConfig::closed(threads, cfg.ops / 2);
+    let result = measure("scaling", &config, mounted, &spec, &load, traced)?;
+    let write_path = match (before, write_path_snapshot(mounted)) {
+        (Some(before), Some(after)) => Some(write_path_delta(&before, &after)),
+        _ => None,
+    };
+    let inflight = match (inflight_before, inflight_snapshot(mounted)) {
+        (Some(before), Some(after)) => Some(inflight_delta(&before, &after)),
+        _ => None,
+    };
+    Ok(CreatePoint { result, write_path, inflight })
+}
+
 /// Concurrency scaling sweep: 1 → 32 threads over the read / write / create
 /// microbenchmarks on the Bento and VFS stacks, with the device cost model
 /// *disabled* (zero-cost preset).
 ///
 /// With no modelled device time, all that remains on the hot path is
 /// software: the stack's own code plus every lock the simulated kernel
-/// takes.  Before the sharded concurrency substrate, the buffer cache map,
-/// the page cache file table and the fd table were single global locks and
-/// this sweep flatlined (or regressed) immediately; with sharding, the
-/// read/write rows use one private file per thread
-/// ([`read_micro_disjoint`]) so distinct threads share no per-file state
-/// and the curve tracks available hardware parallelism.
+/// takes.  The read/write rows use one private file per thread (a held
+/// descriptor each), so distinct threads share no per-file state and the
+/// curve tracks available hardware parallelism.
 ///
 /// Rows are labelled `read-4k-rnd-Nt` / `write-4k-rnd-Nt` / `create-Nt`,
 /// reporting ops/s.  Each create point also reports the write-path
@@ -455,117 +518,62 @@ fn inflight_delta(before: &CostSnapshot, after: &CostSnapshot) -> CostSnapshot {
 /// `create-Nt-ops-per-commit` (group-commit batching factor),
 /// `create-Nt-barriers-per-op`, and `create-Nt-groups-used` (allocation
 /// spread).  A namespace-scaling pass runs the shared-pool cross-directory
-/// create workload ([`create_crossdir_micro`]) at every thread count
+/// create spec ([`WorkloadSpec::create_crossdir`]) at every thread count
 /// (`create-Nt-crossdir` / `create-Nt-crossdir-us-per-op` rows), with each
-/// point fsck-gated on unmount — the sweep that used to serialize on the
-/// per-mount namespace mutex.  A second pass re-runs create at [`SCALING_SMOKE_THREADS`]
-/// with the NVMe cost model (`create-nvme-Nt*` rows) — with real barrier
-/// costs, group commit must drive barriers-per-op *down* as threads go up —
-/// and sweeps the `queue_depth` mount option on the Bento stack
-/// (`create-8t-qdN` rows).  This is what BENCH_*.json tracks as write-path
-/// batching, not just ops/s.
+/// point fsck-gated on unmount.  A second pass re-runs create at
+/// [`SCALING_NVME_THREADS`] with the NVMe cost model (`create-nvme-Nt*`
+/// rows) — with real barrier costs, group commit must drive
+/// barriers-per-op *down* as threads go up — and sweeps the `queue_depth`
+/// mount option on the Bento stack (`create-8t-qdN` rows).  Every create
+/// point is sized to the mount's free inodes by the driver.
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
-pub fn scaling_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+/// The first mount or run failure, naming the row and stack.
+pub fn scaling_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     scaling_experiment_with_threads(cfg, &SCALING_THREADS)
 }
 
-/// [`scaling_experiment`] over an explicit thread list (the CI smoke run
-/// passes [`SCALING_SMOKE_THREADS`]).
+/// [`scaling_experiment`] over an explicit thread list.
 ///
 /// # Errors
 ///
-/// Propagates mount/workload errors.
+/// The first mount or run failure, naming the row and stack.
 pub fn scaling_experiment_with_threads(
     cfg: &ExperimentConfig,
     thread_counts: &[usize],
-) -> KernelResult<Vec<Row>> {
-    let model = CostModel::zero();
+) -> BenchResult<Vec<Row>> {
+    let zero = ExperimentConfig { model: CostModel::zero(), ..cfg.clone() };
     let file_size_per_thread: u64 = 2 * 1024 * 1024;
     let mut rows = Vec::new();
+    let mut row = |config: String, stack: FsStack, value: f64, unit: &str| {
+        rows.push(Row::new("scaling", &config, stack.label(), value, unit, None));
+    };
     for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
         for &threads in thread_counts {
             // Fresh mount per point so earlier points cannot warm or
             // pollute later ones.
-            let mounted = mount_stack(stack, model.clone(), cfg.disk_blocks)?;
-            let read = read_micro_disjoint(
-                &mounted.vfs,
-                file_size_per_thread,
-                4096,
-                AccessPattern::Random,
-                threads,
-                cfg.duration,
-            )?;
-            rows.push(Row::new(
-                "scaling",
-                &format!("read-4k-rnd-{threads}t"),
-                stack.label(),
-                read.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
-            let write = write_micro_disjoint(
-                &mounted.vfs,
-                file_size_per_thread,
-                4096,
-                AccessPattern::Random,
-                threads,
-                cfg.duration,
-            )?;
-            rows.push(Row::new(
-                "scaling",
-                &format!("write-4k-rnd-{threads}t"),
-                stack.label(),
-                write.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
-            let before = write_path_snapshot(&mounted);
-            let create = create_micro(&mounted.vfs, 4096, threads, cfg.duration)?;
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-{threads}t"),
-                stack.label(),
-                create.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
-            if let (Some(before), Some(after)) = (before, write_path_snapshot(&mounted)) {
-                let delta = write_path_delta(&before, &after);
-                rows.push(Row::new(
-                    "scaling",
-                    &format!("create-{threads}t-ops-per-commit"),
-                    stack.label(),
-                    delta.ops_per_commit(),
-                    "ops/commit",
-                    None,
-                ));
-                rows.push(Row::new(
-                    "scaling",
-                    &format!("create-{threads}t-barriers-per-op"),
-                    stack.label(),
-                    delta.barriers_per_op(),
-                    "barriers/op",
-                    None,
-                ));
-                rows.push(Row::new(
-                    "scaling",
-                    &format!("create-{threads}t-installs-per-commit"),
-                    stack.label(),
-                    delta.installs_per_commit(),
-                    "installs/commit",
-                    None,
-                ));
-                rows.push(Row::new(
-                    "scaling",
-                    &format!("create-{threads}t-groups-used"),
-                    stack.label(),
-                    delta.groups_used() as f64,
-                    "groups",
-                    None,
-                ));
+            let mounted = mount_stack(stack, zero.model.clone(), zero.disk_blocks)?;
+            for write in [false, true] {
+                let spec =
+                    WorkloadSpec::io(write, file_size_per_thread, 4096, AccessPattern::Random)
+                        .with_files(threads);
+                let config = format!("{}-{threads}t", spec.name);
+                let load = LoadConfig::closed(threads, zero.ops * 8);
+                let result = measure("scaling", &config, &mounted, &spec, &load, false)?;
+                row(config, stack, result.ops_per_sec(), "ops/sec");
+            }
+            let create = scaling_create(&mounted, &zero, threads, false, false)?;
+            row(format!("create-{threads}t"), stack, create.result.ops_per_sec(), "ops/sec");
+            if let Some(delta) = create.write_path {
+                for (suffix, value, unit) in [
+                    ("ops-per-commit", delta.ops_per_commit(), "ops/commit"),
+                    ("barriers-per-op", delta.barriers_per_op(), "barriers/op"),
+                    ("installs-per-commit", delta.installs_per_commit(), "installs/commit"),
+                    ("groups-used", delta.groups_used() as f64, "groups"),
+                ] {
+                    row(format!("create-{threads}t-{suffix}"), stack, value, unit);
+                }
             }
             mounted.unmount()?;
         }
@@ -579,142 +587,70 @@ pub fn scaling_experiment_with_threads(
     // than producing a quietly wrong row.
     for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
         for &threads in thread_counts {
-            let mounted = mount_stack(stack, model.clone(), cfg.disk_blocks)?;
-            let create = create_crossdir_micro(&mounted.vfs, 4096, threads, cfg.duration)?;
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-{threads}t-crossdir"),
-                stack.label(),
-                create.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-{threads}t-crossdir-us-per-op"),
-                stack.label(),
-                1e6 / create.ops_per_sec().max(1e-9),
-                "us/op",
-                None,
-            ));
+            let mounted = mount_stack(stack, zero.model.clone(), zero.disk_blocks)?;
+            let ops_per_sec =
+                scaling_create(&mounted, &zero, threads, true, false)?.result.ops_per_sec();
+            row(format!("create-{threads}t-crossdir"), stack, ops_per_sec, "ops/sec");
+            let us_per_op = 1e6 / ops_per_sec.max(1e-9);
+            row(format!("create-{threads}t-crossdir-us-per-op"), stack, us_per_op, "us/op");
             mounted.unmount_and_check()?;
         }
     }
     // With real barrier costs (NVMe model), group-commit batching must show
     // up as fewer device barriers per operation at higher thread counts.
+    let nvme = ExperimentConfig { model: CostModel::nvme_ssd_scaled(8), ..cfg.clone() };
     for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
-        for threads in SCALING_SMOKE_THREADS {
-            let (create, delta, _) = create_with_write_path_stats(
-                stack,
-                cfg,
-                &MountOptions::default(),
-                threads,
-                CostModel::nvme_ssd_scaled(8),
-            )?;
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-nvme-{threads}t"),
-                stack.label(),
-                create.ops_per_sec(),
-                "ops/sec",
-                None,
-            ));
-            if let Some(delta) = delta {
-                rows.push(Row::new(
-                    "scaling",
-                    &format!("create-nvme-{threads}t-barriers-per-op"),
-                    stack.label(),
+        for threads in SCALING_NVME_THREADS {
+            let mounted = mount_stack(stack, nvme.model.clone(), nvme.disk_blocks)?;
+            let create = scaling_create(&mounted, &nvme, threads, false, false)?;
+            mounted.unmount()?;
+            let config = format!("create-nvme-{threads}t");
+            row(config.clone(), stack, create.result.ops_per_sec(), "ops/sec");
+            if let Some(delta) = create.write_path {
+                row(
+                    format!("{config}-barriers-per-op"),
+                    stack,
                     delta.barriers_per_op(),
                     "barriers/op",
-                    None,
-                ));
+                );
             }
         }
     }
     // Queue-depth sweep on the queued NVMe device (Bento, 8 threads,
     // `queue_depth` mount option).  Depth 1 still queues but serializes
     // service; deeper queues let a commit's batched epoch — the installs
-    // that fell due and the payload copies — overlap.  Besides ops/s
-    // the rows surface the write-path barrier discipline (must stay flat —
+    // that fell due and the payload copies — overlap.  Besides ops/s the
+    // rows surface the write-path barrier discipline (must stay flat —
     // overlap may never add barriers) and the in-flight depth gauge the
     // device samples (mean/max), which is the direct evidence that
-    // requests actually overlapped.
+    // requests actually overlapped.  Unscaled NVMe service time: the
+    // ~10 µs per-block service is what makes in-flight overlap visible on
+    // the depth gauge (heavily scaled-down service completes before the
+    // next submission).
+    let bento = FsStack::BentoXv6;
     for depth in [1usize, 8, 32] {
         let options = MountOptions::default().with_option("queue_depth", &depth.to_string());
-        // Unscaled NVMe service time: the ~10 µs per-block service is what
-        // makes in-flight overlap visible on the depth gauge (heavily
-        // scaled-down service completes before the next submission).
-        let (create, delta, inflight) = create_with_write_path_stats(
-            FsStack::BentoXv6,
-            cfg,
-            &options,
-            8,
-            CostModel::nvme_ssd(),
-        )?;
-        let label = FsStack::BentoXv6.label();
-        rows.push(Row::new(
-            "scaling",
-            &format!("create-8t-qd{depth}"),
-            label,
-            create.ops_per_sec(),
-            "ops/sec",
-            None,
-        ));
-        if let Some(delta) = delta {
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-8t-qd{depth}-barriers-per-op"),
-                label,
-                delta.barriers_per_op(),
-                "barriers/op",
-                None,
-            ));
+        let mounted = mount_stack_with(bento, CostModel::nvme_ssd(), cfg.disk_blocks, &options)?;
+        let create = scaling_create(&mounted, cfg, 8, false, false)?;
+        mounted.unmount()?;
+        let config = format!("create-8t-qd{depth}");
+        row(config.clone(), bento, create.result.ops_per_sec(), "ops/sec");
+        if let Some(delta) = create.write_path {
+            row(format!("{config}-barriers-per-op"), bento, delta.barriers_per_op(), "barriers/op");
         }
-        if let Some(inflight) = inflight {
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-8t-qd{depth}-mean-depth"),
-                label,
-                inflight.mean_inflight(),
-                "requests",
-                None,
-            ));
-            rows.push(Row::new(
-                "scaling",
-                &format!("create-8t-qd{depth}-max-depth"),
-                label,
-                inflight.max_inflight as f64,
-                "requests",
-                None,
-            ));
+        if let Some(inflight) = create.inflight {
+            row(format!("{config}-mean-depth"), bento, inflight.mean_inflight(), "requests");
+            row(format!("{config}-max-depth"), bento, inflight.max_inflight as f64, "requests");
         }
     }
-    // Phase-attributed create: the same create-heavy traffic through the
-    // load generator's span tracing, so the scaling story reports *where*
-    // the per-op time goes (namespace lock vs log reservation vs commit
-    // vs device), not just how many ops completed.  Runs on the Bento
-    // stack under the scaled NVMe model so device time is visible.
-    let create_spec = loadgen::WorkloadSpec {
-        name: "create-phase".to_string(),
-        fileset: loadgen::FileSetSpec {
-            dir_width: 4,
-            depth: 1,
-            files: 40,
-            size: loadgen::SizeDist::Fixed(4096),
-        },
-        mix: loadgen::OpMix::new(&[(loadgen::OpKind::Create, 1)]),
-        zipf_theta: 0.0,
-        io_size: 4096,
-        append_size: 0,
-        replay: None,
-    };
-    let mounted = mount_stack(FsStack::BentoXv6, CostModel::nvme_ssd_scaled(8), cfg.disk_blocks)?;
-    let load_cfg = loadgen::LoadConfig::closed(8, cfg.duration);
-    loadgen::prepare(&mounted.vfs, &create_spec, &load_cfg)?;
-    let tracing = simkernel::trace::enable();
-    let traced = loadgen::run_load(&mounted.vfs, &create_spec, &load_cfg)?;
-    drop(tracing);
-    rows.extend(phase_breakdown_rows("scaling", "create-8t", FsStack::BentoXv6.label(), &traced));
+    // Phase-attributed create: the same create traffic traced, so the
+    // scaling story reports *where* the per-op time goes (namespace lock
+    // vs log reservation vs commit vs device), not just how many ops
+    // completed.  Runs on the Bento stack under the scaled NVMe model so
+    // device time is visible.
+    let mounted = mount_stack(bento, nvme.model.clone(), nvme.disk_blocks)?;
+    let traced = scaling_create(&mounted, &nvme, 8, false, true)?;
+    rows.extend(phase_breakdown_rows("scaling", "create-8t", bento.label(), &traced.result));
     mounted.unmount()?;
     Ok(rows)
 }
@@ -729,7 +665,7 @@ pub fn scaling_experiment_with_threads(
 /// Returns an error when a stack reports oracle violations (with the first
 /// few replayable state descriptions in the message) or on harness I/O
 /// failure.
-pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
+pub fn crash_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     use crashsim::{run_crash_test, CrashMode, CrashTestConfig};
     let quick = cfg.threads_high < 32;
     let crash_cfg = CrashTestConfig {
@@ -759,10 +695,9 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
             // The trace's shape goes with the violations: FUSE's daemon
             // threads pick xv6 allocation groups, so its trace (and the
             // states drawn from it) can differ on a rerun of the same seed.
-            eprintln!(
-                "crash oracle violations on {}{}: {} found across {} states \
+            let mut msg = format!(
+                "crash oracle violations on {prefix}{}: {} found across {} states \
                  (seed {:#x}, {} ops, {} fsync points, {} trace writes in {} epochs)",
-                prefix,
                 report.stack,
                 report.violations_found,
                 report.states_checked,
@@ -773,12 +708,9 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
                 report.trace_epochs,
             );
             for violation in &report.violations {
-                eprintln!("  [{}] {}", violation.state, violation.detail);
+                msg.push_str(&format!("\n  [{}] {}", violation.state, violation.detail));
             }
-            return Err(simkernel::error::KernelError::with_context(
-                simkernel::error::Errno::Io,
-                "crash oracle violations found (details on stderr)",
-            ));
+            return Err(BenchError(msg));
         }
         Ok(())
     };
@@ -809,22 +741,20 @@ pub const LOAD_STACKS: [FsStack; 3] = [FsStack::BentoXv6, FsStack::VfsXv6, FsSta
 /// against (see EXPERIMENTS.md).
 fn load_personality_rows(
     stack: FsStack,
-    spec: &loadgen::WorkloadSpec,
+    spec: &WorkloadSpec,
     cfg: &ExperimentConfig,
-    duration: Duration,
+    ops: u64,
     traced: bool,
-) -> KernelResult<Vec<Row>> {
+) -> BenchResult<Vec<Row>> {
     let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-    let load_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
-    loadgen::prepare(&mounted.vfs, spec, &load_cfg)?;
-    let tracing = traced.then(simkernel::trace::enable);
-    let result = loadgen::run_load(&mounted.vfs, spec, &load_cfg)?;
-    drop(tracing);
+    let load_cfg = LoadConfig::closed(cfg.macro_threads, ops);
+    let result = measure("load", &spec.name, &mounted, spec, &load_cfg, traced)?;
     if !result.is_clean() {
-        return Err(simkernel::error::KernelError::with_context(
-            simkernel::error::Errno::Io,
-            "load run failed ops or recorded no latency",
-        ));
+        return Err(BenchError(format!(
+            "load {} on {}: the run failed ops or recorded no latency",
+            spec.name,
+            stack.label()
+        )));
     }
     let label = stack.label();
     let mut rows = vec![
@@ -891,7 +821,7 @@ fn phase_breakdown_rows(
     experiment: &str,
     prefix: &str,
     label: &str,
-    result: &loadgen::LoadResult,
+    result: &LoadResult,
 ) -> Vec<Row> {
     use simkernel::metrics::LatencyHistogram;
     use simkernel::trace::Phase;
@@ -957,15 +887,17 @@ fn phase_breakdown_rows(
 /// Fails when any clean run fails an operation or records an empty
 /// histogram, when the upgrade scenario fails any operation, or when the
 /// stack does not serve durable writes after the EIO window clears.
-pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    use simkernel::error::{Errno, KernelError};
-    let duration = cfg.duration.max(Duration::from_millis(200));
+pub fn load_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
+    let ops = cfg.ops * 5;
     let files = (cfg.macro_files_per_thread * cfg.macro_threads).max(40);
     let mut rows = Vec::new();
     for stack in LOAD_STACKS {
-        for spec in loadgen::WorkloadSpec::personalities(cfg.untar_files) {
-            let spec = if spec.replay.is_some() { spec } else { spec.with_files(files) };
-            rows.extend(load_personality_rows(stack, &spec, cfg, duration, true)?);
+        for spec in WorkloadSpec::personalities(cfg.untar_files) {
+            let spec = match spec.layout {
+                loadgen::Layout::Replay(_) => spec,
+                _ => spec.with_files(files),
+            };
+            rows.extend(load_personality_rows(stack, &spec, cfg, ops, true)?);
         }
     }
 
@@ -978,8 +910,7 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     // batched commit epochs overlap their log and install I/O, so the queued
     // p99 must come in below the synchronous one at the same offered rate.
     let label = FsStack::BentoXv6.label();
-    let specs: [fn() -> loadgen::WorkloadSpec; 2] =
-        [loadgen::WorkloadSpec::varmail, loadgen::WorkloadSpec::fileserver];
+    let specs: [fn() -> WorkloadSpec; 2] = [WorkloadSpec::varmail, WorkloadSpec::fileserver];
     for make_spec in specs {
         let open_spec = make_spec().with_files(files);
         let closed_rate = rows
@@ -993,12 +924,9 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
         ] {
             let mounted =
                 mount_stack_with(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks, &options)?;
-            let open_cfg = loadgen::LoadConfig {
-                error_policy: loadgen::ErrorPolicy::FailFast,
-                ..loadgen::LoadConfig::open(cfg.macro_threads, closed_rate * 4.0, duration)
-            };
-            loadgen::prepare(&mounted.vfs, &open_spec, &open_cfg)?;
-            let open = loadgen::run_load(&mounted.vfs, &open_spec, &open_cfg)?;
+            let open_cfg = LoadConfig::open(cfg.macro_threads, closed_rate * 4.0, ops);
+            let config = format!("{}-open{suffix}", open_spec.name);
+            let open = measure("load", &config, &mounted, &open_spec, &open_cfg, false)?;
             rows.push(Row::new(
                 "load",
                 &format!("{}-open{}-p99-us", open_spec.name, suffix),
@@ -1018,24 +946,21 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
             mounted.unmount()?;
         }
     }
-    let spec = loadgen::WorkloadSpec::varmail().with_files(files);
+    let spec = WorkloadSpec::varmail().with_files(files);
 
     // Upgrade under sustained traffic (paper §6.2): swap in a fresh xv6fs
     // implementation mid-run; zero failed ops and a measured pause are the
     // acceptance bar.
     let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
-    let upgrade_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
+    let upgrade_cfg = LoadConfig::closed(cfg.macro_threads, ops);
     loadgen::prepare(&mounted.vfs, &spec, &upgrade_cfg)?;
     let (under_upgrade, outcome) =
         loadgen::run_upgrade_under_load(&mounted, &spec, &upgrade_cfg, None)?;
     if !under_upgrade.is_clean() {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "operations failed during the live upgrade",
-        ));
+        return Err(BenchError("operations failed during the live upgrade".into()));
     }
     if outcome.report.pause_ns == 0 {
-        return Err(KernelError::with_context(Errno::Io, "upgrade pause was not measured"));
+        return Err(BenchError("upgrade pause was not measured".into()));
     }
     rows.extend(upgrade_pause_rows("load", label, &outcome));
     rows.push(Row::new(
@@ -1056,14 +981,11 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
         cfg.model.clone(),
         cfg.disk_blocks,
         &spec,
-        &loadgen::LoadConfig::closed(cfg.macro_threads, duration),
+        &LoadConfig::closed(cfg.macro_threads, ops),
         0.02,
     )?;
     if !eio.recovered {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "stack did not serve durable writes after the EIO window",
-        ));
+        return Err(BenchError("stack did not serve durable writes after the EIO window".into()));
     }
     let injected = eio.fault_stats.read_errors + eio.fault_stats.write_errors;
     rows.push(Row::new("load", "eio-injected", label, injected as f64, "count", None));
@@ -1085,19 +1007,18 @@ pub fn load_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
 /// # Errors
 ///
 /// As for [`load_experiment`].
-pub fn load_smoke_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    let duration = cfg.duration.max(Duration::from_millis(120));
-    let spec = loadgen::WorkloadSpec::varmail().with_files(40);
+pub fn load_smoke_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
+    let spec = WorkloadSpec::varmail().with_files(40);
     let mut rows = Vec::new();
     for stack in LOAD_STACKS {
-        rows.extend(load_personality_rows(stack, &spec, cfg, duration, false)?);
+        rows.extend(load_personality_rows(stack, &spec, cfg, cfg.ops * 2, false)?);
     }
     Ok(rows)
 }
 
 /// The workloads the `obs` experiment traces on every load stack.
-const OBS_PERSONALITIES: [fn() -> loadgen::WorkloadSpec; 2] =
-    [loadgen::WorkloadSpec::varmail, loadgen::WorkloadSpec::fileserver];
+const OBS_PERSONALITIES: [fn() -> WorkloadSpec; 2] =
+    [WorkloadSpec::varmail, WorkloadSpec::fileserver];
 
 /// The phases a stack's traced run must cover, or the experiment fails:
 /// an op class silently bypassing an instrumented wait point is exactly
@@ -1153,8 +1074,7 @@ fn obs_required_phases(stack: FsStack, mix_has_fsync: bool) -> &'static [simkern
 /// Fails on a hook-cost regression, a clean-run failure, a class that
 /// completed ops without spans, an uncovered required phase, or an
 /// attribution sum that exceeds the end-to-end total by more than 10%.
-pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
-    use simkernel::error::{Errno, KernelError};
+pub fn obs_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     use simkernel::trace;
 
     let mut rows = Vec::new();
@@ -1163,33 +1083,27 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     let hook_ns = trace::disabled_hook_cost_ns(100_000);
     rows.push(Row::new("obs", "disabled-hook-ns", "-", hook_ns, "ns", None));
     if hook_ns > 250.0 {
-        eprintln!("obs: disabled trace hook costs {hook_ns:.1} ns/call (bound 250)");
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "disabled-path trace hook exceeded its overhead bound",
-        ));
+        return Err(BenchError(format!(
+            "obs: the disabled trace hook costs {hook_ns:.1} ns/call (bound 250)"
+        )));
     }
 
     // Part 2: traced runs, coverage and reconciliation gates, breakdown rows.
-    let duration = cfg.duration.max(Duration::from_millis(150));
+    let ops = cfg.ops * 4;
     let files = (cfg.macro_files_per_thread * cfg.macro_threads).max(40);
     for stack in LOAD_STACKS {
         let label = stack.label();
         for make_spec in OBS_PERSONALITIES {
             let spec = make_spec().with_files(files);
             let mounted = mount_stack(stack, cfg.model.clone(), cfg.disk_blocks)?;
-            let load_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
-            loadgen::prepare(&mounted.vfs, &spec, &load_cfg)?;
-            let tracing = trace::enable();
+            let load_cfg = LoadConfig::closed(cfg.macro_threads, ops);
             // Fresh epoch: rings and the per-thread drop counters start at
             // zero, so `trace::dropped()` below is this run's overflow.
             trace::reset();
-            let result = loadgen::run_load(&mounted.vfs, &spec, &load_cfg)?;
-            drop(tracing);
+            let result = measure("obs", &spec.name, &mounted, &spec, &load_cfg, true)?;
             if !result.is_clean() {
-                return Err(KernelError::with_context(
-                    Errno::Io,
-                    "obs: traced load run failed ops or recorded no latency",
+                return Err(BenchError(
+                    "obs: traced load run failed ops or recorded no latency".into(),
                 ));
             }
             // Gate: every class that completed work produced spans.  A span
@@ -1204,30 +1118,21 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
             for class in &result.per_op {
                 let spans = result.trace_class(class.kind).map_or(0, |t| t.spans);
                 if spans > class.completed {
-                    eprintln!(
-                        "obs: {label}/{}: class {} completed {} ops but traced {} spans",
+                    return Err(BenchError(format!(
+                        "obs: {label}/{}: class {} completed {} ops but traced {spans} spans",
                         spec.name,
                         class.kind.label(),
                         class.completed,
-                        spans,
-                    );
-                    return Err(KernelError::with_context(
-                        Errno::Io,
-                        "obs: an op class traced more spans than it completed",
-                    ));
+                    )));
                 }
                 span_deficit += class.completed - spans;
             }
             if span_deficit > dropped {
-                eprintln!(
+                return Err(BenchError(format!(
                     "obs: {label}/{}: {span_deficit} completed ops have no span \
                      (only {dropped} ring drops can account for them)",
                     spec.name,
-                );
-                return Err(KernelError::with_context(
-                    Errno::Io,
-                    "obs: an op class completed work without trace spans",
-                ));
+                )));
             }
             rows.push(Row::new(
                 "obs",
@@ -1255,27 +1160,21 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
                 .any(|(kind, weight)| *kind == loadgen::OpKind::Fsync && *weight > 0);
             for &phase in obs_required_phases(stack, mix_has_fsync) {
                 if !covered[phase.index()] {
-                    eprintln!(
-                        "obs: {label}/{}: no span passed through required phase {}",
+                    return Err(BenchError(format!(
+                        "obs: {label}/{}: no span passed through required phase {} \
+                         (uninstrumented path?)",
                         spec.name,
                         phase.label()
-                    );
-                    return Err(KernelError::with_context(
-                        Errno::Io,
-                        "obs: a required phase was never observed (uninstrumented path?)",
-                    ));
+                    )));
                 }
             }
             // Gate: attribution reconciles with end-to-end latency.
             if attributed_ns as f64 > total_ns as f64 * 1.10 {
-                eprintln!(
-                    "obs: {label}/{}: attributed {attributed_ns} ns vs total {total_ns} ns",
+                return Err(BenchError(format!(
+                    "obs: {label}/{}: attributed {attributed_ns} ns exceeds 1.1 x the \
+                     end-to-end total {total_ns} ns",
                     spec.name
-                );
-                return Err(KernelError::with_context(
-                    Errno::Io,
-                    "obs: per-phase attribution exceeds end-to-end latency by >10%",
-                ));
+                )));
             }
             rows.extend(phase_breakdown_rows("obs", &spec.name, label, &result));
             // The slowest traced op: the tail the breakdown explains.
@@ -1312,26 +1211,23 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
     }
 
     // Part 3: enabled-path overhead, measured not gated (see doc comment).
-    let spec = loadgen::WorkloadSpec::varmail().with_files(files);
-    let mut ops = [0.0f64; 2];
+    let spec = WorkloadSpec::varmail().with_files(files);
+    let mut rates = [0.0f64; 2];
     for (i, traced) in [(0, false), (1, true)] {
         let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
-        let load_cfg = loadgen::LoadConfig::closed(cfg.macro_threads, duration);
-        loadgen::prepare(&mounted.vfs, &spec, &load_cfg)?;
-        let tracing = traced.then(trace::enable);
-        let result = loadgen::run_load(&mounted.vfs, &spec, &load_cfg)?;
-        drop(tracing);
-        ops[i] = result.ops_per_sec();
+        let load_cfg = LoadConfig::closed(cfg.macro_threads, ops);
+        let config = if traced { "trace-on-ops" } else { "trace-off-ops" };
+        rates[i] = measure("obs", config, &mounted, &spec, &load_cfg, traced)?.ops_per_sec();
         mounted.unmount()?;
     }
     let label = FsStack::BentoXv6.label();
-    rows.push(Row::new("obs", "trace-off-ops", label, ops[0], "ops/sec", None));
-    rows.push(Row::new("obs", "trace-on-ops", label, ops[1], "ops/sec", None));
+    rows.push(Row::new("obs", "trace-off-ops", label, rates[0], "ops/sec", None));
+    rows.push(Row::new("obs", "trace-on-ops", label, rates[1], "ops/sec", None));
     rows.push(Row::new(
         "obs",
         "trace-overhead-pct",
         label,
-        (ops[0] - ops[1]) / ops[0].max(1e-9) * 100.0,
+        (rates[0] - rates[1]) / rates[0].max(1e-9) * 100.0,
         "%",
         None,
     ));
@@ -1343,22 +1239,18 @@ pub fn obs_experiment(cfg: &ExperimentConfig) -> KernelResult<Vec<Row>> {
 /// mount's counters, runs under a fresh trace epoch (the monitor's flight
 /// recorder drains spans from the rings), and unmounts.
 fn run_monitored_clean(
-    spec: &loadgen::WorkloadSpec,
+    spec: &WorkloadSpec,
     cfg: &ExperimentConfig,
-    duration: Duration,
+    ops: u64,
     mon: &std::sync::Arc<monitor::HealthMonitor>,
-) -> KernelResult<loadgen::LoadResult> {
-    use std::sync::Arc;
+) -> BenchResult<LoadResult> {
     let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
     let load_cfg =
-        loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(mon));
-    loadgen::prepare(&mounted.vfs, spec, &load_cfg)?;
+        LoadConfig::closed(cfg.macro_threads, ops).with_monitor(std::sync::Arc::clone(mon));
     let source = mounted.clone();
     mon.set_snapshot_source(move || source.counters());
-    let tracing = simkernel::trace::enable();
     simkernel::trace::reset();
-    let result = loadgen::run_load(&mounted.vfs, spec, &load_cfg)?;
-    drop(tracing);
+    let result = measure("health", &spec.name, &mounted, spec, &load_cfg, true)?;
     mounted.unmount()?;
     Ok(result)
 }
@@ -1411,11 +1303,10 @@ fn run_monitored_clean(
 pub fn health_experiment(
     cfg: &ExperimentConfig,
     incident_dir: &std::path::Path,
-) -> KernelResult<Vec<Row>> {
+) -> BenchResult<Vec<Row>> {
     use monitor::{
         HealthEvent, HealthMonitor, IncidentBundle, MonitorConfig, PhaseStallSpec, SloSpec,
     };
-    use simkernel::error::{Errno, KernelError};
     use simkernel::trace::Phase;
     use std::sync::Arc;
 
@@ -1429,14 +1320,12 @@ pub fn health_experiment(
     let observe_ns = monitor::disabled_observe_cost_ns(&probe, 100_000);
     rows.push(Row::new("health", "disabled-observe-ns", "-", observe_ns, "ns", None));
     if observe_ns > 250.0 {
-        eprintln!("health: disabled monitor observe costs {observe_ns:.1} ns/call (bound 250)");
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "disabled-path monitor observe exceeded its overhead bound",
-        ));
+        return Err(BenchError(format!(
+            "health: the disabled monitor observe costs {observe_ns:.1} ns/call (bound 250)"
+        )));
     }
 
-    let duration = cfg.duration.max(Duration::from_millis(250));
+    let ops = cfg.ops * 3;
     let files = (cfg.macro_files_per_thread * cfg.macro_threads).max(40);
 
     // Part 2: per-workload calibration, then the clean-run false-positive
@@ -1455,28 +1344,21 @@ pub fn health_experiment(
     };
     let mut calibrations: std::collections::BTreeMap<String, (u64, u64)> =
         std::collections::BTreeMap::new();
-    let specs: [fn() -> loadgen::WorkloadSpec; 3] = [
-        loadgen::WorkloadSpec::varmail,
-        loadgen::WorkloadSpec::fileserver,
-        loadgen::WorkloadSpec::webserver,
-    ];
+    let specs: [fn() -> WorkloadSpec; 3] =
+        [WorkloadSpec::varmail, WorkloadSpec::fileserver, WorkloadSpec::webserver];
     for make_spec in specs {
         let spec = make_spec().with_files(files);
         let cal_mon = HealthMonitor::new(MonitorConfig::new(512));
-        let cal = run_monitored_clean(&spec, cfg, duration, &cal_mon)?;
+        let cal = run_monitored_clean(&spec, cfg, ops, &cal_mon)?;
         if !cal.is_clean() {
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: calibration run failed ops or recorded no latency",
+            return Err(BenchError(
+                "health: calibration run failed ops or recorded no latency".into(),
             ));
         }
         cal_mon.finish();
         let clean_max_ns = cal_mon.windows().iter().map(|w| w.max_ns).max().unwrap_or(0);
         if clean_max_ns == 0 {
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: calibration run closed no windows",
-            ));
+            return Err(BenchError("health: calibration run closed no windows".into()));
         }
         // ~48 windows per run keeps the EIO run's post-fault quarter well
         // past the 5-window fast lookback; the floor keeps windows from
@@ -1517,30 +1399,25 @@ pub fn health_experiment(
                 .with_phase_stall(read_stall)
                 .with_phase_stall(stat_stall),
         );
-        let gate = run_monitored_clean(&spec, cfg, duration, &gate_mon)?;
+        let gate = run_monitored_clean(&spec, cfg, ops, &gate_mon)?;
         if !gate.is_clean() {
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: clean gate run failed ops or recorded no latency",
+            return Err(BenchError(
+                "health: clean gate run failed ops or recorded no latency".into(),
             ));
         }
         let alerts = gate_mon.alerts();
         if !alerts.is_empty() {
-            for alert in &alerts {
-                eprintln!("health: {} clean-run false positive: {alert:?}", spec.name);
-            }
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: a clean run raised alerts (false positive)",
-            ));
+            let name = &spec.name;
+            return Err(BenchError(format!(
+                "health: {name} clean-run false positives: {alerts:?}"
+            )));
         }
         let windows = gate_mon.windows().len();
         if windows < 5 {
-            eprintln!("health: {} closed only {windows} windows", spec.name);
-            return Err(KernelError::with_context(
-                Errno::Io,
-                "health: too few windows to evaluate burn rates",
-            ));
+            return Err(BenchError(format!(
+                "health: {} closed only {windows} windows, too few to evaluate burn rates",
+                spec.name
+            )));
         }
         rows.push(Row::new(
             "health",
@@ -1561,7 +1438,7 @@ pub fn health_experiment(
         calibrations.insert(spec.name.to_string(), (window_ops, phase_stall_ns));
     }
     let (window_ops, _) = calibrations["varmail"];
-    let spec = loadgen::WorkloadSpec::varmail().with_files(files);
+    let spec = WorkloadSpec::varmail().with_files(files);
     let mut incidents: Vec<IncidentBundle> = Vec::new();
 
     // Part 3: transient EIO must trip the error-budget SLO within two
@@ -1572,8 +1449,7 @@ pub fn health_experiment(
             "*",
             budget,
         )));
-    let eio_cfg =
-        loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(&eio_mon));
+    let eio_cfg = LoadConfig::closed(cfg.macro_threads, ops).with_monitor(Arc::clone(&eio_mon));
     let tracing = simkernel::trace::enable();
     simkernel::trace::reset();
     let eio_run = loadgen::run_eio_under_load(
@@ -1587,20 +1463,18 @@ pub fn health_experiment(
     drop(tracing);
     let (under_eio, eio) = eio_run?;
     if !eio.recovered {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: stack did not serve durable writes after the EIO window",
+        return Err(BenchError(
+            "health: stack did not serve durable writes after the EIO window".into(),
         ));
     }
     if under_eio.errors == 0 {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: EIO injection produced no failed ops; nothing to detect",
+        return Err(BenchError(
+            "health: EIO injection produced no failed ops; nothing to detect".into(),
         ));
     }
-    let first_bad = eio_mon.first_error_window().ok_or_else(|| {
-        KernelError::with_context(Errno::Io, "health: failed ops never reached the monitor")
-    })?;
+    let first_bad = eio_mon
+        .first_error_window()
+        .ok_or_else(|| BenchError("health: failed ops never reached the monitor".into()))?;
     let events = eio_mon.events();
     let fired: Vec<u64> = events
         .iter()
@@ -1610,18 +1484,14 @@ pub fn health_experiment(
         })
         .collect();
     let &[fired_at] = fired.as_slice() else {
-        eprintln!("health: expected exactly one burn alert, got {fired:?} (events: {events:?})");
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: the EIO run did not fire exactly one burn alert",
-        ));
+        return Err(BenchError(format!(
+            "health: the EIO run fired {fired:?}, not exactly one burn alert (events: {events:?})"
+        )));
     };
     if fired_at > first_bad + 2 {
-        eprintln!("health: errors started at window {first_bad}, alert waited until {fired_at}");
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: burn alert fired more than two windows after the fault",
-        ));
+        return Err(BenchError(format!(
+            "health: errors started at window {first_bad}, the alert waited until {fired_at}"
+        )));
     }
     let cleared_at = events
         .iter()
@@ -1630,11 +1500,9 @@ pub fn health_experiment(
             _ => None,
         })
         .ok_or_else(|| {
-            eprintln!("health: alert fired at window {fired_at} but never cleared ({events:?})");
-            KernelError::with_context(
-                Errno::Io,
-                "health: burn alert did not clear after the fault lifted",
-            )
+            BenchError(format!(
+                "health: the alert fired at window {fired_at} but never cleared ({events:?})"
+            ))
         })?;
     rows.push(Row::new(
         "health",
@@ -1659,10 +1527,7 @@ pub fn health_experiment(
     rows.push(Row::new("health", "eio-alerts", label, fired.len() as f64, "count", None));
     incidents.extend(eio_mon.take_incidents());
     if incidents.is_empty() {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: the fired alert froze no incident bundle",
-        ));
+        return Err(BenchError("health: the fired alert froze no incident bundle".into()));
     }
 
     // Part 4: the live upgrade's pause must surface as a commit-wait
@@ -1673,21 +1538,20 @@ pub fn health_experiment(
     // the pause from every other wait.  The harness owns the contention:
     // the scenario keeps the upgrade gate until a caller has parked, then
     // for UPGRADE_HOLD, so one attempt observes the pause on any CPU count.
-    const UPGRADE_HOLD: Duration = Duration::from_millis(1);
-    let web = loadgen::WorkloadSpec::webserver().with_files(files);
+    const UPGRADE_HOLD: std::time::Duration = std::time::Duration::from_millis(1);
+    let web = WorkloadSpec::webserver().with_files(files);
     let reads = loadgen::OpMix::new(&[
         (loadgen::OpKind::Read, web.mix.weight(loadgen::OpKind::Read)),
         (loadgen::OpKind::Stat, web.mix.weight(loadgen::OpKind::Stat)),
     ]);
-    let up_spec = loadgen::WorkloadSpec { name: "webserver-reads".to_string(), mix: reads, ..web };
+    let up_spec = WorkloadSpec { name: "webserver-reads".to_string(), mix: reads, ..web };
     let (up_window_ops, upgrade_stall_ns) = calibrations["webserver"];
     let [read_stall, stat_stall] = read_phase_stalls(upgrade_stall_ns);
     let up_mon = HealthMonitor::new(
         MonitorConfig::new(up_window_ops).with_phase_stall(read_stall).with_phase_stall(stat_stall),
     );
     let mounted = mount_stack(FsStack::BentoXv6, cfg.model.clone(), cfg.disk_blocks)?;
-    let up_cfg =
-        loadgen::LoadConfig::closed(cfg.macro_threads, duration).with_monitor(Arc::clone(&up_mon));
+    let up_cfg = LoadConfig::closed(cfg.macro_threads, ops).with_monitor(Arc::clone(&up_mon));
     loadgen::prepare(&mounted.vfs, &up_spec, &up_cfg)?;
     let source = mounted.clone();
     up_mon.set_snapshot_source(move || source.counters());
@@ -1698,10 +1562,7 @@ pub fn health_experiment(
     drop(tracing);
     let (under_upgrade, outcome) = upgrade_run?;
     if !under_upgrade.is_clean() {
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: operations failed during the live upgrade",
-        ));
+        return Err(BenchError("health: operations failed during the live upgrade".into()));
     }
     mounted.unmount()?;
     let fired_window = outcome.fired_window.expect("the upgrade run carries a monitor");
@@ -1724,17 +1585,14 @@ pub fn health_experiment(
     if !flagged.iter().any(|(window, _, phase)| {
         phase == "commit-wait" && (fired_window..=fired_window + 2).contains(window)
     }) {
-        eprintln!(
-            "health: upgrade pause {:.1} us fired in window {fired_window} (worst read \
-             commit-wait {:.1} us, stall floor {:.1} us); flagged windows {flagged:?}",
+        return Err(BenchError(format!(
+            "health: the upgrade pause ({:.1} us, fired in window {fired_window}; worst read \
+             commit-wait {:.1} us, stall floor {:.1} us) was not flagged as commit-wait within \
+             two windows; flagged windows {flagged:?}",
             outcome.report.pause_ns as f64 / 1_000.0,
             read_commit_wait_ns as f64 / 1_000.0,
             upgrade_stall_ns as f64 / 1_000.0,
-        );
-        return Err(KernelError::with_context(
-            Errno::Io,
-            "health: the upgrade pause was not flagged as commit-wait within two windows",
-        ));
+        )));
     }
     rows.extend(upgrade_pause_rows("health", label, &outcome));
     rows.push(Row::new(
@@ -1765,23 +1623,17 @@ pub fn health_experiment(
 
     // The flight recorder's output contract: every bundle lands next to
     // the BENCH report and re-parses through the schema check.
-    std::fs::create_dir_all(incident_dir).map_err(|e| {
-        eprintln!("health: cannot create incident dir {}: {e}", incident_dir.display());
-        KernelError::with_context(Errno::Io, "health: cannot create the incident directory")
-    })?;
+    let fail = |what: String| BenchError(format!("health: {what}"));
+    std::fs::create_dir_all(incident_dir)
+        .map_err(|e| fail(format!("cannot create {}: {e}", incident_dir.display())))?;
     for bundle in &incidents {
-        let path = bundle.write_to(incident_dir).map_err(|e| {
-            eprintln!("health: cannot write incident bundle: {e}");
-            KernelError::with_context(Errno::Io, "health: cannot write an incident bundle")
-        })?;
-        let json = std::fs::read_to_string(&path).map_err(|e| {
-            eprintln!("health: cannot re-read {}: {e}", path.display());
-            KernelError::with_context(Errno::Io, "health: cannot re-read an incident bundle")
-        })?;
-        IncidentBundle::schema_check(&json).map_err(|e| {
-            eprintln!("health: {} fails its schema check: {e}", path.display());
-            KernelError::with_context(Errno::Io, "health: an incident bundle failed schema check")
-        })?;
+        let path = bundle
+            .write_to(incident_dir)
+            .map_err(|e| fail(format!("cannot write an incident bundle: {e}")))?;
+        let json = std::fs::read_to_string(&path)
+            .map_err(|e| fail(format!("cannot re-read {}: {e}", path.display())))?;
+        IncidentBundle::schema_check(&json)
+            .map_err(|e| fail(format!("{} fails its schema check: {e}", path.display())))?;
         println!("health: wrote {}", path.display());
     }
     rows.push(Row::new("health", "bundles-written", "-", incidents.len() as f64, "count", None));
@@ -1804,33 +1656,6 @@ fn upgrade_pause_rows(
     .map(|(config, ns)| Row::new(experiment, config, label, ns as f64 / 1_000.0, "us", None))
 }
 
-/// Mounts `stack` under the (scaled) NVMe cost model, runs `create_micro`
-/// with `threads` workers, and returns the result plus the run's write-path
-/// counter delta and, on a queued device, its in-flight depth
-/// ([`inflight_delta`]).
-fn create_with_write_path_stats(
-    stack: FsStack,
-    cfg: &ExperimentConfig,
-    options: &MountOptions,
-    threads: usize,
-    model: CostModel,
-) -> KernelResult<(workloads::WorkloadResult, Option<WritePathStats>, Option<CostSnapshot>)> {
-    let mounted = mount_stack_with(stack, model, cfg.disk_blocks, options)?;
-    let before = write_path_snapshot(&mounted);
-    let inflight_before = inflight_snapshot(&mounted);
-    let create = create_micro(&mounted.vfs, 4096, threads, cfg.duration)?;
-    let delta = match (before, write_path_snapshot(&mounted)) {
-        (Some(before), Some(after)) => Some(write_path_delta(&before, &after)),
-        _ => None,
-    };
-    let inflight = match (inflight_before, inflight_snapshot(&mounted)) {
-        (Some(before), Some(after)) => Some(inflight_delta(&before, &after)),
-        _ => None,
-    };
-    mounted.unmount()?;
-    Ok((create, delta, inflight))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1838,15 +1663,11 @@ mod tests {
     #[test]
     fn scaling_rows_cover_both_stacks_and_all_thread_counts() {
         // A very short sweep: correctness of the row structure, not numbers.
-        let cfg = ExperimentConfig {
-            duration: Duration::from_millis(30),
-            disk_blocks: 48 * 1024,
-            ..ExperimentConfig::quick()
-        };
+        let cfg = ExperimentConfig { ops: 60, ..ExperimentConfig::quick() };
         let rows =
-            scaling_experiment_with_threads(&cfg, &SCALING_SMOKE_THREADS).expect("scaling sweep");
+            scaling_experiment_with_threads(&cfg, &SCALING_NVME_THREADS).expect("scaling sweep");
         for stack in ["Bento", "C-Kernel"] {
-            for threads in SCALING_SMOKE_THREADS {
+            for threads in SCALING_NVME_THREADS {
                 for prefix in ["read-4k-rnd", "write-4k-rnd", "create", "create-nvme"] {
                     let config = format!("{prefix}-{threads}t");
                     let row = rows
@@ -1916,11 +1737,7 @@ mod tests {
 
     #[test]
     fn load_smoke_rows_cover_every_stack_with_percentiles() {
-        let cfg = ExperimentConfig {
-            duration: Duration::from_millis(80),
-            macro_threads: 2,
-            ..ExperimentConfig::quick()
-        };
+        let cfg = ExperimentConfig { ops: 100, macro_threads: 2, ..ExperimentConfig::quick() };
         let rows = load_smoke_experiment(&cfg).expect("load smoke must run clean");
         for stack in ["Bento", "C-Kernel", "Ext4"] {
             for config in ["varmail", "varmail-p50-us", "varmail-p99-us", "varmail-fsync-p99-us"] {
@@ -1945,7 +1762,7 @@ mod tests {
         // EIO scenario recovered.  (Any violation is an Err, so `expect`
         // IS the assertion for the hard requirements.)
         let cfg = ExperimentConfig {
-            duration: Duration::from_millis(100),
+            ops: 100,
             macro_threads: 2,
             macro_files_per_thread: 20,
             untar_files: 60,
@@ -1985,7 +1802,7 @@ mod tests {
         // pin the row contract the obs-smoke CI step and EXPERIMENTS.md
         // document.
         let cfg = ExperimentConfig {
-            duration: Duration::from_millis(100),
+            ops: 100,
             macro_threads: 2,
             macro_files_per_thread: 20,
             ..ExperimentConfig::quick()
@@ -2070,11 +1887,7 @@ mod tests {
         // (which pays 1 barrier for every op: the commit barrier behind
         // payload and record — the one-barrier protocol the crashsim
         // harness enforces).
-        let cfg = ExperimentConfig {
-            duration: Duration::from_millis(200),
-            disk_blocks: 48 * 1024,
-            ..ExperimentConfig::quick()
-        };
+        let cfg = ExperimentConfig { ops: 200, ..ExperimentConfig::quick() };
         let rows = scaling_experiment_with_threads(&cfg, &[1]).expect("scaling sweep");
         let barriers_per_op = |threads: usize| {
             rows.iter()

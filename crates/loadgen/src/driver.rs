@@ -1,37 +1,45 @@
 //! Closed-loop and open-loop load drivers with per-op-class latency
 //! histograms and a windowed throughput timeline.
 //!
+//! Every run is bounded by an op count, never by a clock: each worker runs
+//! a fixed-length script that [`WorkloadSpec::script`] generates from the
+//! seed before the clock starts, so a fast stack finishes sooner instead of
+//! doing more work, and a run that creates files is sized to the mount's
+//! free inodes and blocks before it begins.
+//!
 //! * **Closed loop**: `workers` threads each issue one operation at a time,
-//!   the next as soon as the previous one completes.  Offered load adapts
-//!   to service rate — the classic benchmark shape, good for
-//!   peak-throughput numbers.
+//!   the next as soon as the previous one completes, until their script
+//!   ends.  Offered load adapts to service rate — the classic benchmark
+//!   shape, good for peak-throughput numbers.
 //! * **Open loop**: operations *arrive* on a virtual clock at a target rate
-//!   regardless of how fast the stack serves them, and each op's latency is
-//!   measured from its **scheduled arrival**, not from when a worker got
-//!   around to issuing it.  When the stack can't keep up, the backlog shows
-//!   up as growing latency instead of silently throttled load — the
+//!   regardless of how fast the stack serves them; each worker admits as
+//!   many arrivals as its script has ops, and each op's latency is measured
+//!   from its **scheduled arrival**, not from when a worker got around to
+//!   issuing it.  When the stack can't keep up, the backlog shows up as
+//!   growing latency instead of silently throttled load — the
 //!   coordinated-omission-free way to measure overload and tail latency.
 //!
 //! Every completed operation is recorded into a per-class
 //! [`LatencyHistogram`] (merged across workers at the end) and into the
-//! per-window throughput timeline.
+//! per-window throughput timeline.  A failed op under
+//! [`ErrorPolicy::FailFast`] ends the run with a [`LoadError`] that names
+//! the worker, the op's index in its script, the op and the seed.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::metrics::LatencyHistogram;
 use simkernel::trace::{self, Phase, SpanRecord};
-use simkernel::vfs::{OpenFlags, Vfs};
-use workloads::UntarEntry;
+use simkernel::vfs::Vfs;
+use workloads::op::{apply, apply_extracting, Fds, Op, OpKind, MAX_CHUNK};
 
-use crate::spec::{OpKind, WorkloadSpec};
-use crate::zipf::Zipfian;
+use crate::spec::{Layout, WorkloadSpec};
 
 /// How operations are offered to the stack.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +70,8 @@ impl Driver {
         }
     }
 
-    fn workers(&self) -> usize {
+    /// Number of worker threads (at least one).
+    pub(crate) fn workers(&self) -> usize {
         match *self {
             Driver::Closed { workers } | Driver::Open { workers, .. } => workers.max(1),
         }
@@ -77,15 +86,18 @@ pub enum ErrorPolicy {
     FailFast,
     /// Count the failure per op class and keep driving (fault-injection
     /// scenarios measure *how many* ops fail, so one EIO must not end the
-    /// run).
+    /// run).  An op whose target is missing (a delete or rename of a file
+    /// whose create failed earlier) is skipped, not counted.
     Count,
 }
 
 /// Knobs for one load run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Measured duration (replays may finish earlier).
-    pub duration: Duration,
+    /// Measured ops per worker: the script length under the closed loop,
+    /// the arrivals each worker admits under the open loop.  A replay runs
+    /// its whole manifest instead.
+    pub ops: u64,
     /// Closed- or open-loop offering.
     pub driver: Driver,
     /// Abort or count on op failure.
@@ -102,10 +114,10 @@ pub struct LoadConfig {
 }
 
 impl LoadConfig {
-    /// A closed-loop config.
-    pub fn closed(workers: usize, duration: Duration) -> Self {
+    /// A closed-loop config: `workers` workers, `ops` ops each.
+    pub fn closed(workers: usize, ops: u64) -> Self {
         LoadConfig {
-            duration,
+            ops,
             driver: Driver::Closed { workers },
             error_policy: ErrorPolicy::FailFast,
             window: Duration::from_millis(50),
@@ -114,9 +126,9 @@ impl LoadConfig {
         }
     }
 
-    /// An open-loop config at `rate` ops/sec.
-    pub fn open(workers: usize, rate: f64, duration: Duration) -> Self {
-        LoadConfig { driver: Driver::Open { workers, rate }, ..LoadConfig::closed(1, duration) }
+    /// An open-loop config at `rate` ops/sec, `ops` arrivals per worker.
+    pub fn open(workers: usize, rate: f64, ops: u64) -> Self {
+        LoadConfig { driver: Driver::Open { workers, rate }, ..LoadConfig::closed(1, ops) }
     }
 
     /// Attaches a health monitor to the run.
@@ -126,6 +138,49 @@ impl LoadConfig {
         self
     }
 }
+
+/// A failed load run, and where: the spec, driver and seed it ran with,
+/// and for a failed op the worker, the op's index in that worker's script
+/// and the op itself (regenerate the script from the seed to replay it).
+#[derive(Debug, Clone)]
+pub struct LoadError {
+    /// The spec's name.
+    pub spec: String,
+    /// The driver label (`"closed-8w"`), which carries the thread count.
+    pub driver: String,
+    /// The run's seed.
+    pub seed: u64,
+    /// `(worker, index, op)` when an op failed; `None` for a setup,
+    /// scenario or teardown failure.
+    pub op: Option<Box<(usize, usize, Op)>>,
+    /// What failed.
+    pub error: KernelError,
+}
+
+impl LoadError {
+    /// A failure of `spec` run under `cfg`.
+    pub(crate) fn new(
+        spec: &WorkloadSpec,
+        cfg: &LoadConfig,
+        op: Option<(usize, usize, Op)>,
+        error: KernelError,
+    ) -> Self {
+        let op = op.map(Box::new);
+        LoadError { spec: spec.name.clone(), driver: cfg.driver.label(), seed: cfg.seed, op, error }
+    }
+}
+
+impl fmt::Display for LoadError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} seed {:#x}", self.spec, self.driver, self.seed)?;
+        if let Some((worker, index, op)) = self.op.as_deref() {
+            write!(f, ", worker {worker} op #{index} {op:?}")?;
+        }
+        write!(f, ": {}", self.error)
+    }
+}
+
+impl std::error::Error for LoadError {}
 
 /// Completed/error counters plus the latency histogram for one op class.
 #[derive(Debug, Clone)]
@@ -229,9 +284,9 @@ pub struct LoadResult {
     pub operations: u64,
     /// Total operations failed.
     pub errors: u64,
-    /// Operations skipped because their target vanished under concurrency
-    /// (e.g. a popular file deleted by another worker) — neither completed
-    /// nor failed.
+    /// Operations skipped under [`ErrorPolicy::Count`] because their target
+    /// was missing (its create failed earlier) — neither completed nor
+    /// failed.
     pub skipped: u64,
     /// Payload bytes moved.
     pub bytes: u64,
@@ -302,297 +357,293 @@ impl LoadResult {
 }
 
 /// Creates the spec's directory tree and pre-populates its files (sizes
-/// drawn from the spec's distribution with `cfg.seed`), ending with a
-/// `sync` so the measured phase starts from a quiesced stack.  Replay
-/// personalities have no pre-population.
+/// drawn from the spec's distribution with `cfg.seed`), reads back the
+/// files a held-descriptor spec will use so they start in the page cache,
+/// and ends with a `sync` so the measured phase starts from a quiesced
+/// stack.  Replays have no pre-population.
 ///
 /// # Errors
 ///
 /// Propagates file system errors.
-pub fn prepare(vfs: &Arc<Vfs>, spec: &WorkloadSpec, cfg: &LoadConfig) -> KernelResult<()> {
-    if spec.replay.is_some() {
+pub fn prepare(vfs: &Vfs, spec: &WorkloadSpec, cfg: &LoadConfig) -> KernelResult<()> {
+    if let Layout::Replay(_) = spec.layout {
         return Ok(());
     }
     let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x5e70_f11e);
-    for dir in spec.fileset.dir_paths("/") {
-        vfs.mkdir(&dir)?;
+    let files = spec.fileset.file_paths("/");
+    let mut ops: Vec<Op> = spec.fileset.dir_paths("/").into_iter().map(Op::Mkdir).collect();
+    for path in &files {
+        let len = spec.fileset.size.sample(&mut rng);
+        ops.push(Op::Create { path: path.clone(), len, fill: 0xB7 });
     }
-    let scratch = vec![0xB7u8; spec.io_size.max(4096)];
-    for path in spec.fileset.file_paths("/") {
-        let fd = vfs.open(&path, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
-        let size = spec.fileset.size.sample(&mut rng);
-        write_fully(vfs, fd, size, &scratch)?;
-        vfs.close(fd)?;
+    if let Layout::Held(_) = spec.layout {
+        for path in &files {
+            for offset in (0..spec.fileset.size.max()).step_by(MAX_CHUNK as usize) {
+                ops.push(Op::Read { path: path.clone(), offset, len: MAX_CHUNK });
+            }
+        }
+    }
+    let mut fds = Fds::default();
+    for op in &ops {
+        apply(vfs, &mut fds, op)?;
     }
     vfs.sync()
 }
 
 /// Runs `spec` against `vfs` under `cfg` and returns the measured result.
-/// The caller prepares the fileset first ([`prepare`]); replay
-/// personalities need no preparation.
+/// The caller prepares the fileset first ([`prepare`]); replays need no
+/// preparation.
 ///
 /// # Errors
 ///
-/// Propagates op failures under [`ErrorPolicy::FailFast`], worker panics,
-/// and setup errors.
-pub fn run_load(vfs: &Arc<Vfs>, spec: &WorkloadSpec, cfg: &LoadConfig) -> KernelResult<LoadResult> {
-    let workers = cfg.driver.workers();
-    let files = Arc::new(spec.fileset.file_paths("/"));
-    let zipf = if files.is_empty() {
-        None
-    } else {
-        Some(Arc::new(Zipfian::new(files.len(), spec.zipf_theta)))
-    };
-    if spec.replay.is_none() && files.is_empty() {
-        return Err(KernelError::with_context(
-            Errno::Inval,
-            "loadgen: mix personality with an empty fileset",
+/// The first failed op under [`ErrorPolicy::FailFast`], a worker panic, a
+/// mix that samples files from an empty fileset, or a setup error.
+pub fn run_load(vfs: &Vfs, spec: &WorkloadSpec, cfg: &LoadConfig) -> Result<LoadResult, LoadError> {
+    run_hooked(vfs, spec, cfg, None)
+}
+
+/// [`run_load`] calling `hook` with each op's global issue index (`0..`
+/// the total op count) just before the op runs: the scenarios fire their
+/// events at an op index through it.
+pub(crate) fn run_hooked(
+    vfs: &Vfs,
+    spec: &WorkloadSpec,
+    cfg: &LoadConfig,
+    hook: Option<&(dyn Fn(u64) + Sync)>,
+) -> Result<LoadResult, LoadError> {
+    let fail = |op, error| LoadError::new(spec, cfg, op, error);
+    let samples_files = [OpKind::Read, OpKind::Write, OpKind::Append, OpKind::Fsync, OpKind::Stat]
+        .iter()
+        .any(|&kind| spec.mix.weight(kind) > 0);
+    if samples_files && spec.fileset.files == 0 && !matches!(spec.layout, Layout::Replay(_)) {
+        return Err(fail(
+            None,
+            KernelError::with_context(Errno::Inval, "loadgen: mix samples an empty fileset"),
         ));
     }
-
-    let windows = (cfg.duration.as_nanos() / cfg.window.as_nanos().max(1)) as usize + 2;
-    let timeline: Arc<Vec<AtomicU64>> = Arc::new((0..windows).map(|_| AtomicU64::new(0)).collect());
-    let arrivals = Arc::new(AtomicU64::new(0));
-    let replay_cursor = Arc::new(AtomicUsize::new(0));
-    let max_backlog_ns = Arc::new(AtomicU64::new(0));
-    let merged: Arc<Mutex<Vec<OpClassStats>>> = Arc::new(Mutex::new(
-        OpKind::all()
-            .iter()
-            .map(|&kind| OpClassStats {
-                kind,
-                completed: 0,
-                errors: 0,
-                latency: LatencyHistogram::new(),
-            })
-            .collect(),
-    ));
-    let merged_traces: Arc<Mutex<Vec<ClassPhaseTrace>>> = Arc::new(Mutex::new(
-        OpKind::all().iter().map(|&kind| ClassPhaseTrace::new(kind)).collect(),
-    ));
-    let total_bytes = Arc::new(AtomicU64::new(0));
-    let total_skipped = Arc::new(AtomicU64::new(0));
-    let spec = Arc::new(spec.clone());
-    let cfg = Arc::new(cfg.clone());
-
-    let dirs = Arc::new(spec.fileset.dir_paths("/"));
-    let start = Instant::now();
-    let deadline = start + cfg.duration;
-    let mut handles = Vec::with_capacity(workers);
+    let workers = cfg.driver.workers();
+    let creates = create_budget(vfs, spec, workers).map_err(|e| fail(None, e))?;
+    let mut scripts = Vec::with_capacity(workers);
     for t in 0..workers {
-        let vfs = Arc::clone(vfs);
-        let spec = Arc::clone(&spec);
-        let cfg = Arc::clone(&cfg);
-        let files = Arc::clone(&files);
-        let dirs = Arc::clone(&dirs);
-        let zipf = zipf.clone();
-        let timeline = Arc::clone(&timeline);
-        let arrivals = Arc::clone(&arrivals);
-        let replay_cursor = Arc::clone(&replay_cursor);
-        let max_backlog_ns = Arc::clone(&max_backlog_ns);
-        let merged = Arc::clone(&merged);
-        let merged_traces = Arc::clone(&merged_traces);
-        let total_bytes = Arc::clone(&total_bytes);
-        let total_skipped = Arc::clone(&total_skipped);
-        handles.push(std::thread::spawn(move || -> KernelResult<()> {
-            let scratch_len = spec.io_size.max(spec.append_size).max(FSYNC_RECORD_BYTES).max(4096);
-            let mut worker = Worker {
-                vfs,
-                spec,
-                cfg: Arc::clone(&cfg),
-                files,
-                dirs,
-                zipf,
-                rng: SmallRng::seed_from_u64(cfg.seed.wrapping_add(0x9e37 * (t as u64 + 1))),
-                worker_id: t,
-                created: Vec::new(),
-                next_name: 0,
-                last_attempt: OpKind::Create,
-                scratch: vec![0x6Cu8; scratch_len],
-                stats: OpKind::all()
-                    .iter()
-                    .map(|&kind| OpClassStats {
-                        kind,
-                        completed: 0,
-                        errors: 0,
-                        latency: LatencyHistogram::new(),
-                    })
-                    .collect(),
-                traces: OpKind::all().iter().map(|&kind| ClassPhaseTrace::new(kind)).collect(),
-                bytes: 0,
-                skipped: 0,
-            };
-            worker.drive(start, deadline, &timeline, &arrivals, &replay_cursor, &max_backlog_ns)?;
-            let mut all = merged.lock();
-            for (into, from) in all.iter_mut().zip(worker.stats.iter()) {
-                into.completed += from.completed;
-                into.errors += from.errors;
-                into.latency.merge(&from.latency);
-            }
-            drop(all);
-            let mut all_traces = merged_traces.lock();
-            for (into, from) in all_traces.iter_mut().zip(worker.traces.iter()) {
-                into.merge(from);
-            }
-            total_bytes.fetch_add(worker.bytes, Ordering::Relaxed);
-            total_skipped.fetch_add(worker.skipped, Ordering::Relaxed);
-            Ok(())
-        }));
+        let (prologue, body) = spec.script(t, workers, cfg.ops, creates, cfg.seed);
+        // Prologues (a held descriptor's open) run before the clock starts.
+        let mut fds = Fds::default();
+        for (index, op) in prologue.iter().enumerate() {
+            apply(vfs, &mut fds, op).map_err(|e| fail(Some((t, index, op.clone())), e))?;
+        }
+        scripts.push((fds, body));
     }
-    for handle in handles {
-        handle
-            .join()
-            .map_err(|_| KernelError::with_context(Errno::Io, "loadgen worker panicked"))??;
-    }
-    let elapsed = start.elapsed();
+
+    let run = Run {
+        vfs,
+        spec,
+        cfg,
+        hook,
+        start: Instant::now(),
+        arrivals: AtomicU64::new(0),
+        issued: AtomicU64::new(0),
+        max_backlog_ns: AtomicU64::new(0),
+    };
+    let tallies: Vec<Result<Tally, LoadError>> = std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> = scripts
+            .into_iter()
+            .enumerate()
+            .map(|(t, (fds, body))| scope.spawn(move || run.drive(t, fds, &body)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle.join().unwrap_or_else(|_| {
+                    Err(fail(None, KernelError::with_context(Errno::Io, "loadgen worker panicked")))
+                })
+            })
+            .collect()
+    });
+    let elapsed = run.start.elapsed();
     if let Some(mon) = &cfg.monitor {
         mon.finish(); // close the trailing partial window
     }
 
-    let per_op: Vec<OpClassStats> = Arc::try_unwrap(merged)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone())
-        .into_iter()
-        .filter(|c| c.completed > 0 || c.errors > 0)
-        .collect();
+    let mut total = Tally::new(false);
+    for tally in tallies {
+        total.merge(tally?);
+    }
+    let per_op: Vec<OpClassStats> =
+        total.stats.into_iter().filter(|c| c.completed > 0 || c.errors > 0).collect();
     let mut overall = LatencyHistogram::new();
     for class in &per_op {
         overall.merge(&class.latency);
     }
-    let traces: Vec<ClassPhaseTrace> = Arc::try_unwrap(merged_traces)
-        .map(|m| m.into_inner())
-        .unwrap_or_else(|arc| arc.lock().clone())
-        .into_iter()
-        .filter(|t| t.spans > 0)
-        .collect();
     Ok(LoadResult {
         spec: spec.name.clone(),
         driver: cfg.driver.label(),
         elapsed,
         operations: per_op.iter().map(|c| c.completed).sum(),
         errors: per_op.iter().map(|c| c.errors).sum(),
-        skipped: total_skipped.load(Ordering::Relaxed),
-        bytes: total_bytes.load(Ordering::Relaxed),
+        skipped: total.skipped,
+        bytes: total.bytes,
         per_op,
         overall,
-        timeline: timeline.iter().map(|w| w.load(Ordering::Relaxed)).collect(),
+        timeline: total.timeline,
         window: cfg.window,
-        max_backlog: Duration::from_nanos(max_backlog_ns.load(Ordering::Relaxed)),
-        traces,
+        max_backlog: Duration::from_nanos(run.max_backlog_ns.load(Ordering::Relaxed)),
+        traces: total.traces.into_iter().filter(|t| t.spans > 0).collect(),
     })
 }
 
-/// One op's outcome: what actually ran and how many payload bytes moved,
-/// or `None` when the target vanished under a concurrent delete/rename.
-type OpOutcome = Option<(OpKind, u64)>;
+/// How many files each of `workers` workers may leave behind: the mount's
+/// free inodes, and its free blocks over the largest file the spec
+/// creates (plus a block of metadata), shared evenly.
+fn create_budget(vfs: &Vfs, spec: &WorkloadSpec, workers: usize) -> KernelResult<u64> {
+    let fs = vfs.statfs("/")?;
+    let blocks_per_file = spec.fileset.size.max().div_ceil(u64::from(fs.block_size).max(1)) + 1;
+    Ok(fs.free_inodes.min(fs.free_blocks / blocks_per_file) / workers as u64)
+}
 
-struct Worker {
-    vfs: Arc<Vfs>,
-    spec: Arc<WorkloadSpec>,
-    cfg: Arc<LoadConfig>,
-    files: Arc<Vec<String>>,
-    /// Every fileset directory (empty for flat filesets): rename targets
-    /// rotate through these, so renames cross directories and exercise the
-    /// two-parent pair-locked namespace path.
-    dirs: Arc<Vec<String>>,
-    zipf: Option<Arc<Zipfian>>,
-    rng: SmallRng,
-    worker_id: usize,
-    /// Files this worker created (delete/rename targets).
-    created: Vec<String>,
-    next_name: u64,
-    /// The op class of the in-flight attempt (error attribution under
-    /// [`ErrorPolicy::Count`]).
-    last_attempt: OpKind,
-    /// Reusable payload/read buffer, sized once at worker start so the
-    /// timed window measures the file system, not per-op allocations.
-    scratch: Vec<u8>,
+/// What one run shares with its workers.
+struct Run<'a> {
+    vfs: &'a Vfs,
+    spec: &'a WorkloadSpec,
+    cfg: &'a LoadConfig,
+    hook: Option<&'a (dyn Fn(u64) + Sync)>,
+    start: Instant,
+    arrivals: AtomicU64,
+    issued: AtomicU64,
+    max_backlog_ns: AtomicU64,
+}
+
+/// One worker's counts, merged into the result at the end.
+struct Tally {
     stats: Vec<OpClassStats>,
-    /// Phase-attributed spans per class, populated only under tracing.
+    /// Phase-attributed spans per class; allocated only when tracing was
+    /// on as the worker started, so an untraced run does not zero the
+    /// per-phase histograms.
     traces: Vec<ClassPhaseTrace>,
+    timeline: Vec<u64>,
     bytes: u64,
     skipped: u64,
 }
 
-impl Worker {
-    #[allow(clippy::too_many_arguments)]
-    fn drive(
-        &mut self,
-        start: Instant,
-        deadline: Instant,
-        timeline: &[AtomicU64],
-        arrivals: &AtomicU64,
-        replay_cursor: &AtomicUsize,
-        max_backlog_ns: &AtomicU64,
-    ) -> KernelResult<()> {
-        let window_ns = self.cfg.window.as_nanos().max(1);
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return Ok(());
+impl Tally {
+    fn new(traced: bool) -> Self {
+        Tally {
+            stats: OpKind::ALL
+                .iter()
+                .map(|&kind| OpClassStats {
+                    kind,
+                    completed: 0,
+                    errors: 0,
+                    latency: LatencyHistogram::new(),
+                })
+                .collect(),
+            traces: match traced {
+                true => OpKind::ALL.iter().map(|&kind| ClassPhaseTrace::new(kind)).collect(),
+                false => Vec::new(),
+            },
+            timeline: Vec::new(),
+            bytes: 0,
+            skipped: 0,
+        }
+    }
+
+    fn merge(&mut self, other: Tally) {
+        for (into, from) in self.stats.iter_mut().zip(&other.stats) {
+            into.completed += from.completed;
+            into.errors += from.errors;
+            into.latency.merge(&from.latency);
+        }
+        if self.traces.is_empty() {
+            self.traces = other.traces;
+        } else {
+            for (into, from) in self.traces.iter_mut().zip(&other.traces) {
+                into.merge(from);
             }
+        }
+        if self.timeline.len() < other.timeline.len() {
+            self.timeline.resize(other.timeline.len(), 0);
+        }
+        for (into, from) in self.timeline.iter_mut().zip(&other.timeline) {
+            *into += from;
+        }
+        self.bytes += other.bytes;
+        self.skipped += other.skipped;
+    }
+}
+
+impl Run<'_> {
+    /// Runs worker `t`'s script to its end (or its first failure under
+    /// [`ErrorPolicy::FailFast`]), then closes its descriptors.
+    fn drive(&self, t: usize, mut fds: Fds, body: &[Op]) -> Result<Tally, LoadError> {
+        let mut tally = Tally::new(trace::enabled());
+        let window_ns = self.cfg.window.as_nanos().max(1);
+        let extracting = matches!(self.spec.layout, Layout::Replay(_));
+        for (index, op) in body.iter().enumerate() {
+            let kind = op.kind();
+            let now = Instant::now();
             // Under the open-loop driver the measured latency starts at the
             // op's *scheduled* arrival; under the closed loop, at issue.
             let measured_from = match self.cfg.driver {
                 Driver::Closed { .. } => now,
                 Driver::Open { rate, .. } => {
-                    let k = arrivals.fetch_add(1, Ordering::Relaxed);
-                    let scheduled = start + Duration::from_secs_f64(k as f64 / rate.max(1e-9));
-                    if scheduled >= deadline {
-                        return Ok(()); // do not admit arrivals past the run
-                    }
+                    let k = self.arrivals.fetch_add(1, Ordering::Relaxed);
+                    let scheduled = self.start + Duration::from_secs_f64(k as f64 / rate.max(1e-9));
                     if scheduled > now {
                         std::thread::sleep(scheduled - now);
                     } else {
                         let lag = (now - scheduled).as_nanos() as u64;
-                        max_backlog_ns.fetch_max(lag, Ordering::Relaxed);
+                        self.max_backlog_ns.fetch_max(lag, Ordering::Relaxed);
                     }
                     scheduled
                 }
             };
+            if let Some(hook) = self.hook {
+                hook(self.issued.fetch_add(1, Ordering::Relaxed));
+            }
             // The span measures service time (issue to completion) with the
-            // per-phase breakdown; the class is only known afterwards, so it
-            // opens generic and is relabelled at finish.  Inert (one atomic
-            // load) when tracing is off.
-            let span = trace::op_span("op");
-            let outcome = self.one_op(replay_cursor);
+            // per-phase breakdown.  Inert (one atomic load) when tracing is
+            // off.
+            let span = trace::op_span(kind.label());
+            let result = if extracting {
+                apply_extracting(self.vfs, &mut fds, op)
+            } else {
+                apply(self.vfs, &mut fds, op)
+            };
             let completed_at = Instant::now();
-            match outcome {
-                Ok(Some((kind, bytes))) => {
-                    let rec = span.finish_as(kind.label());
-                    if let Some(rec) = rec {
-                        self.traces[class_index(kind)].observe(rec);
+            match result {
+                Ok(bytes) => {
+                    let rec = span.finish();
+                    if let (Some(rec), Some(trace)) = (rec, tally.traces.get_mut(kind.index())) {
+                        trace.observe(rec);
                     }
                     let latency = completed_at.duration_since(measured_from);
                     if let Some(mon) = &self.cfg.monitor {
                         mon.observe(kind.label(), latency.as_nanos() as u64, false, rec.as_ref());
                     }
-                    let stats = &mut self.stats[class_index(kind)];
+                    let stats = &mut tally.stats[kind.index()];
                     stats.completed += 1;
                     stats.latency.record_duration(latency);
-                    self.bytes += bytes;
-                    let idx = ((completed_at.duration_since(start).as_nanos() / window_ns)
-                        as usize)
-                        .min(timeline.len() - 1);
-                    timeline[idx].fetch_add(1, Ordering::Relaxed);
-                }
-                Ok(None) => {
-                    span.cancel();
-                    // Replay exhausted or a target vanished mid-op.
-                    if self.spec.replay.is_some() {
-                        return Ok(());
+                    tally.bytes += bytes;
+                    let window =
+                        (completed_at.duration_since(self.start).as_nanos() / window_ns) as usize;
+                    if tally.timeline.len() <= window {
+                        tally.timeline.resize(window + 1, 0);
                     }
-                    self.skipped += 1;
+                    tally.timeline[window] += 1;
                 }
+                // Failed ops never record a latency sample, so they do not
+                // record a span either.
                 Err(e) => {
-                    // Failed ops never record a latency sample, so they do
-                    // not record a span either.
                     span.cancel();
                     match self.cfg.error_policy {
-                        ErrorPolicy::FailFast => return Err(e),
+                        ErrorPolicy::FailFast => {
+                            let _ = fds.close_all(self.vfs); // the op error is the one to report
+                            let at = Some((t, index, op.clone()));
+                            return Err(LoadError::new(self.spec, self.cfg, at, e));
+                        }
+                        ErrorPolicy::Count if e.errno() == Errno::NoEnt => tally.skipped += 1,
                         ErrorPolicy::Count => {
-                            // Attribute the failure to the class attempted.
-                            let kind = self.last_attempt;
-                            self.stats[class_index(kind)].errors += 1;
+                            tally.stats[kind.index()].errors += 1;
                             if let Some(mon) = &self.cfg.monitor {
                                 mon.observe(kind.label(), 0, true, None);
                             }
@@ -601,282 +652,155 @@ impl Worker {
                 }
             }
         }
-    }
-
-    fn one_op(&mut self, replay_cursor: &AtomicUsize) -> KernelResult<OpOutcome> {
-        if self.spec.replay.is_some() {
-            return self.replay_one(replay_cursor);
-        }
-        let kind = {
-            let spec = Arc::clone(&self.spec);
-            spec.mix.sample(&mut self.rng)
-        };
-        self.execute(kind)
-    }
-
-    fn replay_one(&mut self, cursor: &AtomicUsize) -> KernelResult<OpOutcome> {
-        let spec = Arc::clone(&self.spec);
-        let manifest = spec.replay.as_ref().expect("replay_one requires a manifest");
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(entry) = manifest.entries.get(i) else {
-            return Ok(None); // manifest exhausted
-        };
-        // The shared cursor hands out manifest entries in order, but with
-        // several workers entry i+1 can *execute* before entry i finishes —
-        // so a child may arrive before its parent directory exists (NoEnt:
-        // create the ancestors and retry) and a parent's own mkdir may find
-        // another worker already created it on its child's behalf (Exist:
-        // the directory is there, the entry's goal is achieved).
-        match entry {
-            UntarEntry::Dir(path) => {
-                self.last_attempt = OpKind::Mkdir;
-                let full = format!("/{path}");
-                match self.vfs.mkdir(&full) {
-                    Ok(()) => {}
-                    Err(e) if e.errno() == Errno::Exist => {}
-                    Err(e) if e.errno() == Errno::NoEnt => {
-                        mkdir_p(&self.vfs, &full)?;
-                    }
-                    Err(e) => return Err(e),
-                }
-                Ok(Some((OpKind::Mkdir, 0)))
-            }
-            UntarEntry::File(path, size) => {
-                self.last_attempt = OpKind::Create;
-                let full = format!("/{path}");
-                let flags = OpenFlags::WRONLY.with(OpenFlags::CREAT);
-                let fd = match self.vfs.open(&full, flags) {
-                    Ok(fd) => fd,
-                    Err(e) if e.errno() == Errno::NoEnt => {
-                        if let Some((parent, _)) = full.rsplit_once('/') {
-                            mkdir_p(&self.vfs, parent)?;
-                        }
-                        self.vfs.open(&full, flags)?
-                    }
-                    Err(e) => return Err(e),
-                };
-                let scratch = std::mem::take(&mut self.scratch);
-                let result = with_fd(&self.vfs, fd, |vfs| write_fully(vfs, fd, *size, &scratch));
-                self.scratch = scratch;
-                result?;
-                Ok(Some((OpKind::Create, *size)))
-            }
-        }
-    }
-
-    /// Picks a popular file path.
-    fn popular(&mut self) -> String {
-        let zipf = self.zipf.as_ref().expect("mix personalities have files");
-        let rank = zipf.sample(&mut self.rng);
-        self.files[rank].clone()
-    }
-
-    /// The directory a popular file lives in.
-    fn popular_dir(&mut self) -> String {
-        let file = self.popular();
-        file.rsplit_once('/').map(|(d, _)| d.to_string()).unwrap_or_else(|| "/".to_string())
-    }
-
-    /// An I/O-size-aligned offset within the mean file span.
-    fn offset_in_span(&mut self, io: usize) -> u64 {
-        let span = self.spec.fileset.size.mean().saturating_sub(io as u64).max(1);
-        self.rng.gen_range(0..span) / io as u64 * io as u64
-    }
-
-    fn execute(&mut self, kind: OpKind) -> KernelResult<OpOutcome> {
-        self.last_attempt = kind;
-        match kind {
-            OpKind::Create => self.op_create(),
-            OpKind::Read => self.op_read(),
-            OpKind::Write => self.op_write(),
-            OpKind::Append => self.op_append(),
-            OpKind::Fsync => self.op_fsync(),
-            OpKind::Stat => self.op_stat(),
-            // Delete and rename act on this worker's own created files so
-            // the shared popularity population stays intact; with nothing
-            // to act on yet they degrade to a create (which feeds them).
-            OpKind::Delete => match self.created.pop() {
-                Some(victim) => match self.vfs.unlink(&victim) {
-                    Ok(()) => Ok(Some((OpKind::Delete, 0))),
-                    Err(e) if e.errno() == Errno::NoEnt => Ok(None),
-                    Err(e) => Err(e),
-                },
-                None => self.op_create(),
-            },
-            OpKind::Rename => match self.created.pop() {
-                Some(old) => {
-                    // Cross-directory when the fileset has directories:
-                    // move the file into another fileset directory (the
-                    // two-parent rename path, pair-locked by inum order in
-                    // the xv6 stacks).  Flat filesets keep the old
-                    // same-directory rename.
-                    let new = if self.dirs.is_empty() {
-                        format!("{old}.r")
-                    } else {
-                        let dir = &self.dirs[self.next_name as usize % self.dirs.len()];
-                        self.next_name += 1;
-                        format!("{dir}/mv-{}-{}", self.worker_id, self.next_name)
-                    };
-                    match self.vfs.rename(&old, &new) {
-                        Ok(()) => {
-                            self.remember(new);
-                            Ok(Some((OpKind::Rename, 0)))
-                        }
-                        Err(e) if e.errno() == Errno::NoEnt => Ok(None),
-                        Err(e) => Err(e),
-                    }
-                }
-                None => self.op_create(),
-            },
-            OpKind::Mkdir => {
-                let path = format!("/lg-dir-{}-{}", self.worker_id, self.next_name);
-                self.next_name += 1;
-                self.vfs.mkdir(&path)?;
-                Ok(Some((OpKind::Mkdir, 0)))
-            }
-        }
-    }
-
-    fn remember(&mut self, path: String) {
-        // Bound the per-worker created list; the overflow files simply stay
-        // on the file system (they were real work).
-        if self.created.len() < 4096 {
-            self.created.push(path);
-        }
-    }
-
-    fn op_create(&mut self) -> KernelResult<OpOutcome> {
-        self.last_attempt = OpKind::Create;
-        let dir = self.popular_dir();
-        let path = format!("{dir}/n{}-{}", self.worker_id, self.next_name);
-        self.next_name += 1;
-        let size = {
-            let spec = Arc::clone(&self.spec);
-            spec.fileset.size.sample(&mut self.rng)
-        };
-        let fd = self.vfs.open(&path, OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
-        with_fd(&self.vfs, fd, |vfs| write_fully(vfs, fd, size, &self.scratch))?;
-        self.remember(path);
-        Ok(Some((OpKind::Create, size)))
-    }
-
-    fn op_read(&mut self) -> KernelResult<OpOutcome> {
-        let path = self.popular();
-        let io = self.spec.io_size;
-        let offset = self.offset_in_span(io);
-        let fd = match self.vfs.open(&path, OpenFlags::RDONLY) {
-            Ok(fd) => fd,
-            Err(e) if e.errno() == Errno::NoEnt => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let result = with_fd(&self.vfs, fd, |vfs| vfs.pread(fd, &mut scratch[..io], offset));
-        self.scratch = scratch;
-        Ok(Some((OpKind::Read, result? as u64)))
-    }
-
-    fn op_write(&mut self) -> KernelResult<OpOutcome> {
-        let path = self.popular();
-        let io = self.spec.io_size;
-        let offset = self.offset_in_span(io);
-        let fd = match self.vfs.open(&path, OpenFlags::WRONLY) {
-            Ok(fd) => fd,
-            Err(e) if e.errno() == Errno::NoEnt => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let n = with_fd(&self.vfs, fd, |vfs| vfs.pwrite(fd, &self.scratch[..io], offset))?;
-        Ok(Some((OpKind::Write, n as u64)))
-    }
-
-    fn op_append(&mut self) -> KernelResult<OpOutcome> {
-        let path = self.popular();
-        let append = self.spec.append_size.max(1);
-        let fd = match self.vfs.open(&path, OpenFlags::WRONLY.with(OpenFlags::APPEND)) {
-            Ok(fd) => fd,
-            Err(e) if e.errno() == Errno::NoEnt => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let n = with_fd(&self.vfs, fd, |vfs| vfs.write(fd, &self.scratch[..append]))?;
-        Ok(Some((OpKind::Append, n as u64)))
-    }
-
-    fn op_fsync(&mut self) -> KernelResult<OpOutcome> {
-        // The durability flowop: append a small record and fsync it, like a
-        // mail delivery or a commit log record.
-        let path = self.popular();
-        let fd = match self.vfs.open(&path, OpenFlags::WRONLY.with(OpenFlags::APPEND)) {
-            Ok(fd) => fd,
-            Err(e) if e.errno() == Errno::NoEnt => return Ok(None),
-            Err(e) => return Err(e),
-        };
-        let n = with_fd(&self.vfs, fd, |vfs| {
-            let n = vfs.write(fd, &self.scratch[..FSYNC_RECORD_BYTES])?;
-            vfs.fsync(fd)?;
-            Ok(n)
-        })?;
-        Ok(Some((OpKind::Fsync, n as u64)))
-    }
-
-    fn op_stat(&mut self) -> KernelResult<OpOutcome> {
-        let path = self.popular();
-        match self.vfs.stat(&path) {
-            Ok(_) => Ok(Some((OpKind::Stat, 0))),
-            Err(e) if e.errno() == Errno::NoEnt => Ok(None),
-            Err(e) => Err(e),
-        }
+        fds.close_all(self.vfs).map_err(|e| LoadError::new(self.spec, self.cfg, None, e))?;
+        Ok(tally)
     }
 }
 
-/// Index of `kind` in [`OpKind::all`] order (the per-class stats layout).
-fn class_index(kind: OpKind) -> usize {
-    OpKind::all().iter().position(|&k| k == kind).expect("all() covers every kind")
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::spec::{AccessPattern, FileSetSpec, OpMix, SizeDist};
+    use simkernel::dev::RamDisk;
+    use simkernel::memfs::MemFilesystemType;
+    use simkernel::vfs::{MountOptions, VfsConfig};
 
-/// Size of the record the fsync op class appends before syncing.
-const FSYNC_RECORD_BYTES: usize = 512;
+    fn memfs_vfs() -> Arc<Vfs> {
+        let vfs = Arc::new(Vfs::new(VfsConfig::default()));
+        vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
+            .unwrap();
+        vfs
+    }
 
-/// Runs `f` against an open fd and closes it on both the success and the
-/// error path — an op failing mid-flight (e.g. injected EIO) must not leak
-/// its descriptor, or unmount reports Busy after a fault run.
-fn with_fd<R>(vfs: &Vfs, fd: u64, f: impl FnOnce(&Vfs) -> KernelResult<R>) -> KernelResult<R> {
-    let result = f(vfs);
-    let closed = vfs.close(fd);
-    match result {
-        Ok(value) => closed.map(|()| value),
-        Err(e) => {
-            let _ = closed; // the op error is the interesting one
-            Err(e)
+    fn run(vfs: &Vfs, spec: &WorkloadSpec, workers: usize, ops: u64) -> LoadResult {
+        let cfg = LoadConfig::closed(workers, ops);
+        prepare(vfs, spec, &cfg).unwrap();
+        let result = run_load(vfs, spec, &cfg).unwrap();
+        assert!(result.is_clean(), "{}", spec.name);
+        result
+    }
+
+    fn files_in(vfs: &Vfs, dir: &str) -> usize {
+        vfs.readdir(dir).unwrap().iter().filter(|e| e.name != "." && e.name != "..").count()
+    }
+
+    #[test]
+    fn read_micro_reports_ops_and_bytes() {
+        let vfs = memfs_vfs();
+        let spec = WorkloadSpec::io(false, 1 << 20, 4096, AccessPattern::Random);
+        let result = run(&vfs, &spec, 2, 500);
+        assert_eq!(result.operations, 2 * 500);
+        assert_eq!(result.bytes, result.operations * 4096);
+        assert!(result.ops_per_sec() > 0.0);
+        // Per-op latency rides along: one sample per completed op, ordered
+        // percentiles.
+        assert_eq!(result.overall.count(), result.operations);
+        assert!(result.p_us(50.0) <= result.p_us(99.0));
+        assert!(result.overall.max() > 0);
+    }
+
+    #[test]
+    fn write_micro_sequential_and_random() {
+        for pattern in [AccessPattern::Sequential, AccessPattern::Random] {
+            let vfs = memfs_vfs();
+            let spec = WorkloadSpec::io(true, 1 << 20, 32 * 1024, pattern);
+            let result = run(&vfs, &spec, 2, 100);
+            assert_eq!(result.class(OpKind::Write).unwrap().completed, 200, "{pattern:?}");
+            assert_eq!(result.bytes, 200 * 32 * 1024);
+            // Writes stay inside the preallocated file.
+            assert_eq!(vfs.stat("/f0").unwrap().size, 1 << 20);
         }
     }
-}
 
-/// Writes `total` payload bytes to `fd` in `scratch`-sized chunks — the one
-/// chunked write-out loop shared by preparation, replay and the create op.
-fn write_fully(vfs: &Vfs, fd: u64, total: u64, scratch: &[u8]) -> KernelResult<()> {
-    let mut remaining = total;
-    while remaining > 0 {
-        let n = vfs.write(fd, &scratch[..(remaining as usize).min(scratch.len())])?;
-        if n == 0 {
-            return Err(KernelError::with_context(Errno::Io, "loadgen: zero-length write"));
+    #[test]
+    fn disjoint_micros_report_ops_and_clean_up() {
+        let vfs = memfs_vfs();
+        for write in [false, true] {
+            let spec =
+                WorkloadSpec::io(write, 256 * 1024, 4096, AccessPattern::Random).with_files(4);
+            let result = run(&vfs, &spec, 4, 200);
+            assert_eq!(result.operations, 4 * 200);
+            assert_eq!(result.bytes, result.operations * 4096);
         }
-        remaining -= n as u64;
+        // One private file per worker, and every held descriptor is closed.
+        assert!(vfs.exists("/f3") && !vfs.exists("/f4"));
+        assert_eq!(vfs.open_fd_count(), 0);
     }
-    Ok(())
-}
 
-/// `mkdir -p`: creates `path` and any missing ancestors, tolerating
-/// directories that already exist (racing workers create each other's
-/// parents).
-fn mkdir_p(vfs: &Vfs, path: &str) -> KernelResult<()> {
-    let mut so_far = String::new();
-    for part in path.split('/').filter(|p| !p.is_empty()) {
-        so_far.push('/');
-        so_far.push_str(part);
-        match vfs.mkdir(&so_far) {
-            Ok(()) => {}
-            Err(e) if e.errno() == Errno::Exist => {}
-            Err(e) => return Err(e),
+    #[test]
+    fn create_and_delete_micro() {
+        let vfs = memfs_vfs();
+        let created = run(&vfs, &WorkloadSpec::createfiles(4096, 2), 2, 50);
+        assert_eq!(created.operations, 100);
+        assert_eq!((files_in(&vfs, "/d0-0"), files_in(&vfs, "/d0-1")), (50, 50));
+        // Deletes take exactly the precreated files, each once.
+        let vfs = memfs_vfs();
+        let deleted = run(&vfs, &WorkloadSpec::deletefiles(50, 1024, 2), 2, 50);
+        assert_eq!(deleted.operations, 100);
+        assert_eq!(deleted.class(OpKind::Delete).unwrap().completed, 100);
+        assert_eq!((files_in(&vfs, "/d0-0"), files_in(&vfs, "/d0-1")), (0, 0));
+    }
+
+    #[test]
+    fn crossdir_create_spreads_over_shared_directories() {
+        let vfs = memfs_vfs();
+        let result = run(&vfs, &WorkloadSpec::create_crossdir(1024, 4), 4, 60);
+        assert_eq!(result.operations, 240);
+        assert_eq!(result.bytes, result.operations * 1024);
+        // Every directory of the shared pool of 8 gets files from several
+        // workers.
+        for d in 0..8 {
+            let names: Vec<String> =
+                vfs.readdir(&format!("/d0-{d}")).unwrap().into_iter().map(|e| e.name).collect();
+            let workers = (0..4).filter(|t| names.iter().any(|n| n.starts_with(&format!("n{t}-"))));
+            assert!(workers.count() >= 2, "pool dir {d}: {names:?}");
         }
     }
-    Ok(())
+
+    #[test]
+    fn rename_storm_chains_renames_without_losing_files() {
+        let vfs = memfs_vfs();
+        let spec = WorkloadSpec {
+            name: "rename-storm".to_string(),
+            fileset: FileSetSpec { dir_width: 4, depth: 1, files: 8, size: SizeDist::Fixed(64) },
+            mix: OpMix::new(&[(OpKind::Create, 1), (OpKind::Rename, 6)]),
+            ..WorkloadSpec::namespace_churn()
+        };
+        let result = run(&vfs, &spec, 4, 150);
+        let creates = result.class(OpKind::Create).unwrap().completed;
+        assert!(result.class(OpKind::Rename).unwrap().completed > 4 * 100);
+        // Every file exists exactly once, somewhere in the pool — a lost or
+        // duplicated file means a rename bug.
+        let total: usize = (0..4).map(|d| files_in(&vfs, &format!("/d0-{d}"))).sum();
+        assert_eq!(total as u64, 8 + creates);
+    }
+
+    #[test]
+    fn a_failed_op_names_its_worker_index_op_and_seed() {
+        let vfs = memfs_vfs();
+        let spec = WorkloadSpec::deletefiles(3, 16, 2);
+        let cfg = LoadConfig::closed(2, 3);
+        prepare(&vfs, &spec, &cfg).unwrap();
+        vfs.unlink("/d0-1/f1").unwrap(); // worker 1's first victim
+        let err = run_load(&vfs, &spec, &cfg).unwrap_err();
+        assert_eq!(err.error.errno(), Errno::NoEnt);
+        let (worker, index, op) = err.op.as_deref().expect("an op failed").clone();
+        assert_eq!((worker, index, op), (1, 2, Op::Unlink("/d0-1/f1".into())));
+        let shown = err.to_string();
+        for part in ["deletefiles", "closed-2w", "seed 0x10ad6e4e", "worker 1 op #2", "/d0-1/f1"] {
+            assert!(shown.contains(part), "{shown:?} lacks {part:?}");
+        }
+        assert_eq!(vfs.open_fd_count(), 0);
+    }
+
+    #[test]
+    fn varmail_and_fileserver_run() {
+        for spec in [WorkloadSpec::varmail(), WorkloadSpec::fileserver()] {
+            let vfs = memfs_vfs();
+            let result = run(&vfs, &spec.with_files(20), 2, 200);
+            assert_eq!(result.operations, 400, "{}", result.spec);
+            assert!(result.bytes > 0);
+        }
+    }
 }

@@ -1,44 +1,49 @@
-//! # loadgen — workload modeling + load generation with tail-latency
-//! instrumentation
+//! # loadgen — the load driver: seeded op scripts, closed and open loops,
+//! tail-latency instrumentation
 //!
-//! The paper evaluates its file systems with filebench application
+//! The paper evaluates its file systems with filebench microbenchmarks and
 //! personalities and demonstrates live upgrade *under sustained load*
-//! (§6.2, §6.4).  The `workloads` crate reimplements the personalities as
-//! fixed loops; this crate adds the missing evaluation machinery around
-//! them:
+//! (§6.2, §6.4).  Every measured run in this repository, from the Figure 2
+//! read loop to the load experiment's varmail, goes through this crate:
 //!
 //! * **Declarative workload models** ([`WorkloadSpec`]): a file-set shape
 //!   (directory width/depth, file count, size distribution), a weighted op
 //!   mix over create / read / write / append / fsync / stat / delete /
-//!   rename, and seeded Zipfian file popularity ([`zipf::Zipfian`]).  Five
-//!   personalities ship: [`WorkloadSpec::varmail`],
-//!   [`WorkloadSpec::fileserver`], [`WorkloadSpec::webserver`],
-//!   [`WorkloadSpec::untar_replay`] (which replays the
-//!   `workloads::untar` manifest with per-op latency), and
-//!   [`WorkloadSpec::namespace_churn`] (rename-heavy, cross-directory —
-//!   the mix that leans on the per-directory namespace locks).
-//! * **Closed- and open-loop drivers** ([`driver::run_load`]): closed loop
-//!   = N workers in a tight loop (peak throughput); open loop = a target
-//!   arrival rate on a virtual clock, where overload shows up as measured
-//!   backlog and growing latency instead of silently throttled offered
-//!   load.
+//!   rename, seeded Zipfian file popularity ([`zipf::Zipfian`]), and a
+//!   [`Layout`] saying how workers address the files (shared, partitioned
+//!   per worker, through a held descriptor, or replaying a manifest).
+//!   Personalities: [`WorkloadSpec::varmail`], [`WorkloadSpec::fileserver`],
+//!   [`WorkloadSpec::webserver`], [`WorkloadSpec::untar_replay`] (the
+//!   `workloads::untar` manifest with per-op latency) and
+//!   [`WorkloadSpec::namespace_churn`] (rename-heavy, cross-directory);
+//!   microbenchmarks: [`WorkloadSpec::io`], [`WorkloadSpec::createfiles`],
+//!   [`WorkloadSpec::create_crossdir`], [`WorkloadSpec::deletefiles`].
+//!   A spec becomes per-worker scripts of `workloads::op` ops.
+//! * **Closed- and open-loop drivers** ([`driver::run_load`]), both
+//!   bounded by op count: closed loop = N workers each running a
+//!   fixed-length script back to back (peak throughput); open loop = each
+//!   worker admits a fixed number of arrivals on a virtual clock at a
+//!   target rate, so overload shows up as measured backlog and growing
+//!   latency instead of silently throttled offered load.  A run that
+//!   creates files is sized to the mount's free inodes first, so no stack
+//!   can run out of them however fast it is.
 //! * **Measurement**: per-op-class log-bucketed latency histograms
 //!   (p50/p90/p99/p99.9 via [`simkernel::metrics::LatencyHistogram`]) and
 //!   a windowed throughput timeline, emitted as BENCH rows by the `bench`
-//!   crate's `load` experiment.
-//! * **Scenario hooks** ([`scenario`]): [`BentoFs::upgrade`] fired mid-run
-//!   under traffic (zero failed ops, measured pause — the paper's
-//!   upgrade-under-load experiment; optionally held until callers park
-//!   behind it, for detector tests) and crashsim `FaultDevice`
-//!   transient-EIO injection under load (failed ops counted per class,
-//!   liveness re-probed after the fault clears).
+//!   crate's experiments.  A failed op is a [`LoadError`] naming the
+//!   worker, op index, op and seed.
+//! * **Scenario hooks** ([`scenario`]): [`BentoFs::upgrade`] fired at the
+//!   run's middle op under traffic (zero failed ops, measured pause — the
+//!   paper's upgrade-under-load experiment; optionally held until callers
+//!   park behind it, for detector tests) and crashsim `FaultDevice`
+//!   transient-EIO injection for the middle half of the ops (failed ops
+//!   counted per class, liveness re-probed after the fault clears).
 //!
 //! [`BentoFs::upgrade`]: bento::bentofs::BentoFs::upgrade
 //!
 //! ## Example
 //!
 //! ```
-//! use std::time::Duration;
 //! use loadgen::{run_load, prepare, LoadConfig, WorkloadSpec};
 //! use simkernel::cost::CostModel;
 //! use workloads::{mount_stack, FsStack};
@@ -46,10 +51,11 @@
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mounted = mount_stack(FsStack::BentoXv6, CostModel::zero(), 16_384)?;
 //! let spec = WorkloadSpec::varmail().with_files(40);
-//! let cfg = LoadConfig::closed(2, Duration::from_millis(60));
+//! let cfg = LoadConfig::closed(2, 200);
 //! prepare(&mounted.vfs, &spec, &cfg)?;
 //! let result = run_load(&mounted.vfs, &spec, &cfg)?;
 //! assert!(result.is_clean());
+//! assert_eq!(result.operations, 2 * 200);
 //! println!("{} ops/s, p99 {:.0}µs", result.ops_per_sec() as u64, result.p_us(99.0));
 //! # Ok(())
 //! # }
@@ -64,9 +70,9 @@ pub mod spec;
 pub mod zipf;
 
 pub use driver::{
-    prepare, run_load, ClassPhaseTrace, Driver, ErrorPolicy, LoadConfig, LoadResult, OpClassStats,
-    SLOWEST_K,
+    prepare, run_load, ClassPhaseTrace, Driver, ErrorPolicy, LoadConfig, LoadError, LoadResult,
+    OpClassStats, SLOWEST_K,
 };
 pub use scenario::{run_eio_under_load, run_upgrade_under_load, EioOutcome, UpgradeOutcome};
-pub use spec::{FileSetSpec, OpKind, OpMix, SizeDist, WorkloadSpec};
+pub use spec::{AccessPattern, FileSetSpec, Layout, OpKind, OpMix, SizeDist, WorkloadSpec};
 pub use zipf::Zipfian;

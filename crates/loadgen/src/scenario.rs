@@ -4,16 +4,19 @@
 //! The paper's flagship demo (§6.2) is upgrading a live file system under
 //! sustained traffic: applications observe a pause of milliseconds, not an
 //! unmount window.  [`run_upgrade_under_load`] reproduces that experiment —
-//! traffic from any personality, an upgrade fired halfway through
-//! (optionally held until callers park behind it), the pause measured and
-//! zero failed operations asserted by the caller via
+//! traffic from any personality, an upgrade fired when half the run's ops
+//! have been issued (optionally held until callers park behind it), the
+//! pause measured and zero failed operations asserted by the caller via
 //! [`LoadResult::is_clean`].
 //!
 //! [`run_eio_under_load`] drives the same traffic over a crashsim
-//! [`FaultDevice`] and flips transient-EIO injection on for a window
-//! mid-run: the stack is allowed to fail individual operations (they are
-//! counted per op class), but must keep serving once the fault clears.
+//! [`FaultDevice`] and switches transient-EIO injection on for the middle
+//! half of the run's ops: the stack is allowed to fail individual
+//! operations (they are counted per op class), but must keep serving once
+//! the fault clears.  Both fire at an op index, not after a sleep, so the
+//! event lands at the same point of the script on any machine.
 
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,7 +30,7 @@ use simkernel::vfs::OpenFlags;
 use workloads::stacks::XV6_INODES;
 use workloads::{format, mount_stack_on, FsStack, MountedStack, StackHandle};
 
-use crate::driver::{run_load, ErrorPolicy, LoadConfig, LoadResult};
+use crate::driver::{run_hooked, ErrorPolicy, LoadConfig, LoadError, LoadResult};
 use crate::spec::WorkloadSpec;
 
 /// What the upgrade scenario observed.
@@ -47,8 +50,8 @@ pub struct UpgradeOutcome {
 const PARK_WAIT: Duration = Duration::from_secs(2);
 
 /// Runs `spec` against a mounted **Bento** stack and upgrades it
-/// (swapping in a fresh [`xv6fs::Xv6FileSystem`]) halfway through the run,
-/// while the drivers keep issuing operations.
+/// (swapping in a fresh [`xv6fs::Xv6FileSystem`]) once half of the run's
+/// ops have been issued, while the drivers keep issuing operations.
 ///
 /// With `hold: None` the upgrade is
 /// [`BentoFs::upgrade`](bento::bentofs::BentoFs::upgrade), whose pause is
@@ -65,26 +68,32 @@ const PARK_WAIT: Duration = Duration::from_secs(2);
 ///
 /// # Errors
 ///
-/// Fails if `mounted` is not the Bento stack, if the upgrade
-/// itself fails, if a held upgrade sees no caller park within 2 s (the
-/// upgrade is then aborted), or (under [`ErrorPolicy::FailFast`]) if any
-/// operation fails — the paper's bar is zero failed ops across the swap.
+/// Fails if `mounted` is not the Bento stack, if the run ends before
+/// half its ops are issued, if the upgrade itself fails, if a held upgrade
+/// sees no caller park within 2 s (the upgrade is then aborted), or (under
+/// [`ErrorPolicy::FailFast`]) if any operation fails — the paper's bar is
+/// zero failed ops across the swap.
 pub fn run_upgrade_under_load(
     mounted: &MountedStack,
     spec: &WorkloadSpec,
     cfg: &LoadConfig,
     hold: Option<Duration>,
-) -> KernelResult<(LoadResult, UpgradeOutcome)> {
+) -> Result<(LoadResult, UpgradeOutcome), LoadError> {
+    let fail = |e| LoadError::new(spec, cfg, None, e);
     let StackHandle::Bento(bento) = &mounted.handle else {
-        return Err(KernelError::with_context(
+        return Err(fail(KernelError::with_context(
             Errno::Inval,
             "upgrade-under-load requires a BentoFS mount at /",
-        ));
+        )));
     };
+    let half = cfg.ops * cfg.driver.workers() as u64 / 2;
+    let (fire, fired) = sync_channel::<()>(1);
     let started = Instant::now();
     std::thread::scope(|scope| {
-        let scenario = scope.spawn(|| -> KernelResult<UpgradeOutcome> {
-            std::thread::sleep(cfg.duration / 2);
+        let scenario = scope.spawn(move || -> KernelResult<UpgradeOutcome> {
+            fired.recv().map_err(|_| {
+                KernelError::with_context(Errno::Io, "the run ended before the upgrade fired")
+            })?;
             let fired_at = started.elapsed();
             let fired_window = cfg.monitor.as_ref().map(|m| m.windows_closed());
             let gate = bento.begin_upgrade();
@@ -104,11 +113,18 @@ pub fn run_upgrade_under_load(
             let report = gate.complete(Box::new(xv6fs::Xv6FileSystem::with_label("loadgen-v2")))?;
             Ok(UpgradeOutcome { report, fired_at, fired_window })
         });
-        let result = run_load(&mounted.vfs, spec, cfg);
+        let hook = move |k: u64| {
+            if k == half {
+                let _ = fire.send(());
+            }
+        };
+        let result = run_hooked(&mounted.vfs, spec, cfg, Some(&hook));
+        // Dropping the sender wakes a scenario still waiting for op `half`.
+        drop(hook);
         let outcome = scenario.join().map_err(|_| {
-            KernelError::with_context(Errno::Io, "upgrade scenario thread panicked")
+            fail(KernelError::with_context(Errno::Io, "upgrade scenario thread panicked"))
         })?;
-        Ok((result?, outcome?))
+        Ok((result?, outcome.map_err(fail)?))
     })
 }
 
@@ -131,7 +147,8 @@ pub struct EioOutcome {
 /// Mounts `stack` over a crashsim [`FaultDevice`] (wrapping the usual
 /// latency-modelled [`SsdDevice`]), runs `spec` under [`ErrorPolicy::Count`],
 /// and injects transient EIO with probability `eio_p` on writes (and
-/// `eio_p / 4` on reads) for the middle half of the run.  Returns the load
+/// `eio_p / 4` on reads) from the op a quarter into the run to the op
+/// three quarters in.  Returns the load
 /// result (failed ops counted per class) and the injection outcome,
 /// including a post-fault liveness probe.
 ///
@@ -146,37 +163,35 @@ pub fn run_eio_under_load(
     spec: &WorkloadSpec,
     cfg: &LoadConfig,
     eio_p: f64,
-) -> KernelResult<(LoadResult, EioOutcome)> {
+) -> Result<(LoadResult, EioOutcome), LoadError> {
+    let cfg = LoadConfig { error_policy: ErrorPolicy::Count, ..cfg.clone() };
+    let fail = |e| LoadError::new(spec, &cfg, None, e);
     let ssd = Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone()));
     let fault =
         Arc::new(FaultDevice::new(ssd as Arc<dyn BlockDevice>, FaultConfig::recorder(cfg.seed)));
     fault.set_trace_enabled(false); // live injection only; no crash replay
     let device = Arc::clone(&fault) as Arc<dyn BlockDevice>;
-    format(stack, &device, XV6_INODES)?;
-    let mounted = mount_stack_on(stack, device, model, PlantedFault::None)?;
+    format(stack, &device, XV6_INODES).map_err(fail)?;
+    let mounted = mount_stack_on(stack, device, model, PlantedFault::None).map_err(fail)?;
     let vfs = &mounted.vfs;
-    crate::driver::prepare(vfs, spec, cfg)?;
+    crate::driver::prepare(vfs, spec, &cfg).map_err(fail)?;
 
-    let cfg = LoadConfig { error_policy: ErrorPolicy::Count, ..cfg.clone() };
     // A health monitor attached to the run gets per-window counter deltas
     // of this mount.
     if let Some(mon) = &cfg.monitor {
         let source = mounted.clone();
         mon.set_snapshot_source(move || source.counters());
     }
-    let quarter = cfg.duration / 4;
-    let toggle_device = Arc::clone(&fault);
-    let toggler = std::thread::spawn(move || {
-        std::thread::sleep(quarter);
-        toggle_device.set_transient_eio(eio_p / 4.0, eio_p);
-        std::thread::sleep(quarter * 2);
-        toggle_device.set_transient_eio(0.0, 0.0);
-    });
-    let result = run_load(vfs, spec, &cfg);
-    toggler
-        .join()
-        .map_err(|_| KernelError::with_context(Errno::Io, "EIO toggle thread panicked"))?;
-    // Make sure injection is off even if the run errored out early.
+    let total = cfg.ops * cfg.driver.workers() as u64;
+    let hook = |k: u64| {
+        if k == total / 4 {
+            fault.set_transient_eio(eio_p / 4.0, eio_p);
+        } else if k == total * 3 / 4 {
+            fault.set_transient_eio(0.0, 0.0);
+        }
+    };
+    let result = run_hooked(vfs, spec, &cfg, Some(&hook));
+    // Make sure injection is off even if the run ended early.
     fault.set_transient_eio(0.0, 0.0);
     let result = result?;
 

@@ -6,55 +6,46 @@
 //! [`generate_linux_like_manifest`] produces a deterministic synthetic tree
 //! whose directory depth and file-size distribution follow the kernel
 //! source's (most files a few KiB, a long tail of larger ones), scaled down
-//! so the sweep over four stacks finishes quickly.  [`untar`] replays the
-//! manifest against a mounted stack and reports elapsed time, as the paper
-//! does (lower is better).
+//! so the sweep over four stacks finishes quickly.  A manifest is a list of
+//! [`Op`]s; [`untar`] applies it against a mounted stack and reports
+//! elapsed time, as the paper does (lower is better), and the load
+//! generator's untar-replay personality applies the same ops.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use simkernel::error::KernelResult;
-use simkernel::vfs::{OpenFlags, Vfs};
+use simkernel::vfs::Vfs;
 
-/// One entry of the synthetic source tree.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UntarEntry {
-    /// A directory at the given path (relative, `/`-separated).
-    Dir(String),
-    /// A file at the given path with the given size in bytes.
-    File(String, u64),
-}
+use crate::op::{apply_extracting, Fds, Op};
 
-/// A synthetic archive: the ordered list of entries to extract.
+/// The byte every extracted file is filled with.
+const FILL: u8 = 0x42;
+
+/// A synthetic archive: [`Op::Mkdir`] and [`Op::Create`] ops in extraction
+/// order (parents precede children), with absolute paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UntarManifest {
-    /// Entries in extraction order (parents precede children).
-    pub entries: Vec<UntarEntry>,
+    /// The ops, in extraction order.
+    pub ops: Vec<Op>,
 }
 
 impl UntarManifest {
     /// Number of directories in the manifest.
     pub fn dir_count(&self) -> usize {
-        self.entries.iter().filter(|e| matches!(e, UntarEntry::Dir(_))).count()
+        self.ops.iter().filter(|op| matches!(op, Op::Mkdir(_))).count()
     }
 
     /// Number of files in the manifest.
     pub fn file_count(&self) -> usize {
-        self.entries.iter().filter(|e| matches!(e, UntarEntry::File(_, _))).count()
+        self.ops.iter().filter(|op| matches!(op, Op::Create { .. })).count()
     }
 
     /// Total file bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| match e {
-                UntarEntry::File(_, size) => *size,
-                UntarEntry::Dir(_) => 0,
-            })
-            .sum()
+        self.ops.iter().map(|op| if let Op::Create { len, .. } = op { *len } else { 0 }).sum()
     }
 }
 
@@ -63,16 +54,14 @@ impl UntarManifest {
 /// skewed distribution (≈70% under 8 KiB, ≈25% 8–64 KiB, ≈5% 64–256 KiB).
 pub fn generate_linux_like_manifest(dirs: usize, files: usize, seed: u64) -> UntarManifest {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let mut entries = Vec::with_capacity(dirs + files + 16);
+    let mut ops = Vec::with_capacity(dirs + files + 16);
     let top_level = ["arch", "drivers", "fs", "include", "kernel", "net", "mm", "lib"];
-    for top in top_level {
-        entries.push(UntarEntry::Dir(top.to_string()));
-    }
-    let mut dir_paths: Vec<String> = top_level.iter().map(|s| s.to_string()).collect();
+    let mut dir_paths: Vec<String> = top_level.iter().map(|s| format!("/{s}")).collect();
+    ops.extend(dir_paths.iter().cloned().map(Op::Mkdir));
     for d in 0..dirs.saturating_sub(top_level.len()) {
         let parent = &dir_paths[rng.gen_range(0..dir_paths.len().min(top_level.len() * 4))];
         let path = format!("{parent}/sub{d}");
-        entries.push(UntarEntry::Dir(path.clone()));
+        ops.push(Op::Mkdir(path.clone()));
         dir_paths.push(path);
     }
     for f in 0..files {
@@ -86,46 +75,24 @@ pub fn generate_linux_like_manifest(dirs: usize, files: usize, seed: u64) -> Unt
             rng.gen_range(64 * 1024..256 * 1024)
         };
         let ext = if f % 10 == 0 { "h" } else { "c" };
-        entries.push(UntarEntry::File(format!("{dir}/file{f}.{ext}"), size as u64));
+        ops.push(Op::Create { path: format!("{dir}/file{f}.{ext}"), len: size, fill: FILL });
     }
-    UntarManifest { entries }
+    UntarManifest { ops }
 }
 
-/// Extracts `manifest` under `base` (an existing directory, e.g. `/`) and
-/// returns the elapsed time and bytes written.  A final `sync` is included
-/// in the measurement, as `tar xf` followed by the implicit writeback would
-/// be on a real system.
+/// Extracts `manifest` at the root of `vfs` and returns the elapsed time
+/// and bytes written.  A final `sync` is included in the measurement, as
+/// `tar xf` followed by the implicit writeback would be on a real system.
 ///
 /// # Errors
 ///
 /// Propagates file system errors.
-pub fn untar(
-    vfs: &Arc<Vfs>,
-    base: &str,
-    manifest: &UntarManifest,
-) -> KernelResult<(Duration, u64)> {
-    let base = base.trim_end_matches('/');
+pub fn untar(vfs: &Vfs, manifest: &UntarManifest) -> KernelResult<(Duration, u64)> {
     let start = Instant::now();
-    let mut bytes = 0u64;
-    let payload = vec![0x42u8; 64 * 1024];
-    for entry in &manifest.entries {
-        match entry {
-            UntarEntry::Dir(path) => {
-                vfs.mkdir(&format!("{base}/{path}"))?;
-            }
-            UntarEntry::File(path, size) => {
-                let fd =
-                    vfs.open(&format!("{base}/{path}"), OpenFlags::WRONLY.with(OpenFlags::CREAT))?;
-                let mut remaining = *size;
-                while remaining > 0 {
-                    let n = (remaining as usize).min(payload.len());
-                    vfs.write(fd, &payload[..n])?;
-                    remaining -= n as u64;
-                    bytes += n as u64;
-                }
-                vfs.close(fd)?;
-            }
-        }
+    let mut fds = Fds::default();
+    let mut bytes = 0;
+    for op in &manifest.ops {
+        bytes += apply_extracting(vfs, &mut fds, op)?;
     }
     vfs.sync()?;
     Ok((start.elapsed(), bytes))
@@ -137,6 +104,7 @@ mod tests {
     use simkernel::dev::RamDisk;
     use simkernel::memfs::MemFilesystemType;
     use simkernel::vfs::{MountOptions, VfsConfig};
+    use std::sync::Arc;
 
     #[test]
     fn manifest_is_deterministic_and_shaped() {
@@ -146,11 +114,8 @@ mod tests {
         assert_eq!(a.file_count(), 500);
         assert!(a.dir_count() >= 64);
         // The size distribution is dominated by small files.
-        let small = a
-            .entries
-            .iter()
-            .filter(|e| matches!(e, UntarEntry::File(_, s) if *s < 8 * 1024))
-            .count();
+        let small =
+            a.ops.iter().filter(|op| matches!(op, Op::Create { len, .. } if *len < 8192)).count();
         assert!(small as f64 > 0.6 * a.file_count() as f64);
     }
 
@@ -161,13 +126,13 @@ mod tests {
         vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
             .unwrap();
         let manifest = generate_linux_like_manifest(16, 60, 3);
-        let (elapsed, bytes) = untar(&vfs, "/", &manifest).unwrap();
+        let (elapsed, bytes) = untar(&vfs, &manifest).unwrap();
         assert!(elapsed.as_nanos() > 0);
         assert_eq!(bytes, manifest.total_bytes());
         // Spot check: every file exists with the right size.
-        for entry in &manifest.entries {
-            if let UntarEntry::File(path, size) = entry {
-                assert_eq!(vfs.stat(&format!("/{path}")).unwrap().size, *size);
+        for op in &manifest.ops {
+            if let Op::Create { path, len, .. } = op {
+                assert_eq!(vfs.stat(path).unwrap().size, *len);
             }
         }
     }

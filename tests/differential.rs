@@ -5,72 +5,14 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
 use journal::PlantedFault;
+use loadgen::{prepare, FileSetSpec, Layout, LoadConfig, OpKind, OpMix, SizeDist, WorkloadSpec};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
+use simkernel::error::Errno;
 use simkernel::memfs::MemFilesystemType;
 use simkernel::vfs::{MountOptions, OpenFlags, Vfs, VfsConfig};
-use workloads::{format, mount_stack, mount_stack_on, FsStack, MountedStack};
-
-/// A scripted operation applied identically to every stack.
-#[derive(Debug, Clone)]
-enum Op {
-    Create(String, Vec<u8>),
-    Append(String, Vec<u8>),
-    Mkdir(String),
-    Unlink(String),
-    Rename(String, String),
-    Truncate(String, u64),
-    Fsync(String),
-    /// Overwrite (and extend) an existing file at several disjoint offsets,
-    /// then fsync: one write-back pass over non-adjacent dirty pages.
-    SparseOverwrite(String, Vec<(u64, Vec<u8>)>),
-}
-
-fn apply(vfs: &Arc<Vfs>, op: &Op) {
-    match op {
-        Op::Create(path, data) => {
-            let fd = vfs.open(path, OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("create");
-            vfs.write(fd, data).expect("write");
-            vfs.close(fd).expect("close");
-        }
-        Op::Append(path, data) => {
-            if let Ok(fd) = vfs.open(path, OpenFlags::WRONLY.with(OpenFlags::APPEND)) {
-                vfs.write(fd, data).expect("append");
-                vfs.close(fd).expect("close");
-            }
-        }
-        Op::Mkdir(path) => {
-            let _ = vfs.mkdir(path);
-        }
-        Op::Unlink(path) => {
-            let _ = vfs.unlink(path);
-        }
-        Op::Rename(from, to) => {
-            let _ = vfs.rename(from, to);
-        }
-        Op::Truncate(path, size) => {
-            let _ = vfs.truncate(path, *size);
-        }
-        Op::Fsync(path) => {
-            if let Ok(fd) = vfs.open(path, OpenFlags::RDONLY) {
-                let _ = vfs.fsync(fd);
-                vfs.close(fd).expect("close");
-            }
-        }
-        Op::SparseOverwrite(path, writes) => {
-            let fd = vfs.open(path, OpenFlags::RDWR).expect("open for overwrite");
-            for (offset, data) in writes {
-                vfs.pwrite(fd, data, *offset).expect("pwrite");
-            }
-            vfs.fsync(fd).expect("fsync");
-            vfs.close(fd).expect("close");
-        }
-    }
-}
+use workloads::{apply, format, mount_stack, mount_stack_on, Fds, FsStack, MountedStack, Op};
 
 /// Collects the full observable state: path -> (is_dir, size, content hash).
 fn observe(vfs: &Arc<Vfs>, dir: &str, out: &mut BTreeMap<String, (bool, u64, u64)>) {
@@ -107,51 +49,77 @@ fn observe(vfs: &Arc<Vfs>, dir: &str, out: &mut BTreeMap<String, (bool, u64, u64
     }
 }
 
-fn scripted_ops(seed: u64, count: usize) -> Vec<Op> {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut ops =
-        vec![Op::Mkdir("/d0".into()), Op::Mkdir("/d1".into()), Op::Mkdir("/d0/nested".into())];
-    let dirs = ["/", "/d0", "/d1", "/d0/nested"];
-    for i in 0..count {
-        let dir = dirs[rng.gen_range(0..dirs.len())];
-        let path = if dir == "/" { format!("/f{i}") } else { format!("{dir}/f{i}") };
-        let roll: f64 = rng.gen();
-        if roll < 0.45 {
-            let size = rng.gen_range(0..20_000);
-            let byte = (i % 251) as u8;
-            ops.push(Op::Create(path, vec![byte; size]));
-        } else if roll < 0.6 {
-            let target = format!("/f{}", rng.gen_range(0..count.max(1)));
-            ops.push(Op::Append(target, vec![0xEE; rng.gen_range(1..5000)]));
-        } else if roll < 0.7 {
-            let target = format!("/f{}", rng.gen_range(0..count.max(1)));
-            ops.push(Op::Unlink(target));
-        } else if roll < 0.8 {
-            let from = format!("/f{}", rng.gen_range(0..count.max(1)));
-            ops.push(Op::Rename(from, format!("/d1/renamed{i}")));
-        } else if roll < 0.9 {
-            let target = format!("/f{}", rng.gen_range(0..count.max(1)));
-            ops.push(Op::Truncate(target, rng.gen_range(0..10_000)));
-        } else {
-            let target = format!("/f{}", rng.gen_range(0..count.max(1)));
-            ops.push(Op::Fsync(target));
-        }
+/// The differential workload: a seeded single-worker script from the
+/// shared generator over a two-level fileset (creates, appends, unaligned
+/// overwrites, reads, deletes, cross-directory renames, fsyncs, stats),
+/// followed by ops the generator never issues: truncates, ops on missing
+/// targets, and a scattered overwrite of one file synced in one pass.
+fn differential_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        name: "differential".to_string(),
+        fileset: FileSetSpec {
+            dir_width: 2,
+            depth: 2,
+            files: 12,
+            size: SizeDist::Uniform { min: 0, max: 20_000 },
+        },
+        mix: OpMix::new(&[
+            (OpKind::Create, 6),
+            (OpKind::Append, 3),
+            (OpKind::Write, 2),
+            (OpKind::Read, 1),
+            (OpKind::Delete, 2),
+            (OpKind::Rename, 2),
+            (OpKind::Fsync, 1),
+            (OpKind::Stat, 1),
+        ]),
+        zipf_theta: 0.5,
+        io_size: 3000,
+        append_size: 4999,
+        layout: Layout::Shared,
     }
-    // A file that outlives the script, overwritten in place at scattered
-    // offsets: inside one page, a whole page, across a page boundary, past
-    // a hole beyond the old end — and synced in one pass.
-    ops.push(Op::Create("/d0/sparse".into(), vec![0x11; 40_000]));
-    ops.push(Op::Fsync("/d0/sparse".into()));
-    ops.push(Op::SparseOverwrite(
-        "/d0/sparse".into(),
-        vec![
-            (4096 + 10, vec![0x22; 100]),
-            (5 * 4096, vec![0x33; 4096]),
-            (8 * 4096 - 96, vec![0x44; 200]),
-            (14 * 4096 + 7, vec![0x55; 5000]),
-        ],
-    ));
+}
+
+fn script(seed: u64, count: u64) -> Vec<Op> {
+    let mut ops = differential_spec().script(0, 1, count, u64::MAX, seed).1;
+    let files = differential_spec().fileset.file_paths("/");
+    let create = |path: &str, len, fill| Op::Create { path: path.into(), len, fill };
+    ops.extend([
+        Op::Truncate(files[1].clone(), 10_000),
+        Op::Truncate(files[2].clone(), 3),
+        Op::Truncate(files[3].clone(), 0),
+        Op::Unlink("/missing".into()),
+        Op::Rename("/missing".into(), "/d0-0/renamed".into()),
+        Op::Truncate("/missing".into(), 5),
+        Op::Append { path: "/missing".into(), len: 10, fill: 1, fsync: false },
+        Op::Mkdir("/d0-0".into()),
+        Op::Rename(files[4].clone(), files[5].clone()),
+        // A file that outlives the script, overwritten in place at
+        // scattered offsets — inside one page, a whole page, across a page
+        // boundary, past a hole beyond the old end — and synced in one
+        // pass.
+        create("/d0-1/sparse", 40_000, 0x11),
+        Op::Open { slot: 0, path: "/d0-1/sparse".into(), flags: OpenFlags::RDWR },
+        Op::Fsync(0),
+        Op::Pwrite { slot: 0, offset: 4096 + 10, len: 100, fill: 0x22 },
+        Op::Pwrite { slot: 0, offset: 5 * 4096, len: 4096, fill: 0x33 },
+        Op::Pwrite { slot: 0, offset: 8 * 4096 - 96, len: 200, fill: 0x44 },
+        Op::Pwrite { slot: 0, offset: 14 * 4096 + 7, len: 5000, fill: 0x55 },
+        Op::Fsync(0),
+        Op::Close(0),
+        Op::Close(0),
+    ]);
     ops
+}
+
+/// Prepares the fileset and applies the script to `vfs`, returning each
+/// op's outcome (`Ok` or its errno) for comparison across stacks.
+fn run_script(vfs: &Vfs, ops: &[Op]) -> Vec<Result<u64, Errno>> {
+    prepare(vfs, &differential_spec(), &LoadConfig::closed(1, 0)).expect("prepare");
+    let mut fds = Fds::default();
+    let outcomes = ops.iter().map(|op| apply(vfs, &mut fds, op).map_err(|e| e.errno())).collect();
+    fds.close_all(vfs).expect("close");
+    outcomes
 }
 
 fn memfs_oracle() -> Arc<Vfs> {
@@ -164,21 +132,22 @@ fn memfs_oracle() -> Arc<Vfs> {
 
 #[test]
 fn all_stacks_agree_with_the_in_memory_oracle() {
-    let ops = scripted_ops(2024, 60);
+    let ops = script(2024, 60);
 
     let oracle = memfs_oracle();
-    for op in &ops {
-        apply(&oracle, op);
-    }
+    let outcomes = run_script(&oracle, &ops);
     let mut expected = BTreeMap::new();
     observe(&oracle, "/", &mut expected);
     assert!(!expected.is_empty(), "the script must produce observable state");
+    let failed = outcomes.iter().filter(|o| o.is_err()).count();
+    assert_eq!(failed, 6, "the ops on missing targets fail on the oracle: {outcomes:?}");
 
     for stack in FsStack::all() {
         let mounted = mount_stack(stack, CostModel::zero(), 32 * 1024)
             .unwrap_or_else(|e| panic!("mount {stack:?}: {e}"));
-        for op in &ops {
-            apply(&mounted.vfs, op);
+        let got_outcomes = run_script(&mounted.vfs, &ops);
+        for ((op, want), got) in ops.iter().zip(&outcomes).zip(&got_outcomes) {
+            assert_eq!(got, want, "stack {stack:?}: {op:?}");
         }
         let mut got = BTreeMap::new();
         observe(&mounted.vfs, "/", &mut got);
@@ -201,15 +170,13 @@ fn bento_and_vfs_baseline_agree_after_remount() {
     // blocks and inodes) must agree too, on the live mount and again after
     // each stack remounted its own image (cached counts vs. a fresh scan
     // of the bitmap and inode table).
-    let ops = scripted_ops(7, 40);
+    let ops = script(7, 40);
     let mut states = Vec::new();
     for stack in [FsStack::BentoXv6, FsStack::VfsXv6] {
         let device: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(4096, 32 * 1024));
         format(stack, &device, 2048).expect("mkfs");
         let mounted = remount(stack, &device);
-        for op in &ops {
-            apply(&mounted.vfs, op);
-        }
+        run_script(&mounted.vfs, &ops);
         let live = mounted.vfs.statfs("/").expect("statfs");
         mounted.unmount().expect("unmount");
         let mounted = remount(stack, &device);

@@ -34,54 +34,21 @@ use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::pagecache::PageCacheStats;
 use simkernel::vfs::{OpenFlags, Vfs, WritePathStats, PAGE_SIZE};
-use workloads::{format, mount_stack_on, FsStack};
+use workloads::{apply, format, mount_stack_on, Fds, FsStack, Op};
 use xv6fs::layout::DiskSuperblock;
 
 const DISK_BLOCKS: u64 = 8192;
 
-/// One step of the stream.  Paths come from a small pool so that names
-/// collide: creates hit existing files, renames replace targets, removals
-/// miss — and both stacks must fail the same steps.
-#[derive(Debug, Clone)]
-enum Op {
-    /// Create-or-open, write `fill` over every `(offset, len)` extent and,
-    /// if `fsync`, fsync: one write-back pass over exactly the pages these
-    /// writes dirtied.  Without it the pages wait for the next `Sync`.
-    Write {
-        path: String,
-        extents: Vec<(u64, usize)>,
-        fill: u8,
-        fsync: bool,
-    },
-    Mkdir(String),
-    Rename(String, String),
-    Link(String, String),
-    Unlink(String),
-    Rmdir(String),
-    Truncate(String, u64),
-    Sync,
-}
-
-fn apply(vfs: &Vfs, op: &Op) -> bool {
-    match op {
-        Op::Write { path, extents, fill, fsync } => (|| {
-            let fd = vfs.open(path, OpenFlags::RDWR.with(OpenFlags::CREAT))?;
-            let done = extents
-                .iter()
-                .try_for_each(|&(offset, len)| vfs.pwrite(fd, &vec![*fill; len], offset).map(drop))
-                .and_then(|()| if *fsync { vfs.fsync(fd) } else { Ok(()) });
-            vfs.close(fd)?;
-            done
-        })()
-        .is_ok(),
-        Op::Mkdir(path) => vfs.mkdir(path).is_ok(),
-        Op::Rename(from, to) => vfs.rename(from, to).is_ok(),
-        Op::Link(existing, new) => vfs.link(existing, new).is_ok(),
-        Op::Unlink(path) => vfs.unlink(path).is_ok(),
-        Op::Rmdir(path) => vfs.rmdir(path).is_ok(),
-        Op::Truncate(path, size) => vfs.truncate(path, *size).is_ok(),
-        Op::Sync => vfs.sync().is_ok(),
-    }
+/// The shared op vocabulary, applied to the stream.  Paths come from a
+/// small pool so that names collide: creates hit existing files, renames
+/// replace targets, removals miss — and both stacks must fail the same
+/// ops.  A write step is `Open` (create-or-open), a `Pwrite` of `fill` per
+/// extent, an optional `Fsync` — one write-back pass over exactly the
+/// pages these writes dirtied; without it the pages wait for the next
+/// `Sync` — and `Close`, in slot 0.
+fn apply_all(vfs: &Vfs, ops: &[Op]) -> Vec<bool> {
+    let mut fds = Fds::default();
+    ops.iter().map(|op| apply(vfs, &mut fds, op).is_ok()).collect()
 }
 
 /// `count` seeded steps.  A write is `runs` extents, each covering
@@ -109,16 +76,27 @@ fn stream_with(
     let mut ops: Vec<Op> = dirs[1..].iter().map(|d| Op::Mkdir(d.to_string())).collect();
     for i in 0..count {
         let roll = rng.gen_range(0..100u32);
-        ops.push(match roll {
+        let step = match roll {
             0..=44 => {
                 let mut extent = || {
                     let pages = rng.gen_range(1..=max_pages);
                     let offset = rng.gen_range(0..24u64) * PAGE_SIZE as u64;
                     (offset, (pages as usize - 1) * PAGE_SIZE + rng.gen_range(1..=PAGE_SIZE))
                 };
-                let extents = (0..runs).map(|_| extent()).collect();
-                let fsync = sync_every.is_none();
-                Op::Write { path: file(&mut rng), extents, fill: (i % 251) as u8 + 1, fsync }
+                let extents: Vec<_> = (0..runs).map(|_| extent()).collect();
+                let fill = (i % 251) as u8 + 1;
+                let flags = OpenFlags::RDWR.with(OpenFlags::CREAT);
+                ops.push(Op::Open { slot: 0, path: file(&mut rng), flags });
+                ops.extend(extents.into_iter().map(|(offset, len)| Op::Pwrite {
+                    slot: 0,
+                    offset,
+                    len: len as u64,
+                    fill,
+                }));
+                if sync_every.is_none() {
+                    ops.push(Op::Fsync(0));
+                }
+                Op::Close(0)
             }
             45..=59 => Op::Rename(file(&mut rng), file(&mut rng)),
             60..=66 => Op::Link(file(&mut rng), file(&mut rng)),
@@ -127,7 +105,8 @@ fn stream_with(
             88..=91 => Op::Rmdir(dirs[rng.gen_range(1..dirs.len())].to_string()),
             92..=95 => Op::Mkdir(dirs[rng.gen_range(1..dirs.len())].to_string()),
             _ => Op::Sync,
-        });
+        };
+        ops.push(step);
         if sync_every.is_some_and(|every| (i + 1) % every == 0) {
             ops.push(Op::Sync);
         }
@@ -136,7 +115,7 @@ fn stream_with(
 }
 
 /// Formats an image, mounts it as `stack`, runs `ops`, syncs, and
-/// unmounts.  Returns which steps succeeded, the page-cache and log
+/// unmounts.  Returns which ops succeeded, the page-cache and log
 /// counters of the whole run, and the device.
 fn run(stack: FsStack, ops: &[Op]) -> (Vec<bool>, PageCacheStats, WritePathStats, Arc<RamDisk>) {
     let device = Arc::new(RamDisk::new(PAGE_SIZE as u32, DISK_BLOCKS));
@@ -144,7 +123,7 @@ fn run(stack: FsStack, ops: &[Op]) -> (Vec<bool>, PageCacheStats, WritePathStats
     format(stack, &dev, 512).expect("mkfs");
     let mounted = mount_stack_on(stack, dev, CostModel::zero(), PlantedFault::None).expect("mount");
     let vfs = &mounted.vfs;
-    let outcomes = ops.iter().map(|op| apply(vfs, op)).collect();
+    let outcomes = apply_all(vfs, ops);
     // After the sync nothing is dirty, so the unmount below adds no
     // write-back and the page-cache counters read here are final.
     vfs.sync().expect("sync");
@@ -171,13 +150,13 @@ fn blocks_outside_the_log(device: &RamDisk) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Both stacks must succeed and fail on the same steps.
+/// Both stacks must succeed and fail on the same ops.
 fn assert_same_outcomes(seed: u64, ops: &[Op], bento: &[bool], ckernel: &[bool]) {
-    if let Some(step) = (0..ops.len()).find(|&step| bento[step] != ckernel[step]) {
+    if let Some(index) = (0..ops.len()).find(|&index| bento[index] != ckernel[index]) {
         panic!(
-            "seed {seed}: step {step}, {:?}, succeeded on {} only",
-            ops[step],
-            if bento[step] { "Bento" } else { "C-Kernel" }
+            "seed {seed}: op #{index}, {:?}, succeeded on {} only",
+            ops[index],
+            if bento[index] { "Bento" } else { "C-Kernel" }
         );
     }
 }
@@ -247,13 +226,11 @@ fn multi_run_passes_are_one_batch_and_leave_byte_identical_images() {
         let (pages, passes) = (ck_pages.writeback_single, bento_pages.writeback_passes);
         assert_eq!(bento_pages.writeback_batched, pages, "seed {seed}: same pages written back");
 
-        // One pass and one batch per successful write op, however many
+        // One pass and one batch per successful write step, however many
         // runs it has: each is one fsync of a file with dirty pages.
-        let writes = ops
-            .iter()
-            .zip(&bento_ok)
-            .filter(|(op, ok)| matches!(op, Op::Write { .. }) && **ok)
-            .count() as u64;
+        let writes =
+            ops.iter().zip(&bento_ok).filter(|(op, ok)| matches!(op, Op::Fsync(_)) && **ok).count()
+                as u64;
         assert_eq!(passes, writes, "seed {seed}: a pass made more than one write_pages call");
         assert_eq!(bento_pages.writeback_batches, passes, "seed {seed}");
         assert!(pages > 4 * passes, "seed {seed}: the passes carry too few pages");
