@@ -72,6 +72,13 @@ impl ExperimentConfig {
         }
     }
 
+    /// Creates per worker at a create point of `threads` workers: half
+    /// the base count, but at most [`CREATE_POINT_FILES`] over all workers,
+    /// so every point fits the standard mount's 8 192-inode table.
+    fn create_ops(&self, threads: usize) -> u64 {
+        (self.ops / 2).min(CREATE_POINT_FILES / threads as u64)
+    }
+
     fn delete_per_thread(&self, threads: usize) -> usize {
         (self.delete_precreate_total / threads).max(20)
     }
@@ -82,6 +89,9 @@ impl ExperimentConfig {
         (self.ops * per_op_kib * 1024 / io_size as u64).max(1)
     }
 }
+
+/// The most files one create point leaves on its mount.
+const CREATE_POINT_FILES: u64 = 8_000;
 
 /// Why an experiment failed; a failed measured point names the
 /// experiment, the row, the stack and, from the driver, the thread count,
@@ -169,38 +179,14 @@ pub fn table1_bug_analysis() -> Vec<Row> {
         .map(|c| Row::new("table1", c.name, "-", c.count as f64, "bugs", Some(c.count as f64)))
         .collect();
     let summary = study.summary();
-    rows.push(Row::new(
-        "table1",
-        "memory %",
-        "-",
-        summary.memory_fraction * 100.0,
-        "%",
-        Some(68.0),
-    ));
-    rows.push(Row::new(
-        "table1",
-        "prevented by Rust %",
-        "-",
-        summary.prevented_by_rust_fraction * 100.0,
-        "%",
-        Some(93.0),
-    ));
-    rows.push(Row::new(
-        "table1",
-        "kernel oops %",
-        "-",
-        summary.oops_fraction * 100.0,
-        "%",
-        Some(26.0),
-    ));
-    rows.push(Row::new(
-        "table1",
-        "memory leak %",
-        "-",
-        summary.leak_fraction * 100.0,
-        "%",
-        Some(34.0),
-    ));
+    for (name, fraction, paper) in [
+        ("memory %", summary.memory_fraction, 68.0),
+        ("prevented by Rust %", summary.prevented_by_rust_fraction, 93.0),
+        ("kernel oops %", summary.oops_fraction, 26.0),
+        ("memory leak %", summary.leak_fraction, 34.0),
+    ] {
+        rows.push(Row::new("table1", name, "-", fraction * 100.0, "%", Some(paper)));
+    }
     rows
 }
 
@@ -326,7 +312,8 @@ fn file_micro_rows(
 }
 
 /// Table 4: file creation ops/sec, 1 and 32 threads: each thread creates
-/// 16 KiB files in its own directory, half the base op count each.
+/// 16 KiB files in its own directory, half the base op count each (at
+/// most 8 000 files over all threads).
 ///
 /// # Errors
 ///
@@ -337,7 +324,7 @@ pub fn table4_create(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
         [("Bento", 1072.0), ("C-Kernel", 881.0), ("FUSE", 24.0)],
     ];
     file_micro_rows("table4", cfg, paper, |threads| {
-        (WorkloadSpec::createfiles(16 * 1024, threads), cfg.ops / 2)
+        (WorkloadSpec::createfiles(16 * 1024, threads), cfg.create_ops(threads))
     })
 }
 
@@ -466,15 +453,15 @@ pub struct CreatePoint {
 }
 
 /// One create point of the scaling sweep on `mounted`: `threads` workers
-/// each create up to half the base op count of 4 KiB files, in their own
-/// directory or (`crossdir`) across a shared pool of `2 * threads`
-/// directories.  The driver sizes the run to the mount's free inodes, so a
-/// point on a small inode table runs fewer creates, never out of inodes.
-/// `traced` turns tracing on for the run.
+/// each create half the base op count of 4 KiB files (at most 8 000 over
+/// all workers), in their own directory or (`crossdir`) across a shared
+/// pool of `2 * threads` directories.  `traced` turns tracing on for the
+/// run.
 ///
 /// # Errors
 ///
-/// The first failed op, naming the row, stack, worker, op and seed.
+/// The first failed op, naming the row, stack, worker, op and seed; a
+/// mount without room for the point's files fails before any op runs.
 pub fn scaling_create(
     mounted: &MountedStack,
     cfg: &ExperimentConfig,
@@ -489,7 +476,7 @@ pub fn scaling_create(
     };
     let before = write_path_snapshot(mounted);
     let inflight_before = inflight_snapshot(mounted);
-    let load = LoadConfig::closed(threads, cfg.ops / 2);
+    let load = LoadConfig::closed(threads, cfg.create_ops(threads));
     let result = measure("scaling", &config, mounted, &spec, &load, traced)?;
     let write_path = match (before, write_path_snapshot(mounted)) {
         (Some(before), Some(after)) => Some(write_path_delta(&before, &after)),
@@ -524,8 +511,7 @@ pub fn scaling_create(
 /// [`SCALING_NVME_THREADS`] with the NVMe cost model (`create-nvme-Nt*`
 /// rows) — with real barrier costs, group commit must drive
 /// barriers-per-op *down* as threads go up — and sweeps the `queue_depth`
-/// mount option on the Bento stack (`create-8t-qdN` rows).  Every create
-/// point is sized to the mount's free inodes by the driver.
+/// mount option on the Bento stack (`create-8t-qdN` rows).
 ///
 /// # Errors
 ///
@@ -535,11 +521,7 @@ pub fn scaling_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
 }
 
 /// [`scaling_experiment`] over an explicit thread list.
-///
-/// # Errors
-///
-/// The first mount or run failure, naming the row and stack.
-pub fn scaling_experiment_with_threads(
+fn scaling_experiment_with_threads(
     cfg: &ExperimentConfig,
     thread_counts: &[usize],
 ) -> BenchResult<Vec<Row>> {

@@ -4,8 +4,9 @@
 //! Every run is bounded by an op count, never by a clock: each worker runs
 //! a fixed-length script that [`WorkloadSpec::script`] generates from the
 //! seed before the clock starts, so a fast stack finishes sooner instead of
-//! doing more work, and a run that creates files is sized to the mount's
-//! free inodes and blocks before it begins.
+//! doing more work.  A mix that creates and deletes deletes its own files
+//! rather than outgrow the mount's free inodes and blocks; a run that would
+//! outgrow them anyway is refused before it begins.
 //!
 //! * **Closed loop**: `workers` threads each issue one operation at a time,
 //!   the next as soon as the previous one completes, until their script
@@ -397,7 +398,9 @@ pub fn prepare(vfs: &Vfs, spec: &WorkloadSpec, cfg: &LoadConfig) -> KernelResult
 /// # Errors
 ///
 /// The first failed op under [`ErrorPolicy::FailFast`], a worker panic, a
-/// mix that samples files from an empty fileset, or a setup error.
+/// mix that samples files from an empty fileset, a run that creates more
+/// files than the mount has room for (`ENOSPC` before any op runs), or a
+/// setup error.
 pub fn run_load(vfs: &Vfs, spec: &WorkloadSpec, cfg: &LoadConfig) -> Result<LoadResult, LoadError> {
     run_hooked(vfs, spec, cfg, None)
 }
@@ -423,15 +426,29 @@ pub(crate) fn run_hooked(
     }
     let workers = cfg.driver.workers();
     let creates = create_budget(vfs, spec, workers).map_err(|e| fail(None, e))?;
-    let mut scripts = Vec::with_capacity(workers);
-    for t in 0..workers {
-        let (prologue, body) = spec.script(t, workers, cfg.ops, creates, cfg.seed);
+    let scripts: Vec<_> =
+        (0..workers).map(|t| spec.script(t, workers, cfg.ops, creates, cfg.seed)).collect();
+    // A script the create budget cut short would measure less work than
+    // asked for: refuse the run before any op runs.
+    let cut = scripts.iter().any(|(_, body)| (body.len() as u64) < cfg.ops);
+    if cut && !matches!(spec.layout, Layout::Replay(_)) {
+        let why = "loadgen: the run creates more files than the mount has free inodes or blocks";
+        return Err(fail(None, KernelError::with_context(Errno::NoSpc, why)));
+    }
+    let mut held = Vec::with_capacity(workers);
+    for (t, (prologue, body)) in scripts.into_iter().enumerate() {
         // Prologues (a held descriptor's open) run before the clock starts.
         let mut fds = Fds::default();
         for (index, op) in prologue.iter().enumerate() {
-            apply(vfs, &mut fds, op).map_err(|e| fail(Some((t, index, op.clone())), e))?;
+            if let Err(e) = apply(vfs, &mut fds, op) {
+                // The op error is the one to report.
+                for (mut fds, _) in held.drain(..).chain([(fds, Vec::new())]) {
+                    let _ = fds.close_all(vfs);
+                }
+                return Err(fail(Some((t, index, op.clone())), e));
+            }
         }
-        scripts.push((fds, body));
+        held.push((fds, body));
     }
 
     let run = Run {
@@ -446,7 +463,7 @@ pub(crate) fn run_hooked(
     };
     let tallies: Vec<Result<Tally, LoadError>> = std::thread::scope(|scope| {
         let run = &run;
-        let handles: Vec<_> = scripts
+        let handles: Vec<_> = held
             .into_iter()
             .enumerate()
             .map(|(t, (fds, body))| scope.spawn(move || run.drive(t, fds, &body)))

@@ -25,8 +25,9 @@
 //!   worker admits a fixed number of arrivals on a virtual clock at a
 //!   target rate, so overload shows up as measured backlog and growing
 //!   latency instead of silently throttled offered load.  A run that
-//!   creates files is sized to the mount's free inodes first, so no stack
-//!   can run out of them however fast it is.
+//!   would create more files than the mount has free inodes or blocks
+//!   fails before its first op, so no stack can run out of them mid-run
+//!   however fast it is.
 //! * **Measurement**: per-op-class log-bucketed latency histograms
 //!   (p50/p90/p99/p99.9 via [`simkernel::metrics::LatencyHistogram`]) and
 //!   a windowed throughput timeline, emitted as BENCH rows by the `bench`

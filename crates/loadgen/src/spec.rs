@@ -468,8 +468,9 @@ impl WorkloadSpec {
     /// Worker `t` of `workers`, seeded from `seed`: an unmeasured prologue
     /// (the open of a held descriptor) and up to `ops` measured ops.  A
     /// replay deals the manifest instead and ignores `ops`.  The script
-    /// ends early rather than leave more than `creates` files of its own
-    /// behind, so a run can be sized to the mount's free inodes.
+    /// never leaves more than `creates` files of its own behind: at that
+    /// budget it deletes one of its own files instead of creating one, or,
+    /// with no delete in its mix, ends early (which the driver refuses).
     pub fn script(
         &self,
         t: usize,

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use simkernel::error::KernelResult;
 use simkernel::vfs::Vfs;
 
-use crate::op::{apply_extracting, Fds, Op};
+use crate::op::{apply, Fds, Op};
 
 /// The byte every extracted file is filled with.
 const FILL: u8 = 0x42;
@@ -92,7 +92,7 @@ pub fn untar(vfs: &Vfs, manifest: &UntarManifest) -> KernelResult<(Duration, u64
     let mut fds = Fds::default();
     let mut bytes = 0;
     for op in &manifest.ops {
-        bytes += apply_extracting(vfs, &mut fds, op)?;
+        bytes += apply(vfs, &mut fds, op)?;
     }
     vfs.sync()?;
     Ok((start.elapsed(), bytes))

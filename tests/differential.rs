@@ -82,6 +82,14 @@ fn differential_spec() -> WorkloadSpec {
 
 fn script(seed: u64, count: u64) -> Vec<Op> {
     let mut ops = differential_spec().script(0, 1, count, u64::MAX, seed).1;
+    // The generator writes one constant byte; give each op's data its own
+    // byte so a page that lands in the wrong file or at the wrong offset
+    // changes a content hash.
+    for (i, op) in ops.iter_mut().enumerate() {
+        if let Op::Create { fill, .. } | Op::Write { fill, .. } | Op::Append { fill, .. } = op {
+            *fill = (i % 251) as u8 + 1;
+        }
+    }
     let files = differential_spec().fileset.file_paths("/");
     let create = |path: &str, len, fill| Op::Create { path: path.into(), len, fill };
     ops.extend([
