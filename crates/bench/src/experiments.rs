@@ -31,8 +31,6 @@ pub struct ExperimentConfig {
     pub disk_blocks: u64,
     /// Size of the file used by the read/write microbenchmarks, in bytes.
     pub micro_file_size: u64,
-    /// Files pre-created (over all threads) for the delete microbenchmark.
-    pub delete_precreate_total: usize,
     /// Files per thread for varmail / fileserver; threads used for macros.
     pub macro_files_per_thread: usize,
     /// Threads for the macrobenchmarks.
@@ -50,7 +48,6 @@ impl ExperimentConfig {
             model: CostModel::nvme_ssd(),
             disk_blocks: 96 * 1024, // 384 MiB
             micro_file_size: 24 * 1024 * 1024,
-            delete_precreate_total: 800,
             macro_files_per_thread: 50,
             macro_threads: 8,
             untar_files: 350,
@@ -65,22 +62,18 @@ impl ExperimentConfig {
             model: CostModel::nvme_ssd_scaled(4),
             disk_blocks: 48 * 1024,
             micro_file_size: 8 * 1024 * 1024,
-            delete_precreate_total: 200,
             macro_files_per_thread: 15,
             macro_threads: 4,
             untar_files: 120,
         }
     }
 
-    /// Creates per worker at a create point of `threads` workers: half
-    /// the base count, but at most [`CREATE_POINT_FILES`] over all workers,
-    /// so every point fits the standard mount's 8 192-inode table.
-    fn create_ops(&self, threads: usize) -> u64 {
+    /// Files per worker at a create or delete point of `threads` workers
+    /// (created, or precreated and then deleted): half the base count, but
+    /// at most [`CREATE_POINT_FILES`] over all workers, so every point fits
+    /// the standard mount's 8 192-inode table.
+    fn file_point_ops(&self, threads: usize) -> u64 {
         (self.ops / 2).min(CREATE_POINT_FILES / threads as u64)
-    }
-
-    fn delete_per_thread(&self, threads: usize) -> usize {
-        (self.delete_precreate_total / threads).max(20)
     }
 
     /// Ops per worker for one I/O loop: `per_op_kib` KiB per op of the
@@ -324,12 +317,14 @@ pub fn table4_create(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
         [("Bento", 1072.0), ("C-Kernel", 881.0), ("FUSE", 24.0)],
     ];
     file_micro_rows("table4", cfg, paper, |threads| {
-        (WorkloadSpec::createfiles(16 * 1024, threads), cfg.create_ops(threads))
+        (WorkloadSpec::createfiles(16 * 1024, threads), cfg.file_point_ops(threads))
     })
 }
 
 /// Table 5: file deletion ops/sec, 1 and 32 threads: each thread deletes
-/// the 4 KiB files precreated in its own directory.
+/// the 4 KiB files precreated in its own directory, as many as a create
+/// point's thread creates, so the high-thread point times thousands of
+/// deletes rather than its threads' start-up.
 ///
 /// # Errors
 ///
@@ -340,8 +335,8 @@ pub fn table5_delete(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
         [("Bento", 7502.0), ("C-Kernel", 8253.0), ("FUSE", 116.0)],
     ];
     file_micro_rows("table5", cfg, paper, |threads| {
-        let per_thread = cfg.delete_per_thread(threads);
-        (WorkloadSpec::deletefiles(per_thread, 4096, threads), per_thread as u64)
+        let per_thread = cfg.file_point_ops(threads);
+        (WorkloadSpec::deletefiles(per_thread as usize, 4096, threads), per_thread)
     })
 }
 
@@ -476,7 +471,7 @@ pub fn scaling_create(
     };
     let before = write_path_snapshot(mounted);
     let inflight_before = inflight_snapshot(mounted);
-    let load = LoadConfig::closed(threads, cfg.create_ops(threads));
+    let load = LoadConfig::closed(threads, cfg.file_point_ops(threads));
     let result = measure("scaling", &config, mounted, &spec, &load, traced)?;
     let write_path = match (before, write_path_snapshot(mounted)) {
         (Some(before), Some(after)) => Some(write_path_delta(&before, &after)),

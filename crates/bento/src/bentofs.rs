@@ -254,11 +254,21 @@ impl VfsFs for BentoFs {
     }
 
     fn read_page(&self, ino: u64, page_index: u64, buf: &mut [u8]) -> KernelResult<usize> {
-        // The page being filled is lent to the file system (§4.4), which
-        // copies from its blocks straight into it.
-        let req = self.track();
         let len = buf.len().min(PAGE_SIZE);
-        self.read_fs().read(&req, &self.sb, ino, 0, page_index * PAGE_SIZE as u64, &mut buf[..len])
+        self.read_pages(ino, page_index, &mut [&mut buf[..len]])
+    }
+
+    fn read_pages(
+        &self,
+        ino: u64,
+        first_page: u64,
+        pages: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        // The pages being filled are lent to the file system (§4.4), which
+        // copies from its blocks straight into them: one vectored read,
+        // one file-system call per run.
+        let req = self.track();
+        self.read_fs().read_vectored(&req, &self.sb, ino, first_page * PAGE_SIZE as u64, pages)
     }
 
     fn write_page(

@@ -113,7 +113,7 @@
 
 use std::sync::Arc;
 
-use simkernel::buffer::{Block, BufferCache, BufferGuard};
+use simkernel::buffer::{Block, BufferCache, BufferCacheStats, BufferGuard};
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 
@@ -193,6 +193,28 @@ impl SuperBlock {
     /// Propagates device errors.
     pub fn bread(&self, blockno: u64) -> KernelResult<BufferHead> {
         Ok(BufferHead { guard: self.io.cache.bread(blockno)? })
+    }
+
+    /// Copies block `blockno` into `dst`, one whole block, without caching
+    /// it: from the buffer if the cache holds the block, straight from the
+    /// device otherwise (see
+    /// [`BufferCache::read_uncached`](simkernel::buffer::BufferCache::read_uncached)).
+    /// This is how file data reaches the page being filled: the page cache
+    /// holds it, so a second copy in the buffer cache would only push
+    /// metadata out.  The caller keeps the block's writers out meanwhile.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; [`simkernel::error::Errno::Inval`] if
+    /// `dst` is not one block long.
+    pub fn read_uncached(&self, blockno: u64, dst: &mut [u8]) -> KernelResult<()> {
+        self.io.cache.read_uncached(blockno, dst)
+    }
+
+    /// The buffer cache's hit, miss and uncached-read counts
+    /// (diagnostics).
+    pub fn cache_stats(&self) -> BufferCacheStats {
+        self.io.cache.stats()
     }
 
     /// Returns a zero-filled buffer for a block that must read as zeros
@@ -366,6 +388,23 @@ mod tests {
         let bh = sb.bread_with(4, &[0x5A; 4096]).unwrap();
         assert!(bh.data().iter().all(|&b| b == 0x5A));
         assert_eq!(dev.stats().reads, 0);
+    }
+
+    #[test]
+    fn read_uncached_serves_a_dirty_buffer_and_caches_a_device_read_nowhere() {
+        let dev = Arc::new(RamDisk::new(4096, 16));
+        let sb =
+            userspace_superblock(Arc::new(KernelBlockIo::new(Arc::clone(&dev) as _, 16)), "ram0");
+        dev.write_block(6, &[0x11; 4096]).unwrap();
+        sb.bread(5).unwrap().data_mut().fill(0x22); // dirty, never written
+        let mut page = vec![0u8; 4096];
+        sb.read_uncached(5, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x22), "the cached bytes, not the device's zeros");
+        sb.read_uncached(6, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x11));
+        let stats = sb.cache_stats();
+        assert_eq!((stats.cached, stats.uncached_reads), (1, 1), "block 6 was not inserted");
+        assert_eq!(dev.stats().reads, 2, "bread's miss of 5, then 6 straight from the device");
     }
 
     #[test]

@@ -243,10 +243,10 @@ pub trait FileSystem: Send + Sync {
     /// number of bytes read, clamped at end of file (0 at or past it).
     /// Bytes of `buf` past the returned count are left as they were.
     ///
-    /// The caller *lends* the destination (§4.4): BentoFS passes the page
-    /// being filled, so the data goes from the block straight into the
-    /// page, with no buffer owned by the file system in between.  This is
-    /// the read-side mirror of [`FileSystem::write_vectored`].
+    /// The caller *lends* the destination (§4.4), so the data goes from
+    /// the block straight into it, with no buffer owned by the file system
+    /// in between.  BentoFS's page-cache fill calls
+    /// [`FileSystem::read_vectored`] instead.
     ///
     /// # Errors
     ///
@@ -261,6 +261,39 @@ pub trait FileSystem: Send + Sync {
         buf: &mut [u8],
     ) -> KernelResult<usize> {
         nosys("read")
+    }
+
+    /// Reads the bytes of `ino` from `offset` on into `bufs`, in order (as
+    /// `preadv(2)` does); returns the number of bytes read, clamped at end
+    /// of file.  This is what BentoFS's page-cache fill calls, once per run
+    /// of missing pages, lending the pages of the run (§4.4): the read
+    /// mirror of [`FileSystem::write_vectored`], and like write-back it
+    /// carries no file handle.  A file system that overrides it can serve
+    /// the run with one inode lookup.  The default calls
+    /// [`FileSystem::read`] per buffer (with handle 0) and stops after a
+    /// short read.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FileSystem::read`]; buffers before the failing one may
+    /// have been filled.
+    fn read_vectored(
+        &self,
+        req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        offset: u64,
+        bufs: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        let mut done = 0usize;
+        for buf in bufs.iter_mut() {
+            let n = self.read(req, sb, ino, 0, offset + done as u64, buf)?;
+            done += n;
+            if n < buf.len() {
+                break;
+            }
+        }
+        Ok(done)
     }
 
     /// Writes `data` at `offset`; returns the number of bytes written.

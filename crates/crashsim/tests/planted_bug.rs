@@ -11,6 +11,8 @@
 //! the payload digest at recovery, installs strictly after the commit
 //! barrier, the barriers ahead of a checkpoint's header clears, and
 //! installs of the frozen block rather than the buffer's current bytes.
+//! One more rule is the allocator's: a fresh data block skips its zero
+//! fill only when its first write covers it whole.
 
 mod common;
 
@@ -19,14 +21,16 @@ use std::sync::Arc;
 
 use bento::bentoks::{KernelBlockIo, SuperBlock};
 use crashsim::{
-    prefix_states, run_crash_test, CrashTestConfig, DiskImage, FaultConfig, FaultDevice,
+    prefix_states, run_crash_test, sampled_states, CrashTestConfig, DiskImage, FaultConfig,
+    FaultDevice,
 };
 use journal::PlantedFault;
 use parking_lot::Mutex;
+use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, DeviceStats, RamDisk};
 use simkernel::error::KernelResult;
-use simkernel::vfs::PAGE_SIZE;
-use workloads::FsStack;
+use simkernel::vfs::{FileMode, PAGE_SIZE};
+use workloads::{format, mount_stack_on, FsStack};
 use xv6fs::log::Log;
 use xv6fs::mkfs::mkfs_on_device;
 
@@ -232,4 +236,71 @@ fn installing_the_live_buffer_instead_of_the_frozen_block_is_caught() {
     assert_eq!(live_install_violations(PlantedFault::None), Vec::<String>::new());
     let violations = live_install_violations(PlantedFault::InstallLiveBuffer);
     assert!(!violations.is_empty(), "the live-buffer install went undetected");
+}
+
+/// Bento xv6 with `fault` planted, on a recorder: a file fills one page
+/// with `0xEE` and is deleted, which frees its block; a new file takes
+/// that block with a 100-byte first write (a partial page at end of file),
+/// then grows by a whole second page, so the rest of its first block lies
+/// inside the file and must read as zeros, and is fsynced.  Every sampled
+/// crash state whose durable prefix covers that fsync must read the new
+/// file back exactly, and every state must pass fsck.
+fn partial_first_write_violations(fault: PlantedFault) -> Vec<String> {
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
+    format(FsStack::BentoXv6, &base, 256).unwrap();
+    let image = Arc::new(DiskImage::capture(&base).unwrap());
+    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+    let mut expected = vec![0u8; 2 * PAGE_SIZE];
+    expected[..100].fill(0x11);
+    expected[PAGE_SIZE..].fill(0x22);
+    let acked = {
+        let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
+        let fs = mount_stack_on(FsStack::BentoXv6, dev, CostModel::zero(), fault).unwrap().fs;
+        let root = fs.root_ino();
+        let old = fs.create(root, "old", FileMode::regular()).unwrap().ino;
+        fs.write_page(old, 0, &[0xEE; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+        fs.fsync(old, false).unwrap();
+        fs.unlink(root, "old").unwrap();
+        let new = fs.create(root, "new", FileMode::regular()).unwrap().ino;
+        fs.write_page(new, 0, &expected[..PAGE_SIZE], 100).unwrap();
+        fs.write_page(new, 1, &expected[PAGE_SIZE..], 2 * PAGE_SIZE as u64).unwrap();
+        fs.fsync(new, false).unwrap();
+        let acked = recorder.durable_event_count();
+        fs.destroy().unwrap();
+        acked
+    };
+
+    let mut violations = Vec::new();
+    for state in sampled_states(&recorder.trace(), &image, 0x2E40_F111, 200) {
+        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let mounted =
+            mount_stack_on(FsStack::BentoXv6, disk, CostModel::zero(), PlantedFault::None).unwrap();
+        let fs = &mounted.fs;
+        if state.durable_events >= acked {
+            let mut file = vec![0u8; 2 * PAGE_SIZE];
+            let intact = fs.lookup(fs.root_ino(), "new").is_ok_and(|attr| {
+                let mut pages: Vec<&mut [u8]> = file.chunks_mut(PAGE_SIZE).collect();
+                fs.read_pages(attr.ino, 0, &mut pages).is_ok_and(|n| n == 2 * PAGE_SIZE)
+            });
+            if !intact || file != expected {
+                let stale = file.iter().filter(|&&b| b == 0xEE).count();
+                violations
+                    .push(format!("{}: new file wrong ({stale} stale bytes)", state.description));
+            }
+        }
+        let errors = mounted.check().unwrap();
+        if !errors.is_empty() {
+            violations.push(format!("{}: fsck: {errors:?}", state.description));
+        }
+    }
+    violations
+}
+
+/// (e) A fresh block handed out without its zero fill for a partial first
+/// write: the freed file's bytes reappear inside the fsynced new file.
+#[test]
+fn a_partial_first_write_into_an_unzeroed_block_is_caught() {
+    assert_eq!(partial_first_write_violations(PlantedFault::None), Vec::<String>::new());
+    let violations = partial_first_write_violations(PlantedFault::PartialWriteSkipsZeroFill);
+    assert!(violations.iter().any(|v| v.contains("stale")), "undetected: {violations:#?}");
 }

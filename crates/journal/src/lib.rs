@@ -198,6 +198,11 @@ pub enum PlantedFault {
     /// while the record holding the committed copy can be lost.  The
     /// journal itself ignores it; the xv6 binding acts on it.
     InstallLiveBuffer,
+    /// The xv6 allocator hands out a data block without its zero fill when
+    /// the first write into it covers only part of it, so the bytes the
+    /// block held before it was freed reappear around that write.  The
+    /// journal itself ignores it; the xv6 allocator acts on it.
+    PartialWriteSkipsZeroFill,
 }
 
 /// One logged block: home address, modification version (orders snapshots

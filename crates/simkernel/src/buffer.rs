@@ -29,6 +29,12 @@
 //! [`BufferCache::getblk_with`] replaces them wholesale, so a logged
 //! snapshot stays exactly what its operation produced while the buffer
 //! moves on.
+//!
+//! File data need not pass through the cache at all:
+//! [`BufferCache::read_uncached`] copies a block the cache holds out of its
+//! buffer and otherwise reads the device straight into the caller's page,
+//! inserting nothing (Linux reads data pages into the page cache, and its
+//! buffer heads point into the page instead of holding a second copy).
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -120,6 +126,14 @@ struct BufferData {
     /// Whether `bytes` has been modified since it was last written to the
     /// device.
     dirty: bool,
+}
+
+/// What [`BufferCache::get_or_insert`] found or made for a block.
+enum Entry {
+    /// A buffer to lock: cached already, or a slot still to be filled.
+    Found(Arc<Mutex<BufferData>>),
+    /// A new buffer built from the caller's bytes, already locked.
+    Built(ArcMutexGuard<RawMutex, BufferData>),
 }
 
 /// End-of-list marker for the recency links.
@@ -229,6 +243,7 @@ pub struct BufferCache {
     shards: Vec<Mutex<Shard>>,
     hits: StripedCounter,
     misses: StripedCounter,
+    uncached_reads: StripedCounter,
 }
 
 /// What a [`BufferGuard`] needs of its cache after the shard lock is gone:
@@ -252,10 +267,14 @@ impl std::fmt::Debug for BufferCache {
 /// Cache effectiveness statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BufferCacheStats {
-    /// `bread` calls satisfied from the cache.
+    /// `bread` and [`BufferCache::read_uncached`] calls satisfied from the
+    /// cache.
     pub hits: u64,
     /// `bread` calls that had to read the device.
     pub misses: u64,
+    /// [`BufferCache::read_uncached`] calls that read the device and cached
+    /// nothing.
+    pub uncached_reads: u64,
     /// Buffers currently cached.
     pub cached: usize,
     /// Buffer bytes copied before a change because another holder (the
@@ -300,6 +319,7 @@ impl BufferCache {
             shards: (0..shard_count).map(|_| Mutex::new(Shard::new())).collect(),
             hits: StripedCounter::new(shard_count),
             misses: StripedCounter::new(shard_count),
+            uncached_reads: StripedCounter::new(shard_count),
         }
     }
 
@@ -328,7 +348,7 @@ impl BufferCache {
     ///
     /// Propagates device errors ([`Errno::Io`], [`Errno::Inval`]).
     pub fn bread(&self, blockno: u64) -> KernelResult<BufferGuard> {
-        let mut guard = self.lock(blockno, "bread: block out of range")?;
+        let (mut guard, _) = self.lock(blockno, None, "bread: block out of range")?;
         if !guard.valid {
             self.backing.dev.read_block(blockno, guard.bytes.make_mut(&self.backing.cow_copies))?;
             guard.valid = true;
@@ -347,7 +367,7 @@ impl BufferCache {
     ///
     /// Returns [`Errno::Inval`] if `blockno` is out of range.
     pub fn getblk_zeroed(&self, blockno: u64) -> KernelResult<BufferGuard> {
-        let mut guard = self.lock(blockno, "getblk: block out of range")?;
+        let (mut guard, _) = self.lock(blockno, None, "getblk: block out of range")?;
         guard.bytes.make_mut(&self.backing.cow_copies).fill(0);
         guard.valid = true;
         guard.dirty = true;
@@ -356,9 +376,10 @@ impl BufferCache {
 
     /// Returns the buffer for `blockno` holding a copy of `src`, without
     /// reading the device and without zero-filling it first: the whole-block
-    /// overwrite.  One copy of `src`, into the buffer's own bytes while
+    /// overwrite.  One copy of `src`: into the buffer's own bytes while
     /// nobody else holds them, into a fresh block otherwise (never a copy
-    /// of bytes the journal still holds).  The buffer is dirty.
+    /// of bytes the journal still holds), and a block the cache did not
+    /// hold gets a new buffer built from `src`.  The buffer is dirty.
     ///
     /// # Errors
     ///
@@ -368,27 +389,77 @@ impl BufferCache {
         if src.len() != self.block_size {
             return Err(KernelError::with_context(Errno::Inval, "getblk_with: not a whole block"));
         }
-        let mut guard = self.lock(blockno, "getblk_with: block out of range")?;
-        match Arc::get_mut(&mut guard.bytes.0) {
-            Some(bytes) => bytes.copy_from_slice(src),
-            None => guard.bytes = Block::from(src),
+        let (mut guard, built) =
+            self.lock(blockno, Some(src), "getblk_with: block out of range")?;
+        if !built {
+            match Arc::get_mut(&mut guard.bytes.0) {
+                Some(bytes) => bytes.copy_from_slice(src),
+                None => guard.bytes = Block::from(src),
+            }
+            guard.valid = true;
+            guard.dirty = true;
         }
-        guard.valid = true;
-        guard.dirty = true;
         Ok(self.guard(blockno, guard))
     }
 
+    /// Copies block `blockno` into `dst` without caching it: from the
+    /// buffer if the cache holds the block (dirty, awaiting its install, or
+    /// clean), from the device straight into `dst` otherwise.  One index
+    /// lookup; no buffer is inserted, and no shard lock is held while the
+    /// device reads.
+    ///
+    /// A block the cache does not hold is current on the device: only
+    /// clean, unreferenced buffers are evicted, and a buffer turns clean
+    /// only once its bytes are on the device (`write`, or the log's install
+    /// before [`BufferGuard::clean_if_holds`]).  A write that inserts the
+    /// block after the lookup is not seen, so the caller keeps the block's
+    /// writers out for the duration (for file data, the page cache's file
+    /// lock that the fill holds).
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors; [`Errno::Inval`] if `dst` is not one
+    /// block long.
+    pub fn read_uncached(&self, blockno: u64, dst: &mut [u8]) -> KernelResult<()> {
+        if dst.len() != self.block_size {
+            return Err(KernelError::with_context(
+                Errno::Inval,
+                "read_uncached: not a whole block",
+            ));
+        }
+        let cached = {
+            let shard = self.shards[shard_of(&blockno, self.shards.len() - 1)].lock();
+            shard.index.get(&blockno).map(|&i| Arc::clone(&shard.slots[i].data))
+        };
+        if let Some(data) = cached {
+            let data = data.lock();
+            if data.valid {
+                dst.copy_from_slice(&data.bytes);
+                self.hits.inc();
+                return Ok(());
+            }
+        }
+        self.backing.dev.read_block(blockno, dst)?;
+        self.uncached_reads.inc();
+        Ok(())
+    }
+
     /// Locks the buffer for `blockno`, or [`Errno::Inval`] (`what`) past the
-    /// device's end.
+    /// device's end; `true` with it if the buffer is new and was built from
+    /// `src` (see [`BufferCache::get_or_insert`]).
     fn lock(
         &self,
         blockno: u64,
+        src: Option<&[u8]>,
         what: &'static str,
-    ) -> KernelResult<ArcMutexGuard<RawMutex, BufferData>> {
+    ) -> KernelResult<(ArcMutexGuard<RawMutex, BufferData>, bool)> {
         if blockno >= self.backing.dev.num_blocks() {
             return Err(KernelError::with_context(Errno::Inval, what));
         }
-        Ok(Mutex::lock_arc(&self.get_or_insert(blockno)))
+        Ok(match self.get_or_insert(blockno, src) {
+            Entry::Found(data) => (Mutex::lock_arc(&data), false),
+            Entry::Built(guard) => (guard, true),
+        })
     }
 
     fn guard(&self, blockno: u64, guard: ArcMutexGuard<RawMutex, BufferData>) -> BufferGuard {
@@ -416,6 +487,7 @@ impl BufferCache {
         BufferCacheStats {
             hits: self.hits.get(),
             misses: self.misses.get(),
+            uncached_reads: self.uncached_reads.get(),
             cached: self.shards.iter().map(|s| s.lock().index.len()).sum(),
             cow_copies: self.backing.cow_copies.get(),
         }
@@ -433,33 +505,46 @@ impl BufferCache {
     /// The buffer for `blockno`, made most recently used; a miss takes the
     /// slot of the shard's LRU idle buffer when the shard is full.  If every
     /// buffer is busy the shard grows past its capacity share (the kernel
-    /// would sleep; growing keeps the simulation deadlock-free).
-    fn get_or_insert(&self, blockno: u64) -> Arc<Mutex<BufferData>> {
+    /// would sleep; growing keeps the simulation deadlock-free).  A miss
+    /// that finds no slot to reuse builds a new buffer: from `src`, valid,
+    /// dirty and locked before the shard lock is released (so no other
+    /// thread sees it first), or zero-filled and invalid.
+    fn get_or_insert(&self, blockno: u64, src: Option<&[u8]>) -> Entry {
         let mut shard = self.shards[shard_of(&blockno, self.shards.len() - 1)].lock();
         if let Some(&i) = shard.index.get(&blockno) {
             if shard.mru != i {
                 shard.unlink(i);
                 shard.push_mru(i);
             }
-            return Arc::clone(&shard.slots[i].data);
+            return Entry::Found(Arc::clone(&shard.slots[i].data));
         }
         let reused = if shard.index.len() >= self.shard_capacity { shard.evict() } else { None };
-        let i = match reused.or_else(|| shard.free.pop()) {
+        let (i, built) = match reused.or_else(|| shard.free.pop()) {
             Some(i) => {
                 shard.slots[i].blockno = blockno;
-                i
+                (i, None)
             }
             None => {
-                let bytes = Block::zeroed(self.block_size);
-                let data = BufferData { bytes, valid: false, dirty: false };
+                let data = match src {
+                    Some(src) => BufferData { bytes: Block::from(src), valid: true, dirty: true },
+                    None => {
+                        let bytes = Block::zeroed(self.block_size);
+                        BufferData { bytes, valid: false, dirty: false }
+                    }
+                };
                 let data = Arc::new(Mutex::new(data));
+                // Uncontended: nobody else holds the new buffer yet.
+                let built = src.map(|_| Mutex::lock_arc(&data));
                 shard.slots.push(Slot { blockno, data, older: NIL, newer: NIL });
-                shard.slots.len() - 1
+                (shard.slots.len() - 1, built)
             }
         };
         shard.index.insert(blockno, i);
         shard.push_mru(i);
-        Arc::clone(&shard.slots[i].data)
+        match built {
+            Some(guard) => Entry::Built(guard),
+            None => Entry::Found(Arc::clone(&shard.slots[i].data)),
+        }
     }
 }
 
@@ -651,6 +736,80 @@ mod tests {
         assert_eq!(c.device().stats().reads, 0);
         drop(b);
         assert_eq!(c.getblk_with(7, &[0; 100]).unwrap_err().errno(), Errno::Inval);
+    }
+
+    #[test]
+    fn read_uncached_copies_a_held_block_and_otherwise_reads_the_device_without_caching() {
+        let c = cache(32, 8);
+        c.device().write_block(3, &[0x33; 4096]).unwrap();
+        c.device().write_block(4, &[0x44; 4096]).unwrap();
+        let logged = c.getblk_with(3, &[0x55; 4096]).unwrap().share(); // dirty, not written
+        let mut page = vec![0u8; 4096];
+        c.read_uncached(3, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x55), "the buffer's bytes, not the device's");
+        assert!(logged.iter().all(|&b| b == 0x55));
+        assert_eq!(c.device().stats().reads, 0);
+        c.read_uncached(4, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x44));
+        assert_eq!(c.device().stats().reads, 1);
+        assert_eq!(cached_blocks(&c), BTreeSet::from([3]), "block 4 was not inserted");
+        let stats = c.stats();
+        assert_eq!((stats.hits, stats.misses, stats.uncached_reads), (1, 0, 1));
+        assert_eq!(c.read_uncached(4, &mut page[..100]).unwrap_err().errno(), Errno::Inval);
+    }
+
+    #[test]
+    fn read_uncached_reads_the_device_for_a_buffer_whose_read_failed() {
+        use crate::dev::DeviceStats;
+        /// Fails every read while `fail` is set.
+        struct Flaky {
+            inner: RamDisk,
+            fail: std::sync::atomic::AtomicBool,
+        }
+        impl BlockDevice for Flaky {
+            fn block_size(&self) -> u32 {
+                self.inner.block_size()
+            }
+            fn num_blocks(&self) -> u64 {
+                self.inner.num_blocks()
+            }
+            fn read_block(&self, blockno: u64, buf: &mut [u8]) -> KernelResult<()> {
+                if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
+                    return Err(KernelError::with_context(Errno::Io, "flaky"));
+                }
+                self.inner.read_block(blockno, buf)
+            }
+            fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()> {
+                self.inner.write_block(blockno, buf)
+            }
+            fn flush(&self) -> KernelResult<()> {
+                self.inner.flush()
+            }
+            fn stats(&self) -> DeviceStats {
+                self.inner.stats()
+            }
+        }
+        let dev = Arc::new(Flaky { inner: RamDisk::new(4096, 8), fail: true.into() });
+        dev.write_block(2, &[0x22; 4096]).unwrap();
+        let c = BufferCache::new(Arc::clone(&dev) as _, 4);
+        assert_eq!(c.bread(2).unwrap_err().errno(), Errno::Io);
+        dev.fail.store(false, std::sync::atomic::Ordering::Relaxed);
+        let mut page = vec![0u8; 4096];
+        c.read_uncached(2, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0x22), "the failed buffer's zeros are not served");
+    }
+
+    #[test]
+    fn a_whole_block_overwrite_of_an_uncached_block_builds_its_buffer_from_the_source() {
+        let c = cache(32, 8);
+        let b = c.getblk_with(9, &[0x66; 4096]).unwrap();
+        assert!(b.is_dirty());
+        assert!(b.data().iter().all(|&x| x == 0x66));
+        drop(b);
+        assert_eq!((c.device().stats().reads, c.stats().cow_copies), (0, 0));
+        let mut page = vec![0u8; 4096];
+        c.read_uncached(9, &mut page).unwrap();
+        assert!(page.iter().all(|&x| x == 0x66));
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //!
 //! * there is **no BentoFS and no file-operations API** between the VFS
 //!   and the file system: no `Request`, no `FileSystem` trait object
-//!   behind a lock, and no online upgrade (`read_page` fills the page
-//!   cache's buffer in place, as BentoFS's lent-page `read` does);
+//!   behind a lock, and no online upgrade (`read_pages` fills the page
+//!   cache's pages of a run in place, as BentoFS's lent-page
+//!   `read_vectored` does);
 //! * write-back is the plain **per-page `writepage`** path: this binding
 //!   keeps the trait's default `write_pages`, which walks the pass file by
 //!   file and hands over one dirty page at a time, and each page is its
@@ -151,6 +152,15 @@ impl VfsFs for Xv6VfsFilesystem {
 
     fn read_page(&self, ino: u64, page_index: u64, buf: &mut [u8]) -> KernelResult<usize> {
         self.core.read(&self.sb, ino, page_index * BSIZE as u64, buf)
+    }
+
+    fn read_pages(
+        &self,
+        ino: u64,
+        first_page: u64,
+        pages: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        self.core.read_vectored(&self.sb, ino, first_page * BSIZE as u64, pages)
     }
 
     fn write_page(

@@ -10,10 +10,11 @@
 //! own range is exhausted.
 
 use bento::bentoks::SuperBlock;
+use journal::PlantedFault;
 use simkernel::error::{Errno, KernelError, KernelResult};
 
 use crate::core::FsCore;
-use crate::layout::{get_u16, Dinode, DiskSuperblock, BPB, T_FREE};
+use crate::layout::{get_u16, Dinode, DiskSuperblock, BPB, BSIZE, T_FREE};
 
 impl FsCore {
     /// Allocates a zeroed data block and returns its block number.  Must be
@@ -23,11 +24,30 @@ impl FsCore {
     ///
     /// [`Errno::NoSpc`] when no free block exists; I/O errors propagate.
     pub fn balloc(&self, sb: &SuperBlock) -> KernelResult<u64> {
+        self.balloc_holding(sb, None)
+    }
+
+    /// Allocates the data block that `piece` — bytes at some offset of
+    /// one block — is written into in this same operation, and returns its
+    /// block number.  A piece that covers the whole block becomes the
+    /// block's first contents: no zero fill, and no zero block staged for
+    /// the journal to throw away.  A partial piece gets the zero fill, so
+    /// the bytes around it never show what the block held before it was
+    /// freed.  Must be called inside a transaction.
+    ///
+    /// # Errors
+    ///
+    /// As for [`FsCore::balloc`].
+    pub(crate) fn balloc_for(&self, sb: &SuperBlock, piece: &[u8]) -> KernelResult<u64> {
+        self.balloc_holding(sb, Some(piece))
+    }
+
+    fn balloc_holding(&self, sb: &SuperBlock, piece: Option<&[u8]>) -> KernelResult<u64> {
         let groups = self.alloc.group_count();
         let home = self.alloc.home_group();
         for attempt in 0..groups {
             let g = (home + attempt) % groups;
-            if let Some(blockno) = self.balloc_in_group(sb, g)? {
+            if let Some(blockno) = self.balloc_in_group(sb, g, piece)? {
                 return Ok(blockno);
             }
         }
@@ -35,8 +55,14 @@ impl FsCore {
     }
 
     /// Tries to allocate from group `g`, scanning from its cursor and
-    /// wrapping within the group's range.
-    fn balloc_in_group(&self, sb: &SuperBlock, g: usize) -> KernelResult<Option<u64>> {
+    /// wrapping within the group's range; the new block holds `piece` if
+    /// that covers it whole, zeros otherwise.
+    fn balloc_in_group(
+        &self,
+        sb: &SuperBlock,
+        g: usize,
+        piece: Option<&[u8]>,
+    ) -> KernelResult<Option<u64>> {
         let (lo, hi) = self.alloc.block_range(g);
         if lo >= hi {
             return Ok(None);
@@ -50,10 +76,16 @@ impl FsCore {
         let Some(blockno) = found else {
             return Ok(None);
         };
-        // Zero the newly allocated block so stale contents never leak.
-        let zeroed = sb.bread_zeroed(blockno)?;
-        self.log.log_write(&zeroed)?;
-        drop(zeroed);
+        // The new block's first contents: the piece that overwrites it
+        // whole, else zeros, so stale contents never leak.
+        let first = match piece {
+            Some(piece) if piece.len() == BSIZE => Some(sb.bread_with(blockno, piece)?),
+            Some(_) if self.log.planted() == PlantedFault::PartialWriteSkipsZeroFill => None,
+            _ => Some(sb.bread_zeroed(blockno)?),
+        };
+        if let Some(first) = first {
+            self.log.log_write(&first)?;
+        }
         state.block_hint = if blockno + 1 < hi { blockno + 1 } else { lo };
         if let Some(used) = state.used_blocks.as_mut() {
             *used += 1;

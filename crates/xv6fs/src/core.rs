@@ -288,6 +288,18 @@ pub struct FsCore {
     pub stats: FsCounters,
 }
 
+/// What a walk of the block map does with an unmapped block.
+#[derive(Debug, Clone, Copy)]
+enum Alloc<'a> {
+    /// Nothing: the block is a hole.
+    No,
+    /// Allocates it zero-filled (an indirect block).
+    Zeroed,
+    /// Allocates it as the data block `piece` is written into in this
+    /// operation ([`FsCore::balloc_for`]).
+    For(&'a [u8]),
+}
+
 /// Splits `src`, bound for file offset `offset`, at file-block boundaries:
 /// yields `(offset, bytes)` pieces that each lie within one block.
 pub(crate) fn block_pieces(offset: u64, src: &[u8]) -> impl Iterator<Item = (u64, &[u8])> {
@@ -369,20 +381,31 @@ impl FsCore {
     // -- block mapping --------------------------------------------------------
 
     /// Returns the disk block backing file block `bn` of the inode described
-    /// by `data`, allocating it (and any needed indirect blocks) when
-    /// `allocate` is true.  Returns `None` for a hole when not allocating.
+    /// by `data`, or `None` for a hole.
     ///
     /// # Errors
     ///
-    /// [`Errno::FBig`] beyond the maximum file size, [`Errno::NoSpc`] when
-    /// the disk is full, I/O errors otherwise.
+    /// [`Errno::FBig`] beyond the maximum file size, I/O errors otherwise.
     pub fn bmap(
         &self,
         sb: &SuperBlock,
         data: &mut InodeData,
         bn: u64,
-        allocate: bool,
     ) -> KernelResult<Option<u64>> {
+        Ok(self.map(sb, data, bn, Alloc::No)?.map(|(blockno, _)| blockno))
+    }
+
+    /// Walks the block map to file block `bn`, allocating as `alloc` says
+    /// where it is unmapped (indirect blocks on the way zero-filled).
+    /// Returns the block and whether this call allocated it; `None` for a
+    /// hole when not allocating.
+    fn map(
+        &self,
+        sb: &SuperBlock,
+        data: &mut InodeData,
+        bn: u64,
+        alloc: Alloc<'_>,
+    ) -> KernelResult<Option<(u64, bool)>> {
         let bn = bn as usize;
         if bn >= MAXFILE {
             return Err(KernelError::with_context(
@@ -390,72 +413,87 @@ impl FsCore {
                 "xv6fs: file block beyond maximum size",
             ));
         }
+        let interior = match alloc {
+            Alloc::No => Alloc::No,
+            _ => Alloc::Zeroed,
+        };
         if bn < NDIRECT {
-            if data.addrs[bn] == 0 {
-                if !allocate {
-                    return Ok(None);
-                }
-                data.addrs[bn] = self.balloc(sb)? as u32;
-            }
-            return Ok(Some(data.addrs[bn] as u64));
+            return self.fill_slot(sb, &mut data.addrs[bn], alloc);
         }
         let bn = bn - NDIRECT;
         if bn < NINDIRECT {
             // Single indirect.
-            if data.addrs[NDIRECT] == 0 {
-                if !allocate {
-                    return Ok(None);
-                }
-                data.addrs[NDIRECT] = self.balloc(sb)? as u32;
-            }
-            return self.indirect_lookup(sb, data.addrs[NDIRECT] as u64, bn, allocate);
+            let Some((single, _)) = self.fill_slot(sb, &mut data.addrs[NDIRECT], interior)? else {
+                return Ok(None);
+            };
+            return self.indirect_lookup(sb, single, bn, alloc);
         }
         let bn = bn - NINDIRECT;
         // Double indirect.
-        if data.addrs[NDIRECT + 1] == 0 {
-            if !allocate {
-                return Ok(None);
-            }
-            data.addrs[NDIRECT + 1] = self.balloc(sb)? as u32;
-        }
-        let l1_index = bn / NINDIRECT;
-        let l2_index = bn % NINDIRECT;
-        let l1 =
-            match self.indirect_lookup(sb, data.addrs[NDIRECT + 1] as u64, l1_index, allocate)? {
-                Some(b) => b,
-                None => return Ok(None),
-            };
-        self.indirect_lookup(sb, l1, l2_index, allocate)
+        let Some((double, _)) = self.fill_slot(sb, &mut data.addrs[NDIRECT + 1], interior)? else {
+            return Ok(None);
+        };
+        let Some((l1, _)) = self.indirect_lookup(sb, double, bn / NINDIRECT, interior)? else {
+            return Ok(None);
+        };
+        self.indirect_lookup(sb, l1, bn % NINDIRECT, alloc)
     }
 
-    /// Looks up (and optionally allocates) slot `index` of the indirect
-    /// block `blockno`.
+    /// The block in the inode's address slot `addr`, allocated as `alloc`
+    /// says if the slot is empty.
+    fn fill_slot(
+        &self,
+        sb: &SuperBlock,
+        addr: &mut u32,
+        alloc: Alloc<'_>,
+    ) -> KernelResult<Option<(u64, bool)>> {
+        if *addr != 0 {
+            return Ok(Some((*addr as u64, false)));
+        }
+        let Some(fresh) = self.alloc_block(sb, alloc)? else {
+            return Ok(None);
+        };
+        *addr = fresh as u32;
+        Ok(Some((fresh, true)))
+    }
+
+    /// Looks up (and, as `alloc` says, allocates) slot `index` of the
+    /// indirect block `blockno`.
     fn indirect_lookup(
         &self,
         sb: &SuperBlock,
         blockno: u64,
         index: usize,
-        allocate: bool,
-    ) -> KernelResult<Option<u64>> {
+        alloc: Alloc<'_>,
+    ) -> KernelResult<Option<(u64, bool)>> {
         debug_assert!(index < NINDIRECT);
         let mut block = sb.bread(blockno)?;
         let current = get_u32(block.data(), index * 4);
         if current != 0 {
-            return Ok(Some(current as u64));
+            return Ok(Some((current as u64, false)));
         }
-        if !allocate {
+        let Some(fresh) = self.alloc_block(sb, alloc)? else {
             return Ok(None);
-        }
-        let fresh = self.balloc(sb)?;
+        };
         put_u32(block.data_mut(), index * 4, fresh as u32);
         self.log.log_write(&block)?;
-        Ok(Some(fresh))
+        Ok(Some((fresh, true)))
+    }
+
+    fn alloc_block(&self, sb: &SuperBlock, alloc: Alloc<'_>) -> KernelResult<Option<u64>> {
+        match alloc {
+            Alloc::No => Ok(None),
+            Alloc::Zeroed => self.balloc(sb).map(Some),
+            Alloc::For(piece) => self.balloc_for(sb, piece).map(Some),
+        }
     }
 
     // -- byte-granular file I/O ----------------------------------------------
 
-    /// Reads up to `buf.len()` bytes starting at `offset`; returns the number
-    /// of bytes read (clamped at end of file).
+    /// Reads up to `buf.len()` bytes starting at `offset` through the
+    /// buffer cache; returns the number of bytes read (clamped at end of
+    /// file).  Directories read this way: their blocks are metadata, which
+    /// the cache keeps.  File data goes through [`FsCore::read_data`].
     ///
     /// # Errors
     ///
@@ -474,10 +512,9 @@ impl FsCore {
         let mut done = 0usize;
         while done < to_read {
             let pos = offset + done as u64;
-            let bn = pos / BSIZE as u64;
             let block_off = (pos % BSIZE as u64) as usize;
             let chunk = (BSIZE - block_off).min(to_read - done);
-            match self.bmap(sb, data, bn, false)? {
+            match self.bmap(sb, data, pos / BSIZE as u64)? {
                 Some(blockno) => {
                     let block = sb.bread(blockno)?;
                     buf[done..done + chunk]
@@ -491,6 +528,58 @@ impl FsCore {
             done += chunk;
         }
         self.stats.bytes_read.add(done as u64);
+        Ok(done)
+    }
+
+    /// Reads file data: up to `buf.len()` bytes at `offset`, clamped at
+    /// end of file; returns the number of bytes read.  Every whole block
+    /// goes from the device — or from the buffer, if the cache holds the
+    /// block — straight into `buf` ([`SuperBlock::read_uncached`]), so a
+    /// page fill copies each byte once and leaves no second copy in the
+    /// buffer cache.  Only a partial block at either end of the range (the
+    /// one straddling end of file among them) goes through [`FsCore::readi`].
+    ///
+    /// Skipping the cache reads the current bytes because:
+    /// - only clean, unreferenced buffers are evicted, so a dirty block or
+    ///   one whose install is pending is still in the cache and is copied
+    ///   from there;
+    /// - the log writes a block's home location before `clean_if_holds`
+    ///   marks its buffer clean, so a block the cache does not hold is
+    ///   current on the device;
+    /// - the page-cache file lock that a fill holds serializes every other
+    ///   writer of the file's blocks, so none is cached between the lookup
+    ///   and the device read.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors.
+    pub fn read_data(
+        &self,
+        sb: &SuperBlock,
+        data: &mut InodeData,
+        offset: u64,
+        buf: &mut [u8],
+    ) -> KernelResult<usize> {
+        if offset >= data.size {
+            return Ok(0);
+        }
+        let to_read = buf.len().min((data.size - offset) as usize);
+        let mut done = 0usize;
+        while done < to_read {
+            let pos = offset + done as u64;
+            let chunk = (BSIZE - (pos % BSIZE as u64) as usize).min(to_read - done);
+            let piece = &mut buf[done..done + chunk];
+            if chunk < BSIZE {
+                self.readi(sb, data, pos, piece)?;
+            } else {
+                match self.bmap(sb, data, pos / BSIZE as u64)? {
+                    Some(blockno) => sb.read_uncached(blockno, piece)?,
+                    None => piece.fill(0),
+                }
+                self.stats.bytes_read.add(BSIZE as u64);
+            }
+            done += chunk;
+        }
         Ok(done)
     }
 
@@ -536,20 +625,25 @@ impl FsCore {
     ) -> KernelResult<()> {
         let block_off = (offset % BSIZE as u64) as usize;
         debug_assert!(block_off + piece.len() <= BSIZE);
-        let blockno = self.bmap(sb, data, offset / BSIZE as u64, true)?.ok_or_else(|| {
-            KernelError::with_context(Errno::Io, "xv6fs: bmap failed to allocate")
-        })?;
-        // A piece that covers its whole block needs none of the old bytes:
-        // take the buffer filled with it, without reading the device or
-        // zero-filling it first.
-        let block = if piece.len() == BSIZE {
-            sb.bread_with(blockno, piece)?
-        } else {
-            let mut block = sb.bread(blockno)?;
-            block.data_mut()[block_off..block_off + piece.len()].copy_from_slice(piece);
-            block
-        };
-        self.log.log_write(&block)?;
+        let whole = piece.len() == BSIZE;
+        let (blockno, fresh) =
+            self.map(sb, data, offset / BSIZE as u64, Alloc::For(piece))?.ok_or_else(|| {
+                KernelError::with_context(Errno::Io, "xv6fs: bmap failed to allocate")
+            })?;
+        // A fresh block that the piece covers whole already holds it (the
+        // allocator took it as the block's first contents).  Otherwise a
+        // whole piece needs none of the old bytes: take the buffer filled
+        // with it, without reading the device or zero-filling it first.
+        if !(fresh && whole) {
+            let block = if whole {
+                sb.bread_with(blockno, piece)?
+            } else {
+                let mut block = sb.bread(blockno)?;
+                block.data_mut()[block_off..block_off + piece.len()].copy_from_slice(piece);
+                block
+            };
+            self.log.log_write(&block)?;
+        }
         data.size = data.size.max(offset + piece.len() as u64);
         Ok(())
     }
@@ -576,7 +670,7 @@ impl FsCore {
         let first_free_bn = new_size.div_ceil(BSIZE as u64);
         let last_used_bn = data.size.div_ceil(BSIZE as u64);
         for bn in first_free_bn..last_used_bn {
-            if let Some(blockno) = self.bmap(sb, data, bn, false)? {
+            if let Some(blockno) = self.bmap(sb, data, bn)? {
                 self.bfree(sb, blockno)?;
                 self.clear_mapping(sb, data, bn)?;
             }
@@ -584,7 +678,7 @@ impl FsCore {
         // Zero the tail of the (kept) final partial block so later growth
         // does not resurrect old bytes.
         if !new_size.is_multiple_of(BSIZE as u64) {
-            if let Some(blockno) = self.bmap(sb, data, new_size / BSIZE as u64, false)? {
+            if let Some(blockno) = self.bmap(sb, data, new_size / BSIZE as u64)? {
                 let keep = (new_size % BSIZE as u64) as usize;
                 let mut block = sb.bread(blockno)?;
                 block.data_mut()[keep..].fill(0);

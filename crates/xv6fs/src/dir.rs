@@ -43,7 +43,7 @@ impl FsCore {
         while start < dir_data.size {
             let len = (dir_data.size - start).min(BSIZE as u64) as usize;
             let bn = start / BSIZE as u64;
-            let block = self.bmap(sb, dir_data, bn, false)?.map(|b| sb.bread(b)).transpose()?;
+            let block = self.bmap(sb, dir_data, bn)?.map(|b| sb.bread(b)).transpose()?;
             self.stats.bytes_read.add(len as u64);
             let bytes = block.as_ref().map_or(&HOLE[..], |b| b.data());
             let usable = len - len % DIRENT_SIZE;

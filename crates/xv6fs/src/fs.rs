@@ -271,6 +271,17 @@ impl FileSystem for Xv6FileSystem {
         self.with_core(|core| core.read(sb, ino, offset, buf))
     }
 
+    fn read_vectored(
+        &self,
+        _req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        offset: u64,
+        bufs: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        self.with_core(|core| core.read_vectored(sb, ino, offset, bufs))
+    }
+
     fn write(
         &self,
         _req: &Request,

@@ -109,6 +109,12 @@ impl Log {
         self.fault = fault;
     }
 
+    /// The fault planted in this log, for the parts of the binding that
+    /// act on one ([`PlantedFault::PartialWriteSkipsZeroFill`]).
+    pub(crate) fn planted(&self) -> PlantedFault {
+        self.fault
+    }
+
     fn io<'a>(&self, sb: &'a SuperBlock) -> SbIo<'a> {
         SbIo { sb, fault: self.fault }
     }

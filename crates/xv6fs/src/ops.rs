@@ -499,7 +499,8 @@ impl FsCore {
     // -- file data -------------------------------------------------------------
 
     /// Reads up to `buf.len()` bytes of `ino` at `offset` into `buf`;
-    /// returns the number of bytes read (clamped at end of file).
+    /// returns the number of bytes read (clamped at end of file):
+    /// [`FsCore::read_vectored`] of one buffer.
     ///
     /// # Errors
     ///
@@ -511,8 +512,35 @@ impl FsCore {
         offset: u64,
         buf: &mut [u8],
     ) -> KernelResult<usize> {
+        self.read_vectored(sb, ino, offset, &mut [buf])
+    }
+
+    /// Reads the bytes of `ino` from `offset` on into `bufs`, in order
+    /// (`preadv`), with one inode snapshot for all of them; returns the
+    /// number of bytes read, clamped at end of file.  A page-cache fill
+    /// passes the pages of one run; each whole block of file data goes
+    /// straight into its page ([`FsCore::read_data`]).
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::NoEnt`], I/O errors.
+    pub fn read_vectored(
+        &self,
+        sb: &SuperBlock,
+        ino: u64,
+        offset: u64,
+        bufs: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
         let mut data = self.inode_snapshot(sb, ino as u32)?;
-        self.readi(sb, &mut data, offset, buf)
+        let mut done = 0usize;
+        for buf in bufs.iter_mut() {
+            let n = self.read_data(sb, &mut data, offset + done as u64, buf)?;
+            done += n;
+            if n < buf.len() {
+                break;
+            }
+        }
+        Ok(done)
     }
 
     /// Writes `src` to `ino` at `offset`: [`FsCore::write_vectored`] of one

@@ -161,6 +161,20 @@ impl FileSystem for AuditFs {
         self.lower.read(req, sb, ino, fh, offset, buf)
     }
 
+    // A page-cache fill arrives here, once per run of missing pages;
+    // forwarding it keeps the lower file system's one-call run.
+    fn read_vectored(
+        &self,
+        req: &Request,
+        sb: &SuperBlock,
+        ino: u64,
+        offset: u64,
+        bufs: &mut [&mut [u8]],
+    ) -> KernelResult<usize> {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.lower.read_vectored(req, sb, ino, offset, bufs)
+    }
+
     fn write(
         &self,
         req: &Request,
