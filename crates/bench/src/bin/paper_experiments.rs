@@ -10,9 +10,9 @@ use std::collections::BTreeSet;
 
 use bench::{
     crash_experiment, fig2_read_4k, fig3_read_throughput, fig4_write_throughput, health_experiment,
-    load_experiment, load_smoke_experiment, obs_experiment, print_rows, report_to_json,
-    scaling_experiment, table1_bug_analysis, table2_mechanism_comparison, table4_create,
-    table5_delete, table6_macrobenchmarks, BenchResult, ExperimentConfig, Row, RunMeta,
+    load_experiment, print_rows, report_to_json, scaling_experiment, table1_bug_analysis,
+    table2_mechanism_comparison, table4_create, table5_delete, table6_macrobenchmarks, BenchResult,
+    ExperimentConfig, Row, RunMeta,
 };
 
 /// What an experiment runs with and reports into.
@@ -53,21 +53,20 @@ impl Ctx {
     }
 }
 
-/// One selectable experiment: its command-line name, whether `all` (or no
-/// selection) includes it, and what it does (handed its own name, which
-/// labels its `elapsed` row).
-type Experiment = (&'static str, bool, fn(&mut Ctx, &'static str));
+/// One selectable experiment: its command-line name and what it does
+/// (handed its own name, which labels its `elapsed` row).
+type Experiment = (&'static str, fn(&mut Ctx, &'static str));
 
-/// Every experiment, in run order.  The command line is checked against
-/// this table and dispatched from it, so a name is valid exactly when it
-/// runs something.
+/// Every experiment, in run order; `all` (or no selection) runs each.  The
+/// command line is checked against this table and dispatched from it, so a
+/// name is valid exactly when it runs something.
 const EXPERIMENTS: &[Experiment] = &[
-    ("table1", true, |ctx, _| {
+    ("table1", |ctx, _| {
         let rows = table1_bug_analysis();
         print_rows("Table 1: bug study (counts and derived percentages)", &rows);
         ctx.rows.extend(rows);
     }),
-    ("table2", true, |_, _| {
+    ("table2", |_, _| {
         println!("\n=== Table 2: extensibility mechanisms (safety / performance / generality / online upgrade) ===");
         for (mechanism, cells) in table2_mechanism_comparison() {
             println!(
@@ -76,72 +75,55 @@ const EXPERIMENTS: &[Experiment] = &[
             );
         }
     }),
-    ("fig2", true, |ctx, name| {
+    ("fig2", |ctx, name| {
         ctx.run(name, "Figure 2: 4 KiB read performance (ops/sec)", |c| fig2_read_4k(&c.cfg))
     }),
-    ("fig3", true, |ctx, name| {
+    ("fig3", |ctx, name| {
         ctx.run(name, "Figure 3: read throughput (MB/s)", |c| fig3_read_throughput(&c.cfg))
     }),
-    ("fig4", true, |ctx, name| {
+    ("fig4", |ctx, name| {
         ctx.run(name, "Figure 4: write throughput (MB/s)", |c| fig4_write_throughput(&c.cfg))
     }),
-    ("table4", true, |ctx, name| {
+    ("table4", |ctx, name| {
         ctx.run(name, "Table 4: create microbenchmark (ops/sec)", |c| table4_create(&c.cfg))
     }),
-    ("table5", true, |ctx, name| {
+    ("table5", |ctx, name| {
         ctx.run(name, "Table 5: delete microbenchmark (ops/sec)", |c| table5_delete(&c.cfg))
     }),
-    ("table6", true, |ctx, name| {
+    ("table6", |ctx, name| {
         ctx.run(name, "Table 6: macrobenchmarks", |c| table6_macrobenchmarks(&c.cfg))
     }),
-    ("scaling", true, |ctx, name| {
+    ("scaling", |ctx, name| {
         ctx.run(name, "Scaling: 1-32 threads, zero-cost device, disjoint files (ops/sec + write-path batching)", |c| scaling_experiment(&c.cfg))
     }),
     // Crash-consistency: enumerate crash states of a seeded 200-op trace on
     // every stack; any fsck or fsync-durability violation fails the
     // experiment (and thus CI's crash-smoke gate).
-    ("crash", true, |ctx, name| {
+    ("crash", |ctx, name| {
         ctx.run(name, "Crash: seeded crash-state enumeration, fsck + durability oracles", |c| {
             crash_experiment(&c.cfg)
         })
     }),
     // Workload modeling + load generation: five personalities × three
-    // stacks with p50/p99/p99.9, the open-loop overload probe, the
-    // upgrade-under-traffic scenario (zero failed ops enforced), and
-    // transient-EIO injection under load.
-    ("load", true, |ctx, name| {
+    // stacks, traced, with p50/p99/p99.9 and per-phase attribution; the
+    // disabled-hook bound, span coverage, required phases and attribution
+    // are gated on every run; then the upgrade-under-traffic scenario
+    // (zero failed ops enforced).
+    ("load", |ctx, name| {
         ctx.run(
             name,
-            "Load: personalities × stacks, latency percentiles, upgrade + EIO under load",
+            "Load: personalities × stacks, traced latency percentiles and phases, upgrade under load",
             |c| load_experiment(&c.cfg),
         )
-    }),
-    // CI smoke: quick closed-loop varmail on all three load stacks; any
-    // failed op or empty histogram fails the run.
-    ("load-smoke", false, |ctx, name| {
-        ctx.run(name, "Load smoke: varmail closed-loop on Bento / C-Kernel / Ext4", |c| {
-            load_smoke_experiment(&c.cfg)
-        })
     }),
     // Continuous health engine: disabled-path observe cost (gated),
     // clean-run false-positive gate, the EIO burn-rate fire/clear contract,
     // the upgrade pause as a commit-wait-attributed flagged window, and
     // schema-checked incident bundles.
-    ("health", true, |ctx, name| {
+    ("health", |ctx, name| {
         ctx.run(name, "Health: windowed SLO burn rates, stall flagging, incident bundles", |c| {
             health_experiment(&c.cfg, &c.incident_dir)
         })
-    }),
-    // Observability: disabled-path hook cost (gated), traced varmail +
-    // fileserver on all three load stacks with per-phase p50/p99
-    // attribution, span-coverage and reconciliation gates, the mount's
-    // counters, and the trace-on/off overhead probe.
-    ("obs", true, |ctx, name| {
-        ctx.run(
-            name,
-            "Obs: phase-attributed tail latency, span coverage gates, stack counters",
-            |c| obs_experiment(&c.cfg),
-        )
     }),
 ];
 
@@ -181,8 +163,8 @@ fn main() {
         .map(std::path::Path::to_path_buf)
         .unwrap_or_else(|| std::path::PathBuf::from("."));
     let mut ctx = Ctx { cfg, incident_dir, rows: Vec::new(), failures: 0 };
-    for (name, in_all, experiment) in EXPERIMENTS {
-        if selected.contains(name) || (everything && *in_all) {
+    for (name, experiment) in EXPERIMENTS {
+        if everything || selected.contains(name) {
             experiment(&mut ctx, name);
         }
     }

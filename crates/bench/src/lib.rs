@@ -22,10 +22,9 @@ pub mod report;
 pub use diff::{classify, diff_reports, DiffConfig, DiffReport, Finding, RowKind};
 pub use experiments::{
     crash_experiment, fig2_read_4k, fig3_read_throughput, fig4_write_throughput, health_experiment,
-    load_experiment, load_smoke_experiment, obs_experiment, scaling_create, scaling_experiment,
-    table1_bug_analysis, table2_mechanism_comparison, table4_create, table5_delete,
-    table6_macrobenchmarks, BenchError, BenchResult, CreatePoint, ExperimentConfig, LOAD_STACKS,
-    SCALING_NVME_THREADS, SCALING_THREADS,
+    load_experiment, scaling_create, scaling_experiment, table1_bug_analysis,
+    table2_mechanism_comparison, table4_create, table5_delete, table6_macrobenchmarks, BenchError,
+    BenchResult, CreatePoint, ExperimentConfig, LOAD_STACKS, SCALING_NVME_THREADS, SCALING_THREADS,
 };
 pub use report::{
     print_rows, report_from_json, report_to_json, rows_to_json, BenchReport, Row, RunMeta,

@@ -18,7 +18,7 @@
 //!   `writepages` once per inode;
 //! * mounting/registration ([`BentoFsType`], [`register_bento_fs`]): every
 //!   mount gets a fresh instance over its own buffer cache of
-//!   [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks, and reads no mount options
+//!   [`DEFAULT_BUFFER_CACHE_BLOCKS`] blocks; a mount takes no options
 //!   (the caches and allocator keep their automatic sharding);
 //! * **online upgrade** ([`BentoFs::upgrade`], or [`BentoFs::begin_upgrade`]
 //!   and [`UpgradeGate::complete`] in two steps): swapping in a new file
@@ -33,8 +33,8 @@ use parking_lot::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
-    DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, Vfs,
-    VfsFs, WritebackFile, PAGE_SIZE,
+    DirEntry, FileMode, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, Vfs, VfsFs,
+    WritebackFile, PAGE_SIZE,
 };
 
 use crate::bentoks::{KernelBlockIo, SuperBlock};
@@ -466,11 +466,7 @@ impl FilesystemType for BentoFsType {
         &self.name
     }
 
-    fn mount(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        _options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>> {
+    fn mount(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
         Ok(self.mount_on(device)? as Arc<dyn VfsFs>)
     }
 }
@@ -873,8 +869,7 @@ mod tests {
         let vfs = Vfs::default();
         let fstype = Arc::new(BentoFsType::new("testfs", || Box::new(TestFs::with_version(1))));
         register_bento_fs(&vfs, Arc::clone(&fstype)).unwrap();
-        vfs.mount("testfs", Arc::new(RamDisk::new(4096, 64)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount("testfs", Arc::new(RamDisk::new(4096, 64)), "/").unwrap();
         let fd = vfs.open("/via_vfs", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, b"abc").unwrap();
         vfs.fsync(fd).unwrap();

@@ -95,8 +95,8 @@ use journal::{GroupClose, Journal, JournalConfig, PlantedFault, MAX_OP_BLOCKS};
 use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
-    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
-    StatFs, VfsFs, WritePathStats, WritebackFile, PAGE_SIZE,
+    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, VfsFs,
+    WritePathStats, WritebackFile, PAGE_SIZE,
 };
 
 /// Registered name of the simulated ext4.
@@ -1252,11 +1252,7 @@ impl FilesystemType for Ext4FilesystemType {
         EXT4_NAME
     }
 
-    fn mount(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        _options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>> {
+    fn mount(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
         Ext4Sim::format_if_blank(&device)?;
         Ok(Ext4Sim::mount(device)? as Arc<dyn VfsFs>)
     }
@@ -1579,8 +1575,7 @@ mod tests {
     fn full_stack_through_vfs() {
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(Ext4FilesystemType)).unwrap();
-        vfs.mount(EXT4_NAME, Arc::new(RamDisk::new(4096, DISK)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount(EXT4_NAME, Arc::new(RamDisk::new(4096, DISK)), "/").unwrap();
         vfs.mkdir("/var").unwrap();
         let fd = vfs.open("/var/log.txt", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, &vec![9u8; 100_000]).unwrap();

@@ -38,7 +38,7 @@ use simkernel::cost::{CostCounters, CostKind, CostModel};
 use simkernel::dev::BlockDevice;
 use simkernel::error::{Errno, KernelError, KernelResult};
 use simkernel::vfs::{
-    DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, VfsFs,
+    DirEntry, FileMode, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, VfsFs,
     WritebackFile, PAGE_SIZE,
 };
 use xv6fs::core::{thread_home, with_home};
@@ -518,11 +518,7 @@ impl FilesystemType for FuseXv6FilesystemType {
         "xv6fs_fuse"
     }
 
-    fn mount(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        _options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>> {
+    fn mount(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
         Ok(mount_fuse_xv6(device, CostModel::zero(), 4)? as Arc<dyn VfsFs>)
     }
 }
@@ -592,7 +588,7 @@ mod tests {
         mkfs_on_device(&dev, 256).unwrap();
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(FuseXv6FilesystemType)).unwrap();
-        vfs.mount("xv6fs_fuse", dev, "/", &MountOptions::default()).unwrap();
+        vfs.mount("xv6fs_fuse", dev, "/").unwrap();
         let fd = vfs.open("/hello", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, b"fuse path works").unwrap();
         vfs.fsync(fd).unwrap();

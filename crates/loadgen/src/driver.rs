@@ -1,5 +1,5 @@
-//! Closed-loop and open-loop load drivers with per-op-class latency
-//! histograms and a windowed throughput timeline.
+//! The closed-loop load driver, with per-op-class latency histograms and a
+//! windowed throughput timeline.
 //!
 //! Every run is bounded by an op count, never by a clock: each worker runs
 //! a fixed-length script that [`WorkloadSpec::script`] generates from the
@@ -8,17 +8,10 @@
 //! rather than outgrow the mount's free inodes and blocks; a run that would
 //! outgrow them anyway is refused before it begins.
 //!
-//! * **Closed loop**: `workers` threads each issue one operation at a time,
-//!   the next as soon as the previous one completes, until their script
-//!   ends.  Offered load adapts to service rate — the classic benchmark
-//!   shape, good for peak-throughput numbers.
-//! * **Open loop**: operations *arrive* on a virtual clock at a target rate
-//!   regardless of how fast the stack serves them; each worker admits as
-//!   many arrivals as its script has ops, and each op's latency is measured
-//!   from its **scheduled arrival**, not from when a worker got around to
-//!   issuing it.  When the stack can't keep up, the backlog shows up as
-//!   growing latency instead of silently throttled load — the
-//!   coordinated-omission-free way to measure overload and tail latency.
+//! `workers` threads each issue one operation at a time, the next as soon
+//! as the previous one completes, until their script ends (a closed loop,
+//! as filebench runs the paper's personalities): offered load adapts to
+//! service rate, and each op's latency is its service time.
 //!
 //! Every completed operation is recorded into a per-class
 //! [`LatencyHistogram`] (merged across workers at the end) and into the
@@ -42,43 +35,6 @@ use workloads::op::{apply, apply_extracting, Fds, Op, OpKind, MAX_CHUNK};
 
 use crate::spec::{Layout, WorkloadSpec};
 
-/// How operations are offered to the stack.
-#[derive(Debug, Clone, Copy)]
-pub enum Driver {
-    /// `workers` threads, each issuing the next op as soon as the previous
-    /// one completes.
-    Closed {
-        /// Number of worker threads.
-        workers: usize,
-    },
-    /// Operations arrive at `rate` ops/sec on a virtual clock, served by
-    /// `workers` threads; latency includes time spent queued behind the
-    /// backlog.
-    Open {
-        /// Number of serving threads.
-        workers: usize,
-        /// Target arrival rate in operations/second.
-        rate: f64,
-    },
-}
-
-impl Driver {
-    /// Row label: `"closed-4w"` / `"open-500ops"`.
-    pub fn label(&self) -> String {
-        match self {
-            Driver::Closed { workers } => format!("closed-{workers}w"),
-            Driver::Open { rate, .. } => format!("open-{rate:.0}ops"),
-        }
-    }
-
-    /// Number of worker threads (at least one).
-    pub(crate) fn workers(&self) -> usize {
-        match *self {
-            Driver::Closed { workers } | Driver::Open { workers, .. } => workers.max(1),
-        }
-    }
-}
-
 /// What the driver does when an operation fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ErrorPolicy {
@@ -95,12 +51,12 @@ pub enum ErrorPolicy {
 /// Knobs for one load run.
 #[derive(Debug, Clone)]
 pub struct LoadConfig {
-    /// Measured ops per worker: the script length under the closed loop,
-    /// the arrivals each worker admits under the open loop.  A replay runs
-    /// its whole manifest instead.
+    /// Measured ops per worker (the script length).  A replay runs its
+    /// whole manifest instead.
     pub ops: u64,
-    /// Closed- or open-loop offering.
-    pub driver: Driver,
+    /// Worker threads, each running its own script closed-loop (at least
+    /// one runs).
+    pub workers: usize,
     /// Abort or count on op failure.
     pub error_policy: ErrorPolicy,
     /// Throughput timeline window.
@@ -119,7 +75,7 @@ impl LoadConfig {
     pub fn closed(workers: usize, ops: u64) -> Self {
         LoadConfig {
             ops,
-            driver: Driver::Closed { workers },
+            workers,
             error_policy: ErrorPolicy::FailFast,
             window: Duration::from_millis(50),
             seed: 0x10ad_6e4e,
@@ -127,9 +83,9 @@ impl LoadConfig {
         }
     }
 
-    /// An open-loop config at `rate` ops/sec, `ops` arrivals per worker.
-    pub fn open(workers: usize, rate: f64, ops: u64) -> Self {
-        LoadConfig { driver: Driver::Open { workers, rate }, ..LoadConfig::closed(1, ops) }
+    /// The number of worker threads that run (at least one).
+    pub(crate) fn threads(&self) -> usize {
+        self.workers.max(1)
     }
 
     /// Attaches a health monitor to the run.
@@ -167,7 +123,8 @@ impl LoadError {
         error: KernelError,
     ) -> Self {
         let op = op.map(Box::new);
-        LoadError { spec: spec.name.clone(), driver: cfg.driver.label(), seed: cfg.seed, op, error }
+        let driver = format!("closed-{}w", cfg.threads());
+        LoadError { spec: spec.name.clone(), driver, seed: cfg.seed, op, error }
     }
 }
 
@@ -201,9 +158,9 @@ pub const SLOWEST_K: usize = 5;
 
 /// Phase-attributed latency for one op class, aggregated from the trace
 /// spans the driver opened around each operation (service time: issue to
-/// completion, excluding open-loop queueing).  Populated only while
-/// [`simkernel::trace`] is enabled; with tracing off every run leaves
-/// [`LoadResult::traces`] empty at the cost of one atomic load per op.
+/// completion).  Populated only while [`simkernel::trace`] is enabled; with
+/// tracing off every run leaves [`LoadResult::traces`] empty at the cost
+/// of one atomic load per op.
 #[derive(Debug, Clone)]
 pub struct ClassPhaseTrace {
     /// Which op class.
@@ -277,8 +234,6 @@ impl ClassPhaseTrace {
 pub struct LoadResult {
     /// Personality name.
     pub spec: String,
-    /// Driver label (`"closed-4w"` / `"open-500ops"`).
-    pub driver: String,
     /// Wall-clock duration of the measured phase.
     pub elapsed: Duration,
     /// Total operations completed.
@@ -299,9 +254,6 @@ pub struct LoadResult {
     pub timeline: Vec<u64>,
     /// The timeline window width.
     pub window: Duration,
-    /// Open loop only: the worst observed lag between an op's scheduled
-    /// arrival and the moment a worker picked it up (zero when keeping up).
-    pub max_backlog: Duration,
     /// Phase-attributed traces per op class (classes with no spans
     /// omitted).  Empty unless [`simkernel::trace`] was enabled for the
     /// run.
@@ -424,7 +376,7 @@ pub(crate) fn run_hooked(
             KernelError::with_context(Errno::Inval, "loadgen: mix samples an empty fileset"),
         ));
     }
-    let workers = cfg.driver.workers();
+    let workers = cfg.threads();
     let creates = create_budget(vfs, spec, workers).map_err(|e| fail(None, e))?;
     let scripts: Vec<_> =
         (0..workers).map(|t| spec.script(t, workers, cfg.ops, creates, cfg.seed)).collect();
@@ -451,16 +403,7 @@ pub(crate) fn run_hooked(
         held.push((fds, body));
     }
 
-    let run = Run {
-        vfs,
-        spec,
-        cfg,
-        hook,
-        start: Instant::now(),
-        arrivals: AtomicU64::new(0),
-        issued: AtomicU64::new(0),
-        max_backlog_ns: AtomicU64::new(0),
-    };
+    let run = Run { vfs, spec, cfg, hook, start: Instant::now(), issued: AtomicU64::new(0) };
     let tallies: Vec<Result<Tally, LoadError>> = std::thread::scope(|scope| {
         let run = &run;
         let handles: Vec<_> = held
@@ -494,7 +437,6 @@ pub(crate) fn run_hooked(
     }
     Ok(LoadResult {
         spec: spec.name.clone(),
-        driver: cfg.driver.label(),
         elapsed,
         operations: per_op.iter().map(|c| c.completed).sum(),
         errors: per_op.iter().map(|c| c.errors).sum(),
@@ -504,7 +446,6 @@ pub(crate) fn run_hooked(
         overall,
         timeline: total.timeline,
         window: cfg.window,
-        max_backlog: Duration::from_nanos(run.max_backlog_ns.load(Ordering::Relaxed)),
         traces: total.traces.into_iter().filter(|t| t.spans > 0).collect(),
     })
 }
@@ -525,9 +466,7 @@ struct Run<'a> {
     cfg: &'a LoadConfig,
     hook: Option<&'a (dyn Fn(u64) + Sync)>,
     start: Instant,
-    arrivals: AtomicU64,
     issued: AtomicU64,
-    max_backlog_ns: AtomicU64,
 }
 
 /// One worker's counts, merged into the result at the end.
@@ -597,23 +536,7 @@ impl Run<'_> {
         let extracting = matches!(self.spec.layout, Layout::Replay(_));
         for (index, op) in body.iter().enumerate() {
             let kind = op.kind();
-            let now = Instant::now();
-            // Under the open-loop driver the measured latency starts at the
-            // op's *scheduled* arrival; under the closed loop, at issue.
-            let measured_from = match self.cfg.driver {
-                Driver::Closed { .. } => now,
-                Driver::Open { rate, .. } => {
-                    let k = self.arrivals.fetch_add(1, Ordering::Relaxed);
-                    let scheduled = self.start + Duration::from_secs_f64(k as f64 / rate.max(1e-9));
-                    if scheduled > now {
-                        std::thread::sleep(scheduled - now);
-                    } else {
-                        let lag = (now - scheduled).as_nanos() as u64;
-                        self.max_backlog_ns.fetch_max(lag, Ordering::Relaxed);
-                    }
-                    scheduled
-                }
-            };
+            let issued_at = Instant::now();
             if let Some(hook) = self.hook {
                 hook(self.issued.fetch_add(1, Ordering::Relaxed));
             }
@@ -633,7 +556,7 @@ impl Run<'_> {
                     if let (Some(rec), Some(trace)) = (rec, tally.traces.get_mut(kind.index())) {
                         trace.observe(rec);
                     }
-                    let latency = completed_at.duration_since(measured_from);
+                    let latency = completed_at.duration_since(issued_at);
                     if let Some(mon) = &self.cfg.monitor {
                         mon.observe(kind.label(), latency.as_nanos() as u64, false, rec.as_ref());
                     }
@@ -680,13 +603,12 @@ mod tests {
     use crate::spec::{AccessPattern, FileSetSpec, OpMix, SizeDist};
     use simkernel::dev::RamDisk;
     use simkernel::memfs::MemFilesystemType;
-    use simkernel::vfs::{MountOptions, VfsConfig};
+    use simkernel::vfs::VfsConfig;
 
     fn memfs_vfs() -> Arc<Vfs> {
         let vfs = Arc::new(Vfs::new(VfsConfig::default()));
         vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
-        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/").unwrap();
         vfs
     }
 

@@ -1,4 +1,4 @@
-//! # loadgen — the load driver: seeded op scripts, closed and open loops,
+//! # loadgen — the load driver: seeded op scripts, a closed loop,
 //! tail-latency instrumentation
 //!
 //! The paper evaluates its file systems with filebench microbenchmarks and
@@ -19,15 +19,12 @@
 //!   microbenchmarks: [`WorkloadSpec::io`], [`WorkloadSpec::createfiles`],
 //!   [`WorkloadSpec::create_crossdir`], [`WorkloadSpec::deletefiles`].
 //!   A spec becomes per-worker scripts of `workloads::op` ops.
-//! * **Closed- and open-loop drivers** ([`driver::run_load`]), both
-//!   bounded by op count: closed loop = N workers each running a
-//!   fixed-length script back to back (peak throughput); open loop = each
-//!   worker admits a fixed number of arrivals on a virtual clock at a
-//!   target rate, so overload shows up as measured backlog and growing
-//!   latency instead of silently throttled offered load.  A run that
-//!   would create more files than the mount has free inodes or blocks
-//!   fails before its first op, so no stack can run out of them mid-run
-//!   however fast it is.
+//! * **A closed-loop driver** ([`driver::run_load`]), bounded by op
+//!   count: N workers each run a fixed-length script back to back, as
+//!   filebench runs the paper's personalities.  A run that would create
+//!   more files than the mount has free inodes or blocks fails before its
+//!   first op, so no stack can run out of them mid-run however fast it
+//!   is.
 //! * **Measurement**: per-op-class log-bucketed latency histograms
 //!   (p50/p90/p99/p99.9 via [`simkernel::metrics::LatencyHistogram`]) and
 //!   a windowed throughput timeline, emitted as BENCH rows by the `bench`
@@ -71,7 +68,7 @@ pub mod spec;
 pub mod zipf;
 
 pub use driver::{
-    prepare, run_load, ClassPhaseTrace, Driver, ErrorPolicy, LoadConfig, LoadError, LoadResult,
+    prepare, run_load, ClassPhaseTrace, ErrorPolicy, LoadConfig, LoadError, LoadResult,
     OpClassStats, SLOWEST_K,
 };
 pub use scenario::{run_eio_under_load, run_upgrade_under_load, EioOutcome, UpgradeOutcome};

@@ -1,5 +1,5 @@
 //! Mid-run scenario hooks: events fired against a stack *while the load
-//! drivers keep traffic flowing*.
+//! driver keeps traffic flowing*.
 //!
 //! The paper's flagship demo (§6.2) is upgrading a live file system under
 //! sustained traffic: applications observe a pause of milliseconds, not an
@@ -51,7 +51,7 @@ const PARK_WAIT: Duration = Duration::from_secs(2);
 
 /// Runs `spec` against a mounted **Bento** stack and upgrades it
 /// (swapping in a fresh [`xv6fs::Xv6FileSystem`]) once half of the run's
-/// ops have been issued, while the drivers keep issuing operations.
+/// ops have been issued, while the workers keep issuing operations.
 ///
 /// With `hold: None` the upgrade is
 /// [`BentoFs::upgrade`](bento::bentofs::BentoFs::upgrade), whose pause is
@@ -86,7 +86,7 @@ pub fn run_upgrade_under_load(
             "upgrade-under-load requires a BentoFS mount at /",
         )));
     };
-    let half = cfg.ops * cfg.driver.workers() as u64 / 2;
+    let half = cfg.ops * cfg.threads() as u64 / 2;
     let (fire, fired) = sync_channel::<()>(1);
     let started = Instant::now();
     std::thread::scope(|scope| {
@@ -182,7 +182,7 @@ pub fn run_eio_under_load(
         let source = mounted.clone();
         mon.set_snapshot_source(move || source.counters());
     }
-    let total = cfg.ops * cfg.driver.workers() as u64;
+    let total = cfg.ops * cfg.threads() as u64;
     let hook = |k: u64| {
         if k == total / 4 {
             fault.set_transient_eio(eio_p / 4.0, eio_p);

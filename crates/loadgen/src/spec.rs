@@ -6,8 +6,8 @@
 //! a weighted mix of operations with Zipfian file popularity, and a
 //! [`Layout`] saying how workers address the population.
 //! [`WorkloadSpec::script`] turns a spec into one worker's fixed-length op
-//! script in the `workloads::op` vocabulary; the drivers in
-//! [`crate::driver`] run the scripts against any mounted stack.  Shipped
+//! script in the `workloads::op` vocabulary; the driver in
+//! [`crate::driver`] runs the scripts against any mounted stack.  Shipped
 //! specs cover the load personalities ([`WorkloadSpec::varmail`],
 //! [`WorkloadSpec::fileserver`], [`WorkloadSpec::webserver`],
 //! [`WorkloadSpec::namespace_churn`], [`WorkloadSpec::untar_replay`]) and

@@ -16,8 +16,8 @@ use parking_lot::{Mutex, RwLock};
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
 use crate::vfs::{
-    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
-    StatFs, VfsFs, PAGE_SIZE,
+    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, VfsFs,
+    PAGE_SIZE,
 };
 
 #[derive(Debug)]
@@ -381,11 +381,7 @@ impl FilesystemType for MemFilesystemType {
         "memfs"
     }
 
-    fn mount(
-        &self,
-        _device: Arc<dyn BlockDevice>,
-        _options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>> {
+    fn mount(&self, _device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
         Ok(Arc::new(MemFs::new()))
     }
 }

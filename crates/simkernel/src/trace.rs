@@ -18,7 +18,7 @@
 //! * **Always compiled in, nearly free when off.**  Tracing is gated by one
 //!   process-global counter; the disabled path of every hook is a single
 //!   `Relaxed` atomic load and an early return ([`enabled`]).  The bound is
-//!   CI-gated (see [`disabled_hook_cost_ns`] and the `obs` experiment).
+//!   CI-gated (see [`disabled_hook_cost_ns`] and the `load` experiment).
 //! * **Thread-local spans, exclusive-time phases.**  A span lives in
 //!   thread-local state; phase guards are strictly LIFO (RAII), and time is
 //!   attributed to the *innermost* active phase.  Device I/O performed

@@ -18,8 +18,7 @@ use crate::pagecache::{PageCache, PageCacheConfig, PageCacheStats};
 use crate::shard::ShardedMap;
 use crate::vfs::dcache::{Dentry, DentryCache};
 use crate::vfs::{
-    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr,
-    StatFs, VfsFs,
+    DirEntry, FileMode, FileType, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, VfsFs,
 };
 
 /// Configuration for a [`Vfs`] instance.  It has no settings: the fd table
@@ -114,12 +113,12 @@ struct OpenFile {
 /// use std::sync::Arc;
 /// use simkernel::dev::RamDisk;
 /// use simkernel::memfs::MemFilesystemType;
-/// use simkernel::vfs::{MountOptions, OpenFlags, Vfs, VfsConfig};
+/// use simkernel::vfs::{OpenFlags, Vfs, VfsConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let vfs = Vfs::new(VfsConfig::default());
 /// vfs.register_filesystem(Arc::new(MemFilesystemType))?;
-/// vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())?;
+/// vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/")?;
 ///
 /// let fd = vfs.open("/hello.txt", OpenFlags::RDWR.with(OpenFlags::CREAT))?;
 /// vfs.write(fd, b"hi")?;
@@ -219,13 +218,12 @@ impl Vfs {
         fstype: &str,
         device: Arc<dyn BlockDevice>,
         mountpoint: &str,
-        options: &MountOptions,
     ) -> KernelResult<u64> {
         let fstype =
             self.fstypes.read().get(fstype).cloned().ok_or_else(|| {
                 KernelError::with_context(Errno::NoEnt, "unknown filesystem type")
             })?;
-        let fs = fstype.mount(device, options)?;
+        let fs = fstype.mount(device)?;
         self.mount_fs(fs, mountpoint)
     }
 
@@ -850,7 +848,7 @@ mod tests {
     fn vfs_with_root() -> Vfs {
         let vfs = Vfs::new(VfsConfig::default());
         vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
-        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default()).unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 8)), "/").unwrap();
         vfs
     }
 
@@ -989,8 +987,7 @@ mod tests {
     fn nested_mounts_route_by_longest_prefix() {
         let vfs = vfs_with_root();
         vfs.mkdir("/mnt").unwrap();
-        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 8)), "/mnt", &MountOptions::default())
-            .unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 8)), "/mnt").unwrap();
         let fd = vfs.open("/mnt/inner", OpenFlags::WRONLY.with(OpenFlags::CREAT)).unwrap();
         vfs.write(fd, b"inner").unwrap();
         vfs.close(fd).unwrap();
@@ -1176,8 +1173,7 @@ mod tests {
         let fs = Arc::new(OneInodeFs::default());
         let vfs = Arc::new(Vfs::new(VfsConfig::default()));
         vfs.register_filesystem(Arc::new(OneInodeFsType(Arc::clone(&fs)))).unwrap();
-        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount("oneinode", Arc::new(RamDisk::new(4096, 8)), "/").unwrap();
         (fs, vfs)
     }
 
@@ -1185,11 +1181,7 @@ mod tests {
         fn fs_name(&self) -> &str {
             "oneinode"
         }
-        fn mount(
-            &self,
-            _device: Arc<dyn BlockDevice>,
-            _options: &MountOptions,
-        ) -> KernelResult<Arc<dyn VfsFs>> {
+        fn mount(&self, _device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
             Ok(Arc::clone(&self.0) as Arc<dyn VfsFs>)
         }
     }

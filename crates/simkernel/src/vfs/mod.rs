@@ -285,27 +285,6 @@ impl WritePathStats {
     }
 }
 
-/// Mount options passed at mount time (the equivalent of `-o` options).
-#[derive(Debug, Clone, Default)]
-pub struct MountOptions {
-    /// Key/value options, e.g. `("queue_depth", "8")`.
-    pub options: Vec<(String, String)>,
-}
-
-impl MountOptions {
-    /// Looks up an option value by key.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// Adds an option (builder style).
-    #[must_use]
-    pub fn with_option(mut self, key: &str, value: &str) -> Self {
-        self.options.push((key.to_string(), value.to_string()));
-        self
-    }
-}
-
 /// A mountable file system type, registered with the VFS by name.
 ///
 /// This is the analogue of the kernel's `struct file_system_type`: the VFS
@@ -321,11 +300,7 @@ pub trait FilesystemType: Send + Sync {
     ///
     /// Returns [`Errno::Inval`] if the device does not contain a valid file
     /// system of this type, and propagates device errors.
-    fn mount(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>>;
+    fn mount(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>>;
 }
 
 /// One file's share of a write-back pass: `(ino, pages, file_size)`, with
@@ -612,13 +587,6 @@ mod tests {
     fn file_mode_constructors() {
         assert_eq!(FileMode::regular().kind, FileType::Regular);
         assert_eq!(FileMode::directory().kind, FileType::Directory);
-    }
-
-    #[test]
-    fn mount_options_lookup() {
-        let opts = MountOptions::default().with_option("data", "journal");
-        assert_eq!(opts.get("data"), Some("journal"));
-        assert_eq!(opts.get("nope"), None);
     }
 
     #[test]

@@ -20,7 +20,5 @@ pub mod stacks;
 pub mod untar;
 
 pub use op::{apply, apply_extracting, mkdir_p, write_fully, Fds, Op, OpKind};
-pub use stacks::{
-    format, mount_stack, mount_stack_on, mount_stack_with, FsStack, MountedStack, StackHandle,
-};
+pub use stacks::{format, mount_stack, mount_stack_on, FsStack, MountedStack, StackHandle};
 pub use untar::{generate_linux_like_manifest, untar, UntarManifest};

@@ -430,14 +430,13 @@ mod tests {
     use super::*;
     use simkernel::dev::RamDisk;
     use simkernel::memfs::MemFilesystemType;
-    use simkernel::vfs::{MountOptions, VfsConfig};
+    use simkernel::vfs::VfsConfig;
     use std::sync::Arc;
 
     fn memfs() -> Arc<Vfs> {
         let vfs = Arc::new(Vfs::new(VfsConfig::default()));
         vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
-        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/").unwrap();
         vfs
     }
 

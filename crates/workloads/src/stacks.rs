@@ -7,29 +7,25 @@
 //! from [`MountedStack::handle`].
 //!
 //! [`mount_stack`] formats and mounts a stack on a fresh RAM-backed,
-//! latency-modelled NVMe device (by default the synchronous [`SsdDevice`])
-//! so that all four see identical storage behaviour; the FUSE stack
+//! latency-modelled synchronous NVMe device ([`SsdDevice`]) so that all
+//! four see identical storage behaviour; the FUSE stack
 //! additionally receives the boundary-crossing / whole-file-fsync model
 //! (§6.4).
 //!
-//! There is one mount setting: `queue_depth=N` switches to the
-//! completion-based multi-queue model ([`MultiQueueDevice`]) with four queue
-//! pairs of depth N — see [`mount_stack_with`].  Both devices are plain
-//! [`BlockDevice`]s to the stack above (the queued one only batches a
-//! commit's epoch differently), and [`MountedStack::queue_counters`] keeps
-//! the queued device's in-flight figures for the `scaling` depth rows.  No
-//! file system reads an option: the buffer caches, page caches, fd tables
-//! and allocation groups all keep their automatic sharding, because
-//! sweeping those counts moved no measured row outside tolerance.
+//! No mount takes an option: the buffer caches, page caches, fd tables and
+//! allocation groups all keep their automatic sharding, because sweeping
+//! those counts moved no measured row outside tolerance.  A caller that
+//! wants another device (the crash harness's recorder, a fault wrapper,
+//! the queued [`simkernel::queue::MultiQueueDevice`]) builds it and mounts
+//! it with [`format()`] + [`mount_stack_on`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use simkernel::cost::{CostCounters, CostModel};
+use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, SsdDevice};
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::queue::{MultiQueueDevice, QueueConfig};
-use simkernel::vfs::{MountOptions, Vfs, VfsConfig, VfsFs};
+use simkernel::vfs::{Vfs, VfsConfig, VfsFs};
 
 use bento::bentofs::{BentoFs, DEFAULT_BUFFER_CACHE_BLOCKS};
 use ext4sim::Ext4Sim;
@@ -98,12 +94,8 @@ pub struct MountedStack {
     /// Which stack this is.
     pub stack: FsStack,
     /// The device the stack is mounted on: for [`mount_stack`] a
-    /// latency-modelled synchronous [`SsdDevice`], or a
-    /// [`MultiQueueDevice`] when the mount asked for one.
+    /// latency-modelled synchronous [`SsdDevice`].
     pub device: Arc<dyn BlockDevice>,
-    /// The [`MultiQueueDevice`]'s cost counters (service time and in-flight
-    /// depth) when the mount asked for one; `None` otherwise.
-    pub queue_counters: Option<Arc<CostCounters>>,
     /// The mounted file system behind the VFS's interface, for callers
     /// that drive it below the page cache (the crash harness).
     pub fs: Arc<dyn VfsFs>,
@@ -259,12 +251,11 @@ pub fn mount_stack_on(
     };
     let vfs = Arc::new(Vfs::new(VfsConfig::default()));
     vfs.mount_fs(Arc::clone(&fs), "/")?;
-    Ok(MountedStack { vfs, stack, device, queue_counters: None, fs, handle })
+    Ok(MountedStack { vfs, stack, device, fs, handle })
 }
 
 /// Formats and mounts `stack` at `/` of a fresh VFS over a RAM-backed SSD
-/// of `disk_blocks` 4 KiB blocks with the given latency model and default
-/// mount options.
+/// of `disk_blocks` 4 KiB blocks with the given latency model.
 ///
 /// # Errors
 ///
@@ -274,25 +265,16 @@ pub fn mount_stack(
     model: CostModel,
     disk_blocks: u64,
 ) -> KernelResult<MountedStack> {
-    mount_stack_with(stack, model, disk_blocks, &MountOptions::default())
+    mount_blank(stack, Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone())), model)
 }
 
-/// Like [`mount_stack`] with explicit mount options.  The one option read
-/// is `queue_depth=N` (N > 0): mount on the NVMe-style multi-queue device
-/// with four queue pairs of depth N instead of the synchronous
-/// [`SsdDevice`]; the one batched write of each commit's epoch (due
-/// installs and payload together) is then a single queue submission.
-///
-/// # Errors
-///
-/// Propagates mkfs/mount errors.
-pub fn mount_stack_with(
+/// Formats a blank `device` for `stack` and mounts it ([`mount_stack`] on
+/// any device).
+fn mount_blank(
     stack: FsStack,
+    device: Arc<dyn BlockDevice>,
     model: CostModel,
-    disk_blocks: u64,
-    options: &MountOptions,
 ) -> KernelResult<MountedStack> {
-    let (device, queue_counters) = device_for_options(&model, disk_blocks, options);
     match stack {
         // ext4sim's mount by name reads block 0 for a blank device before
         // it formats; the experiments' ext4sim counters start from that
@@ -300,31 +282,13 @@ pub fn mount_stack_with(
         FsStack::Ext4 => Ext4Sim::format_if_blank(&device)?,
         _ => format(stack, &device, XV6_INODES)?,
     }
-    let mounted = mount_stack_on(stack, device, model, PlantedFault::None)?;
-    Ok(MountedStack { queue_counters, ..mounted })
-}
-
-/// Builds the backing device the mount options select: the synchronous
-/// [`SsdDevice`] by default, the multi-queue model (returned with its cost
-/// counters) when `queue_depth` is set to a nonzero value.
-fn device_for_options(
-    model: &CostModel,
-    disk_blocks: u64,
-    options: &MountOptions,
-) -> (Arc<dyn BlockDevice>, Option<Arc<CostCounters>>) {
-    let depth = options.get("queue_depth").and_then(|v| v.parse::<usize>().ok()).unwrap_or(0);
-    if depth == 0 {
-        return (Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone())), None);
-    }
-    let config = QueueConfig { queue_depth: depth, ..QueueConfig::default() };
-    let device = MultiQueueDevice::ram_backed(disk_blocks, model.clone(), config);
-    let counters = device.counters();
-    (Arc::new(device), Some(counters))
+    mount_stack_on(stack, device, model, PlantedFault::None)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::queue::{MultiQueueDevice, QueueConfig};
     use simkernel::vfs::OpenFlags;
 
     #[test]
@@ -341,30 +305,6 @@ mod tests {
             assert_eq!(vfs.stat("/d/file").unwrap().size, 16, "stack {stack:?}");
             mounted.unmount_and_check().unwrap_or_else(|e| panic!("unmount {stack:?}: {e}"));
         }
-    }
-
-    #[test]
-    fn queue_depth_mount_option_selects_the_queued_device() {
-        let options = MountOptions::default().with_option("queue_depth", "8");
-        for stack in FsStack::all() {
-            let mounted = mount_stack_with(stack, CostModel::zero(), 16_384, &options).unwrap();
-            let queue = mounted.queue_counters.as_ref().unwrap_or_else(|| {
-                panic!("queue_depth must select the multi-queue model ({stack:?})")
-            });
-            let fd = mounted.vfs.open("/q", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
-            mounted.vfs.write(fd, b"queued").unwrap();
-            mounted.vfs.fsync(fd).unwrap();
-            mounted.vfs.close(fd).unwrap();
-            assert_eq!(mounted.vfs.stat("/q").unwrap().size, 6, "stack {stack:?}");
-            // The counters are the mounted device's own: its writes are theirs.
-            let queued = queue.snapshot();
-            assert!(queued.writes > 0, "stack {stack:?}");
-            assert_eq!(queued.writes, mounted.device.stats().writes, "stack {stack:?}");
-            mounted.unmount().unwrap();
-        }
-        // Without the option the mount stays on the synchronous model.
-        let sync = mount_stack(FsStack::BentoXv6, CostModel::zero(), 16_384).unwrap();
-        assert!(sync.queue_counters.is_none());
     }
 
     #[test]
@@ -400,8 +340,8 @@ mod tests {
     }
 
     /// Formatting and mounting, with nothing run yet: the device traffic
-    /// (and the empty log) every stack's counters start from, on either
-    /// device.  These are the figures of the mount by name through each
+    /// (and the empty log) every stack's counters start from, on the
+    /// synchronous and on the queued device.  These are the figures of the mount by name through each
     /// stack's registered file system type that [`mount_stack`] ran
     /// before it formatted and mounted in two steps; ext4sim's 15 reads
     /// include the probe of block 0 for a blank device.
@@ -437,12 +377,14 @@ mod tests {
             let label = stack.label();
             let expected: BTreeMap<String, u64> =
                 expected.iter().map(|&(name, value)| (format!("{label}.{name}"), value)).collect();
-            let queued = MountOptions::default().with_option("queue_depth", "8");
-            for options in [MountOptions::default(), queued] {
-                let mounted = mount_stack_with(stack, CostModel::zero(), 16_384, &options).unwrap();
-                assert_eq!(mounted.counters(), expected, "{label} {options:?}");
-                mounted.unmount().unwrap();
-            }
+            let sync = mount_stack(stack, CostModel::zero(), 16_384).unwrap();
+            assert_eq!(sync.counters(), expected, "{label} synchronous");
+            sync.unmount().unwrap();
+            let config = QueueConfig { queue_depth: 8, ..QueueConfig::default() };
+            let device = MultiQueueDevice::ram_backed(16_384, CostModel::zero(), config);
+            let queued = mount_blank(stack, Arc::new(device), CostModel::zero()).unwrap();
+            assert_eq!(queued.counters(), expected, "{label} queued");
+            queued.unmount().unwrap();
         }
     }
 

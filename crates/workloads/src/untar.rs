@@ -103,7 +103,7 @@ mod tests {
     use super::*;
     use simkernel::dev::RamDisk;
     use simkernel::memfs::MemFilesystemType;
-    use simkernel::vfs::{MountOptions, VfsConfig};
+    use simkernel::vfs::VfsConfig;
     use std::sync::Arc;
 
     #[test]
@@ -123,8 +123,7 @@ mod tests {
     fn untar_extracts_every_entry() {
         let vfs = Arc::new(Vfs::new(VfsConfig::default()));
         vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
-        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
-            .unwrap();
+        vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/").unwrap();
         let manifest = generate_linux_like_manifest(16, 60, 3);
         let (elapsed, bytes) = untar(&vfs, &manifest).unwrap();
         assert!(elapsed.as_nanos() > 0);

@@ -43,7 +43,7 @@ use bento::userspace::userspace_superblock;
 use simkernel::dev::BlockDevice;
 use simkernel::error::KernelResult;
 use simkernel::vfs::{
-    DirEntry, FileMode, FilesystemType, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, VfsFs,
+    DirEntry, FileMode, FilesystemType, InodeAttr, OpenFlags, SetAttr, StatFs, VfsFs,
     WritePathStats,
 };
 
@@ -209,11 +209,7 @@ impl FilesystemType for Xv6VfsFilesystemType {
         VFS_XV6_NAME
     }
 
-    fn mount(
-        &self,
-        device: Arc<dyn BlockDevice>,
-        _options: &MountOptions,
-    ) -> KernelResult<Arc<dyn VfsFs>> {
+    fn mount(&self, device: Arc<dyn BlockDevice>) -> KernelResult<Arc<dyn VfsFs>> {
         Ok(Xv6VfsFilesystem::mount(device)? as Arc<dyn VfsFs>)
     }
 }
@@ -290,7 +286,7 @@ mod tests {
         mkfs_on_device(&dev, 256).unwrap();
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(Xv6VfsFilesystemType)).unwrap();
-        vfs.mount(VFS_XV6_NAME, dev, "/", &MountOptions::default()).unwrap();
+        vfs.mount(VFS_XV6_NAME, dev, "/").unwrap();
         vfs.mkdir("/docs").unwrap();
         let fd = vfs.open("/docs/report.txt", OpenFlags::RDWR.with(OpenFlags::CREAT)).unwrap();
         let payload: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();

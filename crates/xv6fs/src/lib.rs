@@ -25,7 +25,7 @@
 //! ```
 //! use std::sync::Arc;
 //! use simkernel::dev::{BlockDevice, RamDisk};
-//! use simkernel::vfs::{MountOptions, OpenFlags, Vfs};
+//! use simkernel::vfs::{OpenFlags, Vfs};
 //! use xv6fs::{fstype, mkfs::mkfs_on_device};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -34,7 +34,7 @@
 //!
 //! let vfs = Vfs::default();
 //! vfs.register_filesystem(Arc::new(fstype()))?;
-//! vfs.mount("xv6fs_bento", dev, "/", &MountOptions::default())?;
+//! vfs.mount("xv6fs_bento", dev, "/")?;
 //!
 //! let fd = vfs.open("/greeting", OpenFlags::RDWR.with(OpenFlags::CREAT))?;
 //! vfs.write(fd, b"hello from xv6 on Bento")?;
@@ -70,7 +70,7 @@ pub const BENTO_XV6_NAME: &str = "xv6fs_bento";
 
 /// Returns the mountable Bento file system type for xv6fs, ready to be
 /// registered with [`register_bento_fs`](bento::register_bento_fs) or the
-/// VFS directly.  It reads no mount options: the allocation groups and the
+/// VFS directly.  A mount takes no options: the allocation groups and the
 /// buffer cache take their automatic shard counts.
 pub fn fstype() -> BentoFsType {
     BentoFsType::new(BENTO_XV6_NAME, || Box::new(Xv6FileSystem::new()))

@@ -17,9 +17,7 @@ use bento::fileops::{CreateReply, FileSegments, FileSystem, Request};
 use parking_lot::Mutex;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::KernelResult;
-use simkernel::vfs::{
-    DirEntry, FileMode, InodeAttr, MountOptions, OpenFlags, SetAttr, StatFs, Vfs,
-};
+use simkernel::vfs::{DirEntry, FileMode, InodeAttr, OpenFlags, SetAttr, StatFs, Vfs};
 use xv6fs::Xv6FileSystem;
 
 /// A stackable Bento file system: every operation is forwarded to the lower
@@ -242,7 +240,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     });
     let vfs = Vfs::default();
     bento::register_bento_fs(&vfs, Arc::new(fstype))?;
-    vfs.mount("audited_xv6", device, "/", &MountOptions::default())?;
+    vfs.mount("audited_xv6", device, "/")?;
 
     vfs.mkdir("/data")?;
     let fd = vfs.open("/data/input.csv", OpenFlags::RDWR.with(OpenFlags::CREAT))?;

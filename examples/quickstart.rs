@@ -9,7 +9,7 @@ use std::error::Error;
 use std::sync::Arc;
 
 use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::vfs::{MountOptions, OpenFlags, SeekFrom, Vfs};
+use simkernel::vfs::{OpenFlags, SeekFrom, Vfs};
 
 fn main() -> Result<(), Box<dyn Error>> {
     // 1. A 64 MiB "NVMe device" (RAM-backed here; wrap it in SsdDevice to
@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // 3. Register the Bento file system with the kernel VFS and mount it.
     let vfs = Vfs::default();
     bento::register_bento_fs(&vfs, Arc::new(xv6fs::fstype()))?;
-    vfs.mount(xv6fs::BENTO_XV6_NAME, device, "/", &MountOptions::default())?;
+    vfs.mount(xv6fs::BENTO_XV6_NAME, device, "/")?;
 
     // 4. Use it like any file system.
     vfs.mkdir("/projects")?;

@@ -12,7 +12,7 @@ use simkernel::cost::CostModel;
 use simkernel::dev::RamDisk;
 use simkernel::error::{Errno, KernelResult};
 use simkernel::memfs::MemFilesystemType;
-use simkernel::vfs::{InodeAttr, MountOptions, OpenFlags, Vfs, VfsConfig, VfsFs};
+use simkernel::vfs::{InodeAttr, OpenFlags, Vfs, VfsConfig, VfsFs};
 use workloads::{mount_stack, FsStack};
 
 /// What the file system itself says `path` is.
@@ -157,7 +157,7 @@ impl Case<'_> {
 fn memfs_paths_follow_every_name_change() {
     let vfs = Vfs::new(VfsConfig::default());
     vfs.register_filesystem(Arc::new(MemFilesystemType)).unwrap();
-    vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default()).unwrap();
+    vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/").unwrap();
     let fs = vfs.mounted_fs("/").unwrap();
     Case { label: "MemFs", vfs: &vfs, fs: &*fs }.run_all();
 }

@@ -11,7 +11,7 @@ use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::Errno;
 use simkernel::memfs::MemFilesystemType;
-use simkernel::vfs::{MountOptions, OpenFlags, Vfs, VfsConfig};
+use simkernel::vfs::{OpenFlags, Vfs, VfsConfig};
 use workloads::{apply, format, mount_stack, mount_stack_on, Fds, FsStack, MountedStack, Op};
 
 /// Collects the full observable state: path -> (is_dir, size, content hash).
@@ -133,8 +133,7 @@ fn run_script(vfs: &Vfs, ops: &[Op]) -> Vec<Result<u64, Errno>> {
 fn memfs_oracle() -> Arc<Vfs> {
     let vfs = Arc::new(Vfs::new(VfsConfig::default()));
     vfs.register_filesystem(Arc::new(MemFilesystemType)).expect("register");
-    vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/", &MountOptions::default())
-        .expect("mount");
+    vfs.mount("memfs", Arc::new(RamDisk::new(4096, 16)), "/").expect("mount");
     vfs
 }
 

@@ -14,7 +14,7 @@ use crashsim::device::{FaultConfig, FaultDevice};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::KernelResult;
-use simkernel::vfs::{MountOptions, OpenFlags, Vfs};
+use simkernel::vfs::{OpenFlags, Vfs};
 use workloads::{mount_stack, FsStack};
 use xv6fs::Xv6FileSystem;
 
@@ -30,8 +30,7 @@ fn data_written_through_bento_survives_unmount_and_fuse_remount() {
     {
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(xv6fs::fstype())).expect("register");
-        vfs.mount(xv6fs::BENTO_XV6_NAME, Arc::clone(&device_dyn), "/", &MountOptions::default())
-            .expect("mount");
+        vfs.mount(xv6fs::BENTO_XV6_NAME, Arc::clone(&device_dyn), "/").expect("mount");
         vfs.mkdir("/shared").expect("mkdir");
         let fd = vfs.open("/shared/blob", OpenFlags::RDWR.with(OpenFlags::CREAT)).expect("open");
         vfs.write(fd, &payload).expect("write");
@@ -41,7 +40,7 @@ fn data_written_through_bento_survives_unmount_and_fuse_remount() {
     {
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(fusesim::FuseXv6FilesystemType)).expect("register");
-        vfs.mount("xv6fs_fuse", device_dyn, "/", &MountOptions::default()).expect("fuse mount");
+        vfs.mount("xv6fs_fuse", device_dyn, "/").expect("fuse mount");
         let fd = vfs.open("/shared/blob", OpenFlags::RDONLY).expect("open over fuse");
         let mut back = vec![0u8; payload.len()];
         let mut read = 0usize;
@@ -124,7 +123,7 @@ fn ext4_mount_returns_a_read_error_instead_of_formatting_the_image() {
     let mount = |device: Arc<dyn BlockDevice>| -> KernelResult<Vfs> {
         let vfs = Vfs::default();
         vfs.register_filesystem(Arc::new(ext4sim::Ext4FilesystemType))?;
-        vfs.mount(ext4sim::EXT4_NAME, device, "/", &MountOptions::default())?;
+        vfs.mount(ext4sim::EXT4_NAME, device, "/")?;
         Ok(vfs)
     };
     let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 239) as u8).collect();
