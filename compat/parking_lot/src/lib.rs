@@ -8,10 +8,22 @@
 //! `RawMutex` marker type.  Semantics match `parking_lot` where it matters
 //! here: no lock poisoning (a poisoned std lock is recovered by taking the
 //! inner guard), and `Condvar::wait` takes the guard by `&mut`.
+//!
+//! `Condvar` also keeps `parking_lot`'s cost model: a notify with nobody
+//! waiting returns at once.  std's condvar makes a futex wake system call
+//! on every notify, waiter or not, and the journal notifies on every
+//! operation and every commit.  So [`Condvar`] counts its waiters — up
+//! under the mutex before parking, down once `wait` returns — and
+//! `notify_one`/`notify_all` return `false`/`0` without a system call
+//! when the count is zero.  A notifier that changed the waited-on state
+//! under the same mutex cannot miss a waiter: a thread that checked the
+//! state before the change had already counted itself, under that mutex,
+//! before releasing it to park.
 
 use std::fmt;
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Marker for the default raw mutex (type parameter of [`ArcMutexGuard`]).
@@ -140,32 +152,48 @@ impl<R, T: ?Sized> Drop for ArcMutexGuard<R, T> {
 // Condvar
 // ---------------------------------------------------------------------------
 
-/// A condition variable compatible with [`Mutex`]/[`MutexGuard`].
-pub struct Condvar(std::sync::Condvar);
+/// A condition variable compatible with [`Mutex`]/[`MutexGuard`].  A
+/// notify with no thread waiting costs one atomic load (see the crate
+/// docs).
+pub struct Condvar {
+    cond: std::sync::Condvar,
+    /// Threads inside [`Condvar::wait`]; raised while the caller still
+    /// holds the mutex, so a notifier holding it sees every parked thread.
+    waiters: AtomicUsize,
+}
 
 impl Condvar {
     /// Creates a new condition variable.
     pub const fn new() -> Self {
-        Condvar(std::sync::Condvar::new())
+        Condvar { cond: std::sync::Condvar::new(), waiters: AtomicUsize::new(0) }
     }
 
     /// Blocks until notified, atomically releasing and reacquiring the lock.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let inner = guard.0.take().expect("guard taken");
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let inner = self.cond.wait(inner).unwrap_or_else(|e| e.into_inner());
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.0 = Some(inner);
     }
 
-    /// Wakes one waiter.
+    /// Wakes one waiter.  Returns whether a thread was waiting to wake.
     pub fn notify_one(&self) -> bool {
-        self.0.notify_one();
+        if self.waiters.load(Ordering::SeqCst) == 0 {
+            return false;
+        }
+        self.cond.notify_one();
         true
     }
 
-    /// Wakes all waiters.
+    /// Wakes all waiters.  Returns how many threads were waiting.
     pub fn notify_all(&self) -> usize {
-        self.0.notify_all();
-        0
+        let waiters = self.waiters.load(Ordering::SeqCst);
+        if waiters == 0 {
+            return 0;
+        }
+        self.cond.notify_all();
+        waiters
     }
 }
 
@@ -315,6 +343,78 @@ mod tests {
         *pair.0.lock() = true;
         pair.1.notify_all();
         t.join().unwrap();
+    }
+
+    #[test]
+    fn a_notify_with_no_waiter_wakes_nobody() {
+        let c = Condvar::new();
+        assert!(!c.notify_one());
+        assert_eq!(c.notify_all(), 0);
+    }
+
+    #[test]
+    fn notify_one_reports_the_parked_waiter_it_wakes() {
+        let pair = Arc::new((Mutex::new(false), Condvar::new()));
+        let p2 = Arc::clone(&pair);
+        let t = thread::spawn(move || {
+            let (m, c) = &*p2;
+            let mut g = m.lock();
+            while !*g {
+                c.wait(&mut g);
+            }
+        });
+        let (m, c) = &*pair;
+        // The count rises under the mutex, which the waiter only gives up
+        // by parking: once it reads 1, taking the mutex means it is parked.
+        while c.waiters.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        let mut g = m.lock();
+        *g = true;
+        assert!(c.notify_one(), "one thread was parked");
+        drop(g);
+        t.join().unwrap();
+        assert_eq!(c.waiters.load(Ordering::SeqCst), 0);
+        assert!(!c.notify_one());
+    }
+
+    #[test]
+    fn a_four_thread_ring_hands_off_twenty_thousand_times_without_a_lost_wake_up() {
+        const THREADS: usize = 4;
+        const HANDOFFS: usize = 20_000;
+        // Thread i runs when the turn counter is i mod 4 and wakes only its
+        // successor, on the successor's own condvar: one lost wake-up
+        // stops the ring for good, and the watchdog below fails the test.
+        let ring = Arc::new((Mutex::new(0usize), [(); THREADS].map(|_| Condvar::new())));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for me in 0..THREADS {
+            let ring = Arc::clone(&ring);
+            let done_tx = done_tx.clone();
+            thread::spawn(move || {
+                let (turn, conds) = &*ring;
+                let mut g = turn.lock();
+                loop {
+                    while *g < HANDOFFS && *g % THREADS != me {
+                        conds[me].wait(&mut g);
+                    }
+                    if *g >= HANDOFFS {
+                        break;
+                    }
+                    *g += 1;
+                    conds[(me + 1) % THREADS].notify_one();
+                }
+                // Past the end: the successor may be parked on its turn.
+                conds[(me + 1) % THREADS].notify_one();
+                drop(g);
+                done_tx.send(()).unwrap();
+            });
+        }
+        for _ in 0..THREADS {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .expect("the ring stalled: a wake-up was lost");
+        }
+        assert_eq!(*ring.0.lock(), HANDOFFS);
     }
 
     #[test]

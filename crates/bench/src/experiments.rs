@@ -784,15 +784,6 @@ fn load_personality_rows(
     if let Some(fsync) = result.class(loadgen::OpKind::Fsync) {
         rows.push(row("-fsync-p99-us", fsync.latency.percentile(99.0) as f64 / 1_000.0, "us"));
     }
-    // Windowed throughput: min/mean/max completed-op rate over the run's
-    // complete timeline windows.  A steady closed-loop run keeps min near
-    // max; a collapse (stall, livelock) shows up as a cratered min long
-    // before it moves the whole-run mean.
-    if let Some((min, mean, max)) = result.window_rate_summary() {
-        for (suffix, value) in [("min", min), ("mean", mean), ("max", max)] {
-            rows.push(row(&format!("-window-rate-{suffix}"), value, "ops/sec"));
-        }
-    }
     rows.extend(phase_breakdown_rows("load", &spec.name, label, &result));
     rows.push(row("-dropped-spans", dropped as f64, "spans"));
     // The slowest traced op: the tail the breakdown explains.

@@ -211,6 +211,18 @@ impl SuperBlock {
         self.io.cache.read_uncached(blockno, dst)
     }
 
+    /// Reads block `blockno` straight from the device into `dst`, neither
+    /// consulting nor filling the buffer cache: the read side of
+    /// [`SuperBlock::write_raw`], for an area written only raw (the log),
+    /// which a cache could hold only a stale copy of.
+    ///
+    /// # Errors
+    ///
+    /// Propagates device errors.
+    pub fn read_raw(&self, blockno: u64, dst: &mut [u8]) -> KernelResult<()> {
+        self.io.cache.device().read_block(blockno, dst)
+    }
+
     /// The buffer cache's hit, miss and uncached-read counts
     /// (diagnostics).
     pub fn cache_stats(&self) -> BufferCacheStats {

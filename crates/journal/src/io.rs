@@ -7,16 +7,19 @@
 //! crash-contract tests mount it straight on crashsim's fault device via
 //! [`DeviceIo`]).
 //!
-//! The trait distinguishes *cached* writes ([`JournalIo::write_block`],
-//! used for commit records and recovery installs so a mounted cache stays
-//! coherent) from *raw* writes ([`JournalIo::write_raw`], used for log
-//! payload blocks — only recovery ever reads them back, so caching them
-//! would evict useful blocks once per commit — and for installs, which
-//! write the frozen committed copy so a newer, uncommitted cached copy
-//! never reaches the home).  After an install the journal tells the cache
-//! through [`JournalIo::installed`], handing it the very [`Block`] it
-//! installed, so a cache that shared it can tell by identity alone whether
-//! its buffer still holds those bytes.
+//! The trait distinguishes *raw* writes ([`JournalIo::write_raw`]) from
+//! *cached* ones ([`JournalIo::write_block`]).  Everything a commit or a
+//! checkpoint writes is raw.  That covers the log area (payload blocks,
+//! commit records and header clears): the journal reads it back only
+//! straight from the medium ([`JournalIo::read_block`]), so caching it
+//! would just evict useful blocks once per commit.  It covers installs
+//! too, which write the frozen committed copy so a newer, uncommitted
+//! cached copy never reaches the home.  The one cached write is
+//! recovery's replay of a record to its homes, which a mounted cache must
+//! see.  After an install the journal tells the cache through
+//! [`JournalIo::installed`], handing it the very [`Block`] it installed,
+//! so a cache that shared it can tell by identity alone whether its
+//! buffer still holds those bytes.
 
 use std::sync::Arc;
 
@@ -28,8 +31,12 @@ use simkernel::error::KernelResult;
 /// of the mounted device's block size ([`crate::record::BSIZE`] everywhere
 /// in this workspace).
 pub trait JournalIo {
-    /// Reads block `blockno` into `out` (through the cache when there is
-    /// one, so the journal sees the same bytes the file system does).
+    /// Reads block `blockno` into `out` as the medium holds it, putting
+    /// nothing in a cache.  The journal reads its log area this way — a
+    /// record and its payload at recovery, a header it is about to clear —
+    /// and writes that area only raw, so a cache never holds a newer copy;
+    /// a cacheless backend also serves [`crate::Journal::read_home`] with
+    /// it.
     ///
     /// # Errors
     ///
@@ -38,7 +45,8 @@ pub trait JournalIo {
 
     /// Writes `data` to block `blockno` *through the cache*: after this
     /// call a cached copy (if the backend keeps one) holds `data`.  Used
-    /// for commit records and recovery installs.
+    /// only for recovery's installs, so the file system mounted over the
+    /// cache reads the replayed bytes.
     ///
     /// # Errors
     ///
@@ -48,8 +56,9 @@ pub trait JournalIo {
     /// Writes a batch of `(blockno, data)` blocks bypassing any cache, as
     /// one [`BlockDevice::write_blocks`] call: serial writes on a
     /// synchronous device, one submission on a queued one (the next
-    /// barrier completes it).  Used for one epoch's installs (frozen
-    /// snapshots that must not clobber a newer cached copy) and log payload.
+    /// barrier completes it).  Used for an epoch's installs (frozen
+    /// snapshots that must not clobber a newer cached copy) and log
+    /// payload, for commit records and for header clears.
     ///
     /// # Errors
     ///

@@ -109,9 +109,10 @@
 //!   [`Journal::recover`] correct for any region).
 //! * **One batched epoch.**  A commit hands its due installs and its
 //!   payload to the device as one batch ([`io::JournalIo::write_raw`], a
-//!   [`simkernel::dev::BlockDevice::write_blocks`] call): a synchronous
-//!   device writes it serially, the multi-queue model submits it at once
-//!   and the commit barrier drains the queues.
+//!   [`simkernel::dev::BlockDevice::write_blocks`] call), then its commit
+//!   record, raw as well: a synchronous device writes them serially, the
+//!   multi-queue model submits them at once and the commit barrier drains
+//!   the queues.  No log block passes through a buffer cache.
 //!
 //! Because commits write *frozen* bytes — into the log region and, at the
 //! install, to the home location via [`io::JournalIo::write_raw`] — an
@@ -135,7 +136,6 @@ pub mod io;
 pub mod record;
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -143,6 +143,7 @@ use parking_lot::{Condvar, Mutex};
 
 use simkernel::buffer::Block;
 use simkernel::error::{Errno, KernelError, KernelResult};
+use simkernel::hash::FxHashMap;
 use simkernel::shard::StripedCounter;
 use simkernel::vfs::WritePathStats;
 
@@ -219,7 +220,7 @@ struct LoggedBlock {
 #[derive(Debug, Default)]
 struct FormingGroup {
     blocks: Vec<LoggedBlock>,
-    index: HashMap<u64, usize>,
+    index: FxHashMap<u64, usize>,
     ops: u64,
 }
 
@@ -229,13 +230,13 @@ struct FormingGroup {
 struct TxLocal {
     depth: u32,
     blocks: Vec<LoggedBlock>,
-    index: HashMap<u64, usize>,
+    index: FxHashMap<u64, usize>,
 }
 
 thread_local! {
     /// Keyed by [`Journal::id`] so independent mounts never mix staging
     /// state.
-    static TX: RefCell<HashMap<u64, TxLocal>> = RefCell::new(HashMap::new());
+    static TX: RefCell<FxHashMap<u64, TxLocal>> = RefCell::new(FxHashMap::default());
 }
 
 /// Process-wide source of journal instance ids (thread-local staging
@@ -351,7 +352,7 @@ struct CommittedGroup {
 struct Pending {
     /// Per home block whose install is pending, the group holding its
     /// newest committed copy and the copy's slot there.
-    newest: HashMap<u64, (u64, usize)>,
+    newest: FxHashMap<u64, (u64, usize)>,
     /// Per region, the group that last committed there, until it falls
     /// due.
     groups: [Option<CommittedGroup>; REGIONS],
@@ -963,13 +964,13 @@ impl Journal {
         medium.owes_checkpoint = true;
         // 1. The epoch: the due installs, and the frozen copies into the
         // region's data blocks, all raw — log blocks are only ever read
-        // back by recovery (on a fresh cache), so going through a buffer
-        // cache would just evict useful blocks once per commit.  Then the
-        // commit record over the header of the group four commits back.
-        // Nothing orders the record behind the payload: it carries the
-        // payload's digest, so however the write cache reorders this
-        // epoch, a record without its whole payload is rejected by
-        // recovery.
+        // back by recovery, straight from the device, so going through a
+        // buffer cache would just evict useful blocks once per commit.
+        // Then the commit record, raw too, over the header of the group
+        // four commits back.  Nothing orders the record behind the
+        // payload: it carries the payload's digest, so however the write
+        // cache reorders this epoch, a record without its whole payload is
+        // rejected by recovery.
         let blocks = Arc::new(blocks);
         let due = self.due(seq);
         let mut installs = due.map_or_else(Vec::new, |due| self.due_installs(due, &group.index));
@@ -983,7 +984,11 @@ impl Journal {
             .collect();
         self.write_epoch(io, &installs, &payload)?;
         // Marked live before the write is attempted: even a failed header
-        // write may have reached the medium.
+        // write may have reached the medium.  The record is its own
+        // `write_raw` call, after the batch: a failed batch cannot tell how
+        // far it got, and one that never reached the record must leave the
+        // region as it was (the settle that follows clears only live
+        // headers).
         medium.live[(seq % REGIONS as u64) as usize] = Some(seq);
         let mut head = [0u8; BSIZE];
         record::encode_head(
@@ -992,7 +997,7 @@ impl Journal {
             blocks.iter().map(|b| b.home),
             record::payload_digest(blocks.iter().map(|b| &b.data[..])),
         );
-        io.write_block(head_block, &head)?;
+        io.write_raw(&[(head_block, &head)])?;
         // 2. The commit barrier: this group is durable, and so are the due
         // installs — which is what frees their group's region for the next
         // commit.  (On the queued device the barrier also drains the
@@ -1032,7 +1037,7 @@ impl Journal {
     /// its index) does so because its record is durable before the next
     /// group may reuse the region — and if its commit fails, the skipped
     /// copy is still pending for the settle that must come first.
-    fn due_installs(&self, due: u64, relogged: &HashMap<u64, usize>) -> Vec<Install> {
+    fn due_installs(&self, due: u64, relogged: &FxHashMap<u64, usize>) -> Vec<Install> {
         let pending = self.pending.lock();
         let Some(group) = pending.group(due) else { return Vec::new() };
         (group.blocks.iter().enumerate())
@@ -1137,14 +1142,14 @@ impl Journal {
         self.start + (seq % REGIONS as u64) * self.region_size as u64
     }
 
-    /// Rewrites the header at `head_block` clean, keeping its sequence
-    /// field readable.
+    /// Rewrites the header at `head_block` clean, raw, keeping its
+    /// sequence field (and the rest of its bytes) as the medium holds them.
     fn write_clean_head(&self, io: &dyn JournalIo, head_block: u64) -> KernelResult<()> {
         let mut head = vec![0u8; BSIZE];
         io.read_block(head_block, &mut head)?;
         let seq = record::get_u64(&head, record::LOG_HEAD_SEQ_OFF);
         record::encode_clear(&mut head, seq);
-        io.write_block(head_block, &head)
+        io.write_raw(&[(head_block, &head)])
     }
 
     /// Recovers from the on-disk log at mount time: committed transactions

@@ -285,28 +285,6 @@ impl LoadResult {
     pub fn is_clean(&self) -> bool {
         self.errors == 0 && !self.overall.is_empty()
     }
-
-    /// Min/mean/max completed-op rate in ops/sec over the run's *complete*
-    /// timeline windows (the trailing partial window would bias the min
-    /// low), or `None` when the run spanned less than one full window.
-    pub fn window_rate_summary(&self) -> Option<(f64, f64, f64)> {
-        let full = ((self.elapsed.as_nanos() / self.window.as_nanos().max(1)) as usize)
-            .min(self.timeline.len());
-        if full == 0 {
-            return None;
-        }
-        let per_sec = 1.0 / self.window.as_secs_f64().max(1e-9);
-        let rates = self.timeline[..full].iter().map(|&n| n as f64 * per_sec);
-        let mut min = f64::INFINITY;
-        let mut max = 0.0f64;
-        let mut sum = 0.0;
-        for rate in rates {
-            min = min.min(rate);
-            max = max.max(rate);
-            sum += rate;
-        }
-        Some((min, sum / full as f64, max))
-    }
 }
 
 /// Creates the spec's directory tree and pre-populates its files (sizes

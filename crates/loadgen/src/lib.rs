@@ -26,10 +26,12 @@
 //!   first op, so no stack can run out of them mid-run however fast it
 //!   is.
 //! * **Measurement**: per-op-class log-bucketed latency histograms
-//!   (p50/p90/p99/p99.9 via [`simkernel::metrics::LatencyHistogram`]) and
-//!   a windowed throughput timeline, emitted as BENCH rows by the `bench`
-//!   crate's experiments.  A failed op is a [`LoadError`] naming the
-//!   worker, op index, op and seed.
+//!   (p50/p90/p99/p99.9 via [`simkernel::metrics::LatencyHistogram`]),
+//!   emitted as BENCH rows by the `bench` crate's experiments, and a
+//!   windowed throughput timeline, which shows when in a run the work
+//!   completed (the upgrade-under-load test reads it for completions after
+//!   the swap).  A failed op is a [`LoadError`] naming the worker, op
+//!   index, op and seed.
 //! * **Scenario hooks** ([`scenario`]): [`BentoFs::upgrade`] fired at the
 //!   run's middle op under traffic (zero failed ops, measured pause — the
 //!   paper's upgrade-under-load experiment; optionally held until callers

@@ -36,7 +36,6 @@
 //! inserting nothing (Linux reads data pages into the page cache, and its
 //! buffer heads point into the page instead of holding a second copy).
 
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -44,6 +43,7 @@ use parking_lot::{ArcMutexGuard, Mutex, RawMutex};
 
 use crate::dev::BlockDevice;
 use crate::error::{Errno, KernelError, KernelResult};
+use crate::hash::FxHashMap;
 use crate::shard::{resolve_shards, shard_of, StripedCounter};
 
 /// The bytes of one block, immutable once shared.
@@ -156,7 +156,7 @@ struct Slot {
 /// One shard: the block → slot index, the slab and its recency list.
 #[derive(Debug)]
 struct Shard {
-    index: HashMap<u64, usize>,
+    index: FxHashMap<u64, usize>,
     slots: Vec<Slot>,
     /// Slots emptied by [`BufferCache::invalidate_clean`], kept for reuse.
     free: Vec<usize>,
@@ -166,7 +166,13 @@ struct Shard {
 
 impl Shard {
     fn new() -> Self {
-        Shard { index: HashMap::new(), slots: Vec::new(), free: Vec::new(), lru: NIL, mru: NIL }
+        Shard {
+            index: FxHashMap::default(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+        }
     }
 
     fn unlink(&mut self, i: usize) {
@@ -633,7 +639,7 @@ impl BufferGuard {
 mod tests {
     use super::*;
     use crate::dev::RamDisk;
-    use std::collections::BTreeSet;
+    use std::collections::{BTreeSet, HashMap};
 
     fn cache(blocks: u64, capacity: usize) -> BufferCache {
         BufferCache::new(Arc::new(RamDisk::new(4096, blocks)), capacity)

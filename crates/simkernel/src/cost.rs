@@ -81,9 +81,10 @@ pub struct CostSnapshot {
     pub whole_file_syncs: u64,
     /// Total simulated nanoseconds charged.
     pub total_ns: u64,
-    /// Peak number of requests outstanding on the device at once.  Stays at
-    /// 1 for synchronous devices; rises with the queue depth when the
-    /// multi-queue device overlaps in-flight requests.
+    /// Peak number of requests outstanding on the device at once.  Only
+    /// the multi-queue device samples the gauge (at every submission, its
+    /// synchronous writes included); a synchronous device is depth 1 by
+    /// construction and leaves it at 0.
     pub max_inflight: u64,
     /// Sum of the outstanding-request depth sampled at every submission
     /// (`inflight_sum / inflight_samples` is the mean depth).

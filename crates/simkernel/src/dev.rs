@@ -300,12 +300,7 @@ impl BlockDevice for SsdDevice {
         let _io = crate::trace::phase(crate::trace::Phase::DevIo);
         self.inner.write_block(blockno, buf)?;
         self.dirty_since_flush.fetch_add(1, Ordering::Relaxed);
-        // Sample the in-flight depth gauge around the synchronous charge so
-        // the depth statistics are comparable across device models (a
-        // synchronous SSD is a depth-1 device by construction).
-        self.counters.io_submitted();
         self.model.charge(&self.counters, CostKind::DeviceWrite, self.model.block_write_ns);
-        self.counters.io_completed();
         self.stats.writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }

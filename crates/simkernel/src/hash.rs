@@ -1,4 +1,5 @@
-//! Small, dependency-free content checksums.
+//! Small, dependency-free hashing: content checksums for on-disk records,
+//! and [`FxHasher`] for in-memory maps keyed by integers and short names.
 //!
 //! On-disk structures that must survive torn or reordered sector writes
 //! (log commit records and the payload they name)
@@ -15,6 +16,9 @@
 //! state, so two inputs of equal length differing in a single word always
 //! digest differently; wider differences collide with probability about
 //! 2⁻⁶⁴.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
 const PRIME_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
@@ -114,6 +118,41 @@ pub fn digest64(seed: u64, bytes: &[u8]) -> u64 {
     d.update(bytes);
     d.finish()
 }
+
+/// A multiply-rotate hasher (the FxHash step) for the hot in-memory maps:
+/// block numbers in the journal and the buffer cache, names and inode
+/// numbers in the dentry cache.  One multiply per word, where SipHash
+/// costs more than the map operation it serves.  Unkeyed, so not for maps
+/// an outsider can fill with colliding keys.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct FxHasher(u64);
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` on [`FxHasher`] (build with `FxHashMap::default()`).
+pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

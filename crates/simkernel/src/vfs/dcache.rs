@@ -20,52 +20,19 @@
 //!   removal.  A lookup that raced a removal therefore leaves nothing
 //!   behind.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
 use crate::error::KernelResult;
+use crate::hash::FxHashMap;
 use crate::vfs::{FileType, InodeAttr, VfsFs};
 
 /// Shards per mount, picked by directory inode.
 const SHARDS: usize = 16;
 
-/// A multiply-rotate hash (the FxHash step): the cache hashes a short name
-/// and an inode number on every lookup, where SipHash would cost more than
-/// the file system's own lookup on the in-memory stacks.
-#[derive(Default)]
-struct FxHasher(u64);
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type Fx = BuildHasherDefault<FxHasher>;
-
 /// Directory inode → name → [`Dentry`].
-type Shard = RwLock<HashMap<u64, HashMap<Box<str>, Dentry, Fx>, Fx>>;
+type Shard = RwLock<FxHashMap<u64, FxHashMap<Box<str>, Dentry>>>;
 
 /// A cached name: the inode it names and that inode's kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,6 +111,9 @@ impl DentryCache {
     /// Number of cached names (tests).
     #[cfg(test)]
     pub(super) fn len(&self) -> usize {
-        self.shards.iter().map(|shard| shard.read().values().map(HashMap::len).sum::<usize>()).sum()
+        self.shards
+            .iter()
+            .map(|shard| shard.read().values().map(|names| names.len()).sum::<usize>())
+            .sum()
     }
 }

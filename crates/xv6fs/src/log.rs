@@ -7,9 +7,11 @@
 //! records, one batched write per commit epoch, and torn-record-rejecting
 //! recovery — lives in the `journal` crate.  This module only translates
 //! the [`SuperBlock`] capability into the journal's block-IO face
-//! ([`journal::io::JournalIo`]): buffer-cache reads and writes via
-//! [`SuperBlock::bread`], raw batched device writes via
-//! [`SuperBlock::write_raw`], and barriers via [`SuperBlock::sync_all`].
+//! ([`journal::io::JournalIo`]): the log area is read and written raw
+//! ([`SuperBlock::read_raw`], [`SuperBlock::write_raw`]), so it never
+//! enters the buffer cache; installs are raw batched device writes too;
+//! only recovery's replay writes homes through [`SuperBlock::bread`]; and
+//! barriers are [`SuperBlock::sync_all`].
 //! [`Log::log_write`] hands the journal the buffer's own bytes
 //! ([`BufferHead::share`]) rather than a copy; the buffer copies them only
 //! if it changes while the journal still holds them.  A logged block's
@@ -35,9 +37,9 @@ use crate::layout::{DiskSuperblock, LOGSIZE};
 
 pub use journal::{JournalStats as LogStats, JournalTail as LogTail};
 
-/// [`JournalIo`] over the Bento [`SuperBlock`] capability: cached I/O goes
-/// through the kernel buffer cache (`bread`), raw writes and barriers hit
-/// the device provider directly.  `fault` is the log's planted fault; only
+/// [`JournalIo`] over the Bento [`SuperBlock`] capability: reads and raw
+/// writes hit the device directly, recovery's cached writes go through the
+/// kernel buffer cache (`bread`).  `fault` is the log's planted fault; only
 /// [`PlantedFault::InstallLiveBuffer`] concerns this adapter.
 struct SbIo<'a> {
     sb: &'a SuperBlock,
@@ -46,9 +48,7 @@ struct SbIo<'a> {
 
 impl JournalIo for SbIo<'_> {
     fn read_block(&self, blockno: u64, out: &mut [u8]) -> KernelResult<()> {
-        let buf = self.sb.bread(blockno)?;
-        out.copy_from_slice(buf.data());
-        Ok(())
+        self.sb.read_raw(blockno, out)
     }
 
     fn write_block(&self, blockno: u64, data: &[u8]) -> KernelResult<()> {
@@ -224,8 +224,9 @@ mod tests {
     //! Adapter smoke tests: the protocol itself is exercised by the
     //! `journal` crate's own unit tests and the journal-level crash suite;
     //! here we only prove the [`SbIo`] translation is faithful — commits
-    //! flow through the buffer cache and superblock barriers, and recovery
-    //! sees hand-crafted on-disk headers through `bread`.
+    //! install through the buffer cache's identity check and superblock
+    //! barriers, and recovery reads hand-crafted on-disk headers from the
+    //! device.
 
     use super::*;
     use crate::layout::BSIZE;
@@ -379,9 +380,10 @@ mod tests {
     }
 
     #[test]
-    fn recover_reads_headers_through_buffer_cache() {
+    fn recover_reads_headers_from_the_device() {
         let (sb, log, _dev) = setup();
-        // Hand-craft a committed-but-not-installed transaction in region 0.
+        // Hand-craft a committed-but-not-installed transaction in region 0,
+        // written through the cache (`bwrite` reaches the device too).
         let mut data = sb.bread(3).unwrap();
         data.data_mut().fill(0x5E);
         data.write().unwrap();
@@ -398,6 +400,8 @@ mod tests {
         drop(head);
         assert_eq!(log.recover(&sb).unwrap(), 1);
         assert_eq!(sb.bread(1800).unwrap().data()[0], 0x5E);
+        // The clear went to the device raw; the cache's copy of the header
+        // is stale, and recovery does not read it.
         assert_eq!(log.recover(&sb).unwrap(), 0, "header cleared after replay");
         assert_eq!(log.stats().recoveries, 1);
     }

@@ -718,6 +718,48 @@ mod tests {
         (sb, core)
     }
 
+    /// The log-area blocks the buffer cache holds, probed without caching
+    /// any: `read_uncached` counts a hit only for a block the cache holds.
+    fn cached_log_blocks(sb: &SuperBlock, core: &FsCore) -> Vec<u64> {
+        let (start, len) = (core.dsb().logstart as u64, core.dsb().nlog as u64);
+        let mut block = vec![0u8; BSIZE];
+        (start..start + len)
+            .filter(|&blockno| {
+                let hits = sb.cache_stats().hits;
+                sb.read_uncached(blockno, &mut block).unwrap();
+                sb.cache_stats().hits > hits
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_log_area_never_enters_the_buffer_cache() {
+        let dev: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, 4096));
+        mkfs_on_device(&dev, 64).unwrap();
+        let write_files = |sb: &SuperBlock, core: &FsCore, prefix: &str| {
+            for i in 0..6u8 {
+                let ino = core.mknod(sb, 1, &format!("{prefix}{i}"), T_FILE).unwrap().ino;
+                core.write(sb, ino, 0, &vec![i; 3 * BSIZE]).unwrap();
+                core.fsync(sb).unwrap();
+            }
+        };
+        {
+            // Commits and fsyncs, then a crash: the mount is dropped with
+            // its records live.
+            let (sb, core) = mount(&dev);
+            write_files(&sb, &core, "a");
+            assert!(core.log.stats().commits >= 12);
+            assert_eq!(cached_log_blocks(&sb, &core), Vec::<u64>::new(), "after commits");
+        }
+        let (sb, core) = mount(&dev);
+        assert_eq!(core.log.stats().recoveries, 1, "the live records replayed");
+        assert_eq!(cached_log_blocks(&sb, &core), Vec::<u64>::new(), "after recovery");
+        write_files(&sb, &core, "b");
+        core.unmount(&sb).unwrap();
+        assert_eq!(cached_log_blocks(&sb, &core), Vec::<u64>::new(), "after the checkpoint");
+        assert!(core.lookup(&sb, 1, "a5").is_ok(), "the replayed create survived");
+    }
+
     #[test]
     fn whole_block_overwrites_do_not_read_the_blocks_they_replace() {
         const BLOCKS: u64 = NDIRECT as u64 + 8; // into the indirect range
