@@ -597,7 +597,8 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
         ..CrashTestConfig::standard(0x2021_FA57)
     };
     let mut rows = Vec::new();
-    let gate = |rows: &mut Vec<Row>, report: &crashsim::CrashReport, prefix: &str| {
+    for stack in FsStack::all() {
+        let report = run_crash_test(stack, &crash_cfg)?;
         for (config, value) in [
             ("states-checked", report.states_checked as f64),
             ("violations", report.violations_found as f64),
@@ -605,21 +606,14 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
             ("trace-writes", report.trace_writes as f64),
             ("trace-epochs", report.trace_epochs as f64),
         ] {
-            rows.push(Row::new(
-                "crash",
-                &format!("{prefix}{config}"),
-                report.stack,
-                value,
-                "count",
-                None,
-            ));
+            rows.push(Row::new("crash", config, report.stack, value, "count", None));
         }
         if !report.is_clean() {
-            // The trace's shape goes with the violations: FUSE's daemon
-            // threads pick xv6 allocation groups, so its trace (and the
-            // states drawn from it) can differ on a rerun of the same seed.
+            // Every stack's trace, and so every state drawn from it,
+            // replays from the seed (FUSE requests carry the caller's xv6
+            // allocation home): a rerun of this seed shows the same trace.
             let mut msg = format!(
-                "crash oracle violations on {prefix}{}: {} found across {} states \
+                "crash oracle violations on {}: {} found across {} states \
                  (seed {:#x}, {} ops, {} fsync points, {} trace writes in {} epochs)",
                 report.stack,
                 report.violations_found,
@@ -635,19 +629,7 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
             }
             return Err(BenchError(msg));
         }
-        Ok(())
-    };
-    for stack in FsStack::all() {
-        let report = run_crash_test(stack, &crash_cfg)?;
-        gate(&mut rows, &report, "")?;
     }
-    // One more pass through the queued (multi-queue) device model: batched
-    // submission of each commit's installs and payload must keep both
-    // oracles clean, with the recorder observing every queued write in its
-    // submission epoch.  `queued-*` rows distinguish it in the JSON.
-    let queued_cfg = CrashTestConfig { queue_depth: 8, ..crash_cfg };
-    let report = run_crash_test(FsStack::BentoXv6, &queued_cfg)?;
-    gate(&mut rows, &report, "queued-")?;
     Ok(rows)
 }
 

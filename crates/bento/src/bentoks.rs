@@ -268,7 +268,7 @@ impl SuperBlock {
     /// modified the cached copy since, the newer cached bytes stay dirty
     /// (their own group will log and install them) while the home location
     /// receives exactly the committed bytes.  One commit's installs and
-    /// payload are one batch, so a queued device submits them together.
+    /// payload are one batch.
     ///
     /// # Errors
     ///

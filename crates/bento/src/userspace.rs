@@ -97,15 +97,6 @@ impl BlockDevice for UserDisk {
         Ok(())
     }
 
-    /// One `pwrite` per block: the disk file has no batch submission, so
-    /// even a queued device underneath sees single-block writes.
-    fn write_blocks(&self, writes: &[(u64, &[u8])]) -> KernelResult<()> {
-        for &(blockno, data) in writes {
-            self.write_block(blockno, data)?;
-        }
-        Ok(())
-    }
-
     fn flush(&self) -> KernelResult<()> {
         // fsync of the whole backing disk file: base cost plus a per-block
         // cost for everything written since the previous sync (§6.4).
@@ -134,7 +125,6 @@ pub fn userspace_superblock(io: Arc<KernelBlockIo>, name: &str) -> SuperBlock {
 mod tests {
     use super::*;
     use simkernel::dev::RamDisk;
-    use simkernel::queue::{MultiQueueDevice, QueueConfig};
 
     /// A superblock over a 16-block cache on a [`UserDisk`] over `dev`.
     fn user_sb(dev: Arc<dyn BlockDevice>, model: CostModel) -> (SuperBlock, Arc<UserDisk>) {
@@ -227,19 +217,15 @@ mod tests {
     }
 
     #[test]
-    fn write_raw_over_a_queued_device_is_one_pwrite_per_block() {
-        // The queued device batches `write_blocks`, leaving the submissions
-        // in flight until the next flush; through the disk file every block
-        // is its own crossing and a synchronous `write_block`, so nothing
-        // is left in flight.
-        let mqd =
-            Arc::new(MultiQueueDevice::new(ram(32), CostModel::zero(), QueueConfig::new(1, 8)));
-        let (sb, disk) = user_sb(Arc::clone(&mqd) as _, CostModel::zero());
+    fn write_raw_is_one_pwrite_per_block() {
+        // Through the disk file every block of a batch is its own crossing
+        // and its own device write, and each one is owed to the next sync.
+        let dev = ram(32);
+        let (sb, disk) = user_sb(Arc::clone(&dev), CostModel::zero());
         let block = [0x5Au8; 4096];
         sb.write_raw(&[(3, &block[..]), (4, &block[..]), (5, &block[..])]).unwrap();
         assert_eq!(disk.counters().snapshot().crossings, 3);
         assert_eq!(disk.pending_blocks(), 3);
-        assert_eq!(mqd.stats().writes, 3);
-        assert_eq!(mqd.counters().inflight_now(), 0, "no write was submitted as a batch");
+        assert_eq!(dev.stats().writes, 3);
     }
 }

@@ -29,7 +29,6 @@ use rand::{Rng, SeedableRng};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
 use simkernel::error::{Errno, KernelResult};
-use simkernel::queue::{MultiQueueDevice, QueueConfig};
 use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 
 use journal::PlantedFault;
@@ -73,13 +72,6 @@ pub struct CrashTestConfig {
     pub mode: CrashMode,
     /// Cap on *recorded* violations (the total found is always counted).
     pub max_violations: usize,
-    /// When nonzero, mount through the NVMe-style multi-queue device
-    /// ([`MultiQueueDevice`]) with this per-queue depth, layered *over* the
-    /// recording fault device — so every queued submission is recorded in
-    /// the barrier epoch it was submitted in, and crash enumeration
-    /// reorders it only within that epoch.  Zero (the default) mounts the
-    /// recorder directly (the synchronous device path).
-    pub queue_depth: usize,
 }
 
 impl CrashTestConfig {
@@ -92,14 +84,7 @@ impl CrashTestConfig {
             disk_blocks: 8192,
             mode: CrashMode::Sampled { states: 160 },
             max_violations: 32,
-            queue_depth: 0,
         }
-    }
-
-    /// Same run, mounted through the queued device model at `depth`.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
     }
 }
 
@@ -176,26 +161,11 @@ pub fn run_crash_test_inspected(
     format(stack, &base, XV6_INODES)?;
     let image = Arc::new(DiskImage::capture(&base)?);
     let fault = Arc::new(FaultDevice::new(base, FaultConfig::recorder(cfg.seed)));
-    let fault_dyn: Arc<dyn BlockDevice> = Arc::clone(&fault) as Arc<dyn BlockDevice>;
-    // With a queue depth, the stack sees the multi-queue device and the
-    // recorder sits underneath it: queued writes reach the recorder at
-    // submission time and the queued device's flush drains its queues
-    // before forwarding, so epoch boundaries in the trace are exactly the
-    // stack's barriers.
-    let mount_dev: Arc<dyn BlockDevice> = if cfg.queue_depth > 0 {
-        Arc::new(MultiQueueDevice::new(
-            Arc::clone(&fault_dyn),
-            CostModel::zero(),
-            QueueConfig::new(4, cfg.queue_depth),
-        ))
-    } else {
-        Arc::clone(&fault_dyn)
-    };
 
     // 2. Mount and run the modelled workload, then crash (drop, no sync).
     let mut model = WorkloadModel::new();
     let ops_run = {
-        let mounted = mount_stack_on(stack, mount_dev, CostModel::zero(), planted)?;
+        let mounted = mount_stack_on(stack, Arc::clone(&fault) as _, CostModel::zero(), planted)?;
         run_workload(&*mounted.fs, &fault, &mut model, cfg)?
     };
     let trace = fault.trace();

@@ -43,7 +43,6 @@
 //!     disk_blocks: 4096,
 //!     mode: CrashMode::Sampled { states: 16 },
 //!     max_violations: 8,
-//!     queue_depth: 0,
 //! };
 //! let report = run_crash_test(FsStack::FuseXv6, &cfg)?;
 //! assert!(report.is_clean(), "{:?}", report.violations);

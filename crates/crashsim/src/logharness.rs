@@ -103,7 +103,7 @@ pub trait LogHandle: Send + Sync {
 }
 
 /// One write-ahead-log front-end the harness can mount on an arbitrary
-/// device (a fault device, a multi-queue wrapper, a plain RAM disk).
+/// device (a fault device, a plain RAM disk).
 pub trait LogStack: Send + Sync {
     /// Stack name for test diagnostics.
     fn name(&self) -> &'static str;

@@ -11,8 +11,12 @@
 //! and rmdirs, so a sampled enumeration run here drives crash/recovery
 //! straight through the new lock paths.  Fresh seeds (distinct from
 //! `stacks_recover.rs`) buy different traces rather than re-checking the
-//! same ones, and one run goes through the queued device at depth 8 so the
-//! overlapped-commit pipeline is exercised under the new locking too.
+//! same ones; two per stack, because the directory locks drop before
+//! `end_op`, so commits from different directories pipeline and each seed
+//! interleaves them with namespace traffic differently.  The second seed of
+//! each stack keeps the test name it had when it ran through the queued
+//! device at depth 8; that device is gone, and the seed now runs on the
+//! synchronous recorder like the first.
 
 use crashsim::{run_crash_test, CrashTestConfig};
 use workloads::FsStack;
@@ -41,13 +45,10 @@ fn vfs_xv6_with_per_directory_locks_survives_sampled_crashes() {
 
 #[test]
 fn bento_xv6_per_directory_locks_stay_clean_at_queue_depth_8() {
-    // The batched commit epochs interleave with namespace traffic;
-    // the directory locks drop before end_op, so commits from different
-    // directories pipeline — crash states must still all recover.
-    assert_clean(FsStack::BentoXv6, &CrashTestConfig::standard(0xD1_510A).with_queue_depth(8));
+    assert_clean(FsStack::BentoXv6, &CrashTestConfig::standard(0xD1_510A));
 }
 
 #[test]
 fn vfs_xv6_per_directory_locks_stay_clean_at_queue_depth_8() {
-    assert_clean(FsStack::VfsXv6, &CrashTestConfig::standard(0xD1_510B).with_queue_depth(8));
+    assert_clean(FsStack::VfsXv6, &CrashTestConfig::standard(0xD1_510B));
 }

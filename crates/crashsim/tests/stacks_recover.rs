@@ -93,7 +93,6 @@ fn exhaustive_prefix_enumeration_is_clean_on_a_short_trace() {
         disk_blocks: 4096,
         mode: CrashMode::Prefixes,
         max_violations: 16,
-        queue_depth: 0,
     };
     let report = run_crash_test(FsStack::BentoXv6, &cfg).unwrap();
     assert!(report.states_checked > report.trace_writes, "one state per event boundary");
@@ -113,7 +112,6 @@ fn exhaustive_prefix_enumeration_is_clean_on_a_short_fuse_trace() {
         disk_blocks: 4096,
         mode: CrashMode::Prefixes,
         max_violations: 16,
-        queue_depth: 0,
     };
     let report = run_crash_test(FsStack::FuseXv6, &cfg).unwrap();
     assert!(report.states_checked > report.trace_writes, "one state per event boundary");

@@ -54,11 +54,9 @@ pub trait JournalIo {
     fn write_block(&self, blockno: u64, data: &[u8]) -> KernelResult<()>;
 
     /// Writes a batch of `(blockno, data)` blocks bypassing any cache, as
-    /// one [`BlockDevice::write_blocks`] call: serial writes on a
-    /// synchronous device, one submission on a queued one (the next
-    /// barrier completes it).  Used for an epoch's installs (frozen
-    /// snapshots that must not clobber a newer cached copy) and log
-    /// payload, for commit records and for header clears.
+    /// one [`BlockDevice::write_blocks`] call.  Used for an epoch's
+    /// installs (frozen snapshots that must not clobber a newer cached
+    /// copy) and log payload, for commit records and for header clears.
     ///
     /// # Errors
     ///
@@ -82,8 +80,7 @@ pub trait JournalIo {
 
     /// Durability barrier: everything written before this call is on
     /// stable storage when it returns (device FLUSH; an fsync of the whole
-    /// backing file on the userspace provider).  On a queued device the
-    /// barrier also drains the submission queues.
+    /// backing file on the userspace provider).
     ///
     /// # Errors
     ///

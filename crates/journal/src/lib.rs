@@ -6,10 +6,9 @@
 //! it directly.  [`Journal`] owns the entire commit pipeline and is
 //! parameterized over the block-IO trait [`io::JournalIo`], so the same
 //! code runs against the Bento `SuperBlock` capability (kernel buffer
-//! cache or userspace disk file underneath), a bare
-//! `SsdDevice`/`MultiQueueDevice`, or crashsim's fault device — and the
-//! crash-contract tests enumerate crash states against the journal with no
-//! file system on top.
+//! cache or userspace disk file underneath), a bare `SsdDevice`, or
+//! crashsim's fault device — and the crash-contract tests enumerate crash
+//! states against the journal with no file system on top.
 //!
 //! Every operation that modifies the file system wraps its block writes in
 //! a transaction: [`Journal::begin_op`] … stage frozen snapshots via
@@ -110,9 +109,7 @@
 //! * **One batched epoch.**  A commit hands its due installs and its
 //!   payload to the device as one batch ([`io::JournalIo::write_raw`], a
 //!   [`simkernel::dev::BlockDevice::write_blocks`] call), then its commit
-//!   record, raw as well: a synchronous device writes them serially, the
-//!   multi-queue model submits them at once and the commit barrier drains
-//!   the queues.  No log block passes through a buffer cache.
+//!   record, raw as well.  No log block passes through a buffer cache.
 //!
 //! Because commits write *frozen* bytes — into the log region and, at the
 //! install, to the home location via [`io::JournalIo::write_raw`] — an
@@ -1000,9 +997,7 @@ impl Journal {
         io.write_raw(&[(head_block, &head)])?;
         // 2. The commit barrier: this group is durable, and so are the due
         // installs — which is what frees their group's region for the next
-        // commit.  (On the queued device the barrier also drains the
-        // submission queues, so it covers batched writes exactly as it
-        // covers synchronous ones.)
+        // commit.
         self.barrier(io)?;
         // 3. The newest committed copies: whatever these replace is
         // superseded and never installed.
@@ -1050,9 +1045,9 @@ impl Journal {
     }
 
     /// Issues one epoch's writes raw, as one batch — `installs` to their
-    /// homes, then `log` (a queued device's next barrier completes them).
-    /// Then each installed copy is clean in the backend's cache and leaves
-    /// the pending set, unless a newer copy replaced it meanwhile.
+    /// homes, then `log`.  Then each installed copy is clean in the
+    /// backend's cache and leaves the pending set, unless a newer copy
+    /// replaced it meanwhile.
     fn write_epoch(
         &self,
         io: &dyn JournalIo,
@@ -1119,11 +1114,11 @@ impl Journal {
         live.sort_unstable();
         let ordered = self.fault != PlantedFault::CheckpointWithoutBarrier;
         let mut unflushed = !installs.is_empty() || medium.owes_checkpoint;
-        for &(_, region) in &live {
+        for &(seq, region) in &live {
             if unflushed && ordered {
                 self.barrier(io)?;
             }
-            self.write_clean_head(io, self.region_head(region))?;
+            self.write_clean_head(io, region, seq)?;
             unflushed = true;
         }
         self.barrier(io)?;
@@ -1142,14 +1137,14 @@ impl Journal {
         self.start + (seq % REGIONS as u64) * self.region_size as u64
     }
 
-    /// Rewrites the header at `head_block` clean, raw, keeping its
-    /// sequence field (and the rest of its bytes) as the medium holds them.
-    fn write_clean_head(&self, io: &dyn JournalIo, head_block: u64) -> KernelResult<()> {
+    /// Writes `region`'s header clean, raw, carrying `seq`, the sequence
+    /// number [`Medium::live`] holds for it (0 for a header recovery
+    /// rejected).  Nothing reads a clean header's other bytes, so they
+    /// are zero.
+    fn write_clean_head(&self, io: &dyn JournalIo, region: u64, seq: u64) -> KernelResult<()> {
         let mut head = vec![0u8; BSIZE];
-        io.read_block(head_block, &mut head)?;
-        let seq = record::get_u64(&head, record::LOG_HEAD_SEQ_OFF);
         record::encode_clear(&mut head, seq);
-        io.write_raw(&[(head_block, &head)])
+        io.write_raw(&[(self.region_head(region), &head)])
     }
 
     /// Recovers from the on-disk log at mount time: committed transactions

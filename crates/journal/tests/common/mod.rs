@@ -16,9 +16,7 @@ use crashsim::{
 use journal::io::{DeviceIo, JournalIo};
 use journal::record::{parse_head, payload_digest, BSIZE};
 use journal::{GroupClose, Journal, JournalConfig, PlantedFault, MAX_OP_BLOCKS, REGIONS};
-use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::queue::{MultiQueueDevice, QueueConfig};
 
 pub const LOG_BLOCKS: usize = REGIONS * (4 * MAX_OP_BLOCKS + 1);
 pub const DISK_BLOCKS: u64 = 2048;
@@ -40,21 +38,12 @@ pub fn block_fill(io: &DeviceIo, blockno: u64) -> u8 {
 }
 
 /// A blank disk under a recording fault device, the image it started
-/// from, and the device the journal should be run on: the recorder itself,
-/// or a multi-queue device (4 queues, depth 8) over it.
-pub fn recorded_disk(queued: bool) -> (Arc<FaultDevice>, Arc<DiskImage>, Arc<dyn BlockDevice>) {
+/// from, and the recorder as the device the journal should be run on.
+pub fn recorded_disk() -> (Arc<FaultDevice>, Arc<DiskImage>, Arc<dyn BlockDevice>) {
     let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS));
     let image = Arc::new(DiskImage::capture(&base).unwrap());
     let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
-    let dev: Arc<dyn BlockDevice> = if queued {
-        Arc::new(MultiQueueDevice::new(
-            Arc::clone(&recorder) as Arc<dyn BlockDevice>,
-            CostModel::zero(),
-            QueueConfig::new(4, 8),
-        ))
-    } else {
-        Arc::clone(&recorder) as Arc<dyn BlockDevice>
-    };
+    let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
     (recorder, image, dev)
 }
 
@@ -101,17 +90,16 @@ pub struct RecordedChain {
     pub groups: Vec<Vec<u64>>,
 }
 
-/// Records the chain workload and the checkpoint of a clean unmount, on a
-/// synchronous or a multi-queue device, through a journal with `fault`
-/// planted.  Transaction `t` writes `chain_fill(t)` into the shared block,
+/// Records the chain workload and the checkpoint of a clean unmount
+/// through a journal with `fault` planted.  Transaction `t` writes `chain_fill(t)` into the shared block,
 /// every [`REGIONS`]-th one into the period block too, and into its own
 /// two.  Under [`GroupClose::EveryOp`] every transaction is a group; under
 /// [`GroupClose::OnFlush`] the driver closes groups with an fsync-style
 /// flush after the transactions in [`ON_FLUSH_FSYNC_AFTER`], one with a
 /// threshold flush once it holds [`ON_FLUSH_THRESHOLD`] blocks (followed
 /// by a flush with nothing pending), and the checkpoint closes the last.
-pub fn record_chain(close: GroupClose, queued: bool, fault: PlantedFault) -> RecordedChain {
-    let (recorder, image, dev) = recorded_disk(queued);
+pub fn record_chain(close: GroupClose, fault: PlantedFault) -> RecordedChain {
+    let (recorder, image, dev) = recorded_disk();
     let io = DeviceIo::new(dev);
     let journal = journal_with(close, fault);
     let txs = if close == GroupClose::OnFlush { ON_FLUSH_TXS } else { CHAIN_TXS };
@@ -355,8 +343,8 @@ fn check_chain_state(
 /// The violations among 600 crash states sampled (from `seed`) of the
 /// every-op chain workload, run and recovered through journals with
 /// `fault` planted.
-pub fn sampled_chain_violations(queued: bool, fault: PlantedFault, seed: u64) -> Vec<String> {
-    let chain = record_chain(GroupClose::EveryOp, queued, fault);
+pub fn sampled_chain_violations(fault: PlantedFault, seed: u64) -> Vec<String> {
+    let chain = record_chain(GroupClose::EveryOp, fault);
     let states = sampled_states(&chain.trace, &chain.image, seed, 600);
     chain.violations(&states, fault).0
 }

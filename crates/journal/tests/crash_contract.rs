@@ -7,13 +7,12 @@
 //! * exhaustive-prefix crash enumeration of a two-transaction conflict
 //!   workload: every write-boundary crash must recover to an
 //!   all-or-nothing, commit-ordered state,
-//! * sampled subset/reorder/tear enumeration of the same workload on the
-//!   multi-queue device (the batched epoch path),
+//! * sampled subset/reorder/tear enumeration of the same workload,
 //! * the **one-barrier protocol** over six consecutive commits (the ring
 //!   of four regions filled, two of them reused) and the checkpoint of a
-//!   clean unmount: exhaustive prefixes and sampled states, on the
-//!   synchronous and the queued device, against atomicity, ordering *and*
-//!   durability oracles — and the enumeration must actually visit the
+//!   clean unmount: exhaustive prefixes and sampled states, against
+//!   atomicity, ordering *and* durability oracles — and the enumeration
+//!   must actually visit the
 //!   states that sharing one epoch between payload, record and lazy
 //!   installs makes new: record(N) on the medium ahead of part of its
 //!   payload, a region partly overwritten under its surviving record while
@@ -21,12 +20,12 @@
 //!   whose record had superseded blocks), four records valid at once, a
 //!   home older than its newest valid copy, and installs partially applied
 //!   under a durable record (the planted faults that prove these oracles
-//!   have teeth live in `planted_bug.rs` and `queued_planted_bug.rs`),
+//!   have teeth live in `planted_bug.rs`),
 //! * the same chain under ext4's close rule, several transactions per
 //!   group: groups recover whole, in order, durable once acknowledged,
-//! * a multi-thread stress run with the flush/drain invariants: `flush`
-//!   leaves nothing in flight, the barrier budget stays exactly 1 per
-//!   commit, and every committed byte survives.
+//! * a multi-thread stress run on a latency-modelled SSD: the barrier
+//!   budget stays exactly 1 per commit, and every committed byte survives
+//!   the final flush.
 
 mod common;
 
@@ -37,8 +36,7 @@ use journal::io::DeviceIo;
 use journal::record::BSIZE;
 use journal::{GroupClose, Journal, JournalConfig, PlantedFault, REGIONS};
 use simkernel::cost::CostModel;
-use simkernel::dev::{BlockDevice, RamDisk};
-use simkernel::queue::{MultiQueueDevice, QueueConfig};
+use simkernel::dev::{BlockDevice, SsdDevice};
 
 use common::{block_fill, config, record_chain, recorded_disk, CHAIN_TXS, DISK_BLOCKS, LOG_BLOCKS};
 
@@ -87,7 +85,7 @@ fn assert_contract(state: &crashsim::CrashState, what: &str) {
 /// Exhaustive in-order prefixes on the synchronous device.
 #[test]
 fn every_write_prefix_crash_recovers_atomically() {
-    let (recorder, image, dev) = recorded_disk(false);
+    let (recorder, image, dev) = recorded_disk();
     conflict_workload(dev);
     let trace = recorder.trace();
     assert_eq!(trace.flush_count(), 2, "two commits, one barrier each");
@@ -96,15 +94,15 @@ fn every_write_prefix_crash_recovers_atomically() {
     }
 }
 
-/// Sampled subset/reorder/tear states on the multi-queue device: the
-/// batched epoch path must honor the same contract even when the
-/// write cache reorders freely within a barrier epoch.
+/// Sampled subset/reorder/tear states: each commit's batched epoch must
+/// honor the same contract even when the write cache reorders freely
+/// within a barrier epoch.
 #[test]
-fn sampled_queued_crashes_recover_atomically() {
-    let (recorder, image, dev) = recorded_disk(true);
+fn sampled_reorder_crashes_recover_atomically() {
+    let (recorder, image, dev) = recorded_disk();
     conflict_workload(dev);
     let trace = recorder.trace();
-    assert_eq!(trace.flush_count(), 2, "queue path keeps one barrier per commit");
+    assert_eq!(trace.flush_count(), 2, "two commits, one barrier each");
     for state in sampled_states(&trace, &image, 0x005A_11ED, 400) {
         assert_contract(&state, "sampled");
     }
@@ -130,7 +128,7 @@ fn assert_ring_coverage(coverage: &common::ChainCoverage, what: &str) {
 /// only a reordering cache produces.
 #[test]
 fn chained_commits_every_write_prefix_recovers_durably() {
-    let chain = record_chain(GroupClose::EveryOp, false, PlantedFault::None);
+    let chain = record_chain(GroupClose::EveryOp, PlantedFault::None);
     assert_eq!(
         chain.trace.flush_count() as u64,
         CHAIN_TXS + 1 + REGIONS as u64,
@@ -144,20 +142,18 @@ fn chained_commits_every_write_prefix_recovers_durably() {
 }
 
 /// Sampled subset/reorder/tear states over six commits and the
-/// checkpoint, on the synchronous and the queued device: a write cache
-/// reordering freely inside each epoch may persist the record ahead of
-/// any part of its payload, overwrite a region under its old record, and
-/// apply installs in any subset — all must recover to the contract.
+/// checkpoint: a write cache reordering freely inside each epoch may
+/// persist the record ahead of any part of its payload, overwrite a
+/// region under its old record, and apply installs in any subset — all
+/// must recover to the contract.
 #[test]
 fn chained_commits_sampled_crashes_recover_durably() {
-    for queued in [false, true] {
-        let chain = record_chain(GroupClose::EveryOp, queued, PlantedFault::None);
-        let states = sampled_states(&chain.trace, &chain.image, 0x2BA2_21E2, 600);
-        let (violations, coverage) = chain.violations(&states, PlantedFault::None);
-        assert!(violations.is_empty(), "queued={queued}: {violations:#?}");
-        assert!(coverage.record_ahead_of_payload > 0, "queued={queued}: {coverage:?}");
-        assert_ring_coverage(&coverage, &format!("queued={queued}"));
-    }
+    let chain = record_chain(GroupClose::EveryOp, PlantedFault::None);
+    let states = sampled_states(&chain.trace, &chain.image, 0x2BA2_21E2, 600);
+    let (violations, coverage) = chain.violations(&states, PlantedFault::None);
+    assert!(violations.is_empty(), "{violations:#?}");
+    assert!(coverage.record_ahead_of_payload > 0, "{coverage:?}");
+    assert_ring_coverage(&coverage, "sampled");
 }
 
 /// The same chain under ext4's close rule ([`GroupClose::OnFlush`]):
@@ -171,38 +167,31 @@ fn chained_commits_sampled_crashes_recover_durably() {
 /// group's record on the medium.
 #[test]
 fn on_flush_chain_crashes_recover_durably_by_group() {
-    for queued in [false, true] {
-        let chain = record_chain(GroupClose::OnFlush, queued, PlantedFault::None);
-        assert_eq!(chain.groups, [vec![0, 1], vec![2, 3, 4], vec![5, 6], vec![7, 8], vec![9]]);
-        assert_eq!(chain.trace.flush_count(), chain.groups.len() + 1 + REGIONS);
-        let mut states = sampled_states(&chain.trace, &chain.image, 0x0F1A_5117, 600);
-        if !queued {
-            states.extend(prefix_states(&chain.trace, &chain.image));
-        }
-        let (violations, coverage) = chain.violations(&states, PlantedFault::None);
-        assert!(violations.is_empty(), "queued={queued}: {violations:#?}");
-        assert!(coverage.multi_op_group > 0, "queued={queued}: {coverage:?}");
-        assert!(coverage.record_ahead_of_payload > 0, "queued={queued}: {coverage:?}");
-        assert!(coverage.overwritten_under_old_record > 0, "queued={queued}: {coverage:?}");
-        assert!(coverage.four_valid_records > 0, "queued={queued}: {coverage:?}");
-        assert!(coverage.partial_installs_under_record > 0, "queued={queued}: {coverage:?}");
-    }
+    let chain = record_chain(GroupClose::OnFlush, PlantedFault::None);
+    assert_eq!(chain.groups, [vec![0, 1], vec![2, 3, 4], vec![5, 6], vec![7, 8], vec![9]]);
+    assert_eq!(chain.trace.flush_count(), chain.groups.len() + 1 + REGIONS);
+    let mut states = sampled_states(&chain.trace, &chain.image, 0x0F1A_5117, 600);
+    states.extend(prefix_states(&chain.trace, &chain.image));
+    let (violations, coverage) = chain.violations(&states, PlantedFault::None);
+    assert!(violations.is_empty(), "{violations:#?}");
+    assert!(coverage.multi_op_group > 0, "{coverage:?}");
+    assert!(coverage.record_ahead_of_payload > 0, "{coverage:?}");
+    assert!(coverage.overwritten_under_old_record > 0, "{coverage:?}");
+    assert!(coverage.four_valid_records > 0, "{coverage:?}");
+    assert!(coverage.partial_installs_under_record > 0, "{coverage:?}");
 }
 
-/// Multi-thread stress with the flush/drain invariants on the queued
-/// device.
+/// Multi-thread stress on an SSD with write and flush delays, so commits
+/// overlap the threads still staging: the final flush leaves every
+/// committed byte at home and the barrier budget at one per commit.
 #[test]
 fn multithread_stress_flush_drains_and_keeps_barrier_budget() {
     let mut model = CostModel::zero();
     model.block_write_ns = 10_000;
     model.flush_base_ns = 200_000;
     model.inject_delays = true;
-    let mqd = Arc::new(MultiQueueDevice::new(
-        Arc::new(RamDisk::new(BSIZE as u32, DISK_BLOCKS)),
-        model,
-        QueueConfig::new(4, 32),
-    ));
-    let io = Arc::new(DeviceIo::new(Arc::clone(&mqd) as Arc<dyn BlockDevice>));
+    let dev = Arc::new(SsdDevice::ram_backed(DISK_BLOCKS, model));
+    let io = Arc::new(DeviceIo::new(dev as Arc<dyn BlockDevice>));
     let journal = Arc::new(Journal::new(JournalConfig::from_geometry(
         2,
         LOG_BLOCKS,
@@ -230,7 +219,6 @@ fn multithread_stress_flush_drains_and_keeps_barrier_budget() {
         handle.join().unwrap();
     }
     journal.flush(&*io).unwrap();
-    assert_eq!(mqd.counters().inflight_now(), 0, "flush left requests in flight");
 
     let stats = journal.stats();
     assert!(stats.commits >= 1);

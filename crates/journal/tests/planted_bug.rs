@@ -1,13 +1,13 @@
-//! Planted-fault tests for the journal-level crash oracles, synchronous
-//! device: each [`PlantedFault`] removes one rule the one-barrier commit
-//! rests on, and the enumeration of the chain workload (six commits and
-//! a checkpoint, see `common`) must then report the violation that rule
-//! prevents — while the identical run with nothing planted shows none
+//! Planted-fault tests for the journal-level crash oracles: each
+//! [`PlantedFault`] removes one rule the one-barrier commit rests on, and
+//! the enumeration of the chain workload (six commits and a checkpoint,
+//! see `common`) must then report the violation that rule prevents —
+//! while the identical run with nothing planted shows none
 //! (`crash_contract.rs`).  This proves the oracles detect real protocol
 //! violations rather than vacuously passing.
 //!
 //! The fault is a field of one journal, so these share a process with
-//! correct journals; the queued-device twin is `queued_planted_bug.rs`.
+//! correct journals.
 
 mod common;
 
@@ -17,7 +17,7 @@ use journal::{GroupClose, PlantedFault};
 use common::{is_atomicity, record_chain, sampled_chain_violations, CHAIN_PERIOD};
 
 fn sampled_violations(fault: PlantedFault) -> Vec<String> {
-    sampled_chain_violations(false, fault, 0x2BA2_21E2)
+    sampled_chain_violations(fault, 0x2BA2_21E2)
 }
 
 /// (a) Recovery that trusts the header checksum replays a record the
@@ -31,7 +31,7 @@ fn reorder_enumeration_catches_recovery_that_skips_the_payload_digest() {
     let violations = sampled_violations(fault);
     assert!(violations.iter().any(|v| is_atomicity(v)), "undetected: {violations:#?}");
 
-    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let chain = record_chain(GroupClose::EveryOp, fault);
     let (in_order, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
     assert!(in_order.iter().any(|v| is_atomicity(v)), "undetected: {in_order:#?}");
 }
@@ -61,7 +61,7 @@ fn durability_oracle_catches_checkpoint_clear_without_barrier() {
 #[test]
 fn prefix_walk_catches_a_region_reused_before_its_installs() {
     let fault = PlantedFault::ReuseBeforeInstall;
-    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let chain = record_chain(GroupClose::EveryOp, fault);
     let (violations, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
     assert!(violations.iter().any(|v| v.contains("not a prefix")), "undetected: {violations:#?}");
     assert!(!sampled_violations(fault).is_empty(), "sampled states missed it");
@@ -75,7 +75,7 @@ fn prefix_walk_catches_a_region_reused_before_its_installs() {
 fn prefix_walk_catches_a_reusing_group_absorbing_the_record_it_overwrites() {
     let fault = PlantedFault::AbsorbIntoReusingGroup;
     let lost = format!("block {CHAIN_PERIOD} holds 0x0");
-    let chain = record_chain(GroupClose::EveryOp, false, fault);
+    let chain = record_chain(GroupClose::EveryOp, fault);
     let (violations, _) = chain.violations(&prefix_states(&chain.trace, &chain.image), fault);
     assert!(violations.iter().any(|v| v.contains(&lost)), "undetected: {violations:#?}");
     assert!(

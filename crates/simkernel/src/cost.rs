@@ -54,12 +54,6 @@ pub struct CostCounters {
     fuse_round_trips: AtomicU64,
     whole_file_syncs: AtomicU64,
     total_ns: AtomicU64,
-    /// Requests currently outstanding on the device (submitted, not yet
-    /// completed).  The gauge behind the max/mean depth statistics.
-    inflight: AtomicU64,
-    inflight_max: AtomicU64,
-    inflight_sum: AtomicU64,
-    inflight_samples: AtomicU64,
 }
 
 /// A snapshot of [`CostCounters`].
@@ -81,28 +75,6 @@ pub struct CostSnapshot {
     pub whole_file_syncs: u64,
     /// Total simulated nanoseconds charged.
     pub total_ns: u64,
-    /// Peak number of requests outstanding on the device at once.  Only
-    /// the multi-queue device samples the gauge (at every submission, its
-    /// synchronous writes included); a synchronous device is depth 1 by
-    /// construction and leaves it at 0.
-    pub max_inflight: u64,
-    /// Sum of the outstanding-request depth sampled at every submission
-    /// (`inflight_sum / inflight_samples` is the mean depth).
-    pub inflight_sum: u64,
-    /// Number of depth samples taken (one per submission).
-    pub inflight_samples: u64,
-}
-
-impl CostSnapshot {
-    /// Mean outstanding-request depth over all submissions (0.0 when no
-    /// request was ever submitted).
-    pub fn mean_inflight(&self) -> f64 {
-        if self.inflight_samples == 0 {
-            0.0
-        } else {
-            self.inflight_sum as f64 / self.inflight_samples as f64
-        }
-    }
 }
 
 /// The latency model applied by simulated devices and boundaries.
@@ -252,11 +224,7 @@ impl CostCounters {
     }
 
     /// Records `ns` nanoseconds of kind `kind` without injecting any
-    /// wall-clock delay.  The queued device uses this at submission time:
-    /// the charged time is the request's *service* time, but the wall-clock
-    /// wait only materializes later, when a completion is reaped — that gap
-    /// is exactly the in-flight overlap the multi-queue model exists to
-    /// express.
+    /// wall-clock delay ([`CostModel::charge`] adds the delay).
     pub fn record(&self, kind: CostKind, ns: u64) {
         match kind {
             CostKind::DeviceRead => self.reads.fetch_add(1, Ordering::Relaxed),
@@ -272,27 +240,6 @@ impl CostCounters {
         self.total_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Records one request entering the device: bumps the in-flight gauge
-    /// and folds the new depth into the max/mean statistics.  Returns the
-    /// depth observed (this request included).
-    pub fn io_submitted(&self) -> u64 {
-        let depth = self.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-        self.inflight_max.fetch_max(depth, Ordering::Relaxed);
-        self.inflight_sum.fetch_add(depth, Ordering::Relaxed);
-        self.inflight_samples.fetch_add(1, Ordering::Relaxed);
-        depth
-    }
-
-    /// Records one request completing (the in-flight gauge drops by one).
-    pub fn io_completed(&self) {
-        self.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Requests currently outstanding.
-    pub fn inflight_now(&self) -> u64 {
-        self.inflight.load(Ordering::Relaxed)
-    }
-
     /// Takes a consistent-enough snapshot of the counters.
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
@@ -304,14 +251,10 @@ impl CostCounters {
             fuse_round_trips: self.fuse_round_trips.load(Ordering::Relaxed),
             whole_file_syncs: self.whole_file_syncs.load(Ordering::Relaxed),
             total_ns: self.total_ns.load(Ordering::Relaxed),
-            max_inflight: self.inflight_max.load(Ordering::Relaxed),
-            inflight_sum: self.inflight_sum.load(Ordering::Relaxed),
-            inflight_samples: self.inflight_samples.load(Ordering::Relaxed),
         }
     }
 
-    /// Resets every counter to zero (the in-flight gauge included; callers
-    /// reset only at quiescent instants).
+    /// Resets every counter to zero.
     pub fn reset(&self) {
         self.reads.store(0, Ordering::Relaxed);
         self.writes.store(0, Ordering::Relaxed);
@@ -321,10 +264,6 @@ impl CostCounters {
         self.fuse_round_trips.store(0, Ordering::Relaxed);
         self.whole_file_syncs.store(0, Ordering::Relaxed);
         self.total_ns.store(0, Ordering::Relaxed);
-        self.inflight.store(0, Ordering::Relaxed);
-        self.inflight_max.store(0, Ordering::Relaxed);
-        self.inflight_sum.store(0, Ordering::Relaxed);
-        self.inflight_samples.store(0, Ordering::Relaxed);
     }
 }
 
@@ -397,26 +336,6 @@ mod tests {
     #[should_panic(expected = "divisor must be nonzero")]
     fn scaled_model_rejects_zero_divisor() {
         let _ = CostModel::nvme_ssd_scaled(0);
-    }
-
-    #[test]
-    fn inflight_depth_tracks_max_and_mean() {
-        let counters = CostCounters::new();
-        // Depths observed: 1, 2, 3, then drain, then 1.
-        counters.io_submitted();
-        counters.io_submitted();
-        counters.io_submitted();
-        counters.io_completed();
-        counters.io_completed();
-        counters.io_completed();
-        counters.io_submitted();
-        counters.io_completed();
-        let snap = counters.snapshot();
-        assert_eq!(snap.max_inflight, 3);
-        assert_eq!(snap.inflight_samples, 4);
-        assert_eq!(snap.inflight_sum, 1 + 2 + 3 + 1);
-        assert!((snap.mean_inflight() - 7.0 / 4.0).abs() < 1e-9);
-        assert_eq!(counters.inflight_now(), 0);
     }
 
     #[test]

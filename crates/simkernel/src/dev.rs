@@ -11,11 +11,8 @@
 //!   proportional to the number of dirty cached blocks).  This is the stand-in
 //!   for the paper's Samsung PM981 NVMe SSD.
 //!
-//! The multi-queue model, [`crate::queue::MultiQueueDevice`], implements the
-//! same trait: a batch of raw writes ([`BlockDevice::write_blocks`]) is one
-//! submission there and a loop over [`BlockDevice::write_block`] everywhere
-//! else.  Fault injection and crash recording live in crashsim's
-//! `FaultDevice`, which wraps any of these.
+//! Fault injection and crash recording live in crashsim's `FaultDevice`,
+//! which wraps either of these.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -59,10 +56,10 @@ pub trait BlockDevice: Send + Sync {
     /// failure.
     fn write_block(&self, blockno: u64, buf: &[u8]) -> KernelResult<()>;
 
-    /// Writes a batch of `(blockno, data)` blocks.  The default writes them
-    /// one by one in slice order; the multi-queue model submits the whole
-    /// batch to one queue, and the next [`BlockDevice::flush`] completes
-    /// it.  Either way, a later entry for the same block wins.
+    /// Writes a batch of `(blockno, data)` blocks, one by one in slice
+    /// order, so a later entry for the same block wins.  The journal issues
+    /// each raw run of log writes through it, which lets a wrapper see a
+    /// commit's writes as one call.
     ///
     /// # Errors
     ///

@@ -18,12 +18,6 @@
 //!   [`dev::RamDisk`] and an [`dev::SsdDevice`] wrapper that injects a
 //!   calibrated NVMe-SSD latency model (per-block read/write cost, volatile
 //!   write cache, FLUSH cost) and records statistics.
-//! * [`queue`] — the completion-based multi-queue device model
-//!   ([`queue::MultiQueueDevice`]): NVMe-style submission/completion queue
-//!   pairs with configurable depth, and cost charging that overlaps
-//!   in-flight requests instead of summing them serially.  It implements
-//!   [`dev::BlockDevice`] like the others; its batch write submits the
-//!   write-ahead log's commit epoch to one queue.
 //! * [`buffer`] — a buffer cache with xv6/Linux `bread`/`bwrite`/`brelse`
 //!   semantics; buffers are handed out as RAII guards.
 //! * [`pagecache`] — a per-file page cache with dirty tracking and both
@@ -83,7 +77,6 @@ pub mod memfs;
 pub mod metrics;
 pub mod nslock;
 pub mod pagecache;
-pub mod queue;
 pub mod shard;
 pub mod trace;
 pub mod vfs;

@@ -7,11 +7,10 @@
 //! syscall) can carry a **span**, and the instrumented wait points across
 //! the stack — namespace-lock waits ([`crate::nslock`]), journal
 //! reservation/staging/commit waits (`crates/journal`), and block-device
-//! service/backpressure time ([`crate::dev`], [`crate::queue`]) — attribute
-//! their elapsed time to the span as **phases** ([`Phase`]).  A finished
-//! span becomes a [`SpanRecord`]: total latency plus an exclusive-time
-//! breakdown, so a p99 stops being a number and becomes "61% commit-wait,
-//! 24% device".
+//! service time ([`crate::dev`]) — attribute their elapsed time to the
+//! span as **phases** ([`Phase`]).  A finished span becomes a
+//! [`SpanRecord`]: total latency plus an exclusive-time breakdown, so a p99
+//! stops being a number and becomes "61% commit-wait, 24% device".
 //!
 //! # Design
 //!
@@ -75,8 +74,7 @@ pub enum Phase {
     /// Waiting for — or performing the non-I/O part of — a group commit,
     /// flush, or recovery replay.
     CommitWait,
-    /// Block-device time: service cost and submission-queue backpressure
-    /// waits ([`crate::dev`], [`crate::queue`]).
+    /// Block-device service time ([`crate::dev`]).
     DevIo,
 }
 

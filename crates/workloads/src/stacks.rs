@@ -15,9 +15,8 @@
 //! No mount takes an option: the buffer caches, page caches, fd tables and
 //! allocation groups all keep their automatic sharding, because sweeping
 //! those counts moved no measured row outside tolerance.  A caller that
-//! wants another device (the crash harness's recorder, a fault wrapper,
-//! the queued [`simkernel::queue::MultiQueueDevice`]) builds it and mounts
-//! it with [`format()`] + [`mount_stack_on`].
+//! wants another device (the crash harness's recorder, a fault wrapper)
+//! builds it and mounts it with [`format()`] + [`mount_stack_on`].
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -265,16 +264,7 @@ pub fn mount_stack(
     model: CostModel,
     disk_blocks: u64,
 ) -> KernelResult<MountedStack> {
-    mount_blank(stack, Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone())), model)
-}
-
-/// Formats a blank `device` for `stack` and mounts it ([`mount_stack`] on
-/// any device).
-fn mount_blank(
-    stack: FsStack,
-    device: Arc<dyn BlockDevice>,
-    model: CostModel,
-) -> KernelResult<MountedStack> {
+    let device: Arc<dyn BlockDevice> = Arc::new(SsdDevice::ram_backed(disk_blocks, model.clone()));
     match stack {
         // ext4sim's mount by name reads block 0 for a blank device before
         // it formats; the experiments' ext4sim counters start from that
@@ -288,7 +278,6 @@ fn mount_blank(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkernel::queue::{MultiQueueDevice, QueueConfig};
     use simkernel::vfs::OpenFlags;
 
     #[test]
@@ -340,11 +329,8 @@ mod tests {
     }
 
     /// Formatting and mounting, with nothing run yet: the device traffic
-    /// (and the empty log) every stack's counters start from, on the
-    /// synchronous and on the queued device.  These are the figures of the mount by name through each
-    /// stack's registered file system type that [`mount_stack`] ran
-    /// before it formatted and mounted in two steps; ext4sim's 15 reads
-    /// include the probe of block 0 for a blank device.
+    /// (and the empty log) every stack's counters start from.  ext4sim's
+    /// reads include the probe of block 0 for a blank device.
     #[test]
     fn mount_time_traffic_is_pinned() {
         const XV6: [(&str, u64); 8] = [
@@ -359,7 +345,7 @@ mod tests {
         ];
         const EXT4: [(&str, u64); 8] = [
             ("dev_flushes", 4),
-            ("dev_reads", 15),
+            ("dev_reads", 14),
             ("dev_writes", 12),
             ("log_barriers", 0),
             ("log_blocks", 0),
@@ -377,14 +363,9 @@ mod tests {
             let label = stack.label();
             let expected: BTreeMap<String, u64> =
                 expected.iter().map(|&(name, value)| (format!("{label}.{name}"), value)).collect();
-            let sync = mount_stack(stack, CostModel::zero(), 16_384).unwrap();
-            assert_eq!(sync.counters(), expected, "{label} synchronous");
-            sync.unmount().unwrap();
-            let config = QueueConfig { queue_depth: 8, ..QueueConfig::default() };
-            let device = MultiQueueDevice::ram_backed(16_384, CostModel::zero(), config);
-            let queued = mount_blank(stack, Arc::new(device), CostModel::zero()).unwrap();
-            assert_eq!(queued.counters(), expected, "{label} queued");
-            queued.unmount().unwrap();
+            let mounted = mount_stack(stack, CostModel::zero(), 16_384).unwrap();
+            assert_eq!(mounted.counters(), expected, "{label}");
+            mounted.unmount().unwrap();
         }
     }
 
