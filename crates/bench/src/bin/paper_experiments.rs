@@ -94,7 +94,7 @@ const EXPERIMENTS: &[Experiment] = &[
         ctx.run(name, "Table 6: macrobenchmarks", |c| table6_macrobenchmarks(&c.cfg))
     }),
     ("scaling", |ctx, name| {
-        ctx.run(name, "Scaling: 1-32 threads, zero-cost device, disjoint files (ops/sec + write-path batching)", |c| scaling_experiment(&c.cfg))
+        ctx.run(name, "Scaling: thread counts 1-32, zero-cost device, disjoint files (ops/sec + write-path batching)", |c| scaling_experiment(&c.cfg))
     }),
     // Crash-consistency: enumerate crash states of a seeded 200-op trace on
     // every stack; any fsck or fsync-durability violation fails the

@@ -162,6 +162,12 @@ fn paper_of(table: &[(&str, f64)], stack: FsStack) -> Option<f64> {
     table.iter().find(|(name, _)| *name == stack.label()).map(|(_, v)| *v)
 }
 
+/// A figure row's access pattern and the thread count that ran it:
+/// `seq-1t`, `rnd-8t`, ….
+fn point_label(pattern: AccessPattern, threads: usize) -> String {
+    format!("{}-{threads}t", pattern.label())
+}
+
 /// Table 1: the bug study counts and derived percentages.
 pub fn table1_bug_analysis() -> Vec<Row> {
     let study = BugStudy::published();
@@ -196,9 +202,9 @@ pub fn table2_mechanism_comparison() -> Vec<(String, [&'static str; 4])> {
 /// The read loop of Figures 2 and 3 on every xv6 stack: `io_size` reads
 /// through a held descriptor on one shared `micro_file_size` file, warmed
 /// into the page cache first (§6.5.1: all three stacks serve reads from
-/// the same in-kernel cache), at seq/rnd × 1/32 threads, in rows labelled
-/// `{prefix}seq-1t` and so on.  Each worker reads `per_op_kib` KiB of the
-/// base op count.
+/// the same in-kernel cache), at seq/rnd × 1 and `threads_high` threads,
+/// in rows labelled `{prefix}seq-1t` and so on ([`point_label`]).  Each
+/// worker reads `per_op_kib` KiB of the base op count.
 fn read_rows(
     (experiment, prefix): (&str, &str),
     cfg: &ExperimentConfig,
@@ -208,13 +214,13 @@ fn read_rows(
 ) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
-        for (pattern, threads, label) in [
-            (AccessPattern::Sequential, 1, "seq-1t"),
-            (AccessPattern::Sequential, cfg.threads_high, "seq-32t"),
-            (AccessPattern::Random, 1, "rnd-1t"),
-            (AccessPattern::Random, cfg.threads_high, "rnd-32t"),
+        for (pattern, threads) in [
+            (AccessPattern::Sequential, 1),
+            (AccessPattern::Sequential, cfg.threads_high),
+            (AccessPattern::Random, 1),
+            (AccessPattern::Random, cfg.threads_high),
         ] {
-            let config = format!("{prefix}{label}");
+            let config = format!("{prefix}{}", point_label(pattern, threads));
             let spec = WorkloadSpec::io(false, cfg.micro_file_size, io_size, pattern);
             let ops = cfg.io_ops(io_size, per_op_kib);
             let result = measure_fresh((experiment, &config), stack, cfg, &spec, threads, ops)?;
@@ -225,8 +231,8 @@ fn read_rows(
     Ok(rows)
 }
 
-/// Figure 2: 4 KiB read ops/sec for seq/rnd × 1/32 threads, three xv6
-/// stacks.
+/// Figure 2: 4 KiB read ops/sec for seq/rnd × 1 and `threads_high`
+/// threads, three xv6 stacks.
 ///
 /// # Errors
 ///
@@ -236,7 +242,7 @@ pub fn fig2_read_4k(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
 }
 
 /// Figure 3: read throughput (MB/s) at 32 KiB / 128 KiB / 1024 KiB request
-/// sizes, seq/rnd × 1/32 threads.
+/// sizes, seq/rnd × 1 and `threads_high` threads.
 ///
 /// # Errors
 ///
@@ -251,8 +257,8 @@ pub fn fig3_read_throughput(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
 }
 
 /// Figure 4: write throughput (MB/s) at 32 KiB / 128 KiB / 1024 KiB request
-/// sizes for seq-1t, rnd-1t and rnd-32t: pwrites through a held descriptor
-/// into a preallocated shared file.  Each configuration writes 32 KiB per
+/// sizes for seq-1t, rnd-1t and rnd-Nt (N = `threads_high`): pwrites
+/// through a held descriptor into a preallocated shared file.  Each configuration writes 32 KiB per
 /// op of the base count in all, split over its threads, so every row
 /// spans several write-back passes (the page cache writes back at 512
 /// dirty pages).
@@ -264,12 +270,12 @@ pub fn fig4_write_throughput(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
         for io_size in [32 * 1024usize, 128 * 1024, 1024 * 1024] {
-            for (pattern, threads, label) in [
-                (AccessPattern::Sequential, 1, "seq-1t"),
-                (AccessPattern::Random, 1, "rnd-1t"),
-                (AccessPattern::Random, cfg.threads_high, "rnd-32t"),
+            for (pattern, threads) in [
+                (AccessPattern::Sequential, 1),
+                (AccessPattern::Random, 1),
+                (AccessPattern::Random, cfg.threads_high),
             ] {
-                let config = format!("{}k-{label}", io_size / 1024);
+                let config = format!("{}k-{}", io_size / 1024, point_label(pattern, threads));
                 let spec = WorkloadSpec::io(true, cfg.micro_file_size, io_size, pattern);
                 let ops = (cfg.io_ops(io_size, 32) / threads as u64).max(1);
                 let result = measure_fresh(("fig4", &config), stack, cfg, &spec, threads, ops)?;
@@ -280,8 +286,9 @@ pub fn fig4_write_throughput(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     Ok(rows)
 }
 
-/// Tables 4 and 5 on the xv6 stacks at 1 and 32 threads, in ops/sec next
-/// to the paper's values (`paper[0]` for 1 thread, `paper[1]` for 32):
+/// Tables 4 and 5 on the xv6 stacks at 1 and `threads_high` threads, in
+/// ops/sec next to the paper's values (`paper[0]` for 1 thread, `paper[1]`
+/// for the paper's 32), in rows labelled by the thread count that ran:
 /// `point(threads)` gives the spec and the ops per thread.
 fn file_micro_rows(
     experiment: &str,
@@ -291,21 +298,23 @@ fn file_micro_rows(
 ) -> BenchResult<Vec<Row>> {
     let mut rows = Vec::new();
     for stack in FsStack::xv6_variants() {
-        for ((threads, label), paper) in
-            [(1, "1 thread"), (cfg.threads_high, "32 threads")].into_iter().zip(&paper)
-        {
+        for (threads, paper) in [1, cfg.threads_high].into_iter().zip(&paper) {
+            let label = match threads {
+                1 => "1 thread".to_string(),
+                n => format!("{n} threads"),
+            };
             let (spec, ops) = point(threads);
-            let result = measure_fresh((experiment, label), stack, cfg, &spec, threads, ops)?;
+            let result = measure_fresh((experiment, &label), stack, cfg, &spec, threads, ops)?;
             let (value, paper) = (result.ops_per_sec(), paper_of(paper, stack));
-            rows.push(Row::new(experiment, label, stack.label(), value, "ops/sec", paper));
+            rows.push(Row::new(experiment, &label, stack.label(), value, "ops/sec", paper));
         }
     }
     Ok(rows)
 }
 
-/// Table 4: file creation ops/sec, 1 and 32 threads: each thread creates
-/// 16 KiB files in its own directory, half the base op count each (at
-/// most 8 000 files over all threads).
+/// Table 4: file creation ops/sec, 1 and `threads_high` threads: each
+/// thread creates 16 KiB files in its own directory, half the base op
+/// count each (at most 8 000 files over all threads).
 ///
 /// # Errors
 ///
@@ -320,10 +329,10 @@ pub fn table4_create(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     })
 }
 
-/// Table 5: file deletion ops/sec, 1 and 32 threads: each thread deletes
-/// the 4 KiB files precreated in its own directory, as many as a create
-/// point's thread creates, so the high-thread point times thousands of
-/// deletes rather than its threads' start-up.
+/// Table 5: file deletion ops/sec, 1 and `threads_high` threads: each
+/// thread deletes the 4 KiB files precreated in its own directory, as many
+/// as a create point's thread creates, so the high-thread point times
+/// thousands of deletes rather than its threads' start-up.
 ///
 /// # Errors
 ///
@@ -387,8 +396,8 @@ pub fn table6_macrobenchmarks(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
     Ok(rows)
 }
 
-/// The thread counts swept by [`scaling_experiment`]: the paper evaluates 1
-/// and 32 threads; the sweep fills in the curve between them.
+/// The thread counts swept by [`scaling_experiment`]: the paper evaluates a
+/// single thread and 32; the sweep fills in the curve between them.
 pub const SCALING_THREADS: [usize; 6] = [1, 2, 4, 8, 16, 32];
 
 /// The thread counts of the NVMe group-commit pass of the scaling sweep.
@@ -457,9 +466,9 @@ pub fn scaling_create(
     Ok(CreatePoint { result, write_path })
 }
 
-/// Concurrency scaling sweep: 1 → 32 threads over the read / write / create
-/// microbenchmarks on the Bento and VFS stacks, with the device cost model
-/// *disabled* (zero-cost preset).
+/// Concurrency scaling sweep: thread counts 1 → 32 over the read / write /
+/// create microbenchmarks on the Bento and VFS stacks, with the device cost
+/// model *disabled* (zero-cost preset).
 ///
 /// With no modelled device time, all that remains on the hot path is
 /// software: the stack's own code plus every lock the simulated kernel
@@ -613,9 +622,10 @@ pub fn crash_experiment(cfg: &ExperimentConfig) -> BenchResult<Vec<Row>> {
             // replays from the seed (FUSE requests carry the caller's xv6
             // allocation home): a rerun of this seed shows the same trace.
             let mut msg = format!(
-                "crash oracle violations on {}: {} found across {} states \
+                "crash oracle violations on {}: {} in {} of {} states \
                  (seed {:#x}, {} ops, {} fsync points, {} trace writes in {} epochs)",
                 report.stack,
+                report.errors_per_state.iter().sum::<usize>(),
                 report.violations_found,
                 report.states_checked,
                 crash_cfg.seed,

@@ -21,6 +21,7 @@
 //! injections — derives from the seed in [`CrashTestConfig`], so a failing
 //! run replays exactly from `(stack, seed, ops)`.
 
+use std::fmt;
 use std::sync::Arc;
 
 use rand::rngs::SmallRng;
@@ -70,7 +71,8 @@ pub struct CrashTestConfig {
     pub disk_blocks: u64,
     /// Crash-state generation mode.
     pub mode: CrashMode,
-    /// Cap on *recorded* violations (the total found is always counted).
+    /// Cap on violations *formatted* into the report (every one is
+    /// counted).
     pub max_violations: usize,
 }
 
@@ -103,9 +105,11 @@ pub struct CrashReport {
     pub trace_epochs: usize,
     /// Crash states materialized and checked.
     pub states_checked: usize,
-    /// Total oracle violations found.
+    /// Crash states in which an oracle found at least one violation.
     pub violations_found: usize,
-    /// Recorded violation details (capped at `max_violations`).
+    /// Violations found in each checked state, in enumeration order.
+    pub errors_per_state: Vec<usize>,
+    /// The first `max_violations` violations, formatted.
     pub violations: Vec<Violation>,
 }
 
@@ -176,61 +180,23 @@ pub fn run_crash_test_inspected(
         CrashMode::Prefixes => prefix_states(&trace, &image),
         CrashMode::Sampled { states } => sampled_states(&trace, &image, cfg.seed, states),
     };
+    // Every violation is counted against its state; only the first
+    // `max_violations` of the run are formatted (a badly broken image can
+    // fail fsck thousands of times).
     let mut violations: Vec<Violation> = Vec::new();
-    let mut violations_found = 0usize;
-    let record = |violations: &mut Vec<Violation>, found: &mut usize, list: Vec<Violation>| {
-        for violation in list {
-            *found += 1;
-            if violations.len() < cfg.max_violations {
-                violations.push(violation);
-            }
-        }
-    };
+    let mut errors_per_state = Vec::with_capacity(states.len());
     for state in &states {
         inspect(state);
-        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-        let mounted = match mount_stack_on(stack, disk, CostModel::zero(), planted) {
-            Ok(mounted) => mounted,
-            Err(e) => {
-                record(
-                    &mut violations,
-                    &mut violations_found,
-                    vec![Violation {
-                        state: state.description.clone(),
-                        detail: format!("remount failed: {e}"),
-                    }],
-                );
-                continue;
+        let mut errors = 0usize;
+        let mut violate = |detail: fmt::Arguments<'_>| {
+            errors += 1;
+            if violations.len() < cfg.max_violations {
+                let state = state.description.clone();
+                violations.push(Violation { state, detail: detail.to_string() });
             }
         };
-        // Structural oracle (after recovery ran during mount).
-        let structural = match mounted.check() {
-            Ok(errors) => errors
-                .into_iter()
-                .map(|error| Violation {
-                    state: state.description.clone(),
-                    detail: format!("fsck: {error}"),
-                })
-                .collect(),
-            Err(e) => vec![Violation {
-                state: state.description.clone(),
-                detail: format!("fsck aborted with I/O error: {e}"),
-            }],
-        };
-        record(&mut violations, &mut violations_found, structural);
-        // Durability oracle.  An *error* while evaluating it (e.g. the
-        // root inode vanished, a directory walk hit garbage) means the
-        // recovered image is broken — report it as a violation of this
-        // state rather than aborting the whole run.
-        let durability = match model.verify(&*mounted.fs, &state.description, state.durable_events)
-        {
-            Ok(list) => list,
-            Err(e) => vec![Violation {
-                state: state.description.clone(),
-                detail: format!("durability oracle aborted: {e}"),
-            }],
-        };
-        record(&mut violations, &mut violations_found, durability);
+        check_state(stack, planted, &model, state, &mut violate);
+        errors_per_state.push(errors);
     }
 
     Ok(CrashReport {
@@ -240,9 +206,36 @@ pub fn run_crash_test_inspected(
         trace_writes: trace.write_count(),
         trace_epochs: epochs,
         states_checked: states.len(),
-        violations_found,
+        violations_found: errors_per_state.iter().filter(|&&errors| errors > 0).count(),
+        errors_per_state,
         violations,
     })
+}
+
+/// Remounts one crash state — recovery runs in the mount — and hands every
+/// violation of the structural (fsck) and durability oracles to `violate`.
+fn check_state(
+    stack: FsStack,
+    planted: PlantedFault,
+    model: &WorkloadModel,
+    state: &CrashState,
+    violate: &mut dyn FnMut(fmt::Arguments<'_>),
+) {
+    let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+    let mounted = match mount_stack_on(stack, disk, CostModel::zero(), planted) {
+        Ok(mounted) => mounted,
+        Err(e) => return violate(format_args!("remount failed: {e}")),
+    };
+    match mounted.check() {
+        Ok(errors) => errors.iter().for_each(|error| violate(format_args!("fsck: {error}"))),
+        Err(e) => violate(format_args!("fsck aborted with I/O error: {e}")),
+    }
+    // An *error* while evaluating the durability oracle (e.g. the root
+    // inode vanished, a directory walk hit garbage) means the recovered
+    // image is broken: a violation of this state, not an abort of the run.
+    if let Err(e) = model.verify(&*mounted.fs, state.durable_events, violate) {
+        violate(format_args!("durability oracle aborted: {e}"));
+    }
 }
 
 // ---------------------------------------------------------------------------

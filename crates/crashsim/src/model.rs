@@ -22,6 +22,7 @@
 //! old/new/absent is legal for data that was never fsync'd.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 
 use simkernel::error::{Errno, KernelResult};
 use simkernel::vfs::{FileType, VfsFs, PAGE_SIZE};
@@ -165,27 +166,24 @@ impl WorkloadModel {
 
     /// Runs the durability oracle against a recovered file system.
     ///
-    /// `state` labels the crash state in reported violations;
-    /// `durable_events` is the crash state's durable prefix length.
+    /// `durable_events` is the crash state's durable prefix length.  Each
+    /// violation goes to `violate` unformatted, so a caller that keeps only
+    /// a few builds only their strings.
     ///
     /// # Errors
     ///
-    /// Propagates device I/O errors (oracle *violations* are returned in
-    /// the vector, not as errors).
+    /// Propagates device I/O errors (oracle *violations* go to `violate`,
+    /// not into the error).
     pub fn verify(
         &self,
         fs: &dyn VfsFs,
-        state: &str,
         durable_events: usize,
-    ) -> KernelResult<Vec<Violation>> {
-        let mut violations = Vec::new();
+        violate: &mut dyn FnMut(fmt::Arguments<'_>),
+    ) -> KernelResult<()> {
         let Some(snapshot) = self.snapshot_for(durable_events) else {
-            return Ok(violations); // nothing was ever promised durable
+            return Ok(()); // nothing was ever promised durable
         };
         let dirty = self.dirty_after(snapshot.op_index);
-        let mut violate = |detail: String| {
-            violations.push(Violation { state: state.to_string(), detail });
-        };
 
         // 1. Stable directories exist.
         for dir in &snapshot.tree.dirs {
@@ -194,8 +192,8 @@ impl WorkloadModel {
             }
             match resolve(fs, dir)? {
                 Some(attr) if attr.kind == FileType::Directory => {}
-                Some(_) => violate(format!("stable directory '{dir}' is not a directory")),
-                None => violate(format!("stable directory '{dir}' missing after recovery")),
+                Some(_) => violate(format_args!("stable directory '{dir}' is not a directory")),
+                None => violate(format_args!("stable directory '{dir}' missing after recovery")),
             }
         }
         // 2. Stable, untouched files exist byte-for-byte.
@@ -206,16 +204,16 @@ impl WorkloadModel {
             let attr = match resolve(fs, path)? {
                 Some(attr) if attr.kind == FileType::Regular => attr,
                 Some(_) => {
-                    violate(format!("stable file '{path}' is not a regular file"));
+                    violate(format_args!("stable file '{path}' is not a regular file"));
                     continue;
                 }
                 None => {
-                    violate(format!("stable file '{path}' missing after recovery"));
+                    violate(format_args!("stable file '{path}' missing after recovery"));
                     continue;
                 }
             };
             if attr.size != content.len() as u64 {
-                violate(format!(
+                violate(format_args!(
                     "stable file '{path}': size {} != fsync'd {}",
                     attr.size,
                     content.len()
@@ -229,7 +227,9 @@ impl WorkloadModel {
                 let n = fs.read_page(attr.ino, page_index, &mut page)?;
                 let expect = (content.len() - offset).min(PAGE_SIZE);
                 if n < expect || page[..expect] != content[offset..offset + expect] {
-                    violate(format!("stable file '{path}': content differs at offset {offset}"));
+                    violate(format_args!(
+                        "stable file '{path}': content differs at offset {offset}"
+                    ));
                     break;
                 }
                 offset += expect;
@@ -243,15 +243,15 @@ impl WorkloadModel {
         walk(fs, fs.root_ino(), String::new(), &mut on_disk_files, &mut on_disk_dirs, 0)?;
         for path in on_disk_files {
             if !snapshot.tree.files.contains_key(&path) && !dirty.contains(path.as_str()) {
-                violate(format!("unexpected file '{path}' present after recovery"));
+                violate(format_args!("unexpected file '{path}' present after recovery"));
             }
         }
         for path in on_disk_dirs {
             if !snapshot.tree.dirs.contains(&path) && !dirty.contains(path.as_str()) {
-                violate(format!("unexpected directory '{path}' present after recovery"));
+                violate(format_args!("unexpected directory '{path}' present after recovery"));
             }
         }
-        Ok(violations)
+        Ok(())
     }
 }
 

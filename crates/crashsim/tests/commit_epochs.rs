@@ -6,7 +6,11 @@
 //! each epoch writes, and in what order, may not — a change there is a
 //! change of the commit protocol, for the crash suites to judge.  The
 //! pinned figures are the protocol's as it stood when the commit record
-//! and header clears stopped passing through the buffer cache.  Within
+//! and header clears stopped passing through the buffer cache, less one
+//! payload block on C-Kernel: since an inode whose bytes did not change is
+//! not logged, its per-page commit of the rewrite's first page (epoch 21,
+//! an overwrite inside EOF) carries the data block without `f0`'s inode
+//! block.  Within
 //! every epoch that writes a log-region header, the header is the last
 //! write: a commit's installs and payload go first, and a clear is alone.
 
@@ -115,7 +119,7 @@ fn bento_xv6_epochs_are_pinned() {
 
 #[test]
 fn ckernel_xv6_epochs_are_pinned() {
-    check(FsStack::VfsXv6, (31, 118, 14_971_557_888_418_873_087));
+    check(FsStack::VfsXv6, (31, 117, 9_007_065_353_393_410_151));
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! the payload digest at recovery, installs strictly after the commit
 //! barrier, the barriers ahead of a checkpoint's header clears, and
 //! installs of the frozen block rather than the buffer's current bytes.
-//! One more rule is the allocator's: a fresh data block skips its zero
-//! fill only when its first write covers it whole.
+//! Two more rules are the xv6 binding's: a fresh data block skips its
+//! zero fill only when its first write covers it whole, and an inode is
+//! skipped by the log only when none of its bytes changed.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -26,7 +27,7 @@ use parking_lot::Mutex;
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, DeviceStats, RamDisk};
 use simkernel::error::KernelResult;
-use simkernel::vfs::{FileMode, PAGE_SIZE};
+use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 use workloads::{format, mount_stack_on, FsStack};
 use xv6fs::log::Log;
 use xv6fs::mkfs::mkfs_on_device;
@@ -138,6 +139,24 @@ fn the_same_run_with_nothing_planted_is_clean() {
 #[test]
 fn recovery_that_skips_the_payload_digest_is_caught() {
     assert_caught(FsStack::BentoXv6, &config(), PlantedFault::TrustHeaderChecksum);
+}
+
+/// A badly broken image fails fsck thousands of times per state: the
+/// report counts each bad state once, keeps the per-state error counts,
+/// and formats no more than `max_violations` of them.
+#[test]
+fn a_broken_run_counts_bad_states_and_formats_only_the_kept_violations() {
+    let cfg =
+        CrashTestConfig { ops: 120, max_violations: 8, ..CrashTestConfig::standard(0xBAD0B10) };
+    let report =
+        run_crash_test_planted(FsStack::BentoXv6, &cfg, PlantedFault::TrustHeaderChecksum).unwrap();
+    let errors = &report.errors_per_state;
+    assert_eq!(errors.len(), report.states_checked);
+    let bad = errors.iter().filter(|&&n| n > 0).count();
+    assert!(bad > 0, "the planted fault went undetected");
+    assert_eq!(report.violations_found, bad, "one count per bad state");
+    assert!(errors.iter().sum::<usize>() > 10 * bad, "many errors per bad state: {errors:?}");
+    assert_eq!(report.violations.len(), cfg.max_violations, "formatted only the kept ones");
 }
 
 /// (b) A group half installed with no durable record to finish it from.
@@ -314,33 +333,23 @@ fn installing_the_live_buffer_instead_of_the_frozen_block_is_caught() {
     assert!(!violations.is_empty(), "the live-buffer install went undetected");
 }
 
-/// Bento xv6 with `fault` planted, on a recorder: a file fills one page
-/// with `0xEE` and is deleted, which frees its block; a new file takes
-/// that block with a 100-byte first write (a partial page at end of file),
-/// then grows by a whole second page, so the rest of its first block lies
-/// inside the file and must read as zeros, and is fsynced.  Every sampled
-/// crash state whose durable prefix covers that fsync must read the new
-/// file back exactly, and every state must pass fsck.
-fn partial_first_write_violations(fault: PlantedFault) -> Vec<String> {
+/// Bento xv6 with `fault` planted, on a recorder: `script` runs against
+/// the mount and ends with file `new` holding `expected`, fsynced.  Every
+/// sampled crash state whose durable prefix covers that fsync must read
+/// the file back exactly, and every state must pass fsck.
+fn fsynced_file_violations(
+    fault: PlantedFault,
+    expected: &[u8],
+    script: impl FnOnce(&dyn VfsFs),
+) -> Vec<String> {
     let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
     format(FsStack::BentoXv6, &base, 256).unwrap();
     let image = Arc::new(DiskImage::capture(&base).unwrap());
     let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
-    let mut expected = vec![0u8; 2 * PAGE_SIZE];
-    expected[..100].fill(0x11);
-    expected[PAGE_SIZE..].fill(0x22);
     let acked = {
         let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
         let fs = mount_stack_on(FsStack::BentoXv6, dev, CostModel::zero(), fault).unwrap().fs;
-        let root = fs.root_ino();
-        let old = fs.create(root, "old", FileMode::regular()).unwrap().ino;
-        fs.write_page(old, 0, &[0xEE; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
-        fs.fsync(old, false).unwrap();
-        fs.unlink(root, "old").unwrap();
-        let new = fs.create(root, "new", FileMode::regular()).unwrap().ino;
-        fs.write_page(new, 0, &expected[..PAGE_SIZE], 100).unwrap();
-        fs.write_page(new, 1, &expected[PAGE_SIZE..], 2 * PAGE_SIZE as u64).unwrap();
-        fs.fsync(new, false).unwrap();
+        script(&*fs);
         let acked = recorder.durable_event_count();
         fs.destroy().unwrap();
         acked
@@ -353,10 +362,10 @@ fn partial_first_write_violations(fault: PlantedFault) -> Vec<String> {
             mount_stack_on(FsStack::BentoXv6, disk, CostModel::zero(), PlantedFault::None).unwrap();
         let fs = &mounted.fs;
         if state.durable_events >= acked {
-            let mut file = vec![0u8; 2 * PAGE_SIZE];
+            let mut file = vec![0u8; expected.len()];
             let intact = fs.lookup(fs.root_ino(), "new").is_ok_and(|attr| {
                 let mut pages: Vec<&mut [u8]> = file.chunks_mut(PAGE_SIZE).collect();
-                fs.read_pages(attr.ino, 0, &mut pages).is_ok_and(|n| n == 2 * PAGE_SIZE)
+                fs.read_pages(attr.ino, 0, &mut pages).is_ok_and(|n| n == expected.len())
             });
             if !intact || file != expected {
                 let stale = file.iter().filter(|&&b| b == 0xEE).count();
@@ -372,6 +381,27 @@ fn partial_first_write_violations(fault: PlantedFault) -> Vec<String> {
     violations
 }
 
+/// A file fills one page with `0xEE` and is deleted, which frees its
+/// block; a new file takes that block with a 100-byte first write (a
+/// partial page at end of file), then grows by a whole second page, so the
+/// rest of its first block lies inside the file and must read as zeros.
+fn partial_first_write_violations(fault: PlantedFault) -> Vec<String> {
+    let mut expected = vec![0u8; 2 * PAGE_SIZE];
+    expected[..100].fill(0x11);
+    expected[PAGE_SIZE..].fill(0x22);
+    fsynced_file_violations(fault, &expected, |fs| {
+        let root = fs.root_ino();
+        let old = fs.create(root, "old", FileMode::regular()).unwrap().ino;
+        fs.write_page(old, 0, &[0xEE; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+        fs.fsync(old, false).unwrap();
+        fs.unlink(root, "old").unwrap();
+        let new = fs.create(root, "new", FileMode::regular()).unwrap().ino;
+        fs.write_page(new, 0, &expected[..PAGE_SIZE], 100).unwrap();
+        fs.write_page(new, 1, &expected[PAGE_SIZE..], 2 * PAGE_SIZE as u64).unwrap();
+        fs.fsync(new, false).unwrap();
+    })
+}
+
 /// (e) A fresh block handed out without its zero fill for a partial first
 /// write: the freed file's bytes reappear inside the fsynced new file.
 #[test]
@@ -379,4 +409,28 @@ fn a_partial_first_write_into_an_unzeroed_block_is_caught() {
     assert_eq!(partial_first_write_violations(PlantedFault::None), Vec::<String>::new());
     let violations = partial_first_write_violations(PlantedFault::PartialWriteSkipsZeroFill);
     assert!(violations.iter().any(|v| v.contains("stale")), "undetected: {violations:#?}");
+}
+
+/// (f) An inode judged unchanged by its size alone: a write that fills a
+/// hole inside the file changes the inode's block map, not its size, so
+/// the pointer to the filled block never reaches the log and the fsynced
+/// bytes read back as a hole.
+#[test]
+fn a_hole_fill_logged_without_its_inode_is_caught() {
+    let mut expected = vec![0u8; 3 * PAGE_SIZE];
+    expected[..PAGE_SIZE].fill(0x22);
+    expected[2 * PAGE_SIZE..].fill(0x11);
+    let violations = |fault| {
+        fsynced_file_violations(fault, &expected, |fs| {
+            let new = fs.create(fs.root_ino(), "new", FileMode::regular()).unwrap().ino;
+            let size = 3 * PAGE_SIZE as u64;
+            fs.write_page(new, 2, &expected[2 * PAGE_SIZE..], size).unwrap();
+            fs.fsync(new, false).unwrap();
+            fs.write_page(new, 0, &expected[..PAGE_SIZE], size).unwrap();
+            fs.fsync(new, false).unwrap();
+        })
+    };
+    assert_eq!(violations(PlantedFault::None), Vec::<String>::new());
+    let caught = violations(PlantedFault::SizeOnlyInodeCompare);
+    assert!(caught.iter().any(|v| v.contains("new file wrong")), "undetected: {caught:#?}");
 }

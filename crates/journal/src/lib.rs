@@ -201,6 +201,12 @@ pub enum PlantedFault {
     /// block held before it was freed reappear around that write.  The
     /// journal itself ignores it; the xv6 allocator acts on it.
     PartialWriteSkipsZeroFill,
+    /// The xv6 binding skips logging an inode whose size is unchanged, as
+    /// if nothing else in it could change, so a write that fills a hole
+    /// inside the file maps its block only in memory and a crash loses
+    /// the data an fsync acknowledged.  The journal itself ignores it; the
+    /// xv6 `update_inode` acts on it.
+    SizeOnlyInodeCompare,
 }
 
 /// One logged block: home address, modification version (orders snapshots

@@ -110,7 +110,8 @@ impl Log {
     }
 
     /// The fault planted in this log, for the parts of the binding that
-    /// act on one ([`PlantedFault::PartialWriteSkipsZeroFill`]).
+    /// act on one ([`PlantedFault::PartialWriteSkipsZeroFill`],
+    /// [`PlantedFault::SizeOnlyInodeCompare`]).
     pub(crate) fn planted(&self) -> PlantedFault {
         self.fault
     }
