@@ -416,6 +416,7 @@ fn write_path_delta(before: &WritePathStats, after: &WritePathStats) -> WritePat
         log_blocks: after.log_blocks.saturating_sub(before.log_blocks),
         log_installs: after.log_installs.saturating_sub(before.log_installs),
         log_barriers: after.log_barriers.saturating_sub(before.log_barriers),
+        direct_blocks: after.direct_blocks.saturating_sub(before.direct_blocks),
         alloc_per_group: after
             .alloc_per_group
             .iter()

@@ -8,10 +8,11 @@
 //!
 //! * a **clean unmount** checkpoints, so every log header is clear and the
 //!   next mount replays nothing (and writes nothing),
-//! * a **live upgrade** hands the log tail — live headers and pending
-//!   copies — to the new instance, which neither replays the live records
-//!   nor forgets to install and clear them, and touches no device block in
-//!   the pause,
+//! * a **live upgrade** hands the log tail — live headers, the direct
+//!   homes their records name, and pending copies — to the new instance,
+//!   which neither replays the live records nor forgets to install and
+//!   clear them, nor sends a fresh block home over a direct home they
+//!   name, and touches no device block in the pause,
 //! * a **crash** right after an acknowledged `fsync` finds the newest
 //!   record valid and its installs missing from the medium — and recovery
 //!   brings the acknowledged bytes back.
@@ -326,4 +327,30 @@ fn crash_after_acknowledged_fsync_replays_the_uncleared_record() {
     assert_eq!(fs.read(&req, &sb, attr.ino, fh, 0, &mut read_back).unwrap(), payload.len());
     assert_eq!(read_back, payload);
     assert!(xv6fs::fsck::fsck_device(&disk).unwrap().is_clean());
+}
+
+#[test]
+fn an_upgrade_carries_the_direct_homes_of_the_live_records() {
+    let recorder = formatted_recorder();
+    let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
+    let (fs, sb) = attach(&dev);
+    let req = Request::kernel();
+    let created = fs.create(&req, &sb, 1, "old", FileMode::regular(), OpenFlags::RDWR).unwrap();
+    let ino = created.attr.ino;
+    fs.write(&req, &sb, ino, created.fh, 0, &[0xEE; PAGE_SIZE]).unwrap();
+
+    let bundle = fs.extract_state(&req, &sb).unwrap();
+    let carried: Vec<Vec<u64>> = bundle.get("log_direct_homes").unwrap();
+    assert_eq!(carried.concat().len(), 1, "the new data block went home directly");
+    let successor = Xv6FileSystem::with_label("xv6fs-v2");
+    successor.restore_state(&req, &sb, bundle).unwrap();
+    // The freed block, allocated again while the predecessor's record
+    // naming it is live, is logged rather than sent home over it.
+    successor.release(&req, &sb, ino, created.fh).unwrap();
+    successor.unlink(&req, &sb, 1, "old").unwrap();
+    let new = successor.create(&req, &sb, 1, "new", FileMode::regular(), OpenFlags::RDWR).unwrap();
+    successor.write(&req, &sb, new.attr.ino, new.fh, 0, &[0x11; PAGE_SIZE]).unwrap();
+    assert_eq!(successor.log_stats().demoted, 1);
+    successor.destroy(&req, &sb).unwrap();
+    assert!(xv6fs::fsck::fsck_device(&dev).unwrap().is_clean());
 }

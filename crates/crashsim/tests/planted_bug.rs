@@ -12,16 +12,22 @@
 //! installs of the frozen block rather than the buffer's current bytes.
 //! Two more rules are the xv6 binding's: a fresh data block skips its
 //! zero fill only when its first write covers it whole, and an inode is
-//! skipped by the log only when none of its bytes changed.
+//! skipped by the log only when none of its bytes changed.  Three guard
+//! the blocks a group allocates and writes straight home: recovery checks
+//! each direct home against its record, and a fresh block is logged
+//! instead while an older copy of it is live or when its own group freed
+//! it.
 
+use std::collections::HashMap;
 use std::sync::mpsc;
 use std::sync::Arc;
 
 use bento::bentoks::{KernelBlockIo, SuperBlock};
 use crashsim::{
-    prefix_states, run_crash_test, run_crash_test_planted, sampled_states, CrashMode,
-    CrashTestConfig, DiskImage, FaultConfig, FaultDevice,
+    prefix_states, run_crash_test, run_crash_test_planted, sampled_states, CrashMode, CrashState,
+    CrashTestConfig, DiskImage, Event, FaultConfig, FaultDevice, SnapshotDisk, WriteTrace,
 };
+use journal::record::{parse_head, LOG_HEAD_MAX_ENTRIES};
 use journal::PlantedFault;
 use parking_lot::Mutex;
 use simkernel::cost::CostModel;
@@ -29,6 +35,8 @@ use simkernel::dev::{BlockDevice, DeviceStats, RamDisk};
 use simkernel::error::KernelResult;
 use simkernel::vfs::{FileMode, VfsFs, PAGE_SIZE};
 use workloads::{format, mount_stack_on, FsStack};
+use xv6fs::core::FsCore;
+use xv6fs::layout::T_FILE;
 use xv6fs::log::Log;
 use xv6fs::mkfs::mkfs_on_device;
 
@@ -433,4 +441,188 @@ fn a_hole_fill_logged_without_its_inode_is_caught() {
     assert_eq!(violations(PlantedFault::None), Vec::<String>::new());
     let caught = violations(PlantedFault::SizeOnlyInodeCompare);
     assert!(caught.iter().any(|v| v.contains("new file wrong")), "undetected: {caught:#?}");
+}
+
+/// For each epoch of `trace` that ends in a commit record naming direct
+/// homes, the crash state in which every write up to that record reached
+/// the medium except the direct ones: the write cache persisted the record
+/// ahead of the blocks the group wrote straight home.
+fn direct_writes_lost(trace: &WriteTrace, image: &Arc<DiskImage>) -> Vec<CrashState> {
+    let mut durable: HashMap<u64, Arc<Vec<u8>>> = HashMap::new();
+    let mut states = Vec::new();
+    for epoch in trace.epochs() {
+        let writes: Vec<(u64, &Vec<u8>)> = (trace.events[epoch.clone()].iter())
+            .filter_map(|event| match event {
+                Event::Write { blockno, data } => Some((*blockno, data)),
+                Event::Flush => None,
+            })
+            .collect();
+        let direct = (writes.last())
+            .and_then(|(_, head)| parse_head(head, LOG_HEAD_MAX_ENTRIES))
+            .map_or_else(Vec::new, |record| record.direct);
+        if !direct.is_empty() {
+            let mut overlay = durable.clone();
+            let lost = |home: &u64| direct.iter().any(|(direct, _)| direct == home);
+            for &(blockno, data) in writes.iter().filter(|(blockno, _)| !lost(blockno)) {
+                overlay.insert(blockno, Arc::new(data.clone()));
+            }
+            states.push(CrashState {
+                disk: Arc::new(SnapshotDisk::new(Arc::clone(image), overlay)),
+                description: format!("epoch {epoch:?} without its {} direct writes", direct.len()),
+                durable_events: epoch.start,
+            });
+        }
+        durable.extend(writes.into_iter().map(|(blockno, data)| (blockno, Arc::new(data.clone()))));
+    }
+    states
+}
+
+/// Bento xv6 with `fault` planted (in the run and in every recovery), on
+/// a recorder: one write gives a new file its first page, and the file is
+/// unmounted.  In every crash state
+/// that recovers the file at its new size — sampled, and each commit epoch
+/// with its record persisted ahead of its direct writes — the page must
+/// read back whole: the write is one transaction.
+fn first_page_violations(fault: PlantedFault) -> Vec<String> {
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
+    format(FsStack::BentoXv6, &base, 256).unwrap();
+    let image = Arc::new(DiskImage::capture(&base).unwrap());
+    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+    {
+        let dev = Arc::clone(&recorder) as Arc<dyn BlockDevice>;
+        let fs = mount_stack_on(FsStack::BentoXv6, dev, CostModel::zero(), fault).unwrap().fs;
+        let new = fs.create(fs.root_ino(), "new", FileMode::regular()).unwrap().ino;
+        fs.write_page(new, 0, &[0x11; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+        fs.destroy().unwrap();
+    }
+    let trace = recorder.trace();
+    let mut states = direct_writes_lost(&trace, &image);
+    assert!(!states.is_empty(), "the write sends its new block home directly");
+    states.extend(sampled_states(&trace, &image, 0xF125_7BA6, 200));
+    let mut violations = Vec::new();
+    for state in states {
+        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let mounted = mount_stack_on(FsStack::BentoXv6, disk, CostModel::zero(), fault).unwrap();
+        let fs = &mounted.fs;
+        let Ok(attr) = fs.lookup(fs.root_ino(), "new") else { continue };
+        let mut page = vec![0u8; PAGE_SIZE];
+        if attr.size > 0 && (fs.read_page(attr.ino, 0, &mut page).is_err() || page[0] != 0x11) {
+            violations.push(format!("{}: new file's page lost under its size", state.description));
+        }
+    }
+    violations
+}
+
+/// (g) Recovery that accepts a record without checking its direct homes:
+/// a record the write cache persisted ahead of a file's new data block
+/// commits the write over whatever the block held before.
+#[test]
+fn recovery_that_skips_the_direct_home_check_is_caught() {
+    assert_eq!(first_page_violations(PlantedFault::None), Vec::<String>::new());
+    let caught = first_page_violations(PlantedFault::UncheckedDirectHome);
+    assert!(caught.iter().any(|v| v.contains("page lost")), "undetected: {caught:#?}");
+}
+
+/// (h) A fresh block sent home while an older copy of it is live: the
+/// freed file's overwrite of its block is still pending and its record
+/// live when the new file takes the block, so recovery replays the old
+/// bytes over the new file's fsynced page.
+#[test]
+fn a_fresh_block_sent_home_over_a_live_copy_is_caught() {
+    let expected = vec![0x11; PAGE_SIZE];
+    let violations = |fault| {
+        fsynced_file_violations(fault, &expected, |fs| {
+            let root = fs.root_ino();
+            let old = fs.create(root, "old", FileMode::regular()).unwrap().ino;
+            fs.write_page(old, 0, &[0xEE; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+            fs.write_page(old, 0, &[0xEF; PAGE_SIZE], PAGE_SIZE as u64).unwrap();
+            fs.unlink(root, "old").unwrap();
+            let new = fs.create(root, "new", FileMode::regular()).unwrap().ino;
+            fs.write_page(new, 0, &expected, PAGE_SIZE as u64).unwrap();
+            fs.fsync(new, false).unwrap();
+        })
+    };
+    assert_eq!(violations(PlantedFault::None), Vec::<String>::new());
+    let caught = violations(PlantedFault::FreshIgnoresLiveCopies);
+    assert!(caught.iter().any(|v| v.contains("new file wrong")), "undetected: {caught:#?}");
+}
+
+/// The xv6 core over a Bento kernel [`SuperBlock`], with `fault` planted:
+/// file `old` gets one fsynced page, four more commits retire its record,
+/// then one group — an outer operation around the calls — unlinks `old`
+/// and creates `new`, whose first page takes `old`'s freed block.  In
+/// every crash state (in-order prefixes and sampled reorders) that
+/// recovers without `new`, `old` must read back whole; with `new`, `new`
+/// must.  The single-threaded VFS stacks close a group per operation, so
+/// only an outer operation puts a free and an allocation in one group.
+fn own_free_violations(fault: PlantedFault) -> Vec<String> {
+    let page = |fill| vec![fill; PAGE_SIZE];
+    let base: Arc<dyn BlockDevice> = Arc::new(RamDisk::new(PAGE_SIZE as u32, 4096));
+    format(FsStack::BentoXv6, &base, 256).unwrap();
+    let image = Arc::new(DiskImage::capture(&base).unwrap());
+    let recorder = Arc::new(FaultDevice::new(base, FaultConfig::recorder(0)));
+    let old_acked = {
+        let sb = kernel_sb(Arc::clone(&recorder) as _);
+        let mut core = FsCore::load(&sb).unwrap();
+        core.log.plant_fault(fault);
+        core.log.recover(&sb).unwrap();
+        let old = core.mknod(&sb, 1, "old", T_FILE).unwrap().ino;
+        core.write(&sb, old, 0, &page(0xEE)).unwrap();
+        core.fsync(&sb).unwrap();
+        let old_acked = recorder.durable_event_count();
+        for i in 0..4 {
+            core.mknod(&sb, 1, &format!("pad{i}"), T_FILE).unwrap();
+        }
+        core.log.begin_op();
+        core.remove(&sb, 1, "old", false).unwrap();
+        let new = core.mknod(&sb, 1, "new", T_FILE).unwrap().ino;
+        core.write(&sb, new, 0, &page(0x11)).unwrap();
+        core.log.end_op(&sb).unwrap();
+        core.unmount(&sb).unwrap();
+        let stats = core.log.stats();
+        if fault == PlantedFault::None {
+            assert_eq!(stats.demoted, 1, "the freed block is logged when allocated again");
+        }
+        old_acked
+    };
+
+    let trace = recorder.trace();
+    let mut states = prefix_states(&trace, &image);
+    states.extend(sampled_states(&trace, &image, 0x0F2E_EB10, 200));
+    let mut violations = Vec::new();
+    for state in states {
+        let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+        let mounted =
+            mount_stack_on(FsStack::BentoXv6, disk, CostModel::zero(), PlantedFault::None).unwrap();
+        let fs = &mounted.fs;
+        let read = |name: &str| {
+            let attr = fs.lookup(fs.root_ino(), name).ok()?;
+            let mut block = vec![0u8; PAGE_SIZE];
+            fs.read_page(attr.ino, 0, &mut block).ok()?;
+            Some(block)
+        };
+        let (name, fill) = match fs.lookup(fs.root_ino(), "new") {
+            Ok(_) => ("new", 0x11),
+            Err(_) if state.durable_events >= old_acked => ("old", 0xEE),
+            Err(_) => continue,
+        };
+        if read(name) != Some(page(fill)) {
+            violations.push(format!("{}: {name} lost its page", state.description));
+        }
+        let errors = mounted.check().unwrap();
+        if !errors.is_empty() {
+            violations.push(format!("{}: fsck: {errors:?}", state.description));
+        }
+    }
+    violations
+}
+
+/// (i) A fresh block sent home by the group that freed it: a crash before
+/// the group's record lands recovers the state before it, where the block
+/// is still `old`'s — and holds `new`'s page.
+#[test]
+fn a_fresh_block_sent_home_by_the_group_that_freed_it_is_caught() {
+    assert_eq!(own_free_violations(PlantedFault::None), Vec::<String>::new());
+    let caught = own_free_violations(PlantedFault::FreshIgnoresOwnFrees);
+    assert!(caught.iter().any(|v| v.contains("old lost its page")), "undetected: {caught:#?}");
 }

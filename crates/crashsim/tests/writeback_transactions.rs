@@ -65,15 +65,16 @@ fn observe(fs: &dyn VfsFs) -> Option<Vec<u8>> {
     observe_file(fs, "f")
 }
 
-/// The block counts of every commit record in `trace` (log heads sit
-/// below the inode table).
+/// The block counts of every commit record in `trace`, logged and direct
+/// (log heads sit below the inode table).
 fn commit_sizes(trace: &crashsim::WriteTrace, dsb: &xv6fs::layout::DiskSuperblock) -> Vec<usize> {
     trace
         .events
         .iter()
         .filter_map(|event| match event {
             Event::Write { blockno, data } if (*blockno as u32) < dsb.inodestart => {
-                parse_head(data, journal::MAX_OP_BLOCKS).map(|record| record.homes.len())
+                parse_head(data, journal::MAX_OP_BLOCKS)
+                    .map(|record| record.homes.len() + record.direct.len())
             }
             _ => None,
         })
@@ -124,7 +125,8 @@ fn a_two_run_pass_is_all_or_nothing_on_bento_and_page_by_page_on_ckernel() {
         assert!(whole.contains(file), "Bento recovered to a partial pass: {file:?}");
     }
     assert_eq!(bento.len(), whole.len(), "every whole state is visited: {bento:?}");
-    // Pass 0 in one record: three data blocks, the bitmap and the inode.
+    // Pass 0 in one record: three new data blocks (direct homes), the
+    // bitmap and the inode.
     assert_eq!(largest, 5, "the enumeration saw the multi-page write-back transaction");
 
     let (ckernel, largest) = recovered_states(FsStack::VfsXv6);

@@ -12,46 +12,71 @@
 //!
 //! Every operation that modifies the file system wraps its block writes in
 //! a transaction: [`Journal::begin_op`] … stage frozen snapshots via
-//! [`Journal::log_write`] … [`Journal::end_op`].  The log area is a ring of
-//! [`REGIONS`] commit regions, and group *N* commits into region
-//! *N* mod [`REGIONS`].  The commit protocol for group *N* is hardened for
-//! devices with a reordering volatile write cache and trimmed to the one
-//! barrier that buys durability:
+//! [`Journal::log_write`] (or [`Journal::log_fresh`] for the first
+//! contents of a block the operation allocated) … [`Journal::end_op`].
+//! The log area is a ring of [`REGIONS`] commit regions, and group *N*
+//! commits into region *N* mod [`REGIONS`].  The commit protocol for group
+//! *N* is hardened for devices with a reordering volatile write cache and
+//! trimmed to the one barrier that buys durability:
 //!
-//! 1. one epoch: copy each modified block into group *N*'s log region,
-//!    write the log header naming them — the commit record, which carries
-//!    a digest of those log blocks under a self-checksum (see [`record`])
+//! 1. one epoch: write each **fresh** block — one the group allocated,
+//!    which every state recovery can produce still holds free — straight
+//!    to its home (a **direct** block), copy every other modified block
+//!    into group *N*'s log region, write the log header naming both — the
+//!    commit record, which carries a digest of the log blocks and a
+//!    checksum of each direct block under a self-checksum (see [`record`])
 //!    — and issue the **due installs**: the blocks group *N − 3* committed
 //!    that no later group — *N − 2*, *N − 1* or *N* itself — logged again,
 //!    written to their homes.  The write cache may persist the epoch in
-//!    any order: a record whose payload is not wholly on the medium does
-//!    not validate, and group *N − 3*'s record stays valid until group
-//!    *N + 1* reuses its region;
+//!    any order: a record whose payload is not wholly on the medium, or
+//!    one of whose direct blocks is not at home, does not validate, and
+//!    group *N − 3*'s record stays valid until group *N + 1* reuses its
+//!    region;
 //! 2. the **commit barrier**.  Group *N* is committed the instant it
-//!    returns, and group *N − 3*'s installs are durable;
-//! 3. group *N*'s blocks become the newest committed copies of their homes,
-//!    pending install in group *N + 3*'s epoch.  A copy an older group
-//!    still had pending is **superseded**: it is never installed, because
-//!    the home takes group *N*'s bytes (or a newer group's) instead — a hot
-//!    inode, bitmap or directory block re-logged by every commit is
-//!    written once per commit, to the log, until it cools down.
+//!    returns, group *N − 3*'s installs are durable, and group *N*'s
+//!    direct blocks are clean in the backend's cache;
+//! 3. group *N*'s logged blocks become the newest committed copies of
+//!    their homes, pending install in group *N + 3*'s epoch.  A copy an
+//!    older group still had pending is **superseded**: it is never
+//!    installed, because the home takes group *N*'s bytes (or a newer
+//!    group's) instead — a hot inode, bitmap or directory block re-logged
+//!    by every commit is written once per commit, to the log, until it
+//!    cools down.  A direct block is done with: written once, never
+//!    logged, never installed.
 //!
-//! That is the **barrier budget**: exactly one barrier per commit, and
-//! none at all for an `fsync` that finds the journal idle.  The **region
-//! reuse rule**: group *N + 1* overwrites the region of group *N − 3* only
-//! after group *N*'s barrier, by which time every block whose newest
-//! committed copy lived there is durable at home (installed in *N*'s
-//! epoch) or held by a newer valid record (superseded by a group
-//! *N − 2* … *N*, all of whose barriers have returned).  A failed commit
-//! supersedes nothing: the copies it skipped are still pending, and the
-//! settle it leaves owed installs them before any region is reused.  A crash inside a reuse epoch leaves the region holding the old
-//! record over a partly overwritten payload (digest mismatch: rejected,
-//! harmless since everything it held is installed or superseded), the new
-//! record over a partial payload (rejected: never acknowledged), or the new
-//! record over its whole payload (committed).  So after a crash **up to
+//! That is the **barrier budget**: exactly one barrier per commit, which
+//! the direct blocks share, and none at all for an `fsync` that finds the
+//! journal idle.  **Which fresh blocks go home** the journal decides per
+//! block, at commit, from what it can observe: a fresh block is logged
+//! like any other when a record recovery could still replay names its
+//! home as a direct home (the record's check would fail, and an
+//! acknowledged group be rejected), when a copy of it is pending (the
+//! install, or recovery's replay, would write older bytes over it — every
+//! logged home of a record that survives the epoch is pending or
+//! superseded by a pending copy), when its own group freed it too
+//! ([`Journal::note_free`]: a crash before the barrier leaves the state
+//! before the group, which may hold the block as another file's), and
+//! when a failed commit's settle is owed.  Overwrites are always logged:
+//! their old bytes are committed state.  The **region reuse rule**: group
+//! *N + 1* overwrites the region of group *N − 3* only after group *N*'s
+//! barrier, by which time every block whose newest committed copy lived
+//! there is durable at home (installed in *N*'s epoch) or held by a newer
+//! valid record (superseded by a group *N − 2* … *N*, all of whose
+//! barriers have returned).  A failed commit supersedes nothing: the
+//! copies it skipped are still pending, and the settle it leaves owed
+//! installs them before any region is reused.  A crash inside a reuse
+//! epoch leaves the region holding the old record over a partly
+//! overwritten payload (digest mismatch: rejected, harmless since
+//! everything it held is installed or superseded), the new record over a
+//! partial payload (rejected: never acknowledged), or the new record over
+//! its whole payload (committed).  So after a crash **up to
 //! four** records validate (*N − 3* … *N*), and [`Journal::recover`]
 //! replays them in sequence order: the newest copy of each home lands
-//! last.  Nothing clears a header in steady state.
+//! last.  It checks them newest first: a record's direct home must hold
+//! the bytes it sealed, or be named by a newer valid record — the home of
+//! a direct block a later group logged again takes that group's install
+//! (due, or a checkpoint's while both records are live) and a crashed
+//! recovery's replay.  Nothing clears a header in steady state.
 //!
 //! A home whose install is pending is stale on the medium.  A backend with
 //! a cache holds the committed bytes in a dirty buffer, which the cache
@@ -69,7 +94,8 @@
 //! identical bytes into its region; a **failed commit** leaves the journal
 //! owing that checkpoint before the next commit may reuse a region; a
 //! **live upgrade** carries the [`JournalTail`] — the sequence, the live
-//! headers and the pending copies — into the new instance without a device
+//! headers and their direct homes, and the pending copies — into the new
+//! instance without a device
 //! access, and the new instance keeps numbering commits where the old one
 //! stopped.  What differs from the teaching implementation is *where the
 //! waiting happens*:
@@ -106,8 +132,9 @@
 //!   operations, and copies nothing until its own turn.  Commits run in
 //!   formation order (a sequence number in each region header keeps
 //!   [`Journal::recover`] correct for any region).
-//! * **One batched epoch.**  A commit hands its due installs and its
-//!   payload to the device as one batch ([`io::JournalIo::write_raw`], a
+//! * **One batched epoch.**  A commit hands its due installs, its direct
+//!   blocks and its payload to the device as one batch
+//!   ([`io::JournalIo::write_raw`], a
 //!   [`simkernel::dev::BlockDevice::write_blocks`] call), then its commit
 //!   record, raw as well.  No log block passes through a buffer cache.
 //!
@@ -120,8 +147,10 @@
 //! [`Journal::recover`] replays the committed transactions still on the
 //! medium from every region (in sequence order) after a crash, rejecting
 //! torn commit records (checksum mismatch), records whose payload is not
-//! the one they were sealed over (digest mismatch) and foreign or corrupt
-//! headers (home blocks outside the configured valid range).
+//! the one they were sealed over (digest mismatch), records whose direct
+//! blocks are not at home (checksum mismatch, with no newer valid record
+//! naming the home) and foreign or corrupt headers (home blocks outside
+//! the configured valid range).
 //!
 //! The sibling module [`record`] owns the on-disk format of the
 //! checksummed commit record every stack writes.
@@ -140,7 +169,7 @@ use parking_lot::{Condvar, Mutex};
 
 use simkernel::buffer::Block;
 use simkernel::error::{Errno, KernelError, KernelResult};
-use simkernel::hash::FxHashMap;
+use simkernel::hash::{FxHashMap, FxHashSet};
 use simkernel::shard::StripedCounter;
 use simkernel::vfs::WritePathStats;
 
@@ -207,15 +236,30 @@ pub enum PlantedFault {
     /// the data an fsync acknowledged.  The journal itself ignores it; the
     /// xv6 `update_inode` acts on it.
     SizeOnlyInodeCompare,
+    /// Recovery accepts a record without checking its direct homes, so a
+    /// record the write cache persisted ahead of a direct block commits a
+    /// group whose new block holds whatever the home held before.
+    UncheckedDirectHome,
+    /// A fresh block goes home even when a replayable record or a pending
+    /// copy names its home, so recovery's replay or a later install writes
+    /// an older group's bytes over it — or its direct write makes an older
+    /// record fail its check and an acknowledged group is rejected.
+    FreshIgnoresLiveCopies,
+    /// A fresh block goes home even when its own group freed it, so the
+    /// epoch overwrites a block that the state before the group — all a
+    /// crash before the barrier leaves — still holds as another file's.
+    FreshIgnoresOwnFrees,
 }
 
-/// One logged block: home address, modification version (orders snapshots
-/// of the same block), and the frozen bytes.
+/// One staged block: home address, modification version (orders snapshots
+/// of the same block), the frozen bytes, and whether the group that holds
+/// it allocated it ([`Journal::log_fresh`]).
 #[derive(Debug)]
 struct LoggedBlock {
     home: u64,
     version: u64,
     data: Block,
+    fresh: bool,
 }
 
 /// The forming transaction group: completed operations merge here at
@@ -224,6 +268,8 @@ struct LoggedBlock {
 struct FormingGroup {
     blocks: Vec<LoggedBlock>,
     index: FxHashMap<u64, usize>,
+    /// Blocks the group's operations freed ([`Journal::note_free`]).
+    freed: FxHashSet<u64>,
     ops: u64,
 }
 
@@ -234,6 +280,7 @@ struct TxLocal {
     depth: u32,
     blocks: Vec<LoggedBlock>,
     index: FxHashMap<u64, usize>,
+    freed: Vec<u64>,
 }
 
 thread_local! {
@@ -271,6 +318,13 @@ pub struct JournalStats {
     /// and checkpoints.  `blocks_logged − installs` is what superseding
     /// saved, give or take the copies still pending.
     pub installs: u64,
+    /// Fresh blocks the committed groups wrote straight to their homes:
+    /// never logged, never installed.
+    pub direct_blocks: u64,
+    /// Fresh blocks a committed group logged instead of writing them
+    /// home, because a live record or a pending copy named the home, the
+    /// group freed it, or a failed commit's settle was owed.
+    pub demoted: u64,
 }
 
 impl JournalStats {
@@ -283,6 +337,7 @@ impl JournalStats {
             log_blocks: self.blocks_logged,
             log_installs: self.installs,
             log_barriers: self.barriers,
+            direct_blocks: self.direct_blocks,
             alloc_per_group: Vec::new(),
         }
     }
@@ -297,6 +352,8 @@ struct JournalCounters {
     ops_committed: StripedCounter,
     barriers: StripedCounter,
     installs: StripedCounter,
+    direct_blocks: StripedCounter,
+    demoted: StripedCounter,
 }
 
 impl JournalCounters {
@@ -308,6 +365,8 @@ impl JournalCounters {
             ops_committed: self.ops_committed.get(),
             barriers: self.barriers.get(),
             installs: self.installs.get(),
+            direct_blocks: self.direct_blocks.get(),
+            demoted: self.demoted.get(),
         }
     }
 
@@ -318,6 +377,8 @@ impl JournalCounters {
         self.ops_committed.reset(stats.ops_committed);
         self.barriers.reset(stats.barriers);
         self.installs.reset(stats.installs);
+        self.direct_blocks.reset(stats.direct_blocks);
+        self.demoted.reset(stats.demoted);
     }
 }
 
@@ -339,7 +400,17 @@ struct Committed {
 #[derive(Debug, Default)]
 struct Medium {
     live: [Option<u64>; REGIONS],
+    /// Per region, the direct homes of the record its header holds.
+    direct: [FxHashSet<u64>; REGIONS],
     owes_checkpoint: bool,
+}
+
+impl Medium {
+    /// Whether a record recovery could still replay names `home` as a
+    /// direct home.
+    fn names_direct(&self, home: u64) -> bool {
+        self.direct.iter().any(|homes| homes.contains(&home))
+    }
 }
 
 /// A committed group whose region has not been reused yet: the blocks it
@@ -364,6 +435,14 @@ struct Pending {
 /// One install of an epoch: a pending copy, by group sequence, the
 /// group's blocks and the copy's slot there.
 type Install = (u64, Arc<Vec<LoggedBlock>>, usize);
+
+/// Where a committed group's blocks went: into its log region, or straight
+/// home; and how many of its fresh blocks were logged anyway.
+struct Placed {
+    logged: u64,
+    direct: u64,
+    demoted: u64,
+}
 
 impl Pending {
     /// Group `seq`, while it is held.
@@ -399,6 +478,10 @@ pub struct JournalTail {
     /// Per region, the sequence of the record its header may hold (`None`
     /// = known clean): what [`Journal::checkpoint`] still has to clear.
     pub live: [Option<u64>; REGIONS],
+    /// Per region, the direct homes that record names, in ascending
+    /// order: no fresh block may go home over one of them while the
+    /// record can still be replayed.
+    pub direct: [Vec<u64>; REGIONS],
     /// A commit's I/O failed: the checkpoint is owed before the next
     /// commit, not just at unmount.
     pub owes_checkpoint: bool,
@@ -576,6 +659,11 @@ impl Journal {
         JournalTail {
             next_seq: self.next_seq.load(Ordering::SeqCst),
             live: medium.live,
+            direct: std::array::from_fn(|region| {
+                let mut homes: Vec<u64> = medium.direct[region].iter().copied().collect();
+                homes.sort_unstable();
+                homes
+            }),
             owes_checkpoint: medium.owes_checkpoint,
             pending: (self.pending.lock().sorted().into_iter())
                 .map(|(seq, blocks, slot)| {
@@ -589,15 +677,20 @@ impl Journal {
     /// Adopts the tail of the journal instance this one replaces on the
     /// same device, *instead of* running [`Journal::recover`]: numbering
     /// continues where the predecessor stopped (so the ring keeps turning),
-    /// the pending copies are installed when they fall due, and this
-    /// journal's checkpoint clears the headers the predecessor left live.
-    /// Call before the first operation.
+    /// the pending copies are installed when they fall due, no fresh block
+    /// goes home over a direct home of a live record, and this journal's
+    /// checkpoint clears the headers the predecessor left live.  Call
+    /// before the first operation.
     pub fn restore_tail(&self, tail: JournalTail) {
         self.next_seq.store(tail.next_seq, Ordering::SeqCst);
         self.commits_done.store(tail.next_seq, Ordering::SeqCst);
         self.commit_turn.lock().next = tail.next_seq;
         let mut medium = self.medium.lock();
-        *medium = Medium { live: tail.live, owes_checkpoint: tail.owes_checkpoint };
+        *medium = Medium {
+            live: tail.live,
+            direct: tail.direct.map(|homes| homes.into_iter().collect()),
+            owes_checkpoint: tail.owes_checkpoint,
+        };
         // Every pending copy in a region belongs to the group that last
         // committed there.
         let mut pending = Pending::default();
@@ -606,7 +699,7 @@ impl Journal {
             let region = (seq % REGIONS as u64) as usize;
             let (_, blocks) = groups[region].get_or_insert_with(|| (seq, Vec::new()));
             pending.newest.insert(home, (seq, blocks.len()));
-            blocks.push(LoggedBlock { home, version: 0, data });
+            blocks.push(LoggedBlock { home, version: 0, data, fresh: false });
         }
         for (slot, group) in pending.groups.iter_mut().zip(groups) {
             *slot = group.map(|(seq, blocks)| CommittedGroup { seq, blocks: Arc::new(blocks) });
@@ -703,25 +796,36 @@ impl Journal {
     /// operation exceeds [`MAX_OP_BLOCKS`] distinct blocks (a chunking bug
     /// in the caller).
     pub fn log_write(&self, home: u64, data: impl Into<Block>) -> KernelResult<()> {
+        self.stage(home, data.into(), false)
+    }
+
+    /// [`Journal::log_write`] of a *fresh* block's first contents: a block
+    /// the current operation allocated, which every state recovery can
+    /// produce holds free.  Unless the commit finds a reason not to (a
+    /// record it could replay or a pending copy names the home, the group
+    /// freed it too, or a failed commit's settle is owed), the group's
+    /// epoch writes it straight to its home, checked by the commit record
+    /// instead of copied into the log and installed later.  Later writes
+    /// to the block in the same group may use plain `log_write`: the group
+    /// allocated it either way.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Journal::log_write`].
+    pub fn log_fresh(&self, home: u64, data: impl Into<Block>) -> KernelResult<()> {
+        self.stage(home, data.into(), true)
+    }
+
+    fn stage(&self, home: u64, data: Block, fresh: bool) -> KernelResult<()> {
         let _stage = simkernel::trace::phase(simkernel::trace::Phase::LogStage);
-        let data = data.into();
         let version = SNAPSHOT_VERSION.fetch_add(1, Ordering::SeqCst);
-        TX.with(|cell| {
-            let mut map = cell.borrow_mut();
-            let tx = match map.get_mut(&self.id) {
-                Some(tx) if tx.depth > 0 => tx,
-                _ => {
-                    return Err(KernelError::with_context(
-                        Errno::Inval,
-                        "journal: log_write outside transaction",
-                    ));
-                }
-            };
+        self.with_tx(|tx| {
             if let Some(&i) = tx.index.get(&home) {
                 // Absorption: a block modified twice in one operation is
                 // logged once, with the newest snapshot.
-                tx.blocks[i].version = version;
-                tx.blocks[i].data = data;
+                let block = &mut tx.blocks[i];
+                (block.version, block.data) = (version, data);
+                block.fresh |= fresh;
             } else {
                 if tx.blocks.len() >= MAX_OP_BLOCKS {
                     return Err(KernelError::with_context(
@@ -730,9 +834,35 @@ impl Journal {
                     ));
                 }
                 tx.index.insert(home, tx.blocks.len());
-                tx.blocks.push(LoggedBlock { home, version, data });
+                tx.blocks.push(LoggedBlock { home, version, data, fresh });
             }
             Ok(())
+        })
+    }
+
+    /// Records that the current operation freed block `home`, so its
+    /// group never writes `home` straight home as a fresh block: the state
+    /// before the group, all that a crash ahead of its barrier leaves, may
+    /// still hold it as another file's.
+    ///
+    /// # Errors
+    ///
+    /// [`Errno::Inval`] outside a transaction.
+    pub fn note_free(&self, home: u64) -> KernelResult<()> {
+        self.with_tx(|tx| {
+            tx.freed.push(home);
+            Ok(())
+        })
+    }
+
+    /// Runs `f` on the calling thread's open operation.
+    fn with_tx(&self, f: impl FnOnce(&mut TxLocal) -> KernelResult<()>) -> KernelResult<()> {
+        TX.with(|cell| match cell.borrow_mut().get_mut(&self.id) {
+            Some(tx) if tx.depth > 0 => f(tx),
+            _ => Err(KernelError::with_context(
+                Errno::Inval,
+                "journal: staging outside a transaction",
+            )),
         })
     }
 
@@ -765,25 +895,30 @@ impl Journal {
                 // this thread reuses its index allocation; prune stale
                 // entries of long-dead journal instances once in a while.
                 tx.index.clear();
-                let blocks = std::mem::take(&mut tx.blocks);
+                let staged = (std::mem::take(&mut tx.blocks), std::mem::take(&mut tx.freed));
                 if map.len() > 16 {
                     map.retain(|_, t| t.depth > 0);
                 }
-                Some(blocks)
+                Some(staged)
             } else {
                 None
             }
         });
-        let Some(staged) = staged else { return Ok(()) };
+        let Some((staged, freed)) = staged else { return Ok(()) };
 
         let to_commit = {
             let mut inner = self.inner.lock();
             let did_write = !staged.is_empty();
             let mut added = 0usize;
+            inner.freed.extend(freed);
             for block in staged {
                 if let Some(&i) = inner.index.get(&block.home) {
-                    if inner.blocks[i].version < block.version {
-                        inner.blocks[i] = block;
+                    // The group allocated the block if any of its
+                    // operations did.
+                    let merged = &mut inner.blocks[i];
+                    merged.fresh |= block.fresh;
+                    if merged.version < block.version {
+                        (merged.version, merged.data) = (block.version, block.data);
                     }
                 } else {
                     let slot = inner.blocks.len();
@@ -923,7 +1058,7 @@ impl Journal {
                     self.commit_cond.wait(&mut turn);
                 }
             }
-            let (logged, ops) = (group.blocks.len() as u64, group.ops);
+            let ops = group.ops;
             let result = self.commit_io(io, seq, group);
             // Advance the pipeline even if the commit I/O failed, so
             // waiters are never stranded.  The completion count rises
@@ -936,9 +1071,11 @@ impl Journal {
                 turn.next = seq + 1;
                 self.commit_cond.notify_all();
             }
-            result?;
+            let placed = result?;
             self.counters.commits.inc();
-            self.counters.blocks_logged.add(logged);
+            self.counters.blocks_logged.add(placed.logged);
+            self.counters.direct_blocks.add(placed.direct);
+            self.counters.demoted.add(placed.demoted);
             self.counters.ops_committed.add(ops);
             let next = self.take_group_if_ready(&mut self.inner.lock());
             let Some(next) = next else { return Ok(()) };
@@ -946,13 +1083,14 @@ impl Journal {
         }
     }
 
-    /// The commit I/O of group `seq`: one epoch of due installs, payload
-    /// and commit record; one barrier; then the group's blocks become the
-    /// newest pending copies of their homes.
-    fn commit_io(&self, io: &dyn JournalIo, seq: u64, group: FormingGroup) -> KernelResult<()> {
-        let blocks = group.blocks;
-        debug_assert!(blocks.len() <= self.capacity);
+    /// The commit I/O of group `seq`: one epoch of due installs, direct
+    /// writes, payload and commit record; one barrier; then the group's
+    /// logged blocks become the newest pending copies of their homes, and
+    /// its direct blocks are clean.
+    fn commit_io(&self, io: &dyn JournalIo, seq: u64, group: FormingGroup) -> KernelResult<Placed> {
+        debug_assert!(group.blocks.len() <= self.capacity);
         let head_block = self.region_head(seq);
+        let region = (seq % REGIONS as u64) as usize;
         // Held across all of this commit's I/O: a checkpoint must never
         // interleave with it (uncontended otherwise — the turn ticket
         // already serializes commits).
@@ -960,51 +1098,69 @@ impl Journal {
         // Owed until this commit's I/O has wholly succeeded.  After a
         // failed commit the ring does not obey the reuse rule (that
         // epoch's due installs never got their barrier), so the debt is
-        // paid first.
-        if medium.owes_checkpoint {
+        // paid first — and this group sends no block straight home.
+        let settle_owed = medium.owes_checkpoint;
+        if settle_owed {
             self.settle(io, &mut medium)?;
         }
         medium.owes_checkpoint = true;
-        // 1. The epoch: the due installs, and the frozen copies into the
-        // region's data blocks, all raw — log blocks are only ever read
-        // back by recovery, straight from the device, so going through a
-        // buffer cache would just evict useful blocks once per commit.
-        // Then the commit record, raw too, over the header of the group
-        // four commits back.  Nothing orders the record behind the
-        // payload: it carries the payload's digest, so however the write
-        // cache reorders this epoch, a record without its whole payload is
-        // rejected by recovery.
+        let mut blocks = group.blocks;
+        let direct = self.send_home(&mut blocks, &group.freed, &medium, settle_owed);
+        let placed = Placed {
+            logged: blocks.len() as u64,
+            direct: direct.len() as u64,
+            demoted: (blocks.iter().filter(|block| block.fresh).count()) as u64,
+        };
+        // 1. The epoch: the due installs and the direct blocks to their
+        // homes, and the frozen copies into the region's data blocks, all
+        // raw — log blocks are only ever read back by recovery, straight
+        // from the device, so going through a buffer cache would just
+        // evict useful blocks once per commit.  Then the commit record,
+        // raw too, over the header of the group four commits back.
+        // Nothing orders the record behind the rest: it carries the
+        // payload's digest and each direct block's checksum, so however
+        // the write cache reorders this epoch, a record without all of
+        // them is rejected by recovery.
         let blocks = Arc::new(blocks);
         let due = self.due(seq);
         let mut installs = due.map_or_else(Vec::new, |due| self.due_installs(due, &group.index));
         if self.fault == PlantedFault::InstallBeforeBarrier {
             installs.extend((0..blocks.len()).map(|slot| (seq, Arc::clone(&blocks), slot)));
         }
-        let payload: Vec<(u64, &[u8])> = blocks
-            .iter()
-            .enumerate()
-            .map(|(i, block)| (head_block + 1 + i as u64, &block.data[..]))
+        let writes: Vec<(u64, &[u8])> = (direct.iter().map(|block| (block.home, &block.data[..])))
+            .chain(
+                blocks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, block)| (head_block + 1 + i as u64, &block.data[..])),
+            )
             .collect();
-        self.write_epoch(io, &installs, &payload)?;
+        self.write_epoch(io, &installs, &writes)?;
         // Marked live before the write is attempted: even a failed header
         // write may have reached the medium.  The record is its own
         // `write_raw` call, after the batch: a failed batch cannot tell how
         // far it got, and one that never reached the record must leave the
         // region as it was (the settle that follows clears only live
         // headers).
-        medium.live[(seq % REGIONS as u64) as usize] = Some(seq);
+        medium.live[region] = Some(seq);
         let mut head = [0u8; BSIZE];
+        let checks: Vec<(u64, u64)> =
+            direct.iter().map(|block| (block.home, record::direct_checksum(&block.data))).collect();
         record::encode_head(
             &mut head,
             seq,
             blocks.iter().map(|b| b.home),
             record::payload_digest(blocks.iter().map(|b| &b.data[..])),
+            &checks,
         );
         io.write_raw(&[(head_block, &head)])?;
         // 2. The commit barrier: this group is durable, and so are the due
         // installs — which is what frees their group's region for the next
-        // commit.
+        // commit — and the direct blocks, whose buffers are clean now.
         self.barrier(io)?;
+        for block in &direct {
+            io.installed(block.home, &block.data)?;
+        }
         // 3. The newest committed copies: whatever these replace is
         // superseded and never installed.
         // The group that fell due in this epoch is done with: what it held
@@ -1016,9 +1172,47 @@ impl Journal {
         if let Some(due) = due {
             pending.groups[(due % REGIONS as u64) as usize] = None;
         }
-        pending.groups[(seq % REGIONS as u64) as usize] = Some(CommittedGroup { seq, blocks });
+        pending.groups[region] = Some(CommittedGroup { seq, blocks });
+        medium.direct[region] = direct.iter().map(|block| block.home).collect();
         medium.owes_checkpoint = false;
-        Ok(())
+        Ok(placed)
+    }
+
+    /// Takes out of a closing group's `blocks` the fresh blocks its epoch
+    /// writes straight home; the rest its region logs.  A fresh block goes
+    /// home only if every state recovery can produce, whether or not this
+    /// group's record lands, holds it free and no later write can land
+    /// over it: no record recovery could still replay names it as a
+    /// direct home (its check would fail, and an acknowledged group be
+    /// rejected), no pending copy of it exists (replay and the install
+    /// would write older bytes over it — every logged home of a record
+    /// that survives this epoch is pending or superseded by a pending
+    /// copy), the group did not free it too, and no failed commit's
+    /// settle was owed.  Blocks beyond what the record has room for are
+    /// logged as well.
+    fn send_home(
+        &self,
+        blocks: &mut Vec<LoggedBlock>,
+        freed: &FxHashSet<u64>,
+        medium: &Medium,
+        settle_owed: bool,
+    ) -> Vec<LoggedBlock> {
+        let pending = self.pending.lock();
+        let room = record::max_direct(blocks.len());
+        let goes_home = |home: u64| {
+            let live = pending.newest.contains_key(&home) || medium.names_direct(home);
+            !settle_owed
+                && (self.fault == PlantedFault::FreshIgnoresOwnFrees || !freed.contains(&home))
+                && (self.fault == PlantedFault::FreshIgnoresLiveCopies || !live)
+        };
+        let mut sent = 0;
+        blocks
+            .extract_if(.., |block| {
+                let home = block.fresh && sent < room && goes_home(block.home);
+                sent += usize::from(home);
+                home
+            })
+            .collect()
     }
 
     /// The group whose installs fall due in group `seq`'s epoch: group
@@ -1051,19 +1245,19 @@ impl Journal {
     }
 
     /// Issues one epoch's writes raw, as one batch — `installs` to their
-    /// homes, then `log`.  Then each installed copy is clean in the
-    /// backend's cache and leaves the pending set, unless a newer copy
-    /// replaced it meanwhile.
+    /// homes, then `rest` (a commit's direct blocks and log payload).
+    /// Then each installed copy is clean in the backend's cache and leaves
+    /// the pending set, unless a newer copy replaced it meanwhile.
     fn write_epoch(
         &self,
         io: &dyn JournalIo,
         installs: &[Install],
-        log: &[(u64, &[u8])],
+        rest: &[(u64, &[u8])],
     ) -> KernelResult<()> {
         let writes: Vec<(u64, &[u8])> = installs
             .iter()
             .map(|(_, blocks, slot)| (blocks[*slot].home, &blocks[*slot].data[..]))
-            .chain(log.iter().copied())
+            .chain(rest.iter().copied())
             .collect();
         io.write_raw(&writes)?;
         for (_, blocks, slot) in installs {
@@ -1159,12 +1353,21 @@ impl Journal {
     /// blocks replayed.
     ///
     /// A record is replayed only if its self-checksum holds, its home
-    /// blocks are in range, *and* the log blocks behind it hash to the
-    /// digest it was sealed over.  After a crash the newest committed
-    /// record always validates, and so may the three before it; replaying
-    /// them oldest first is idempotent and lands each home's newest copy
-    /// last, since every block an older record holds is either installed
-    /// already or held again by a newer valid record.  Headers that do not
+    /// blocks are in range, the log blocks behind it hash to the digest it
+    /// was sealed over, *and* each of its direct homes holds the bytes it
+    /// sealed or is named by a newer record that passed these checks —
+    /// records are checked newest first.  A later group may have written a
+    /// direct home since (an install of its newer copy, which a
+    /// checkpoint issues while the older record is still live, or a
+    /// replay of that copy by a recovery that crashed), but only while
+    /// its own record names it; no older record names a direct home, and
+    /// nothing else writes one while a record naming it can be replayed.
+    /// After a crash the newest committed record always validates, and so
+    /// may the three before it; replaying them oldest first is idempotent
+    /// and lands each home's newest copy last, since every block an older
+    /// record holds is either installed already or held again by a newer
+    /// valid record.  A direct home is never written by recovery: it was
+    /// durable at home when its record was.  Headers that do not
     /// validate are cleared too: a rejected record left in place could be
     /// re-validated by a later session that logs identical bytes into its
     /// region and crashes before its own record lands.  A cleanly
@@ -1185,7 +1388,7 @@ impl Journal {
         for region in 0..REGIONS as u64 {
             let head_block = self.region_head(region);
             io.read_block(head_block, &mut head)?;
-            if record::get_u32(&head, record::LOG_HEAD_COUNT_OFF) == 0 {
+            if record::is_clean(&head) {
                 continue;
             }
             // A header that does not validate is live all the same; its
@@ -1194,7 +1397,7 @@ impl Journal {
             medium.live[region as usize] = Some(found.as_ref().map_or(0, |c| c.record.seq));
             committed.extend(found);
         }
-        committed.sort_by_key(|found| found.record.seq);
+        let committed = self.check_direct_homes(io, committed)?;
         let mut replayed = 0usize;
         for Committed { record, payload } in &committed {
             for (&home, copy) in record.homes.iter().zip(payload.chunks_exact(BSIZE)) {
@@ -1229,7 +1432,8 @@ impl Journal {
         let Some(record) = record::parse_head(head, self.capacity) else {
             return Ok(None);
         };
-        if record.homes.iter().any(|&h| h < self.home_range.0 || h >= self.home_range.1) {
+        let mut homes = record.homes.iter().chain(record.direct.iter().map(|(home, _)| home));
+        if homes.any(|&h| h < self.home_range.0 || h >= self.home_range.1) {
             // Not a header this format wrote (corruption, or an image
             // from another log layout): treating it as clean beats
             // installing over arbitrary blocks.
@@ -1247,6 +1451,40 @@ impl Journal {
             return Ok(None);
         }
         Ok(Some(Committed { record, payload }))
+    }
+
+    /// Keeps, of the records whose payload verified, those whose direct
+    /// homes hold what they sealed or are named by a newer kept record,
+    /// checking newest first; returns them oldest first.
+    fn check_direct_homes(
+        &self,
+        io: &dyn JournalIo,
+        mut found: Vec<Committed>,
+    ) -> KernelResult<Vec<Committed>> {
+        found.sort_by_key(|found| std::cmp::Reverse(found.record.seq));
+        let mut named: FxHashSet<u64> = FxHashSet::default();
+        let mut kept = Vec::with_capacity(found.len());
+        let mut block = vec![0u8; BSIZE];
+        for committed in found {
+            let mut holds = true;
+            for &(home, checksum) in &committed.record.direct {
+                if self.fault == PlantedFault::UncheckedDirectHome || named.contains(&home) {
+                    continue;
+                }
+                io.read_block(home, &mut block)?;
+                if record::direct_checksum(&block) != checksum {
+                    holds = false;
+                    break;
+                }
+            }
+            if holds {
+                let record = &committed.record;
+                named.extend(record.homes.iter().chain(record.direct.iter().map(|(home, _)| home)));
+                kept.push(committed);
+            }
+        }
+        kept.reverse();
+        Ok(kept)
     }
 }
 
@@ -1316,13 +1554,31 @@ mod tests {
         journal.end_op(io).unwrap();
     }
 
+    /// One operation that allocates `blockno` and fills it with `fill`.
+    fn write_fresh(io: &DeviceIo, journal: &Journal, blockno: u64, fill: u8) {
+        journal.begin_op();
+        journal.log_fresh(blockno, &[fill; BSIZE]).unwrap();
+        journal.end_op(io).unwrap();
+    }
+
+    /// `(logged homes, direct homes)` of the record in `region`.
+    fn region_record(io: &DeviceIo, region: u64) -> (Vec<u64>, Vec<u64>) {
+        let mut head = vec![0u8; BSIZE];
+        io.read_block(2 + region * REGION, &mut head).unwrap();
+        let record = record::parse_head(&head, LOG_BLOCKS).expect("a sealed record");
+        (record.homes, record.direct.iter().map(|&(home, _)| home).collect())
+    }
+
     /// A sealed commit record for `seq` naming `homes`, whose payload is
-    /// one block of each of `fills`.
-    fn sealed_head(seq: u64, homes: &[u64], fills: &[u8]) -> Vec<u8> {
+    /// one block of each of `fills`, and direct homes `(home, fill)`.
+    fn sealed_head(seq: u64, homes: &[u64], fills: &[u8], direct: &[(u64, u8)]) -> Vec<u8> {
         let payload: Vec<[u8; BSIZE]> = fills.iter().map(|&fill| [fill; BSIZE]).collect();
         let mut head = vec![0u8; BSIZE];
         let digest = payload_digest(payload.iter().map(|block| &block[..]));
-        encode_head(&mut head, seq, homes.iter().copied(), digest);
+        let direct: Vec<(u64, u64)> = (direct.iter())
+            .map(|&(home, fill)| (home, record::direct_checksum(&[fill; BSIZE])))
+            .collect();
+        encode_head(&mut head, seq, homes.iter().copied(), digest, &direct);
         head
     }
 
@@ -1330,11 +1586,24 @@ mod tests {
     /// right after the commit barrier leaves it: block `i` of `region`
     /// holds `fills[i]`, the header names `homes`.
     fn plant_record(io: &DeviceIo, region: u64, seq: u64, homes: &[u64], fills: &[u8]) {
+        plant_direct_record(io, region, seq, homes, fills, &[]);
+    }
+
+    /// [`plant_record`] whose record also names direct homes `(home,
+    /// fill)`; the homes themselves are left as they are.
+    fn plant_direct_record(
+        io: &DeviceIo,
+        region: u64,
+        seq: u64,
+        homes: &[u64],
+        fills: &[u8],
+        direct: &[(u64, u8)],
+    ) {
         let head_block = 2 + region * REGION;
         for (i, &fill) in fills.iter().enumerate() {
             io.write_block(head_block + 1 + i as u64, &[fill; BSIZE]).unwrap();
         }
-        io.write_block(head_block, &sealed_head(seq, homes, fills)).unwrap();
+        io.write_block(head_block, &sealed_head(seq, homes, fills, direct)).unwrap();
     }
 
     /// `(count, seq)` of the header in `region`.
@@ -1349,8 +1618,10 @@ mod tests {
     /// nothing.  Returns the blocks replayed.
     fn remount(io: &DeviceIo) -> usize {
         let replayed = Journal::new(test_config(DISK)).recover(io).unwrap();
+        let mut head = vec![0u8; BSIZE];
         for region in 0..REGIONS as u64 {
-            assert_eq!(region_header(io, region).0, 0, "region {region} left non-clean");
+            io.read_block(2 + region * REGION, &mut head).unwrap();
+            assert!(record::is_clean(&head), "region {region} left non-clean");
         }
         let writes = io.device().stats().writes;
         assert_eq!(Journal::new(test_config(DISK)).recover(io).unwrap(), 0);
@@ -1723,7 +1994,7 @@ mod tests {
         // commit-record write) must be treated as clean, not installed.
         let (io, _) = setup();
         io.write_block(3, &[0x99; BSIZE]).unwrap();
-        let mut head = sealed_head(0, &[HOME], &[0x99]);
+        let mut head = sealed_head(0, &[HOME], &[0x99], &[]);
         // Corrupt one home entry after sealing: simulates a tear where
         // the checksum sector and the block-list sector disagree.
         put_u32(&mut head, LOG_HEAD_BLOCKS_OFF, HOME as u32 + 1);
@@ -1782,5 +2053,151 @@ mod tests {
         // and zero homes it was never installed to.
         assert_eq!(remount(&io), 0);
         assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0x77, 0x77));
+    }
+
+    #[test]
+    fn a_fresh_block_goes_home_in_its_own_epoch_and_is_never_installed() {
+        let (io, journal) = setup();
+        journal.begin_op();
+        journal.log_fresh(HOME, &[0xF0; BSIZE]).unwrap();
+        journal.log_write(HOME + 1, &[0x01; BSIZE]).unwrap();
+        journal.end_op(&io).unwrap();
+        // The fresh block is at home the moment its commit returns; the
+        // other is a pending copy, installed three commits later.
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0xF0, 0));
+        assert_eq!(region_record(&io, 0), (vec![HOME + 1], vec![HOME]));
+        let stats = journal.stats();
+        assert_eq!((stats.blocks_logged, stats.direct_blocks, stats.demoted), (1, 1, 0));
+        assert_eq!(stats.barriers, 1, "the direct write shares the commit's one barrier");
+        let pending: Vec<u64> = journal.tail().pending.iter().map(|p| p.home).collect();
+        assert_eq!(pending, [HOME + 1], "a direct block never joins the pending set");
+        assert_eq!(journal.tail().direct, [vec![HOME], vec![], vec![], vec![]]);
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(journal.stats().installs, 1, "only the logged block is installed");
+        assert_eq!(journal.tail(), JournalTail { next_seq: 1, ..JournalTail::default() });
+        assert_eq!(remount(&io), 0);
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0xF0, 0x01));
+    }
+
+    #[test]
+    fn a_fresh_block_is_logged_while_a_live_record_or_pending_copy_names_it_or_its_group_freed_it()
+    {
+        let (io, journal) = setup();
+        // A pending copy of HOME: the fresh block would be overwritten by
+        // its install (and by recovery's replay of the record).
+        write_block(&io, &journal, HOME, 0x10);
+        write_fresh(&io, &journal, HOME, 0x11);
+        assert_eq!(region_record(&io, 1), (vec![HOME], vec![]));
+        // A live record names HOME + 1 as a direct home: writing it home
+        // again would make that record fail its check.
+        write_fresh(&io, &journal, HOME + 1, 0x20);
+        write_fresh(&io, &journal, HOME + 1, 0x21);
+        assert_eq!(region_record(&io, 3), (vec![HOME + 1], vec![]));
+        // The group frees the block it allocates: the state before it may
+        // still hold the block as someone else's.
+        journal.begin_op();
+        journal.note_free(HOME + 2).unwrap();
+        journal.log_fresh(HOME + 2, &[0x30; BSIZE]).unwrap();
+        journal.end_op(&io).unwrap();
+        assert_eq!(region_record(&io, 0), (vec![HOME + 2], vec![]));
+        let stats = journal.stats();
+        assert_eq!((stats.direct_blocks, stats.demoted), (1, 3));
+        // Once no live record names it and no copy is pending, a fresh
+        // block goes home again.
+        for fill in 0..REGIONS as u8 {
+            write_block(&io, &journal, HOME + 10, fill);
+        }
+        write_fresh(&io, &journal, HOME + 1, 0x22);
+        assert_eq!(journal.stats().direct_blocks, 2);
+        assert_eq!(journal.stats().demoted, 3);
+        journal.checkpoint(&io).unwrap();
+        assert_eq!(remount(&io), 0);
+        let fills = [HOME, HOME + 1, HOME + 2].map(|home| block_fill(&io, home));
+        assert_eq!(fills, [0x11, 0x22, 0x30]);
+    }
+
+    #[test]
+    fn a_block_allocated_by_one_operation_and_rewritten_by_another_in_its_group_goes_home() {
+        let (io, journal) = setup();
+        let io = Arc::new(io);
+        let journal = Arc::new(journal);
+        journal.begin_op(); // holds the group open
+        journal.log_fresh(HOME, &[0x01; BSIZE]).unwrap();
+        {
+            let (io, journal) = (Arc::clone(&io), Arc::clone(&journal));
+            std::thread::spawn(move || write_block(&io, &journal, HOME, 0x02)).join().unwrap();
+        }
+        journal.end_op(&*io).unwrap();
+        assert_eq!(journal.stats().direct_blocks, 1, "the group allocated it");
+        assert_eq!(block_fill(&io, HOME), 0x02, "with the newest snapshot");
+    }
+
+    #[test]
+    fn a_fresh_block_is_logged_by_the_commit_that_pays_a_failed_commit_s_settle() {
+        let (_, faulty, io) = eio_window_disk();
+        let journal = Journal::new(test_config(DISK));
+        faulty.set_transient_eio(1.0, 1.0);
+        journal.begin_op();
+        journal.log_fresh(HOME, &[0x11; BSIZE]).unwrap();
+        assert_eq!(journal.end_op(&io).unwrap_err().errno(), Errno::Io);
+        faulty.set_transient_eio(0.0, 0.0);
+        write_fresh(&io, &journal, HOME + 1, 0x22);
+        let stats = journal.stats();
+        assert_eq!((stats.commits, stats.direct_blocks, stats.demoted), (1, 0, 1));
+        write_fresh(&io, &journal, HOME + 2, 0x33);
+        assert_eq!(journal.stats().direct_blocks, 1, "the debt is paid");
+        assert_eq!(remount(&io), 1);
+        assert_eq!((block_fill(&io, HOME + 1), block_fill(&io, HOME + 2)), (0x22, 0x33));
+    }
+
+    #[test]
+    fn a_restored_tail_carries_the_live_records_direct_homes() {
+        let (io, old) = setup();
+        write_fresh(&io, &old, HOME, 0x11);
+        let tail = old.tail();
+        assert_eq!(tail.direct[0], [HOME]);
+        let new = Journal::new(test_config(DISK));
+        new.restore_tail(tail);
+        // Freed and allocated again while the predecessor's record lives.
+        write_fresh(&io, &new, HOME, 0x12);
+        assert_eq!((new.stats().direct_blocks, new.stats().demoted), (0, 1));
+        new.checkpoint(&io).unwrap();
+        assert_eq!(remount(&io), 0);
+        assert_eq!(block_fill(&io, HOME), 0x12);
+    }
+
+    #[test]
+    fn recovery_rejects_a_record_whose_direct_home_lacks_its_bytes() {
+        let (io, _) = setup();
+        // The record and its payload are whole, the direct block never
+        // reached its home: the group did not commit.
+        plant_direct_record(&io, 0, 0, &[HOME], &[0x5E], &[(HOME + 1, 0xD1)]);
+        assert_eq!(remount(&io), 0);
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0, 0));
+        // With the direct block at home, it did.
+        plant_direct_record(&io, 0, 4, &[HOME], &[0x5E], &[(HOME + 1, 0xD1)]);
+        io.write_block(HOME + 1, &[0xD1; BSIZE]).unwrap();
+        assert_eq!(remount(&io), 1);
+        assert_eq!(block_fill(&io, HOME), 0x5E);
+    }
+
+    #[test]
+    fn recovery_accepts_a_direct_home_a_newer_valid_record_names_again() {
+        let (io, _) = setup();
+        // Seq 1 allocated HOME + 1; seq 2 rewrote it (logged), and that
+        // copy was installed over the direct bytes — a checkpoint's
+        // install while both records are live.  Seq 1 still commits: its
+        // logged block lands, then seq 2's copy.
+        plant_direct_record(&io, 1, 1, &[HOME], &[0x51], &[(HOME + 1, 0xD1)]);
+        plant_record(&io, 2, 2, &[HOME + 1], &[0xD2]);
+        io.write_block(HOME + 1, &[0xD2; BSIZE]).unwrap();
+        assert_eq!(remount(&io), 2);
+        assert_eq!((block_fill(&io, HOME), block_fill(&io, HOME + 1)), (0x51, 0xD2));
+        // Had seq 2 not validated, seq 1 would be rejected too.
+        plant_direct_record(&io, 1, 5, &[HOME], &[0x61], &[(HOME + 1, 0xD1)]);
+        plant_record(&io, 2, 6, &[HOME + 1], &[0xD2]);
+        io.write_block(2 + 2 * REGION + 1, &[0xEE; BSIZE]).unwrap();
+        assert_eq!(remount(&io), 0);
+        assert_eq!(block_fill(&io, HOME), 0x51);
     }
 }

@@ -2,8 +2,10 @@
 //! **chain workload** — back-to-back transactions and a checkpoint over
 //! the bare [`Journal`] on crashsim's fault device, grouped into commits
 //! by either close rule — with its recovery oracles (atomicity, ordering,
-//! durability) and a census of which states of the one-barrier epoch and
-//! the region ring an enumeration actually visited.
+//! durability) and a census of which states of the one-barrier epoch, the
+//! region ring and the direct writes of fresh blocks an enumeration
+//! actually visited; and the **reuse workload**, a block freed and
+//! allocated again while older copies of it are live.
 
 // Each test binary uses its own subset.
 #![allow(dead_code)]
@@ -11,10 +13,11 @@
 use std::sync::Arc;
 
 use crashsim::{
-    sampled_states, CrashState, DiskImage, Event, FaultConfig, FaultDevice, WriteTrace,
+    prefix_states, sampled_states, CrashState, DiskImage, Event, FaultConfig, FaultDevice,
+    WriteTrace,
 };
 use journal::io::{DeviceIo, JournalIo};
-use journal::record::{parse_head, payload_digest, BSIZE};
+use journal::record::{direct_checksum, parse_head, payload_digest, BSIZE};
 use journal::{GroupClose, Journal, JournalConfig, PlantedFault, MAX_OP_BLOCKS, REGIONS};
 use simkernel::dev::{BlockDevice, RamDisk};
 
@@ -72,6 +75,14 @@ fn chain_own_blocks(t: u64) -> [u64; 2] {
     [1910 + 2 * t, 1911 + 2 * t]
 }
 
+/// The block chain transaction `t` allocates ([`Journal::log_fresh`]) and
+/// transaction `t + 1` rewrites: a direct home in `t`'s record, then a
+/// logged copy in `t + 1`'s that is installed over it — by the epoch that
+/// falls due, or by the checkpoint while `t`'s record is still live.
+fn chain_fresh(t: u64) -> u64 {
+    1940 + t
+}
+
 /// The blocks several chain transactions write, each with the fill of the
 /// last one to write it: `t`'s blocks among them.
 fn chain_rewritten_blocks(t: u64) -> impl Iterator<Item = u64> {
@@ -106,9 +117,11 @@ pub fn record_chain(close: GroupClose, fault: PlantedFault) -> RecordedChain {
     let mut groups = vec![Vec::new()];
     for t in 0..txs {
         journal.begin_op();
-        for blockno in chain_rewritten_blocks(t).chain(chain_own_blocks(t)) {
+        let rewrites = t.checked_sub(1).map(chain_fresh);
+        for blockno in chain_rewritten_blocks(t).chain(chain_own_blocks(t)).chain(rewrites) {
             journal.log_write(blockno, &[chain_fill(t); BSIZE]).unwrap();
         }
+        journal.log_fresh(chain_fresh(t), &[chain_fill(t); BSIZE]).unwrap();
         journal.end_op(&io).unwrap();
         let group = groups.last_mut().expect("a running group");
         group.push(t);
@@ -135,6 +148,8 @@ pub fn record_chain(close: GroupClose, fault: PlantedFault) -> RecordedChain {
     let stats = journal.stats();
     assert_eq!(stats.barriers, stats.commits, "one barrier per commit");
     journal.checkpoint(&io).unwrap();
+    let stats = journal.stats();
+    assert_eq!((stats.direct_blocks, stats.demoted), (txs, 0), "every fresh block goes home");
     assert_eq!(journal.stats().commits as usize, groups.len());
     RecordedChain { trace: recorder.trace(), image, groups }
 }
@@ -163,12 +178,74 @@ impl RecordedChain {
         let violations = states
             .iter()
             .filter_map(|state| {
-                check_chain_state(state, self, &acks, fault, &mut coverage)
+                let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+                check_chain_state(&disk, state.durable_events, self, &acks, fault, &mut coverage)
                     .err()
                     .map(|what| format!("{}: {what}", state.description))
             })
             .collect();
         (violations, coverage)
+    }
+
+    /// Crashes *during recovery*: for each of `states` whose medium holds
+    /// a valid record with a direct home, records a (correct) recovery of
+    /// it, then checks every in-order prefix of that recovery's writes —
+    /// a recovery cut short — by recovering it again (with `fault`
+    /// planted) and applying the chain oracles with the acknowledgements
+    /// of the original crash.  Returns the violations and how many cut
+    /// recoveries had replayed a block and left a record with a direct
+    /// home for the second recovery.
+    pub fn violations_after_a_crash_in_recovery(
+        &self,
+        states: &[CrashState],
+        fault: PlantedFault,
+    ) -> (Vec<String>, usize) {
+        let acks = self.ack_points();
+        let cfg = config();
+        let homes = cfg.home_range.0;
+        let mut coverage = ChainCoverage::default();
+        let (mut violations, mut second_recoveries) = (Vec::new(), 0);
+        for state in states {
+            let disk = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
+            let io = DeviceIo::new(Arc::clone(&disk));
+            let with_direct = (0..REGIONS as u64)
+                .filter_map(|region| region_record(&io, &cfg, region))
+                .any(|record| record.intact && !record.direct.is_empty());
+            if !with_direct {
+                continue;
+            }
+            let image = Arc::new(DiskImage::capture(&disk).unwrap());
+            let recorder = Arc::new(FaultDevice::new(disk, FaultConfig::recorder(0)));
+            let recovering = DeviceIo::new(Arc::clone(&recorder) as Arc<dyn BlockDevice>);
+            Journal::new(config()).recover(&recovering).unwrap();
+            let trace = recorder.trace();
+            for cut in prefix_states(&trace, &image) {
+                let cut_disk = Arc::clone(&cut.disk) as Arc<dyn BlockDevice>;
+                let cut_io = DeviceIo::new(Arc::clone(&cut_disk));
+                let replayed = trace.events[..cut.durable_events].iter().any(
+                    |event| matches!(event, Event::Write { blockno, .. } if *blockno >= homes),
+                );
+                let direct_left = (0..REGIONS as u64)
+                    .filter_map(|region| region_record(&cut_io, &cfg, region))
+                    .any(|record| !record.direct.is_empty());
+                if replayed && direct_left {
+                    second_recoveries += 1;
+                }
+                let checked = check_chain_state(
+                    &cut_disk,
+                    state.durable_events,
+                    self,
+                    &acks,
+                    fault,
+                    &mut coverage,
+                );
+                if let Err(what) = checked {
+                    violations
+                        .push(format!("{} then {}: {what}", state.description, cut.description));
+                }
+            }
+        }
+        (violations, second_recoveries)
     }
 }
 
@@ -197,6 +274,17 @@ pub struct ChainCoverage {
     /// (vi) A home older than the copy the newest valid record holding it
     /// carries: the install still pending.
     pub home_older_than_newest_copy: usize,
+    /// (vii) A record whose payload is whole while one of its direct
+    /// blocks is not at home (and no newer valid record names it): the
+    /// write cache persisted the record ahead of a direct write.
+    pub record_ahead_of_direct: usize,
+    /// (viii) A direct block at home while its group's record is not on
+    /// the medium.
+    pub direct_ahead_of_record: usize,
+    /// (ix) A valid record's direct home overwritten by a newer group's
+    /// copy, while the newer record that names it is valid too: an install
+    /// (a due one, or the checkpoint's) under the older, live record.
+    pub direct_overwritten_under_live_record: usize,
 }
 
 /// A sealed record as the medium holds it: its sequence, its homes, and
@@ -205,8 +293,23 @@ pub struct ChainCoverage {
 struct RegionRecord {
     seq: u64,
     homes: Vec<u64>,
+    direct: Vec<(u64, u64)>,
     intact: bool,
     payload: Vec<u8>,
+}
+
+impl RegionRecord {
+    /// Whether the direct home `home` holds the bytes this record sealed.
+    fn direct_at_home(&self, io: &DeviceIo, (home, checksum): (u64, u64)) -> bool {
+        let mut block = vec![0u8; BSIZE];
+        io.read_block(home, &mut block).unwrap();
+        direct_checksum(&block) == checksum
+    }
+
+    /// Whether the record names `home`, logged or direct.
+    fn names(&self, home: u64) -> bool {
+        self.homes.contains(&home) || self.direct.iter().any(|&(direct, _)| direct == home)
+    }
 }
 
 /// The sealed record in `region`, if its header parses.
@@ -220,7 +323,13 @@ fn region_record(io: &DeviceIo, cfg: &JournalConfig, region: u64) -> Option<Regi
         io.read_block(head_block + 1 + i as u64, copy).unwrap();
     }
     let intact = payload_digest(payload.chunks_exact(BSIZE)) == parsed.payload_digest;
-    Some(RegionRecord { seq: parsed.seq, homes: parsed.homes, intact, payload })
+    Some(RegionRecord {
+        seq: parsed.seq,
+        homes: parsed.homes,
+        direct: parsed.direct,
+        intact,
+        payload,
+    })
 }
 
 /// Counts what `records` (sorted by sequence) show of the epoch and the
@@ -274,22 +383,47 @@ fn census(
     if stale {
         coverage.home_older_than_newest_copy += 1;
     }
+    let newer_names = |seq: u64, home: u64| valid.iter().any(|r| r.seq > seq && r.names(home));
+    let (mut ahead, mut overwritten) = (false, false);
+    for record in &valid {
+        for &entry in &record.direct {
+            if record.direct_at_home(io, entry) {
+                continue;
+            }
+            if newer_names(record.seq, entry.0) {
+                overwritten = true;
+            } else {
+                ahead = true;
+            }
+        }
+    }
+    coverage.record_ahead_of_direct += usize::from(ahead);
+    coverage.direct_overwritten_under_live_record += usize::from(overwritten);
+    // Sequential commits: a group's index is its record's sequence, and
+    // the group after the newest record on the medium never committed.
+    let next = records.last().map_or(0, |r| r.seq + 1) as usize;
+    if records.last().is_some() && next < chain.groups.len() {
+        // Only the group's own direct write puts anything there.
+        if chain.groups[next].iter().any(|&t| block_fill(io, chain_fresh(t)) != 0) {
+            coverage.direct_ahead_of_record += 1;
+        }
+    }
 }
 
 /// Inspects one chain crash state as the medium holds it, then recovers it
 /// (through a journal with `fault` planted) and applies the oracles.
 /// Returns a description of the first violated oracle, if any.
 fn check_chain_state(
-    state: &CrashState,
+    disk: &Arc<dyn BlockDevice>,
+    durable_events: usize,
     chain: &RecordedChain,
     acks: &[usize],
     fault: PlantedFault,
     coverage: &mut ChainCoverage,
 ) -> Result<(), String> {
-    let disk: Arc<dyn BlockDevice> = Arc::clone(&state.disk) as Arc<dyn BlockDevice>;
-    let io = DeviceIo::new(disk);
+    let io = DeviceIo::new(Arc::clone(disk));
     let cfg = config();
-    let acknowledged = acks.iter().take_while(|&&ack| ack <= state.durable_events).count();
+    let acknowledged = acks.iter().take_while(|&&ack| ack <= durable_events).count();
 
     let mut records: Vec<RegionRecord> =
         (0..REGIONS as u64).filter_map(|region| region_record(&io, &cfg, region)).collect();
@@ -322,9 +456,20 @@ fn check_chain_state(
     if applied[count as usize..].iter().any(|&a| a) {
         return Err(format!("applied transactions are not a prefix: {applied:?}"));
     }
+    // Each applied transaction's fresh block holds its own bytes, or its
+    // successor's once that is applied too.
+    let fresh = (0..count).map(|t| (chain_fresh(t), chain_fill((t + 1).min(count - 1))));
     for blockno in [CHAIN_SHARED, CHAIN_PERIOD] {
         let last = (0..count).rev().find(|&t| chain_rewritten_blocks(t).any(|b| b == blockno));
         let expected = last.map_or(0, chain_fill);
+        let held = block_fill(&io, blockno);
+        if held != expected {
+            return Err(format!(
+                "block {blockno} holds {held:#x}, the last applied tx writing it wrote {expected:#x}"
+            ));
+        }
+    }
+    for (blockno, expected) in fresh {
         let held = block_fill(&io, blockno);
         if held != expected {
             return Err(format!(
@@ -352,4 +497,107 @@ pub fn sampled_chain_violations(fault: PlantedFault, seed: u64) -> Vec<String> {
 /// Whether `violation` came from the atomicity/ordering oracles.
 pub fn is_atomicity(violation: &str) -> bool {
     violation.contains("partially applied") || violation.contains("the last applied tx writing it")
+}
+
+/// The block the reuse workload frees and allocates again.
+const REUSED: u64 = 1980;
+
+/// What reuse transaction `t` does to [`REUSED`]: write it (as a block the
+/// file already had, or as a fresh one), free it, or both free it and
+/// allocate it again; every transaction also writes its own marker block.
+#[derive(Clone, Copy, PartialEq)]
+enum Reuse {
+    Rewrite(u8),
+    Free,
+    Allocate(u8),
+    FreeAndAllocate(u8),
+    Nothing,
+}
+
+/// The reuse script: transaction 0 rewrites the block (a logged copy,
+/// pending until transaction 3's epoch, its record live until transaction
+/// 4 reuses the region); transaction 1 frees it; transaction 2 allocates
+/// it again while that copy and record are live; transactions 3–6 let
+/// transaction 2's record go; transaction 7 frees it and allocates it
+/// again in one group.  Both allocations must be logged.
+const REUSE: [Reuse; 8] = [
+    Reuse::Rewrite(0xA0),
+    Reuse::Free,
+    Reuse::Allocate(0xA2),
+    Reuse::Nothing,
+    Reuse::Nothing,
+    Reuse::Nothing,
+    Reuse::Nothing,
+    Reuse::FreeAndAllocate(0xA7),
+];
+
+fn reuse_marker(t: usize) -> (u64, u8) {
+    (1990 + t as u64, 0x10 + t as u8)
+}
+
+/// The violations among every in-order prefix and 600 sampled crash states
+/// of the reuse script, run and recovered through journals with `fault`
+/// planted: the applied transactions must be a prefix, durable once
+/// acknowledged, and the reused block must hold the bytes of the last
+/// applied transaction that wrote it (anything, if that transaction freed
+/// it).
+pub fn reuse_violations(fault: PlantedFault) -> Vec<String> {
+    let (recorder, image, dev) = recorded_disk();
+    let io = DeviceIo::new(dev);
+    let journal = journal_with(GroupClose::EveryOp, fault);
+    let mut acks = Vec::new();
+    for (t, step) in REUSE.iter().enumerate() {
+        journal.begin_op();
+        let (marker, fill) = reuse_marker(t);
+        journal.log_write(marker, &[fill; BSIZE]).unwrap();
+        match *step {
+            Reuse::Rewrite(fill) => journal.log_write(REUSED, &[fill; BSIZE]).unwrap(),
+            Reuse::Free => journal.note_free(REUSED).unwrap(),
+            Reuse::Allocate(fill) => journal.log_fresh(REUSED, &[fill; BSIZE]).unwrap(),
+            Reuse::FreeAndAllocate(fill) => {
+                journal.note_free(REUSED).unwrap();
+                journal.log_fresh(REUSED, &[fill; BSIZE]).unwrap();
+            }
+            Reuse::Nothing => {}
+        }
+        journal.end_op(&io).unwrap();
+        acks.push(recorder.durable_event_count());
+    }
+    journal.checkpoint(&io).unwrap();
+    if fault == PlantedFault::None {
+        assert_eq!(journal.stats().demoted, 2, "both allocations are logged");
+    }
+    let trace = recorder.trace();
+    let mut states = prefix_states(&trace, &image);
+    states.extend(sampled_states(&trace, &image, 0x2E05_E000, 600));
+    let mut violations = Vec::new();
+    for state in states {
+        let io = DeviceIo::new(Arc::clone(&state.disk) as Arc<dyn BlockDevice>);
+        Journal::new(config()).recover(&io).unwrap();
+        let applied: Vec<bool> = (0..REUSE.len())
+            .map(|t| block_fill(&io, reuse_marker(t).0) == reuse_marker(t).1)
+            .collect();
+        let count = applied.iter().take_while(|&&a| a).count();
+        let acknowledged = acks.iter().take_while(|&&ack| ack <= state.durable_events).count();
+        let last = REUSE[..count].iter().rev().find(|step| **step != Reuse::Nothing);
+        let expected = match last {
+            None => Some(0),
+            Some(Reuse::Rewrite(fill) | Reuse::Allocate(fill) | Reuse::FreeAndAllocate(fill)) => {
+                Some(*fill)
+            }
+            Some(_) => None,
+        };
+        let held = block_fill(&io, REUSED);
+        let what = if applied[count..].iter().any(|&a| a) {
+            format!("applied transactions are not a prefix: {applied:?}")
+        } else if count < acknowledged {
+            format!("{acknowledged} transactions acknowledged, only {count} recovered")
+        } else if expected.is_some_and(|expected| held != expected) {
+            format!("reused block holds {held:#x} after {count} transactions")
+        } else {
+            continue;
+        };
+        violations.push(format!("{}: {what}", state.description));
+    }
+    violations
 }

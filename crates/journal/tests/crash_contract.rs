@@ -19,8 +19,16 @@
 //!   a newer one is valid (a crash inside a reuse epoch, including one
 //!   whose record had superseded blocks), four records valid at once, a
 //!   home older than its newest valid copy, and installs partially applied
-//!   under a durable record (the planted faults that prove these oracles
-//!   have teeth live in `planted_bug.rs`),
+//!   under a durable record — and the states that writing fresh blocks
+//!   straight home makes new: a record on the medium ahead of a direct
+//!   block, a direct block ahead of its record, and a direct home
+//!   overwritten by a newer group's copy while the older record is live
+//!   (the planted faults that prove these oracles have teeth live in
+//!   `planted_bug.rs`),
+//! * crashes during recovery: every cut of a recovery of the chain's crash
+//!   states recovers again to the same contract,
+//! * the reuse workload: a block freed and allocated again while an older
+//!   copy of it is live, and in the group that frees it, recovers whole,
 //! * the same chain under ext4's close rule, several transactions per
 //!   group: groups recover whole, in order, durable once acknowledged,
 //! * a multi-thread stress run on a latency-modelled SSD: the barrier
@@ -38,7 +46,10 @@ use journal::{GroupClose, Journal, JournalConfig, PlantedFault, REGIONS};
 use simkernel::cost::CostModel;
 use simkernel::dev::{BlockDevice, SsdDevice};
 
-use common::{block_fill, config, record_chain, recorded_disk, CHAIN_TXS, DISK_BLOCKS, LOG_BLOCKS};
+use common::{
+    block_fill, config, record_chain, recorded_disk, reuse_violations, CHAIN_TXS, DISK_BLOCKS,
+    LOG_BLOCKS,
+};
 
 /// Runs the two-transaction conflict workload (tx1: 1900=0xA1, 1901=0xA2;
 /// tx2: 1900=0xB1, 1902=0xB2) against `dev`.
@@ -117,6 +128,8 @@ fn assert_ring_coverage(coverage: &common::ChainCoverage, what: &str) {
     assert!(coverage.four_valid_records > 0, "{what}: {coverage:?}");
     assert!(coverage.home_older_than_newest_copy > 0, "{what}: {coverage:?}");
     assert!(coverage.partial_installs_under_record > 0, "{what}: {coverage:?}");
+    assert!(coverage.direct_ahead_of_record > 0, "{what}: {coverage:?}");
+    assert!(coverage.direct_overwritten_under_live_record > 0, "{what}: {coverage:?}");
 }
 
 /// Exhaustive in-order prefixes over six commits and the checkpoint: the
@@ -139,6 +152,7 @@ fn chained_commits_every_write_prefix_recovers_durably() {
     assert!(violations.is_empty(), "{violations:#?}");
     assert_ring_coverage(&coverage, "prefix");
     assert_eq!(coverage.record_ahead_of_payload, 0, "{coverage:?}");
+    assert_eq!(coverage.record_ahead_of_direct, 0, "{coverage:?}");
 }
 
 /// Sampled subset/reorder/tear states over six commits and the
@@ -153,7 +167,31 @@ fn chained_commits_sampled_crashes_recover_durably() {
     let (violations, coverage) = chain.violations(&states, PlantedFault::None);
     assert!(violations.is_empty(), "{violations:#?}");
     assert!(coverage.record_ahead_of_payload > 0, "{coverage:?}");
+    assert!(coverage.record_ahead_of_direct > 0, "{coverage:?}");
     assert_ring_coverage(&coverage, "sampled");
+}
+
+/// A crash during recovery: each prefix state of the chain whose medium
+/// holds a valid record with a direct home is recovered on a recorder,
+/// and every cut of that recovery — replay half done, headers partly
+/// cleared — is recovered again.  Every one meets the chain's contract
+/// with the first crash's acknowledgements, and the enumeration does cut
+/// recoveries after a replay write with a direct home still named.
+#[test]
+fn a_crash_during_recovery_recovers_again() {
+    let chain = record_chain(GroupClose::EveryOp, PlantedFault::None);
+    let states = prefix_states(&chain.trace, &chain.image);
+    let (violations, second_recoveries) =
+        chain.violations_after_a_crash_in_recovery(&states, PlantedFault::None);
+    assert!(violations.is_empty(), "{violations:#?}");
+    assert!(second_recoveries > 0);
+}
+
+/// The reuse workload with nothing planted: both allocations of the
+/// reused block are logged, and every crash state recovers whole.
+#[test]
+fn a_block_freed_and_allocated_again_recovers_whole() {
+    assert_eq!(reuse_violations(PlantedFault::None), Vec::<String>::new());
 }
 
 /// The same chain under ext4's close rule ([`GroupClose::OnFlush`]):

@@ -1,10 +1,11 @@
 //! Planted-fault tests for the journal-level crash oracles: each
 //! [`PlantedFault`] removes one rule the one-barrier commit rests on, and
 //! the enumeration of the chain workload (six commits and a checkpoint,
-//! see `common`) must then report the violation that rule prevents —
-//! while the identical run with nothing planted shows none
-//! (`crash_contract.rs`).  This proves the oracles detect real protocol
-//! violations rather than vacuously passing.
+//! see `common`) or of the reuse workload (a block freed and allocated
+//! again) must then report the violation that rule prevents — while the
+//! identical run with nothing planted shows none (`crash_contract.rs`).
+//! This proves the oracles detect real protocol violations rather than
+//! vacuously passing.
 //!
 //! The fault is a field of one journal, so these share a process with
 //! correct journals.
@@ -14,7 +15,9 @@ mod common;
 use crashsim::prefix_states;
 use journal::{GroupClose, PlantedFault};
 
-use common::{is_atomicity, record_chain, sampled_chain_violations, CHAIN_PERIOD};
+use common::{
+    is_atomicity, record_chain, reuse_violations, sampled_chain_violations, CHAIN_PERIOD,
+};
 
 fn sampled_violations(fault: PlantedFault) -> Vec<String> {
     sampled_chain_violations(fault, 0x2BA2_21E2)
@@ -82,4 +85,32 @@ fn prefix_walk_catches_a_reusing_group_absorbing_the_record_it_overwrites() {
         sampled_violations(fault).iter().any(|v| v.contains(&lost)),
         "sampled states missed it"
     );
+}
+
+/// (f) Recovery that accepts a record without checking its direct homes
+/// commits a group whose fresh block the write cache never persisted: the
+/// chain's fresh block reads back empty under an applied transaction.
+#[test]
+fn reorder_enumeration_catches_recovery_that_skips_the_direct_home_check() {
+    let violations = sampled_violations(PlantedFault::UncheckedDirectHome);
+    let fresh = |v: &String| v.contains("block 194") && v.contains("holds 0x0,");
+    assert!(violations.iter().any(fresh), "undetected: {violations:#?}");
+}
+
+/// (g) A fresh block sent home while an older group's copy of it is
+/// pending and its record live: the install and recovery's replay put the
+/// older bytes over the reallocated block.
+#[test]
+fn a_fresh_block_sent_home_over_a_live_copy_is_caught() {
+    let violations = reuse_violations(PlantedFault::FreshIgnoresLiveCopies);
+    assert!(violations.iter().any(|v| v.contains("reused block")), "undetected: {violations:#?}");
+}
+
+/// (h) A fresh block sent home by the group that freed it: a crash before
+/// the group's record lands leaves the state before it, where the block
+/// still holds the freed file's bytes — overwritten.
+#[test]
+fn a_fresh_block_sent_home_by_the_group_that_freed_it_is_caught() {
+    let violations = reuse_violations(PlantedFault::FreshIgnoresOwnFrees);
+    assert!(violations.iter().any(|v| v.contains("reused block")), "undetected: {violations:#?}");
 }

@@ -336,13 +336,15 @@ pub fn run_load(vfs: &Vfs, spec: &WorkloadSpec, cfg: &LoadConfig) -> Result<Load
 }
 
 /// [`run_load`] calling `hook` with each op's global issue index (`0..`
-/// the total op count) just before the op runs: the scenarios fire their
-/// events at an op index through it.
+/// the total op count) and the time since the run's clock started, just
+/// before the op runs: the scenarios fire their events at an op index
+/// through it, and a time it reports lies inside
+/// [`LoadResult::elapsed`].
 pub(crate) fn run_hooked(
     vfs: &Vfs,
     spec: &WorkloadSpec,
     cfg: &LoadConfig,
-    hook: Option<&(dyn Fn(u64) + Sync)>,
+    hook: Option<&(dyn Fn(u64, Duration) + Sync)>,
 ) -> Result<LoadResult, LoadError> {
     let fail = |op, error| LoadError::new(spec, cfg, op, error);
     let samples_files = [OpKind::Read, OpKind::Write, OpKind::Append, OpKind::Fsync, OpKind::Stat]
@@ -442,7 +444,7 @@ struct Run<'a> {
     vfs: &'a Vfs,
     spec: &'a WorkloadSpec,
     cfg: &'a LoadConfig,
-    hook: Option<&'a (dyn Fn(u64) + Sync)>,
+    hook: Option<&'a (dyn Fn(u64, Duration) + Sync)>,
     start: Instant,
     issued: AtomicU64,
 }
@@ -516,7 +518,7 @@ impl Run<'_> {
             let kind = op.kind();
             let issued_at = Instant::now();
             if let Some(hook) = self.hook {
-                hook(self.issued.fetch_add(1, Ordering::Relaxed));
+                hook(self.issued.fetch_add(1, Ordering::Relaxed), self.start.elapsed());
             }
             // The span measures service time (issue to completion) with the
             // per-phase breakdown.  Inert (one atomic load) when tracing is

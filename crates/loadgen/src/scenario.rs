@@ -38,7 +38,8 @@ use crate::spec::WorkloadSpec;
 pub struct UpgradeOutcome {
     /// The framework's report (generation, state transfer, pause).
     pub report: UpgradeReport,
-    /// When the upgrade fired, relative to run start.
+    /// When the upgrade fired: the issue of op `half`, on the run's clock
+    /// (so always inside [`LoadResult::elapsed`]).
     pub fired_at: Duration,
     /// The health monitor's window in progress when the upgrade fired
     /// (`None` when the run has no monitor).
@@ -87,14 +88,14 @@ pub fn run_upgrade_under_load(
         )));
     };
     let half = cfg.ops * cfg.threads() as u64 / 2;
-    let (fire, fired) = sync_channel::<()>(1);
-    let started = Instant::now();
+    // The hook stamps the firing time on the run's clock as op `half` is
+    // issued, so it lies inside the run however late this thread wakes.
+    let (fire, fired) = sync_channel::<Duration>(1);
     std::thread::scope(|scope| {
         let scenario = scope.spawn(move || -> KernelResult<UpgradeOutcome> {
-            fired.recv().map_err(|_| {
+            let fired_at = fired.recv().map_err(|_| {
                 KernelError::with_context(Errno::Io, "the run ended before the upgrade fired")
             })?;
-            let fired_at = started.elapsed();
             let fired_window = cfg.monitor.as_ref().map(|m| m.windows_closed());
             let gate = bento.begin_upgrade();
             if let Some(hold) = hold {
@@ -113,9 +114,9 @@ pub fn run_upgrade_under_load(
             let report = gate.complete(Box::new(xv6fs::Xv6FileSystem::with_label("loadgen-v2")))?;
             Ok(UpgradeOutcome { report, fired_at, fired_window })
         });
-        let hook = move |k: u64| {
+        let hook = move |k: u64, at: Duration| {
             if k == half {
-                let _ = fire.send(());
+                let _ = fire.send(at);
             }
         };
         let result = run_hooked(&mounted.vfs, spec, cfg, Some(&hook));
@@ -183,7 +184,7 @@ pub fn run_eio_under_load(
         mon.set_snapshot_source(move || source.counters());
     }
     let total = cfg.ops * cfg.threads() as u64;
-    let hook = |k: u64| {
+    let hook = |k: u64, _: Duration| {
         if k == total / 4 {
             fault.set_transient_eio(eio_p / 4.0, eio_p);
         } else if k == total * 3 / 4 {

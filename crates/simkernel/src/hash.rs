@@ -17,7 +17,7 @@
 //! digest differently; wider differences collide with probability about
 //! 2⁻⁶⁴.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const PRIME_1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -153,6 +153,9 @@ impl Hasher for FxHasher {
 
 /// A `HashMap` on [`FxHasher`] (build with `FxHashMap::default()`).
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+
+/// A `HashSet` on [`FxHasher`] (build with `FxHashSet::default()`).
+pub type FxHashSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -251,13 +251,17 @@ pub struct WritePathStats {
     pub log_commits: u64,
     /// Operations absorbed into committed groups.
     pub log_ops: u64,
-    /// Blocks the committed log groups held (each once per group).
+    /// Blocks the committed log groups copied into the log (each once per
+    /// group).
     pub log_blocks: u64,
     /// Home-block writes the log issued to install committed blocks; below
     /// `log_blocks` by the copies a newer commit superseded.
     pub log_installs: u64,
     /// Device barriers issued by log commits, checkpoints and recovery.
     pub log_barriers: u64,
+    /// Blocks the committed groups allocated and wrote straight to their
+    /// homes in the commit's epoch, with no log copy and no install.
+    pub direct_blocks: u64,
     /// Allocations served per allocation group.
     pub alloc_per_group: Vec<u64>,
 }

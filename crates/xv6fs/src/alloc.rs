@@ -2,7 +2,9 @@
 //!
 //! All allocation happens inside the caller's transaction: bitmap and inode
 //! blocks are modified through the buffer cache and recorded with
-//! [`Log::log_write`](crate::log::Log::log_write).  The paper's single
+//! [`Log::log_write`](crate::log::Log::log_write); a new data block's first
+//! contents with [`Log::log_fresh`](crate::log::Log::log_fresh), and a
+//! freed block is reported with [`Log::note_free`](crate::log::Log::note_free).  The paper's single
 //! allocation lock (§6.1) is split ext4-style into one lock per
 //! [`AllocGroups`](crate::core::AllocGroups) group: a thread scans only its
 //! home group's slice of the bitmap (one `bread` per bitmap *block*,
@@ -77,14 +79,17 @@ impl FsCore {
             return Ok(None);
         };
         // The new block's first contents: the piece that overwrites it
-        // whole, else zeros, so stale contents never leak.
+        // whole, else zeros, so stale contents never leak.  Staged as
+        // fresh: no state recovery can produce references the block before
+        // this group commits, so the commit writes it home once instead of
+        // logging it and installing it three commits later.
         let first = match piece {
             Some(piece) if piece.len() == BSIZE => Some(sb.bread_with(blockno, piece)?),
             Some(_) if self.log.planted() == PlantedFault::PartialWriteSkipsZeroFill => None,
             _ => Some(sb.bread_zeroed(blockno)?),
         };
         if let Some(first) = first {
-            self.log.log_write(&first)?;
+            self.log.log_fresh(&first)?;
         }
         state.block_hint = if blockno + 1 < hi { blockno + 1 } else { lo };
         if let Some(used) = state.used_blocks.as_mut() {
@@ -147,6 +152,7 @@ impl FsCore {
         bblock.data_mut()[byte] &= !bit;
         self.log.log_write(&bblock)?;
         drop(bblock);
+        self.log.note_free(blockno)?;
         if let Some(used) = state.used_blocks.as_mut() {
             *used = used.saturating_sub(1);
         }

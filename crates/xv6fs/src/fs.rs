@@ -344,6 +344,8 @@ impl FileSystem for Xv6FileSystem {
             bundle.put("log_recoveries", &log_stats.recoveries)?;
             bundle.put("log_ops", &log_stats.ops_committed)?;
             bundle.put("log_barriers", &log_stats.barriers)?;
+            bundle.put("log_direct", &log_stats.direct_blocks)?;
+            bundle.put("log_demoted", &log_stats.demoted)?;
             // BentoFS quiesced the mount, so the log is idle; the new
             // instance continues it from here instead of replaying the
             // records still live on the medium, and installs the pending
@@ -360,6 +362,7 @@ impl FileSystem for Xv6FileSystem {
             let fields: LogTailFields =
                 (tail.next_seq, tail.live.to_vec(), tail.owes_checkpoint, pending);
             bundle.put("log_tail", &fields)?;
+            bundle.put("log_direct_homes", &tail.direct.to_vec())?;
             let mut opens: Vec<(u32, u32)> = Vec::new();
             core.opens.for_each(|k, v| opens.push((*k, *v)));
             bundle.put("open_files", &opens)?;
@@ -387,10 +390,16 @@ impl FileSystem for Xv6FileSystem {
                     };
                     copies.push(PendingInstall { seq, home, data });
                 }
-                let live = live
-                    .try_into()
-                    .map_err(|_| KernelError::with_context(Errno::Inval, "xv6fs: bad log tail"))?;
-                Some(LogTail { next_seq, live, owes_checkpoint, pending: copies })
+                let bad = || KernelError::with_context(Errno::Inval, "xv6fs: bad log tail");
+                let live = live.try_into().map_err(|_| bad())?;
+                // A bundle from an instance that wrote no direct block has
+                // none to carry.
+                let direct: Vec<Vec<u64>> = state.get_opt("log_direct_homes")?.unwrap_or_default();
+                let direct = match direct.len() {
+                    0 => Default::default(),
+                    _ => direct.try_into().map_err(|_| bad())?,
+                };
+                Some(LogTail { next_seq, live, direct, owes_checkpoint, pending: copies })
             }
             None => None,
         };
@@ -409,6 +418,8 @@ impl FileSystem for Xv6FileSystem {
                 ops_committed: state.get_opt("log_ops")?.unwrap_or(0),
                 barriers: state.get_opt("log_barriers")?.unwrap_or(0),
                 installs: state.get_opt("log_installs")?.unwrap_or(0),
+                direct_blocks: state.get_opt("log_direct")?.unwrap_or(0),
+                demoted: state.get_opt("log_demoted")?.unwrap_or(0),
             });
             if let Some(opens) = state.get_opt::<Vec<(u32, u32)>>("open_files")? {
                 for (inum, count) in opens {

@@ -14,7 +14,10 @@
 //! barriers are [`SuperBlock::sync_all`].
 //! [`Log::log_write`] hands the journal the buffer's own bytes
 //! ([`BufferHead::share`]) rather than a copy; the buffer copies them only
-//! if it changes while the journal still holds them.  A logged block's
+//! if it changes while the journal still holds them.  The allocator stages
+//! a new block's first contents with [`Log::log_fresh`], which the commit
+//! writes straight to its home (the buffer is clean after the commit's
+//! barrier), and reports frees with [`Log::note_free`].  A logged block's
 //! buffer stays dirty — so the cache keeps it and every read sees the
 //! committed bytes — until the journal installs it and
 //! [`BufferHead::clean_if_holds`] finds the buffer still holding the very
@@ -165,6 +168,27 @@ impl Log {
     /// See [`Journal::log_write`].
     pub fn log_write(&self, buf: &BufferHead) -> KernelResult<()> {
         self.journal.log_write(buf.blockno(), buf.share())
+    }
+
+    /// [`Log::log_write`] of the first contents of a block the current
+    /// operation allocated: the commit writes it straight to its home
+    /// unless it must be logged; see [`Journal::log_fresh`].
+    ///
+    /// # Errors
+    ///
+    /// See [`Journal::log_write`].
+    pub fn log_fresh(&self, buf: &BufferHead) -> KernelResult<()> {
+        self.journal.log_fresh(buf.blockno(), buf.share())
+    }
+
+    /// Records that the current operation freed block `blockno`; see
+    /// [`Journal::note_free`].
+    ///
+    /// # Errors
+    ///
+    /// [`simkernel::error::Errno::Inval`] outside a transaction.
+    pub fn note_free(&self, blockno: u64) -> KernelResult<()> {
+        self.journal.note_free(blockno)
     }
 
     /// Distinct blocks the calling thread's open operation has staged;
@@ -396,6 +420,7 @@ mod tests {
             0,
             [1800u64].into_iter(),
             payload_digest([&[0x5E; BSIZE][..]]),
+            &[],
         );
         head.write().unwrap();
         drop(head);

@@ -37,13 +37,15 @@ fn mount(stack: FsStack) -> MountedStack {
 }
 
 /// `(blocks, commits)` the log committed for `op`, fsynced after it so its
-/// group is closed.
+/// group is closed.  A block counts whether its commit copied it into the
+/// log or, as a block the group allocated, wrote it straight home.
 fn logged<T>(fs: &dyn VfsFs, op: impl FnOnce() -> T) -> (u64, u64) {
     let before = fs.write_path_stats().unwrap();
     op();
     fs.fsync(fs.root_ino(), false).unwrap();
     let after = fs.write_path_stats().unwrap();
-    (after.log_blocks - before.log_blocks, after.log_commits - before.log_commits)
+    let blocks = |wp: &simkernel::vfs::WritePathStats| wp.log_blocks + wp.direct_blocks;
+    (blocks(&after) - blocks(&before), after.log_commits - before.log_commits)
 }
 
 /// Writes back `pages` of `ino` (each filled with `fill`) in one pass of a

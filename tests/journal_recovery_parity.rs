@@ -97,7 +97,7 @@ fn head_with(seq: u64, homes: &[u64], fills: &[u8]) -> Vec<u8> {
     let payload: Vec<[u8; BSIZE]> = fills.iter().map(|&fill| [fill; BSIZE]).collect();
     let mut head = vec![0u8; BSIZE];
     let digest = payload_digest(payload.iter().map(|block| &block[..]));
-    encode_head(&mut head, seq, homes.iter().copied(), digest);
+    encode_head(&mut head, seq, homes.iter().copied(), digest, &[]);
     head
 }
 

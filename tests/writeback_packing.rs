@@ -11,11 +11,15 @@
 //! transaction — its size grew or a slot of its block map was filled:
 //! `FsCore::update_inode` logs nothing when the inode's buffer already
 //! holds the same bytes, so an overwrite inside EOF stages its data blocks
-//! alone.  The reservation for the inode block stays either way.  This
-//! suite restates that rule over symbolic block
-//! names, predicts the size of every commit of a pass from it, and
-//! compares the prediction with the commit records the Bento stack really
-//! wrote — decoded from a recorded device trace — for page sets that sit on
+//! alone.  The reservation for the inode block stays either way.  A block
+//! the transaction allocates — a new data block, or a new indirect,
+//! double-indirect or level-1 block — goes straight to its home in the
+//! commit's epoch, and the commit record names it as a direct home; every
+//! other block it stages is copied into the log.  This suite restates that
+//! rule over symbolic block names, predicts the logged and direct blocks
+//! of every commit of a pass from it, and compares the prediction with the
+//! commit records the Bento stack really wrote — decoded from a recorded
+//! device trace — for page sets that sit on
 //! the direct / indirect / double-indirect boundaries of a sparse file, for
 //! a contiguous run longer than a transaction, and for a `sync`-shaped pass
 //! over many small files whose inodes share inode blocks.
@@ -48,6 +52,32 @@ enum Staged {
     Level1(u64, u64),
 }
 
+/// The blocks one transaction stages, and which of them it allocated
+/// (those go home directly; the rest are logged).
+#[derive(Default)]
+struct Tx {
+    staged: HashSet<Staged>,
+    allocated: HashSet<Staged>,
+}
+
+impl Tx {
+    /// Stages a block the file already had.
+    fn stage(&mut self, block: Staged) {
+        self.staged.insert(block);
+    }
+
+    /// Stages a block this transaction allocates, and the bitmap block.
+    fn allocate(&mut self, block: Staged) {
+        self.staged.extend([block, Staged::Bitmap]);
+        self.allocated.insert(block);
+    }
+
+    /// `(logged, direct)` blocks of the commit.
+    fn commit(&self) -> (usize, usize) {
+        (self.staged.len() - self.allocated.len(), self.allocated.len())
+    }
+}
+
 /// What of one file is already allocated, and its size.
 #[derive(Default)]
 struct FileMap {
@@ -71,53 +101,53 @@ impl FileMap {
     /// whether the inode changed: a page past the end grows its size, a
     /// fresh direct block or the first indirect or double-indirect block
     /// fills one of its address slots.
-    fn stage(&mut self, page: u64, staged: &mut HashSet<Staged>) -> bool {
+    fn stage(&mut self, page: u64, tx: &mut Tx) -> bool {
         let ino = self.ino;
         let fresh = self.data.insert(page);
         let end = (page + 1) * PAGE_SIZE as u64;
         let grew = end > self.size;
         self.size = self.size.max(end);
-        staged.insert(Staged::Data(ino, page));
         if fresh {
-            staged.insert(Staged::Bitmap);
+            tx.allocate(Staged::Data(ino, page));
+        } else {
+            tx.stage(Staged::Data(ino, page));
         }
         if page < DIRECT {
             return grew || fresh;
         }
         if page < DIRECT + INDIRECT {
             let first = !std::mem::replace(&mut self.indirect, true);
-            if first || fresh {
-                staged.extend([Staged::Bitmap, Staged::Indirect(ino)]);
+            if first {
+                tx.allocate(Staged::Indirect(ino));
+            } else if fresh {
+                tx.stage(Staged::Indirect(ino));
             }
             return grew || first;
         }
         let level1 = (page - DIRECT - INDIRECT) / INDIRECT;
         let first = !std::mem::replace(&mut self.double_indirect, true);
         if first {
-            staged.extend([Staged::Bitmap, Staged::DoubleIndirect(ino)]);
+            tx.allocate(Staged::DoubleIndirect(ino));
         }
         if self.level1.insert(level1) {
-            staged.extend([
-                Staged::Bitmap,
-                Staged::DoubleIndirect(ino),
-                Staged::Level1(ino, level1),
-            ]);
+            tx.allocate(Staged::Level1(ino, level1));
+            tx.stage(Staged::DoubleIndirect(ino));
         }
         if fresh {
-            staged.insert(Staged::Level1(ino, level1));
+            tx.stage(Staged::Level1(ino, level1));
         }
         grew || first
     }
 
     /// The rule for a pass of this file alone.
-    fn commits(&mut self, pages: &[u64]) -> Vec<usize> {
+    fn commits(&mut self, pages: &[u64]) -> Vec<(usize, usize)> {
         commits(&mut [(self, pages)])
     }
 }
 
-/// The rule: blocks per commit of one pass over `pass`, `(file, pages)` in
-/// ascending inode order.
-fn commits(pass: &mut [(&mut FileMap, &[u64])]) -> Vec<usize> {
+/// The rule: `(logged, direct)` blocks per commit of one pass over `pass`,
+/// `(file, pages)` in ascending inode order.
+fn commits(pass: &mut [(&mut FileMap, &[u64])]) -> Vec<(usize, usize)> {
     let pieces: Vec<(usize, u64)> = pass
         .iter()
         .enumerate()
@@ -125,25 +155,25 @@ fn commits(pass: &mut [(&mut FileMap, &[u64])]) -> Vec<usize> {
         .collect();
     // `<`, not `≤`: one block stays free for the inode block of the file
     // being written, the one inode not yet staged.
-    let room = |staged: &HashSet<Staged>| staged.len() + PIECE_WORST_BLOCKS < MAX_OP_BLOCKS;
+    let room = |tx: &Tx| tx.staged.len() + PIECE_WORST_BLOCKS < MAX_OP_BLOCKS;
     let mut sizes = Vec::new();
     let mut pieces = pieces.into_iter().peekable();
     while pieces.peek().is_some() {
-        let mut staged = HashSet::new();
+        let mut tx = Tx::default();
         while let Some(&(file, _)) = pieces.peek() {
-            if !room(&staged) {
+            if !room(&tx) {
                 break;
             }
             let map = &mut *pass[file].0;
             let mut changed = false;
-            while let Some((_, page)) = pieces.next_if(|&(f, _)| f == file && room(&staged)) {
-                changed |= map.stage(page, &mut staged);
+            while let Some((_, page)) = pieces.next_if(|&(f, _)| f == file && room(&tx)) {
+                changed |= map.stage(page, &mut tx);
             }
             if changed {
-                staged.insert(Staged::InodeBlock(map.ino / IPB as u64));
+                tx.stage(Staged::InodeBlock(map.ino / IPB as u64));
             }
         }
-        sizes.push(staged.len());
+        sizes.push(tx.commit());
     }
     sizes
 }
@@ -178,14 +208,15 @@ impl Recorded {
 
     /// Writes back `pages` of `ino` (every page full, the file ending with
     /// the last one or at `size`) in one `write_pages` call; returns the
-    /// block count of every commit record the call wrote.
-    fn write_back(&self, ino: u64, pages: &[u64], size: u64) -> Vec<usize> {
+    /// `(logged, direct)` block counts of every commit record the call
+    /// wrote.
+    fn write_back(&self, ino: u64, pages: &[u64], size: u64) -> Vec<(usize, usize)> {
         self.write_back_pass(&[(ino, pages, size)])
     }
 
     /// [`Recorded::write_back`] of a pass of several files, `(ino, pages,
     /// size)` in ascending inode order.
-    fn write_back_pass(&self, pass: &[(u64, &[u64], u64)]) -> Vec<usize> {
+    fn write_back_pass(&self, pass: &[(u64, &[u64], u64)]) -> Vec<(usize, usize)> {
         let page = vec![0xD7u8; PAGE_SIZE];
         let sets: Vec<Vec<(u64, &[u8])>> = pass
             .iter()
@@ -199,7 +230,8 @@ impl Recorded {
             .iter()
             .filter_map(|event| match event {
                 Event::Write { blockno, data } if self.log_heads.contains(blockno) => {
-                    parse_head(data, self.capacity).map(|record| record.homes.len())
+                    let record = parse_head(data, self.capacity)?;
+                    Some((record.homes.len(), record.direct.len()))
                 }
                 _ => None,
             })
@@ -228,13 +260,18 @@ fn scattered_pages_across_the_mapping_boundaries_pack_by_the_rule() {
     let predicted = map.commits(&pages);
     assert!(predicted.len() >= 3, "the set must not fit one transaction: {predicted:?}");
     let commits = stack.write_back(ino, &pages, size);
-    assert!(commits.iter().all(|&blocks| blocks <= MAX_OP_BLOCKS), "{commits:?}");
+    assert!(
+        commits.iter().all(|&(logged, direct)| logged + direct <= MAX_OP_BLOCKS),
+        "{commits:?}"
+    );
     assert_eq!(commits, predicted, "fresh sparse file");
 
-    // The same set again: nothing to allocate, a data block per page.
+    // The same set again: nothing to allocate, a logged data block per
+    // page.
     let per_commit = MAX_OP_BLOCKS - PIECE_WORST_BLOCKS;
     let again = stack.write_back(ino, &pages, size);
     assert_eq!(again, map.commits(&pages), "overwrite");
+    assert!(again.iter().all(|&(_, direct)| direct == 0), "{again:?}");
     assert_eq!(again.len(), pages.len().div_ceil(per_commit));
     assert_eq!(stack.fs.getattr(ino).unwrap().size, size);
     stack.fs.destroy().unwrap();
@@ -251,29 +288,36 @@ fn a_contiguous_run_longer_than_a_transaction_is_cut_by_the_rule() {
     let mut map = FileMap::new(ino);
 
     // Fresh: every page allocates, so a commit also carries the bitmap
-    // block and (past page 12) the indirect block.
+    // block and (past page 12) the indirect block.  The data blocks and
+    // the indirect block go home directly; the indirect block once, in the
+    // commit that allocates it, and logged in the later ones.
     let fresh = stack.write_back(ino, &pages, size);
-    assert!(fresh.iter().all(|&blocks| blocks <= MAX_OP_BLOCKS), "{fresh:?}");
+    let total = |commits: &[(usize, usize)]| commits.iter().map(|&(l, d)| l + d).sum::<usize>();
+    assert!(fresh.iter().all(|&(logged, direct)| logged + direct <= MAX_OP_BLOCKS), "{fresh:?}");
     assert_eq!(fresh, map.commits(&pages));
-    assert_eq!(fresh.iter().sum::<usize>(), 200 + 3 * fresh.len(), "+ bitmap, indirect, inode");
+    assert_eq!(total(&fresh), 200 + 3 * fresh.len(), "+ bitmap, indirect, inode");
+    assert_eq!(fresh.iter().map(|&(_, direct)| direct).sum::<usize>(), 200 + 1);
 
-    // Overwrite: 58 data blocks per commit and no inode block — the
+    // Overwrite: 58 logged data blocks per commit and no inode block — the
     // inode did not change.
     let per_commit = MAX_OP_BLOCKS - PIECE_WORST_BLOCKS;
     let over = stack.write_back(ino, &pages, size);
-    assert_eq!(over, [per_commit, per_commit, per_commit, 200 - 3 * per_commit]);
+    let logged = |n| (n, 0);
+    assert_eq!(over, [per_commit, per_commit, per_commit, 200 - 3 * per_commit].map(logged));
     assert_eq!(over, map.commits(&pages));
     assert_eq!(over.len(), 200usize.div_ceil(per_commit));
 
     // The costliest piece this image can produce — the file's first page
     // in the double-indirect range: data, level-1 and top block, one
     // bitmap block — arriving when the transaction is as full as the rule
-    // lets it get still fits.
+    // lets it get still fits.  Its three new blocks go home directly; the
+    // bitmap and inode blocks join the overwritten pages in the log.
     let mut nearly_full: Vec<u64> = (0..per_commit as u64 - 1).collect();
     nearly_full.push(DIRECT + INDIRECT + 5);
     let size = (DIRECT + INDIRECT + 6) * PAGE_SIZE as u64;
-    assert_eq!(stack.write_back(ino, &nearly_full, size), [per_commit - 1 + 4 + 1]);
-    assert_eq!(map.commits(&nearly_full), [per_commit - 1 + 4 + 1]);
+    let expected = [(per_commit - 1 + 1 + 1, 3)];
+    assert_eq!(stack.write_back(ino, &nearly_full, size), expected);
+    assert_eq!(map.commits(&nearly_full), expected);
 }
 
 #[test]
@@ -309,13 +353,17 @@ fn a_sync_pass_over_many_small_files_packs_them_by_the_rule() {
     assert!(predicted.len() >= 3, "the pass must not fit one transaction: {predicted:?}");
     assert!(predicted.len() * 10 < inos.len(), "many files per transaction: {predicted:?}");
     let fresh = stack.write_back_pass(&pass);
-    assert!(fresh.iter().all(|&blocks| blocks <= MAX_OP_BLOCKS), "{fresh:?}");
+    assert!(fresh.iter().all(|&(logged, direct)| logged + direct <= MAX_OP_BLOCKS), "{fresh:?}");
     assert_eq!(fresh, predicted, "fresh files");
-    assert!(fresh.iter().sum::<usize>() < total_pages + inos.len(), "shared inode blocks");
+    let direct: usize = fresh.iter().map(|&(_, direct)| direct).sum();
+    let logged: usize = fresh.iter().map(|&(logged, _)| logged).sum();
+    assert_eq!(direct, total_pages + 90 / 16 + 1, "every data page and indirect block");
+    assert!(direct + logged < total_pages + inos.len(), "shared inode blocks");
 
     // The same pass again: nothing to allocate.
     let again = stack.write_back_pass(&pass);
     assert_eq!(again, commits(&mut model), "overwrite");
+    assert!(again.iter().all(|&(_, direct)| direct == 0), "{again:?}");
     for (&ino, &(_, _, size)) in inos.iter().zip(&pass) {
         assert_eq!(stack.fs.getattr(ino).unwrap().size, size, "ino {ino}");
     }
